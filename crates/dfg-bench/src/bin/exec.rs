@@ -1,40 +1,23 @@
-//! Executor benchmark (dfg-exec): what the persistent pool buys.
+//! Executor benchmark (dfg-exec): what the persistent pool buys on
+//! **kernel-launch latency**.
 //!
-//! Part A — **kernel-launch latency**. Before `dfg-exec`, the vendored
-//! rayon shim spawned fresh OS threads inside every `for_each`, so each
-//! kernel launch paid `clone(2)` + join. This part replays that design
-//! (scoped threads per launch) against the production path (the shim's
-//! `par_chunks_mut`, which queues onto the persistent pool) over many
-//! launches of a small elementwise kernel and reports median latency.
-//!
-//! Part B — **branch-parallel staged execution**. Derives the branch-heavy
-//! vorticity-magnitude + Q-criterion network with the staged strategy, once
-//! with the paper's serial kernel-at-a-time walk and once with
-//! `EngineOptions::branch_parallel` (one batched launch per dependency
-//! level), asserting the outputs agree bit-for-bit.
+//! Before `dfg-exec`, the vendored rayon shim spawned fresh OS threads
+//! inside every `for_each`, so each kernel launch paid `clone(2)` + join.
+//! This bench replays that design (scoped threads per launch) against the
+//! production path (the shim's `par_chunks_mut`, which queues onto the
+//! persistent pool) over many launches of a small elementwise kernel and
+//! reports median latency.
 //!
 //! Writes `BENCH_exec.json`.
 
-use dfg_core::{Engine, EngineOptions, Field, FieldSet, Strategy, Workload};
-use dfg_mesh::{RectilinearMesh, RtWorkload};
-use dfg_ocl::DeviceProfile;
 use rayon::prelude::*;
 use std::time::Instant;
 
 const LAUNCH_N: usize = 16 * 1024;
 const LAUNCH_CHUNK: usize = 4 * 1024;
 const LAUNCHES: usize = 400;
-const GRIDS: [[usize; 3]; 3] = [[16, 16, 16], [32, 32, 32], [64, 64, 64]];
-/// The grid whose wall-time win the run asserts on: large enough that every
-/// kernel splits into multiple pool tasks (so the serial walk pays one
-/// fork-join barrier per kernel), small enough that launch overhead is
-/// still a measurable share of wall time. Smaller grids run the serial
-/// walk inline (nothing to save); much larger ones are memory-bound.
-const ASSERT_GRID: [usize; 3] = [32, 32, 32];
-const REPS: usize = 31;
-const OUTPUTS: [&str; 2] = ["w_mag", "q_crit"];
 
-/// The small per-chunk kernel body both Part A arms execute.
+/// The small per-chunk kernel body both arms execute.
 fn body(chunk: &mut [f32]) {
     for v in chunk {
         *v = v.mul_add(1.000_1, 0.5);
@@ -85,7 +68,7 @@ fn time_launches(launch: &mut dyn FnMut(&mut [f32])) -> u64 {
     median_ns(samples)
 }
 
-/// Part A outputs must agree bit-for-bit between the two launch paths.
+/// Outputs must agree bit-for-bit between the two launch paths.
 fn assert_launch_arms_agree(threads: usize) {
     let mut a = vec![1.0f32; LAUNCH_N];
     let mut b = vec![1.0f32; LAUNCH_N];
@@ -95,117 +78,6 @@ fn assert_launch_arms_agree(threads: usize) {
         a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
         "spawn-per-launch and pooled launches must produce identical data"
     );
-}
-
-/// The branch-heavy network: Q-criterion plus vorticity magnitude over the
-/// same velocity field (shared gradients, two roots).
-fn source() -> String {
-    format!(
-        "{}\nw_mag = norm(curl(u, v, w, dims, x, y, z))\n",
-        Workload::QCriterion.source().trim_end()
-    )
-}
-
-struct StagedArm {
-    /// Best observed wall seconds over [`REPS`] runs — the low-noise
-    /// estimate of intrinsic cost on a shared machine.
-    min_wall: f64,
-    median_wall: f64,
-    outputs: Vec<(String, Field)>,
-}
-
-/// Run the staged strategy [`REPS`] times per arm on one grid — serial walk
-/// and branch-parallel levels — and keep each arm's first derived fields
-/// for the bit-parity check.
-///
-/// Two deliberate choices keep this a measurement of *execution*:
-/// repetitions alternate between the arms so ambient machine drift hits
-/// both equally, and each arm is a persistent [`dfg_core::Session`] so
-/// pooled buffers are warm after warm-up — the level executor frees per
-/// level instead of per step, so its transient footprint differs and
-/// one-shot contexts would charge that difference to the allocator (fresh
-/// zeroed pages every repetition).
-fn run_staged(dims: [usize; 3]) -> (StagedArm, StagedArm, f64) {
-    let mesh = RectilinearMesh::unit_cube(dims);
-    let fields = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
-    let src = source();
-    let mut serial_engine =
-        Engine::with_options(DeviceProfile::intel_x5660(), EngineOptions::default());
-    let mut branch_engine = Engine::with_options(
-        DeviceProfile::intel_x5660(),
-        EngineOptions {
-            branch_parallel: true,
-            ..EngineOptions::default()
-        },
-    );
-    let mut serial = serial_engine.session();
-    let mut branch = branch_engine.session();
-    let mut arms = [
-        (
-            &mut serial,
-            StagedArm {
-                min_wall: 0.0,
-                median_wall: 0.0,
-                outputs: Vec::new(),
-            },
-        ),
-        (
-            &mut branch,
-            StagedArm {
-                min_wall: 0.0,
-                median_wall: 0.0,
-                outputs: Vec::new(),
-            },
-        ),
-    ];
-    let mut walls = [Vec::with_capacity(REPS), Vec::with_capacity(REPS)];
-    for rep in 0..=REPS {
-        for (k, (session, arm)) in arms.iter_mut().enumerate() {
-            let (fields, report) = session
-                .derive_many(&src, &OUTPUTS, &fields, Strategy::Staged)
-                .expect("staged derive");
-            if rep == 0 {
-                // Warm-up: expression cache, buffer pool, exec pool.
-                arm.outputs = fields;
-            } else {
-                walls[k].push(report.wall.as_secs_f64());
-            }
-        }
-    }
-    // Paired per-repetition ratio: serial and branch-parallel run back to
-    // back within each repetition, so machine drift cancels in the ratio
-    // where it would bias independent minima.
-    let mut ratios: Vec<f64> = walls[0].iter().zip(&walls[1]).map(|(s, b)| s / b).collect();
-    ratios.sort_by(f64::total_cmp);
-    let paired_speedup = ratios[ratios.len() / 2];
-    for (k, (_, arm)) in arms.iter_mut().enumerate() {
-        walls[k].sort_by(f64::total_cmp);
-        arm.min_wall = walls[k][0];
-        arm.median_wall = walls[k][walls[k].len() / 2];
-    }
-    let [(_, serial_arm), (_, branch_arm)] = arms;
-    (serial_arm, branch_arm, paired_speedup)
-}
-
-fn assert_fields_bit_identical(
-    serial: &[(String, Field)],
-    branch: &[(String, Field)],
-    dims: [usize; 3],
-) {
-    assert_eq!(serial.len(), branch.len());
-    for ((name_s, f_s), (name_b, f_b)) in serial.iter().zip(branch) {
-        assert_eq!(name_s, name_b);
-        let same = f_s.data.len() == f_b.data.len()
-            && f_s
-                .data
-                .iter()
-                .zip(&f_b.data)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            same,
-            "`{name_s}` differs between serial and branch-parallel staged runs on {dims:?}"
-        );
-    }
 }
 
 fn main() {
@@ -222,7 +94,6 @@ fn main() {
     println!("EXECUTOR BENCHMARK: dfg-exec pool with {threads} threads");
     println!();
 
-    // Part A: launch latency.
     assert_launch_arms_agree(threads);
     let spawn_ns = time_launches(&mut |data| launch_spawning(data, threads));
     let pool_ns = time_launches(&mut launch_pooled);
@@ -239,59 +110,9 @@ fn main() {
         "persistent pool must beat spawn-per-launch on launch latency"
     );
 
-    // Part B: staged wall, serial walk vs branch-parallel levels.
-    println!("staged wall (w_mag + q_crit, best of {REPS}, interleaved arms):");
-    println!(
-        "{:<12} {:>12} {:>16} {:>9}",
-        "grid", "serial ms", "branch-par ms", "speedup"
-    );
-    let mut rows = Vec::new();
-    for dims in GRIDS {
-        let (serial, branch, speedup) = run_staged(dims);
-        assert_fields_bit_identical(&serial.outputs, &branch.outputs, dims);
-        println!(
-            "{:<12} {:>12.3} {:>16.3} {:>8.2}x",
-            format!("{}^3", dims[0]),
-            serial.min_wall * 1e3,
-            branch.min_wall * 1e3,
-            speedup
-        );
-        rows.push((dims, serial, branch, speedup));
-    }
-    println!();
     let (executed, steals) = dfg_exec::global().stats();
     println!("pool stats: {executed} jobs run by workers, {steals} stolen");
-    let (_, _, _, mid_speedup) = rows
-        .iter()
-        .find(|(dims, ..)| *dims == ASSERT_GRID)
-        .expect("assert grid is benchmarked");
-    assert!(
-        *mid_speedup > 1.0,
-        "branch-parallel staged execution must beat the serial walk on the \
-         launch-overhead-bound grid {ASSERT_GRID:?}"
-    );
 
-    let staged_json: Vec<String> = rows
-        .iter()
-        .map(|(dims, serial, branch, speedup)| {
-            format!(
-                r#"    {{
-      "grid": [{}, {}, {}],
-      "serial": {{ "min_wall_seconds": {:.6}, "median_wall_seconds": {:.6} }},
-      "branch_parallel": {{ "min_wall_seconds": {:.6}, "median_wall_seconds": {:.6} }},
-      "paired_median_speedup": {speedup:.3},
-      "bit_identical_outputs": true
-    }}"#,
-                dims[0],
-                dims[1],
-                dims[2],
-                serial.min_wall,
-                serial.median_wall,
-                branch.min_wall,
-                branch.median_wall,
-            )
-        })
-        .collect();
     let json = format!(
         r#"{{
   "benchmark": "exec_pool",
@@ -304,14 +125,10 @@ fn main() {
     "pool_median_ns": {pool_ns},
     "speedup": {latency_speedup:.3}
   }},
-  "staged_wall": [
-{}
-  ],
   "pool_jobs_executed": {executed},
   "pool_jobs_stolen": {steals}
 }}
-"#,
-        staged_json.join(",\n")
+"#
     );
     std::fs::write("BENCH_exec.json", json).expect("write BENCH_exec.json");
     println!("results written to BENCH_exec.json");

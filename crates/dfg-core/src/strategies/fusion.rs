@@ -6,96 +6,36 @@
 //! registers, and one download returns the result.
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
-use dfg_kernels::{fuse_roots, FusedKernel};
 use dfg_ocl::{Context, ExecMode};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
-use crate::session::{program_key, CachedProgram, SessionState};
-use crate::strategies::{check_field, lanes_for};
+use crate::session::SessionState;
+use crate::strategies::{fused_kernel, upload_field};
 
-/// Execute `spec` with the fusion strategy. Returns the derived field in
-/// real mode, `None` in model mode, plus the generated kernel source.
-pub fn run_fusion(
+/// Execute `roots` of `spec` with the fusion strategy: one generated kernel
+/// computes every root, writing an interleaved output buffer that is
+/// de-interleaved host-side after the single download. Returns the derived
+/// fields in real mode, `None` in model mode, plus the generated kernel
+/// source.
+///
+/// With a session, codegen is served from its kernel cache and input
+/// uploads go through its generation-checked resident buffers, which are
+/// *not* released here; with `None` every buffer is created and drained by
+/// this call.
+pub(crate) fn run_fusion(
     spec: &NetworkSpec,
     fields: &FieldSet,
     ctx: &mut Context,
-    label: &str,
-) -> Result<(Option<Field>, String), EngineError> {
-    let (fields_out, source) = run_fusion_multi(spec, &[spec.result], fields, ctx, label)?;
-    Ok((
-        fields_out.map(|mut v| v.pop().expect("one root, one field")),
-        source,
-    ))
-}
-
-/// Multi-output fusion: one generated kernel computes every root, writing
-/// an interleaved output buffer that is de-interleaved host-side after the
-/// single download.
-pub fn run_fusion_multi(
-    spec: &NetworkSpec,
     roots: &[NodeId],
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
-) -> Result<(Option<Vec<Field>>, String), EngineError> {
-    run_fusion_multi_session(spec, roots, fields, ctx, label, None)
-}
-
-/// [`run_fusion_multi`] with optional session state: codegen is served
-/// from the session's kernel cache, input uploads go through its
-/// generation-checked resident buffers (which are *not* released here),
-/// and only session-owned transients are drained. With `session == None`
-/// the behavior is byte-identical to the one-shot path.
-pub(crate) fn run_fusion_multi_session(
-    spec: &NetworkSpec,
-    roots: &[NodeId],
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
     mut session: Option<&mut SessionState>,
+    label: &str,
 ) -> Result<(Option<Vec<Field>>, String), EngineError> {
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
-    let kernel_name = format!("fused_{label}");
-    let cached = session.as_deref_mut().and_then(|state| {
-        let key = program_key(spec, roots, false);
-        let hit = state
-            .programs
-            .get(&key)
-            .map(|c| (c.program.clone(), c.source.clone()));
-        if hit.is_some() {
-            state.stats.codegen_cached += 1;
-        }
-        hit
-    });
-    let (program, source) = match cached {
-        Some((program, source)) => {
-            drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
-            (program, source)
-        }
-        None => {
-            let program = {
-                let _codegen = dfg_trace::span!(tracer, "fusion.codegen", label = label);
-                let program = fuse_roots(spec, roots)?;
-                ctx.record_compile(&kernel_name)?;
-                program
-            };
-            let source = program.generated_source(&kernel_name);
-            if let Some(state) = session.as_deref_mut() {
-                state.stats.codegen_compiles += 1;
-                state.programs.insert(
-                    program_key(spec, roots, false),
-                    CachedProgram {
-                        program: program.clone(),
-                        source: source.clone(),
-                    },
-                );
-            }
-            (program, source)
-        }
-    };
+    let (kernel, source) = fused_kernel(spec, roots, ctx, session.as_deref_mut(), label, false)?;
+    let program = &kernel.program;
 
     let mut bufs = Vec::with_capacity(program.inputs.len());
     // Buffers this call created and must release (with a session, resident
@@ -104,31 +44,15 @@ pub(crate) fn run_fusion_multi_session(
     {
         let _upload = dfg_trace::span!(tracer, "fusion.upload", inputs = program.inputs.len());
         for slot in &program.inputs {
-            let buf = match session.as_deref_mut() {
-                Some(state) => state.bind_input(ctx, fields, &slot.name, slot.small)?,
-                None => {
-                    let fv = check_field(fields, &slot.name, slot.small, ctx.mode())?;
-                    let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-                    if real {
-                        ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-                    } else {
-                        ctx.enqueue_write_virtual(buf)?;
-                    }
-                    owned.push(buf);
-                    buf
-                }
-            };
+            let buf = upload_field(fields, ctx, &slot.name, slot.small, session.as_deref_mut())?;
+            if session.is_none() {
+                owned.push(buf);
+            }
             bufs.push(buf);
         }
     }
     let lanes_per_elem = program.lanes_per_elem;
     let out = ctx.create_buffer(lanes_per_elem * n)?;
-    let outputs_meta: Vec<(Width, usize)> = program
-        .outputs
-        .iter()
-        .map(|o| (o.width, o.lane_offset))
-        .collect();
-    let kernel = FusedKernel::new(program, label);
     {
         let _kernel = dfg_trace::span!(tracer, "fusion.kernel", label = label);
         ctx.launch(&kernel, &bufs, out, n)?;
@@ -137,8 +61,9 @@ pub(crate) fn run_fusion_multi_session(
     let _download = dfg_trace::span!(tracer, "fusion.download");
     let fields_out = if real {
         let interleaved = ctx.enqueue_read(out)?;
-        let mut result = Vec::with_capacity(outputs_meta.len());
-        for &(width, lane_offset) in &outputs_meta {
+        let mut result = Vec::with_capacity(program.outputs.len());
+        for o in &program.outputs {
+            let (width, lane_offset) = (o.width, o.lane_offset);
             let w = match width {
                 Width::Vec4 => 4,
                 _ => 1,

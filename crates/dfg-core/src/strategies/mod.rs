@@ -1,4 +1,4 @@
-//! The three execution strategies of §III-C.
+//! The execution strategies of §III-C, plus the streamed extension.
 //!
 //! Each executor drives the *same* dataflow schedule and the *same*
 //! primitive kernel library through a different data-movement protocol:
@@ -8,6 +8,16 @@
 //! | roundtrip | one per filter              | host memory       | per-port upload, per-kernel download |
 //! | staged    | one per filter (+decompose, +const fill) | device global memory (ref-counted) | inputs once, result once |
 //! | fusion    | one fused kernel            | device registers  | inputs once, result once |
+//! | streamed  | the fused kernel, per z-slab | device registers | ghosted slabs in, interiors out |
+//!
+//! There is one function per strategy, and one caller: the recovery
+//! driver's `execute_level`. Every function computes a list of `roots`
+//! (single-output is the one-root case) and takes an optional
+//! [`SessionState`]: with `None` the run is one-shot — every buffer it
+//! creates it releases, and the event stream is exactly the paper's
+//! protocol; with a session, source fields bind to generation-checked
+//! resident buffers that outlive the call and fused codegen is served from
+//! the session's kernel cache.
 //!
 //! The executors' buffer allocation orders intentionally mirror
 //! `dfg_dataflow::memreq`'s analytical simulation so that measured
@@ -18,21 +28,20 @@ mod roundtrip;
 mod staged;
 mod streamed;
 
-pub use fusion::{run_fusion, run_fusion_multi};
-pub use roundtrip::{run_roundtrip, run_roundtrip_multi};
-pub use staged::{run_staged, run_staged_levels_multi, run_staged_multi};
-pub use streamed::{run_streamed_fusion, StreamReport};
+pub use streamed::StreamReport;
 
-pub(crate) use fusion::run_fusion_multi_session;
-pub(crate) use roundtrip::run_roundtrip_multi_session;
-pub(crate) use staged::{run_staged_levels_session, run_staged_multi_session};
-pub(crate) use streamed::{run_streamed_fusion_session, StreamRetry};
+pub(crate) use fusion::run_fusion;
+pub(crate) use roundtrip::run_roundtrip;
+pub(crate) use staged::run_staged;
+pub(crate) use streamed::{run_streamed, StreamRetry};
 
-use dfg_dataflow::Width;
-use dfg_ocl::ExecMode;
+use dfg_dataflow::{NetworkSpec, NodeId, Width};
+use dfg_kernels::{fuse_roots, FusedKernel};
+use dfg_ocl::{BufferId, Context, ExecMode};
 
 use crate::error::EngineError;
 use crate::fields::{FieldSet, FieldValue};
+use crate::session::{program_key, CachedProgram, SessionState};
 
 /// Lanes a buffer of `width` occupies for `ncells` elements.
 pub(crate) fn lanes_for(width: Width, ncells: usize) -> usize {
@@ -85,4 +94,90 @@ pub(crate) fn check_field<'a>(
         }
         (None, ExecMode::Model) => Ok(fv),
     }
+}
+
+/// Write a validated host field into `buf` (an accounted virtual transfer
+/// in model mode).
+pub(crate) fn write_field(
+    ctx: &mut Context,
+    buf: BufferId,
+    fv: &FieldValue,
+) -> Result<(), EngineError> {
+    match ctx.mode() {
+        ExecMode::Real => ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?,
+        ExecMode::Model => ctx.enqueue_write_virtual(buf)?,
+    }
+    Ok(())
+}
+
+/// Put one named input field on the device: through the session's
+/// generation-checked resident buffers when present (the session owns the
+/// buffer), otherwise as a one-shot create + write the caller must release.
+pub(crate) fn upload_field(
+    fields: &FieldSet,
+    ctx: &mut Context,
+    name: &str,
+    small: bool,
+    session: Option<&mut SessionState>,
+) -> Result<BufferId, EngineError> {
+    match session {
+        Some(state) => state.bind_input(ctx, fields, name, small),
+        None => {
+            let fv = check_field(fields, name, small, ctx.mode())?;
+            let buf = ctx.create_buffer(lanes_for(fv.width, fields.ncells()))?;
+            write_field(ctx, buf, fv)?;
+            Ok(buf)
+        }
+    }
+}
+
+/// Generate (and account the compile of) the fused kernel computing
+/// `roots`, or fetch it from the session's kernel cache. Returns the kernel
+/// and its OpenCL-style source; `streamed` selects the slab variant's name
+/// and cache slot.
+pub(crate) fn fused_kernel(
+    spec: &NetworkSpec,
+    roots: &[NodeId],
+    ctx: &mut Context,
+    session: Option<&mut SessionState>,
+    label: &str,
+    streamed: bool,
+) -> Result<(FusedKernel, String), EngineError> {
+    let tracer = ctx.tracer().cloned();
+    let (kernel_label, stage) = if streamed {
+        (format!("{label}_streamed"), "streamed.codegen")
+    } else {
+        (label.to_string(), "fusion.codegen")
+    };
+    let mut cache = session.map(|state| (program_key(spec, roots, streamed), state));
+    if let Some((key, state)) = &mut cache {
+        if let Some(hit) = state.programs.get(key) {
+            let out = (
+                FusedKernel::new(hit.program.clone(), &kernel_label),
+                hit.source.clone(),
+            );
+            state.stats.codegen_cached += 1;
+            drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
+            return Ok(out);
+        }
+    }
+    let kernel_name = format!("fused_{kernel_label}");
+    let program = {
+        let _codegen = dfg_trace::span!(tracer, stage, label = label);
+        let program = fuse_roots(spec, roots)?;
+        ctx.record_compile(&kernel_name)?;
+        program
+    };
+    let source = program.generated_source(&kernel_name);
+    if let Some((key, state)) = cache {
+        state.stats.codegen_compiles += 1;
+        state.programs.insert(
+            key,
+            CachedProgram {
+                program: program.clone(),
+                source: source.clone(),
+            },
+        );
+    }
+    Ok((FusedKernel::new(program, &kernel_label), source))
 }

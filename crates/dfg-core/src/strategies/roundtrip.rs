@@ -39,50 +39,26 @@ impl HostVal<'_> {
     }
 }
 
-/// Execute `spec` with the roundtrip strategy. Returns the derived field in
-/// real mode, `None` in model mode.
+/// Execute `roots` of `spec` with the roundtrip strategy, extracting the
+/// result fields from the host-value map (the schedule must pin `roots`
+/// live). Returns the derived fields in real mode, `None` in model mode.
 ///
 /// `dedup_uploads` enables the D1 ablation: upload each distinct kernel
 /// input once rather than once per port (the paper transfers per port).
-pub fn run_roundtrip(
+///
+/// With a session, ports fed by source `Input` nodes use its
+/// generation-checked resident buffers instead of the paper's
+/// upload-per-port protocol (the whole point of a persistent session is to
+/// not re-transfer unchanged inputs); intermediates, constants, and
+/// decompose results still roundtrip through the host.
+pub(crate) fn run_roundtrip(
     spec: &NetworkSpec,
     sched: &Schedule,
     fields: &FieldSet,
     ctx: &mut Context,
-    dedup_uploads: bool,
-) -> Result<Option<Field>, EngineError> {
-    let out = run_roundtrip_multi(spec, sched, fields, ctx, dedup_uploads, &[spec.result])?;
-    Ok(out.map(|mut v| v.pop().expect("one root, one field")))
-}
-
-/// Multi-output roundtrip: same protocol, several result fields extracted
-/// from the host-value map (the schedule must pin `roots` live).
-pub fn run_roundtrip_multi(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    dedup_uploads: bool,
-    roots: &[dfg_dataflow::NodeId],
-) -> Result<Option<Vec<Field>>, EngineError> {
-    run_roundtrip_multi_session(spec, sched, fields, ctx, dedup_uploads, roots, None)
-}
-
-/// [`run_roundtrip_multi`] with optional session state. Under a session,
-/// ports fed by source `Input` nodes use the session's generation-checked
-/// resident buffers instead of the paper's upload-per-port protocol (the
-/// whole point of a persistent session is to not re-transfer unchanged
-/// inputs); intermediates, constants, and decompose results still roundtrip
-/// through the host. With `session == None` the behavior is byte-identical
-/// to the one-shot path.
-pub(crate) fn run_roundtrip_multi_session(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    dedup_uploads: bool,
-    roots: &[dfg_dataflow::NodeId],
+    roots: &[NodeId],
     mut session: Option<&mut SessionState>,
+    dedup_uploads: bool,
 ) -> Result<Option<Vec<Field>>, EngineError> {
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();

@@ -7,150 +7,26 @@
 //! intermediate results on the OpenCL target device"*), constants are
 //! materialized by a device fill kernel, and buffers are released the moment
 //! their reference count drops to zero.
-//!
-//! Two executors share this module:
-//!
-//! * [`run_staged_multi`] — the paper's serial walk over
-//!   [`Schedule::order`], one launch (and one event) at a time.
-//! * [`run_staged_levels_multi`] — *branch-parallel*: walks
-//!   [`Schedule::levels`] and dispatches each level's mutually independent
-//!   kernels as one [`Context::launch_batch`], so sibling branches (the
-//!   three `grad`s of a vorticity network) execute concurrently on the
-//!   `dfg-exec` pool. Events stay in deterministic level/id order and
-//!   outputs are bit-identical to the serial walk; free points move from
-//!   per-step to per-level, so the allocation high-water mark may differ —
-//!   which is why branch parallelism is opt-in
-//!   ([`EngineOptions::branch_parallel`](crate::EngineOptions)).
 
 use std::collections::HashMap;
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule};
 use dfg_kernels::Primitive;
-use dfg_ocl::{BatchLaunch, BufferId, Context, DeviceKernel, ExecMode};
-use dfg_trace::Tracer;
+use dfg_ocl::{BufferId, Context, DeviceKernel, ExecMode};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
-use crate::strategies::{check_field, lanes_for};
+use crate::strategies::{lanes_for, upload_field};
 
-/// Execute `spec` with the staged strategy. Returns the derived field in
-/// real mode, `None` in model mode.
-pub fn run_staged(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-) -> Result<Option<Field>, EngineError> {
-    let out = run_staged_multi(spec, sched, fields, ctx, &[spec.result])?;
-    Ok(out.map(|mut v| v.pop().expect("one root, one field")))
-}
-
-/// Multi-output staged execution: one device-to-host read per root.
-pub fn run_staged_multi(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    roots: &[NodeId],
-) -> Result<Option<Vec<Field>>, EngineError> {
-    run_staged_multi_session(spec, sched, fields, ctx, roots, None)
-}
-
-/// Branch-parallel staged execution over dependency levels; see the module
-/// docs for semantics and determinism guarantees.
-pub fn run_staged_levels_multi(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    roots: &[NodeId],
-) -> Result<Option<Vec<Field>>, EngineError> {
-    run_staged_levels_session(spec, sched, fields, ctx, roots, None)
-}
-
-/// Upload one named input field, through the session's generation-checked
-/// resident buffers when present, otherwise as a one-shot create + write.
-fn upload_field(
-    fields: &FieldSet,
-    ctx: &mut Context,
-    name: &str,
-    small: bool,
-    n: usize,
-    session: Option<&mut SessionState>,
-) -> Result<BufferId, EngineError> {
-    match session {
-        Some(state) => state.bind_input(ctx, fields, name, small),
-        None => {
-            let fv = check_field(fields, name, small, ctx.mode())?;
-            let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-            if ctx.mode() == ExecMode::Real {
-                ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-            } else {
-                ctx.enqueue_write_virtual(buf)?;
-            }
-            Ok(buf)
-        }
-    }
-}
-
-/// The shared download tail: one device-to-host read per root (uploading
-/// degenerate bare-input roots first), then drain every remaining buffer
-/// (session-resident inputs stay on the device).
-#[allow(clippy::too_many_arguments)]
-fn download_roots(
-    spec: &NetworkSpec,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    roots: &[NodeId],
-    mut session: Option<&mut SessionState>,
-    mut dev: HashMap<NodeId, BufferId>,
-    n: usize,
-    tracer: &Option<Tracer>,
-) -> Result<Option<Vec<Field>>, EngineError> {
-    let real = ctx.mode() == ExecMode::Real;
-    let mut out = real.then(Vec::new);
-    let _download = dfg_trace::span!(tracer, "staged.download", roots = roots.len());
-    for &root in roots {
-        let result_buf = match dev.get(&root) {
-            Some(&buf) => buf,
-            None => {
-                // Degenerate network: the root is a bare input never
-                // consumed by a kernel. Upload it so the device-to-host
-                // protocol holds.
-                let FilterOp::Input { name, small } = &spec.node(root).op else {
-                    unreachable!("non-input root must have been computed")
-                };
-                let buf = upload_field(fields, ctx, name, *small, n, session.as_deref_mut())?;
-                dev.insert(root, buf);
-                buf
-            }
-        };
-        if let Some(fields_out) = out.as_mut() {
-            let data = ctx.enqueue_read(result_buf)?;
-            fields_out.push(Field {
-                width: spec.width(root),
-                ncells: n,
-                data,
-            });
-        } else {
-            ctx.enqueue_read_virtual(result_buf)?;
-        }
-    }
-    // Drain the device (session-resident inputs stay for the next cycle).
-    for (_, buf) in dev {
-        if !session.as_deref().is_some_and(|s| s.is_resident(buf)) {
-            ctx.release(buf)?;
-        }
-    }
-    Ok(out)
-}
-
-/// [`run_staged_multi`] with optional session state: input uploads go
-/// through the session's generation-checked resident buffers, which the
-/// drain passes leave on the device. With `session == None` the behavior
-/// is byte-identical to the one-shot path.
-pub(crate) fn run_staged_multi_session(
+/// Execute `roots` of `spec` with the staged strategy: the paper's serial
+/// walk over [`Schedule::order`], one launch (and one event) at a time, then
+/// one device-to-host read per root. Returns the derived fields in real
+/// mode, `None` in model mode.
+///
+/// With a session, input uploads go through its generation-checked resident
+/// buffers, which the free and drain passes leave on the device.
+pub(crate) fn run_staged(
     spec: &NetworkSpec,
     sched: &Schedule,
     fields: &FieldSet,
@@ -179,7 +55,7 @@ pub(crate) fn run_staged_multi_session(
                         unreachable!("non-input operand {input} not yet resident");
                     };
                     let _upload = dfg_trace::span!(tracer, "staged.upload", port = name.as_str());
-                    let buf = upload_field(fields, ctx, name, *small, n, session.as_deref_mut())?;
+                    let buf = upload_field(fields, ctx, name, *small, session.as_deref_mut())?;
                     dev.insert(input, buf);
                 }
                 let prim = Primitive::from_filter_op(op).expect("compute op or const");
@@ -203,134 +79,40 @@ pub(crate) fn run_staged_multi_session(
         }
     }
 
-    download_roots(spec, fields, ctx, roots, session, dev, n, &tracer)
-}
-
-/// [`run_staged_levels_multi`] with optional session state (same contract
-/// as [`run_staged_multi_session`]).
-///
-/// Per level: uploads happen first (nodes in ascending-id order, ports in
-/// declared order), then every kernel of the level launches as one batch.
-/// A single-kernel level goes through the plain [`Context::launch`] path —
-/// no batch, no `exec.*` spans — so a linear chain traced here looks
-/// exactly like the serial executor. Buffers are still freed by reference
-/// count, but the free point is the end of the level whose kernels consumed
-/// the last reference.
-pub(crate) fn run_staged_levels_session(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    roots: &[NodeId],
-    mut session: Option<&mut SessionState>,
-) -> Result<Option<Vec<Field>>, EngineError> {
-    let n = fields.ncells();
-    let tracer = ctx.tracer().cloned();
-    let mut dev: HashMap<NodeId, BufferId> = HashMap::new();
-
-    let is_root = {
-        let mut v = vec![false; spec.len()];
-        for &r in roots {
-            v[r.idx()] = true;
-        }
-        v
-    };
-    let mut live_refs = sched.consumers.clone();
-
-    for (depth, level) in sched.levels.iter().enumerate() {
-        // Stage every kernel of the level: operand uploads (lazy, port
-        // order) and output allocation happen serially up front, in
-        // ascending node-id order, keeping the event stream deterministic.
-        let mut staged: Vec<(NodeId, Primitive, Vec<BufferId>, BufferId)> = Vec::new();
-        for &id in level {
-            let node = spec.node(id);
-            let op = &node.op;
-            if matches!(op, FilterOp::Input { .. }) {
-                continue; // uploaded lazily at first consumer
-            }
-            for &input in &node.inputs {
-                if dev.contains_key(&input) {
-                    continue;
-                }
-                let FilterOp::Input { name, small } = &spec.node(input).op else {
-                    unreachable!("non-input operand {input} is in an earlier level");
+    // One device-to-host read per root.
+    let mut out = (ctx.mode() == ExecMode::Real).then(Vec::new);
+    let _download = dfg_trace::span!(tracer, "staged.download", roots = roots.len());
+    for &root in roots {
+        let result_buf = match dev.get(&root) {
+            Some(&buf) => buf,
+            None => {
+                // Degenerate network: the root is a bare input never
+                // consumed by a kernel. Upload it so the device-to-host
+                // protocol holds.
+                let FilterOp::Input { name, small } = &spec.node(root).op else {
+                    unreachable!("non-input root must have been computed")
                 };
-                let _upload = dfg_trace::span!(tracer, "staged.upload", port = name.as_str());
-                let buf = upload_field(fields, ctx, name, *small, n, session.as_deref_mut())?;
-                dev.insert(input, buf);
+                let buf = upload_field(fields, ctx, name, *small, session.as_deref_mut())?;
+                dev.insert(root, buf);
+                buf
             }
-            let prim = Primitive::from_filter_op(op).expect("compute op or const");
-            let out = ctx.create_buffer(lanes_for(op.width(), n))?;
-            let inputs: Vec<BufferId> = node.inputs.iter().map(|i| dev[i]).collect();
-            dev.insert(id, out);
-            staged.push((id, prim, inputs, out));
-        }
-
-        match staged.len() {
-            0 => {} // a level of bare inputs
-            1 => {
-                let (_, prim, inputs, out) = &staged[0];
-                let _kernel = dfg_trace::span!(tracer, "staged.kernel", kernel = prim.name());
-                ctx.launch(prim, inputs, *out, n)?;
-            }
-            fanout => {
-                // All spans are emitted from this coordinating thread: the
-                // level span wraps the batch, then one zero-width task span
-                // per kernel records its measured body wall time.
-                let level_span = dfg_trace::span!(
-                    tracer,
-                    "exec.level",
-                    level = depth,
-                    fanout = fanout,
-                    queue_depth = dfg_exec::global().queue_depth(),
-                );
-                level_span.virt_start(ctx.clock_seconds());
-                let launches: Vec<BatchLaunch<'_>> = staged
-                    .iter()
-                    .map(|(_, prim, inputs, out)| BatchLaunch {
-                        kernel: prim as &dyn DeviceKernel,
-                        inputs: inputs.clone(),
-                        output: *out,
-                        n,
-                    })
-                    .collect();
-                let wall_ns = ctx.launch_batch(&launches)?;
-                level_span.virt_end(ctx.clock_seconds());
-                drop(level_span);
-                for ((id, prim, _, _), ns) in staged.iter().zip(wall_ns) {
-                    dfg_trace::span!(
-                        tracer,
-                        "exec.task",
-                        kernel = prim.name(),
-                        node = id.idx() as u64,
-                        wall_ns = ns,
-                    );
-                }
-            }
-        }
-
-        // Reference counting at level granularity: every port consumed by
-        // this level's kernels retires one reference; buffers hitting zero
-        // are released now (session-resident inputs stay on the device).
-        for &id in level {
-            let node = spec.node(id);
-            if matches!(node.op, FilterOp::Input { .. }) {
-                continue;
-            }
-            for &input in &node.inputs {
-                let r = &mut live_refs[input.idx()];
-                debug_assert!(*r > 0, "refcount underflow at {input}");
-                *r -= 1;
-                if *r == 0 && !is_root[input.idx()] {
-                    if let Some(buf) = dev.remove(&input) {
-                        if !session.as_deref().is_some_and(|s| s.is_resident(buf)) {
-                            ctx.release(buf)?;
-                        }
-                    }
-                }
-            }
+        };
+        if let Some(fields_out) = out.as_mut() {
+            let data = ctx.enqueue_read(result_buf)?;
+            fields_out.push(Field {
+                width: spec.width(root),
+                ncells: n,
+                data,
+            });
+        } else {
+            ctx.enqueue_read_virtual(result_buf)?;
         }
     }
-
-    download_roots(spec, fields, ctx, roots, session, dev, n, &tracer)
+    // Drain the device (session-resident inputs stay for the next cycle).
+    for (_, buf) in dev {
+        if !session.as_deref().is_some_and(|s| s.is_resident(buf)) {
+            ctx.release(buf)?;
+        }
+    }
+    Ok(out)
 }

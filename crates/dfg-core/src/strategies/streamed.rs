@@ -38,14 +38,14 @@
 //! reads — the steady-state loop performs no per-slab heap allocation.
 
 use dfg_dataflow::{NetworkSpec, Width};
-use dfg_kernels::{fuse, Dims3, FusedKernel};
+use dfg_kernels::Dims3;
 use dfg_ocl::{Context, EventToken, ExecMode, StagingRing};
 
 use crate::engine::{SlabPolicy, StreamOptions};
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
-use crate::session::{program_key, CachedProgram, SessionState};
-use crate::strategies::check_field;
+use crate::session::SessionState;
+use crate::strategies::{check_field, fused_kernel};
 
 /// What one streamed run reports back to its driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -82,83 +82,27 @@ pub(crate) struct StreamRetry {
 /// present; purely elementwise programs are streamed as flat chunks.
 /// Returns the derived field (real mode), the generated kernel source, and
 /// a [`StreamReport`] with the slab count and pipeline depth.
-pub fn run_streamed_fusion(
-    spec: &NetworkSpec,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
-    device_budget_bytes: u64,
-    stream: StreamOptions,
-) -> Result<(Option<Field>, String, StreamReport), EngineError> {
-    run_streamed_fusion_session(
-        spec,
-        fields,
-        ctx,
-        label,
-        device_budget_bytes,
-        stream,
-        None,
-        None,
-    )
-}
-
-/// [`run_streamed_fusion`] with optional session state and an in-pipeline
-/// retry budget: codegen/compile is served from the session's kernel cache,
-/// and the ring's device buffers come from (and return to) the context's
-/// pool, so successive session cycles reuse the same slab storage. With
-/// `session == None` the behavior is byte-identical.
+///
+/// `retry` is the in-pipeline transient-retry budget. With a session,
+/// codegen/compile is served from its kernel cache, and the ring's device
+/// buffers come from (and return to) the context's pool, so successive
+/// cycles reuse the same slab storage.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_streamed_fusion_session(
+pub(crate) fn run_streamed(
     spec: &NetworkSpec,
     fields: &FieldSet,
     ctx: &mut Context,
+    session: Option<&mut SessionState>,
     label: &str,
     device_budget_bytes: u64,
     stream: StreamOptions,
     retry: Option<StreamRetry>,
-    mut session: Option<&mut SessionState>,
 ) -> Result<(Option<Field>, String, StreamReport), EngineError> {
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
-    let kernel_name = format!("fused_{label}_streamed");
-    let cached = session.as_deref_mut().and_then(|state| {
-        let key = program_key(spec, &[spec.result], true);
-        let hit = state
-            .programs
-            .get(&key)
-            .map(|c| (c.program.clone(), c.source.clone()));
-        if hit.is_some() {
-            state.stats.codegen_cached += 1;
-        }
-        hit
-    });
-    let (program, source) = match cached {
-        Some((program, source)) => {
-            drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
-            (program, source)
-        }
-        None => {
-            let program = {
-                let _codegen = dfg_trace::span!(tracer, "streamed.codegen", label = label);
-                let program = fuse(spec)?;
-                ctx.record_compile(&kernel_name)?;
-                program
-            };
-            let source = program.generated_source(&kernel_name);
-            if let Some(state) = session {
-                state.stats.codegen_compiles += 1;
-                state.programs.insert(
-                    program_key(spec, &[spec.result], true),
-                    CachedProgram {
-                        program: program.clone(),
-                        source: source.clone(),
-                    },
-                );
-            }
-            (program, source)
-        }
-    };
+    let (kernel, source) = fused_kernel(spec, &[spec.result], ctx, session, label, true)?;
+    let program = &kernel.program;
 
     // Bytes per mesh cell resident on the device: each input slot plus the
     // output, in f32 lanes.
@@ -258,15 +202,13 @@ pub(crate) fn run_streamed_fusion_session(
     };
     let mut out_data = real.then(|| vec![0.0f32; n * out_lanes_per_cell]);
 
-    let kernel = FusedKernel::new(program, &format!("{label}_streamed"));
-
     // Hoist per-input validation and host views out of the slab loop.
     struct InputPlan<'a> {
         small: bool,
         data: Option<&'a [f32]>,
     }
-    let mut inputs: Vec<InputPlan<'_>> = Vec::with_capacity(kernel.program.inputs.len());
-    for slot in &kernel.program.inputs {
+    let mut inputs: Vec<InputPlan<'_>> = Vec::with_capacity(program.inputs.len());
+    for slot in &program.inputs {
         let fv = check_field(fields, &slot.name, slot.small, ctx.mode())?;
         inputs.push(InputPlan {
             small: slot.small,

@@ -7,7 +7,7 @@ use dfg_expr::compile;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
-use crate::{Engine, EngineOptions, FieldSet, Workload};
+use crate::{Engine, EngineOptions, FieldSet, OptLevel, StreamOptions, Workload};
 
 fn small_rt_fields(dims: [usize; 3]) -> FieldSet {
     let mesh = RectilinearMesh::unit_cube(dims);
@@ -723,51 +723,65 @@ fn derive_many_single_output_equals_derive() {
 
 #[test]
 fn executors_surface_injected_device_failures_cleanly() {
-    // Fault injection: fail the k-th allocation for every k the execution
-    // performs; the executor must return an error (never panic) and the
-    // engine-level invariant — a fresh context per run — keeps later runs
-    // clean. Exercised against all three strategies.
+    // Fault injection: fail the k-th allocation for a spread of k the
+    // execution performs; the executor must return an error (never panic)
+    // and the engine-level invariant — a fresh context per run — keeps later
+    // runs clean. Exercised against all four strategy functions.
+    use crate::strategies::{run_fusion, run_roundtrip, run_staged, run_streamed};
     use dfg_dataflow::Schedule;
     use dfg_ocl::Context;
 
     let fields = small_rt_fields([5, 4, 3]);
     let spec = compile(Workload::QCriterion.source()).unwrap();
     let sched = Schedule::new(&spec).unwrap();
-    for strategy in Strategy::ALL {
-        // Count allocations in a clean run first.
+    let roots = [spec.result];
+    type Exec<'a> = Box<dyn Fn(&mut Context) -> Result<(), crate::EngineError> + 'a>;
+    let executors: [(&str, Exec<'_>); 4] = [
+        (
+            "roundtrip",
+            Box::new(|ctx| {
+                run_roundtrip(&spec, &sched, &fields, ctx, &roots, None, false).map(|_| ())
+            }),
+        ),
+        (
+            "staged",
+            Box::new(|ctx| run_staged(&spec, &sched, &fields, ctx, &roots, None).map(|_| ())),
+        ),
+        (
+            "fusion",
+            Box::new(|ctx| run_fusion(&spec, &fields, ctx, &roots, None, "t").map(|_| ())),
+        ),
+        (
+            "streamed",
+            Box::new(|ctx| {
+                let budget = ctx.profile().global_mem_bytes;
+                run_streamed(
+                    &spec,
+                    &fields,
+                    ctx,
+                    None,
+                    "t",
+                    budget,
+                    StreamOptions::default(),
+                    None,
+                )
+                .map(|_| ())
+            }),
+        ),
+    ];
+    for (name, exec) in &executors {
+        // A clean run first: every executor drains what it allocates.
         let mut probe = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-        match strategy {
-            Strategy::Roundtrip => {
-                crate::strategies::run_roundtrip(&spec, &sched, &fields, &mut probe, false)
-                    .unwrap();
-            }
-            Strategy::Staged => {
-                crate::strategies::run_staged(&spec, &sched, &fields, &mut probe).unwrap();
-            }
-            Strategy::Fusion => {
-                crate::strategies::run_fusion(&spec, &fields, &mut probe, "t").unwrap();
-            }
-        }
+        exec(&mut probe).unwrap();
+        assert_eq!(probe.in_use_bytes(), 0, "{name}: clean run leaked");
         // Inject failures at a spread of allocation indices.
         for k in [1usize, 2, 5, 8] {
             let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
             ctx.fail_alloc_in(k);
-            let result = match strategy {
-                Strategy::Roundtrip => {
-                    crate::strategies::run_roundtrip(&spec, &sched, &fields, &mut ctx, false)
-                        .map(|_| ())
-                }
-                Strategy::Staged => {
-                    crate::strategies::run_staged(&spec, &sched, &fields, &mut ctx).map(|_| ())
-                }
-                Strategy::Fusion => {
-                    crate::strategies::run_fusion(&spec, &fields, &mut ctx, "t").map(|_| ())
-                }
-            };
-            let err = result.expect_err("injected failure must surface");
+            let err = exec(&mut ctx).expect_err("injected failure must surface");
             assert!(
                 matches!(err, crate::EngineError::Ocl(_)),
-                "{strategy} k={k}: unexpected error {err}"
+                "{name} k={k}: unexpected error {err}"
             );
         }
     }
@@ -830,7 +844,7 @@ fn engine_caches_compiled_programs() {
 }
 
 #[test]
-fn full_cse_ablation_reduces_qcrit_kernels_without_changing_results() {
+fn cse_level_ablation_reduces_qcrit_kernels_without_changing_results() {
     // DESIGN.md D2 ablation: the paper's limited CSE keeps commutative
     // duplicates like s_3 = 0.5*(dv[0] + du[1]) (= s_1). Full value
     // numbering merges them.
@@ -839,7 +853,7 @@ fn full_cse_ablation_reduces_qcrit_kernels_without_changing_results() {
     let mut full = Engine::with_options(
         DeviceProfile::intel_x5660(),
         EngineOptions {
-            full_cse: true,
+            optimize: OptLevel::Cse,
             ..Default::default()
         },
     );
@@ -870,6 +884,38 @@ fn full_cse_ablation_reduces_qcrit_kernels_without_changing_results() {
     );
     // Report the savings where a human will see them on failure.
     println!("Q-crit staged kernels: limited CSE {k_limited}, full CSE {k_full}");
+}
+
+fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: lane {i} ({x} vs {y})");
+    }
+}
+
+/// Every strategy is bit-stable under the serial override: parallel
+/// chunked kernels use globally-indexed chunks, so the thread count
+/// never leaks into results.
+#[test]
+fn all_strategies_bit_identical_under_serial_override() {
+    let fields = small_rt_fields([8, 7, 6]);
+    for workload in Workload::ALL {
+        for strategy in Strategy::ALL {
+            let par = cpu_engine()
+                .derive(workload.source(), &fields, strategy)
+                .unwrap();
+            let ser = dfg_exec::with_serial(|| {
+                cpu_engine()
+                    .derive(workload.source(), &fields, strategy)
+                    .unwrap()
+            });
+            assert_bits_eq(
+                &par.field.unwrap().data,
+                &ser.field.unwrap().data,
+                &format!("{workload}/{strategy}"),
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -909,6 +955,112 @@ mod session {
         assert_eq!(stats.uploads_skipped, 99 * 2);
         let stats = session.end();
         assert_eq!(stats.cycles, 100);
+    }
+
+    /// One session derive on any of the four execution paths.
+    fn derive_on(
+        session: &mut crate::Session<&mut Engine>,
+        path: Option<Strategy>,
+        fields: &FieldSet,
+    ) -> Result<crate::ExecReport, crate::EngineError> {
+        let src = Workload::QCriterion.source();
+        match path {
+            Some(strategy) => session.derive(src, fields, strategy),
+            None => session.derive_streamed(src, fields, None),
+        }
+    }
+
+    /// A plain session (recovery disabled) goes through the driver's
+    /// rollback like any other: a derive that fails mid-walk leaves only the
+    /// resident fields allocated, surfaces the raw device error, and the
+    /// next cycle is clean and bit-identical — on every execution path,
+    /// whether the fault hits the first cycle (residents created by the
+    /// failed attempt) or a later one (residents established).
+    #[test]
+    fn failed_plain_cycle_leaks_nothing_and_surfaces_the_raw_error() {
+        use dfg_ocl::{FaultKind, FaultPlan, OclError};
+        let fields = small_rt_fields([5, 4, 3]);
+        let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
+        for path in paths {
+            let name = path.map_or("streamed", |s| s.name());
+            let clean = derive_on(&mut cpu_engine().session(), path, &fields)
+                .unwrap()
+                .field
+                .unwrap();
+            // Fusion and streamed (one slab here) launch once per cycle.
+            let nth = if path.is_some_and(|s| s != Strategy::Fusion) {
+                3
+            } else {
+                1
+            };
+            for warm in [false, true] {
+                let plan = FaultPlan::with_seed(1);
+                let mut engine = cpu_engine();
+                engine.set_fault_plan(plan.clone());
+                let mut session = engine.session();
+                if warm {
+                    derive_on(&mut session, path, &fields).unwrap();
+                }
+                plan.fail_nth_from_now(FaultKind::Launch, nth, 1);
+                let err = derive_on(&mut session, path, &fields).unwrap_err();
+                assert!(
+                    matches!(err, crate::EngineError::Ocl(OclError::LaunchFailed { .. })),
+                    "{name} warm={warm}: policy is disabled, got {err}"
+                );
+                assert_eq!(
+                    session.context().in_use_bytes(),
+                    session.resident_bytes(),
+                    "{name} warm={warm}: failed cycle leaked device bytes"
+                );
+                let again = derive_on(&mut session, path, &fields).unwrap();
+                assert!(again.recovery.is_none(), "{name}: clean run, no policy");
+                assert_bits_eq(
+                    &clean.data,
+                    &again.field.unwrap().data,
+                    &format!("{name} warm={warm}: cycle after the failure"),
+                );
+            }
+        }
+    }
+
+    /// The same holds for a detected integrity violation on a *resident*:
+    /// with the policy disabled it surfaces raw (never `Exhausted`), nothing
+    /// leaks, and the next cycle's bind heals the resident by re-upload.
+    #[test]
+    fn integrity_violation_on_a_resident_surfaces_raw_and_heals_next_cycle() {
+        use dfg_ocl::{FaultKind, FaultPlan, OclError, VerifyPolicy};
+        let fields = small_rt_fields([5, 4, 3]);
+        let path = Some(Strategy::Fusion);
+        let clean = derive_on(&mut cpu_engine().session(), path, &fields)
+            .unwrap()
+            .field
+            .unwrap();
+        let plan = FaultPlan::with_seed(1);
+        let mut engine = Engine::with_options(
+            DeviceProfile::intel_x5660(),
+            EngineOptions {
+                verify: VerifyPolicy::Full,
+                ..Default::default()
+            },
+        );
+        engine.set_fault_plan(plan.clone());
+        let mut session = engine.session();
+        derive_on(&mut session, path, &fields).unwrap();
+        // Every input of the fused launch is a session resident.
+        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
+        let err = derive_on(&mut session, path, &fields).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::EngineError::Ocl(OclError::IntegrityViolation { .. })
+            ),
+            "policy is disabled, got {err}"
+        );
+        assert_eq!(session.context().in_use_bytes(), session.resident_bytes());
+        let again = derive_on(&mut session, path, &fields).unwrap();
+        assert!(again.recovery.is_none());
+        assert_eq!(session.stats().integrity_healed, 1, "healed at bind");
+        assert_bits_eq(&clean.data, &again.field.unwrap().data, "after heal");
     }
 
     /// Mutating one field triggers exactly one re-upload next cycle.
@@ -1126,250 +1278,5 @@ mod session {
             7,
             "u v w x y z dims upload once for three cycles"
         );
-    }
-}
-
-mod branch_parallel {
-    use super::*;
-    use dfg_trace::Tracer;
-
-    fn bp_engine() -> Engine {
-        Engine::with_options(
-            DeviceProfile::intel_x5660(),
-            EngineOptions {
-                branch_parallel: true,
-                ..Default::default()
-            },
-        )
-    }
-
-    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: length");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: lane {i} ({x} vs {y})");
-        }
-    }
-
-    /// Branch-parallel staged execution produces bit-identical fields,
-    /// identical Table II counts, and identical total device seconds to
-    /// the serial walk (the event *order* may differ; the set may not).
-    #[test]
-    fn outputs_bit_identical_to_serial_staged() {
-        let fields = small_rt_fields([8, 7, 6]);
-        for workload in Workload::ALL {
-            let serial = cpu_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap();
-            let par = bp_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap();
-            assert_eq!(
-                par.table2_row(),
-                workload.paper_table2(Strategy::Staged),
-                "{workload}: Table II counts"
-            );
-            assert!(
-                (serial.device_seconds() - par.device_seconds()).abs() < 1e-15,
-                "{workload}: total modeled device time"
-            );
-            assert_bits_eq(
-                &serial.field.unwrap().data,
-                &par.field.unwrap().data,
-                &format!("{workload}"),
-            );
-        }
-    }
-
-    /// The pool dispatch itself is invisible: running the branch-parallel
-    /// executor with the thread-local serial override (everything inline on
-    /// one thread) yields the same bits, the same event stream in the same
-    /// order, and the same virtual clock.
-    #[test]
-    fn pool_and_inline_execution_agree_exactly() {
-        let fields = small_rt_fields([6, 5, 4]);
-        for workload in Workload::ALL {
-            let pooled = bp_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap();
-            let inline = dfg_exec::with_serial(|| {
-                bp_engine()
-                    .derive(workload.source(), &fields, Strategy::Staged)
-                    .unwrap()
-            });
-            assert_bits_eq(
-                &pooled.field.unwrap().data,
-                &inline.field.unwrap().data,
-                &format!("{workload}: field"),
-            );
-            let (pe, ie) = (&pooled.profile.events, &inline.profile.events);
-            assert_eq!(pe.len(), ie.len(), "{workload}: event count");
-            for (a, b) in pe.iter().zip(ie) {
-                assert_eq!(a.label, b.label, "{workload}: event order");
-                assert_eq!(a.kind, b.kind, "{workload}: event kinds");
-                assert_eq!(a.t_start.to_bits(), b.t_start.to_bits());
-                assert_eq!(a.t_end.to_bits(), b.t_end.to_bits());
-            }
-        }
-    }
-
-    /// Every strategy is bit-stable under the serial override: parallel
-    /// chunked kernels use globally-indexed chunks, so the thread count
-    /// never leaks into results.
-    #[test]
-    fn all_strategies_bit_identical_under_serial_override() {
-        let fields = small_rt_fields([8, 7, 6]);
-        for workload in Workload::ALL {
-            for strategy in Strategy::ALL {
-                let par = cpu_engine()
-                    .derive(workload.source(), &fields, strategy)
-                    .unwrap();
-                let ser = dfg_exec::with_serial(|| {
-                    cpu_engine()
-                        .derive(workload.source(), &fields, strategy)
-                        .unwrap()
-                });
-                assert_bits_eq(
-                    &par.field.unwrap().data,
-                    &ser.field.unwrap().data,
-                    &format!("{workload}/{strategy}"),
-                );
-            }
-        }
-    }
-
-    /// Model mode reproduces real mode's event stream and virtual clock
-    /// under branch-parallel dispatch (no bodies run, same protocol).
-    #[test]
-    fn model_mode_matches_real_under_branch_parallel() {
-        let dims = [6, 5, 4];
-        let run = |mode: ExecMode| {
-            let fields = match mode {
-                ExecMode::Real => small_rt_fields(dims),
-                ExecMode::Model => FieldSet::virtual_rt(dims),
-            };
-            let mut engine = Engine::with_options(
-                DeviceProfile::intel_x5660(),
-                EngineOptions {
-                    mode,
-                    branch_parallel: true,
-                    ..Default::default()
-                },
-            );
-            let mut out = Vec::new();
-            for workload in Workload::ALL {
-                let r = engine
-                    .derive(workload.source(), &fields, Strategy::Staged)
-                    .unwrap();
-                let labels: Vec<String> =
-                    r.profile.events.iter().map(|e| e.label.clone()).collect();
-                out.push((
-                    r.table2_row(),
-                    r.high_water_bytes(),
-                    r.device_seconds(),
-                    labels,
-                ));
-            }
-            out
-        };
-        let real = run(ExecMode::Real);
-        let model = run(ExecMode::Model);
-        for (rw, (r, m)) in Workload::ALL.iter().zip(real.iter().zip(&model)) {
-            assert_eq!(r.0, m.0, "{rw}: counts");
-            assert_eq!(r.1, m.1, "{rw}: high water");
-            assert!((r.2 - m.2).abs() < 1e-15, "{rw}: device seconds");
-            assert_eq!(r.3, m.3, "{rw}: event order");
-        }
-    }
-
-    /// Sessions running branch-parallel agree with one-shot serial staged
-    /// across cycles, and keep the resident-bytes invariant.
-    #[test]
-    fn session_branch_parallel_matches_serial_one_shot() {
-        let fields = small_rt_fields([6, 5, 4]);
-        for workload in Workload::ALL {
-            let baseline = cpu_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap()
-                .field
-                .unwrap();
-            let mut engine = bp_engine();
-            let mut session = engine.session();
-            for cycle in 0..3 {
-                let again = session
-                    .derive(workload.source(), &fields, Strategy::Staged)
-                    .unwrap()
-                    .field
-                    .unwrap();
-                assert_bits_eq(
-                    &baseline.data,
-                    &again.data,
-                    &format!("{workload} cycle {cycle}"),
-                );
-            }
-        }
-    }
-
-    /// Branch-parallel dispatch is visible in traces: `exec.level` spans
-    /// carry the fan-out and wrap one `exec.task` per batched kernel, and
-    /// the serial executor emits none of them.
-    #[test]
-    fn exec_spans_surface_level_fanout() {
-        let fields = small_rt_fields([6, 5, 4]);
-        let mut engine = bp_engine();
-        engine.set_tracer(Tracer::new());
-        let report = engine
-            .derive(
-                Workload::VorticityMagnitude.source(),
-                &fields,
-                Strategy::Staged,
-            )
-            .unwrap();
-        let trace = report.trace.expect("tracer attached");
-        let levels: Vec<_> = trace
-            .spans()
-            .iter()
-            .filter(|s| s.name == "exec.level")
-            .collect();
-        assert!(!levels.is_empty(), "vorticity has multi-kernel levels");
-        assert!(
-            levels
-                .iter()
-                .any(|s| s.meta_u64("fanout").unwrap_or(0) >= 2),
-            "at least one level fans out to 2+ kernels"
-        );
-        for s in &levels {
-            assert!(s.meta_get("level").is_some());
-            assert!(s.meta_get("queue_depth").is_some());
-            assert!(
-                s.virt_start.is_some() && s.virt_end.is_some(),
-                "level spans carry virtual-clock endpoints"
-            );
-        }
-        let tasks = trace.spans().iter().filter(|s| s.name == "exec.task");
-        let fanout_total: u64 = levels
-            .iter()
-            .map(|s| s.meta_u64("fanout").unwrap_or(0))
-            .sum();
-        assert_eq!(
-            tasks.count() as u64,
-            fanout_total,
-            "one task span per batched kernel"
-        );
-        // Serial engine: no exec.* spans at all.
-        let mut serial = cpu_engine();
-        serial.set_tracer(Tracer::new());
-        let serial_report = serial
-            .derive(
-                Workload::VorticityMagnitude.source(),
-                &fields,
-                Strategy::Staged,
-            )
-            .unwrap();
-        assert!(serial_report
-            .trace
-            .unwrap()
-            .spans()
-            .iter()
-            .all(|s| !s.name.starts_with("exec.")));
     }
 }

@@ -54,7 +54,7 @@ const EXECS: [Exec; 4] = [
 ];
 
 impl Exec {
-    fn level(self) -> ExecLevel {
+    fn exec_level(self) -> ExecLevel {
         match self {
             Exec::Strategy(Strategy::Roundtrip) => ExecLevel::Roundtrip,
             Exec::Strategy(Strategy::Staged) => ExecLevel::Staged,
@@ -178,7 +178,7 @@ fn every_mem_flip_is_detected_healed_and_bit_exact() {
                     .recovery
                     .as_ref()
                     .and_then(|r| r.completed)
-                    .unwrap_or_else(|| exec.level());
+                    .unwrap_or_else(|| exec.exec_level());
                 assert_eq!(
                     bits_of(&report),
                     bits.for_level(completed),

@@ -56,7 +56,7 @@ const EXECS: [Exec; 4] = [
 ];
 
 impl Exec {
-    fn level(self) -> ExecLevel {
+    fn exec_level(self) -> ExecLevel {
         match self {
             Exec::Strategy(Strategy::Roundtrip) => ExecLevel::Roundtrip,
             Exec::Strategy(Strategy::Staged) => ExecLevel::Staged,
@@ -197,7 +197,7 @@ fn check_one_injection(
                 .expect("a fired fault means recovery engaged");
             let completed = recovery.completed.expect("successful run names its level");
             assert_eq!(
-                completed == exec.level(),
+                completed == exec.exec_level(),
                 !recovery.degraded,
                 "{label}: degraded iff completed on a different level"
             );
@@ -603,7 +603,7 @@ proptest! {
                     None => {
                         // Index beyond the run's op count: nothing fired.
                         prop_assert_eq!(plan.faults_fired(kind), 0);
-                        exec.level()
+                        exec.exec_level()
                     }
                 };
                 prop_assert_eq!(got, bits.for_level(completed).to_vec());

@@ -58,8 +58,8 @@ pub use builder::NetworkBuilder;
 pub use memreq::{memreq_bytes, memreq_units, MemReport};
 pub use op::{Arity, FilterOp, Width};
 pub use optimize::{
-    canonical_hash, eval_scalar, full_cse, merge_networks, merge_networks_traced, optimize,
-    optimize_traced, CseStats, Merged, OptLevel, OptStats, Optimized,
+    canonical_hash, eval_scalar, merge_networks, merge_networks_traced, optimize, optimize_traced,
+    Merged, OptLevel, OptStats, Optimized,
 };
 pub use schedule::{Schedule, ScheduleError};
 pub use spec::{FilterNode, NetworkError, NetworkSpec, NodeId};

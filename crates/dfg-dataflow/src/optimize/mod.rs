@@ -68,8 +68,8 @@ pub enum OptLevel {
     /// preserving the paper's Table II counts.
     Off,
     /// Global CSE only (value numbering with commutative
-    /// canonicalization) plus dead-code elimination. This is the level
-    /// the legacy `full_cse` ablation knob maps to.
+    /// canonicalization) plus dead-code elimination — the D2 ablation's
+    /// "full CSE" level.
     Cse,
     /// CSE + constant folding + bit-exact identity rewrites + dead-branch
     /// elimination. Outputs are bit-identical to `Off` for non-NaN data.
@@ -116,8 +116,7 @@ impl std::fmt::Display for OptLevel {
     }
 }
 
-/// What one [`optimize`] run eliminated; see also [`CseStats`] for the
-/// legacy CSE-only entry point.
+/// What one [`optimize`] run eliminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptStats {
     /// Level the pipeline ran at.
@@ -402,39 +401,6 @@ pub fn canonical_hash(spec: &NetworkSpec) -> u64 {
         memo[id.idx()] = Some(h.finish());
     }
     memo[spec.result.idx()].expect("result hashed")
-}
-
-/// Statistics from a [`full_cse`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CseStats {
-    /// Nodes before the pass (reachable or not).
-    pub nodes_before: usize,
-    /// Nodes after the pass.
-    pub nodes_after: usize,
-    /// Duplicate filter invocations merged.
-    pub merged: usize,
-}
-
-/// Deprecated alias for the CSE-only optimizer level: global value
-/// numbering with commutative canonicalization over the single-result
-/// network. Equivalent to `optimize(spec, &[spec.result], OptLevel::Cse)`;
-/// new code should call [`optimize`], which also preserves multi-output
-/// roots. Kept for the D2 ablation (`EngineOptions::full_cse`) and its
-/// published numbers.
-///
-/// # Panics
-/// Panics if the network fails validation.
-pub fn full_cse(spec: &NetworkSpec) -> (NetworkSpec, CseStats) {
-    let out =
-        optimize(spec, &[spec.result], OptLevel::Cse).expect("full_cse needs a valid network");
-    let stats = CseStats {
-        nodes_before: spec.len(),
-        nodes_after: out.spec.len(),
-        merged: out.stats.merged,
-    };
-    let mut spec = out.spec;
-    spec.result = out.roots[0];
-    (spec, stats)
 }
 
 /// Shared shape of one rebuild pass over a network: the rewritten spec,

@@ -15,7 +15,9 @@ fn merges_commutative_duplicates() {
     let m2 = b.binary(FilterOp::Mul, s2, d2);
     let out = b.binary(FilterOp::Add, m1, m2);
     let spec = b.finish(out);
-    let (opt, stats) = full_cse(&spec);
+    let Optimized {
+        spec: opt, stats, ..
+    } = optimize(&spec, &[spec.result], OptLevel::Cse).unwrap();
     assert!(opt.validate().is_ok());
     // adds merged (s1==s2); subs kept; m1 != m2 (different sub inputs).
     assert_eq!(stats.merged, 1);
@@ -35,7 +37,9 @@ fn chains_of_duplicates_collapse_transitively() {
     let a2 = b.binary(FilterOp::Add, m3, m4);
     let out = b.binary(FilterOp::Max2, a1, a2);
     let spec = b.finish(out);
-    let (opt, stats) = full_cse(&spec);
+    let Optimized {
+        spec: opt, stats, ..
+    } = optimize(&spec, &[spec.result], OptLevel::Cse).unwrap();
     // x, one mult, one add, one max = 4 nodes.
     assert_eq!(opt.len(), 4);
     assert_eq!(stats.merged, 4);
@@ -60,7 +64,7 @@ fn names_survive_merging() {
     b.name(a2, "second");
     let out = b.binary(FilterOp::Mul, a1, a2);
     let spec = b.finish(out);
-    let (opt, _) = full_cse(&spec);
+    let opt = optimize(&spec, &[spec.result], OptLevel::Cse).unwrap().spec;
     // The survivor keeps its first name.
     let add = opt
         .iter()

@@ -30,23 +30,12 @@ impl std::error::Error for ScheduleError {}
 /// `free_after[i]` lists the nodes whose buffers become dead immediately
 /// after executing `order[i]` — the reference-counting reuse described in the
 /// paper. The result node is never freed.
-///
-/// `levels` groups the same reachable nodes by dependency depth (ASAP
-/// levels): `levels[0]` holds nodes with no scheduled inputs, and every node
-/// in `levels[d]` has all inputs in strictly earlier levels. Nodes within
-/// one level are mutually independent and may execute concurrently; ids are
-/// sorted ascending within each level so the level order is deterministic.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// Topological execution order over reachable nodes.
     pub order: Vec<NodeId>,
     /// Buffers that die after each step of `order`.
     pub free_after: Vec<Vec<NodeId>>,
-    /// Number of consuming ports for every node in the network (indexed by
-    /// `NodeId::idx`; counts duplicate ports, e.g. `u*u` counts `u` twice).
-    pub consumers: Vec<u32>,
-    /// Reachable nodes grouped by dependency depth; see type docs.
-    pub levels: Vec<Vec<NodeId>>,
 }
 
 impl Schedule {
@@ -80,14 +69,16 @@ impl Schedule {
             stack.extend(spec.node(id).inputs.iter().copied());
         }
 
-        // Consumer counts over reachable nodes (duplicate ports counted).
-        let mut consumers = vec![0u32; n];
+        // Consuming-port counts over reachable nodes (duplicate ports
+        // counted, e.g. `u*u` counts `u` twice): the live reference counts
+        // the free-point walk below retires.
+        let mut live_refs = vec![0u32; n];
         for (id, node) in spec.iter() {
             if !reachable[id.idx()] {
                 continue;
             }
             for &input in &node.inputs {
-                consumers[input.idx()] += 1;
+                live_refs[input.idx()] += 1;
             }
         }
 
@@ -137,7 +128,6 @@ impl Schedule {
             }
             v
         };
-        let mut live_refs = consumers.clone();
         let mut free_after = vec![Vec::new(); order.len()];
         for (step, &id) in order.iter().enumerate() {
             // Use a local de-duplicated list of inputs to decrement per port.
@@ -157,36 +147,7 @@ impl Schedule {
             frees.dedup();
         }
 
-        // Dependency levels (ASAP): level(n) = 1 + max(level(inputs)), 0
-        // for source nodes. One pass over `order` suffices because inputs
-        // always precede consumers there.
-        let mut level_of = vec![0usize; n];
-        let mut depth = 0usize;
-        for &id in &order {
-            let lvl = spec
-                .node(id)
-                .inputs
-                .iter()
-                .map(|input| level_of[input.idx()] + 1)
-                .max()
-                .unwrap_or(0);
-            level_of[id.idx()] = lvl;
-            depth = depth.max(lvl + 1);
-        }
-        let mut levels = vec![Vec::new(); depth];
-        for &id in &order {
-            levels[level_of[id.idx()]].push(id);
-        }
-        for level in &mut levels {
-            level.sort();
-        }
-
-        Ok(Schedule {
-            order,
-            free_after,
-            consumers,
-            levels,
-        })
+        Ok(Schedule { order, free_after })
     }
 
     /// Number of scheduled (reachable) nodes.
@@ -239,13 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn consumer_counts_count_duplicate_ports() {
+    fn duplicate_ports_retire_their_operand_once() {
         let spec = velmag_spec();
         let sched = Schedule::new(&spec).unwrap();
-        // u feeds both ports of u*u.
-        assert_eq!(sched.consumers[0], 2);
-        // The result has no consumers.
-        assert_eq!(sched.consumers[spec.result.idx()], 0);
+        // u feeds both ports of u*u: both references retire at that step,
+        // and u is freed there exactly once.
+        let u = NodeId(0);
+        let step = sched
+            .order
+            .iter()
+            .position(|&id| spec.node(id).inputs == [u, u])
+            .expect("u*u is scheduled");
+        assert_eq!(sched.free_after[step], vec![u]);
     }
 
     #[test]
@@ -285,48 +251,6 @@ mod tests {
             Schedule::new(&spec),
             Err(ScheduleError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn levels_partition_order_and_respect_edges() {
-        let spec = velmag_spec();
-        let sched = Schedule::new(&spec).unwrap();
-        // Levels cover exactly the scheduled nodes.
-        let mut leveled: Vec<NodeId> = sched.levels.iter().flatten().copied().collect();
-        leveled.sort();
-        let mut ordered = sched.order.clone();
-        ordered.sort();
-        assert_eq!(leveled, ordered);
-        // Every input sits in a strictly earlier level.
-        let level_of: HashMap<NodeId, usize> = sched
-            .levels
-            .iter()
-            .enumerate()
-            .flat_map(|(d, nodes)| nodes.iter().map(move |&id| (id, d)))
-            .collect();
-        for &id in &sched.order {
-            for &input in &spec.node(id).inputs {
-                assert!(level_of[&input] < level_of[&id], "{input} !< {id}");
-            }
-        }
-    }
-
-    #[test]
-    fn velmag_levels_expose_branch_parallelism() {
-        let spec = velmag_spec();
-        let sched = Schedule::new(&spec).unwrap();
-        // u, v, w at level 0; the three independent squarings at level 1;
-        // then the additions chain and the sqrt serialize.
-        assert_eq!(sched.levels.len(), 5);
-        assert_eq!(sched.levels[0].len(), 3);
-        assert_eq!(sched.levels[1].len(), 3);
-        assert_eq!(sched.levels[2].len(), 1);
-        assert_eq!(sched.levels[3].len(), 1);
-        assert_eq!(sched.levels[4], vec![spec.result]);
-        // Deterministic: ids ascend within a level.
-        for level in &sched.levels {
-            assert!(level.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 
     #[test]

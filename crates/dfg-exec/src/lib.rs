@@ -19,8 +19,8 @@
 //! * The core primitive is [`parallel_for`]: run `f(0..n)` with the calling
 //!   thread participating. Blocking helpers *help* — while waiting for
 //!   their spawned jobs they pop and run other pool jobs — so nested
-//!   `parallel_for` calls (a branch-parallel level whose kernels chunk
-//!   internally) cannot deadlock the fixed worker set.
+//!   `parallel_for` calls (a kernel whose chunks themselves fan out) cannot
+//!   deadlock the fixed worker set.
 //!
 //! # Determinism
 //!
@@ -161,11 +161,6 @@ impl Pool {
     /// The worker count this pool was sized for (≥ 1; `1` means inline).
     pub fn num_threads(&self) -> usize {
         self.threads
-    }
-
-    /// Jobs currently queued and unclaimed across all deques.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.pending.load(Ordering::Relaxed)
     }
 
     /// Lifetime `(jobs_executed_by_workers, jobs_stolen)` counters.
@@ -405,7 +400,7 @@ mod tests {
         }
         assert_eq!(total.load(Ordering::Relaxed), 1700);
         // Every queued job was claimed — by a worker or a helping caller.
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(pool.shared.pending.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -416,7 +411,7 @@ mod tests {
         pool.parallel_for(64, |_| {
             assert_eq!(std::thread::current().id(), tid);
         });
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(pool.shared.pending.load(Ordering::Relaxed), 0);
         assert_eq!(pool.stats(), (0, 0));
     }
 

@@ -120,9 +120,8 @@ pub struct KernelArgs<'a> {
 /// Implementations live in `dfg-kernels`; they execute for real (in
 /// parallel, via rayon) when the context is in [`ExecMode::Real`].
 ///
-/// `Sync` is required so independent launches can run concurrently in a
-/// [`Context::launch_batch`]; kernels are immutable descriptions, so this
-/// is free in practice.
+/// `Sync` lets a kernel body share `&self` with the host pool's workers;
+/// kernels are immutable descriptions, so this is free in practice.
 pub trait DeviceKernel: Sync {
     /// Kernel name for profiling events.
     fn name(&self) -> String;
@@ -130,19 +129,6 @@ pub trait DeviceKernel: Sync {
     fn cost(&self, n: usize) -> KernelCost;
     /// Execute the kernel body.
     fn run(&self, args: KernelArgs<'_>);
-}
-
-/// One kernel launch inside a [`Context::launch_batch`].
-pub struct BatchLaunch<'a> {
-    /// The kernel to run.
-    pub kernel: &'a dyn DeviceKernel,
-    /// Input buffers, in the kernel's declared order.
-    pub inputs: Vec<BufferId>,
-    /// The output buffer; must be distinct from every buffer any other
-    /// launch in the batch touches.
-    pub output: BufferId,
-    /// Elements in this launch.
-    pub n: usize,
 }
 
 /// Guard lanes placed on each side of a slot's payload. The guards carry a
@@ -1285,219 +1271,6 @@ impl Context {
         payload[lane] = f32::from_bits(payload[lane].to_bits() ^ (1u32 << bit));
     }
 
-    /// Launch a batch of mutually independent kernels.
-    ///
-    /// All launches in the batch may execute concurrently on the host pool
-    /// (real mode), so no launch's output may alias any other launch's
-    /// input or output — the caller guarantees independence (a dependency
-    /// level of a schedule satisfies this by construction) and the batch is
-    /// validated up front.
-    ///
-    /// Determinism: profiling events are recorded *in batch order* after
-    /// every body has completed, and each kernel writes only its own
-    /// output, so the event stream, virtual clock, and buffer contents are
-    /// bit-identical to issuing the same launches serially via
-    /// [`Context::launch`].
-    ///
-    /// Returns the wall-clock nanoseconds each kernel body took (all zeros
-    /// in model mode), in batch order.
-    pub fn launch_batch(&mut self, launches: &[BatchLaunch<'_>]) -> Result<Vec<u64>, OclError> {
-        // Per-launch validation, as `launch` would do.
-        for l in launches {
-            if l.inputs.contains(&l.output) {
-                return Err(OclError::OutputAliasesInput {
-                    kernel: l.kernel.name(),
-                });
-            }
-            for &id in &l.inputs {
-                self.slot(id)?;
-            }
-            self.slot(l.output)?;
-        }
-        // Cross-launch independence: outputs pairwise distinct, and no
-        // output read by any launch in the batch.
-        for (i, a) in launches.iter().enumerate() {
-            for b in &launches[i + 1..] {
-                if a.output == b.output {
-                    return Err(OclError::BatchOutputConflict {
-                        first: a.kernel.name(),
-                        second: b.kernel.name(),
-                    });
-                }
-            }
-            for b in launches {
-                if !std::ptr::eq(a, b) && b.inputs.contains(&a.output) {
-                    return Err(OclError::BatchDependency {
-                        producer: a.kernel.name(),
-                        consumer: b.kernel.name(),
-                    });
-                }
-            }
-        }
-        // Fault checks, one launch op per member in batch order, before any
-        // body runs: a batch is atomic, so a fault in any member fails the
-        // whole batch with no events recorded and no buffers touched.
-        // Members after the faulted one are not counted — exactly as if the
-        // launches were issued serially and the sequence stopped there.
-        for l in launches {
-            if let Some(transient) = self.fault(FaultKind::Launch) {
-                return Err(OclError::LaunchFailed {
-                    kernel: l.kernel.name(),
-                    transient,
-                });
-            }
-        }
-        // Silent-corruption injection, one mem_flip draw per member in batch
-        // order (the per-kind draw sequence matches a serial issue of the
-        // same launches; see `validate_and_run` for flip semantics).
-        for l in launches {
-            if self.fault(FaultKind::MemFlip).is_some() {
-                self.flip_one_bit(&l.inputs);
-            }
-        }
-        // Full verification: revalidate every sum-bearing input before any
-        // body consumes it.
-        if self.verify == VerifyPolicy::Full {
-            for l in launches {
-                for &id in &l.inputs {
-                    self.verify_buffer(id)?;
-                }
-            }
-        }
-
-        let mut wall_ns = vec![0u64; launches.len()];
-        if self.mode == ExecMode::Real {
-            let full = self.verify == VerifyPolicy::Full;
-            // Materialize never-written inputs as zeros first (pooled
-            // storage may be stale), exactly as `launch` does.
-            for l in launches {
-                for &id in &l.inputs {
-                    let slot = self.slots[id.0].as_mut().expect("validated");
-                    if !slot.written {
-                        match slot.payload_mut() {
-                            Some(buf) => buf.fill(0.0),
-                            None => slot.data = Some(Slot::alloc_storage(slot.lanes)),
-                        }
-                        slot.written = true;
-                        slot.sum = if full {
-                            Some(checksum_f32s(
-                                crate::integrity::BUFFER_SUM_SEED,
-                                slot.payload().expect("just materialized"),
-                            ))
-                        } else {
-                            None
-                        };
-                    }
-                }
-            }
-            // Take every output's storage (outputs are distinct), then
-            // gather shared immutable input views. Kernels see payload
-            // slices; the guard lanes stay outside every view.
-            let out_lanes: Vec<usize> = launches
-                .iter()
-                .map(|l| self.slots[l.output.0].as_ref().expect("validated").lanes)
-                .collect();
-            let mut outs: Vec<Vec<f32>> = launches
-                .iter()
-                .map(|l| {
-                    let slot = self.slots[l.output.0].as_mut().expect("validated");
-                    let lanes = slot.lanes;
-                    slot.data
-                        .take()
-                        .unwrap_or_else(|| Slot::alloc_storage(lanes))
-                })
-                .collect();
-            {
-                let views: Vec<Vec<&[f32]>> = launches
-                    .iter()
-                    .map(|l| {
-                        l.inputs
-                            .iter()
-                            .map(|&id| {
-                                self.slots[id.0]
-                                    .as_ref()
-                                    .expect("validated")
-                                    .payload()
-                                    .expect("materialized above")
-                            })
-                            .collect()
-                    })
-                    .collect();
-                // Disjoint per-index writes into `outs` and `wall_ns`,
-                // handed out through raw pointers because indices are
-                // claimed across pool threads.
-                struct Cells<T>(*mut T);
-                // SAFETY: each index is claimed exactly once by
-                // `parallel_for`, so no element is aliased.
-                unsafe impl<T> Sync for Cells<T> {}
-                impl<T> Cells<T> {
-                    /// # Safety
-                    /// `i` must be in bounds, and the returned pointer may
-                    /// only be dereferenced by one thread per index.
-                    unsafe fn at(&self, i: usize) -> *mut T {
-                        // SAFETY: forwarded from the caller contract.
-                        unsafe { self.0.add(i) }
-                    }
-                }
-                let out_cells = Cells(outs.as_mut_ptr());
-                let ns_cells = Cells(wall_ns.as_mut_ptr());
-                // When the batch fan-out alone saturates the pool, each
-                // kernel's internal chunk loops run inline on the thread
-                // that claimed it: one fork-join barrier per batch instead
-                // of one per kernel. Narrower batches keep nested
-                // data-parallelism so idle workers still find work.
-                let saturated = launches.len() >= dfg_exec::current_num_threads();
-                dfg_exec::parallel_for(launches.len(), |i| {
-                    // SAFETY: `i` is unique per call (see `Cells`).
-                    let out = unsafe { &mut *out_cells.at(i) };
-                    let ns = unsafe { &mut *ns_cells.at(i) };
-                    let started = std::time::Instant::now();
-                    let args = KernelArgs {
-                        inputs: &views[i],
-                        output: &mut out[GUARD_LANES..GUARD_LANES + out_lanes[i]],
-                        n: launches[i].n,
-                    };
-                    if saturated {
-                        dfg_exec::with_serial(|| launches[i].kernel.run(args));
-                    } else {
-                        launches[i].kernel.run(args);
-                    }
-                    *ns = started.elapsed().as_nanos() as u64;
-                });
-            }
-            for (i, (l, out)) in launches.iter().zip(outs).enumerate() {
-                let sum = if full {
-                    Some(checksum_f32s(
-                        crate::integrity::BUFFER_SUM_SEED,
-                        &out[GUARD_LANES..GUARD_LANES + out_lanes[i]],
-                    ))
-                } else {
-                    None
-                };
-                let slot = self.slots[l.output.0].as_mut().expect("validated");
-                slot.data = Some(out);
-                slot.written = true;
-                slot.sum = sum;
-            }
-        }
-
-        // Record events serially, in batch order: the virtual clock and
-        // event stream are independent of which body finished first.
-        for l in launches {
-            let cost = l.kernel.cost(l.n);
-            let seconds = self
-                .profile
-                .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-            self.record(
-                EventKind::KernelExec,
-                &l.kernel.name(),
-                cost.bytes_read + cost.bytes_written,
-                seconds,
-            );
-        }
-        Ok(wall_ns)
-    }
-
     /// Copy out a buffer's contents without recording a transfer event
     /// (testing/diagnostic aid; not part of the modeled protocol). Like
     /// [`Context::enqueue_read`], a never-written buffer peeks as zeros.
@@ -1915,170 +1688,6 @@ mod tests {
         assert_eq!(hw_real, hw_model);
     }
 
-    /// Adds 1 to its input; distinguishable from `Double` in event labels.
-    struct AddOne;
-
-    impl DeviceKernel for AddOne {
-        fn name(&self) -> String {
-            "add_one".into()
-        }
-        fn cost(&self, n: usize) -> KernelCost {
-            KernelCost {
-                bytes_read: 4 * n as u64,
-                bytes_written: 4 * n as u64,
-                flops: n as u64,
-            }
-        }
-        fn run(&self, args: KernelArgs<'_>) {
-            for i in 0..args.n {
-                args.output[i] = args.inputs[0][i] + 1.0;
-            }
-        }
-    }
-
-    fn batch_of_two(c: &mut Context) -> (BufferId, BufferId, BufferId) {
-        let src = c.create_buffer(64).unwrap();
-        let o1 = c.create_buffer(64).unwrap();
-        let o2 = c.create_buffer(64).unwrap();
-        c.enqueue_write(src, &[3.0; 64]).unwrap();
-        (src, o1, o2)
-    }
-
-    #[test]
-    fn launch_batch_matches_serial_launches_bit_for_bit() {
-        // Batched pass.
-        let mut cb = ctx();
-        let (src, o1, o2) = batch_of_two(&mut cb);
-        let wall = cb
-            .launch_batch(&[
-                BatchLaunch {
-                    kernel: &Double,
-                    inputs: vec![src],
-                    output: o1,
-                    n: 64,
-                },
-                BatchLaunch {
-                    kernel: &AddOne,
-                    inputs: vec![src],
-                    output: o2,
-                    n: 64,
-                },
-            ])
-            .unwrap();
-        assert_eq!(wall.len(), 2);
-        // Serial pass over the same sequence.
-        let mut cs = ctx();
-        let (src_s, o1_s, o2_s) = batch_of_two(&mut cs);
-        cs.launch(&Double, &[src_s], o1_s, 64).unwrap();
-        cs.launch(&AddOne, &[src_s], o2_s, 64).unwrap();
-        assert_eq!(cb.peek(o1).unwrap(), cs.peek(o1_s).unwrap());
-        assert_eq!(cb.peek(o2).unwrap(), cs.peek(o2_s).unwrap());
-        assert_eq!(cb.peek(o1).unwrap(), vec![6.0; 64]);
-        assert_eq!(cb.peek(o2).unwrap(), vec![4.0; 64]);
-        // Event streams identical: same order, labels, and timestamps.
-        let (eb, es) = (cb.report().events, cs.report().events);
-        assert_eq!(eb.len(), es.len());
-        for (a, b) in eb.iter().zip(&es) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.t_start.to_bits(), b.t_start.to_bits());
-            assert_eq!(a.t_end.to_bits(), b.t_end.to_bits());
-        }
-        assert_eq!(cb.clock_seconds().to_bits(), cs.clock_seconds().to_bits());
-    }
-
-    #[test]
-    fn launch_batch_rejects_dependent_launches() {
-        let mut c = ctx();
-        let (src, o1, o2) = batch_of_two(&mut c);
-        // o2 reads o1, which another batch member writes.
-        let err = c.launch_batch(&[
-            BatchLaunch {
-                kernel: &Double,
-                inputs: vec![src],
-                output: o1,
-                n: 64,
-            },
-            BatchLaunch {
-                kernel: &AddOne,
-                inputs: vec![o1],
-                output: o2,
-                n: 64,
-            },
-        ]);
-        assert!(matches!(err, Err(OclError::BatchDependency { .. })));
-        // Shared output.
-        let err = c.launch_batch(&[
-            BatchLaunch {
-                kernel: &Double,
-                inputs: vec![src],
-                output: o1,
-                n: 64,
-            },
-            BatchLaunch {
-                kernel: &AddOne,
-                inputs: vec![src],
-                output: o1,
-                n: 64,
-            },
-        ]);
-        assert!(matches!(err, Err(OclError::BatchOutputConflict { .. })));
-        // Self-alias.
-        let err = c.launch_batch(&[BatchLaunch {
-            kernel: &Double,
-            inputs: vec![o1],
-            output: o1,
-            n: 64,
-        }]);
-        assert!(matches!(err, Err(OclError::OutputAliasesInput { .. })));
-    }
-
-    #[test]
-    fn launch_batch_model_mode_matches_real_events() {
-        let run = |mode: ExecMode| -> (f64, Vec<String>) {
-            let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
-            let src = c.create_buffer(64).unwrap();
-            let o1 = c.create_buffer(64).unwrap();
-            let o2 = c.create_buffer(64).unwrap();
-            match mode {
-                ExecMode::Real => c.enqueue_write(src, &[1.0; 64]).unwrap(),
-                ExecMode::Model => c.enqueue_write_virtual(src).unwrap(),
-            }
-            let wall = c
-                .launch_batch(&[
-                    BatchLaunch {
-                        kernel: &Double,
-                        inputs: vec![src],
-                        output: o1,
-                        n: 64,
-                    },
-                    BatchLaunch {
-                        kernel: &AddOne,
-                        inputs: vec![src],
-                        output: o2,
-                        n: 64,
-                    },
-                ])
-                .unwrap();
-            if mode == ExecMode::Model {
-                assert_eq!(wall, vec![0, 0], "model mode runs no bodies");
-            }
-            let labels = c.report().events.iter().map(|e| e.label.clone()).collect();
-            (c.clock_seconds(), labels)
-        };
-        let (t_real, ev_real) = run(ExecMode::Real);
-        let (t_model, ev_model) = run(ExecMode::Model);
-        assert_eq!(t_real.to_bits(), t_model.to_bits());
-        assert_eq!(ev_real, ev_model);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut c = ctx();
-        assert_eq!(c.launch_batch(&[]).unwrap(), Vec::<u64>::new());
-        assert_eq!(c.report().events.len(), 0);
-    }
-
     #[test]
     fn compile_events_excluded_from_device_seconds() {
         let mut c = ctx();
@@ -2335,42 +1944,6 @@ mod fault_injection_tests {
             other => panic!("expected compile fault, got {other:?}"),
         }
         c.record_compile("fused").unwrap();
-    }
-
-    #[test]
-    fn faulted_batch_is_atomic_and_leaves_no_events() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let mut c = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-        let plan = FaultPlan::with_seed(1);
-        plan.fail_nth_from_now(FaultKind::Launch, 2, 1);
-        c.set_fault_plan(plan);
-        let src = c.create_buffer(8).unwrap();
-        let o1 = c.create_buffer(8).unwrap();
-        let o2 = c.create_buffer(8).unwrap();
-        c.enqueue_write(src, &[5.0; 8]).unwrap();
-        let k = Double;
-        let events_before = c.report().events.len();
-        let err = c.launch_batch(&[
-            BatchLaunch {
-                kernel: &k,
-                inputs: vec![src],
-                output: o1,
-                n: 8,
-            },
-            BatchLaunch {
-                kernel: &k,
-                inputs: vec![src],
-                output: o2,
-                n: 8,
-            },
-        ]);
-        assert!(matches!(err, Err(OclError::LaunchFailed { .. })));
-        assert_eq!(
-            c.report().events.len(),
-            events_before,
-            "a faulted batch records nothing"
-        );
-        assert_eq!(c.peek(o1).unwrap(), vec![0.0; 8], "no body ran");
     }
 
     #[test]

@@ -74,21 +74,6 @@ pub enum OclError {
         /// Name of the offending kernel.
         kernel: String,
     },
-    /// Two launches in one batch write the same output buffer.
-    BatchOutputConflict {
-        /// First kernel writing the shared buffer.
-        first: String,
-        /// Second kernel writing the shared buffer.
-        second: String,
-    },
-    /// A launch in a batch reads a buffer another launch in the same batch
-    /// writes; dependent launches cannot share a batch.
-    BatchDependency {
-        /// Kernel writing the buffer.
-        producer: String,
-        /// Kernel reading it in the same batch.
-        consumer: String,
-    },
     /// Reading buffer contents in [`crate::ExecMode::Model`] mode, or a
     /// virtual transfer on a real-mode context.
     InvalidOperation(String),
@@ -201,15 +186,6 @@ impl std::fmt::Display for OclError {
             OclError::OutputAliasesInput { kernel } => {
                 write!(f, "kernel `{kernel}` output aliases an input")
             }
-            OclError::BatchOutputConflict { first, second } => write!(
-                f,
-                "batched kernels `{first}` and `{second}` share an output buffer"
-            ),
-            OclError::BatchDependency { producer, consumer } => write!(
-                f,
-                "batched kernel `{consumer}` reads the output of `{producer}`; \
-                 dependent launches cannot share a batch"
-            ),
             OclError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
             OclError::IntegrityViolation {
                 kind,

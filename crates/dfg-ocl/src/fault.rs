@@ -111,7 +111,7 @@ pub enum FaultKind {
     Alloc,
     /// Host↔device transfers (`enqueue_write*` / `enqueue_read*`).
     Transfer,
-    /// Kernel launches (`launch` / each member of `launch_batch`).
+    /// Kernel launches (`launch` / `launch_q`).
     Launch,
     /// Kernel compilations (`record_compile`).
     Compile,

@@ -52,8 +52,7 @@ mod profile;
 mod staging;
 
 pub use context::{
-    AllocMark, BatchLaunch, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost,
-    QueueId,
+    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, QueueId,
 };
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};

@@ -678,10 +678,7 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
         registry,
         fields: HashMap::new(),
         compiled: HashMap::new(),
-        level: config
-            .options
-            .effective_opt_level()
-            .max(dfg_dataflow::OptLevel::Cse),
+        level: config.options.optimize.max(dfg_dataflow::OptLevel::Cse),
     };
     // How long the executor sleeps on an empty queue before running a
     // maintenance pass (idle eviction, memory-pressure watchdog). Only

@@ -365,14 +365,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Full CSE (value numbering with commutative canonicalization) never
-    /// changes results: optimized and unoptimized networks agree bit-for-
-    /// bit on random expressions over real field data.
+    /// The CSE level (value numbering with commutative canonicalization)
+    /// never changes results: optimized and unoptimized networks agree
+    /// bit-for-bit on random expressions over real field data.
     #[test]
-    fn full_cse_preserves_results(src in arb_expr()) {
-        use dfg::dataflow::full_cse;
+    fn cse_level_preserves_results(src in arb_expr()) {
+        use dfg::dataflow::{optimize, OptLevel};
         let spec = compile(&format!("r = {src}")).expect("valid");
-        let (opt, stats) = full_cse(&spec);
+        let out = optimize(&spec, &[spec.result], OptLevel::Cse).expect("valid");
+        let (opt, stats) = (out.spec, out.stats);
         prop_assert!(opt.validate().is_ok());
         prop_assert!(opt.len() <= spec.len());
         prop_assert_eq!(stats.nodes_after + stats.merged,
