@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport, Request};
 use crate::session::SessionState;
-use crate::strategies::{lanes_for, upload_field};
+use crate::strategies::{lanes_for, read_buffer, upload_field};
 use crate::workloads::Workload;
 
 /// Engine configuration.
@@ -566,7 +566,6 @@ impl Engine {
     ) -> Result<ExecReport, EngineError> {
         let mark = self.trace_mark();
         let mut ctx = self.traced_context();
-        let real = self.options.mode == ExecMode::Real;
         let n = fields.ncells();
         let kernel = workload.reference_kernel();
         let exec_span = span!(self.tracer, "execute.reference", ncells = n);
@@ -576,19 +575,14 @@ impl Engine {
         for name in workload.reference_input_names() {
             bufs.push(upload_field(fields, &mut ctx, name, *name == "dims", None)?);
         }
-        let out = ctx.create_buffer(lanes_for(Width::Scalar, n))?;
+        let out_lanes = lanes_for(Width::Scalar, n);
+        let out = ctx.create_buffer(out_lanes)?;
         ctx.launch(kernel.as_ref(), &bufs, out, n)?;
-        let field = if real {
-            let data = ctx.enqueue_read(out)?;
-            Some(Field {
-                width: Width::Scalar,
-                ncells: n,
-                data,
-            })
-        } else {
-            ctx.enqueue_read_virtual(out)?;
-            None
-        };
+        let field = read_buffer(&mut ctx, out, out_lanes)?.map(|data| Field {
+            width: Width::Scalar,
+            ncells: n,
+            data,
+        });
         for buf in bufs {
             ctx.release(buf)?;
         }

@@ -54,6 +54,18 @@ impl FieldSet {
         g
     }
 
+    /// Insert (or replace) field `name` — with its bytes, or as a virtual
+    /// field that has only a shape — under a fresh generation.
+    fn put(&mut self, name: &str, width: Width, data: Option<Vec<f32>>) {
+        let generation = self.fresh_gen();
+        let value = FieldValue {
+            width,
+            data,
+            generation,
+        };
+        self.fields.insert(name.to_string(), value);
+    }
+
     /// Cell count all problem-sized fields must match.
     pub fn ncells(&self) -> usize {
         self.ncells
@@ -67,15 +79,7 @@ impl FieldSet {
         if data.len() != self.ncells {
             return Err((self.ncells, data.len()));
         }
-        let generation = self.fresh_gen();
-        self.fields.insert(
-            name.to_string(),
-            FieldValue {
-                width: Width::Scalar,
-                data: Some(data),
-                generation,
-            },
-        );
+        self.put(name, Width::Scalar, Some(data));
         Ok(())
     }
 
@@ -119,41 +123,17 @@ impl FieldSet {
 
     /// Insert a small auxiliary buffer (e.g. `dims`, 3 lanes).
     pub fn insert_small(&mut self, name: &str, data: Vec<f32>) {
-        let generation = self.fresh_gen();
-        self.fields.insert(
-            name.to_string(),
-            FieldValue {
-                width: Width::Small,
-                data: Some(data),
-                generation,
-            },
-        );
+        self.put(name, Width::Small, Some(data));
     }
 
     /// Insert a virtual scalar field (model mode: shape only, no data).
     pub fn insert_virtual_scalar(&mut self, name: &str) {
-        let generation = self.fresh_gen();
-        self.fields.insert(
-            name.to_string(),
-            FieldValue {
-                width: Width::Scalar,
-                data: None,
-                generation,
-            },
-        );
+        self.put(name, Width::Scalar, None);
     }
 
     /// Insert a virtual small buffer.
     pub fn insert_virtual_small(&mut self, name: &str) {
-        let generation = self.fresh_gen();
-        self.fields.insert(
-            name.to_string(),
-            FieldValue {
-                width: Width::Small,
-                data: None,
-                generation,
-            },
-        );
+        self.put(name, Width::Small, None);
     }
 
     /// Look up a field.

@@ -155,7 +155,7 @@ impl SessionState {
                         Err(e) => return Err(e.into()),
                     }
                 }
-                write_field(ctx, buf, fv)?;
+                write_field(ctx, buf, fv, lanes)?;
                 self.stats.uploads += 1;
                 self.resident.get_mut(name).expect("present").generation = fv.generation();
                 return Ok(buf);
@@ -165,7 +165,7 @@ impl SessionState {
             ctx.release(stale.buf)?;
         }
         let buf = ctx.create_buffer(lanes)?;
-        write_field(ctx, buf, fv)?;
+        write_field(ctx, buf, fv, lanes)?;
         self.stats.uploads += 1;
         self.resident.insert(
             name.to_string(),

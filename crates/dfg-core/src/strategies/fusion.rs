@@ -6,12 +6,12 @@
 //! registers, and one download returns the result.
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
-use dfg_ocl::{Context, ExecMode};
+use dfg_ocl::Context;
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
-use crate::strategies::{fused_kernel, upload_field};
+use crate::strategies::{fused_kernel, read_buffer, upload_field};
 
 /// Execute `roots` of `spec` with the fusion strategy: one generated kernel
 /// computes every root, writing an interleaved output buffer that is
@@ -31,7 +31,6 @@ pub(crate) fn run_fusion(
     mut session: Option<&mut SessionState>,
     label: &str,
 ) -> Result<(Option<Vec<Field>>, String), EngineError> {
-    let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
     let (kernel, source) = fused_kernel(spec, roots, ctx, session.as_deref_mut(), label, false)?;
@@ -59,31 +58,28 @@ pub(crate) fn run_fusion(
     }
 
     let _download = dfg_trace::span!(tracer, "fusion.download");
-    let fields_out = if real {
-        let interleaved = ctx.enqueue_read(out)?;
-        let mut result = Vec::with_capacity(program.outputs.len());
-        for o in &program.outputs {
-            let (width, lane_offset) = (o.width, o.lane_offset);
-            let w = match width {
-                Width::Vec4 => 4,
-                _ => 1,
-            };
-            let mut data = Vec::with_capacity(w * n);
-            for i in 0..n {
-                let base = i * lanes_per_elem + lane_offset;
-                data.extend_from_slice(&interleaved[base..base + w]);
-            }
-            result.push(Field {
-                width,
-                ncells: n,
-                data,
-            });
-        }
-        Some(result)
-    } else {
-        ctx.enqueue_read_virtual(out)?;
-        None
-    };
+    let fields_out = read_buffer(ctx, out, lanes_per_elem * n)?.map(|interleaved| {
+        program
+            .outputs
+            .iter()
+            .map(|o| {
+                let w = match o.width {
+                    Width::Vec4 => 4,
+                    _ => 1,
+                };
+                let mut data = Vec::with_capacity(w * n);
+                for i in 0..n {
+                    let base = i * lanes_per_elem + o.lane_offset;
+                    data.extend_from_slice(&interleaved[base..base + w]);
+                }
+                Field {
+                    width: o.width,
+                    ncells: n,
+                    data,
+                }
+            })
+            .collect()
+    });
     for buf in owned {
         ctx.release(buf)?;
     }

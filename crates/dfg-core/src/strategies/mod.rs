@@ -19,6 +19,14 @@
 //! resident buffers that outlive the call and fused codegen is served from
 //! the session's kernel cache.
 //!
+//! No executor picks a device call by [`ExecMode`]: uploads go through
+//! [`write_field`] (or the queued write) with whatever bytes the host has,
+//! whole-buffer downloads through [`read_buffer`], and a model run is the
+//! same sequence on a context without storage. What an executor may still
+//! ask is whether *host* data exists, for host-side compute that has no
+//! model counterpart (roundtrip's constant fill and decompose slicing,
+//! fusion's de-interleave).
+//!
 //! The executors' buffer allocation orders intentionally mirror
 //! `dfg_dataflow::memreq`'s analytical simulation so that measured
 //! high-water marks and predicted requirements agree exactly.
@@ -37,7 +45,7 @@ pub(crate) use streamed::{run_streamed, StreamRetry};
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
 use dfg_kernels::{fuse_roots, FusedKernel};
-use dfg_ocl::{BufferId, Context, ExecMode};
+use dfg_ocl::{BufferId, Context, ExecMode, HostEnd, QueueId};
 
 use crate::error::EngineError;
 use crate::fields::{FieldSet, FieldValue};
@@ -96,18 +104,36 @@ pub(crate) fn check_field<'a>(
     }
 }
 
-/// Write a validated host field into `buf` (an accounted virtual transfer
-/// in model mode).
+/// Write a validated host field into `buf`, which holds `lanes` lanes. The
+/// context copies the field's bytes when it is real and the field has them,
+/// and accounts the same transfer when neither does.
 pub(crate) fn write_field(
     ctx: &mut Context,
     buf: BufferId,
     fv: &FieldValue,
+    lanes: usize,
 ) -> Result<(), EngineError> {
-    match ctx.mode() {
-        ExecMode::Real => ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?,
-        ExecMode::Model => ctx.enqueue_write_virtual(buf)?,
-    }
+    let src = HostEnd::or_absent(fv.data.as_deref(), lanes);
+    ctx.enqueue_write_q(QueueId::DEFAULT, buf, src, &[])?;
     Ok(())
+}
+
+/// Download the whole of `buf` (`lanes` lanes): its contents from a real
+/// context, `None` — the same transfer, accounted — from a model one. The
+/// one place a download asks which it is, because only a real context has
+/// bytes to put in a fresh `Vec`.
+pub(crate) fn read_buffer(
+    ctx: &mut Context,
+    buf: BufferId,
+    lanes: usize,
+) -> Result<Option<Vec<f32>>, EngineError> {
+    Ok(match ctx.mode() {
+        ExecMode::Real => Some(ctx.enqueue_read(buf)?),
+        ExecMode::Model => {
+            ctx.enqueue_read_range_q(QueueId::DEFAULT, buf, 0, HostEnd::absent(lanes), &[])?;
+            None
+        }
+    })
 }
 
 /// Put one named input field on the device: through the session's
@@ -124,8 +150,9 @@ pub(crate) fn upload_field(
         Some(state) => state.bind_input(ctx, fields, name, small),
         None => {
             let fv = check_field(fields, name, small, ctx.mode())?;
-            let buf = ctx.create_buffer(lanes_for(fv.width, fields.ncells()))?;
-            write_field(ctx, buf, fv)?;
+            let lanes = lanes_for(fv.width, fields.ncells());
+            let buf = ctx.create_buffer(lanes)?;
+            write_field(ctx, buf, fv, lanes)?;
             Ok(buf)
         }
     }

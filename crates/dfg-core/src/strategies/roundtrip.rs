@@ -8,36 +8,22 @@
 //! reproduce the paper's Table II transfer counts and Figure 6 memory
 //! curves.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
-use dfg_ocl::{Context, DeviceKernel, ExecMode};
+use dfg_ocl::{Context, DeviceKernel, ExecMode, HostEnd, QueueId};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
-use crate::strategies::{check_field, lanes_for};
+use crate::strategies::{check_field, lanes_for, read_buffer};
 
-/// A host-resident intermediate value.
-enum HostVal<'a> {
-    /// Borrowed directly from the host's field set.
-    Slice(&'a [f32]),
-    /// Computed (kernel download, host decompose, or constant fill).
-    Owned(Vec<f32>),
-    /// Model mode: shape tracked, no data.
-    Virtual,
-}
-
-impl HostVal<'_> {
-    fn as_slice(&self) -> Option<&[f32]> {
-        match self {
-            HostVal::Slice(s) => Some(s),
-            HostVal::Owned(v) => Some(v),
-            HostVal::Virtual => None,
-        }
-    }
-}
+/// A host-resident intermediate value: borrowed from the host's field set
+/// or computed (kernel download, host decompose, constant fill); `None`
+/// when only its shape is tracked (model mode, virtual fields).
+type HostVal<'a> = Option<Cow<'a, [f32]>>;
 
 /// Execute `roots` of `spec` with the roundtrip strategy, extracting the
 /// result fields from the host-value map (the schedule must pin `roots`
@@ -70,34 +56,23 @@ pub(crate) fn run_roundtrip(
         match &node.op {
             FilterOp::Input { name, small } => {
                 let fv = check_field(fields, name, *small, ctx.mode())?;
-                let val = match &fv.data {
-                    Some(d) => HostVal::Slice(d),
-                    None => HostVal::Virtual,
-                };
-                host.insert(id, val);
+                host.insert(id, fv.data.as_deref().map(Cow::Borrowed));
             }
             FilterOp::Const(v) => {
                 // Materialized as a problem-sized host array; uploaded once
                 // per consuming port below.
-                let val = if real {
-                    HostVal::Owned(vec![*v; n])
-                } else {
-                    HostVal::Virtual
-                };
-                host.insert(id, val);
+                host.insert(id, real.then(|| Cow::Owned(vec![*v; n])));
             }
             FilterOp::Decompose(comp) => {
                 // Host-side slicing: no device kernel under roundtrip.
-                let val = if real {
+                let val = real.then(|| {
                     let src = host
                         .get(&node.inputs[0])
-                        .and_then(HostVal::as_slice)
+                        .and_then(|v| v.as_deref())
                         .expect("scheduled operand present in real mode");
                     let comp = *comp as usize;
-                    HostVal::Owned((0..n).map(|i| src[4 * i + comp]).collect())
-                } else {
-                    HostVal::Virtual
-                };
+                    Cow::Owned((0..n).map(|i| src[4 * i + comp]).collect())
+                });
                 host.insert(id, val);
             }
             op => {
@@ -129,35 +104,25 @@ pub(crate) fn run_roundtrip(
                                 continue;
                             }
                         }
-                        let w = host_width(spec, input);
-                        let buf = ctx.create_buffer(lanes_for(w, n))?;
-                        if real {
-                            let data = host
-                                .get(&input)
-                                .and_then(HostVal::as_slice)
-                                .expect("scheduled operand present in real mode");
-                            ctx.enqueue_write(buf, data)?;
-                        } else {
-                            ctx.enqueue_write_virtual(buf)?;
-                        }
+                        let lanes = lanes_for(host_width(spec, input), n);
+                        let buf = ctx.create_buffer(lanes)?;
+                        let data = host.get(&input).and_then(|v| v.as_deref());
+                        let src = HostEnd::or_absent(data, lanes);
+                        ctx.enqueue_write_q(QueueId::DEFAULT, buf, src, &[])?;
                         uploaded.insert(input, buf);
                         created.push(buf);
                         port_bufs.push(buf);
                     }
                 }
-                let out = ctx.create_buffer(lanes_for(op.width(), n))?;
+                let out_lanes = lanes_for(op.width(), n);
+                let out = ctx.create_buffer(out_lanes)?;
                 {
                     let _kernel = dfg_trace::span!(tracer, "roundtrip.kernel");
                     ctx.launch(&prim, &port_bufs, out, n)?;
                 }
                 let val = {
                     let _download = dfg_trace::span!(tracer, "roundtrip.download");
-                    if real {
-                        HostVal::Owned(ctx.enqueue_read(out)?)
-                    } else {
-                        ctx.enqueue_read_virtual(out)?;
-                        HostVal::Virtual
-                    }
+                    read_buffer(ctx, out, out_lanes)?.map(Cow::Owned)
                 };
                 host.insert(id, val);
                 // The device is drained after every filter (each created
@@ -179,15 +144,11 @@ pub(crate) fn run_roundtrip(
     }
     let mut out = Vec::with_capacity(roots.len());
     for &root in roots {
-        let data = match host.get(&root).expect("root pinned by schedule") {
-            HostVal::Owned(v) => v.clone(),
-            HostVal::Slice(s) => s.to_vec(),
-            HostVal::Virtual => unreachable!("real mode"),
-        };
+        let data = host.get(&root).expect("root pinned by schedule");
         out.push(Field {
             width: spec.width(root),
             ncells: n,
-            data,
+            data: data.as_deref().expect("real mode").to_vec(),
         });
     }
     Ok(Some(out))

@@ -17,7 +17,7 @@ use dfg_ocl::{BufferId, Context, DeviceKernel, ExecMode};
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
-use crate::strategies::{lanes_for, upload_field};
+use crate::strategies::{lanes_for, read_buffer, upload_field};
 
 /// Execute `roots` of `spec` with the staged strategy: the paper's serial
 /// walk over [`Schedule::order`], one launch (and one event) at a time, then
@@ -97,15 +97,14 @@ pub(crate) fn run_staged(
                 buf
             }
         };
-        if let Some(fields_out) = out.as_mut() {
-            let data = ctx.enqueue_read(result_buf)?;
+        let width = spec.width(root);
+        let data = read_buffer(ctx, result_buf, lanes_for(width, n))?;
+        if let (Some(fields_out), Some(data)) = (out.as_mut(), data) {
             fields_out.push(Field {
-                width: spec.width(root),
+                width,
                 ncells: n,
                 data,
             });
-        } else {
-            ctx.enqueue_read_virtual(result_buf)?;
         }
     }
     // Drain the device (session-resident inputs stay for the next cycle).

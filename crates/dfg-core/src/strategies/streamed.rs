@@ -33,13 +33,17 @@
 //! Host-side allocation discipline (the dgen-rs zero-copy rule: generate
 //! into the destination, never into a temp `Vec`): big-field slabs upload
 //! directly from windows of the caller's field storage, the per-slab dims
-//! header is assembled in a pinned [`StagingRing`] slot reused round-robin,
-//! and downloads land directly in the final output allocation via ranged
-//! reads — the steady-state loop performs no per-slab heap allocation.
+//! header is three floats on the stack, and downloads land directly in the
+//! final output allocation via ranged reads — the steady-state loop performs
+//! no per-slab heap allocation.
+//!
+//! Each slab issues the same three calls — write, launch, ranged read — in
+//! both modes; what differs is whether the [`HostEnd`] handed to a transfer
+//! has memory behind it.
 
 use dfg_dataflow::{NetworkSpec, Width};
 use dfg_kernels::Dims3;
-use dfg_ocl::{Context, EventToken, ExecMode, StagingRing};
+use dfg_ocl::{Context, EventToken, ExecMode, HostEnd};
 
 use crate::engine::{SlabPolicy, StreamOptions};
 use crate::error::EngineError;
@@ -273,10 +277,6 @@ pub(crate) fn run_streamed(
         return Err(e);
     }
 
-    // Pinned host staging ring for the per-slab dims header: assembled
-    // directly into the reused slot, never into a fresh Vec.
-    let mut staging = real.then(|| StagingRing::new(depth, 3));
-
     // In-pipeline transient retry state.
     let mut retries_left = retry.as_ref().map_or(0, |r| r.max_retries);
     let mut backoff = retry.as_ref().map_or(0.0, |r| r.backoff_seconds);
@@ -361,42 +361,17 @@ pub(crate) fn run_streamed(
 
             let mut first_start: Option<f64> = None;
             let mut kernel_deps: Vec<EventToken> = Vec::with_capacity(inputs.len() + 1);
+            // The per-slab dims header lives on the stack: the write copies
+            // (or accounts) it at enqueue time, so nothing outlives the slab.
+            let header = [dims3.nx as f32, dims3.ny as f32, (gz1 - gz0) as f32];
             for (input, &buf) in inputs.iter().zip(&ring_inputs[slot]) {
-                let tok = if input.small {
-                    if let Some(stg) = staging.as_mut() {
-                        // Assemble the header in its pinned staging slot and
-                        // upload straight from it — no per-slab Vec.
-                        let header = stg.slot_mut(slab);
-                        header[0] = dims3.nx as f32;
-                        header[1] = dims3.ny as f32;
-                        header[2] = (gz1 - gz0) as f32;
-                        let stg = &*stg;
-                        issue!(
-                            q_h2d,
-                            ctx.enqueue_write_q(q_h2d, buf, stg.slot(slab), &upload_deps)
-                        )?
-                    } else {
-                        issue!(
-                            q_h2d,
-                            ctx.enqueue_write_virtual_q(q_h2d, buf, 3, &upload_deps)
-                        )?
-                    }
-                } else if let Some(data) = input.data {
-                    issue!(
-                        q_h2d,
-                        ctx.enqueue_write_q(
-                            q_h2d,
-                            buf,
-                            &data[plane * gz0..plane * gz1],
-                            &upload_deps,
-                        )
-                    )?
+                let src = if input.small {
+                    HostEnd::from(&header[..])
                 } else {
-                    issue!(
-                        q_h2d,
-                        ctx.enqueue_write_virtual_q(q_h2d, buf, slab_cells, &upload_deps)
-                    )?
+                    let window = input.data.map(|d| &d[plane * gz0..plane * gz1]);
+                    HostEnd::or_absent(window, slab_cells)
                 };
+                let tok = issue!(q_h2d, ctx.enqueue_write_q(q_h2d, buf, src, &upload_deps))?;
                 first_start.get_or_insert(tok.virt_start());
                 kernel_deps.push(tok);
             }
@@ -423,18 +398,12 @@ pub(crate) fn run_streamed(
             // output field's final storage — a ranged read, no temp Vec.
             let src_off = (z0 - gz0) * plane * out_lanes_per_cell;
             let len = (z1 - z0) * plane * out_lanes_per_cell;
-            let d_tok = if let Some(dst) = out_data.as_mut() {
-                let window = &mut dst[z0 * plane * out_lanes_per_cell..][..len];
-                issue!(
-                    q_d2h,
-                    ctx.enqueue_read_range_q(q_d2h, ring_out[slot], src_off, window, &[k_tok])
-                )?
-            } else {
-                issue!(
-                    q_d2h,
-                    ctx.enqueue_read_range_virtual_q(q_d2h, ring_out[slot], src_off, len, &[k_tok])
-                )?
-            };
+            let dst_off = z0 * plane * out_lanes_per_cell;
+            let d_tok = issue!(q_d2h, {
+                let window = out_data.as_mut().map(|dst| &mut dst[dst_off..][..len]);
+                let dst = HostEnd::or_absent(window, len);
+                ctx.enqueue_read_range_q(q_d2h, ring_out[slot], src_off, dst, &[k_tok])
+            })?;
             last_download[slot] = Some(d_tok);
             prev_download = Some(d_tok);
 

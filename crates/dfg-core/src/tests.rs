@@ -97,18 +97,37 @@ fn measured_high_water_matches_analytical_model() {
     }
 }
 
+/// Model == Real, event for event: same kinds, labels, bytes and queues,
+/// bit-identical start/end times (per-queue clocks are the last `t_end` on
+/// each queue), same high-water mark — and no data on the model side.
+#[track_caller]
+fn assert_same_accounting(real: &crate::ExecReport, model: &crate::ExecReport, what: &str) {
+    let stream = |r: &crate::ExecReport| -> Vec<_> {
+        let events = r.profile.events.iter();
+        events
+            .map(|e| {
+                let (t0, t1) = (e.t_start.to_bits(), e.t_end.to_bits());
+                (e.kind, e.label.clone(), e.bytes, t0, t1, e.queue)
+            })
+            .collect()
+    };
+    assert!(model.field.is_none(), "{what}: model mode produced data");
+    assert_eq!(stream(real), stream(model), "{what}: event streams diverge");
+    assert_eq!(real.high_water_bytes(), model.high_water_bytes(), "{what}");
+}
+
 #[test]
 fn model_mode_reproduces_real_mode_accounting() {
     let dims = [6, 5, 4];
     let fields_real = small_rt_fields(dims);
-    let fields_virtual = {
-        let mut fs = FieldSet::new(dims[0] * dims[1] * dims[2]);
-        for name in ["u", "v", "w", "x", "y", "z"] {
-            fs.insert_virtual_scalar(name);
-        }
-        fs.insert_virtual_small("dims");
-        fs
-    };
+    let fields_virtual = FieldSet::virtual_rt(dims);
+    // Streaming a gradient program reads the grid shape on the host, so its
+    // model run carries a concrete `dims` — bytes a model context ignores.
+    let mut fields_shaped = fields_virtual.clone();
+    fields_shaped.insert_small(
+        "dims",
+        fields_real.get("dims").unwrap().data.clone().unwrap(),
+    );
     let mut real = cpu_engine();
     let mut model = Engine::with_options(
         DeviceProfile::intel_x5660(),
@@ -117,22 +136,46 @@ fn model_mode_reproduces_real_mode_accounting() {
             ..Default::default()
         },
     );
+    // Every entry point that reaches the device layer.
     for workload in Workload::ALL {
+        let source = workload.source();
         for strategy in Strategy::ALL {
-            let r = real
-                .derive(workload.source(), &fields_real, strategy)
-                .unwrap();
-            let m = model
-                .derive(workload.source(), &fields_virtual, strategy)
-                .unwrap();
-            assert!(m.field.is_none());
-            assert_eq!(r.table2_row(), m.table2_row(), "{workload}/{strategy}");
-            assert_eq!(r.high_water_bytes(), m.high_water_bytes());
-            assert!(
-                (r.device_seconds() - m.device_seconds()).abs() < 1e-12,
-                "{workload}/{strategy} modeled clocks diverge"
-            );
+            let what = format!("{workload}/{strategy}");
+            let r = real.derive(source, &fields_real, strategy).unwrap();
+            let m = model.derive(source, &fields_virtual, strategy).unwrap();
+            assert_same_accounting(&r, &m, &what);
+
+            let mut rs = real.session();
+            let mut ms = model.session();
+            for cycle in 0..2 {
+                let r = rs.derive(source, &fields_real, strategy).unwrap();
+                let m = ms.derive(source, &fields_virtual, strategy).unwrap();
+                assert_same_accounting(&r, &m, &format!("{what} session cycle {cycle}"));
+            }
         }
+        let r = real.run_reference(workload, &fields_real).unwrap();
+        let m = model.run_reference(workload, &fields_virtual).unwrap();
+        assert_same_accounting(&r, &m, &format!("{workload}/reference"));
+
+        let budget = Some(8 * 1024);
+        let r = real.derive_streamed(source, &fields_real, budget).unwrap();
+        let m = model
+            .derive_streamed(source, &fields_shaped, budget)
+            .unwrap();
+        assert!(r.profile.events.iter().any(|e| e.queue > 0), "{workload}");
+        assert_same_accounting(&r, &m, &format!("{workload}/streamed"));
+    }
+    let source = Workload::VorticityMagnitude.source();
+    for strategy in Strategy::ALL {
+        let outputs = ["w_mag", "w_x"];
+        let (named, r) = real
+            .derive_many(source, &outputs, &fields_real, strategy)
+            .unwrap();
+        let (none, m) = model
+            .derive_many(source, &outputs, &fields_virtual, strategy)
+            .unwrap();
+        assert_eq!((named.len(), none.len()), (2, 0));
+        assert_same_accounting(&r, &m, &format!("two roots/{strategy}"));
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::host::HostEnd;
 use crate::integrity::{checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy};
 use crate::profile::DeviceProfile;
 use crate::ExecMode;
@@ -24,15 +25,17 @@ impl BufferId {
 
 /// Handle to an in-order command queue on a [`Context`].
 ///
-/// Queue 0 is the default queue every legacy (un-suffixed) operation
-/// targets; [`Context::acquire_queues`] hands out auxiliary queues for
-/// overlapped execution. Operations on *different* queues may overlap on
-/// the virtual clock; operations on the *same* queue are strictly ordered.
+/// Queue 0 is the default queue every un-suffixed operation targets;
+/// [`Context::acquire_queues`] hands out auxiliary queues for overlapped
+/// execution. Operations on *different* auxiliary queues may overlap on the
+/// virtual clock; operations on the *same* queue are strictly ordered, and
+/// an operation on the default queue is a barrier for all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueueId(usize);
 
 impl QueueId {
-    /// The default in-order queue used by all legacy operations.
+    /// The default in-order queue: its operations start at the global
+    /// frontier and bring every queue up to their completion.
     pub const DEFAULT: QueueId = QueueId(0);
 
     /// The queue's index, as it appears in [`Event::queue`](crate::Event).
@@ -194,6 +197,38 @@ impl Slot {
             .map(|d| &mut d[GUARD_LANES..GUARD_LANES + lanes])
     }
 
+    /// Defined contents, or `None` for a slot that reads as zeros (never
+    /// written; recycled pool storage must not leak its previous owner).
+    fn contents(&self) -> Option<&[f32]> {
+        self.payload().filter(|_| self.written)
+    }
+
+    /// Give a slot without defined contents some: lanes `from..` read as
+    /// zeros afterwards (fresh storage is born zeroed and materialized here
+    /// on first use; recycled pool storage is cleared) and the caller
+    /// fills `..from`. A slot that already holds contents is left alone.
+    fn define_from(&mut self, from: usize) {
+        if !self.written {
+            match self.payload_mut() {
+                Some(payload) => payload[from..].fill(0.0),
+                None => self.data = Some(Slot::alloc_storage(self.lanes)),
+            }
+            self.written = true;
+        }
+    }
+
+    /// Learn the payload's content checksum — the value later verifications
+    /// compare against — or forget it when `learn` is off. Host-side only:
+    /// no event, no clock cost.
+    fn learn_sum(&mut self, learn: bool) {
+        self.sum = match self.payload() {
+            Some(payload) if learn => {
+                Some(checksum_f32s(crate::integrity::BUFFER_SUM_SEED, payload))
+            }
+            _ => None,
+        };
+    }
+
     /// Whether every guard lane still carries the sentinel (vacuously true
     /// for unmaterialized storage).
     fn guards_intact(&self) -> bool {
@@ -215,10 +250,9 @@ pub struct Context {
     free_ids: Vec<usize>,
     in_use: u64,
     high_water: u64,
-    /// Global virtual-clock frontier: `max` over all queue clocks; also the
-    /// completion time of the last legacy (queue-0, barrier) operation.
+    /// Global virtual-clock frontier: `max` over all queue clocks.
     clock: f64,
-    /// Per-queue ready times. Index 0 is the default queue; legacy
+    /// Per-queue ready times. Index 0 is the default queue, whose
     /// operations act as barriers that bring every queue up to `clock`, so
     /// single-queue programs are bit-identical to the pre-multi-queue model.
     queue_clocks: Vec<f64>,
@@ -685,42 +719,18 @@ impl Context {
         before - self.in_use
     }
 
-    /// Record a legacy (default-queue) event. Legacy operations are
-    /// barriers: they start at the global frontier and bring every queue's
-    /// ready time up to their completion, so programs that never touch an
-    /// auxiliary queue see exactly the single-queue virtual clock.
-    fn record(&mut self, kind: EventKind, label: &str, bytes: u64, seconds: f64) {
-        let t_start = self.clock;
-        self.clock += seconds;
-        for q in &mut self.queue_clocks {
-            *q = self.clock;
-        }
-        if let Some(tracer) = &self.tracer {
-            tracer.device_event(
-                &format!("ocl.{}", kind.tag()),
-                label,
-                bytes,
-                t_start,
-                self.clock,
-            );
-        }
-        self.events.push(Event {
-            kind,
-            label: label.to_string(),
-            bytes,
-            t_start,
-            t_end: self.clock,
-            queue: 0,
-        });
-    }
-
     /// Record an event on one queue, ordered after that queue's prior work
     /// and after every dependency in `deps`. Returns the completion token.
+    ///
+    /// The default queue is a barrier: an operation on it starts at the
+    /// global frontier and brings every queue's ready time up to its
+    /// completion, so programs that never touch an auxiliary queue see
+    /// exactly the single-queue virtual clock.
     ///
     /// All timing is computed here, serially, at enqueue time — overlapped
     /// execution is a property of the *model*, so Model and Real mode (and
     /// any `DFG_NUM_THREADS`) produce bit-identical clocks.
-    fn record_on(
+    fn record(
         &mut self,
         queue: QueueId,
         kind: EventKind,
@@ -729,16 +739,19 @@ impl Context {
         seconds: f64,
         deps: &[EventToken],
     ) -> EventToken {
-        let mut t_start = self
-            .queue_clocks
-            .get(queue.0)
-            .copied()
-            .unwrap_or(self.clock);
+        let barrier = queue == QueueId::DEFAULT;
+        let mut t_start = if barrier {
+            self.clock
+        } else {
+            self.queue_clock_seconds(queue)
+        };
         for dep in deps {
             t_start = t_start.max(dep.t_end);
         }
         let t_end = t_start + seconds;
-        if let Some(q) = self.queue_clocks.get_mut(queue.0) {
+        if barrier {
+            self.queue_clocks.fill(t_end);
+        } else if let Some(q) = self.queue_clocks.get_mut(queue.0) {
             *q = t_end;
         }
         self.clock = self.clock.max(t_end);
@@ -756,7 +769,67 @@ impl Context {
         EventToken { t_start, t_end }
     }
 
-    /// Enqueue a host→device write of real data.
+    /// The accounting half of a transfer, the same for both directions and
+    /// both modes: validate `host`'s window at `offset`, consult the fault
+    /// plan, revalidate a download's source under [`VerifyPolicy::Full`],
+    /// record the event. The storage half — the copy — follows in the
+    /// caller, on a Real context only.
+    ///
+    /// A Real context asked to move bytes the host does not have, or a Model
+    /// context asked to deliver contents it does not have, is refused before
+    /// the fault-plan draw, so the call leaves no trace.
+    fn transfer<S>(
+        &mut self,
+        direction: TransferDir,
+        queue: QueueId,
+        id: BufferId,
+        offset: usize,
+        host: &HostEnd<S>,
+        deps: &[EventToken],
+    ) -> Result<EventToken, OclError> {
+        let cap = self.slot(id)?.lanes;
+        if offset.checked_add(host.lanes).is_none_or(|end| end > cap) {
+            return Err(OclError::SizeMismatch {
+                expected: cap,
+                found: offset.saturating_add(host.lanes),
+            });
+        }
+        let download = direction == TransferDir::DeviceToHost;
+        let refused = match (self.mode, host.data.is_some()) {
+            (ExecMode::Real, false) => Some("a real-mode context needs the host's memory"),
+            (ExecMode::Model, true) if download => Some("a model-mode context has no contents"),
+            _ => None,
+        };
+        if let Some(why) = refused {
+            return Err(OclError::InvalidOperation(format!(
+                "{direction} transfer refused: {why}"
+            )));
+        }
+        let bytes = host.lanes as u64 * 4;
+        if let Some(transient) = self.fault(FaultKind::Transfer) {
+            return Err(OclError::TransferFailed {
+                direction,
+                bytes,
+                transient,
+            });
+        }
+        // Full verification: revalidate before handing the bits to the
+        // host, so a silent flip never escapes into downstream results.
+        if download && self.verify == VerifyPolicy::Full {
+            self.verify_buffer(id)?;
+        }
+        let (kind, label, seconds) = if download {
+            let seconds = self.profile.d2h_seconds(bytes);
+            (EventKind::DeviceToHost, "read", seconds)
+        } else {
+            let seconds = self.profile.h2d_seconds(bytes);
+            (EventKind::HostToDevice, "write", seconds)
+        };
+        Ok(self.record(queue, kind, label, bytes, seconds, deps))
+    }
+
+    /// Enqueue a host→device write of the whole buffer on the default
+    /// queue: [`Context::enqueue_write_q`] with an exact-size check.
     pub fn enqueue_write(&mut self, id: BufferId, data: &[f32]) -> Result<(), OclError> {
         let lanes = self.slot(id)?.lanes;
         if data.len() != lanes {
@@ -765,293 +838,81 @@ impl Context {
                 found: data.len(),
             });
         }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        if self.mode == ExecMode::Real {
-            let verify = self.verify.enabled();
-            let slot = self.slots[id.0].as_mut().expect("validated above");
-            match &mut slot.data {
-                Some(buf) => buf[GUARD_LANES..GUARD_LANES + lanes].copy_from_slice(data),
-                None => {
-                    let mut buf = Slot::alloc_storage(lanes);
-                    buf[GUARD_LANES..GUARD_LANES + lanes].copy_from_slice(data);
-                    slot.data = Some(buf);
-                }
-            }
-            slot.written = true;
-            // Learn the content checksum at upload time: this is the value
-            // later verifications compare against. Host-side only — no
-            // event, no clock cost.
-            slot.sum = verify.then(|| checksum_f32s(crate::integrity::BUFFER_SUM_SEED, data));
-        }
-        self.record(EventKind::HostToDevice, "write", bytes, seconds);
-        Ok(())
+        self.enqueue_write_q(QueueId::DEFAULT, id, data.into(), &[])
+            .map(drop)
     }
 
-    /// Enqueue a host→device write without host data (model mode: the event
-    /// and clock advance exactly as [`Context::enqueue_write`] would).
-    pub fn enqueue_write_virtual(&mut self, id: BufferId) -> Result<(), OclError> {
-        if self.mode == ExecMode::Real {
-            return Err(OclError::InvalidOperation(
-                "virtual write on a real-mode context".into(),
-            ));
-        }
-        let bytes = self.slot(id)?.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        self.record(EventKind::HostToDevice, "write", bytes, seconds);
-        Ok(())
-    }
-
-    /// Enqueue a device→host read, returning the buffer contents. A buffer
-    /// that was never written (by host or kernel) reads as zeros.
+    /// Enqueue a device→host read of the whole buffer on the default queue,
+    /// returning its contents; a buffer that was never written (by host or
+    /// kernel) reads as zeros. A Model context has no contents to return:
+    /// account its downloads with [`Context::enqueue_read_range_q`].
     pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
-        if self.mode == ExecMode::Model {
-            self.slot(id)?;
-            return Err(OclError::InvalidOperation(
-                "cannot read contents in model mode; use enqueue_read_virtual".into(),
-            ));
-        }
-        let slot = self.slot(id)?;
-        let bytes = slot.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        // Full verification: revalidate before handing the bits to the
-        // host, so a silent flip never escapes into downstream results.
-        if self.verify == VerifyPolicy::Full {
-            self.verify_buffer(id)?;
-        }
-        let slot = self.slot(id)?;
-        let data = if slot.written {
-            slot.payload()
-                .expect("written implies materialized")
-                .to_vec()
-        } else {
-            vec![0.0f32; slot.lanes]
+        // The host end is the `Vec` this call returns.
+        let whole = HostEnd {
+            lanes: self.slot(id)?.lanes,
+            data: Some(()),
         };
-        let seconds = self.profile.d2h_seconds(bytes);
-        self.record(EventKind::DeviceToHost, "read", bytes, seconds);
-        Ok(data)
+        self.transfer(
+            TransferDir::DeviceToHost,
+            QueueId::DEFAULT,
+            id,
+            0,
+            &whole,
+            &[],
+        )?;
+        self.peek(id)
     }
 
-    /// Enqueue a device→host read without materializing data (model mode).
-    pub fn enqueue_read_virtual(&mut self, id: BufferId) -> Result<(), OclError> {
-        let bytes = self.slot(id)?.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.d2h_seconds(bytes);
-        self.record(EventKind::DeviceToHost, "read", bytes, seconds);
-        Ok(())
-    }
-
-    /// Enqueue a host→device write of real data on `queue`, ordered after
-    /// `deps`. Unlike [`Context::enqueue_write`] this allows a *prefix*
-    /// write — `data.len() ≤ lanes` — so an over-sized pooled ring buffer
-    /// can receive a smaller final slab; bytes and modeled time follow the
-    /// data actually moved. On a prefix write into a never-written buffer
-    /// the remaining lanes read as zeros.
+    /// Enqueue a host→device write on `queue`, ordered after `deps`. A Real
+    /// context copies `src`'s bytes in at enqueue time; a Model context
+    /// accounts the same event and touches no storage. A *prefix* write —
+    /// `src.lanes()` below the buffer's — is allowed, so an over-sized
+    /// pooled ring buffer can receive a smaller final slab: bytes and
+    /// modeled time follow the data actually moved, and in a never-written
+    /// buffer the remaining lanes read as zeros.
     pub fn enqueue_write_q(
         &mut self,
         queue: QueueId,
         id: BufferId,
-        data: &[f32],
+        src: HostEnd<&[f32]>,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
-        let lanes = self.slot(id)?.lanes;
-        if data.len() > lanes {
-            return Err(OclError::SizeMismatch {
-                expected: lanes,
-                found: data.len(),
-            });
-        }
-        let bytes = data.len() as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        if self.mode == ExecMode::Real {
+        let token = self.transfer(TransferDir::HostToDevice, queue, id, 0, &src, deps)?;
+        if let (ExecMode::Real, Some(data)) = (self.mode, src.data) {
             let verify = self.verify.enabled();
             let slot = self.slots[id.0].as_mut().expect("validated above");
-            match &mut slot.data {
-                Some(buf) => {
-                    if !slot.written {
-                        buf[GUARD_LANES + data.len()..GUARD_LANES + lanes].fill(0.0);
-                    }
-                    buf[GUARD_LANES..GUARD_LANES + data.len()].copy_from_slice(data);
-                }
-                None => {
-                    let mut buf = Slot::alloc_storage(lanes);
-                    buf[GUARD_LANES..GUARD_LANES + data.len()].copy_from_slice(data);
-                    slot.data = Some(buf);
-                }
-            }
-            slot.written = true;
+            slot.define_from(data.len());
+            slot.payload_mut().expect("just materialized")[..data.len()].copy_from_slice(data);
             // The sum covers the whole payload (prefix plus whatever tail
             // the write left behind), so verification stays whole-buffer.
-            slot.sum = if verify {
-                Some(checksum_f32s(
-                    crate::integrity::BUFFER_SUM_SEED,
-                    slot.payload().expect("just materialized"),
-                ))
-            } else {
-                None
-            };
+            slot.learn_sum(verify);
         }
-        Ok(self.record_on(
-            queue,
-            EventKind::HostToDevice,
-            "write",
-            bytes,
-            seconds,
-            deps,
-        ))
+        Ok(token)
     }
 
-    /// Model-mode counterpart of [`Context::enqueue_write_q`]: records the
-    /// event for a prefix write of `lanes` lanes without host data.
-    pub fn enqueue_write_virtual_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        lanes: usize,
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        if self.mode == ExecMode::Real {
-            return Err(OclError::InvalidOperation(
-                "virtual write on a real-mode context".into(),
-            ));
-        }
-        let cap = self.slot(id)?.lanes;
-        if lanes > cap {
-            return Err(OclError::SizeMismatch {
-                expected: cap,
-                found: lanes,
-            });
-        }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        Ok(self.record_on(
-            queue,
-            EventKind::HostToDevice,
-            "write",
-            bytes,
-            seconds,
-            deps,
-        ))
-    }
-
-    /// Enqueue a device→host read of `dst.len()` lanes starting at lane
-    /// `offset`, on `queue`, ordered after `deps`, copying directly into
-    /// `dst` — the zero-copy download path: the caller hands the final
-    /// destination slice (e.g. a window of the assembled output field) and
-    /// no intermediate `Vec` is allocated. A never-written range reads as
-    /// zeros.
+    /// Enqueue a device→host read of `dst.lanes()` lanes starting at lane
+    /// `offset`, on `queue`, ordered after `deps`. A Real context copies
+    /// directly into `dst` — the zero-copy download path: the caller hands
+    /// the final destination slice (e.g. a window of the assembled output
+    /// field) and no intermediate `Vec` is allocated; a never-written range
+    /// reads as zeros. A Model context accounts the same event for a `dst`
+    /// without memory.
     pub fn enqueue_read_range_q(
         &mut self,
         queue: QueueId,
         id: BufferId,
         offset: usize,
-        dst: &mut [f32],
+        dst: HostEnd<&mut [f32]>,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
-        if self.mode == ExecMode::Model {
-            self.slot(id)?;
-            return Err(OclError::InvalidOperation(
-                "cannot read contents in model mode; use enqueue_read_range_virtual_q".into(),
-            ));
+        let token = self.transfer(TransferDir::DeviceToHost, queue, id, offset, &dst, deps)?;
+        if let Some(dst) = dst.data {
+            match self.slot(id)?.contents() {
+                Some(src) => dst.copy_from_slice(&src[offset..offset + dst.len()]),
+                None => dst.fill(0.0),
+            }
         }
-        let lanes = self.slot(id)?.lanes;
-        if offset + dst.len() > lanes {
-            return Err(OclError::SizeMismatch {
-                expected: lanes,
-                found: offset + dst.len(),
-            });
-        }
-        let bytes = dst.len() as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        // Full verification: revalidate before the range is copied out.
-        if self.verify == VerifyPolicy::Full {
-            self.verify_buffer(id)?;
-        }
-        let slot = self.slot(id)?;
-        if slot.written {
-            let src = slot.payload().expect("written implies materialized");
-            dst.copy_from_slice(&src[offset..offset + dst.len()]);
-        } else {
-            dst.fill(0.0);
-        }
-        let seconds = self.profile.d2h_seconds(bytes);
-        Ok(self.record_on(queue, EventKind::DeviceToHost, "read", bytes, seconds, deps))
-    }
-
-    /// Model-mode counterpart of [`Context::enqueue_read_range_q`]: records
-    /// the event for a `lanes`-lane read at `offset` without materializing
-    /// data.
-    pub fn enqueue_read_range_virtual_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        offset: usize,
-        lanes: usize,
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        let cap = self.slot(id)?.lanes;
-        if offset + lanes > cap {
-            return Err(OclError::SizeMismatch {
-                expected: cap,
-                found: offset + lanes,
-            });
-        }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.d2h_seconds(bytes);
-        Ok(self.record_on(queue, EventKind::DeviceToHost, "read", bytes, seconds, deps))
+        Ok(token)
     }
 
     /// Record a kernel compilation event (fusion's dynamic kernel
@@ -1065,15 +926,19 @@ impl Context {
             });
         }
         let seconds = self.profile.compile_s;
-        self.record(EventKind::KernelCompile, name, 0, seconds);
+        self.record(
+            QueueId::DEFAULT,
+            EventKind::KernelCompile,
+            name,
+            0,
+            seconds,
+            &[],
+        );
         Ok(())
     }
 
-    /// Launch a kernel over `n` elements.
-    ///
-    /// In real mode the kernel body executes on the host's cores; in model
-    /// mode only the cost model runs. The output buffer must not alias any
-    /// input.
+    /// Launch a kernel over `n` elements on the default queue: see
+    /// [`Context::launch_q`].
     pub fn launch(
         &mut self,
         kernel: &dyn DeviceKernel,
@@ -1081,28 +946,19 @@ impl Context {
         output: BufferId,
         n: usize,
     ) -> Result<(), OclError> {
-        self.validate_and_run(kernel, inputs, output, n)?;
-        let cost = kernel.cost(n);
-        let seconds = self
-            .profile
-            .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-        self.record(
-            EventKind::KernelExec,
-            &kernel.name(),
-            cost.bytes_read + cost.bytes_written,
-            seconds,
-        );
-        Ok(())
+        self.launch_q(QueueId::DEFAULT, kernel, inputs, output, n, &[])
+            .map(drop)
     }
 
     /// Launch a kernel over `n` elements on `queue`, ordered after `deps`.
     ///
-    /// Identical to [`Context::launch`] except for queue placement: the
-    /// body (real mode) executes at enqueue time on the host, while the
-    /// modeled execution interval is placed after the queue's prior work
-    /// and every dependency. The caller is responsible for passing the
-    /// tokens of the uploads/downloads the launch actually depends on —
-    /// exactly the discipline real out-of-order queues require.
+    /// In real mode the kernel body executes on the host's cores at enqueue
+    /// time; in model mode only the cost model runs. The modeled execution
+    /// interval is placed after the queue's prior work and every
+    /// dependency. The output buffer must not alias any input. The caller
+    /// is responsible for passing the tokens of the uploads/downloads the
+    /// launch actually depends on — exactly the discipline real
+    /// out-of-order queues require.
     pub fn launch_q(
         &mut self,
         queue: QueueId,
@@ -1112,31 +968,6 @@ impl Context {
         n: usize,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
-        self.validate_and_run(kernel, inputs, output, n)?;
-        let cost = kernel.cost(n);
-        let seconds = self
-            .profile
-            .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-        Ok(self.record_on(
-            queue,
-            EventKind::KernelExec,
-            &kernel.name(),
-            cost.bytes_read + cost.bytes_written,
-            seconds,
-            deps,
-        ))
-    }
-
-    /// Shared body of [`Context::launch`]/[`Context::launch_q`]: validate
-    /// ids and aliasing, consult the fault plan, and (real mode) execute
-    /// the kernel. Records no event.
-    fn validate_and_run(
-        &mut self,
-        kernel: &dyn DeviceKernel,
-        inputs: &[BufferId],
-        output: BufferId,
-        n: usize,
-    ) -> Result<(), OclError> {
         if inputs.contains(&output) {
             return Err(OclError::OutputAliasesInput {
                 kernel: kernel.name(),
@@ -1177,19 +1008,8 @@ impl Context {
             for &id in inputs {
                 let slot = self.slots[id.0].as_mut().expect("validated");
                 if !slot.written {
-                    match slot.payload_mut() {
-                        Some(buf) => buf.fill(0.0),
-                        None => slot.data = Some(Slot::alloc_storage(slot.lanes)),
-                    }
-                    slot.written = true;
-                    slot.sum = if full {
-                        Some(checksum_f32s(
-                            crate::integrity::BUFFER_SUM_SEED,
-                            slot.payload().expect("just materialized"),
-                        ))
-                    } else {
-                        None
-                    };
+                    slot.define_from(0);
+                    slot.learn_sum(full);
                 }
             }
             // Temporarily take the output storage to satisfy the borrow
@@ -1223,20 +1043,23 @@ impl Context {
             // Learn the output's checksum under Full (so downstream uses of
             // this kernel's result are verifiable); cheaper levels leave it
             // unlearned rather than pay a pass per launch.
-            let sum = if self.verify == VerifyPolicy::Full {
-                Some(checksum_f32s(
-                    crate::integrity::BUFFER_SUM_SEED,
-                    &out_data[GUARD_LANES..GUARD_LANES + out_lanes],
-                ))
-            } else {
-                None
-            };
             let out_slot = self.slots[output.0].as_mut().expect("validated");
             out_slot.data = Some(out_data);
             out_slot.written = true;
-            out_slot.sum = sum;
+            out_slot.learn_sum(full);
         }
-        Ok(())
+        let cost = kernel.cost(n);
+        let seconds = self
+            .profile
+            .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
+        Ok(self.record(
+            queue,
+            EventKind::KernelExec,
+            &kernel.name(),
+            cost.bytes_read + cost.bytes_written,
+            seconds,
+            deps,
+        ))
     }
 
     /// Flip one seeded bit in one of `candidates` that has materialized,
@@ -1280,12 +1103,9 @@ impl Context {
             return Err(OclError::InvalidOperation("peek in model mode".into()));
         }
         let slot = self.slot(id)?;
-        Ok(if slot.written {
-            slot.payload()
-                .expect("written implies materialized")
-                .to_vec()
-        } else {
-            vec![0.0f32; slot.lanes]
+        Ok(match slot.contents() {
+            Some(payload) => payload.to_vec(),
+            None => vec![0.0f32; slot.lanes],
         })
     }
 
@@ -1374,8 +1194,8 @@ mod tests {
     use super::*;
     use crate::DeviceProfile;
 
-    /// Doubling kernel used by the tests below.
-    struct Double;
+    /// Doubling kernel shared by the test modules of this file.
+    pub(super) struct Double;
 
     impl DeviceKernel for Double {
         fn name(&self) -> String {
@@ -1395,8 +1215,64 @@ mod tests {
         }
     }
 
-    fn ctx() -> Context {
+    pub(super) fn ctx() -> Context {
         Context::new(DeviceProfile::nvidia_m2050(), ExecMode::Real)
+    }
+
+    /// A slice as the host end of an upload.
+    fn host(data: &[f32]) -> HostEnd<&[f32]> {
+        data.into()
+    }
+
+    /// The host ends a two-mode script passes: `data` itself where the run
+    /// has bytes (Real), its lane count alone where it has none (Model).
+    /// Nothing else in a script varies with the mode.
+    pub(super) fn src(bytes: bool, data: &[f32]) -> HostEnd<&[f32]> {
+        HostEnd::or_absent(bytes.then_some(data), data.len())
+    }
+
+    fn dst(bytes: bool, data: &mut [f32]) -> HostEnd<&mut [f32]> {
+        let lanes = data.len();
+        HostEnd::or_absent(bytes.then_some(data), lanes)
+    }
+
+    /// What a run leaves on the modeled side, bit for bit: every event
+    /// (kind, label, bytes, `t_start`/`t_end` bit patterns, queue), every
+    /// queue's clock, the high-water mark, and how many alloc / transfer /
+    /// launch / mem_flip / stale_slot operations the fault plan saw.
+    type Modeled = (
+        Vec<(EventKind, String, u64, u64, u64, usize)>,
+        Vec<u64>,
+        u64,
+        [u64; 5],
+    );
+
+    /// Run `script` on a fresh context under an (initially empty) fault plan.
+    fn modeled(mode: ExecMode, script: &dyn Fn(&mut Context, bool)) -> Modeled {
+        use crate::fault::FaultKind::{Alloc, Launch, MemFlip, StaleSlot, Transfer};
+        let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
+        let plan = crate::fault::FaultPlan::with_seed(5);
+        c.set_fault_plan(plan.clone());
+        script(&mut c, mode == ExecMode::Real);
+        let stamp = |e: &Event| {
+            let (t0, t1) = (e.t_start.to_bits(), e.t_end.to_bits());
+            (e.kind, e.label.clone(), e.bytes, t0, t1, e.queue)
+        };
+        (
+            c.events.iter().map(stamp).collect(),
+            c.queue_clocks.iter().map(|t| t.to_bits()).collect(),
+            c.high_water_bytes(),
+            [Alloc, Transfer, Launch, MemFlip, StaleSlot].map(|k| plan.ops_seen(k)),
+        )
+    }
+
+    /// One script, two modes: `script` runs under [`ExecMode::Real`] and
+    /// [`ExecMode::Model`] through the same calls and must leave the same
+    /// modeled state, which is returned.
+    pub(super) fn both_modes(script: impl Fn(&mut Context, bool)) -> Modeled {
+        let real = modeled(ExecMode::Real, &script);
+        assert_eq!(real, modeled(ExecMode::Model, &script));
+        real
     }
 
     #[test]
@@ -1514,27 +1390,25 @@ mod tests {
 
     #[test]
     fn model_mode_matches_real_counts_and_clock() {
-        let run = |mode: ExecMode| -> (f64, (usize, usize, usize), u64) {
-            let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
+        let both = both_modes(|c, bytes| {
             let a = c.create_buffer(1024).unwrap();
             let b = c.create_buffer(1024).unwrap();
-            match mode {
-                ExecMode::Real => c.enqueue_write(a, &[0.5; 1024]).unwrap(),
-                ExecMode::Model => c.enqueue_write_virtual(a).unwrap(),
-            }
+            c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, &[0.5; 1024]), &[])
+                .unwrap();
             c.launch(&Double, &[a], b, 1024).unwrap();
-            match mode {
-                ExecMode::Real => drop(c.enqueue_read(b).unwrap()),
-                ExecMode::Model => c.enqueue_read_virtual(b).unwrap(),
-            }
-            let r = c.report();
-            (c.clock_seconds(), r.table2_row(), r.high_water_bytes)
-        };
-        let (t_real, counts_real, hw_real) = run(ExecMode::Real);
-        let (t_model, counts_model, hw_model) = run(ExecMode::Model);
-        assert!((t_real - t_model).abs() < 1e-15);
-        assert_eq!(counts_real, counts_model);
-        assert_eq!(hw_real, hw_model);
+            c.enqueue_read_range_q(QueueId::DEFAULT, b, 0, dst(bytes, &mut [0.0; 1024]), &[])
+                .unwrap();
+        });
+        assert_eq!(both.0.len(), 3, "one write, one launch, one read");
+        // The whole-buffer entry points are the same bodies on queue 0.
+        let whole = modeled(ExecMode::Real, &|c, _| {
+            let a = c.create_buffer(1024).unwrap();
+            let b = c.create_buffer(1024).unwrap();
+            c.enqueue_write(a, &[0.5; 1024]).unwrap();
+            c.launch(&Double, &[a], b, 1024).unwrap();
+            assert_eq!(c.enqueue_read(b).unwrap(), vec![1.0; 1024]);
+        });
+        assert_eq!(whole, both);
     }
 
     #[test]
@@ -1545,14 +1419,45 @@ mod tests {
             c.enqueue_read(a),
             Err(OclError::InvalidOperation(_))
         ));
+        assert!(matches!(
+            c.enqueue_read_range_q(QueueId::DEFAULT, a, 0, (&mut [0.0; 4][..]).into(), &[]),
+            Err(OclError::InvalidOperation(_))
+        ));
         assert!(matches!(c.peek(a), Err(OclError::InvalidOperation(_))));
+        assert_eq!(c.report().events.len(), 0);
     }
 
     #[test]
     fn real_mode_rejects_virtual_writes() {
+        // …and data-less reads: a Real context asked to move bytes the host
+        // side does not have refuses in both directions, before the fault
+        // plan is consulted and before anything is recorded.
+        use crate::fault::{FaultKind, FaultPlan};
         let mut c = ctx();
+        let plan = FaultPlan::with_seed(1);
+        c.set_fault_plan(plan.clone());
+        let qs = c.acquire_queues(1);
         let a = c.create_buffer(4).unwrap();
-        assert!(c.enqueue_write_virtual(a).is_err());
+        c.enqueue_write(a, &[1.0; 4]).unwrap();
+        let (events, clock, draws) = (
+            c.report().events.len(),
+            c.clock_seconds().to_bits(),
+            plan.ops_seen(FaultKind::Transfer),
+        );
+        for queue in [QueueId::DEFAULT, qs[0]] {
+            assert!(matches!(
+                c.enqueue_write_q(queue, a, HostEnd::absent(4), &[]),
+                Err(OclError::InvalidOperation(_))
+            ));
+            assert!(matches!(
+                c.enqueue_read_range_q(queue, a, 0, HostEnd::absent(4), &[]),
+                Err(OclError::InvalidOperation(_))
+            ));
+        }
+        assert_eq!(c.report().events.len(), events);
+        assert_eq!(c.clock_seconds().to_bits(), clock);
+        assert_eq!(plan.ops_seen(FaultKind::Transfer), draws);
+        assert_eq!(c.peek(a).unwrap(), vec![1.0; 4], "contents untouched");
     }
 
     #[test]
@@ -1659,33 +1564,42 @@ mod tests {
 
     #[test]
     fn model_mode_pooling_matches_real_counts_and_clock() {
-        let run = |mode: ExecMode| -> (f64, (usize, usize, usize), u64) {
-            let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
+        let (events, _, high_water, fault_draws) = both_modes(|c, bytes| {
             c.set_pooling(true);
             for _ in 0..3 {
                 let a = c.create_buffer(512).unwrap();
                 let b = c.create_buffer(512).unwrap();
-                match mode {
-                    ExecMode::Real => c.enqueue_write(a, &[0.5; 512]).unwrap(),
-                    ExecMode::Model => c.enqueue_write_virtual(a).unwrap(),
-                }
+                c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, &[0.5; 512]), &[])
+                    .unwrap();
                 c.launch(&Double, &[a], b, 512).unwrap();
-                match mode {
-                    ExecMode::Real => drop(c.enqueue_read(b).unwrap()),
-                    ExecMode::Model => c.enqueue_read_virtual(b).unwrap(),
-                }
+                c.enqueue_read_range_q(QueueId::DEFAULT, b, 0, dst(bytes, &mut [0.0; 512]), &[])
+                    .unwrap();
                 c.release(a).unwrap();
                 c.release(b).unwrap();
             }
             assert_eq!(c.pool_hits(), 4, "cycles 2 and 3 reuse both slots");
-            let r = c.report();
-            (c.clock_seconds(), r.table2_row(), r.high_water_bytes)
-        };
-        let (t_real, counts_real, hw_real) = run(ExecMode::Real);
-        let (t_model, counts_model, hw_model) = run(ExecMode::Model);
-        assert!((t_real - t_model).abs() < 1e-15);
-        assert_eq!(counts_real, counts_model);
-        assert_eq!(hw_real, hw_model);
+            // A prefix write into a larger recycled buffer: the lanes moved
+            // are what is modeled, and the stale tail reads as zeros.
+            let qs = c.acquire_queues(1);
+            let a = c.create_buffer(512).unwrap();
+            let b = c.create_buffer(512).unwrap();
+            let mut out = [0.0f32; 100];
+            let up = c
+                .enqueue_write_q(qs[0], a, src(bytes, &[3.0; 100]), &[])
+                .unwrap();
+            let k = c.launch_q(qs[0], &Double, &[a], b, 100, &[up]).unwrap();
+            c.enqueue_read_range_q(qs[0], b, 0, dst(bytes, &mut out), &[k])
+                .unwrap();
+            if bytes {
+                assert_eq!(out, [6.0; 100]);
+                let tail = &c.peek(a).unwrap()[100..];
+                assert!(tail.iter().all(|&v| v == 0.0), "no stale contents");
+            }
+        });
+        let moved: Vec<u64> = events[9..].iter().map(|e| e.2).collect();
+        assert_eq!(moved, [400, 800, 400]);
+        assert_eq!(high_water, 2 * 512 * 4);
+        assert_eq!(fault_draws[4], 6, "one stale_slot draw per pool hit");
     }
 
     #[test]
@@ -1706,8 +1620,8 @@ mod tests {
         let b = c.create_buffer(1 << 16).unwrap();
         let data = vec![1.0f32; 1 << 16];
         // Two independent uploads on different queues: same start time.
-        let ta = c.enqueue_write_q(qs[0], a, &data, &[]).unwrap();
-        let tb = c.enqueue_write_q(qs[1], b, &data, &[]).unwrap();
+        let ta = c.enqueue_write_q(qs[0], a, host(&data), &[]).unwrap();
+        let tb = c.enqueue_write_q(qs[1], b, host(&data), &[]).unwrap();
         assert_eq!(ta.virt_start().to_bits(), tb.virt_start().to_bits());
         assert_eq!(ta.virt_end().to_bits(), tb.virt_end().to_bits());
         let r = c.report();
@@ -1724,7 +1638,7 @@ mod tests {
         let qs = c.acquire_queues(2);
         let a = c.create_buffer(64).unwrap();
         let b = c.create_buffer(64).unwrap();
-        let up = c.enqueue_write_q(qs[0], a, &[3.0; 64], &[]).unwrap();
+        let up = c.enqueue_write_q(qs[0], a, host(&[3.0; 64]), &[]).unwrap();
         // Kernel on another queue must wait for the upload.
         let k = c.launch_q(qs[1], &Double, &[a], b, 64, &[up]).unwrap();
         assert!(k.virt_start() >= up.virt_end());
@@ -1733,7 +1647,7 @@ mod tests {
         // directly into the destination slice.
         let mut out = vec![0.0f32; 32];
         let d = c
-            .enqueue_read_range_q(qs[0], b, 16, &mut out, &[k])
+            .enqueue_read_range_q(qs[0], b, 16, (&mut out[..]).into(), &[k])
             .unwrap();
         assert_eq!(d.virt_start().to_bits(), k.virt_end().to_bits());
         assert_eq!(out, vec![6.0; 32]);
@@ -1744,14 +1658,14 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(64).unwrap();
-        let t = c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]).unwrap();
+        let t = c.enqueue_write_q(qs[0], a, host(&[1.0; 64]), &[]).unwrap();
         // A legacy (default-queue) op starts at the global frontier …
         let b = c.create_buffer(64).unwrap();
         c.enqueue_write(b, &[2.0; 64]).unwrap();
         let legacy_end = c.clock_seconds();
         assert!(legacy_end > t.virt_end());
         // … and the auxiliary queue cannot start before it finished.
-        let t2 = c.enqueue_write_q(qs[0], a, &[3.0; 64], &[]).unwrap();
+        let t2 = c.enqueue_write_q(qs[0], a, host(&[3.0; 64]), &[]).unwrap();
         assert_eq!(t2.virt_start().to_bits(), legacy_end.to_bits());
     }
 
@@ -1760,7 +1674,7 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(8).unwrap();
-        c.enqueue_write_q(qs[0], a, &[5.0; 3], &[]).unwrap();
+        c.enqueue_write_q(qs[0], a, host(&[5.0; 3]), &[]).unwrap();
         assert_eq!(
             c.peek(a).unwrap(),
             vec![5.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -1769,56 +1683,60 @@ mod tests {
         assert_eq!(r.bytes(EventKind::HostToDevice), 12, "3 lanes moved");
         // Over-long writes are rejected.
         assert!(matches!(
-            c.enqueue_write_q(qs[0], a, &[0.0; 9], &[]),
+            c.enqueue_write_q(qs[0], a, host(&[0.0; 9]), &[]),
             Err(OclError::SizeMismatch { .. })
         ));
-        // Out-of-bounds range reads are rejected.
-        let mut dst = vec![0.0f32; 4];
-        assert!(matches!(
-            c.enqueue_read_range_q(qs[0], a, 6, &mut dst, &[]),
-            Err(OclError::SizeMismatch { .. })
-        ));
+        // Out-of-bounds range reads are rejected — including a window whose
+        // end does not fit in a `usize`.
+        let mut dst = [0.0f32; 4];
+        for offset in [6, usize::MAX] {
+            assert!(matches!(
+                c.enqueue_read_range_q(qs[0], a, offset, (&mut dst[..]).into(), &[]),
+                Err(OclError::SizeMismatch { expected: 8, .. })
+            ));
+        }
     }
 
     #[test]
     fn queued_model_mode_matches_real_bitwise() {
-        let run = |mode: ExecMode| -> (f64, Vec<(u64, u64, usize)>) {
-            let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
+        let (events, queue_clocks, _, _) = both_modes(|c, bytes| {
             let qs = c.acquire_queues(3);
             let a = c.create_buffer(4096).unwrap();
             let b = c.create_buffer(4096).unwrap();
-            let mut host = vec![0.0f32; 2048];
+            let mut out = vec![0.0f32; 2048];
             let mut deps: Vec<EventToken> = Vec::new();
             for slab in 0..4 {
-                let up = match mode {
-                    ExecMode::Real => c
-                        .enqueue_write_q(qs[0], a, &vec![1.0; 2048], &deps)
-                        .unwrap(),
-                    ExecMode::Model => c.enqueue_write_virtual_q(qs[0], a, 2048, &deps).unwrap(),
-                };
+                let up = c
+                    .enqueue_write_q(qs[0], a, src(bytes, &[1.0; 2048]), &deps)
+                    .unwrap();
                 let k = c.launch_q(qs[1], &Double, &[a], b, 2048, &[up]).unwrap();
-                let down = match mode {
-                    ExecMode::Real => c
-                        .enqueue_read_range_q(qs[2], b, slab % 2, &mut host, &[k])
-                        .unwrap(),
-                    ExecMode::Model => c
-                        .enqueue_read_range_virtual_q(qs[2], b, slab % 2, 2048, &[k])
-                        .unwrap(),
-                };
+                let down = c
+                    .enqueue_read_range_q(qs[2], b, slab % 2, dst(bytes, &mut out), &[k])
+                    .unwrap();
                 deps = vec![down];
             }
-            let stamps = c
-                .report()
-                .events
-                .iter()
-                .map(|e| (e.t_start.to_bits(), e.t_end.to_bits(), e.queue))
-                .collect();
-            (c.clock_seconds(), stamps)
-        };
-        let (t_real, ev_real) = run(ExecMode::Real);
-        let (t_model, ev_model) = run(ExecMode::Model);
-        assert_eq!(t_real.to_bits(), t_model.to_bits());
-        assert_eq!(ev_real, ev_model);
+            // Barriers between queued operations: a default-queue launch
+            // starts at the frontier and holds back the queued download
+            // issued behind it, whatever that download's own dependencies.
+            let up = c
+                .enqueue_write_q(qs[0], a, src(bytes, &[2.0; 4096]), &deps)
+                .unwrap();
+            c.launch(&Double, &[a], b, 4096).unwrap();
+            let barrier_end = c.clock_seconds();
+            let down = c
+                .enqueue_read_range_q(qs[2], b, 64, dst(bytes, &mut out), &[up])
+                .unwrap();
+            assert_eq!(down.virt_start().to_bits(), barrier_end.to_bits());
+            if bytes {
+                assert_eq!(out, vec![4.0; 2048]);
+            }
+            c.enqueue_read_range_q(QueueId::DEFAULT, a, 0, dst(bytes, &mut [0.0; 4096]), &[])
+                .unwrap();
+        });
+        let queues: Vec<usize> = events[12..].iter().map(|e| e.5).collect();
+        assert_eq!(queues, [1, 0, 3, 0]);
+        // The closing default-queue read left all four queues at the frontier.
+        assert_eq!(queue_clocks, [queue_clocks[0]; 4]);
     }
 
     #[test]
@@ -1826,18 +1744,18 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(2);
         let a = c.create_buffer(64).unwrap();
-        c.enqueue_write_q(qs[1], a, &[1.0; 64], &[]).unwrap();
+        c.enqueue_write_q(qs[1], a, host(&[1.0; 64]), &[]).unwrap();
         // Re-acquiring rebases the (now trailing) first queue to the
         // frontier set by the second queue's upload.
         let frontier = c.clock_seconds();
         let qs2 = c.acquire_queues(2);
         assert_eq!(qs, qs2, "same ids are reused");
-        let t = c.enqueue_write_q(qs2[0], a, &[2.0; 64], &[]).unwrap();
+        let t = c.enqueue_write_q(qs2[0], a, host(&[2.0; 64]), &[]).unwrap();
         assert_eq!(t.virt_start().to_bits(), frontier.to_bits());
         assert!(t.virt_start() > 0.0);
         // reset_profile zeroes every queue clock.
         c.reset_profile();
-        let t0 = c.enqueue_write_q(qs2[1], a, &[3.0; 64], &[]).unwrap();
+        let t0 = c.enqueue_write_q(qs2[1], a, host(&[3.0; 64]), &[]).unwrap();
         assert_eq!(t0.virt_start().to_bits(), 0f64.to_bits());
         // advance_queue moves one queue and the global frontier.
         c.advance_queue(qs2[1], 1.0);
@@ -1854,47 +1772,23 @@ mod tests {
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(64).unwrap();
         let before = c.clock_seconds();
-        match c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]) {
+        match c.enqueue_write_q(qs[0], a, host(&[1.0; 64]), &[]) {
             Err(OclError::TransferFailed { transient, .. }) => assert!(transient),
             other => panic!("expected transfer fault, got {other:?}"),
         }
         assert_eq!(c.report().events.len(), 0);
         assert_eq!(c.clock_seconds().to_bits(), before.to_bits());
         // The retried op succeeds and starts where the queue left off.
-        let t = c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]).unwrap();
+        let t = c.enqueue_write_q(qs[0], a, host(&[1.0; 64]), &[]).unwrap();
         assert_eq!(t.virt_start().to_bits(), before.to_bits());
     }
 }
 
 #[cfg(test)]
 mod fault_injection_tests {
+    use super::tests::{ctx, Double};
     use super::*;
     use crate::DeviceProfile;
-
-    /// Doubling kernel local to this module.
-    struct Double;
-
-    impl DeviceKernel for Double {
-        fn name(&self) -> String {
-            "double".into()
-        }
-        fn cost(&self, n: usize) -> KernelCost {
-            KernelCost {
-                bytes_read: 4 * n as u64,
-                bytes_written: 4 * n as u64,
-                flops: n as u64,
-            }
-        }
-        fn run(&self, args: KernelArgs<'_>) {
-            for i in 0..args.n {
-                args.output[i] = args.inputs[0][i] * 2.0;
-            }
-        }
-    }
-
-    fn ctx() -> Context {
-        Context::new(DeviceProfile::nvidia_m2050(), ExecMode::Real)
-    }
 
     #[test]
     fn injected_failure_hits_the_requested_allocation() {
@@ -2013,35 +1907,11 @@ mod fault_injection_tests {
 
 #[cfg(test)]
 mod integrity_tests {
+    use super::tests::{both_modes, ctx, src, Double};
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::integrity::{IntegrityKind, VerifyPolicy};
     use crate::DeviceProfile;
-
-    /// Doubling kernel local to this module.
-    struct Double;
-
-    impl DeviceKernel for Double {
-        fn name(&self) -> String {
-            "double".into()
-        }
-        fn cost(&self, n: usize) -> KernelCost {
-            KernelCost {
-                bytes_read: 4 * n as u64,
-                bytes_written: 4 * n as u64,
-                flops: n as u64,
-            }
-        }
-        fn run(&self, args: KernelArgs<'_>) {
-            for i in 0..args.n {
-                args.output[i] = args.inputs[0][i] * 2.0;
-            }
-        }
-    }
-
-    fn ctx() -> Context {
-        Context::new(DeviceProfile::nvidia_m2050(), ExecMode::Real)
-    }
 
     #[test]
     fn verify_buffer_learns_on_write_and_detects_a_flipped_bit() {
@@ -2200,15 +2070,24 @@ mod integrity_tests {
 
     #[test]
     fn silent_faults_draw_in_model_mode_but_are_inert() {
-        let mut m = Context::new(DeviceProfile::nvidia_m2050(), ExecMode::Model);
-        let plan = FaultPlan::with_seed(5);
-        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-        m.set_fault_plan(plan.clone());
-        let a = m.create_buffer(8).unwrap();
-        let b = m.create_buffer(8).unwrap();
-        m.enqueue_write_virtual(a).unwrap();
-        m.launch(&Double, &[a], b, 8).unwrap();
-        assert_eq!(plan.ops_seen(FaultKind::MemFlip), 1, "counter parity");
+        // Both silent kinds fire in both modes; with no storage to corrupt
+        // (Model) or no verification to notice (Real), neither changes the
+        // modeled state, and the draw counters advance in lockstep.
+        let (_, _, _, fault_draws) = both_modes(|c, bytes| {
+            let plan = c.fault_plan().expect("harness installs one").clone();
+            plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
+            plan.fail_nth_from_now(FaultKind::StaleSlot, 1, 1);
+            c.set_pooling(true);
+            let a = c.create_buffer(8).unwrap();
+            c.release(a).unwrap();
+            let a = c.create_buffer(8).unwrap();
+            let b = c.create_buffer(8).unwrap();
+            c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, &[1.0; 8]), &[])
+                .unwrap();
+            c.launch(&Double, &[a], b, 8).unwrap();
+            assert_eq!(plan.total_fired(), 2);
+        });
+        assert_eq!(fault_draws, [3, 1, 1, 1, 1], "counter parity");
     }
 
     #[test]

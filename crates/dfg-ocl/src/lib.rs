@@ -20,13 +20,21 @@
 //! * **real parallel execution**: in [`ExecMode::Real`] kernels actually run
 //!   on the host's cores (the kernel implementations in `dfg-kernels` use
 //!   rayon), so results are real data and wall-clock benchmarks are
-//!   meaningful. [`ExecMode::Model`] skips data movement and kernel bodies,
-//!   letting paper-scale (multi-gigabyte) configurations be *modeled*
-//!   without allocating paper-scale memory.
+//!   meaningful. [`ExecMode::Model`] is the same context with no storage
+//!   behind its buffers, letting paper-scale (multi-gigabyte)
+//!   configurations be *modeled* without allocating paper-scale memory.
 //!
-//! The API follows OpenCL's shape: a [`Context`] owns buffers and a profiling
-//! command queue; [`DeviceKernel`] is the trait kernels implement (the
-//! analogue of a compiled `cl_kernel`).
+//! The API follows OpenCL's shape: a [`Context`] owns buffers and in-order
+//! profiling command queues; [`DeviceKernel`] is the trait kernels implement
+//! (the analogue of a compiled `cl_kernel`).
+//!
+//! There is one write ([`Context::enqueue_write_q`]), one ranged read
+//! ([`Context::enqueue_read_range_q`]) and one launch
+//! ([`Context::launch_q`]); the un-suffixed whole-buffer forms are the same
+//! bodies on the default queue. The mode is a property of the context's
+//! storage, not of the function a caller picks: the host end of a transfer
+//! is a [`HostEnd`] — a lane count, plus the bytes when the host has them —
+//! and a modeling run makes the same calls with nothing behind either end.
 //!
 //! ```
 //! use dfg_ocl::{Context, DeviceProfile, EventKind, ExecMode};
@@ -47,9 +55,9 @@ mod error;
 mod event;
 mod export;
 mod fault;
+mod host;
 pub mod integrity;
 mod profile;
-mod staging;
 
 pub use context::{
     AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, QueueId,
@@ -57,17 +65,19 @@ pub use context::{
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RankFate};
+pub use host::HostEnd;
 pub use integrity::{IntegrityKind, IntegrityStats, VerifyPolicy};
 pub use profile::{DeviceKind, DeviceProfile};
-pub use staging::StagingRing;
 
 /// Execution mode for a [`Context`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Buffers hold real data and kernels execute on the host's cores.
     Real,
-    /// Buffers are accounted but not backed; kernel bodies are skipped.
-    /// Event counts, memory high-water marks, and the virtual clock are
-    /// identical to `Real` mode. Used for paper-scale modeling runs.
+    /// Model issues the identical calls; buffers are accounted, never
+    /// backed, and kernel bodies are skipped. Every check, fault-plan draw
+    /// and event is the code `Real` runs, so event streams, memory
+    /// high-water marks, and the virtual clock are identical. Used for
+    /// paper-scale modeling runs.
     Model,
 }
