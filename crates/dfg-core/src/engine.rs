@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use dfg_dataflow::{NetworkSpec, NodeId, OptLevel, OptStats, Schedule, Strategy, Width};
+use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, OptLevel, OptStats, Schedule, Strategy, Width};
 use dfg_expr::compile;
 use dfg_ocl::{Context, DeviceProfile, ExecMode, ProfileReport};
 use dfg_trace::{span, Trace, Tracer};
@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport, Request};
 use crate::session::SessionState;
-use crate::strategies::{lanes_for, read_buffer, upload_field};
+use crate::strategies::{check_field, lanes_for, read_buffer, upload_field};
 use crate::workloads::Workload;
 
 /// Engine configuration.
@@ -524,6 +524,14 @@ impl Engine {
             let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
             Schedule::for_roots(spec, roots)?
         };
+        // Every source field is validated before the device is touched, so
+        // a field set the kernels cannot run on (a `dims` that disagrees
+        // with the grid, say) costs no buffer and records no event.
+        for &id in &sched.order {
+            if let FilterOp::Input { name, small } = &spec.node(id).op {
+                check_field(fields, name, *small, ctx.mode())?;
+            }
+        }
         let t0 = Instant::now();
         let out = run_with_recovery(
             RecoveryCtx {

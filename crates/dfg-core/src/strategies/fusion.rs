@@ -5,7 +5,7 @@
 //! single kernel launch computes the derived field with intermediates in
 //! registers, and one download returns the result.
 
-use dfg_dataflow::{NetworkSpec, NodeId, Width};
+use dfg_dataflow::{NetworkSpec, NodeId};
 use dfg_ocl::Context;
 
 use crate::error::EngineError;
@@ -14,10 +14,10 @@ use crate::session::SessionState;
 use crate::strategies::{fused_kernel, read_buffer, upload_field};
 
 /// Execute `roots` of `spec` with the fusion strategy: one generated kernel
-/// computes every root, writing an interleaved output buffer that is
-/// de-interleaved host-side after the single download. Returns the derived
-/// fields in real mode, `None` in model mode, plus the generated kernel
-/// source.
+/// computes every root, writing one plane per root into a single output
+/// buffer, and the single download is split into fields by plane — for one
+/// root the downloaded buffer *is* the field. Returns the derived fields in
+/// real mode, `None` in model mode, plus the generated kernel source.
 ///
 /// With a session, codegen is served from its kernel cache and input
 /// uploads go through its generation-checked resident buffers, which are
@@ -58,27 +58,28 @@ pub(crate) fn run_fusion(
     }
 
     let _download = dfg_trace::span!(tracer, "fusion.download");
-    let fields_out = read_buffer(ctx, out, lanes_per_elem * n)?.map(|interleaved| {
-        program
+    let fields_out = read_buffer(ctx, out, lanes_per_elem * n)?.map(|mut planes| {
+        // Planes sit in root order, so peeling them off the tail leaves the
+        // first root holding the downloaded allocation itself.
+        let mut fields: Vec<Field> = program
             .outputs
             .iter()
+            .rev()
             .map(|o| {
-                let w = match o.width {
-                    Width::Vec4 => 4,
-                    _ => 1,
+                let mut data = match o.lane_offset * n {
+                    0 => std::mem::take(&mut planes),
+                    at => planes.split_off(at),
                 };
-                let mut data = Vec::with_capacity(w * n);
-                for i in 0..n {
-                    let base = i * lanes_per_elem + o.lane_offset;
-                    data.extend_from_slice(&interleaved[base..base + w]);
-                }
+                data.shrink_to_fit();
                 Field {
                     width: o.width,
                     ncells: n,
                     data,
                 }
             })
-            .collect()
+            .collect();
+        fields.reverse();
+        fields
     });
     for buf in owned {
         ctx.release(buf)?;

@@ -25,7 +25,7 @@
 //! same sequence on a context without storage. What an executor may still
 //! ask is whether *host* data exists, for host-side compute that has no
 //! model counterpart (roundtrip's constant fill and decompose slicing,
-//! fusion's de-interleave).
+//! fusion's split of the download into one field per root).
 //!
 //! The executors' buffer allocation orders intentionally mirror
 //! `dfg_dataflow::memreq`'s analytical simulation so that measured
@@ -44,7 +44,7 @@ pub(crate) use staged::run_staged;
 pub(crate) use streamed::{run_streamed, StreamRetry};
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
-use dfg_kernels::{fuse_roots, FusedKernel};
+use dfg_kernels::{fuse_roots, Dims3, FusedKernel};
 use dfg_ocl::{BufferId, Context, ExecMode, HostEnd, QueueId};
 
 use crate::error::EngineError;
@@ -61,7 +61,11 @@ pub(crate) fn lanes_for(width: Width, ncells: usize) -> usize {
 }
 
 /// Validate that a host field exists, has the declared width, and (in real
-/// mode) carries data of the right length.
+/// mode) carries data of the right length. A small field is the `dims`
+/// operand of a `grad3d` — the only port of that width — and every kernel
+/// decodes its grid from it, so its data must also describe exactly the
+/// cells the field set holds: the stencil would otherwise divide by, or
+/// index past, what is there.
 pub(crate) fn check_field<'a>(
     fields: &'a FieldSet,
     name: &str,
@@ -97,6 +101,17 @@ pub(crate) fn check_field<'a>(
                     expected,
                     found: data.len(),
                 });
+            }
+            if expect_small {
+                let d = Dims3::from_buffer(data);
+                let found = d.nx.saturating_mul(d.ny).saturating_mul(d.nz);
+                if d.nx.min(d.ny).min(d.nz) == 0 || found != fields.ncells() {
+                    return Err(EngineError::FieldSize {
+                        name: name.to_string(),
+                        expected: fields.ncells(),
+                        found,
+                    });
+                }
             }
             Ok(fv)
         }

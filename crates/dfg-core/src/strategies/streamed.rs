@@ -137,15 +137,7 @@ pub(crate) fn run_streamed(
                      even in model mode"
                 .into(),
         })?;
-        let d = Dims3::from_buffer(data);
-        if d.ncells() != n {
-            return Err(EngineError::FieldSize {
-                name: "dims".into(),
-                expected: n,
-                found: d.ncells(),
-            });
-        }
-        (d, 1usize)
+        (Dims3::from_buffer(data), 1usize)
     } else {
         // Elementwise programs have no stencil: stream flat chunks by
         // treating every cell as its own z-layer.

@@ -961,6 +961,155 @@ fn all_strategies_bit_identical_under_serial_override() {
     }
 }
 
+/// Fused, staged and reference executors on grids whose cell count is a
+/// multiple of neither the chunk width nor `nx` — 37×5×3 crosses chunk and
+/// row boundaries inside one task, 37×31×17 also splits into several tasks
+/// on the pool — serially and on the pool. Fusion and staged run the same
+/// operations in the same order, so they agree bit for bit; so does the
+/// hand-written kernel wherever it spells the expression the same way
+/// (Q-criterion is hand-minimized, so it is held to a tolerance).
+#[test]
+fn executors_agree_bit_for_bit_on_ragged_grids_serial_and_pooled() {
+    for dims in [[37, 5, 3], [37, 31, 17]] {
+        let fields = small_rt_fields(dims);
+        for workload in Workload::ALL {
+            let what = format!("{workload} on {dims:?}");
+            let run = |strategy| {
+                let field = |engine: &mut Engine| {
+                    match strategy {
+                        Some(s) => engine.derive(workload.source(), &fields, s),
+                        None => engine.run_reference(workload, &fields),
+                    }
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                    .field
+                    .unwrap()
+                    .data
+                };
+                let pooled = field(&mut cpu_engine());
+                let serial = dfg_exec::with_serial(|| field(&mut cpu_engine()));
+                assert_bits_eq(
+                    &pooled,
+                    &serial,
+                    &format!("{what} {strategy:?}: pool vs serial"),
+                );
+                pooled
+            };
+            let fused = run(Some(Strategy::Fusion));
+            assert_bits_eq(
+                &fused,
+                &run(Some(Strategy::Staged)),
+                &format!("{what}: staged"),
+            );
+            let reference = run(None);
+            if workload == Workload::QCriterion {
+                let scale = fused.iter().fold(1e-6f32, |m, x| m.max(x.abs()));
+                for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-4 * scale,
+                        "{what} reference at {i}: {a} vs {b}"
+                    );
+                }
+            } else {
+                assert_bits_eq(&fused, &reference, &format!("{what}: reference"));
+            }
+        }
+    }
+}
+
+/// The fused kernel writes one plane per root and the download is split by
+/// plane: a three-root program with a `float4` root and a root that is a
+/// bare input returns exactly the fields three single-root derives return.
+#[test]
+fn planar_multi_root_download_equals_single_root_derives() {
+    let src = "g = grad3d(u, dims, x, y, z)\nm = sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])\nr = w";
+    let fields = small_rt_fields([37, 5, 3]);
+    let names = ["m", "g", "r"];
+    let mut engine = cpu_engine();
+    let (many, _) = engine
+        .derive_many(src, &names, &fields, Strategy::Fusion)
+        .unwrap();
+    assert_eq!(many.len(), 3);
+    for ((name, field), want) in many.iter().zip(names) {
+        assert_eq!(name, want);
+        let (single, _) = engine
+            .derive_many(src, &[want], &fields, Strategy::Fusion)
+            .unwrap();
+        assert_eq!(field.width, single[0].1.width, "{name}");
+        assert_bits_eq(&field.data, &single[0].1.data, &format!("root {name}"));
+    }
+    assert_eq!(
+        many[1].1.data.len(),
+        4 * fields.ncells(),
+        "g keeps float4 cells"
+    );
+    let w = fields.get("w").unwrap().data.as_ref().unwrap();
+    assert_bits_eq(&many[2].1.data, w, "bare-input root");
+}
+
+/// A `dims` field that disagrees with the grid used to reach the stencil
+/// (`idx % 0`, or indexing past the field) and panic on a pool thread. It
+/// is a typed error on every execution path, decided before the device is
+/// touched: no buffer stays allocated and no event is recorded.
+#[test]
+fn dims_disagreeing_with_the_grid_is_a_typed_error_before_any_device_work() {
+    use dfg_trace::Tracer;
+    let src = Workload::VorticityMagnitude.source();
+    let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
+    for bad in [
+        [0.0, 0.0, 0.0],
+        [6.0, 5.0, 5.0],
+        [-1.0, 5.0, 4.0],
+        [1e9, 1e9, 1e9],
+    ] {
+        let mut fields = small_rt_fields([6, 5, 4]);
+        fields.insert_small("dims", bad.to_vec());
+        let is_dims_error = |err: crate::EngineError| match err {
+            crate::EngineError::FieldSize { name, expected, .. } => {
+                assert_eq!((name.as_str(), expected), ("dims", 120), "{bad:?}");
+            }
+            other => panic!("{bad:?}: expected FieldSize, got {other}"),
+        };
+        for path in paths.clone() {
+            let tracer = Tracer::new();
+            let mut engine = cpu_engine();
+            engine.set_tracer(tracer.clone());
+            is_dims_error(
+                match path {
+                    Some(strategy) => engine.derive(src, &fields, strategy),
+                    None => engine.derive_streamed(src, &fields, None),
+                }
+                .unwrap_err(),
+            );
+            let trace = tracer.snapshot_since(0);
+            let device = trace.spans().iter().filter(|s| s.name.starts_with("ocl."));
+            assert_eq!(
+                device.count(),
+                0,
+                "{bad:?} {path:?}: device events recorded"
+            );
+
+            let mut session = engine.session();
+            is_dims_error(
+                match path {
+                    Some(strategy) => session.derive(src, &fields, strategy),
+                    None => session.derive_streamed(src, &fields, None),
+                }
+                .unwrap_err(),
+            );
+            assert_eq!(session.context().in_use_bytes(), 0, "{bad:?} {path:?}");
+            assert!(
+                session.context().report().events.is_empty(),
+                "{bad:?} {path:?}"
+            );
+        }
+        is_dims_error(
+            cpu_engine()
+                .run_reference(Workload::QCriterion, &fields)
+                .unwrap_err(),
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Persistent sessions: resident fields, kernel cache, buffer pooling.
 // ---------------------------------------------------------------------------

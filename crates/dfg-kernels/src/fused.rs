@@ -23,6 +23,25 @@
 //! [`FusedKernel`] executes the program as one device kernel launch; it also
 //! renders the equivalent OpenCL C source ([`FusedProgram::generated_source`])
 //! for inspection, as the paper's generator emits real OpenCL source.
+//!
+//! # Execution schedule
+//!
+//! The program says *what* is computed; how it is laid over the host's
+//! cores and caches is the executor's business and no part of the program.
+//! A launch is cut into tasks of [`dfg_exec::effective_chunk`] cells. A task
+//! allocates one register **bank** — `num_sregs + 4·num_vregs` rows of
+//! `chunk_width(rows)` lanes, scalar rows first, then four rows (`.s0`–`.s3`)
+//! per vector register — and walks its cells a chunk at a time, running
+//! each instruction as one slice loop over a bank row: the match on the
+//! instruction (and on its [`BinKind`]/[`UnKind`]) happens once per chunk,
+//! outside the loop, and the loops are plain zips the compiler vectorizes.
+//! The chunk width comes from the bank's footprint, so the rows every
+//! instruction re-reads stay cache-resident beside the streamed inputs.
+//!
+//! Outputs are **planar**: root `o` of a multi-root program owns the lanes
+//! `[lane_offset(o)·n, (lane_offset(o) + w(o))·n)` of the one output buffer
+//! (a `Vec4` root keeps the per-cell `float4` layout inside its plane), so
+//! the host splits a download into fields by contiguous range.
 
 use std::collections::HashMap;
 
@@ -30,8 +49,8 @@ use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, ScheduleError, Width
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
-use crate::grad::{gradient_at, Dims3};
-use crate::primitives::{BinKind, UnKind};
+use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::primitives::{BinKind, Primitive, UnKind};
 
 /// Maximum registers the generator may allocate before it reports register
 /// pressure.
@@ -132,7 +151,9 @@ pub struct OutputSlot {
     reg: Reg,
     /// Value width of this output.
     pub width: Width,
-    /// Lane offset of this output within each element's interleaved block.
+    /// Plane offset of this output, in lanes per cell: the summed widths of
+    /// the outputs before it. Over `n` cells the output's plane starts at
+    /// lane `lane_offset * n` of the output buffer.
     pub lane_offset: usize,
     /// Display name (the root's assignment name, or `out<i>`).
     pub name: String,
@@ -140,10 +161,12 @@ pub struct OutputSlot {
 
 /// A compiled fused kernel program.
 ///
-/// Multi-output programs write all outputs into one buffer, interleaved per
-/// element: element `i` occupies lanes `[i·L, (i+1)·L)` where `L` is
-/// [`FusedProgram::lanes_per_elem`], and output `o` sits at its
-/// `lane_offset` within that block. The host de-interleaves after download.
+/// Multi-output programs write all outputs into one buffer of
+/// `n ·` [`FusedProgram::lanes_per_elem`] lanes, one contiguous plane per
+/// output in requested order: output `o` occupies the `w(o) · n` lanes from
+/// `lane_offset(o) · n` (see [`OutputSlot::lane_offset`]). A single-output
+/// program's buffer therefore *is* its field, and the host splits a
+/// multi-output download by range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     ops: Vec<RegOp>,
@@ -159,7 +182,7 @@ pub struct FusedProgram {
     pub output_width: Width,
     /// All outputs, in requested order.
     pub outputs: Vec<OutputSlot>,
-    /// Interleaved output lanes per element (sum of output widths).
+    /// Output lanes per element (sum of output widths).
     pub lanes_per_elem: usize,
     /// Total floating-point operations per element (for the cost model).
     pub flops_per_elem: u64,
@@ -177,9 +200,9 @@ struct Fuser<'a> {
     reg_of: HashMap<NodeId, Reg>,
     /// Remaining register-reads per node (for register reuse).
     reg_uses_left: HashMap<NodeId, u32>,
-    /// Scalar and vector register banks are allocated independently (the
-    /// generated source names them `rN` / `vN`, and the executor stores
-    /// them in separate chunk-sized banks).
+    /// Scalar and vector registers are allocated independently (the
+    /// generated source names them `rN` / `vN`, and the executor gives them
+    /// separate rows of its bank).
     free_sregs: Vec<Reg>,
     next_sreg: usize,
     hw_sregs: usize,
@@ -270,10 +293,7 @@ impl<'a> Fuser<'a> {
 
     /// Consume one register-read of `id`, freeing its register (into the
     /// bank matching its width) when dead.
-    fn consume(&mut self, id: NodeId, result: NodeId) {
-        if id == result {
-            return;
-        }
+    fn consume(&mut self, id: NodeId) {
         let uses = self.reg_uses_left.get_mut(&id).expect("tracked operand");
         *uses -= 1;
         if *uses == 0 {
@@ -288,10 +308,18 @@ impl<'a> Fuser<'a> {
     }
 }
 
-/// Is `node` read through a register by `consumer` at `port`? Gradient
+/// Does `consumer_op` read its operands through registers? Gradient
 /// operands are read directly from global memory instead.
-fn is_register_read(consumer_op: &FilterOp, _port: usize) -> bool {
+fn is_register_read(consumer_op: &FilterOp) -> bool {
     !matches!(consumer_op, FilterOp::Grad3d)
+}
+
+/// Lanes one element of `width` occupies in an output plane.
+fn lanes_of(width: Width) -> usize {
+    match width {
+        Width::Vec4 => 4,
+        _ => 1,
+    }
 }
 
 /// Compile a network into a fused single-kernel program producing the
@@ -306,13 +334,13 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
     let sched = Schedule::for_roots(spec, roots).map_err(FuseError::Schedule)?;
 
     // Count register reads per node (ports of non-gradient consumers), so
-    // registers are freed after their last use. The result gets a sentinel
+    // registers are freed after their last use. Every root gets a sentinel
     // use so its register survives to the store.
     let mut reg_uses: HashMap<NodeId, u32> = HashMap::new();
     for &id in &sched.order {
         let node = spec.node(id);
-        for (port, &input) in node.inputs.iter().enumerate() {
-            if is_register_read(&node.op, port) {
+        if is_register_read(&node.op) {
+            for &input in &node.inputs {
                 *reg_uses.entry(input).or_insert(0) += 1;
             }
         }
@@ -376,187 +404,41 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
                     .map(|&i| fz.reg_for(i))
                     .collect::<Result<_, _>>()?;
                 let out = fz.alloc_for(node.op.width())?;
-                let regop = match op {
-                    FilterOp::Add => RegOp::Bin {
-                        op: BinKind::Add,
-                        a: operands[0],
-                        b: operands[1],
+                // One FilterOp → kind mapping for both executors: the
+                // primitive library's.
+                let (a, arg) = (operands[0], |port: usize| operands[port]);
+                let regop = match Primitive::from_filter_op(op) {
+                    Some(Primitive::Bin(op)) => RegOp::Bin {
+                        op,
+                        a,
+                        b: arg(1),
                         out,
                     },
-                    FilterOp::Sub => RegOp::Bin {
-                        op: BinKind::Sub,
-                        a: operands[0],
-                        b: operands[1],
+                    Some(Primitive::Un(op)) => RegOp::Un { op, a, out },
+                    Some(Primitive::Select) => RegOp::Select {
+                        c: a,
+                        a: arg(1),
+                        b: arg(2),
                         out,
                     },
-                    FilterOp::Mul => RegOp::Bin {
-                        op: BinKind::Mul,
-                        a: operands[0],
-                        b: operands[1],
+                    Some(Primitive::Compose3) => RegOp::Compose3 {
+                        a,
+                        b: arg(1),
+                        c: arg(2),
                         out,
                     },
-                    FilterOp::Div => RegOp::Bin {
-                        op: BinKind::Div,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Min2 => RegOp::Bin {
-                        op: BinKind::Min,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Max2 => RegOp::Bin {
-                        op: BinKind::Max,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Lt => RegOp::Bin {
-                        op: BinKind::Lt,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Gt => RegOp::Bin {
-                        op: BinKind::Gt,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Le => RegOp::Bin {
-                        op: BinKind::Le,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Ge => RegOp::Bin {
-                        op: BinKind::Ge,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::EqOp => RegOp::Bin {
-                        op: BinKind::Eq,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Ne => RegOp::Bin {
-                        op: BinKind::Ne,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Pow => RegOp::Bin {
-                        op: BinKind::Pow,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Atan2 => RegOp::Bin {
-                        op: BinKind::Atan2,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::And => RegOp::Bin {
-                        op: BinKind::And,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Or => RegOp::Bin {
-                        op: BinKind::Or,
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Neg => RegOp::Un {
-                        op: UnKind::Neg,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Sqrt => RegOp::Un {
-                        op: UnKind::Sqrt,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Abs => RegOp::Un {
-                        op: UnKind::Abs,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Sin => RegOp::Un {
-                        op: UnKind::Sin,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Cos => RegOp::Un {
-                        op: UnKind::Cos,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Tan => RegOp::Un {
-                        op: UnKind::Tan,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Exp => RegOp::Un {
-                        op: UnKind::Exp,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Log => RegOp::Un {
-                        op: UnKind::Log,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Not => RegOp::Un {
-                        op: UnKind::Not,
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Select => RegOp::Select {
-                        c: operands[0],
-                        a: operands[1],
-                        b: operands[2],
-                        out,
-                    },
-                    FilterOp::Compose3 => RegOp::Compose3 {
-                        a: operands[0],
-                        b: operands[1],
-                        c: operands[2],
-                        out,
-                    },
-                    FilterOp::Decompose(c) => RegOp::Decompose {
-                        a: operands[0],
-                        comp: *c,
-                        out,
-                    },
-                    FilterOp::Norm3 => RegOp::Norm3 {
-                        a: operands[0],
-                        out,
-                    },
-                    FilterOp::Dot3 => RegOp::Dot3 {
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Cross3 => RegOp::Cross3 {
-                        a: operands[0],
-                        b: operands[1],
-                        out,
-                    },
-                    FilterOp::Input { .. } | FilterOp::Const(_) | FilterOp::Grad3d => {
-                        unreachable!("handled above")
+                    Some(Primitive::Decompose(comp)) => RegOp::Decompose { a, comp, out },
+                    Some(Primitive::Norm3) => RegOp::Norm3 { a, out },
+                    Some(Primitive::Dot3) => RegOp::Dot3 { a, b: arg(1), out },
+                    Some(Primitive::Cross3) => RegOp::Cross3 { a, b: arg(1), out },
+                    Some(Primitive::ConstFill(_) | Primitive::Grad3d) | None => {
+                        unreachable!("sources and gradients are handled above")
                     }
                 };
                 fz.ops.push(regop);
                 fz.reg_of.insert(id, out);
                 for &i in &node.inputs {
-                    fz.consume(i, spec.result);
+                    fz.consume(i);
                 }
             }
         }
@@ -586,10 +468,7 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
             lane_offset,
             name,
         });
-        lane_offset += match width {
-            Width::Vec4 => 4,
-            _ => 1,
-        };
+        lane_offset += lanes_of(width);
     }
 
     Ok(FusedProgram {
@@ -781,187 +660,202 @@ impl DeviceKernel for FusedKernel {
     }
 
     fn run(&self, args: KernelArgs<'_>) {
-        use std::cell::Cell;
-
         let prog = &self.program;
-        let n = args.n;
-        // Pre-decode dims for every gradient op (uniform per launch).
-        let grad_dims: Vec<Option<Dims3>> = prog
-            .ops
-            .iter()
-            .map(|op| match op {
-                RegOp::Grad3d { dims, .. } => Some(Dims3::from_buffer(args.inputs[*dims as usize])),
-                _ => None,
-            })
-            .collect();
-        let out_lanes = prog.lanes_per_elem;
-        let inputs = args.inputs;
+        let (n, inputs) = (args.n, args.inputs);
+        let rows = prog.num_sregs + 4 * prog.num_vregs;
+        let width = chunk_width(rows);
+        let task = dfg_exec::effective_chunk(n, PAR_CHUNK).next_multiple_of(width);
+        // Bank rows: scalar register `r`, then lane `l` of vector register `r`.
+        let s = |r: Reg| r as usize;
+        let v = |r: Reg, lane: usize| prog.num_sregs + 4 * r as usize + lane;
 
-        // Vectorized interpretation: each instruction runs as a tight loop
-        // over a chunk of elements, with register *banks* (one slice of
-        // `CHUNK` values per register) instead of per-element register
-        // files. This amortizes instruction dispatch over the chunk and
-        // keeps the banks cache-resident — the software analogue of the
-        // GPU's registers-per-workgroup execution the paper relies on.
-        const CHUNK: usize = 256;
-        args.output[..n * out_lanes]
-            .par_chunks_mut(out_lanes * CHUNK)
-            .enumerate()
-            .for_each(|(c, out)| {
-                let base = c * CHUNK;
-                let len = out.len() / out_lanes;
-                // Scalar bank: [reg][t]; vector bank: [reg][lane][t].
-                // Cell slices allow aliasing-free in-place updates without
-                // unsafe (the allocator guarantees out != live operands,
-                // but the borrow checker cannot see that).
-                let mut sbank = vec![0.0f32; prog.num_sregs * CHUNK];
-                let mut vbank = vec![0.0f32; prog.num_vregs * 4 * CHUNK];
-                let s = Cell::from_mut(&mut sbank[..]).as_slice_of_cells();
-                let v = Cell::from_mut(&mut vbank[..]).as_slice_of_cells();
-                let sreg = |r: Reg| &s[r as usize * CHUNK..][..len];
-                let vlane = |r: Reg, lane: usize| &v[(r as usize * 4 + lane) * CHUNK..][..len];
+        // Cut every output plane at the task boundaries: task `t` owns piece
+        // `t` of each plane.
+        let mut tasks: Vec<Vec<&mut [f32]>> = Vec::new();
+        tasks.resize_with(n.div_ceil(task), Vec::new);
+        let mut rest = &mut args.output[..n * prog.lanes_per_elem];
+        for slot in &prog.outputs {
+            let lanes = lanes_of(slot.width);
+            let (plane, tail) = rest.split_at_mut(lanes * n);
+            rest = tail;
+            for (pieces, piece) in tasks.iter_mut().zip(plane.chunks_mut(lanes * task)) {
+                pieces.push(piece);
+            }
+        }
 
-                for (op_i, op) in prog.ops.iter().enumerate() {
-                    match op {
+        tasks.par_chunks_mut(1).enumerate().for_each(|(t, pieces)| {
+            let pieces = &mut pieces[0];
+            let start = t * task;
+            let cells = task.min(n - start);
+            let mut bank = Bank::new(rows, width);
+            for at in (0..cells).step_by(width) {
+                let (base, len) = (start + at, width.min(cells - at));
+                for op in &prog.ops {
+                    match *op {
                         RegOp::LoadInput { slot, reg } => {
-                            let src = &inputs[*slot as usize][base..base + len];
-                            for (o, x) in sreg(*reg).iter().zip(src) {
-                                o.set(*x);
-                            }
+                            let src = &inputs[slot as usize][base..base + len];
+                            bank.split(s(reg), [], len).0.copy_from_slice(src);
                         }
-                        RegOp::Const { value, reg } => {
-                            for o in sreg(*reg) {
-                                o.set(*value);
-                            }
-                        }
+                        RegOp::Const { value, reg } => bank.split(s(reg), [], len).0.fill(value),
                         RegOp::Bin { op, a, b, out } => {
-                            let (aa, bb, oo) = (sreg(*a), sreg(*b), sreg(*out));
-                            for t in 0..len {
-                                oo[t].set(op.eval(aa[t].get(), bb[t].get()));
-                            }
+                            let (o, [a, b]) = bank.split(s(out), [s(a), s(b)], len);
+                            op.apply(o, a, b);
                         }
                         RegOp::Un { op, a, out } => {
-                            let (aa, oo) = (sreg(*a), sreg(*out));
-                            for t in 0..len {
-                                oo[t].set(op.eval(aa[t].get()));
-                            }
+                            let (o, [a]) = bank.split(s(out), [s(a)], len);
+                            op.apply(o, a);
                         }
                         RegOp::Select { c, a, b, out } => {
-                            let (cc, aa, bb, oo) = (sreg(*c), sreg(*a), sreg(*b), sreg(*out));
-                            for t in 0..len {
-                                oo[t].set(if cc[t].get() != 0.0 {
-                                    aa[t].get()
-                                } else {
-                                    bb[t].get()
-                                });
+                            let (o, [c, a, b]) = bank.split(s(out), [s(c), s(a), s(b)], len);
+                            for (t, o) in o.iter_mut().enumerate() {
+                                *o = if c[t] != 0.0 { a[t] } else { b[t] };
                             }
                         }
                         RegOp::Decompose { a, comp, out } => {
-                            let (aa, oo) = (vlane(*a, *comp as usize), sreg(*out));
-                            for t in 0..len {
-                                oo[t].set(aa[t].get());
-                            }
+                            let (o, [a]) = bank.split(s(out), [v(a, comp as usize)], len);
+                            o.copy_from_slice(a);
                         }
                         RegOp::Compose3 { a, b, c, out } => {
                             for (lane, src) in [a, b, c].into_iter().enumerate() {
-                                let (ss, oo) = (sreg(*src), vlane(*out, lane));
-                                for t in 0..len {
-                                    oo[t].set(ss[t].get());
-                                }
+                                let (o, [src]) = bank.split(v(out, lane), [s(src)], len);
+                                o.copy_from_slice(src);
                             }
-                            for o in vlane(*out, 3) {
-                                o.set(0.0);
-                            }
+                            bank.split(v(out, 3), [], len).0.fill(0.0);
                         }
                         RegOp::Grad3d {
                             field,
+                            dims,
                             x,
                             y,
                             z,
                             out,
-                            ..
                         } => {
-                            let d = grad_dims[op_i].expect("pre-decoded");
-                            let (o0, o1, o2, o3) = (
-                                vlane(*out, 0),
-                                vlane(*out, 1),
-                                vlane(*out, 2),
-                                vlane(*out, 3),
-                            );
-                            for t in 0..len {
-                                let g = gradient_at(
-                                    inputs[*field as usize],
-                                    inputs[*x as usize],
-                                    inputs[*y as usize],
-                                    inputs[*z as usize],
-                                    d,
-                                    base + t,
-                                );
-                                o0[t].set(g[0]);
-                                o1[t].set(g[1]);
-                                o2[t].set(g[2]);
-                                o3[t].set(0.0);
-                            }
+                            let [f, dims, x, y, z] =
+                                [field, dims, x, y, z].map(|i| inputs[i as usize]);
+                            let d = Dims3::from_buffer(dims);
+                            let lanes = lanes3(&mut bank.lanes[v(out, 0) * width..], width, len);
+                            gradient_span(f, x, y, z, d, base, lanes);
+                            bank.split(v(out, 3), [], len).0.fill(0.0);
                         }
                         RegOp::Norm3 { a, out } => {
-                            let (a0, a1, a2, oo) =
-                                (vlane(*a, 0), vlane(*a, 1), vlane(*a, 2), sreg(*out));
-                            for t in 0..len {
-                                let (x, y, z) = (a0[t].get(), a1[t].get(), a2[t].get());
-                                oo[t].set((x * x + y * y + z * z).sqrt());
+                            let (o, [x, y, z]) =
+                                bank.split(s(out), [v(a, 0), v(a, 1), v(a, 2)], len);
+                            for (t, o) in o.iter_mut().enumerate() {
+                                *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
                             }
                         }
                         RegOp::Dot3 { a, b, out } => {
-                            let oo = sreg(*out);
-                            for (t, o) in oo.iter().enumerate().take(len) {
+                            let operands = [v(a, 0), v(b, 0), v(a, 1), v(b, 1), v(a, 2), v(b, 2)];
+                            let (o, [a0, b0, a1, b1, a2, b2]) = bank.split(s(out), operands, len);
+                            for (t, o) in o.iter_mut().enumerate() {
                                 let mut acc = 0.0f32;
-                                for lane in 0..3 {
-                                    acc += vlane(*a, lane)[t].get() * vlane(*b, lane)[t].get();
-                                }
-                                o.set(acc);
+                                acc += a0[t] * b0[t];
+                                acc += a1[t] * b1[t];
+                                acc += a2[t] * b2[t];
+                                *o = acc;
                             }
                         }
                         RegOp::Cross3 { a, b, out } => {
-                            for t in 0..len {
-                                let av = [
-                                    vlane(*a, 0)[t].get(),
-                                    vlane(*a, 1)[t].get(),
-                                    vlane(*a, 2)[t].get(),
-                                ];
-                                let bv = [
-                                    vlane(*b, 0)[t].get(),
-                                    vlane(*b, 1)[t].get(),
-                                    vlane(*b, 2)[t].get(),
-                                ];
-                                vlane(*out, 0)[t].set(av[1] * bv[2] - av[2] * bv[1]);
-                                vlane(*out, 1)[t].set(av[2] * bv[0] - av[0] * bv[2]);
-                                vlane(*out, 2)[t].set(av[0] * bv[1] - av[1] * bv[0]);
-                                vlane(*out, 3)[t].set(0.0);
+                            // Lane `l` is `a.p * b.q - a.q * b.p` for the
+                            // cyclic pair `(p, q)` after `l`.
+                            for (lane, (p, q)) in [(1, 2), (2, 0), (0, 1)].into_iter().enumerate() {
+                                let operands = [v(a, p), v(b, q), v(a, q), v(b, p)];
+                                let (o, [ap, bq, aq, bp]) = bank.split(v(out, lane), operands, len);
+                                for (t, o) in o.iter_mut().enumerate() {
+                                    *o = ap[t] * bq[t] - aq[t] * bp[t];
+                                }
                             }
+                            bank.split(v(out, 3), [], len).0.fill(0.0);
                         }
                     }
                 }
 
-                // Store every output, interleaved per element.
-                for slot in &prog.outputs {
+                // Store every output into this task's piece of its plane.
+                for (slot, piece) in prog.outputs.iter().zip(pieces.iter_mut()) {
                     match slot.width {
                         Width::Vec4 => {
+                            let cells = &mut piece[4 * at..4 * (at + len)];
                             for lane in 0..4 {
-                                let src = vlane(slot.reg, lane);
-                                for t in 0..len {
-                                    out[t * out_lanes + slot.lane_offset + lane] = src[t].get();
+                                let src = bank.row(v(slot.reg, lane), len);
+                                for (cell, x) in cells.chunks_exact_mut(4).zip(src) {
+                                    cell[lane] = *x;
                                 }
                             }
                         }
-                        _ => {
-                            let src = sreg(slot.reg);
-                            for t in 0..len {
-                                out[t * out_lanes + slot.lane_offset] = src[t].get();
-                            }
-                        }
+                        _ => piece[at..at + len].copy_from_slice(bank.row(s(slot.reg), len)),
                     }
                 }
-            });
+            }
+        });
+    }
+}
+
+/// Minimum cells per parallel task; scaled up per launch by
+/// [`dfg_exec::effective_chunk`] and rounded to whole chunks.
+const PAR_CHUNK: usize = 8 * 1024;
+
+/// Bytes of row scratch a chunk may keep live. Every instruction re-reads
+/// rows the previous ones wrote, so the bank has to stay in the core's
+/// private cache beside the input rows streaming through it.
+const BANK_BYTES: usize = 64 * 1024;
+
+/// Lanes per chunk for a bank (or any block of row scratch) of `rows` rows:
+/// the largest power of two whose rows fit [`BANK_BYTES`], kept within
+/// `[128, 1024]` — wide enough to amortize instruction dispatch and fill
+/// vector loops, narrow enough to stay cache-resident. This is a schedule
+/// parameter of the executors, not a property of any program.
+pub(crate) fn chunk_width(rows: usize) -> usize {
+    let fit = BANK_BYTES / (4 * rows.max(1));
+    (fit.next_power_of_two() / 2).clamp(128, 1024)
+}
+
+/// One task's register bank: `rows` rows of `width` lanes in one
+/// allocation, created once per task and reused for every chunk.
+struct Bank {
+    lanes: Vec<f32>,
+    width: usize,
+}
+
+impl Bank {
+    fn new(rows: usize, width: usize) -> Self {
+        Bank {
+            lanes: vec![0.0; rows * width],
+            width,
+        }
+    }
+
+    /// The first `len` lanes of row `r`.
+    fn row(&self, r: usize, len: usize) -> &[f32] {
+        &self.lanes[r * self.width..][..len]
+    }
+
+    /// Row `out` mutably beside the `operands` rows shared, `len` lanes
+    /// each. The register allocator never hands an instruction a live
+    /// operand's register as its output (`alloc_for` runs before
+    /// `consume`); this is where that is checked rather than assumed.
+    ///
+    /// # Panics
+    /// Panics if an operand row is the output row.
+    #[inline]
+    fn split<const K: usize>(
+        &mut self,
+        out: usize,
+        operands: [usize; K],
+        len: usize,
+    ) -> (&mut [f32], [&[f32]; K]) {
+        let w = self.width;
+        let (below, rest) = self.lanes.split_at_mut(out * w);
+        let (o, above) = rest.split_at_mut(w);
+        let (below, above) = (&*below, &*above);
+        let operands = operands.map(|r| {
+            assert!(r != out, "fused instruction reads the row it writes");
+            if r < out {
+                &below[r * w..][..len]
+            } else {
+                &above[(r - out - 1) * w..][..len]
+            }
+        });
+        (&mut o[..len], operands)
     }
 }
 
@@ -1170,7 +1064,7 @@ mod tests {
         // Only one multiply despite three consumers of m.
         assert_eq!(prog.len(), 4); // load u, mul, add, sqrt
 
-        // Execute and check interleaving.
+        // Execute and check the planar layout: one plane per output.
         let kernel = FusedKernel::new(prog, "multi");
         let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
         let uin = ctx.create_buffer(2).unwrap();
@@ -1179,7 +1073,7 @@ mod tests {
         ctx.launch(&kernel, &[uin], out, 2).unwrap();
         let data = ctx.enqueue_read(out).unwrap();
         // Element 0: a=18, s=3, m=9 ; element 1: a=32, s=4, m=16.
-        assert_eq!(data, vec![18.0, 3.0, 9.0, 32.0, 4.0, 16.0]);
+        assert_eq!(data, vec![18.0, 32.0, 3.0, 4.0, 9.0, 16.0]);
     }
 
     #[test]
@@ -1202,9 +1096,9 @@ mod tests {
 
     #[test]
     fn chunked_execution_crosses_chunk_boundaries_correctly() {
-        // The vectorized interpreter processes 256-element chunks; verify
-        // values at and across the boundary for an n that is not a
-        // multiple of the chunk (1000 = 3*256 + 232).
+        // The interpreter walks a task chunk by chunk; verify values at and
+        // across candidate chunk boundaries for an n that is a multiple of
+        // no chunk width.
         let spec = example_networks::velmag_example();
         let n = 1000usize;
         let u: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
@@ -1229,7 +1123,8 @@ mod tests {
     #[test]
     fn chunked_gradient_crosses_chunk_boundaries_correctly() {
         // Gradient reads neighbours with *global* indices: per-chunk
-        // execution must not reset the element index (12x12x8 = 1152 > 256).
+        // execution must not reset the element index (12x12x8 = 1152 cells
+        // is more than one chunk).
         use dfg_mesh::RectilinearMesh;
         let mesh = RectilinearMesh::unit_cube([12, 12, 8]);
         let (x, y, z) = mesh.coord_arrays();
@@ -1252,6 +1147,29 @@ mod tests {
         for (i, &val) in out.iter().enumerate() {
             assert!((val - expect).abs() < 1e-4, "cell {i}: {val} vs {expect}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fused instruction reads the row it writes")]
+    fn aliased_output_register_panics_instead_of_aliasing() {
+        // `r0 = r0 + r0` is a program the allocator never emits; the bank
+        // must refuse it rather than hand out overlapping rows.
+        let mut prog = fuse(&example_networks::velmag_example()).unwrap();
+        prog.ops = vec![
+            RegOp::LoadInput { slot: 0, reg: 0 },
+            RegOp::Bin {
+                op: BinKind::Add,
+                a: 0,
+                b: 0,
+                out: 0,
+            },
+        ];
+        let u = [1.0f32; 4];
+        FusedKernel::new(prog, "aliased").run(KernelArgs {
+            inputs: &[&u, &u, &u],
+            output: &mut [0.0; 4],
+            n: 4,
+        });
     }
 
     #[test]

@@ -87,6 +87,10 @@ fn axis_derivative(
 ///
 /// `x`, `y`, `z` are the flattened problem-sized per-cell coordinate arrays
 /// (the same arrays the user's expression passes to `grad3d`).
+///
+/// This is the point-wise *specification* of the stencil. Nothing outside
+/// `#[cfg(test)]` calls it any more: every kernel goes through
+/// [`gradient_span`], which is tested bit for bit against this function.
 #[inline]
 pub fn gradient_at(
     field: &[f32],
@@ -105,6 +109,98 @@ pub fn gradient_at(
         axis_derivative(field, y, idx, j, d.ny, sy),
         axis_derivative(field, z, idx, k, d.nz, sz),
     ]
+}
+
+/// One axis of the stencil over a run of consecutive cells starting at
+/// `start` that all difference the same way: cell `c` reads `c - lo` and
+/// `c + hi`. Branch-free: divide, then select — for every lane the select
+/// keeps, the same bits as [`axis_derivative`]'s test-then-divide, and
+/// `lo == hi == 0` (a single-cell axis) selects 0.0 everywhere.
+#[inline]
+fn run_derivative(
+    field: &[f32],
+    coord: &[f32],
+    start: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    let (f_lo, f_hi) = (&field[start - lo..][..n], &field[start + hi..][..n]);
+    let (c_lo, c_hi) = (&coord[start - lo..][..n], &coord[start + hi..][..n]);
+    for (t, o) in out.iter_mut().enumerate() {
+        let dx = c_hi[t] - c_lo[t];
+        let q = (f_hi[t] - f_lo[t]) / dx;
+        *o = if dx == 0.0 { 0.0 } else { q };
+    }
+}
+
+/// [`gradient_at`] over the contiguous cells `[base, base + len)`, written
+/// to three planar slices of `len` lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`).
+///
+/// The range is walked one x-row segment at a time: `(i, j, k)` is decoded
+/// once per segment, the y/z neighbour offsets are per-row constants
+/// (boundary rows clamp the missing side to 0), and the x axis peels its
+/// two boundary cells, so every inner loop is a plain slice loop. This is
+/// the one routine behind the `grad3d` primitive, the fused kernel's
+/// gradient and the reference kernels.
+///
+/// # Panics
+/// Panics if the output slices differ in length or the range leaves the
+/// grid `d` describes (or the arrays, through their bounds checks).
+pub fn gradient_span(
+    field: &[f32],
+    x: &[f32],
+    y: &[f32],
+    z: &[f32],
+    d: Dims3,
+    base: usize,
+    [gx, gy, gz]: [&mut [f32]; 3],
+) {
+    let len = gx.len();
+    assert!(gy.len() == len && gz.len() == len, "gradient lanes differ");
+    assert!(base + len <= d.ncells(), "gradient range leaves the grid");
+    let (sy, sz) = (d.nx, d.nx * d.ny);
+    let mut t = 0;
+    while t < len {
+        let idx = base + t;
+        let (i, j, k) = d.unravel(idx);
+        let seg = (d.nx - i).min(len - t);
+        // x: the segment's first cell may be i == 0, its last i == nx - 1.
+        let (mut a, mut b) = (0, seg);
+        if i == 0 {
+            let hi = usize::from(d.nx > 1);
+            run_derivative(field, x, idx, 0, hi, &mut gx[t..t + 1]);
+            a = 1;
+        }
+        if i + seg == d.nx && a < b {
+            b -= 1;
+            run_derivative(field, x, idx + b, 1, 0, &mut gx[t + b..t + seg]);
+        }
+        if a < b {
+            run_derivative(field, x, idx + a, 1, 1, &mut gx[t + a..t + b]);
+        }
+        let (lo, hi) = (
+            if j == 0 { 0 } else { sy },
+            if j + 1 == d.ny { 0 } else { sy },
+        );
+        run_derivative(field, y, idx, lo, hi, &mut gy[t..t + seg]);
+        let (lo, hi) = (
+            if k == 0 { 0 } else { sz },
+            if k + 1 == d.nz { 0 } else { sz },
+        );
+        run_derivative(field, z, idx, lo, hi, &mut gz[t..t + seg]);
+        t += seg;
+    }
+}
+
+/// The first `len` lanes of each of the three `width`-lane rows at the head
+/// of `rows`: the planar output [`gradient_span`] takes, carved out of a
+/// bank or a block of row scratch.
+pub(crate) fn lanes3(rows: &mut [f32], width: usize, len: usize) -> [&mut [f32]; 3] {
+    let (gx, rest) = rows.split_at_mut(width);
+    let (gy, gz) = rest.split_at_mut(width);
+    [&mut gx[..len], &mut gy[..len], &mut gz[..len]]
 }
 
 #[cfg(test)]
@@ -257,5 +353,84 @@ mod tests {
         let g = gradient_at(&field, &x, &y, &z, d, 5);
         assert_eq!(g[1], 0.0, "single-cell axis derivative must be 0");
         assert!((g[0] - 1.0).abs() < 1e-4);
+    }
+
+    /// Every lane of [`gradient_span`], over ranges cut every `width` cells
+    /// (so they start and end mid-row), against [`gradient_at`].
+    fn assert_span_is_pointwise(dims: [usize; 3], stretched: bool, repeated: bool) {
+        let d = Dims3 {
+            nx: dims[0],
+            ny: dims[1],
+            nz: dims[2],
+        };
+        let axis = |n: usize| -> Vec<f32> {
+            let mut c: Vec<f32> = (0..n).map(|i| i as f32 + 0.5).collect();
+            if stretched {
+                c.iter_mut().for_each(|t| *t = 0.37 * *t * *t);
+            }
+            if repeated && n > 2 {
+                c[2] = c[0]; // cell 1 differences two equal coordinates
+            }
+            c
+        };
+        let (ax, ay, az) = (axis(d.nx), axis(d.ny), axis(d.nz));
+        let n = d.ncells();
+        let cell = |idx: usize| d.unravel(idx);
+        let x: Vec<f32> = (0..n).map(|c| ax[cell(c).0]).collect();
+        let y: Vec<f32> = (0..n).map(|c| ay[cell(c).1]).collect();
+        let z: Vec<f32> = (0..n).map(|c| az[cell(c).2]).collect();
+        let f: Vec<f32> = (0..n)
+            .map(|c| (x[c] * 1.7).sin() + y[c] * z[c] - 0.3 * c as f32)
+            .collect();
+        for width in [1, 3, 7, 256] {
+            for base in (0..n).step_by(width) {
+                let len = width.min(n - base);
+                let (mut gx, mut gy, mut gz) = (vec![9.0; len], vec![9.0; len], vec![9.0; len]);
+                gradient_span(&f, &x, &y, &z, d, base, [&mut gx, &mut gy, &mut gz]);
+                for t in 0..len {
+                    let want = gradient_at(&f, &x, &y, &z, d, base + t).map(f32::to_bits);
+                    let got = [gx[t], gy[t], gz[t]].map(f32::to_bits);
+                    assert_eq!(got, want, "dims {dims:?} width {width} cell {}", base + t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_gradient_is_the_pointwise_gradient_bit_for_bit() {
+        for dims in [
+            [1, 4, 3],
+            [7, 1, 3],
+            [5, 3, 1],
+            [2, 2, 2],
+            [128, 3, 3],
+            [1, 1, 1],
+        ] {
+            for (stretched, repeated) in [(false, false), (true, false), (true, true)] {
+                assert_span_is_pointwise(dims, stretched, repeated);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn span_gradient_matches_on_random_grids(
+            nx in 1usize..12, ny in 1usize..7, nz in 1usize..6, shape in 0usize..4,
+        ) {
+            assert_span_is_pointwise([nx, ny, nz], shape & 1 == 1, shape & 2 == 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient range leaves the grid")]
+    fn span_gradient_rejects_a_range_past_the_grid() {
+        let d = Dims3 {
+            nx: 2,
+            ny: 2,
+            nz: 1,
+        };
+        let a = [0.0f32; 8];
+        let (mut gx, mut gy, mut gz) = ([0.0f32; 5], [0.0f32; 5], [0.0f32; 5]);
+        gradient_span(&a, &a, &a, &a, d, 0, [&mut gx, &mut gy, &mut gz]);
     }
 }

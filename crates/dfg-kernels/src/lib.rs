@@ -32,6 +32,6 @@ pub mod reference;
 pub use fused::{
     fuse, fuse_roots, FuseError, FusedKernel, FusedProgram, InputSlot, OutputSlot, MAX_REGS,
 };
-pub use grad::{gradient_at, Dims3};
+pub use grad::{gradient_at, gradient_span, Dims3};
 pub use primitives::{BinKind, Primitive, UnKind, GRAD3D_OPENCL_SOURCE};
 pub use reference::{QCritRef, VelMagRef, VortMagRef};

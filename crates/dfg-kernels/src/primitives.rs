@@ -16,7 +16,8 @@ use dfg_dataflow::FilterOp;
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
-use crate::grad::{gradient_at, Dims3};
+use crate::fused::chunk_width;
+use crate::grad::{gradient_span, lanes3, Dims3};
 
 /// Scalar binary operations shared by the standalone and fused executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +78,29 @@ impl BinKind {
             BinKind::And => f32::from(a != 0.0 && b != 0.0),
             BinKind::Or => f32::from(a != 0.0 || b != 0.0),
         }
+    }
+
+    /// [`BinKind::eval`] over slices: `out[t] = eval(a[t], b[t])` for every
+    /// lane of `out`. The kind is matched once, outside the loop, and each
+    /// arm is its own monomorphized slice loop the compiler can vectorize;
+    /// the standalone primitive and the fused executor both run this.
+    ///
+    /// # Panics
+    /// Panics if an operand is shorter than `out`.
+    pub fn apply(self, out: &mut [f32], a: &[f32], b: &[f32]) {
+        let (a, b) = (&a[..out.len()], &b[..out.len()]);
+        macro_rules! per_kind {
+            ($($kind:ident)*) => {
+                match self {
+                    $(BinKind::$kind => {
+                        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                            *o = BinKind::$kind.eval(a, b);
+                        }
+                    })*
+                }
+            };
+        }
+        per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
     }
 
     /// C-style operator/function text for generated kernel source.
@@ -140,6 +164,27 @@ impl UnKind {
             UnKind::Log => a.ln(),
             UnKind::Not => f32::from(a == 0.0),
         }
+    }
+
+    /// [`UnKind::eval`] over slices, matched once outside the loop like
+    /// [`BinKind::apply`].
+    ///
+    /// # Panics
+    /// Panics if `a` is shorter than `out`.
+    pub fn apply(self, out: &mut [f32], a: &[f32]) {
+        let a = &a[..out.len()];
+        macro_rules! per_kind {
+            ($($kind:ident)*) => {
+                match self {
+                    $(UnKind::$kind => {
+                        for (o, &a) in out.iter_mut().zip(a) {
+                            *o = UnKind::$kind.eval(a);
+                        }
+                    })*
+                }
+            };
+        }
+        per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
     }
 
     /// C-style source text.
@@ -361,142 +406,105 @@ impl DeviceKernel for Primitive {
         let n = args.n;
         // Scale the chunk size to the live thread count (`DFG_NUM_THREADS`
         // aware): at most ~4 tasks per worker, and one chunk when serial.
-        // `base` arithmetic uses the same `chunk`, so results are
-        // bit-identical for every thread count.
+        // Every arm is element-wise, so results are bit-identical for every
+        // thread count.
         let chunk = dfg_exec::effective_chunk(n, PAR_CHUNK);
-        match self {
-            Primitive::Bin(k) => {
-                let (a, b) = (args.inputs[0], args.inputs[1]);
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            *o = k.eval(a[base + t], b[base + t]);
-                        }
-                    });
-            }
-            Primitive::Un(k) => {
-                let a = args.inputs[0];
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            *o = k.eval(a[base + t]);
-                        }
-                    });
-            }
-            Primitive::Select => {
-                let (c0, a, b) = (args.inputs[0], args.inputs[1], args.inputs[2]);
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            let i = base + t;
-                            *o = if c0[i] != 0.0 { a[i] } else { b[i] };
-                        }
-                    });
-            }
-            Primitive::Compose3 => {
-                let (a, b, c0) = (args.inputs[0], args.inputs[1], args.inputs[2]);
-                args.output[..4 * n]
-                    .par_chunks_mut(4 * chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
+        // `body(at, out)`: one task's `lanes`-wide output cells, the first
+        // of which is cell `at`.
+        let mut tasks = |lanes: usize, body: &(dyn Fn(usize, &mut [f32]) + Sync)| {
+            args.output[..lanes * n]
+                .par_chunks_mut(lanes * chunk)
+                .enumerate()
+                .for_each(|(c, out)| body(c * chunk, out));
+        };
+        let input = |i: usize| args.inputs[i];
+        match *self {
+            Primitive::Bin(k) => tasks(1, &|at, out| {
+                k.apply(out, &input(0)[at..], &input(1)[at..]);
+            }),
+            Primitive::Un(k) => tasks(1, &|at, out| k.apply(out, &input(0)[at..])),
+            Primitive::Select => tasks(1, &|at, out| {
+                let len = out.len();
+                let (c, a, b) = (
+                    &input(0)[at..][..len],
+                    &input(1)[at..][..len],
+                    &input(2)[at..][..len],
+                );
+                for (t, o) in out.iter_mut().enumerate() {
+                    *o = if c[t] != 0.0 { a[t] } else { b[t] };
+                }
+            }),
+            Primitive::Compose3 => tasks(4, &|at, out| {
+                let len = out.len() / 4;
+                let (a, b, c) = (
+                    &input(0)[at..][..len],
+                    &input(1)[at..][..len],
+                    &input(2)[at..][..len],
+                );
+                for (t, o) in out.chunks_exact_mut(4).enumerate() {
+                    o.copy_from_slice(&[a[t], b[t], c[t], 0.0]);
+                }
+            }),
+            Primitive::Decompose(comp) => tasks(1, &|at, out| {
+                let v = input(0)[4 * at..].chunks_exact(4);
+                for (o, v) in out.iter_mut().zip(v) {
+                    *o = v[comp as usize];
+                }
+            }),
+            Primitive::ConstFill(val) => tasks(1, &|_, out| out.fill(val)),
+            Primitive::Grad3d => {
+                let d = Dims3::from_buffer(input(1));
+                // The stencil writes planar rows; the primitive's output is
+                // per-cell `float4`, so a task interleaves one block of row
+                // scratch at a time.
+                let width = chunk_width(3);
+                tasks(4, &|at, out| {
+                    let mut rows = vec![0.0f32; 3 * width];
+                    for (b, out) in out.chunks_mut(4 * width).enumerate() {
+                        let [gx, gy, gz] = lanes3(&mut rows, width, out.len() / 4);
+                        let base = at + b * width;
+                        gradient_span(
+                            input(0),
+                            input(2),
+                            input(3),
+                            input(4),
+                            d,
+                            base,
+                            [&mut *gx, &mut *gy, &mut *gz],
+                        );
                         for (t, o) in out.chunks_exact_mut(4).enumerate() {
-                            let i = base + t;
-                            o[0] = a[i];
-                            o[1] = b[i];
-                            o[2] = c0[i];
-                            o[3] = 0.0;
+                            o.copy_from_slice(&[gx[t], gy[t], gz[t], 0.0]);
                         }
-                    });
-            }
-            Primitive::Decompose(comp) => {
-                let v = args.inputs[0];
-                let comp = *comp as usize;
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            *o = v[4 * (base + t) + comp];
-                        }
-                    });
-            }
-            Primitive::ConstFill(val) => {
-                args.output[..n].par_chunks_mut(chunk).for_each(|out| {
-                    out.fill(*val);
+                    }
                 });
             }
-            Primitive::Grad3d => {
-                let field = args.inputs[0];
-                let d = Dims3::from_buffer(args.inputs[1]);
-                let (x, y, z) = (args.inputs[2], args.inputs[3], args.inputs[4]);
-                debug_assert_eq!(d.ncells(), n, "dims buffer disagrees with launch size");
-                args.output[..4 * n]
-                    .par_chunks_mut(4 * chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.chunks_exact_mut(4).enumerate() {
-                            let g = gradient_at(field, x, y, z, d, base + t);
-                            o[0] = g[0];
-                            o[1] = g[1];
-                            o[2] = g[2];
-                            o[3] = 0.0;
-                        }
-                    });
-            }
-            Primitive::Norm3 => {
-                let v = args.inputs[0];
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            let i = 4 * (base + t);
-                            *o = (v[i] * v[i] + v[i + 1] * v[i + 1] + v[i + 2] * v[i + 2]).sqrt();
-                        }
-                    });
-            }
-            Primitive::Dot3 => {
-                let (a, b) = (args.inputs[0], args.inputs[1]);
-                args.output[..n]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.iter_mut().enumerate() {
-                            let i = 4 * (base + t);
-                            *o = a[i] * b[i] + a[i + 1] * b[i + 1] + a[i + 2] * b[i + 2];
-                        }
-                    });
-            }
-            Primitive::Cross3 => {
-                let (a, b) = (args.inputs[0], args.inputs[1]);
-                args.output[..4 * n]
-                    .par_chunks_mut(4 * chunk)
-                    .enumerate()
-                    .for_each(|(c, out)| {
-                        let base = c * chunk;
-                        for (t, o) in out.chunks_exact_mut(4).enumerate() {
-                            let i = 4 * (base + t);
-                            o[0] = a[i + 1] * b[i + 2] - a[i + 2] * b[i + 1];
-                            o[1] = a[i + 2] * b[i] - a[i] * b[i + 2];
-                            o[2] = a[i] * b[i + 1] - a[i + 1] * b[i];
-                            o[3] = 0.0;
-                        }
-                    });
-            }
+            Primitive::Norm3 => tasks(1, &|at, out| {
+                let v = input(0)[4 * at..].chunks_exact(4);
+                for (o, v) in out.iter_mut().zip(v) {
+                    *o = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+                }
+            }),
+            Primitive::Dot3 => tasks(1, &|at, out| {
+                let (a, b) = (
+                    input(0)[4 * at..].chunks_exact(4),
+                    input(1)[4 * at..].chunks_exact(4),
+                );
+                for ((o, a), b) in out.iter_mut().zip(a).zip(b) {
+                    *o = a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+                }
+            }),
+            Primitive::Cross3 => tasks(4, &|at, out| {
+                let (a, b) = (
+                    input(0)[4 * at..].chunks_exact(4),
+                    input(1)[4 * at..].chunks_exact(4),
+                );
+                for ((o, a), b) in out.chunks_exact_mut(4).zip(a).zip(b) {
+                    o[0] = a[1] * b[2] - a[2] * b[1];
+                    o[1] = a[2] * b[0] - a[0] * b[2];
+                    o[2] = a[0] * b[1] - a[1] * b[0];
+                    o[3] = 0.0;
+                }
+            }),
         }
     }
 }
@@ -657,6 +665,65 @@ mod tests {
                 unreachable!()
             };
             check(&op, &[nan, 1.0], kind.eval(nan, 1.0));
+        }
+    }
+
+    /// The slice forms are `eval`, lane for lane, for every kind — on the
+    /// values where a vectorized loop could plausibly differ: signed zeros,
+    /// NaN, infinities and subnormals.
+    #[test]
+    fn slice_forms_equal_eval_bit_for_bit_for_every_kind() {
+        use BinKind::*;
+        use UnKind::*;
+        let tiny = f32::from_bits(1);
+        let vals = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE / 2.0,
+            1.0,
+            -2.5,
+            3.0e38,
+        ];
+        // Every ordered pair, padded past one vector width.
+        let a: Vec<f32> = vals.iter().flat_map(|&a| vals.map(|_| a)).collect();
+        let b: Vec<f32> = vals.iter().flat_map(|_| vals).collect();
+        let mut out = vec![0.0f32; a.len()];
+        for k in [
+            Add, Sub, Mul, Div, Min, Max, Lt, Gt, Le, Ge, Eq, Ne, Pow, Atan2, And, Or,
+        ] {
+            k.apply(&mut out, &a, &b);
+            for t in 0..a.len() {
+                let want = k.eval(a[t], b[t]);
+                assert_eq!(
+                    out[t].to_bits(),
+                    want.to_bits(),
+                    "{k:?}({}, {})",
+                    a[t],
+                    b[t]
+                );
+            }
+            let staged = run_prim(Primitive::Bin(k), &[a.clone(), b.clone()], a.len(), a.len());
+            assert_eq!(staged.len(), out.len());
+            assert!(staged
+                .iter()
+                .zip(&out)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+        for k in [Neg, Sqrt, Abs, Sin, Cos, Tan, Exp, Log, Not] {
+            k.apply(&mut out, &a);
+            for t in 0..a.len() {
+                assert_eq!(out[t].to_bits(), k.eval(a[t]).to_bits(), "{k:?}({})", a[t]);
+            }
+            let staged = run_prim(Primitive::Un(k), std::slice::from_ref(&a), a.len(), a.len());
+            assert!(staged
+                .iter()
+                .zip(&out)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

@@ -13,11 +13,43 @@
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
-use crate::grad::{gradient_at, Dims3};
+use crate::fused::chunk_width;
+use crate::grad::{gradient_span, lanes3, Dims3};
 
 /// Minimum elements per rayon task; scaled up per launch by
 /// [`dfg_exec::effective_chunk`] to match the live thread count.
 const PAR_CHUNK: usize = 8 * 1024;
+
+/// The velocity-gradient rows of one block of cells: `j[r][c]` holds
+/// `∂(u, v, w)[r] / ∂(x, y, z)[c]`, one lane per cell.
+type Jacobian<'a> = [[&'a [f32]; 3]; 3];
+
+/// Drive a gradient reference kernel (inputs `[u, v, w, dims, x, y, z]`):
+/// split the launch into tasks, walk each task in blocks of row scratch,
+/// fill the nine rows of the block's Jacobian with the shared stencil, and
+/// let `body` turn them into the block's output with one slice loop.
+fn for_jacobian_blocks(args: KernelArgs<'_>, body: impl Fn(Jacobian<'_>, &mut [f32]) + Sync) {
+    let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
+    let inputs = args.inputs;
+    let d = Dims3::from_buffer(inputs[3]);
+    let width = chunk_width(9);
+    args.output[..args.n]
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(c, out)| {
+            let mut rows = vec![0.0f32; 9 * width];
+            for (b, out) in out.chunks_mut(width).enumerate() {
+                let (base, len) = (c * chunk + b * width, out.len());
+                for (r, rows) in rows.chunks_mut(3 * width).enumerate() {
+                    let lanes = lanes3(rows, width, len);
+                    gradient_span(inputs[r], inputs[4], inputs[5], inputs[6], d, base, lanes);
+                }
+                let row = |i: usize| &rows[i * width..][..len];
+                let jacobian = [0, 3, 6].map(|r| [row(r), row(r + 1), row(r + 2)]);
+                body(jacobian, out);
+            }
+        });
+}
 
 /// Reference kernel for velocity magnitude. Inputs: `[u, v, w]`.
 pub struct VelMagRef;
@@ -43,10 +75,10 @@ impl DeviceKernel for VelMagRef {
             .par_chunks_mut(chunk)
             .enumerate()
             .for_each(|(c, out)| {
-                let base = c * chunk;
+                let (at, len) = (c * chunk, out.len());
+                let (u, v, w) = (&u[at..][..len], &v[at..][..len], &w[at..][..len]);
                 for (t, o) in out.iter_mut().enumerate() {
-                    let i = base + t;
-                    *o = (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]).sqrt();
+                    *o = (u[t] * u[t] + v[t] * v[t] + w[t] * w[t]).sqrt();
                 }
             });
     }
@@ -73,26 +105,14 @@ impl DeviceKernel for VortMagRef {
     }
 
     fn run(&self, args: KernelArgs<'_>) {
-        let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
-        let (u, v, w) = (args.inputs[0], args.inputs[1], args.inputs[2]);
-        let d = Dims3::from_buffer(args.inputs[3]);
-        let (x, y, z) = (args.inputs[4], args.inputs[5], args.inputs[6]);
-        args.output[..args.n]
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(c, out)| {
-                let base = c * chunk;
-                for (t, o) in out.iter_mut().enumerate() {
-                    let idx = base + t;
-                    let du = gradient_at(u, x, y, z, d, idx);
-                    let dv = gradient_at(v, x, y, z, d, idx);
-                    let dw = gradient_at(w, x, y, z, d, idx);
-                    let wx = dw[1] - dv[2];
-                    let wy = du[2] - dw[0];
-                    let wz = dv[0] - du[1];
-                    *o = (wx * wx + wy * wy + wz * wz).sqrt();
-                }
-            });
+        for_jacobian_blocks(args, |[du, dv, dw], out| {
+            for (t, o) in out.iter_mut().enumerate() {
+                let wx = dw[1][t] - dv[2][t];
+                let wy = du[2][t] - dw[0][t];
+                let wz = dv[0][t] - du[1][t];
+                *o = (wx * wx + wy * wy + wz * wz).sqrt();
+            }
+        });
     }
 }
 
@@ -115,35 +135,23 @@ impl DeviceKernel for QCritRef {
     }
 
     fn run(&self, args: KernelArgs<'_>) {
-        let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
-        let (u, v, w) = (args.inputs[0], args.inputs[1], args.inputs[2]);
-        let d = Dims3::from_buffer(args.inputs[3]);
-        let (x, y, z) = (args.inputs[4], args.inputs[5], args.inputs[6]);
-        args.output[..args.n]
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(c, out)| {
-                let base = c * chunk;
-                for (t, o) in out.iter_mut().enumerate() {
-                    let idx = base + t;
-                    let du = gradient_at(u, x, y, z, d, idx);
-                    let dv = gradient_at(v, x, y, z, d, idx);
-                    let dw = gradient_at(w, x, y, z, d, idx);
-                    // S = ½(J + Jᵀ), Ω = ½(J − Jᵀ); Q = ½(‖Ω‖² − ‖S‖²).
-                    let s1 = 0.5 * (du[1] + dv[0]);
-                    let s2 = 0.5 * (du[2] + dw[0]);
-                    let s5 = 0.5 * (dv[2] + dw[1]);
-                    let w1 = 0.5 * (du[1] - dv[0]);
-                    let w2 = 0.5 * (du[2] - dw[0]);
-                    let w5 = 0.5 * (dv[2] - dw[1]);
-                    let s_norm = du[0] * du[0]
-                        + dv[1] * dv[1]
-                        + dw[2] * dw[2]
-                        + 2.0 * (s1 * s1 + s2 * s2 + s5 * s5);
-                    let w_norm = 2.0 * (w1 * w1 + w2 * w2 + w5 * w5);
-                    *o = 0.5 * (w_norm - s_norm);
-                }
-            });
+        for_jacobian_blocks(args, |[du, dv, dw], out| {
+            for (t, o) in out.iter_mut().enumerate() {
+                // S = ½(J + Jᵀ), Ω = ½(J − Jᵀ); Q = ½(‖Ω‖² − ‖S‖²).
+                let s1 = 0.5 * (du[1][t] + dv[0][t]);
+                let s2 = 0.5 * (du[2][t] + dw[0][t]);
+                let s5 = 0.5 * (dv[2][t] + dw[1][t]);
+                let w1 = 0.5 * (du[1][t] - dv[0][t]);
+                let w2 = 0.5 * (du[2][t] - dw[0][t]);
+                let w5 = 0.5 * (dv[2][t] - dw[1][t]);
+                let s_norm = du[0][t] * du[0][t]
+                    + dv[1][t] * dv[1][t]
+                    + dw[2][t] * dw[2][t]
+                    + 2.0 * (s1 * s1 + s2 * s2 + s5 * s5);
+                let w_norm = 2.0 * (w1 * w1 + w2 * w2 + w5 * w5);
+                *o = 0.5 * (w_norm - s_norm);
+            }
+        });
     }
 }
 
