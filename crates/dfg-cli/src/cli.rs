@@ -1031,45 +1031,35 @@ fn cmd_parse(args: &Args) -> Result<(), String> {
 
 /// Print the shared building-block library (§III-B.3): every primitive's
 /// OpenCL source, written once and reused by all execution strategies.
-fn cmd_kernels() {
+/// The `kernels` listing: one building block per scalar kind of the
+/// operation table, then the non-scalar shapes.
+fn kernels_listing() -> String {
     use dfg_kernels::{BinKind, Primitive, UnKind};
-    let prims: Vec<Primitive> = vec![
-        Primitive::Bin(BinKind::Add),
-        Primitive::Bin(BinKind::Sub),
-        Primitive::Bin(BinKind::Mul),
-        Primitive::Bin(BinKind::Div),
-        Primitive::Bin(BinKind::Min),
-        Primitive::Bin(BinKind::Max),
-        Primitive::Bin(BinKind::Pow),
-        Primitive::Bin(BinKind::Atan2),
-        Primitive::Bin(BinKind::And),
-        Primitive::Bin(BinKind::Or),
-        Primitive::Un(UnKind::Neg),
-        Primitive::Un(UnKind::Sqrt),
-        Primitive::Un(UnKind::Abs),
-        Primitive::Un(UnKind::Sin),
-        Primitive::Un(UnKind::Cos),
-        Primitive::Un(UnKind::Tan),
-        Primitive::Un(UnKind::Exp),
-        Primitive::Un(UnKind::Log),
-        Primitive::Un(UnKind::Not),
-        Primitive::Select,
-        Primitive::Compose3,
-        Primitive::Decompose(0),
-        Primitive::Norm3,
-        Primitive::Dot3,
-        Primitive::Cross3,
-        Primitive::Grad3d,
-    ];
-    println!(
-        "the shared derived-field building-block library ({} primitives):",
+    let prims: Vec<Primitive> = (BinKind::ALL.into_iter().map(Primitive::Bin))
+        .chain(UnKind::ALL.into_iter().map(Primitive::Un))
+        .chain([
+            Primitive::Select,
+            Primitive::Compose3,
+            Primitive::Decompose(0),
+            Primitive::Norm3,
+            Primitive::Dot3,
+            Primitive::Cross3,
+            Primitive::Grad3d,
+        ])
+        .collect();
+    let mut out = format!(
+        "the shared derived-field building-block library ({} primitives):\n\n",
         prims.len()
     );
-    println!();
     for p in prims {
-        println!("{}", p.opencl_source());
-        println!();
+        out.push_str(&p.opencl_source());
+        out.push_str("\n\n");
     }
+    out
+}
+
+fn cmd_kernels() {
+    print!("{}", kernels_listing());
 }
 
 fn cmd_info() {
@@ -1484,6 +1474,18 @@ mod tests {
     #[test]
     fn kernels_subcommand_prints_library() {
         dispatch(&strs(&["kernels"])).unwrap();
+        // One `dfg_<name>` building block per kind of the operation table,
+        // and the headline count is the number of blocks printed.
+        use dfg_kernels::{BinKind, UnKind};
+        let listing = kernels_listing();
+        let names =
+            (BinKind::ALL.iter().map(|k| k.name())).chain(UnKind::ALL.iter().map(|k| k.name()));
+        for name in names {
+            let block = format!(" dfg_{name}(");
+            assert_eq!(listing.matches(&block).count(), 1, "{name}");
+        }
+        let printed = listing.matches(" dfg_").count();
+        assert!(listing.contains(&format!("({printed} primitives)")));
     }
 
     #[test]

@@ -187,6 +187,30 @@ fn fast_tier_rewrites_sqrt_square_within_ulp_budget() {
     }
 }
 
+/// `min`/`max` are order-sensitive on signed zeros (`min(-0.0, 0.0)` and
+/// `min(0.0, -0.0)` may differ in the sign bit), so CSE must not sort their
+/// operands the way it sorts `+`'s: on a field set of `±0.0` pairs every
+/// bit-exact level returns the unoptimized bits under every strategy.
+#[test]
+fn min_max_keep_operand_order_on_signed_zeros() {
+    // `a` numbers `u` before `v`, so sorting `min(v, u)` would swap it.
+    let sources = ["a = u + v\nr = min(v, u)", "a = u + v\nr = max(v, u)"];
+    let mut fields = FieldSet::new(4);
+    let (u, v) = (vec![-0.0, 0.0, -0.0, 1.0], vec![0.0, -0.0, -0.0, -1.0]);
+    fields.insert_scalar("u", u).unwrap();
+    fields.insert_scalar("v", v).unwrap();
+
+    let mut reference = engine_at(ExecMode::Real, OptLevel::Off);
+    for level in [OptLevel::Cse, OptLevel::Default] {
+        let mut optimized = engine_at(ExecMode::Real, level);
+        for (src, strategy) in sources.iter().flat_map(|s| Strategy::ALL.map(|st| (s, st))) {
+            let want = bits(&reference.derive(src, &fields, strategy).unwrap());
+            let got = bits(&optimized.derive(src, &fields, strategy).unwrap());
+            assert_eq!(want, got, "`{src}` under {strategy} at {}", level.name());
+        }
+    }
+}
+
 /// Q-criterion regression (the issue's acceptance bar): at `Default` the
 /// optimized network has strictly fewer filters, and fusion + staged launch
 /// strictly fewer kernels/transfers, with bit-identical output.

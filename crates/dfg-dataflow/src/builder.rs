@@ -73,13 +73,15 @@ impl NetworkBuilder {
     }
 
     /// Add a unary filter.
-    pub fn unary(&mut self, op: FilterOp, a: NodeId) -> NodeId {
+    pub fn unary(&mut self, op: impl Into<FilterOp>, a: NodeId) -> NodeId {
+        let op = op.into();
         debug_assert_eq!(op.arity().0, 1, "unary() with non-unary op {op}");
         self.push(FilterNode::new(op, vec![a]))
     }
 
     /// Add a binary filter.
-    pub fn binary(&mut self, op: FilterOp, a: NodeId, b: NodeId) -> NodeId {
+    pub fn binary(&mut self, op: impl Into<FilterOp>, a: NodeId, b: NodeId) -> NodeId {
+        let op = op.into();
         debug_assert_eq!(op.arity().0, 2, "binary() with non-binary op {op}");
         self.push(FilterNode::new(op, vec![a, b]))
     }
@@ -146,6 +148,7 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{BinKind, UnKind};
 
     #[test]
     fn inputs_are_deduplicated() {
@@ -196,8 +199,8 @@ mod tests {
         // Limited CSE: `u*u` twice produces two mult filters.
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let m1 = b.binary(FilterOp::Mul, u, u);
-        let m2 = b.binary(FilterOp::Mul, u, u);
+        let m1 = b.binary(BinKind::Mul, u, u);
+        let m2 = b.binary(BinKind::Mul, u, u);
         assert_ne!(m1, m2);
     }
 
@@ -205,7 +208,7 @@ mod tests {
     fn finish_and_name() {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let s = b.unary(FilterOp::Sqrt, u);
+        let s = b.unary(UnKind::Sqrt, u);
         b.name(s, "root_u");
         let spec = b.finish(s);
         assert_eq!(spec.result, s);

@@ -1,7 +1,7 @@
 //! Small reference networks used by tests, documentation, and the Figure 2
 //! benchmark harness.
 
-use crate::op::FilterOp;
+use crate::op::{BinKind, FilterOp, UnKind};
 use crate::{NetworkBuilder, NetworkSpec};
 
 /// The example network of the paper's Figure 2: two independent binary
@@ -25,9 +25,9 @@ pub fn fig2_example() -> NetworkSpec {
     let bb = b.input("b");
     let c = b.input("c");
     let d = b.input("d");
-    let f1 = b.binary(FilterOp::Add, a, bb);
-    let f2 = b.binary(FilterOp::Mul, c, d);
-    let f3 = b.binary(FilterOp::Sub, f1, f2);
+    let f1 = b.binary(BinKind::Add, a, bb);
+    let f2 = b.binary(BinKind::Mul, c, d);
+    let f3 = b.binary(BinKind::Sub, f1, f2);
     b.name(f3, "out");
     b.finish(f3)
 }
@@ -37,12 +37,12 @@ pub fn fig2_example() -> NetworkSpec {
 pub fn velmag_example() -> NetworkSpec {
     let mut b = NetworkBuilder::new();
     let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
-    let m1 = b.binary(FilterOp::Mul, u, u);
-    let m2 = b.binary(FilterOp::Mul, v, v);
-    let m3 = b.binary(FilterOp::Mul, w, w);
-    let a1 = b.binary(FilterOp::Add, m1, m2);
-    let a2 = b.binary(FilterOp::Add, a1, m3);
-    let s = b.unary(FilterOp::Sqrt, a2);
+    let m1 = b.binary(BinKind::Mul, u, u);
+    let m2 = b.binary(BinKind::Mul, v, v);
+    let m3 = b.binary(BinKind::Mul, w, w);
+    let a1 = b.binary(BinKind::Add, m1, m2);
+    let a2 = b.binary(BinKind::Add, a1, m3);
+    let s = b.unary(UnKind::Sqrt, a2);
     b.name(s, "v_mag");
     b.finish(s)
 }

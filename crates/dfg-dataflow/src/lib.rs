@@ -11,6 +11,9 @@
 //! host-provided input fields ([`FilterOp::Input`]) and constants
 //! ([`FilterOp::Const`]); every other node is a filter drawn from the shared
 //! primitive library. The network's single sink is [`NetworkSpec::result`].
+//! The scalar primitives ([`BinKind`], [`UnKind`]) are defined here once —
+//! metadata *and* arithmetic — and every other layer (optimizer, kernel
+//! library, front end, CLI) reads that table.
 //!
 //! The crate provides:
 //!
@@ -26,16 +29,16 @@
 //!   paper's optional generated Python script that "outlines all API calls".
 //!
 //! ```
-//! use dfg_dataflow::{memreq_units, FilterOp, NetworkBuilder, Schedule, Strategy};
+//! use dfg_dataflow::{memreq_units, BinKind, NetworkBuilder, Schedule, Strategy, UnKind};
 //!
 //! // speed2d = sqrt(u*u + v*v), built through the create-and-connect API.
 //! let mut b = NetworkBuilder::new();
 //! let u = b.input("u");
 //! let v = b.input("v");
-//! let uu = b.binary(FilterOp::Mul, u, u);
-//! let vv = b.binary(FilterOp::Mul, v, v);
-//! let sum = b.binary(FilterOp::Add, uu, vv);
-//! let out = b.unary(FilterOp::Sqrt, sum);
+//! let uu = b.binary(BinKind::Mul, u, u);
+//! let vv = b.binary(BinKind::Mul, v, v);
+//! let sum = b.binary(BinKind::Add, uu, vv);
+//! let out = b.unary(UnKind::Sqrt, sum);
 //! let spec = b.finish(out);
 //!
 //! let sched = Schedule::new(&spec).unwrap();
@@ -56,7 +59,7 @@ pub mod example_networks;
 
 pub use builder::NetworkBuilder;
 pub use memreq::{memreq_bytes, memreq_units, MemReport};
-pub use op::{Arity, FilterOp, Width};
+pub use op::{select, Arity, BinKind, FilterOp, UnKind, Width};
 pub use optimize::{
     canonical_hash, eval_scalar, merge_networks, merge_networks_traced, optimize, optimize_traced,
     Merged, OptLevel, OptStats, Optimized,

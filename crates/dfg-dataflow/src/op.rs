@@ -1,10 +1,21 @@
-//! Filter operations and their static metadata.
+//! The operation table: filter operations, their static metadata and — for
+//! the scalar primitives — their arithmetic.
 //!
 //! Each variant corresponds to one primitive from the shared building-block
-//! library (§III-B.3). The metadata here (arity, result width, FLOP cost) is
+//! library (§III-B.3), *"written once and shared by all execution
+//! strategies"*. The metadata here (arity, result width, FLOP cost, name) is
 //! the Rust analogue of the paper's *"minimal metadata to describe global
 //! memory requirements and the return type"* attached to each OpenCL source
 //! function.
+//!
+//! [`BinKind`] and [`UnKind`] are the single definition of a scalar
+//! primitive: `eval` is the arithmetic the standalone kernels, the fused
+//! executor and the constant folder all call, so "a folded network is
+//! bit-identical to the device" holds because there is one function, not
+//! because two copies are tested against each other. Adding a scalar
+//! primitive is one enum row (variant, `ALL`, `name`, `flops`, `source_expr`)
+//! and one `eval` arm in this file, plus a spelling in `dfg-expr`'s call
+//! table if the expression language should reach it.
 
 /// Number of input ports a filter exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +58,284 @@ impl Width {
     }
 }
 
+/// Scalar binary operations: one row here is the whole definition of the
+/// primitive — the standalone kernel, the fused executor, the constant
+/// folder, the generated source and the cost model all read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinKind {
+    /// `a + b`
+    Add,
+    /// `a - b`
+    Sub,
+    /// `a * b`
+    Mul,
+    /// `a / b`
+    Div,
+    /// `min(a, b)`
+    Min,
+    /// `max(a, b)`
+    Max,
+    /// `a < b` as 1.0/0.0
+    Lt,
+    /// `a > b` as 1.0/0.0
+    Gt,
+    /// `a <= b` as 1.0/0.0
+    Le,
+    /// `a >= b` as 1.0/0.0
+    Ge,
+    /// `a == b` as 1.0/0.0
+    Eq,
+    /// `a != b` as 1.0/0.0
+    Ne,
+    /// `a^b`
+    Pow,
+    /// `atan2(a, b)`
+    Atan2,
+    /// logical AND (nonzero ⇒ true)
+    And,
+    /// logical OR
+    Or,
+}
+
+impl BinKind {
+    /// Every binary kind, in declaration order.
+    pub const ALL: [BinKind; 16] = {
+        use BinKind::*;
+        [
+            Add, Sub, Mul, Div, Min, Max, Lt, Gt, Le, Ge, Eq, Ne, Pow, Atan2, And, Or,
+        ]
+    };
+
+    /// The one spelling of this kind: the standalone kernel's event label,
+    /// the `dfg_<name>` building-block function and the dataflow filter's
+    /// label (except Fig 4's `mult`, see [`FilterOp::kernel_name`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            BinKind::Add => "add",
+            BinKind::Sub => "sub",
+            BinKind::Mul => "mul",
+            BinKind::Div => "div",
+            BinKind::Min => "min",
+            BinKind::Max => "max",
+            BinKind::Lt => "lt",
+            BinKind::Gt => "gt",
+            BinKind::Le => "le",
+            BinKind::Ge => "ge",
+            BinKind::Eq => "eq",
+            BinKind::Ne => "ne",
+            BinKind::Pow => "pow",
+            BinKind::Atan2 => "atan2",
+            BinKind::And => "and",
+            BinKind::Or => "or",
+        }
+    }
+
+    /// Approximate floating-point operations per element, for the device
+    /// performance model.
+    pub fn flops(self) -> u64 {
+        match self {
+            BinKind::Pow | BinKind::Atan2 => 12,
+            _ => 1,
+        }
+    }
+
+    /// Whether swapping the operands leaves every result bit unchanged (for
+    /// non-NaN inputs), so CSE may sort them. `Min`/`Max` are *not*:
+    /// `min(-0.0, 0.0)` and `min(0.0, -0.0)` may differ in the sign bit.
+    pub fn commutative(self) -> bool {
+        use BinKind::*;
+        matches!(self, Add | Mul | Eq | Ne | And | Or)
+    }
+
+    /// Apply the operation.
+    #[inline]
+    pub fn eval(self, a: f32, b: f32) -> f32 {
+        match self {
+            BinKind::Add => a + b,
+            BinKind::Sub => a - b,
+            BinKind::Mul => a * b,
+            BinKind::Div => a / b,
+            BinKind::Min => a.min(b),
+            BinKind::Max => a.max(b),
+            BinKind::Lt => f32::from(a < b),
+            BinKind::Gt => f32::from(a > b),
+            BinKind::Le => f32::from(a <= b),
+            BinKind::Ge => f32::from(a >= b),
+            BinKind::Eq => f32::from(a == b),
+            BinKind::Ne => f32::from(a != b),
+            BinKind::Pow => a.powf(b),
+            BinKind::Atan2 => a.atan2(b),
+            BinKind::And => f32::from(a != 0.0 && b != 0.0),
+            BinKind::Or => f32::from(a != 0.0 || b != 0.0),
+        }
+    }
+
+    /// [`BinKind::eval`] over slices: `out[t] = eval(a[t], b[t])` for every
+    /// lane of `out`. The kind is matched once, outside the loop, and each
+    /// arm is its own monomorphized slice loop the compiler can vectorize;
+    /// the standalone primitive and the fused executor both run this.
+    ///
+    /// # Panics
+    /// Panics if an operand is shorter than `out`.
+    pub fn apply(self, out: &mut [f32], a: &[f32], b: &[f32]) {
+        let (a, b) = (&a[..out.len()], &b[..out.len()]);
+        macro_rules! per_kind {
+            ($($kind:ident)*) => {
+                match self {
+                    $(BinKind::$kind => {
+                        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                            *o = BinKind::$kind.eval(a, b);
+                        }
+                    })*
+                }
+            };
+        }
+        per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
+    }
+
+    /// C-style operator/function text for generated kernel source.
+    pub fn source_expr(self, a: &str, b: &str) -> String {
+        match self {
+            BinKind::Add => format!("{a} + {b}"),
+            BinKind::Sub => format!("{a} - {b}"),
+            BinKind::Mul => format!("{a} * {b}"),
+            BinKind::Div => format!("{a} / {b}"),
+            BinKind::Min => format!("fmin({a}, {b})"),
+            BinKind::Max => format!("fmax({a}, {b})"),
+            BinKind::Lt => format!("({a} < {b}) ? 1.0f : 0.0f"),
+            BinKind::Gt => format!("({a} > {b}) ? 1.0f : 0.0f"),
+            BinKind::Le => format!("({a} <= {b}) ? 1.0f : 0.0f"),
+            BinKind::Ge => format!("({a} >= {b}) ? 1.0f : 0.0f"),
+            BinKind::Eq => format!("({a} == {b}) ? 1.0f : 0.0f"),
+            BinKind::Ne => format!("({a} != {b}) ? 1.0f : 0.0f"),
+            BinKind::Pow => format!("pow({a}, {b})"),
+            BinKind::Atan2 => format!("atan2({a}, {b})"),
+            BinKind::And => format!("({a} != 0.0f && {b} != 0.0f) ? 1.0f : 0.0f"),
+            BinKind::Or => format!("({a} != 0.0f || {b} != 0.0f) ? 1.0f : 0.0f"),
+        }
+    }
+}
+
+/// Scalar unary operations, defined here once like [`BinKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnKind {
+    /// `-a`
+    Neg,
+    /// `sqrt(a)`
+    Sqrt,
+    /// `|a|`
+    Abs,
+    /// `sin(a)`
+    Sin,
+    /// `cos(a)`
+    Cos,
+    /// `tan(a)`
+    Tan,
+    /// `exp(a)`
+    Exp,
+    /// `ln(a)`
+    Log,
+    /// logical NOT
+    Not,
+}
+
+impl UnKind {
+    /// Every unary kind, in declaration order.
+    pub const ALL: [UnKind; 9] = {
+        use UnKind::*;
+        [Neg, Sqrt, Abs, Sin, Cos, Tan, Exp, Log, Not]
+    };
+
+    /// The one spelling of this kind (see [`BinKind::name`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            UnKind::Neg => "neg",
+            UnKind::Sqrt => "sqrt",
+            UnKind::Abs => "abs",
+            UnKind::Sin => "sin",
+            UnKind::Cos => "cos",
+            UnKind::Tan => "tan",
+            UnKind::Exp => "exp",
+            UnKind::Log => "log",
+            UnKind::Not => "not",
+        }
+    }
+
+    /// Approximate floating-point operations per element.
+    pub fn flops(self) -> u64 {
+        match self {
+            UnKind::Neg | UnKind::Abs | UnKind::Not => 1,
+            UnKind::Sqrt => 4,
+            UnKind::Sin | UnKind::Cos | UnKind::Tan | UnKind::Exp | UnKind::Log => 8,
+        }
+    }
+
+    /// Apply the operation.
+    #[inline]
+    pub fn eval(self, a: f32) -> f32 {
+        match self {
+            UnKind::Neg => -a,
+            UnKind::Sqrt => a.sqrt(),
+            UnKind::Abs => a.abs(),
+            UnKind::Sin => a.sin(),
+            UnKind::Cos => a.cos(),
+            UnKind::Tan => a.tan(),
+            UnKind::Exp => a.exp(),
+            UnKind::Log => a.ln(),
+            UnKind::Not => f32::from(a == 0.0),
+        }
+    }
+
+    /// [`UnKind::eval`] over slices, matched once outside the loop like
+    /// [`BinKind::apply`].
+    ///
+    /// # Panics
+    /// Panics if `a` is shorter than `out`.
+    pub fn apply(self, out: &mut [f32], a: &[f32]) {
+        let a = &a[..out.len()];
+        macro_rules! per_kind {
+            ($($kind:ident)*) => {
+                match self {
+                    $(UnKind::$kind => {
+                        for (o, &a) in out.iter_mut().zip(a) {
+                            *o = UnKind::$kind.eval(a);
+                        }
+                    })*
+                }
+            };
+        }
+        per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
+    }
+
+    /// C-style source text.
+    pub fn source_expr(self, a: &str) -> String {
+        match self {
+            UnKind::Neg => format!("-{a}"),
+            UnKind::Sqrt => format!("sqrt({a})"),
+            UnKind::Abs => format!("fabs({a})"),
+            UnKind::Sin => format!("sin({a})"),
+            UnKind::Cos => format!("cos({a})"),
+            UnKind::Tan => format!("tan({a})"),
+            UnKind::Exp => format!("exp({a})"),
+            UnKind::Log => format!("log({a})"),
+            UnKind::Not => format!("({a} == 0.0f) ? 1.0f : 0.0f"),
+        }
+    }
+}
+
+/// `select(c, a, b)`: `a` where the condition is nonzero, else `b` — the
+/// arithmetic of [`FilterOp::Select`] for the standalone kernel, the fused
+/// executor and the constant folder alike (which also picks the taken
+/// *branch* of a constant-condition select with it, hence the generic).
+#[inline]
+pub fn select<T>(c: f32, a: T, b: T) -> T {
+    if c != 0.0 {
+        a
+    } else {
+        b
+    }
+}
+
 /// A dataflow filter (or source) operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FilterOp {
@@ -60,59 +349,13 @@ pub enum FilterOp {
     /// Source: a scalar constant. Deduplicated during lowering ("common
     /// constants are reduced to single instances of source filters").
     Const(f32),
-    /// Elementwise addition.
-    Add,
-    /// Elementwise subtraction.
-    Sub,
-    /// Elementwise multiplication.
-    Mul,
-    /// Elementwise division.
-    Div,
-    /// Elementwise minimum of two fields.
-    Min2,
-    /// Elementwise maximum of two fields.
-    Max2,
-    /// Elementwise `<` comparison producing 1.0 / 0.0.
-    Lt,
-    /// Elementwise `>` comparison producing 1.0 / 0.0.
-    Gt,
-    /// Elementwise `<=` comparison producing 1.0 / 0.0.
-    Le,
-    /// Elementwise `>=` comparison producing 1.0 / 0.0.
-    Ge,
-    /// Elementwise `==` comparison producing 1.0 / 0.0.
-    EqOp,
-    /// Elementwise `!=` comparison producing 1.0 / 0.0.
-    Ne,
+    /// Elementwise scalar binary operation.
+    Bin(BinKind),
+    /// Elementwise scalar unary operation.
+    Un(UnKind),
     /// `select(cond, a, b)` — elementwise conditional, the dataflow form of
     /// the `if … then … else` expression from §I of the paper.
     Select,
-    /// Elementwise negation.
-    Neg,
-    /// Elementwise square root.
-    Sqrt,
-    /// Elementwise absolute value.
-    Abs,
-    /// Elementwise sine.
-    Sin,
-    /// Elementwise cosine.
-    Cos,
-    /// Elementwise tangent.
-    Tan,
-    /// Elementwise natural exponential.
-    Exp,
-    /// Elementwise natural logarithm.
-    Log,
-    /// Elementwise power `a^b`.
-    Pow,
-    /// Elementwise `atan2(y, x)`.
-    Atan2,
-    /// Elementwise logical AND (nonzero ⇒ true) producing 1.0/0.0.
-    And,
-    /// Elementwise logical OR producing 1.0/0.0.
-    Or,
-    /// Elementwise logical NOT producing 1.0/0.0.
-    Not,
     /// Pack three scalar fields into a `Vec4` vector field
     /// (the expression language's `vector(a, b, c)`).
     Compose3,
@@ -131,15 +374,26 @@ pub enum FilterOp {
     Cross3,
 }
 
+impl From<BinKind> for FilterOp {
+    fn from(k: BinKind) -> Self {
+        FilterOp::Bin(k)
+    }
+}
+
+impl From<UnKind> for FilterOp {
+    fn from(k: UnKind) -> Self {
+        FilterOp::Un(k)
+    }
+}
+
 impl FilterOp {
     /// Number of input ports.
     pub fn arity(&self) -> Arity {
         use FilterOp::*;
         Arity(match self {
             Input { .. } | Const(_) => 0,
-            Neg | Sqrt | Abs | Sin | Cos | Tan | Exp | Log | Not | Decompose(_) | Norm3 => 1,
-            Add | Sub | Mul | Div | Min2 | Max2 | Lt | Gt | Le | Ge | EqOp | Ne | Pow | Atan2
-            | And | Or | Dot3 | Cross3 => 2,
+            Un(_) | Decompose(_) | Norm3 => 1,
+            Bin(_) | Dot3 | Cross3 => 2,
             Select | Compose3 => 3,
             Grad3d => 5,
         })
@@ -161,16 +415,15 @@ impl FilterOp {
     }
 
     /// Approximate floating-point operations per mesh element, used by the
-    /// device performance model.
+    /// device performance model — for the fused kernel and, through
+    /// `Primitive::cost`, for every standalone kernel.
     pub fn flops_per_elem(&self) -> u64 {
         use FilterOp::*;
         match self {
             Input { .. } | Const(_) | Decompose(_) => 0,
-            Add | Sub | Mul | Div | Min2 | Max2 | Lt | Gt | Le | Ge | EqOp | Ne | Neg | Abs
-            | Select | Compose3 | And | Or | Not => 1,
-            Sqrt => 4,
-            Sin | Cos | Tan | Exp | Log => 8,
-            Pow | Atan2 => 12,
+            Bin(k) => k.flops(),
+            Un(k) => k.flops(),
+            Select | Compose3 => 1,
             Norm3 => 9,
             Dot3 => 5,
             Cross3 => 9,
@@ -187,32 +440,11 @@ impl FilterOp {
         match self {
             Input { name, .. } => format!("input_{name}"),
             Const(v) => format!("const_{v}"),
-            Add => "add".into(),
-            Sub => "sub".into(),
-            Mul => "mult".into(),
-            Div => "div".into(),
-            Min2 => "min".into(),
-            Max2 => "max".into(),
-            Lt => "lt".into(),
-            Gt => "gt".into(),
-            Le => "le".into(),
-            Ge => "ge".into(),
-            EqOp => "eq".into(),
-            Ne => "ne".into(),
+            // Fig 4 of the paper labels the multiply filter `mult`.
+            Bin(BinKind::Mul) => "mult".into(),
+            Bin(k) => k.name().into(),
+            Un(k) => k.name().into(),
             Select => "select".into(),
-            Neg => "neg".into(),
-            Sqrt => "sqrt".into(),
-            Abs => "abs".into(),
-            Sin => "sin".into(),
-            Cos => "cos".into(),
-            Tan => "tan".into(),
-            Exp => "exp".into(),
-            Log => "log".into(),
-            Pow => "pow".into(),
-            Atan2 => "atan2".into(),
-            And => "and".into(),
-            Or => "or".into(),
-            Not => "not".into(),
             Compose3 => "vector".into(),
             Decompose(i) => format!("decompose_s{i}"),
             Grad3d => "grad3d".into(),
@@ -233,10 +465,103 @@ impl std::fmt::Display for FilterOp {
 mod tests {
     use super::*;
 
+    /// `ALL` lists every variant: the wildcard-free matches stop compiling
+    /// when a variant is added, and once it is counted there the length and
+    /// discriminant checks fail until `ALL` lists it too.
+    #[test]
+    fn all_is_exhaustive_and_names_are_unique() {
+        let bin_variants = |k: BinKind| {
+            use BinKind::*;
+            match k {
+                Add | Sub | Mul | Div | Min | Max | Lt | Gt | Le | Ge | Eq | Ne | Pow | Atan2
+                | And | Or => 16,
+            }
+        };
+        let un_variants = |k: UnKind| {
+            use UnKind::*;
+            match k {
+                Neg | Sqrt | Abs | Sin | Cos | Tan | Exp | Log | Not => 9,
+            }
+        };
+        for (i, k) in BinKind::ALL.into_iter().enumerate() {
+            assert_eq!((k as usize, BinKind::ALL.len()), (i, bin_variants(k)));
+        }
+        for (i, k) in UnKind::ALL.into_iter().enumerate() {
+            assert_eq!((k as usize, UnKind::ALL.len()), (i, un_variants(k)));
+        }
+
+        // `name` is what kernels are called, `kernel_name` what CSE keys on.
+        let distinct = |mut v: Vec<String>| {
+            let n = v.len();
+            v.sort_unstable();
+            v.dedup();
+            v.len() == n
+        };
+        let non_scalar = ["select", "vector", "grad3d", "norm", "dot", "cross"].map(String::from);
+        let bins = BinKind::ALL.iter().map(|k| k.name());
+        let names = bins.chain(UnKind::ALL.iter().map(|k| k.name()));
+        assert!(distinct(
+            names.map(String::from).chain(non_scalar.clone()).collect()
+        ));
+        let labels = scalar_ops().map(|op| op.kernel_name());
+        assert!(distinct(labels.chain(non_scalar).collect()));
+    }
+
+    fn scalar_ops() -> impl Iterator<Item = FilterOp> {
+        let bins = BinKind::ALL.into_iter().map(FilterOp::from);
+        bins.chain(UnKind::ALL.into_iter().map(FilterOp::from))
+    }
+
+    /// For every scalar kind, a node with `arity()` scalar inputs validates
+    /// and yields `width()`; a vector on any port is a width error.
+    #[test]
+    fn arity_and_width_agree_with_validation_for_every_kind() {
+        use crate::{NetworkBuilder, NetworkError};
+        for op in scalar_ops() {
+            let arity = op.arity().0;
+            assert_eq!(op.width(), Width::Scalar, "{op}");
+            for vector_port in [None].into_iter().chain((0..arity).map(Some)) {
+                let mut b = NetworkBuilder::new();
+                let u = b.input("u");
+                let vec = b.compose3(u, u, u);
+                let port = |p: usize| if Some(p) == vector_port { vec } else { u };
+                let node = match arity {
+                    1 => b.unary(op.clone(), port(0)),
+                    _ => b.binary(op.clone(), port(0), port(1)),
+                };
+                let verdict = b.finish(node).validate();
+                match vector_port {
+                    None => assert_eq!(verdict, Ok(()), "{op}"),
+                    Some(_) => assert!(
+                        matches!(verdict, Err(NetworkError::WidthMismatch { .. })),
+                        "{op} accepted a vector on port {vector_port:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The `commutative` column is true — swapped operands give the same
+    /// bits, signed zeros included (which is why `Min`/`Max` are not in it).
+    #[test]
+    fn commutative_kinds_commute_bit_for_bit() {
+        let vals = [0.0f32, -0.0, 1.0, -2.5, f32::INFINITY, f32::MIN_POSITIVE];
+        for k in BinKind::ALL.into_iter().filter(|k| k.commutative()) {
+            for (a, b) in vals.iter().flat_map(|&a| vals.map(|b| (a, b))) {
+                let (ab, ba) = (k.eval(a, b), k.eval(b, a));
+                assert!(
+                    ab.to_bits() == ba.to_bits() || ab.is_nan(),
+                    "{k:?}({a}, {b})"
+                );
+            }
+        }
+        assert!(!BinKind::Min.commutative() && !BinKind::Max.commutative());
+    }
+
     #[test]
     fn arity_matches_semantics() {
-        assert_eq!(FilterOp::Add.arity(), Arity(2));
-        assert_eq!(FilterOp::Sqrt.arity(), Arity(1));
+        assert_eq!(FilterOp::from(BinKind::Add).arity(), Arity(2));
+        assert_eq!(FilterOp::from(UnKind::Sqrt).arity(), Arity(1));
         assert_eq!(FilterOp::Select.arity(), Arity(3));
         assert_eq!(FilterOp::Grad3d.arity(), Arity(5));
         assert_eq!(FilterOp::Const(1.0).arity(), Arity(0));
@@ -254,7 +579,7 @@ mod tests {
     fn widths() {
         assert_eq!(FilterOp::Grad3d.width(), Width::Vec4);
         assert_eq!(FilterOp::Cross3.width(), Width::Vec4);
-        assert_eq!(FilterOp::Add.width(), Width::Scalar);
+        assert_eq!(FilterOp::from(BinKind::Add).width(), Width::Scalar);
         assert_eq!(
             FilterOp::Input {
                 name: "dims".into(),
@@ -282,7 +607,9 @@ mod tests {
 
     #[test]
     fn kernel_names_are_stable() {
-        assert_eq!(FilterOp::Mul.kernel_name(), "mult");
+        assert_eq!(FilterOp::from(BinKind::Mul).kernel_name(), "mult");
+        assert_eq!(BinKind::Mul.name(), "mul");
+        assert_eq!(FilterOp::from(BinKind::Eq).kernel_name(), "eq");
         assert_eq!(FilterOp::Decompose(2).kernel_name(), "decompose_s2");
         assert_eq!(FilterOp::Grad3d.kernel_name(), "grad3d");
     }

@@ -10,19 +10,9 @@ use crate::spec::{NetworkSpec, NodeId};
 use super::{PassOut, Rebuild};
 
 /// Operations whose operand order does not affect the result (bit-exactly,
-/// for non-NaN inputs).
+/// for non-NaN inputs): the table's [`crate::BinKind::commutative`] column.
 pub(crate) fn is_commutative(op: &FilterOp) -> bool {
-    matches!(
-        op,
-        FilterOp::Add
-            | FilterOp::Mul
-            | FilterOp::Min2
-            | FilterOp::Max2
-            | FilterOp::EqOp
-            | FilterOp::Ne
-            | FilterOp::And
-            | FilterOp::Or
-    )
+    matches!(op, FilterOp::Bin(k) if k.commutative())
 }
 
 /// Hashable identity of an operation for value numbering.

@@ -2,60 +2,29 @@
 //!
 //! Filters whose inputs are all constants are evaluated at network-build
 //! time, and `select` nodes with a constant condition collapse to the
-//! taken branch. Folding uses [`eval_scalar`], which mirrors the
-//! simulated device's per-element arithmetic operation for operation —
-//! both run the same host `f32` code in this reproduction — so folded
-//! networks execute bit-identically (a parity test in `dfg-kernels` pins
-//! the mirror to the primitive library).
+//! taken branch. Folding uses [`eval_scalar`], which calls the same `eval`
+//! functions of the operation table (`op.rs`) that the simulated device's
+//! kernels call per element, so folded networks execute bit-identically by
+//! construction.
 
 use std::collections::HashMap;
 
-use crate::op::FilterOp;
+use crate::op::{select, FilterOp};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::spec::{NetworkSpec, NodeId};
 
 use super::{PassOut, Rebuild};
 
-/// Evaluate one scalar filter over constant inputs, with exactly the
-/// arithmetic the device primitives use (`dfg-kernels`' `BinKind::eval` /
-/// `UnKind::eval` / `Select`). Returns `None` for sources and for
-/// vector-width operations (whose inputs can never all be scalar
-/// constants anyway).
+/// Evaluate one scalar filter over constant inputs by calling the
+/// arithmetic the device kernels call ([`crate::BinKind::eval`],
+/// [`crate::UnKind::eval`], [`select`]). Returns `None` for sources and for
+/// vector-width operations (whose inputs can never all be scalar constants
+/// anyway).
 pub fn eval_scalar(op: &FilterOp, args: &[f32]) -> Option<f32> {
-    use FilterOp::*;
     Some(match (op, args) {
-        (Add, [a, b]) => a + b,
-        (Sub, [a, b]) => a - b,
-        (Mul, [a, b]) => a * b,
-        (Div, [a, b]) => a / b,
-        (Min2, [a, b]) => a.min(*b),
-        (Max2, [a, b]) => a.max(*b),
-        (Lt, [a, b]) => f32::from(a < b),
-        (Gt, [a, b]) => f32::from(a > b),
-        (Le, [a, b]) => f32::from(a <= b),
-        (Ge, [a, b]) => f32::from(a >= b),
-        (EqOp, [a, b]) => f32::from(a == b),
-        (Ne, [a, b]) => f32::from(a != b),
-        (Pow, [a, b]) => a.powf(*b),
-        (Atan2, [a, b]) => a.atan2(*b),
-        (And, [a, b]) => f32::from(*a != 0.0 && *b != 0.0),
-        (Or, [a, b]) => f32::from(*a != 0.0 || *b != 0.0),
-        (Neg, [a]) => -a,
-        (Sqrt, [a]) => a.sqrt(),
-        (Abs, [a]) => a.abs(),
-        (Sin, [a]) => a.sin(),
-        (Cos, [a]) => a.cos(),
-        (Tan, [a]) => a.tan(),
-        (Exp, [a]) => a.exp(),
-        (Log, [a]) => a.ln(),
-        (Not, [a]) => f32::from(*a == 0.0),
-        (Select, [c, a, b]) => {
-            if *c != 0.0 {
-                *a
-            } else {
-                *b
-            }
-        }
+        (FilterOp::Bin(k), &[a, b]) => k.eval(a, b),
+        (FilterOp::Un(k), &[a]) => k.eval(a),
+        (FilterOp::Select, &[c, a, b]) => select(c, a, b),
         _ => return None,
     })
 }
@@ -91,7 +60,7 @@ pub(crate) fn run(spec: &NetworkSpec, roots: &[NodeId]) -> Result<PassOut, Sched
         // the chosen branch without evaluating the other.
         if matches!(node.op, FilterOp::Select) {
             if let Some(c) = const_of(inputs[0], &b) {
-                let taken = if c != 0.0 { inputs[1] } else { inputs[2] };
+                let taken = select(c, inputs[1], inputs[2]);
                 folded += 1;
                 let id = b.alias(node.name.as_deref(), taken);
                 remap.insert(old_id, id);

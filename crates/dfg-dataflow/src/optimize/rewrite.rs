@@ -49,10 +49,11 @@ const NEG_ZERO: u32 = 0x8000_0000; // -0.0f32
 const TWO: u32 = 0x4000_0000; // 2.0f32
 
 fn rule(nodes: &[FilterNode], op: &FilterOp, inputs: &[NodeId], fast: bool) -> Option<Action> {
-    use FilterOp::*;
+    use crate::op::{BinKind::*, UnKind::*};
+    use FilterOp::{Bin, Select, Un};
     let cbits = |i: usize| const_bits(nodes, inputs[i]);
     match op {
-        Mul => {
+        Bin(Mul) => {
             if cbits(1) == Some(ONE) {
                 return Some(Action::Alias(inputs[0]));
             }
@@ -61,15 +62,15 @@ fn rule(nodes: &[FilterNode], op: &FilterOp, inputs: &[NodeId], fast: bool) -> O
             }
             if fast && inputs[0] == inputs[1] {
                 // sqrt(x) * sqrt(x) → x
-                if let Sqrt = nodes[inputs[0].idx()].op {
+                if let Un(Sqrt) = nodes[inputs[0].idx()].op {
                     return Some(Action::Alias(nodes[inputs[0].idx()].inputs[0]));
                 }
             }
             None
         }
-        Div if cbits(1) == Some(ONE) => Some(Action::Alias(inputs[0])),
-        Sub if cbits(1) == Some(POS_ZERO) => Some(Action::Alias(inputs[0])),
-        Add => {
+        Bin(Div) if cbits(1) == Some(ONE) => Some(Action::Alias(inputs[0])),
+        Bin(Sub) if cbits(1) == Some(POS_ZERO) => Some(Action::Alias(inputs[0])),
+        Bin(Add) => {
             if cbits(1) == Some(NEG_ZERO) {
                 return Some(Action::Alias(inputs[0]));
             }
@@ -78,13 +79,13 @@ fn rule(nodes: &[FilterNode], op: &FilterOp, inputs: &[NodeId], fast: bool) -> O
             }
             None
         }
-        Neg => match nodes[inputs[0].idx()].op {
-            Neg => Some(Action::Alias(nodes[inputs[0].idx()].inputs[0])),
+        Un(Neg) => match nodes[inputs[0].idx()].op {
+            Un(Neg) => Some(Action::Alias(nodes[inputs[0].idx()].inputs[0])),
             _ => None,
         },
-        Abs => match nodes[inputs[0].idx()].op {
-            Abs => Some(Action::Alias(inputs[0])),
-            Mul if fast => {
+        Un(Abs) => match nodes[inputs[0].idx()].op {
+            Un(Abs) => Some(Action::Alias(inputs[0])),
+            Bin(Mul) if fast => {
                 // |x*x| → x*x: a same-node square is non-negative (and
                 // (-0.0)² == +0.0), differing only in NaN sign bits.
                 let m = &nodes[inputs[0].idx()];
@@ -96,22 +97,24 @@ fn rule(nodes: &[FilterNode], op: &FilterOp, inputs: &[NodeId], fast: bool) -> O
             }
             _ => None,
         },
-        Min2 | Max2 if inputs[0] == inputs[1] => Some(Action::Alias(inputs[0])),
+        Bin(Min | Max) if inputs[0] == inputs[1] => Some(Action::Alias(inputs[0])),
         Select if inputs[1] == inputs[2] => Some(Action::Alias(inputs[1])),
-        Sqrt if fast => {
+        Un(Sqrt) if fast => {
             // sqrt(x*x) → |x| (≤ 1 ulp for finite x).
             let m = &nodes[inputs[0].idx()];
             match m.op {
-                Mul if m.inputs[0] == m.inputs[1] => Some(Action::Replace(Abs, vec![m.inputs[0]])),
+                Bin(Mul) if m.inputs[0] == m.inputs[1] => {
+                    Some(Action::Replace(Un(Abs), vec![m.inputs[0]]))
+                }
                 _ => None,
             }
         }
-        Pow if fast => {
+        Bin(Pow) if fast => {
             if cbits(1) == Some(ONE) {
                 return Some(Action::Alias(inputs[0]));
             }
             if cbits(1) == Some(TWO) {
-                return Some(Action::Replace(Mul, vec![inputs[0], inputs[0]]));
+                return Some(Action::Replace(Bin(Mul), vec![inputs[0], inputs[0]]));
             }
             None
         }

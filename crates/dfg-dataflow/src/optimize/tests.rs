@@ -1,5 +1,6 @@
 use super::*;
-use crate::{NetworkBuilder, Strategy};
+use crate::FilterOp::{Bin, Un};
+use crate::{BinKind, NetworkBuilder, Strategy, UnKind};
 
 #[test]
 fn merges_commutative_duplicates() {
@@ -7,13 +8,13 @@ fn merges_commutative_duplicates() {
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
     let y = b.input("y");
-    let s1 = b.binary(FilterOp::Add, x, y);
-    let s2 = b.binary(FilterOp::Add, y, x);
-    let d1 = b.binary(FilterOp::Sub, x, y);
-    let d2 = b.binary(FilterOp::Sub, y, x);
-    let m1 = b.binary(FilterOp::Mul, s1, d1);
-    let m2 = b.binary(FilterOp::Mul, s2, d2);
-    let out = b.binary(FilterOp::Add, m1, m2);
+    let s1 = b.binary(BinKind::Add, x, y);
+    let s2 = b.binary(BinKind::Add, y, x);
+    let d1 = b.binary(BinKind::Sub, x, y);
+    let d2 = b.binary(BinKind::Sub, y, x);
+    let m1 = b.binary(BinKind::Mul, s1, d1);
+    let m2 = b.binary(BinKind::Mul, s2, d2);
+    let out = b.binary(BinKind::Add, m1, m2);
     let spec = b.finish(out);
     let Optimized {
         spec: opt, stats, ..
@@ -29,13 +30,13 @@ fn chains_of_duplicates_collapse_transitively() {
     // (x*x) + (x*x) built twice: both mults merge, then both adds merge.
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
-    let m1 = b.binary(FilterOp::Mul, x, x);
-    let m2 = b.binary(FilterOp::Mul, x, x);
-    let a1 = b.binary(FilterOp::Add, m1, m2);
-    let m3 = b.binary(FilterOp::Mul, x, x);
-    let m4 = b.binary(FilterOp::Mul, x, x);
-    let a2 = b.binary(FilterOp::Add, m3, m4);
-    let out = b.binary(FilterOp::Max2, a1, a2);
+    let m1 = b.binary(BinKind::Mul, x, x);
+    let m2 = b.binary(BinKind::Mul, x, x);
+    let a1 = b.binary(BinKind::Add, m1, m2);
+    let m3 = b.binary(BinKind::Mul, x, x);
+    let m4 = b.binary(BinKind::Mul, x, x);
+    let a2 = b.binary(BinKind::Add, m3, m4);
+    let out = b.binary(BinKind::Max, a1, a2);
     let spec = b.finish(out);
     let Optimized {
         spec: opt, stats, ..
@@ -46,10 +47,10 @@ fn chains_of_duplicates_collapse_transitively() {
     // max(a, a) stays a max with two identical ports — value numbering
     // does not fold idempotent ops (that is the rewrite pass's job, at
     // OptLevel::Default and above).
-    assert!(matches!(opt.node(opt.result).op, FilterOp::Max2));
+    assert!(matches!(opt.node(opt.result).op, Bin(BinKind::Max)));
     let full = optimize(&spec, &[spec.result], OptLevel::Default).unwrap();
     assert!(
-        matches!(full.spec.node(full.roots[0]).op, FilterOp::Add),
+        matches!(full.spec.node(full.roots[0]).op, Bin(BinKind::Add)),
         "max(a,a) folds to a at Default"
     );
 }
@@ -58,17 +59,17 @@ fn chains_of_duplicates_collapse_transitively() {
 fn names_survive_merging() {
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
-    let a1 = b.binary(FilterOp::Add, x, x);
+    let a1 = b.binary(BinKind::Add, x, x);
     b.name(a1, "first");
-    let a2 = b.binary(FilterOp::Add, x, x);
+    let a2 = b.binary(BinKind::Add, x, x);
     b.name(a2, "second");
-    let out = b.binary(FilterOp::Mul, a1, a2);
+    let out = b.binary(BinKind::Mul, a1, a2);
     let spec = b.finish(out);
     let opt = optimize(&spec, &[spec.result], OptLevel::Cse).unwrap().spec;
     // The survivor keeps its first name.
     let add = opt
         .iter()
-        .find(|(_, n)| matches!(n.op, FilterOp::Add))
+        .find(|(_, n)| matches!(n.op, Bin(BinKind::Add)))
         .expect("one add");
     assert_eq!(add.1.name.as_deref(), Some("first"));
     // The multi-root API still resolves both original bindings: the root
@@ -106,8 +107,8 @@ fn constants_fold_across_filters() {
     let x = b.input("x");
     let c2 = b.constant(2.0);
     let c1 = b.constant(1.0);
-    let d = b.binary(FilterOp::Sub, c2, c1);
-    let m = b.binary(FilterOp::Mul, x, d);
+    let d = b.binary(BinKind::Sub, c2, c1);
+    let m = b.binary(BinKind::Mul, x, d);
     let spec = b.finish(m);
     let cse_only = optimize(&spec, &[spec.result], OptLevel::Cse).unwrap();
     assert!(cse_only.spec.len() > 1, "CSE alone does not fold");
@@ -125,7 +126,7 @@ fn constants_fold_across_filters() {
 fn identity_rewrites_are_bit_exact_about_signed_zero() {
     // x + 0.0 must NOT be rewritten (x = -0.0 gives +0.0), but
     // x + (-0.0) and x - 0.0 must.
-    let build = |op: FilterOp, c: f32, swap: bool| {
+    let build = |op: BinKind, c: f32, swap: bool| {
         let mut b = NetworkBuilder::new();
         let x = b.input("x");
         let k = b.constant(c);
@@ -142,20 +143,20 @@ fn identity_rewrites_are_bit_exact_about_signed_zero() {
             .spec
             .len()
     };
-    assert_eq!(opt_len(&build(FilterOp::Add, 0.0, false)), 3, "x+0.0 kept");
-    assert_eq!(opt_len(&build(FilterOp::Add, -0.0, false)), 1, "x+(-0.0)");
-    assert_eq!(opt_len(&build(FilterOp::Add, -0.0, true)), 1, "(-0.0)+x");
-    assert_eq!(opt_len(&build(FilterOp::Sub, 0.0, false)), 1, "x-0.0");
+    assert_eq!(opt_len(&build(BinKind::Add, 0.0, false)), 3, "x+0.0 kept");
+    assert_eq!(opt_len(&build(BinKind::Add, -0.0, false)), 1, "x+(-0.0)");
+    assert_eq!(opt_len(&build(BinKind::Add, -0.0, true)), 1, "(-0.0)+x");
+    assert_eq!(opt_len(&build(BinKind::Sub, 0.0, false)), 1, "x-0.0");
     assert_eq!(
-        opt_len(&build(FilterOp::Sub, -0.0, false)),
+        opt_len(&build(BinKind::Sub, -0.0, false)),
         3,
         "x-(-0.0) kept"
     );
-    assert_eq!(opt_len(&build(FilterOp::Mul, 1.0, false)), 1, "x*1.0");
-    assert_eq!(opt_len(&build(FilterOp::Mul, 1.0, true)), 1, "1.0*x");
-    assert_eq!(opt_len(&build(FilterOp::Div, 1.0, false)), 1, "x/1.0");
+    assert_eq!(opt_len(&build(BinKind::Mul, 1.0, false)), 1, "x*1.0");
+    assert_eq!(opt_len(&build(BinKind::Mul, 1.0, true)), 1, "1.0*x");
+    assert_eq!(opt_len(&build(BinKind::Div, 1.0, false)), 1, "x/1.0");
     // x*0.0 is NOT folded (NaN/inf/-0.0 poison it).
-    assert_eq!(opt_len(&build(FilterOp::Mul, 0.0, false)), 3, "x*0.0 kept");
+    assert_eq!(opt_len(&build(BinKind::Mul, 0.0, false)), 3, "x*0.0 kept");
 }
 
 #[test]
@@ -165,12 +166,12 @@ fn select_dead_branch_elimination() {
     let x = b.input("x");
     let y = b.input("y");
     let c = b.constant(1.0);
-    let a_branch = b.unary(FilterOp::Sqrt, x);
-    let b_branch = b.unary(FilterOp::Exp, y);
+    let a_branch = b.unary(UnKind::Sqrt, x);
+    let b_branch = b.unary(UnKind::Exp, y);
     let s = b.select(c, a_branch, b_branch);
     let spec = b.finish(s);
     let opt = optimize(&spec, &[spec.result], OptLevel::Default).unwrap();
-    assert!(matches!(opt.spec.node(opt.roots[0]).op, FilterOp::Sqrt));
+    assert!(matches!(opt.spec.node(opt.roots[0]).op, Un(UnKind::Sqrt)));
     assert_eq!(opt.spec.len(), 2, "x and sqrt only; y/exp/const dropped");
 }
 
@@ -179,9 +180,9 @@ fn fast_tier_applies_sqrt_square_rewrites() {
     // sqrt(x)^2 → x across two pipeline iterations.
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
-    let s = b.unary(FilterOp::Sqrt, x);
+    let s = b.unary(UnKind::Sqrt, x);
     let two = b.constant(2.0);
-    let p = b.binary(FilterOp::Pow, s, two);
+    let p = b.binary(BinKind::Pow, s, two);
     let spec = b.finish(p);
     let default = optimize(&spec, &[spec.result], OptLevel::Default).unwrap();
     assert_eq!(default.spec.len(), spec.len(), "bit-exact tier keeps pow");
@@ -195,11 +196,11 @@ fn fast_tier_applies_sqrt_square_rewrites() {
     // sqrt(x*x) → abs(x).
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
-    let m = b.binary(FilterOp::Mul, x, x);
-    let r = b.unary(FilterOp::Sqrt, m);
+    let m = b.binary(BinKind::Mul, x, x);
+    let r = b.unary(UnKind::Sqrt, m);
     let spec = b.finish(r);
     let fast = optimize(&spec, &[spec.result], OptLevel::Fast).unwrap();
-    assert!(matches!(fast.spec.node(fast.roots[0]).op, FilterOp::Abs));
+    assert!(matches!(fast.spec.node(fast.roots[0]).op, Un(UnKind::Abs)));
 }
 
 #[test]
@@ -211,9 +212,9 @@ fn canonical_hash_is_commutative_order_insensitive() {
         let (first, second) = if flip { ("v", "u") } else { ("u", "v") };
         let f = b.input(first);
         let s = b.input(second);
-        let ff = b.binary(FilterOp::Mul, f, f);
-        let ss = b.binary(FilterOp::Mul, s, s);
-        let sum = b.binary(FilterOp::Add, ff, ss);
+        let ff = b.binary(BinKind::Mul, f, f);
+        let ss = b.binary(BinKind::Mul, s, s);
+        let sum = b.binary(BinKind::Add, ff, ss);
         b.finish(sum)
     };
     assert_eq!(canonical_hash(&build(false)), canonical_hash(&build(true)));
@@ -221,7 +222,7 @@ fn canonical_hash_is_commutative_order_insensitive() {
     let mut b = NetworkBuilder::new();
     let u = b.input("u");
     let v = b.input("v");
-    let d = b.binary(FilterOp::Sub, u, v);
+    let d = b.binary(BinKind::Sub, u, v);
     let other = b.finish(d);
     assert_ne!(canonical_hash(&build(false)), canonical_hash(&other));
 }
@@ -234,15 +235,15 @@ fn merge_networks_shares_common_subgraphs() {
         let u = b.input("u");
         let v = b.input("v");
         let w = b.input("w");
-        let uu = b.binary(FilterOp::Mul, u, u);
-        let vv = b.binary(FilterOp::Mul, v, v);
-        let ww = b.binary(FilterOp::Mul, w, w);
-        let s1 = b.binary(FilterOp::Add, uu, vv);
-        b.binary(FilterOp::Add, s1, ww)
+        let uu = b.binary(BinKind::Mul, u, u);
+        let vv = b.binary(BinKind::Mul, v, v);
+        let ww = b.binary(BinKind::Mul, w, w);
+        let s1 = b.binary(BinKind::Add, uu, vv);
+        b.binary(BinKind::Add, s1, ww)
     };
     let mut b = NetworkBuilder::new();
     let s = sum_sq(&mut b);
-    let r = b.unary(FilterOp::Sqrt, s);
+    let r = b.unary(UnKind::Sqrt, s);
     let v_mag = b.finish(r);
     let mut b = NetworkBuilder::new();
     let s = sum_sq(&mut b);
@@ -259,7 +260,7 @@ fn merge_networks_shares_common_subgraphs() {
     // Root 0 is the sqrt, root 1 the shared sum.
     assert!(matches!(
         merged.spec.node(merged.roots[0]).op,
-        FilterOp::Sqrt
+        Un(UnKind::Sqrt)
     ));
     assert_eq!(
         merged.spec.node(merged.roots[0]).inputs[0],
@@ -281,15 +282,15 @@ fn optimizer_keeps_multi_output_roots_live() {
     let mut b = NetworkBuilder::new();
     let x = b.input("x");
     let y = b.input("y");
-    let r = b.unary(FilterOp::Sqrt, x);
+    let r = b.unary(UnKind::Sqrt, x);
     b.name(r, "r");
-    let side = b.unary(FilterOp::Exp, y);
+    let side = b.unary(UnKind::Exp, y);
     b.name(side, "side");
     let spec = b.finish(r);
     // With both roots, the side output survives every level.
     for level in [OptLevel::Cse, OptLevel::Default, OptLevel::Fast] {
         let out = optimize(&spec, &[r, side], level).unwrap();
-        assert!(matches!(out.spec.node(out.roots[1]).op, FilterOp::Exp));
+        assert!(matches!(out.spec.node(out.roots[1]).op, Un(UnKind::Exp)));
     }
     // With only the result root, the side branch is dead code.
     let out = optimize(&spec, &[r], OptLevel::Default).unwrap();
@@ -304,14 +305,14 @@ fn optimized_schedules_free_every_non_root_exactly_once() {
     let mut b = NetworkBuilder::new();
     let u = b.input("u");
     let v = b.input("v");
-    let uu = b.binary(FilterOp::Mul, u, u);
-    let vv = b.binary(FilterOp::Mul, v, v);
-    let s1 = b.binary(FilterOp::Add, uu, vv);
-    let vv2 = b.binary(FilterOp::Mul, v, v);
-    let uu2 = b.binary(FilterOp::Mul, u, u);
-    let s2 = b.binary(FilterOp::Add, vv2, uu2);
-    let m = b.binary(FilterOp::Max2, s1, s2);
-    let r = b.unary(FilterOp::Sqrt, m);
+    let uu = b.binary(BinKind::Mul, u, u);
+    let vv = b.binary(BinKind::Mul, v, v);
+    let s1 = b.binary(BinKind::Add, uu, vv);
+    let vv2 = b.binary(BinKind::Mul, v, v);
+    let uu2 = b.binary(BinKind::Mul, u, u);
+    let s2 = b.binary(BinKind::Add, vv2, uu2);
+    let m = b.binary(BinKind::Max, s1, s2);
+    let r = b.unary(UnKind::Sqrt, m);
     let spec = b.finish(r);
     for level in [OptLevel::Cse, OptLevel::Default, OptLevel::Fast] {
         let out = optimize(&spec, &[spec.result], level).unwrap();

@@ -164,7 +164,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::FilterOp;
+    use crate::op::{BinKind, FilterOp, UnKind};
     use crate::NetworkBuilder;
     use std::collections::HashMap;
 
@@ -172,12 +172,12 @@ mod tests {
         // v_mag = sqrt(u*u + v*v + w*w)
         let mut b = NetworkBuilder::new();
         let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
-        let m1 = b.binary(FilterOp::Mul, u, u);
-        let m2 = b.binary(FilterOp::Mul, v, v);
-        let m3 = b.binary(FilterOp::Mul, w, w);
-        let a1 = b.binary(FilterOp::Add, m1, m2);
-        let a2 = b.binary(FilterOp::Add, a1, m3);
-        let s = b.unary(FilterOp::Sqrt, a2);
+        let m1 = b.binary(BinKind::Mul, u, u);
+        let m2 = b.binary(BinKind::Mul, v, v);
+        let m3 = b.binary(BinKind::Mul, w, w);
+        let a1 = b.binary(BinKind::Add, m1, m2);
+        let a2 = b.binary(BinKind::Add, a1, m3);
+        let s = b.unary(UnKind::Sqrt, a2);
         b.finish(s)
     }
 
@@ -234,8 +234,8 @@ mod tests {
     fn unreachable_nodes_are_dropped() {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let _dead = b.unary(FilterOp::Sqrt, u);
-        let live = b.unary(FilterOp::Abs, u);
+        let _dead = b.unary(UnKind::Sqrt, u);
+        let live = b.unary(UnKind::Abs, u);
         let spec = b.finish(live);
         let sched = Schedule::new(&spec).unwrap();
         assert_eq!(sched.len(), 2); // u, abs — sqrt dropped
@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn invalid_network_is_rejected() {
         let spec = NetworkSpec {
-            nodes: vec![crate::FilterNode::new(FilterOp::Add, vec![])],
+            nodes: vec![crate::FilterNode::new(FilterOp::Bin(BinKind::Add), vec![])],
             result: NodeId(0),
         };
         assert!(matches!(
@@ -258,9 +258,9 @@ mod tests {
         // a -> f1, a -> f2, (f1,f2) -> f3 : `a` freed only after both uses.
         let mut b = NetworkBuilder::new();
         let a = b.input("a");
-        let f1 = b.unary(FilterOp::Sqrt, a);
-        let f2 = b.unary(FilterOp::Abs, a);
-        let f3 = b.binary(FilterOp::Add, f1, f2);
+        let f1 = b.unary(UnKind::Sqrt, a);
+        let f2 = b.unary(UnKind::Abs, a);
+        let f3 = b.binary(BinKind::Add, f1, f2);
         let spec = b.finish(f3);
         let sched = Schedule::new(&spec).unwrap();
         let pos: HashMap<NodeId, usize> = sched
@@ -281,7 +281,7 @@ mod tests {
 #[cfg(test)]
 mod multi_root_tests {
     use super::*;
-    use crate::op::FilterOp;
+    use crate::op::{BinKind, UnKind};
     use crate::NetworkBuilder;
 
     #[test]
@@ -289,9 +289,9 @@ mod multi_root_tests {
         // m = u*u; a = m+m; b = m-m : both a and b as roots keep m live.
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let m = b.binary(FilterOp::Mul, u, u);
-        let add = b.binary(FilterOp::Add, m, m);
-        let sub = b.binary(FilterOp::Sub, m, m);
+        let m = b.binary(BinKind::Mul, u, u);
+        let add = b.binary(BinKind::Add, m, m);
+        let sub = b.binary(BinKind::Sub, m, m);
         let spec = b.finish(add);
         let sched = Schedule::for_roots(&spec, &[add, sub]).unwrap();
         assert_eq!(sched.len(), 4);
@@ -307,8 +307,8 @@ mod multi_root_tests {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
         let v = b.input("v");
-        let a = b.unary(FilterOp::Sqrt, u);
-        let c = b.unary(FilterOp::Abs, v);
+        let a = b.unary(UnKind::Sqrt, u);
+        let c = b.unary(UnKind::Abs, v);
         let spec = b.finish(a);
         // `c` unreachable from the result, but reachable as a root.
         let sched = Schedule::for_roots(&spec, &[a, c]).unwrap();

@@ -44,12 +44,12 @@ impl NetworkSpec {
                     node.inputs[0].0, node.inputs[1].0, node.inputs[2].0
                 ),
                 op if op.arity().0 == 1 => format!(
-                    "let {var} = b.unary(FilterOp::{}, n{});",
+                    "let {var} = b.unary({}, n{});",
                     variant_name(op),
                     node.inputs[0].0
                 ),
                 op => format!(
-                    "let {var} = b.binary(FilterOp::{}, n{}, n{});",
+                    "let {var} = b.binary({}, n{}, n{});",
                     variant_name(op),
                     node.inputs[0].0,
                     node.inputs[1].0
@@ -66,40 +66,12 @@ impl NetworkSpec {
     }
 }
 
-fn variant_name(op: &FilterOp) -> &'static str {
-    use FilterOp::*;
+/// The Rust expression `unary`/`binary` take for `op`.
+fn variant_name(op: &FilterOp) -> String {
     match op {
-        Add => "Add",
-        Sub => "Sub",
-        Mul => "Mul",
-        Div => "Div",
-        Min2 => "Min2",
-        Max2 => "Max2",
-        Lt => "Lt",
-        Gt => "Gt",
-        Le => "Le",
-        Ge => "Ge",
-        EqOp => "EqOp",
-        Ne => "Ne",
-        Neg => "Neg",
-        Sqrt => "Sqrt",
-        Abs => "Abs",
-        Sin => "Sin",
-        Cos => "Cos",
-        Tan => "Tan",
-        Exp => "Exp",
-        Log => "Log",
-        Pow => "Pow",
-        Atan2 => "Atan2",
-        And => "And",
-        Or => "Or",
-        Not => "Not",
-        Norm3 => "Norm3",
-        Dot3 => "Dot3",
-        Cross3 => "Cross3",
-        Input { .. } | Const(_) | Decompose(_) | Grad3d | Select | Compose3 => {
-            unreachable!("handled by caller")
-        }
+        FilterOp::Bin(k) => format!("BinKind::{k:?}"),
+        FilterOp::Un(k) => format!("UnKind::{k:?}"),
+        other => format!("FilterOp::{other:?}"),
     }
 }
 

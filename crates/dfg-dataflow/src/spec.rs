@@ -258,30 +258,17 @@ impl NetworkSpec {
             }
             Ok(())
         };
+        // The caller has checked the port count against `arity()`.
+        let all = |w: Width| (0..node.inputs.len()).try_for_each(|port| expect(port, w));
         match &node.op {
-            Decompose(_) | Norm3 => expect(0, Width::Vec4),
-            Dot3 | Cross3 => {
-                expect(0, Width::Vec4)?;
-                expect(1, Width::Vec4)
-            }
+            Decompose(_) | Norm3 | Dot3 | Cross3 => all(Width::Vec4),
             Grad3d => {
-                expect(0, Width::Scalar)?;
                 expect(1, Width::Small)?;
-                expect(2, Width::Scalar)?;
-                expect(3, Width::Scalar)?;
-                expect(4, Width::Scalar)
+                [0, 2, 3, 4]
+                    .into_iter()
+                    .try_for_each(|p| expect(p, Width::Scalar))
             }
-            Add | Sub | Mul | Div | Min2 | Max2 | Lt | Gt | Le | Ge | EqOp | Ne | Pow | Atan2
-            | And | Or => {
-                expect(0, Width::Scalar)?;
-                expect(1, Width::Scalar)
-            }
-            Select | Compose3 => {
-                expect(0, Width::Scalar)?;
-                expect(1, Width::Scalar)?;
-                expect(2, Width::Scalar)
-            }
-            Neg | Sqrt | Abs | Sin | Cos | Tan | Exp | Log | Not => expect(0, Width::Scalar),
+            Bin(_) | Un(_) | Select | Compose3 => all(Width::Scalar),
             Input { .. } | Const(_) => Ok(()),
         }
     }
@@ -315,6 +302,7 @@ impl NetworkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{BinKind, UnKind};
     use crate::NetworkBuilder;
 
     #[test]
@@ -322,7 +310,7 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
         let c = b.constant(2.0);
-        let m = b.binary(FilterOp::Mul, u, c);
+        let m = b.binary(BinKind::Mul, u, c);
         let spec = b.finish(m);
         assert!(spec.validate().is_ok());
         assert_eq!(spec.len(), 3);
@@ -332,7 +320,7 @@ mod tests {
     #[test]
     fn validate_rejects_arity_mismatch() {
         let spec = NetworkSpec {
-            nodes: vec![FilterNode::new(FilterOp::Add, vec![])],
+            nodes: vec![FilterNode::new(FilterOp::Bin(BinKind::Add), vec![])],
             result: NodeId(0),
         };
         assert!(matches!(
@@ -348,7 +336,7 @@ mod tests {
     #[test]
     fn validate_rejects_dangling_input() {
         let spec = NetworkSpec {
-            nodes: vec![FilterNode::new(FilterOp::Sqrt, vec![NodeId(7)])],
+            nodes: vec![FilterNode::new(FilterOp::Un(UnKind::Sqrt), vec![NodeId(7)])],
             result: NodeId(0),
         };
         assert!(matches!(
@@ -361,8 +349,8 @@ mod tests {
     fn validate_rejects_cycle() {
         let spec = NetworkSpec {
             nodes: vec![
-                FilterNode::new(FilterOp::Sqrt, vec![NodeId(1)]),
-                FilterNode::new(FilterOp::Sqrt, vec![NodeId(0)]),
+                FilterNode::new(FilterOp::Un(UnKind::Sqrt), vec![NodeId(1)]),
+                FilterNode::new(FilterOp::Un(UnKind::Sqrt), vec![NodeId(0)]),
             ],
             result: NodeId(0),
         };
@@ -406,7 +394,7 @@ mod tests {
         let y = b.input("y");
         let z = b.input("z");
         let g = b.grad3d(u, dims, x, y, z);
-        let bad = b.unary(FilterOp::Sqrt, g);
+        let bad = b.unary(UnKind::Sqrt, g);
         let spec = b.finish(bad);
         assert!(matches!(
             spec.validate(),
@@ -420,7 +408,7 @@ mod tests {
             let mut b = NetworkBuilder::new();
             let u = b.input("u");
             let k = b.constant(c);
-            let m = b.binary(FilterOp::Mul, u, k);
+            let m = b.binary(BinKind::Mul, u, k);
             let mut spec = b.finish(m);
             spec.nodes[m.idx()].name = name.map(String::from);
             spec

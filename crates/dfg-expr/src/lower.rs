@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use dfg_dataflow::{FilterOp, NetworkBuilder, NetworkError, NetworkSpec, NodeId};
+use dfg_dataflow::{BinKind, FilterOp, NetworkBuilder, NetworkError, NetworkSpec, NodeId, UnKind};
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 
@@ -65,6 +65,33 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
+/// The callable spellings of the one- and two-argument primitives: the
+/// expression language's map from a function name to an operation of the
+/// `dfg-dataflow` table, whose `arity()` is the argument count checked.
+/// (Infix operators map through [`BinaryOp`]; `vector`, `grad3d`, `curl`
+/// and `divergence` take their arguments specially, in `lower_call`.)
+const CALLABLE_OPS: &[(&str, FilterOp)] = &[
+    ("sqrt", FilterOp::Un(UnKind::Sqrt)),
+    ("abs", FilterOp::Un(UnKind::Abs)),
+    ("sin", FilterOp::Un(UnKind::Sin)),
+    ("cos", FilterOp::Un(UnKind::Cos)),
+    ("tan", FilterOp::Un(UnKind::Tan)),
+    ("exp", FilterOp::Un(UnKind::Exp)),
+    ("log", FilterOp::Un(UnKind::Log)),
+    ("ln", FilterOp::Un(UnKind::Log)),
+    ("not", FilterOp::Un(UnKind::Not)),
+    ("min", FilterOp::Bin(BinKind::Min)),
+    ("max", FilterOp::Bin(BinKind::Max)),
+    ("pow", FilterOp::Bin(BinKind::Pow)),
+    ("atan2", FilterOp::Bin(BinKind::Atan2)),
+    ("and", FilterOp::Bin(BinKind::And)),
+    ("or", FilterOp::Bin(BinKind::Or)),
+    ("norm", FilterOp::Norm3),
+    ("mag", FilterOp::Norm3),
+    ("dot", FilterOp::Dot3),
+    ("cross", FilterOp::Cross3),
+];
+
 struct Lowerer {
     builder: NetworkBuilder,
     env: HashMap<String, NodeId>,
@@ -84,22 +111,22 @@ impl Lowerer {
             Expr::Ident(name) => Ok(self.lower_ident(name)),
             Expr::Unary(UnaryOp::Neg, e) => {
                 let a = self.lower_expr(e)?;
-                Ok(self.builder.unary(FilterOp::Neg, a))
+                Ok(self.builder.unary(UnKind::Neg, a))
             }
             Expr::Binary(op, a, b) => {
                 let a = self.lower_expr(a)?;
                 let b = self.lower_expr(b)?;
                 let op = match op {
-                    BinaryOp::Add => FilterOp::Add,
-                    BinaryOp::Sub => FilterOp::Sub,
-                    BinaryOp::Mul => FilterOp::Mul,
-                    BinaryOp::Div => FilterOp::Div,
-                    BinaryOp::Lt => FilterOp::Lt,
-                    BinaryOp::Gt => FilterOp::Gt,
-                    BinaryOp::Le => FilterOp::Le,
-                    BinaryOp::Ge => FilterOp::Ge,
-                    BinaryOp::Eq => FilterOp::EqOp,
-                    BinaryOp::Ne => FilterOp::Ne,
+                    BinaryOp::Add => BinKind::Add,
+                    BinaryOp::Sub => BinKind::Sub,
+                    BinaryOp::Mul => BinKind::Mul,
+                    BinaryOp::Div => BinKind::Div,
+                    BinaryOp::Lt => BinKind::Lt,
+                    BinaryOp::Gt => BinKind::Gt,
+                    BinaryOp::Le => BinKind::Le,
+                    BinaryOp::Ge => BinKind::Ge,
+                    BinaryOp::Eq => BinKind::Eq,
+                    BinaryOp::Ne => BinKind::Ne,
                 };
                 Ok(self.builder.binary(op, a, b))
             }
@@ -163,84 +190,18 @@ impl Lowerer {
                 Ok(())
             }
         };
-        let unary = |op: FilterOp, me: &mut Self| -> Result<NodeId, LowerError> {
-            let a = me.lower_expr(&args[0])?;
-            Ok(me.builder.unary(op, a))
-        };
-        let binary = |op: FilterOp, me: &mut Self| -> Result<NodeId, LowerError> {
-            let a = me.lower_expr(&args[0])?;
-            let b = me.lower_expr(&args[1])?;
-            Ok(me.builder.binary(op, a, b))
-        };
+        if let Some((_, op)) = CALLABLE_OPS.iter().find(|(spelling, _)| *spelling == name) {
+            check_arity(op.arity().0)?;
+            let a = self.lower_expr(&args[0])?;
+            return Ok(match args.get(1) {
+                None => self.builder.unary(op.clone(), a),
+                Some(b) => {
+                    let b = self.lower_expr(b)?;
+                    self.builder.binary(op.clone(), a, b)
+                }
+            });
+        }
         match name {
-            "sqrt" => {
-                check_arity(1)?;
-                unary(FilterOp::Sqrt, self)
-            }
-            "abs" => {
-                check_arity(1)?;
-                unary(FilterOp::Abs, self)
-            }
-            "norm" | "mag" => {
-                check_arity(1)?;
-                unary(FilterOp::Norm3, self)
-            }
-            "min" => {
-                check_arity(2)?;
-                binary(FilterOp::Min2, self)
-            }
-            "max" => {
-                check_arity(2)?;
-                binary(FilterOp::Max2, self)
-            }
-            "dot" => {
-                check_arity(2)?;
-                binary(FilterOp::Dot3, self)
-            }
-            "cross" => {
-                check_arity(2)?;
-                binary(FilterOp::Cross3, self)
-            }
-            "sin" => {
-                check_arity(1)?;
-                unary(FilterOp::Sin, self)
-            }
-            "cos" => {
-                check_arity(1)?;
-                unary(FilterOp::Cos, self)
-            }
-            "tan" => {
-                check_arity(1)?;
-                unary(FilterOp::Tan, self)
-            }
-            "exp" => {
-                check_arity(1)?;
-                unary(FilterOp::Exp, self)
-            }
-            "log" | "ln" => {
-                check_arity(1)?;
-                unary(FilterOp::Log, self)
-            }
-            "pow" => {
-                check_arity(2)?;
-                binary(FilterOp::Pow, self)
-            }
-            "atan2" => {
-                check_arity(2)?;
-                binary(FilterOp::Atan2, self)
-            }
-            "and" => {
-                check_arity(2)?;
-                binary(FilterOp::And, self)
-            }
-            "or" => {
-                check_arity(2)?;
-                binary(FilterOp::Or, self)
-            }
-            "not" => {
-                check_arity(1)?;
-                unary(FilterOp::Not, self)
-            }
             "vector" => {
                 check_arity(3)?;
                 let a = self.lower_expr(&args[0])?;
@@ -266,13 +227,13 @@ impl Lowerer {
                 // ∇×v per Equation 1 of the paper.
                 let dw1 = self.builder.decompose(dw, 1);
                 let dv2 = self.builder.decompose(dv, 2);
-                let wx = self.builder.binary(FilterOp::Sub, dw1, dv2);
+                let wx = self.builder.binary(BinKind::Sub, dw1, dv2);
                 let du2 = self.builder.decompose(du, 2);
                 let dw0 = self.builder.decompose(dw, 0);
-                let wy = self.builder.binary(FilterOp::Sub, du2, dw0);
+                let wy = self.builder.binary(BinKind::Sub, du2, dw0);
                 let dv0 = self.builder.decompose(dv, 0);
                 let du1 = self.builder.decompose(du, 1);
-                let wz = self.builder.binary(FilterOp::Sub, dv0, du1);
+                let wz = self.builder.binary(BinKind::Sub, dv0, du1);
                 Ok(self.builder.compose3(wx, wy, wz))
             }
             "divergence" => {
@@ -281,8 +242,8 @@ impl Lowerer {
                 let du0 = self.builder.decompose(du, 0);
                 let dv1 = self.builder.decompose(dv, 1);
                 let dw2 = self.builder.decompose(dw, 2);
-                let s = self.builder.binary(FilterOp::Add, du0, dv1);
-                Ok(self.builder.binary(FilterOp::Add, s, dw2))
+                let s = self.builder.binary(BinKind::Add, du0, dv1);
+                Ok(self.builder.binary(BinKind::Add, s, dw2))
             }
             _ => Err(LowerError::UnknownFunction {
                 name: name.to_string(),
@@ -322,6 +283,11 @@ mod tests {
 
     fn count_kind(spec: &NetworkSpec, pred: impl Fn(&FilterOp) -> bool) -> usize {
         spec.count_ops(pred)
+    }
+
+    fn count_scalar(spec: &NetworkSpec, kind: impl Into<FilterOp>) -> usize {
+        let kind = kind.into();
+        spec.count_ops(|op| *op == kind)
     }
 
     #[test]
@@ -378,16 +344,19 @@ mod tests {
     fn assignment_names_are_reused_not_recomputed() {
         let spec = compile("a = u * u\nb = a + a\nc = a + b");
         // One mult, two adds: `a` lowered once.
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Mul)), 1);
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Add)), 2);
+        assert_eq!(count_scalar(&spec, BinKind::Mul), 1);
+        assert_eq!(count_scalar(&spec, BinKind::Add), 2);
     }
 
     #[test]
     fn shadowing_rebinds_names() {
         let spec = compile("a = u + u\na = a * a\nr = a");
         // The second statement consumes the first `a`.
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Mul)), 1);
-        assert!(matches!(spec.node(spec.result).op, FilterOp::Mul));
+        assert_eq!(count_scalar(&spec, BinKind::Mul), 1);
+        assert!(matches!(
+            spec.node(spec.result).op,
+            FilterOp::Bin(BinKind::Mul)
+        ));
     }
 
     #[test]
@@ -400,14 +369,45 @@ mod tests {
     fn conditional_lowered_to_select() {
         let spec = compile("a = if (u > 10) then (c * c) else (-c * c)");
         assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Select)), 1);
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Gt)), 1);
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Neg)), 1);
+        assert_eq!(count_scalar(&spec, BinKind::Gt), 1);
+        assert_eq!(count_scalar(&spec, UnKind::Neg), 1);
     }
 
     #[test]
     fn unknown_function_is_rejected() {
-        let p = parse("a = frobnicate(u)").unwrap();
-        assert!(matches!(lower(&p), Err(LowerError::UnknownFunction { .. })));
+        // The last three are table names of infix/prefix operators: the
+        // call table is a list of spellings, not every operation's `name()`.
+        for src in ["frobnicate(u)", "add(u, v)", "lt(u, v)", "neg(u)"] {
+            let p = parse(&format!("a = {src}")).unwrap();
+            assert!(
+                matches!(lower(&p), Err(LowerError::UnknownFunction { .. })),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_callable_spelling_lowers_to_its_op_at_its_arity() {
+        for (spelling, op) in CALLABLE_OPS {
+            let arity = op.arity().0;
+            let arg = match op {
+                FilterOp::Norm3 | FilterOp::Dot3 | FilterOp::Cross3 => "vector(u, v, w)",
+                _ => "u",
+            };
+            let call = |n: usize| format!("r = {spelling}({})", vec![arg; n].join(", "));
+            let spec = compile(&call(arity));
+            assert_eq!(&spec.node(spec.result).op, op, "{spelling}");
+            for wrong in (1..=arity + 1).filter(|&n| n != arity) {
+                assert!(
+                    matches!(
+                        lower(&parse(&call(wrong)).unwrap()),
+                        Err(LowerError::WrongArity { expected, found, .. })
+                            if (expected, found) == (arity, wrong)
+                    ),
+                    "{spelling} with {wrong} argument(s)"
+                );
+            }
+        }
     }
 
     #[test]
@@ -443,9 +443,9 @@ mod tests {
             "a = sin(u) + cos(v) * tan(w)\nb = exp(a) - log(abs(a) + 1)\nr = pow(b, 2) + atan2(u, v)",
         );
         assert!(spec.validate().is_ok());
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Sin)), 1);
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Pow)), 1);
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Atan2)), 1);
+        assert_eq!(count_scalar(&spec, UnKind::Sin), 1);
+        assert_eq!(count_scalar(&spec, BinKind::Pow), 1);
+        assert_eq!(count_scalar(&spec, BinKind::Atan2), 1);
     }
 
     #[test]
@@ -464,7 +464,7 @@ mod tests {
             count_kind(&spec, |op| matches!(op, FilterOp::Decompose(_))),
             6
         );
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Sub)), 3);
+        assert_eq!(count_scalar(&spec, BinKind::Sub), 3);
         assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Compose3)), 1);
     }
 
@@ -476,7 +476,7 @@ mod tests {
             count_kind(&spec, |op| matches!(op, FilterOp::Decompose(_))),
             3
         );
-        assert_eq!(count_kind(&spec, |op| matches!(op, FilterOp::Add)), 2);
+        assert_eq!(count_scalar(&spec, BinKind::Add), 2);
     }
 
     #[test]

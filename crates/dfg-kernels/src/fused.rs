@@ -45,12 +45,13 @@
 
 use std::collections::HashMap;
 
-use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, ScheduleError, Width};
+use dfg_dataflow::{
+    select, BinKind, FilterOp, NetworkSpec, NodeId, Schedule, ScheduleError, UnKind, Width,
+};
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
 use crate::grad::{gradient_span, lanes3, Dims3};
-use crate::primitives::{BinKind, Primitive, UnKind};
 
 /// Maximum registers the generator may allocate before it reports register
 /// pressure.
@@ -404,34 +405,32 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
                     .map(|&i| fz.reg_for(i))
                     .collect::<Result<_, _>>()?;
                 let out = fz.alloc_for(node.op.width())?;
-                // One FilterOp → kind mapping for both executors: the
-                // primitive library's.
                 let (a, arg) = (operands[0], |port: usize| operands[port]);
-                let regop = match Primitive::from_filter_op(op) {
-                    Some(Primitive::Bin(op)) => RegOp::Bin {
+                let regop = match *op {
+                    FilterOp::Bin(op) => RegOp::Bin {
                         op,
                         a,
                         b: arg(1),
                         out,
                     },
-                    Some(Primitive::Un(op)) => RegOp::Un { op, a, out },
-                    Some(Primitive::Select) => RegOp::Select {
+                    FilterOp::Un(op) => RegOp::Un { op, a, out },
+                    FilterOp::Select => RegOp::Select {
                         c: a,
                         a: arg(1),
                         b: arg(2),
                         out,
                     },
-                    Some(Primitive::Compose3) => RegOp::Compose3 {
+                    FilterOp::Compose3 => RegOp::Compose3 {
                         a,
                         b: arg(1),
                         c: arg(2),
                         out,
                     },
-                    Some(Primitive::Decompose(comp)) => RegOp::Decompose { a, comp, out },
-                    Some(Primitive::Norm3) => RegOp::Norm3 { a, out },
-                    Some(Primitive::Dot3) => RegOp::Dot3 { a, b: arg(1), out },
-                    Some(Primitive::Cross3) => RegOp::Cross3 { a, b: arg(1), out },
-                    Some(Primitive::ConstFill(_) | Primitive::Grad3d) | None => {
+                    FilterOp::Decompose(comp) => RegOp::Decompose { a, comp, out },
+                    FilterOp::Norm3 => RegOp::Norm3 { a, out },
+                    FilterOp::Dot3 => RegOp::Dot3 { a, b: arg(1), out },
+                    FilterOp::Cross3 => RegOp::Cross3 { a, b: arg(1), out },
+                    FilterOp::Input { .. } | FilterOp::Const(_) | FilterOp::Grad3d => {
                         unreachable!("sources and gradients are handled above")
                     }
                 };
@@ -708,7 +707,7 @@ impl DeviceKernel for FusedKernel {
                         RegOp::Select { c, a, b, out } => {
                             let (o, [c, a, b]) = bank.split(s(out), [s(c), s(a), s(b)], len);
                             for (t, o) in o.iter_mut().enumerate() {
-                                *o = if c[t] != 0.0 { a[t] } else { b[t] };
+                                *o = select(c[t], a[t], b[t]);
                             }
                         }
                         RegOp::Decompose { a, comp, out } => {
@@ -919,7 +918,7 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
         let c = b.constant(0.5);
-        let m = b.binary(FilterOp::Mul, u, c);
+        let m = b.binary(BinKind::Mul, u, c);
         let spec = b.finish(m);
         let prog = fuse(&spec).unwrap();
         let src = prog.generated_source("k");
@@ -941,7 +940,7 @@ mod tests {
     fn gradient_of_computed_value_is_rejected() {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let uu = b.binary(FilterOp::Mul, u, u);
+        let uu = b.binary(BinKind::Mul, u, u);
         let dims = b.small_input("dims");
         let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
         let g = b.grad3d(uu, dims, x, y, z);
@@ -960,12 +959,12 @@ mod tests {
         let mut products = Vec::new();
         for i in 0..300 {
             let a = b.input(&format!("a{i}"));
-            let p = b.binary(FilterOp::Mul, a, a);
+            let p = b.binary(BinKind::Mul, a, a);
             products.push(p);
         }
         let mut acc = products[0];
         for &p in &products[1..] {
-            acc = b.binary(FilterOp::Add, acc, p);
+            acc = b.binary(BinKind::Add, acc, p);
         }
         let spec = b.finish(acc);
         // Depending on schedule order this either fuses with reuse or
@@ -1036,8 +1035,8 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
         let ten = b.constant(10.0);
-        let cond = b.binary(FilterOp::Gt, u, ten);
-        let neg = b.unary(FilterOp::Neg, u);
+        let cond = b.binary(BinKind::Gt, u, ten);
+        let neg = b.unary(UnKind::Neg, u);
         let sel = b.select(cond, u, neg);
         let spec = b.finish(sel);
         let out = run_fused(&spec, &[("u", vec![5.0, 15.0])], 2);
@@ -1051,11 +1050,11 @@ mod tests {
         // shared m computed once.
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let m = b.binary(FilterOp::Mul, u, u);
+        let m = b.binary(BinKind::Mul, u, u);
         b.name(m, "m");
-        let a = b.binary(FilterOp::Add, m, m);
+        let a = b.binary(BinKind::Add, m, m);
         b.name(a, "a");
-        let sq = b.unary(FilterOp::Sqrt, m);
+        let sq = b.unary(UnKind::Sqrt, m);
         b.name(sq, "s");
         let spec = b.finish(a);
         let prog = fuse_roots(&spec, &[a, sq, m]).unwrap();
@@ -1081,9 +1080,9 @@ mod tests {
         use crate::fused::fuse_roots;
         let mut b = NetworkBuilder::new();
         let u = b.input("u");
-        let s = b.unary(FilterOp::Sqrt, u);
+        let s = b.unary(UnKind::Sqrt, u);
         b.name(s, "root");
-        let a = b.unary(FilterOp::Abs, u);
+        let a = b.unary(UnKind::Abs, u);
         b.name(a, "mag");
         let spec = b.finish(s);
         let prog = fuse_roots(&spec, &[s, a]).unwrap();

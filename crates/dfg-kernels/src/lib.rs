@@ -6,7 +6,10 @@
 //!
 //! * [`primitives`] — the building-block library: one standalone device
 //!   kernel per dataflow filter (add … grad3d), written once and used by the
-//!   *roundtrip* and *staged* strategies unchanged;
+//!   *roundtrip* and *staged* strategies unchanged; the scalar kinds'
+//!   arithmetic, names and flops are `dfg-dataflow`'s operation table
+//!   ([`BinKind`], [`UnKind`]), which this library executes rather than
+//!   restates;
 //! * [`fused`] — the dynamic kernel generator: compiles an entire dataflow
 //!   network into a single register program ([`FusedProgram`]) executed as
 //!   one kernel launch by the *fusion* strategy, and renders the equivalent
@@ -29,9 +32,11 @@ pub mod grad;
 pub mod primitives;
 pub mod reference;
 
+/// The scalar kinds, defined once in `dfg-dataflow`'s operation table.
+pub use dfg_dataflow::{BinKind, UnKind};
 pub use fused::{
     fuse, fuse_roots, FuseError, FusedKernel, FusedProgram, InputSlot, OutputSlot, MAX_REGS,
 };
 pub use grad::{gradient_at, gradient_span, Dims3};
-pub use primitives::{BinKind, Primitive, UnKind, GRAD3D_OPENCL_SOURCE};
+pub use primitives::{Primitive, GRAD3D_OPENCL_SOURCE};
 pub use reference::{QCritRef, VelMagRef, VortMagRef};

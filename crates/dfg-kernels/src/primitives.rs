@@ -10,198 +10,17 @@
 //! filter operation, executing in parallel (rayon) with a cost model for the
 //! virtual clock, plus the OpenCL-style source snippet each building block
 //! corresponds to (used verbatim by the fusion code generator's display
-//! output).
+//! output). What a scalar kind *is* — arithmetic, name, flops, source text —
+//! is `dfg-dataflow`'s operation table ([`BinKind`], [`UnKind`]); this
+//! module adds what only a standalone kernel has: the launch loop and the
+//! bytes it moves.
 
-use dfg_dataflow::FilterOp;
+use dfg_dataflow::{select, BinKind, FilterOp, UnKind};
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
 use crate::fused::chunk_width;
 use crate::grad::{gradient_span, lanes3, Dims3};
-
-/// Scalar binary operations shared by the standalone and fused executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinKind {
-    /// `a + b`
-    Add,
-    /// `a - b`
-    Sub,
-    /// `a * b`
-    Mul,
-    /// `a / b`
-    Div,
-    /// `min(a, b)`
-    Min,
-    /// `max(a, b)`
-    Max,
-    /// `a < b` as 1.0/0.0
-    Lt,
-    /// `a > b` as 1.0/0.0
-    Gt,
-    /// `a <= b` as 1.0/0.0
-    Le,
-    /// `a >= b` as 1.0/0.0
-    Ge,
-    /// `a == b` as 1.0/0.0
-    Eq,
-    /// `a != b` as 1.0/0.0
-    Ne,
-    /// `a^b`
-    Pow,
-    /// `atan2(a, b)`
-    Atan2,
-    /// logical AND (nonzero ⇒ true)
-    And,
-    /// logical OR
-    Or,
-}
-
-impl BinKind {
-    /// Apply the operation.
-    #[inline]
-    pub fn eval(self, a: f32, b: f32) -> f32 {
-        match self {
-            BinKind::Add => a + b,
-            BinKind::Sub => a - b,
-            BinKind::Mul => a * b,
-            BinKind::Div => a / b,
-            BinKind::Min => a.min(b),
-            BinKind::Max => a.max(b),
-            BinKind::Lt => f32::from(a < b),
-            BinKind::Gt => f32::from(a > b),
-            BinKind::Le => f32::from(a <= b),
-            BinKind::Ge => f32::from(a >= b),
-            BinKind::Eq => f32::from(a == b),
-            BinKind::Ne => f32::from(a != b),
-            BinKind::Pow => a.powf(b),
-            BinKind::Atan2 => a.atan2(b),
-            BinKind::And => f32::from(a != 0.0 && b != 0.0),
-            BinKind::Or => f32::from(a != 0.0 || b != 0.0),
-        }
-    }
-
-    /// [`BinKind::eval`] over slices: `out[t] = eval(a[t], b[t])` for every
-    /// lane of `out`. The kind is matched once, outside the loop, and each
-    /// arm is its own monomorphized slice loop the compiler can vectorize;
-    /// the standalone primitive and the fused executor both run this.
-    ///
-    /// # Panics
-    /// Panics if an operand is shorter than `out`.
-    pub fn apply(self, out: &mut [f32], a: &[f32], b: &[f32]) {
-        let (a, b) = (&a[..out.len()], &b[..out.len()]);
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(BinKind::$kind => {
-                        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
-                            *o = BinKind::$kind.eval(a, b);
-                        }
-                    })*
-                }
-            };
-        }
-        per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
-    }
-
-    /// C-style operator/function text for generated kernel source.
-    pub fn source_expr(self, a: &str, b: &str) -> String {
-        match self {
-            BinKind::Add => format!("{a} + {b}"),
-            BinKind::Sub => format!("{a} - {b}"),
-            BinKind::Mul => format!("{a} * {b}"),
-            BinKind::Div => format!("{a} / {b}"),
-            BinKind::Min => format!("fmin({a}, {b})"),
-            BinKind::Max => format!("fmax({a}, {b})"),
-            BinKind::Lt => format!("({a} < {b}) ? 1.0f : 0.0f"),
-            BinKind::Gt => format!("({a} > {b}) ? 1.0f : 0.0f"),
-            BinKind::Le => format!("({a} <= {b}) ? 1.0f : 0.0f"),
-            BinKind::Ge => format!("({a} >= {b}) ? 1.0f : 0.0f"),
-            BinKind::Eq => format!("({a} == {b}) ? 1.0f : 0.0f"),
-            BinKind::Ne => format!("({a} != {b}) ? 1.0f : 0.0f"),
-            BinKind::Pow => format!("pow({a}, {b})"),
-            BinKind::Atan2 => format!("atan2({a}, {b})"),
-            BinKind::And => format!("({a} != 0.0f && {b} != 0.0f) ? 1.0f : 0.0f"),
-            BinKind::Or => format!("({a} != 0.0f || {b} != 0.0f) ? 1.0f : 0.0f"),
-        }
-    }
-}
-
-/// Scalar unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnKind {
-    /// `-a`
-    Neg,
-    /// `sqrt(a)`
-    Sqrt,
-    /// `|a|`
-    Abs,
-    /// `sin(a)`
-    Sin,
-    /// `cos(a)`
-    Cos,
-    /// `tan(a)`
-    Tan,
-    /// `exp(a)`
-    Exp,
-    /// `ln(a)`
-    Log,
-    /// logical NOT
-    Not,
-}
-
-impl UnKind {
-    /// Apply the operation.
-    #[inline]
-    pub fn eval(self, a: f32) -> f32 {
-        match self {
-            UnKind::Neg => -a,
-            UnKind::Sqrt => a.sqrt(),
-            UnKind::Abs => a.abs(),
-            UnKind::Sin => a.sin(),
-            UnKind::Cos => a.cos(),
-            UnKind::Tan => a.tan(),
-            UnKind::Exp => a.exp(),
-            UnKind::Log => a.ln(),
-            UnKind::Not => f32::from(a == 0.0),
-        }
-    }
-
-    /// [`UnKind::eval`] over slices, matched once outside the loop like
-    /// [`BinKind::apply`].
-    ///
-    /// # Panics
-    /// Panics if `a` is shorter than `out`.
-    pub fn apply(self, out: &mut [f32], a: &[f32]) {
-        let a = &a[..out.len()];
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(UnKind::$kind => {
-                        for (o, &a) in out.iter_mut().zip(a) {
-                            *o = UnKind::$kind.eval(a);
-                        }
-                    })*
-                }
-            };
-        }
-        per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
-    }
-
-    /// C-style source text.
-    pub fn source_expr(self, a: &str) -> String {
-        match self {
-            UnKind::Neg => format!("-{a}"),
-            UnKind::Sqrt => format!("sqrt({a})"),
-            UnKind::Abs => format!("fabs({a})"),
-            UnKind::Sin => format!("sin({a})"),
-            UnKind::Cos => format!("cos({a})"),
-            UnKind::Tan => format!("tan({a})"),
-            UnKind::Exp => format!("exp({a})"),
-            UnKind::Log => format!("log({a})"),
-            UnKind::Not => format!("({a} == 0.0f) ? 1.0f : 0.0f"),
-        }
-    }
-}
 
 /// A standalone device kernel for one dataflow primitive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,42 +51,37 @@ impl Primitive {
     /// Map a dataflow filter op to its primitive kernel. Sources map to
     /// `ConstFill` (constants) or `None` (inputs are uploads, not kernels).
     pub fn from_filter_op(op: &FilterOp) -> Option<Primitive> {
-        Some(match op {
+        Some(match *op {
             FilterOp::Input { .. } => return None,
-            FilterOp::Const(v) => Primitive::ConstFill(*v),
-            FilterOp::Add => Primitive::Bin(BinKind::Add),
-            FilterOp::Sub => Primitive::Bin(BinKind::Sub),
-            FilterOp::Mul => Primitive::Bin(BinKind::Mul),
-            FilterOp::Div => Primitive::Bin(BinKind::Div),
-            FilterOp::Min2 => Primitive::Bin(BinKind::Min),
-            FilterOp::Max2 => Primitive::Bin(BinKind::Max),
-            FilterOp::Lt => Primitive::Bin(BinKind::Lt),
-            FilterOp::Gt => Primitive::Bin(BinKind::Gt),
-            FilterOp::Le => Primitive::Bin(BinKind::Le),
-            FilterOp::Ge => Primitive::Bin(BinKind::Ge),
-            FilterOp::EqOp => Primitive::Bin(BinKind::Eq),
-            FilterOp::Ne => Primitive::Bin(BinKind::Ne),
-            FilterOp::Pow => Primitive::Bin(BinKind::Pow),
-            FilterOp::Atan2 => Primitive::Bin(BinKind::Atan2),
-            FilterOp::And => Primitive::Bin(BinKind::And),
-            FilterOp::Or => Primitive::Bin(BinKind::Or),
-            FilterOp::Not => Primitive::Un(UnKind::Not),
+            FilterOp::Const(v) => Primitive::ConstFill(v),
+            FilterOp::Bin(k) => Primitive::Bin(k),
+            FilterOp::Un(k) => Primitive::Un(k),
             FilterOp::Select => Primitive::Select,
             FilterOp::Compose3 => Primitive::Compose3,
-            FilterOp::Neg => Primitive::Un(UnKind::Neg),
-            FilterOp::Sqrt => Primitive::Un(UnKind::Sqrt),
-            FilterOp::Abs => Primitive::Un(UnKind::Abs),
-            FilterOp::Sin => Primitive::Un(UnKind::Sin),
-            FilterOp::Cos => Primitive::Un(UnKind::Cos),
-            FilterOp::Tan => Primitive::Un(UnKind::Tan),
-            FilterOp::Exp => Primitive::Un(UnKind::Exp),
-            FilterOp::Log => Primitive::Un(UnKind::Log),
-            FilterOp::Decompose(c) => Primitive::Decompose(*c),
+            FilterOp::Decompose(c) => Primitive::Decompose(c),
             FilterOp::Grad3d => Primitive::Grad3d,
             FilterOp::Norm3 => Primitive::Norm3,
             FilterOp::Dot3 => Primitive::Dot3,
             FilterOp::Cross3 => Primitive::Cross3,
         })
+    }
+
+    /// The dataflow operation this kernel runs (the inverse of
+    /// [`Primitive::from_filter_op`]): the operation table is where its
+    /// label and flops are defined.
+    fn filter_op(&self) -> FilterOp {
+        match *self {
+            Primitive::Bin(k) => k.into(),
+            Primitive::Un(k) => k.into(),
+            Primitive::Select => FilterOp::Select,
+            Primitive::Decompose(c) => FilterOp::Decompose(c),
+            Primitive::ConstFill(v) => FilterOp::Const(v),
+            Primitive::Compose3 => FilterOp::Compose3,
+            Primitive::Grad3d => FilterOp::Grad3d,
+            Primitive::Norm3 => FilterOp::Norm3,
+            Primitive::Dot3 => FilterOp::Dot3,
+            Primitive::Cross3 => FilterOp::Cross3,
+        }
     }
 
     /// The OpenCL building-block source this primitive corresponds to.
@@ -276,12 +90,12 @@ impl Primitive {
         match self {
             Primitive::Bin(k) => format!(
                 "float dfg_{name}(float a, float b) {{ return {expr}; }}",
-                name = format!("{k:?}").to_lowercase(),
+                name = k.name(),
                 expr = k.source_expr("a", "b"),
             ),
             Primitive::Un(k) => format!(
                 "float dfg_{name}(float a) {{ return {expr}; }}",
-                name = format!("{k:?}").to_lowercase(),
+                name = k.name(),
                 expr = k.source_expr("a"),
             ),
             Primitive::Select => {
@@ -362,43 +176,33 @@ const PAR_CHUNK: usize = 16 * 1024;
 impl DeviceKernel for Primitive {
     fn name(&self) -> String {
         match self {
-            Primitive::Bin(k) => format!("{k:?}").to_lowercase(),
-            Primitive::Un(k) => format!("{k:?}").to_lowercase(),
-            Primitive::Select => "select".into(),
-            Primitive::Compose3 => "vector".into(),
-            Primitive::Decompose(c) => format!("decompose_s{c}"),
+            // Not `kernel_name`, which labels this one filter `mult` (Fig 4).
+            Primitive::Bin(k) => k.name().into(),
             Primitive::ConstFill(v) => format!("const_fill_{v}"),
-            Primitive::Grad3d => "grad3d".into(),
-            Primitive::Norm3 => "norm".into(),
-            Primitive::Dot3 => "dot".into(),
-            Primitive::Cross3 => "cross".into(),
+            other => other.filter_op().kernel_name(),
         }
     }
 
     fn cost(&self, n: usize) -> KernelCost {
         let n = n as u64;
-        let (read_lanes, written_lanes, flops): (u64, u64, u64) = match self {
-            Primitive::Bin(_) => (2, 1, 1),
-            Primitive::Un(UnKind::Sqrt) => (1, 1, 4),
-            Primitive::Un(UnKind::Neg)
-            | Primitive::Un(UnKind::Abs)
-            | Primitive::Un(UnKind::Not) => (1, 1, 1),
-            Primitive::Un(_) => (1, 1, 8),
-            Primitive::Select => (3, 1, 1),
-            Primitive::Compose3 => (3, 4, 0),
-            Primitive::Decompose(_) => (1, 1, 0),
-            Primitive::ConstFill(_) => (0, 1, 0),
+        let (read_lanes, written_lanes): (u64, u64) = match self {
+            Primitive::Bin(_) => (2, 1),
+            Primitive::Un(_) => (1, 1),
+            Primitive::Select => (3, 1),
+            Primitive::Compose3 => (3, 4),
+            Primitive::Decompose(_) => (1, 1),
+            Primitive::ConstFill(_) => (0, 1),
             // field + 3 coords at 2 points per axis + self lookups ≈ 12
-            // loads, 16 B written (float4), ~24 flops.
-            Primitive::Grad3d => (12, 4, 24),
-            Primitive::Norm3 => (4, 1, 9),
-            Primitive::Dot3 => (8, 1, 5),
-            Primitive::Cross3 => (8, 4, 9),
+            // loads, 16 B written (float4).
+            Primitive::Grad3d => (12, 4),
+            Primitive::Norm3 => (4, 1),
+            Primitive::Dot3 => (8, 1),
+            Primitive::Cross3 => (8, 4),
         };
         KernelCost {
             bytes_read: 4 * read_lanes * n,
             bytes_written: 4 * written_lanes * n,
-            flops: flops * n,
+            flops: self.filter_op().flops_per_elem() * n,
         }
     }
 
@@ -431,7 +235,7 @@ impl DeviceKernel for Primitive {
                     &input(2)[at..][..len],
                 );
                 for (t, o) in out.iter_mut().enumerate() {
-                    *o = if c[t] != 0.0 { a[t] } else { b[t] };
+                    *o = select(c[t], a[t], b[t]);
                 }
             }),
             Primitive::Compose3 => tasks(4, &|at, out| {
@@ -568,10 +372,11 @@ mod tests {
         );
     }
 
-    /// The optimizer's constant folder (`dfg_dataflow::eval_scalar`) must be a
-    /// bit-exact mirror of this primitive library, or folding would change
-    /// results. Pin the two together over a value grid that exercises signed
-    /// zero, negatives, comparisons, and domain edges.
+    /// The constant folder (`dfg_dataflow::eval_scalar`) and the kernels call
+    /// the same `eval`/`select` functions, so there is no second copy of the
+    /// binary and unary arithmetic to compare. What is still worth pinning is
+    /// the launch path around them: `select` over a grid with signed zeros,
+    /// and comparisons against NaN, folded vs run through `Primitive::run`.
     #[test]
     fn optimizer_fold_mirror_matches_primitive_eval() {
         use dfg_dataflow::eval_scalar;
@@ -588,83 +393,30 @@ mod tests {
             3.25,
             f32::MIN_POSITIVE,
             1.0e20,
+            f32::NAN,
         ];
-        let binary = [
-            FilterOp::Add,
-            FilterOp::Sub,
-            FilterOp::Mul,
-            FilterOp::Div,
-            FilterOp::Min2,
-            FilterOp::Max2,
-            FilterOp::Lt,
-            FilterOp::Gt,
-            FilterOp::Le,
-            FilterOp::Ge,
-            FilterOp::EqOp,
-            FilterOp::Ne,
-            FilterOp::Pow,
-            FilterOp::Atan2,
-            FilterOp::And,
-            FilterOp::Or,
-        ];
-        let unary = [
-            FilterOp::Neg,
-            FilterOp::Sqrt,
-            FilterOp::Abs,
-            FilterOp::Sin,
-            FilterOp::Cos,
-            FilterOp::Tan,
-            FilterOp::Exp,
-            FilterOp::Log,
-            FilterOp::Not,
-        ];
-
-        let check = |op: &FilterOp, args: &[f32], device: f32| {
-            let folded = eval_scalar(op, args)
-                .unwrap_or_else(|| panic!("eval_scalar missing coverage for {op:?}"));
-            assert_eq!(
-                folded.to_bits(),
-                device.to_bits(),
-                "fold mirror diverges from device primitive for {op:?} on {args:?}: \
-                 {folded} vs {device}"
-            );
+        let check = |op: FilterOp, args: &[Vec<f32>]| {
+            let n = args[0].len();
+            let kernel = Primitive::from_filter_op(&op).expect("compute op");
+            let device = run_prim(kernel, args, n, n);
+            for t in 0..n {
+                let at: Vec<f32> = args.iter().map(|a| a[t]).collect();
+                let folded = eval_scalar(&op, &at).expect("scalar op folds");
+                assert_eq!(folded.to_bits(), device[t].to_bits(), "{op:?} on {at:?}");
+            }
         };
 
-        for op in &binary {
-            let Some(Primitive::Bin(kind)) = Primitive::from_filter_op(op) else {
-                panic!("{op:?} no longer maps to a binary primitive");
-            };
-            for &a in &samples {
-                for &b in &samples {
-                    check(op, &[a, b], kind.eval(a, b));
-                }
-            }
-        }
-        for op in &unary {
-            let Some(Primitive::Un(kind)) = Primitive::from_filter_op(op) else {
-                panic!("{op:?} no longer maps to a unary primitive");
-            };
-            for &a in &samples {
-                check(op, &[a], kind.eval(a));
-            }
-        }
-        for &c in &samples {
-            for &a in &samples {
-                for &b in &samples {
-                    let device = if c != 0.0 { a } else { b };
-                    check(&FilterOp::Select, &[c, a, b], device);
-                }
-            }
-        }
-        // NaN handling: eval_scalar may fold NaN operands however it likes as
-        // long as it matches the device library bit-for-bit where both are
-        // well-defined; comparisons against NaN must still agree.
-        let nan = f32::NAN;
-        for op in [FilterOp::Lt, FilterOp::Ge, FilterOp::EqOp, FilterOp::Ne] {
-            let Some(Primitive::Bin(kind)) = Primitive::from_filter_op(&op) else {
-                unreachable!()
-            };
-            check(&op, &[nan, 1.0], kind.eval(nan, 1.0));
+        // Every (c, a, b) triple of the grid, one launch.
+        let triples = samples
+            .iter()
+            .flat_map(|&c| samples.iter().map(move |&a| (c, a)))
+            .flat_map(|(c, a)| samples.iter().map(move |&b| [c, a, b]));
+        let lanes = |i: usize| triples.clone().map(|t| t[i]).collect::<Vec<f32>>();
+        check(FilterOp::Select, &[lanes(0), lanes(1), lanes(2)]);
+        for kind in [BinKind::Lt, BinKind::Ge, BinKind::Eq, BinKind::Ne] {
+            let nan = vec![f32::NAN; samples.len()];
+            check(kind.into(), &[nan.clone(), samples.to_vec()]);
+            check(kind.into(), &[samples.to_vec(), nan]);
         }
     }
 
@@ -673,8 +425,6 @@ mod tests {
     /// NaN, infinities and subnormals.
     #[test]
     fn slice_forms_equal_eval_bit_for_bit_for_every_kind() {
-        use BinKind::*;
-        use UnKind::*;
         let tiny = f32::from_bits(1);
         let vals = [
             0.0,
@@ -693,9 +443,7 @@ mod tests {
         let a: Vec<f32> = vals.iter().flat_map(|&a| vals.map(|_| a)).collect();
         let b: Vec<f32> = vals.iter().flat_map(|_| vals).collect();
         let mut out = vec![0.0f32; a.len()];
-        for k in [
-            Add, Sub, Mul, Div, Min, Max, Lt, Gt, Le, Ge, Eq, Ne, Pow, Atan2, And, Or,
-        ] {
+        for k in BinKind::ALL {
             k.apply(&mut out, &a, &b);
             for t in 0..a.len() {
                 let want = k.eval(a[t], b[t]);
@@ -714,7 +462,7 @@ mod tests {
                 .zip(&out)
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-        for k in [Neg, Sqrt, Abs, Sin, Cos, Tan, Exp, Log, Not] {
+        for k in UnKind::ALL {
             k.apply(&mut out, &a);
             for t in 0..a.len() {
                 assert_eq!(out[t].to_bits(), k.eval(a[t]).to_bits(), "{k:?}({})", a[t]);
@@ -802,7 +550,6 @@ mod tests {
 
     #[test]
     fn filter_op_mapping_covers_all_compute_ops() {
-        use dfg_dataflow::FilterOp;
         assert!(Primitive::from_filter_op(&FilterOp::Input {
             name: "u".into(),
             small: false
@@ -820,6 +567,18 @@ mod tests {
             Primitive::from_filter_op(&FilterOp::Grad3d),
             Some(Primitive::Grad3d)
         );
+        // `filter_op` is the inverse, so a kernel's label and flops are its
+        // filter's: the staged `mul` vs Fig 4's `mult` is the one exception.
+        let scalar = BinKind::ALL.into_iter().map(FilterOp::from);
+        for op in scalar.chain(UnKind::ALL.into_iter().map(FilterOp::from)) {
+            let prim = Primitive::from_filter_op(&op).expect("compute op");
+            assert_eq!(prim.filter_op(), op);
+            assert_eq!(prim.cost(1).flops, op.flops_per_elem());
+            if op != FilterOp::Bin(BinKind::Mul) {
+                assert_eq!(prim.name(), op.kernel_name());
+            }
+        }
+        assert_eq!(Primitive::Bin(BinKind::Mul).name(), "mul");
     }
 
     #[test]

@@ -157,14 +157,14 @@ fn network_builder_api_direct_use() {
     // §III-B.1: the network definition API "can also be used directly from
     // Python, by a user or by a host application" — here, directly from
     // Rust, bypassing the parser.
-    use dfg::dataflow::{FilterOp, NetworkBuilder};
+    use dfg::dataflow::{BinKind, NetworkBuilder, UnKind};
     let mut b = NetworkBuilder::new();
     let u = b.input("u");
     let v = b.input("v");
-    let uu = b.binary(FilterOp::Mul, u, u);
-    let vv = b.binary(FilterOp::Mul, v, v);
-    let sum = b.binary(FilterOp::Add, uu, vv);
-    let mag = b.unary(FilterOp::Sqrt, sum);
+    let uu = b.binary(BinKind::Mul, u, u);
+    let vv = b.binary(BinKind::Mul, v, v);
+    let sum = b.binary(BinKind::Add, uu, vv);
+    let mag = b.unary(UnKind::Sqrt, sum);
     b.name(mag, "speed2d");
     let spec = b.finish(mag);
 

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use dfg::core::{FieldSet, Workload};
-use dfg::dataflow::{FilterOp, NetworkSpec, NodeId, Schedule};
+use dfg::dataflow::{BinKind, FilterOp, NetworkSpec, NodeId, Schedule, UnKind};
 use dfg::expr::{compile, parse, Expr};
 use dfg::kernels::{gradient_at, Dims3};
 // `dfg::prelude::Strategy` (the execution strategy enum) collides with
@@ -38,18 +38,30 @@ fn interpret(spec: &NetworkSpec, fields: &FieldSet) -> Vec<f32> {
                 .and_then(|f| f.data.clone())
                 .expect("field provided"),
             FilterOp::Const(v) => vec![*v; n],
-            FilterOp::Add => (0..n).map(|i| ins[0][i] + ins[1][i]).collect(),
-            FilterOp::Sub => (0..n).map(|i| ins[0][i] - ins[1][i]).collect(),
-            FilterOp::Mul => (0..n).map(|i| ins[0][i] * ins[1][i]).collect(),
-            FilterOp::Div => (0..n).map(|i| ins[0][i] / ins[1][i]).collect(),
-            FilterOp::Min2 => (0..n).map(|i| ins[0][i].min(ins[1][i])).collect(),
-            FilterOp::Max2 => (0..n).map(|i| ins[0][i].max(ins[1][i])).collect(),
-            FilterOp::Lt => (0..n).map(|i| f32::from(ins[0][i] < ins[1][i])).collect(),
-            FilterOp::Gt => (0..n).map(|i| f32::from(ins[0][i] > ins[1][i])).collect(),
-            FilterOp::Le => (0..n).map(|i| f32::from(ins[0][i] <= ins[1][i])).collect(),
-            FilterOp::Ge => (0..n).map(|i| f32::from(ins[0][i] >= ins[1][i])).collect(),
-            FilterOp::EqOp => (0..n).map(|i| f32::from(ins[0][i] == ins[1][i])).collect(),
-            FilterOp::Ne => (0..n).map(|i| f32::from(ins[0][i] != ins[1][i])).collect(),
+            FilterOp::Bin(BinKind::Add) => (0..n).map(|i| ins[0][i] + ins[1][i]).collect(),
+            FilterOp::Bin(BinKind::Sub) => (0..n).map(|i| ins[0][i] - ins[1][i]).collect(),
+            FilterOp::Bin(BinKind::Mul) => (0..n).map(|i| ins[0][i] * ins[1][i]).collect(),
+            FilterOp::Bin(BinKind::Div) => (0..n).map(|i| ins[0][i] / ins[1][i]).collect(),
+            FilterOp::Bin(BinKind::Min) => (0..n).map(|i| ins[0][i].min(ins[1][i])).collect(),
+            FilterOp::Bin(BinKind::Max) => (0..n).map(|i| ins[0][i].max(ins[1][i])).collect(),
+            FilterOp::Bin(BinKind::Lt) => {
+                (0..n).map(|i| f32::from(ins[0][i] < ins[1][i])).collect()
+            }
+            FilterOp::Bin(BinKind::Gt) => {
+                (0..n).map(|i| f32::from(ins[0][i] > ins[1][i])).collect()
+            }
+            FilterOp::Bin(BinKind::Le) => {
+                (0..n).map(|i| f32::from(ins[0][i] <= ins[1][i])).collect()
+            }
+            FilterOp::Bin(BinKind::Ge) => {
+                (0..n).map(|i| f32::from(ins[0][i] >= ins[1][i])).collect()
+            }
+            FilterOp::Bin(BinKind::Eq) => {
+                (0..n).map(|i| f32::from(ins[0][i] == ins[1][i])).collect()
+            }
+            FilterOp::Bin(BinKind::Ne) => {
+                (0..n).map(|i| f32::from(ins[0][i] != ins[1][i])).collect()
+            }
             FilterOp::Select => (0..n)
                 .map(|i| {
                     if ins[0][i] != 0.0 {
@@ -59,23 +71,23 @@ fn interpret(spec: &NetworkSpec, fields: &FieldSet) -> Vec<f32> {
                     }
                 })
                 .collect(),
-            FilterOp::Neg => (0..n).map(|i| -ins[0][i]).collect(),
-            FilterOp::Sqrt => (0..n).map(|i| ins[0][i].sqrt()).collect(),
-            FilterOp::Abs => (0..n).map(|i| ins[0][i].abs()).collect(),
-            FilterOp::Sin => (0..n).map(|i| ins[0][i].sin()).collect(),
-            FilterOp::Cos => (0..n).map(|i| ins[0][i].cos()).collect(),
-            FilterOp::Tan => (0..n).map(|i| ins[0][i].tan()).collect(),
-            FilterOp::Exp => (0..n).map(|i| ins[0][i].exp()).collect(),
-            FilterOp::Log => (0..n).map(|i| ins[0][i].ln()).collect(),
-            FilterOp::Pow => (0..n).map(|i| ins[0][i].powf(ins[1][i])).collect(),
-            FilterOp::Atan2 => (0..n).map(|i| ins[0][i].atan2(ins[1][i])).collect(),
-            FilterOp::And => (0..n)
+            FilterOp::Un(UnKind::Neg) => (0..n).map(|i| -ins[0][i]).collect(),
+            FilterOp::Un(UnKind::Sqrt) => (0..n).map(|i| ins[0][i].sqrt()).collect(),
+            FilterOp::Un(UnKind::Abs) => (0..n).map(|i| ins[0][i].abs()).collect(),
+            FilterOp::Un(UnKind::Sin) => (0..n).map(|i| ins[0][i].sin()).collect(),
+            FilterOp::Un(UnKind::Cos) => (0..n).map(|i| ins[0][i].cos()).collect(),
+            FilterOp::Un(UnKind::Tan) => (0..n).map(|i| ins[0][i].tan()).collect(),
+            FilterOp::Un(UnKind::Exp) => (0..n).map(|i| ins[0][i].exp()).collect(),
+            FilterOp::Un(UnKind::Log) => (0..n).map(|i| ins[0][i].ln()).collect(),
+            FilterOp::Bin(BinKind::Pow) => (0..n).map(|i| ins[0][i].powf(ins[1][i])).collect(),
+            FilterOp::Bin(BinKind::Atan2) => (0..n).map(|i| ins[0][i].atan2(ins[1][i])).collect(),
+            FilterOp::Bin(BinKind::And) => (0..n)
                 .map(|i| f32::from(ins[0][i] != 0.0 && ins[1][i] != 0.0))
                 .collect(),
-            FilterOp::Or => (0..n)
+            FilterOp::Bin(BinKind::Or) => (0..n)
                 .map(|i| f32::from(ins[0][i] != 0.0 || ins[1][i] != 0.0))
                 .collect(),
-            FilterOp::Not => (0..n).map(|i| f32::from(ins[0][i] == 0.0)).collect(),
+            FilterOp::Un(UnKind::Not) => (0..n).map(|i| f32::from(ins[0][i] == 0.0)).collect(),
             FilterOp::Compose3 => {
                 let mut out = vec![0.0f32; 4 * n];
                 for i in 0..n {
