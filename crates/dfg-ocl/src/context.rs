@@ -4,7 +4,9 @@ use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::host::HostEnd;
-use crate::integrity::{checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy};
+use crate::integrity::{
+    checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy, BUFFER_SUM_SEED,
+};
 use crate::profile::DeviceProfile;
 use crate::ExecMode;
 use dfg_trace::Tracer;
@@ -222,9 +224,7 @@ impl Slot {
     /// no event, no clock cost.
     fn learn_sum(&mut self, learn: bool) {
         self.sum = match self.payload() {
-            Some(payload) if learn => {
-                Some(checksum_f32s(crate::integrity::BUFFER_SUM_SEED, payload))
-            }
+            Some(payload) if learn => Some(checksum_f32s(BUFFER_SUM_SEED, payload)),
             _ => None,
         };
     }
@@ -1133,8 +1133,7 @@ impl Context {
             } else {
                 match (slot.sum, slot.payload()) {
                     (Some(expected), Some(payload))
-                        if checksum_f32s(crate::integrity::BUFFER_SUM_SEED, payload)
-                            != expected =>
+                        if checksum_f32s(BUFFER_SUM_SEED, payload) != expected =>
                     {
                         Some(IntegrityKind::Checksum)
                     }

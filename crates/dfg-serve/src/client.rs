@@ -6,6 +6,15 @@
 //! [`Client::recv_for`], which lets a load generator keep many requests
 //! in flight on one connection and match replies by id.
 //!
+//! Replies are read through [`read_response`], the one wire reader: the
+//! header line and, behind an `ok` that announces it, the binary payload
+//! frame, decoded into [`DeriveReply::data_bits`] as it arrives. A read that
+//! times out ([`Client::set_read_timeout`]) keeps the part of the frame
+//! already received, header or payload, and the next [`Client::recv_for`]
+//! resumes it; a reply that breaks the framing ([`ClientError::Framing`])
+//! closes the connection, because what follows a header that cannot be
+//! trusted cannot be told from payload bytes.
+//!
 //! Failures are **typed**: a refused request surfaces as
 //! [`ClientError::Rejected`] carrying the server's [`RejectKind`], so
 //! callers can branch on `overloaded` vs `deadline_exceeded` vs
@@ -33,11 +42,14 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use crate::protocol::{DeriveReply, DeriveRequest, ExecStrategy, RejectKind, Request, Response};
+use crate::protocol::{
+    read_response, DeriveReply, DeriveRequest, ExecStrategy, PartialResponse, RejectKind, Request,
+    Response, WireError,
+};
 
 /// A blocking connection to a serve instance.
 pub struct Client {
@@ -46,6 +58,11 @@ pub struct Client {
     next_id: u64,
     /// Replies read while waiting for a different id (pipelining).
     pending: HashMap<u64, Response>,
+    /// The reply a timed-out read left unfinished.
+    partial: PartialResponse,
+    /// Set once the reply stream is unusable (framing error, socket error,
+    /// end of stream): every later receive fails with `NotConnected`.
+    closed: bool,
 }
 
 /// Client-side failure: transport error, typed server rejection, or a
@@ -62,8 +79,13 @@ pub enum ClientError {
         /// The server's human-readable explanation.
         message: String,
     },
-    /// The server's reply did not parse, or was of an unexpected shape.
+    /// The server's reply was of an unexpected shape, or the server closed
+    /// the connection.
     Protocol(String),
+    /// The reply stream lost its framing — an oversized or unparseable
+    /// header, or a `payload_bytes` that is over the cap or disagrees with
+    /// `ncells`. The client has closed the connection: reconnect to go on.
+    Framing(String),
     /// The reply parsed but its payload failed the checksum the server
     /// attached (`payload_sum`): the bits were garbled in flight. The
     /// request itself is fine, so this is transient — a [`RetryPolicy`]
@@ -87,7 +109,7 @@ impl ClientError {
         match self {
             ClientError::Io(_) => true,
             ClientError::Rejected { kind, .. } => matches!(kind, RejectKind::Overloaded),
-            ClientError::Protocol(_) => false,
+            ClientError::Protocol(_) | ClientError::Framing(_) => false,
             ClientError::Corrupt { .. } => true,
         }
     }
@@ -101,6 +123,7 @@ impl std::fmt::Display for ClientError {
                 write!(f, "{}: {message}", kind.as_str())
             }
             ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
+            ClientError::Framing(m) => write!(f, "framing error, connection closed: {m}"),
             ClientError::Corrupt {
                 id,
                 expected,
@@ -230,12 +253,16 @@ impl Client {
             reader,
             next_id: 1,
             pending: HashMap::new(),
+            partial: PartialResponse::default(),
+            closed: false,
         })
     }
 
     /// Bound how long [`Client::recv`] blocks on the socket. A timed-out
     /// read surfaces as [`ClientError::Io`] (`WouldBlock`/`TimedOut`),
-    /// which [`ClientError::is_transient`] classifies as retryable.
+    /// which [`ClientError::is_transient`] classifies as retryable; the
+    /// bytes it had received stay with the client and the next
+    /// [`Client::recv`] continues the same reply.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(dur)
     }
@@ -264,12 +291,26 @@ impl Client {
 
     /// Read the next reply off the wire, whatever its id.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
+        if self.closed {
+            return Err(ClientError::Io(std::io::ErrorKind::NotConnected.into()));
         }
-        Response::parse(line.trim()).map_err(ClientError::Protocol)
+        let err = match read_response(&mut self.reader, &mut self.partial) {
+            Ok(resp) => return Ok(resp),
+            Err(WireError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(ClientError::Io(e));
+            }
+            Err(WireError::Io(e)) => ClientError::Io(e),
+            Err(WireError::Closed) => ClientError::Protocol("server closed the connection".into()),
+            Err(WireError::Framing(m)) => ClientError::Framing(m),
+        };
+        self.closed = true;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        Err(err)
     }
 
     /// Read replies until the one for `id` arrives, stashing replies to

@@ -2,7 +2,8 @@
 //!
 //! Promotes the engine from a library into a long-lived server: many
 //! concurrent clients connect over a local TCP socket, speak a
-//! line-delimited JSON protocol ([`protocol`]), and are multiplexed onto
+//! line-delimited JSON protocol whose replies carry fields as binary
+//! frames ([`protocol`]), and are multiplexed onto
 //! per-tenant [`dfg_core::Session`]s held in one
 //! [`dfg_core::SessionRegistry`]. The serving layer adds what a library
 //! cannot: admission control (a bounded queue with typed `overloaded`

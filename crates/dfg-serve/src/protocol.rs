@@ -1,17 +1,24 @@
-//! The wire protocol: line-delimited JSON requests and responses.
+//! The wire protocol: line-delimited JSON messages, and a binary frame
+//! behind the one message that carries a field.
 //!
 //! Every message is one JSON object on one line, terminated by `\n` — no
-//! external serialisation crate, no framing beyond the newline. Requests
-//! carry an `op` tag and a client-chosen `id` that the server echoes back,
-//! so a client may pipeline many requests on one connection and match
-//! replies by id (replies to one connection come back in submission
-//! order). The full grammar is specified in `docs/SERVING.md`.
+//! external serialisation crate. Requests carry an `op` tag and a
+//! client-chosen `id` that the server echoes back, so a client may pipeline
+//! many requests on one connection and match replies by id (replies to one
+//! connection come back in submission order). The full grammar is specified
+//! in `docs/SERVING.md`.
 //!
-//! Derived-field payloads cross the wire as **f32 bit patterns**
-//! (`data_bits`, an array of `u32`), not decimal floats: integers below
-//! 2^53 round-trip exactly through the JSON number grammar, so a client
+//! A derived field crosses the wire as **f32 bit patterns in a binary
+//! frame**: the `ok` header line announces `"payload_bytes":N` and exactly
+//! `N` bytes follow its newline, four per cell, little-endian, in field
+//! order. Each byte moves once — [`write_response`] encodes straight from
+//! the result buffer into the socket in chunks of at most 64 KiB, and
+//! [`read_response`] decodes straight into the `Vec<u32>` of
+//! [`DeriveReply::data_bits`] as the bytes arrive — so a client
 //! reassembling `f32::from_bits` sees bit-identical results to a local
-//! engine run.
+//! engine run, NaN payloads and `-0.0` included. These two functions are
+//! the only codec: the server, [`crate::Client`] and every test server go
+//! through them.
 //!
 //! # Examples
 //!
@@ -32,8 +39,20 @@
 //! assert_eq!(Request::parse(line.trim()).unwrap(), req);
 //! ```
 
+use std::io::{self, BufRead, Write};
+
 use dfg_core::TenantStats;
 use dfg_trace::json::{self, Value};
+
+/// Most bytes an `ok` header may announce as its payload. A reader treats a
+/// larger announcement as a framing error before reading any of it.
+pub const MAX_PAYLOAD_BYTES: u64 = 1 << 30;
+
+/// Most bytes of one reply header line (newline included) a reader buffers.
+pub const MAX_HEADER_BYTES: usize = 1 << 20;
+
+/// Most payload bytes encoded per socket write.
+const WIRE_CHUNK: usize = 64 * 1024;
 
 /// Execution strategy requested on the wire. Mirrors
 /// [`dfg_core::Strategy`] plus the streamed (slab-partitioned) execution
@@ -99,7 +118,8 @@ pub struct DeriveRequest {
     pub grid: [usize; 3],
     /// Execution strategy.
     pub strategy: ExecStrategy,
-    /// Whether to return the full field as `data_bits` (bit-exact f32).
+    /// Whether to return the full field (bit-exact f32, as a binary frame
+    /// behind the reply header; [`DeriveReply::data_bits`] client-side).
     pub data: bool,
     /// Optional deadline, in milliseconds from the moment the server
     /// admits the request. An expired request is dropped — at dequeue or
@@ -167,10 +187,7 @@ impl Request {
             .get("op")
             .and_then(Value::as_str)
             .ok_or("missing \"op\"")?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_f64)
-            .ok_or("missing numeric \"id\"")? as u64;
+        let id = wire_id(&v).ok_or("\"id\" must be a non-negative integer")?;
         match op {
             "stats" => Ok(Request::Stats { id }),
             "ping" => Ok(Request::Ping { id }),
@@ -208,15 +225,10 @@ impl Request {
                 let data = matches!(v.get("data"), Some(Value::Bool(true)));
                 let deadline_ms = match v.get("deadline_ms") {
                     None | Some(Value::Null) => None,
-                    Some(val) => {
-                        let n = val.as_f64().ok_or("derive: non-numeric \"deadline_ms\"")?;
-                        if !n.is_finite() || n < 0.0 || n != n.trunc() {
-                            return Err(
-                                "derive: \"deadline_ms\" must be a non-negative integer".into()
-                            );
-                        }
-                        Some(n as u64)
-                    }
+                    Some(val) => Some(
+                        whole_below(val, U64_RANGE)
+                            .ok_or("derive: \"deadline_ms\" must be a non-negative integer")?,
+                    ),
                 };
                 Ok(Request::Derive(DeriveRequest {
                     id,
@@ -235,12 +247,28 @@ impl Request {
     /// Best-effort extraction of the client-chosen `id` from a frame that
     /// failed [`Request::parse`], so a malformed-frame error reply can
     /// still echo it and the client can match the failure to its request.
-    /// Returns `None` when the line is not JSON or carries no numeric id.
+    /// Returns `None` when the line is not JSON or carries no id
+    /// [`Request::parse`] would accept.
     pub fn frame_id(line: &str) -> Option<u64> {
-        let v = json::parse(line).ok()?;
-        let id = v.get("id")?.as_f64()?;
-        (id.is_finite() && id >= 0.0).then_some(id as u64)
+        wire_id(&json::parse(line).ok()?)
     }
+}
+
+/// The `id` of a message, under the one rule both directions share: a JSON
+/// number that is finite, non-negative, integral and below 2^64. Anything
+/// else (`-5`, `1.5`, `1e999`) is not an id — casting it would run the
+/// request under a different one.
+fn wire_id(v: &Value) -> Option<u64> {
+    whole_below(v.get("id")?, U64_RANGE)
+}
+
+/// 2^64: the first number a `u64` cannot hold.
+const U64_RANGE: f64 = 18_446_744_073_709_551_616.0;
+
+/// `v` as an integer in `0..below`, if it is a JSON number and is one.
+fn whole_below(v: &Value, below: f64) -> Option<u64> {
+    let n = v.as_f64()?;
+    ((0.0..below).contains(&n) && n == n.trunc()).then_some(n as u64)
 }
 
 /// Why a request was rejected without being executed.
@@ -301,7 +329,9 @@ pub struct DeriveReply {
     pub batch: u64,
     /// Whether the request completed in a degraded mode (recovery ladder).
     pub degraded: bool,
-    /// Bit patterns of the derived f32 field, if `data: true` was asked.
+    /// Bit patterns of the derived f32 field, if `data: true` was asked:
+    /// the reply's binary frame as [`read_response`] decoded it. The server
+    /// leaves this `None` and hands [`write_response`] the field itself.
     pub data_bits: Option<Vec<u32>>,
     /// Seeded checksum over `data_bits` (see
     /// [`dfg_ocl::integrity::checksum_bits`] with
@@ -346,6 +376,8 @@ pub struct ServerCounters {
     pub evicted_pressure: u64,
     /// Frames that failed to parse (answered with an error, not executed).
     pub malformed: u64,
+    /// Binary payload bytes written behind `ok` headers (headers excluded).
+    pub payload_bytes: u64,
 }
 
 /// A server→client message.
@@ -465,8 +497,20 @@ fn tenant_stats_parse(v: &Value) -> Result<TenantStats, String> {
 }
 
 impl Response {
-    /// Encode as one newline-terminated JSON line.
+    /// Encode the header: one newline-terminated JSON line. An `ok` reply
+    /// holding `data_bits` announces their size (`"payload_bytes":N`), as
+    /// [`write_response`] does for the field it is given; the bytes are no
+    /// part of the line.
     pub fn to_json_line(&self) -> String {
+        let own = match self {
+            Response::Ok(r) => r.data_bits.as_ref().map(|bits| 4 * bits.len() as u64),
+            _ => None,
+        };
+        self.header_line(own)
+    }
+
+    /// The header line, announcing `payload_bytes` behind an `ok`.
+    fn header_line(&self, payload_bytes: Option<u64>) -> String {
         match self {
             Response::Ok(r) => {
                 let mut line = format!(
@@ -489,15 +533,8 @@ impl Response {
                 if let Some(sum) = r.payload_sum {
                     line.push_str(&format!(",\"payload_sum\":\"{sum}\""));
                 }
-                if let Some(bits) = &r.data_bits {
-                    line.push_str(",\"data_bits\":[");
-                    for (i, b) in bits.iter().enumerate() {
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        line.push_str(&b.to_string());
-                    }
-                    line.push(']');
+                if let Some(n) = payload_bytes {
+                    line.push_str(&format!(",\"payload_bytes\":{n}"));
                 }
                 line.push_str("}\n");
                 line
@@ -515,7 +552,7 @@ impl Response {
                      \"errors\":{},\"batches\":{},\"coalesced\":{},\"merged\":{},\
                      \"degraded\":{},\"rejected_too_large\":{},\"rejected_deadline\":{},\
                      \"cancelled\":{},\"evicted_idle\":{},\"evicted_pressure\":{},\
-                     \"malformed\":{}}},\"tenants\":[{}]}}\n",
+                     \"malformed\":{},\"payload_bytes\":{}}},\"tenants\":[{}]}}\n",
                     id,
                     server.requests,
                     server.ok,
@@ -532,6 +569,7 @@ impl Response {
                     server.evicted_idle,
                     server.evicted_pressure,
                     server.malformed,
+                    server.payload_bytes,
                     tenants_json.join(","),
                 )
             }
@@ -552,24 +590,30 @@ impl Response {
         }
     }
 
-    /// Parse one response line (without the trailing newline).
+    /// Parse one response header line (without the trailing newline). A
+    /// header that announces a payload parses to a reply with
+    /// `data_bits: None`: the bytes behind it are [`read_response`]'s to
+    /// attach.
     pub fn parse(line: &str) -> Result<Response, String> {
+        Response::parse_header(line).map(|(resp, _)| resp)
+    }
+
+    /// [`Response::parse`], plus the `payload_bytes` an `ok` announced.
+    fn parse_header(line: &str) -> Result<(Response, Option<u64>), String> {
         let v = json::parse(line)?;
         let status = v
             .get("status")
             .and_then(Value::as_str)
             .ok_or("missing \"status\"")?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_f64)
-            .ok_or("missing numeric \"id\"")? as u64;
+        let id = wire_id(&v).ok_or("\"id\" must be a non-negative integer")?;
         let message = || {
             v.get("message")
                 .and_then(Value::as_str)
                 .unwrap_or("")
                 .to_string()
         };
-        match status {
+        let mut announced = None;
+        let resp: Result<Response, String> = match status {
             "pong" => Ok(Response::Pong { id }),
             "shutting_down" => {
                 if v.get("message").is_some() {
@@ -630,6 +674,7 @@ impl Response {
                     evicted_idle: num("evicted_idle")?,
                     evicted_pressure: num("evicted_pressure")?,
                     malformed: num("malformed")?,
+                    payload_bytes: num("payload_bytes")?,
                 };
                 let tenants = v
                     .get("tenants")
@@ -666,19 +711,12 @@ impl Response {
                     ),
                     Some(_) => return Err("ok: \"payload_sum\" must be a string".into()),
                 };
-                let data_bits = match v.get("data_bits").and_then(Value::as_array) {
-                    Some(items) => Some(
-                        items
-                            .iter()
-                            .map(|b| {
-                                b.as_f64()
-                                    .map(|n| n as u32)
-                                    .ok_or("ok: non-numeric data_bits entry".to_string())
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                    None => None,
-                };
+                if let Some(n) = v.get("payload_bytes") {
+                    let bytes = whole_below(n, MAX_PAYLOAD_BYTES as f64 + 1.0).ok_or_else(|| {
+                        format!("ok: \"payload_bytes\" must be an integer in 0..={MAX_PAYLOAD_BYTES}")
+                    })?;
+                    announced = Some(bytes);
+                }
                 Ok(Response::Ok(DeriveReply {
                     id,
                     tenant: v
@@ -699,13 +737,180 @@ impl Response {
                     coalesced: matches!(v.get("coalesced"), Some(Value::Bool(true))),
                     batch: num("batch")? as u64,
                     degraded: matches!(v.get("degraded"), Some(Value::Bool(true))),
-                    data_bits,
+                    data_bits: None,
                     payload_sum,
                 }))
             }
             other => Err(format!("unknown status `{other}`")),
-        }
+        };
+        Ok((resp?, announced))
     }
+}
+
+/// Write one response: the header line, then — when `field` is offered
+/// behind an `ok` — the binary frame the header announces, 4 little-endian
+/// bytes per lane. `field` is the whole payload (a reply's own `data_bits`
+/// are the reader's side and are not consulted), so the server's result
+/// buffer goes to the socket without becoming a `Vec<u32>` first. The header
+/// and the first 64 KiB leave in one `write`, the rest in 64 KiB steps;
+/// nothing is flushed. A field over [`MAX_PAYLOAD_BYTES`] is answered, not
+/// announced: an `error` header for the same id goes out in its place, so
+/// the connection and the other replies on it live on. Returns the payload
+/// bytes written.
+pub fn write_response<W: Write>(
+    w: &mut W,
+    resp: &Response,
+    field: Option<&[f32]>,
+) -> io::Result<u64> {
+    write_capped(w, resp, field, MAX_PAYLOAD_BYTES)
+}
+
+/// [`write_response`] under a frame cap of `cap` bytes (the tests' handle on
+/// the over-cap answer without a 1 GiB field).
+fn write_capped<W: Write>(
+    w: &mut W,
+    resp: &Response,
+    field: Option<&[f32]>,
+    cap: u64,
+) -> io::Result<u64> {
+    let (Response::Ok(reply), Some(field)) = (resp, field) else {
+        return w.write_all(resp.header_line(None).as_bytes()).map(|()| 0);
+    };
+    let bytes = 4 * field.len() as u64;
+    if bytes > cap {
+        let message = format!("a {bytes}-byte field exceeds the {cap}-byte frame cap");
+        let id = reply.id;
+        return write_capped(w, &Response::Error { id, message }, None, cap);
+    }
+    let mut buf = resp.header_line(Some(bytes)).into_bytes();
+    for chunk in field.chunks(WIRE_CHUNK / 4) {
+        let at = buf.len();
+        buf.resize(at + 4 * chunk.len(), 0);
+        for (dst, v) in buf[at..].chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        w.write_all(&buf)?;
+        buf.clear();
+    }
+    // An empty field: the header is still to go.
+    w.write_all(&buf)?;
+    Ok(bytes)
+}
+
+/// Why [`read_response`] returned without a response.
+#[derive(Debug)]
+pub enum WireError {
+    /// The socket failed, timed out, or ended mid-frame (`UnexpectedEof`).
+    /// After a timeout (`WouldBlock`/`TimedOut`) the [`PartialResponse`]
+    /// holds every byte consumed so far and the same call resumes the frame.
+    Io(io::Error),
+    /// The peer closed the stream between two frames.
+    Closed,
+    /// The stream is no longer framed: a header over [`MAX_HEADER_BYTES`],
+    /// one that does not parse, or a `payload_bytes` that is over
+    /// [`MAX_PAYLOAD_BYTES`] or is not 4 (scalar) or 16 (vec4) bytes per
+    /// cell. What follows cannot be told from payload bytes, so the reader
+    /// must close the connection rather than read on.
+    Framing(String),
+}
+
+/// The reply [`read_response`] is in the middle of: a header line short of
+/// its newline, or a parsed `ok` header and the payload words behind it that
+/// have arrived. Memory is held for bytes received, never for bytes
+/// announced.
+#[derive(Default)]
+pub struct PartialResponse {
+    header: Vec<u8>,
+    body: Option<PartialBody>,
+}
+
+struct PartialBody {
+    reply: DeriveReply,
+    /// Payload words the header announced.
+    words: usize,
+    bits: Vec<u32>,
+    /// The 1–3 bytes of a word split across two reads.
+    carry: [u8; 4],
+    carried: usize,
+}
+
+/// Read one response: the header line and, if it announces one, the binary
+/// frame behind it, decoded into [`DeriveReply::data_bits`] as the bytes
+/// arrive. Consumes from `r` exactly the bytes of this response. See
+/// [`WireError`] for what each failure leaves behind.
+pub fn read_response<R: BufRead>(
+    r: &mut R,
+    partial: &mut PartialResponse,
+) -> Result<Response, WireError> {
+    let eof = || WireError::Io(io::ErrorKind::UnexpectedEof.into());
+    if partial.body.is_none() {
+        // `read_until` keeps what it read in `header` when it fails.
+        let room = (MAX_HEADER_BYTES - partial.header.len()) as u64;
+        io::Read::take(&mut *r, room)
+            .read_until(b'\n', &mut partial.header)
+            .map_err(WireError::Io)?;
+        if partial.header.last() != Some(&b'\n') {
+            return Err(match partial.header.len() {
+                0 => WireError::Closed,
+                MAX_HEADER_BYTES => {
+                    WireError::Framing(format!("reply header exceeds {MAX_HEADER_BYTES} bytes"))
+                }
+                _ => eof(),
+            });
+        }
+        let line = std::mem::take(&mut partial.header);
+        let (resp, announced) = std::str::from_utf8(&line)
+            .map_err(|_| "reply header is not UTF-8".to_string())
+            .and_then(|text| Response::parse_header(text.trim()))
+            .map_err(WireError::Framing)?;
+        let (reply, bytes) = match (resp, announced) {
+            (Response::Ok(reply), Some(bytes)) => (reply, bytes),
+            (resp, _) => return Ok(resp),
+        };
+        let per_cell = |width: u64| reply.ncells.checked_mul(4 * width) == Some(bytes);
+        if !(per_cell(1) || per_cell(4)) {
+            return Err(WireError::Framing(format!(
+                "payload_bytes {bytes} is neither 4 nor 16 bytes for each of {} cells",
+                reply.ncells
+            )));
+        }
+        partial.body = Some(PartialBody {
+            reply,
+            words: (bytes / 4) as usize,
+            bits: Vec::new(),
+            carry: [0; 4],
+            carried: 0,
+        });
+    }
+    let body = partial
+        .body
+        .as_mut()
+        .expect("set above or by an earlier call");
+    // As large as a `BufReader`, so its reads land here without a stop.
+    let mut buf = [0u8; WIRE_CHUNK];
+    while body.bits.len() < body.words {
+        buf[..body.carried].copy_from_slice(&body.carry[..body.carried]);
+        let want = (4 * (body.words - body.bits.len())).min(buf.len());
+        let have = match r.read(&mut buf[body.carried..want]) {
+            Ok(0) => return Err(eof()),
+            Ok(n) => body.carried + n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(WireError::Io(e)),
+        };
+        let (whole, tail) = buf[..have].split_at(have - have % 4);
+        body.bits.extend(
+            whole
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+        body.carry[..tail.len()].copy_from_slice(tail);
+        body.carried = tail.len();
+    }
+    let body = partial.body.take().expect("checked above");
+    Ok(Response::Ok(DeriveReply {
+        data_bits: Some(body.bits),
+        ..body.reply
+    }))
 }
 
 #[cfg(test)]
@@ -790,19 +995,33 @@ mod tests {
                 .is_err()
         );
         assert!(Request::parse(r#"{"op":"nope","id":1}"#).is_err());
+        // An id `frame_id` would not echo is not executed under another one.
+        for id in [
+            "-5",
+            "1.5",
+            "1e999",
+            "18446744073709551616",
+            "\"7\"",
+            "null",
+        ] {
+            let frame = format!(r#"{{"op":"ping","id":{id}}}"#);
+            assert!(Request::parse(&frame).is_err(), "id {id} accepted");
+            assert_eq!(Request::frame_id(&frame), None, "id {id} echoed");
+        }
+        assert_eq!(
+            Request::parse(r#"{"op":"ping","id":9007199254740992}"#),
+            Ok(Request::Ping {
+                id: 9_007_199_254_740_992
+            })
+        );
     }
 
-    #[test]
-    fn ok_response_round_trips_data_bits_exactly() {
-        let bits: Vec<u32> = [1.5f32, -0.0, f32::MIN_POSITIVE, 3.0e30]
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
-        let resp = Response::Ok(DeriveReply {
+    fn ok_reply(bits: Option<Vec<u32>>) -> DeriveReply {
+        DeriveReply {
             id: 9,
             tenant: "a".into(),
             expr: "m = u*v".into(),
-            ncells: 4,
+            ncells: bits.as_ref().map_or(4, |b| b.len() as u64),
             checksum: 2.5,
             device_ms: 0.125,
             wall_ms: 1.5,
@@ -810,28 +1029,266 @@ mod tests {
             coalesced: true,
             batch: 3,
             degraded: false,
-            data_bits: Some(bits.clone()),
-            payload_sum: Some(dfg_ocl::integrity::checksum_bits(
-                dfg_ocl::integrity::PAYLOAD_SUM_SEED,
-                &bits,
-            )),
-        });
-        let line = resp.to_json_line();
-        match Response::parse(line.trim()).unwrap() {
-            Response::Ok(r) => {
-                assert_eq!(r.data_bits.as_deref(), Some(&bits[..]));
-                assert_eq!(r.expr, "m = u*v", "expr echo must round-trip");
-                assert_eq!(
-                    r.payload_sum,
-                    Some(dfg_ocl::integrity::checksum_bits(
-                        dfg_ocl::integrity::PAYLOAD_SUM_SEED,
-                        &bits,
-                    )),
-                    "payload_sum must round-trip exactly (u64, not f64)",
-                );
+            payload_sum: bits.as_ref().map(|b| {
+                dfg_ocl::integrity::checksum_bits(dfg_ocl::integrity::PAYLOAD_SUM_SEED, b)
+            }),
+            data_bits: bits,
+        }
+    }
+
+    fn as_field(bits: &[u32]) -> Vec<f32> {
+        bits.iter().map(|&b| f32::from_bits(b)).collect()
+    }
+
+    /// `resp` as [`write_response`] sends it, its `data_bits` the payload.
+    fn wire(resp: &Response) -> Vec<u8> {
+        let field = match resp {
+            Response::Ok(r) => r.data_bits.as_deref().map(as_field),
+            _ => None,
+        };
+        let mut out = Vec::new();
+        write_response(&mut out, resp, field.as_deref()).unwrap();
+        out
+    }
+
+    fn read_all(mut bytes: &[u8]) -> Result<Response, WireError> {
+        let resp = read_response(&mut bytes, &mut PartialResponse::default())?;
+        assert!(bytes.is_empty(), "the reader left {} bytes", bytes.len());
+        Ok(resp)
+    }
+
+    /// Patterns a text or float round trip would lose: signed zero, quiet
+    /// and signalling NaNs with payloads, subnormals, the extremes.
+    const AWKWARD_BITS: [u32; 9] = [
+        0x8000_0000, // -0.0
+        0x0000_0000,
+        0x7FC0_0001, // quiet NaN, payload 1
+        0x7FA0_1234, // signalling NaN
+        0xFFFF_FFFF, // negative NaN, all payload bits
+        0x0000_0001, // smallest subnormal
+        0x807F_FFFF, // largest negative subnormal
+        0x7F7F_FFFF, // f32::MAX
+        0x3FC0_0000, // 1.5
+    ];
+
+    #[test]
+    fn ok_response_round_trips_data_bits_exactly() {
+        for bits in [AWKWARD_BITS.to_vec(), vec![], vec![0x0102_0304; 40_000]] {
+            let resp = Response::Ok(ok_reply(Some(bits.clone())));
+            let sent = wire(&resp);
+            assert_eq!(read_all(&sent).unwrap(), resp);
+            // The server's replies hold no `data_bits`: the field beside
+            // the header is all that decides the bytes on the wire.
+            let header = Response::Ok(DeriveReply {
+                data_bits: None,
+                ..ok_reply(Some(bits.clone()))
+            });
+            let mut out = Vec::new();
+            let written = write_response(&mut out, &header, Some(&as_field(&bits))).unwrap();
+            assert_eq!((out, written), (sent, 4 * bits.len() as u64));
+        }
+    }
+
+    #[test]
+    fn the_wire_layout_is_pinned_by_a_fixture() {
+        // Header line, then 4 cells × 4 bytes, least significant first.
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/ok_frame.bin");
+        let bits = vec![0x8000_0000, 0x7FC0_0001, 0x0000_0001, 0x3FC0_0000];
+        let resp = Response::Ok(ok_reply(Some(bits)));
+        assert_eq!(wire(&resp), fixture);
+        assert_eq!(read_all(fixture).unwrap(), resp);
+        let newline = fixture.iter().position(|&b| b == b'\n').unwrap();
+        assert_eq!(
+            &fixture[newline + 1..],
+            [0, 0, 0, 0x80, 1, 0, 0xC0, 0x7F, 1, 0, 0, 0, 0, 0, 0xC0, 0x3F]
+        );
+        // The header alone is what `to_json_line`/`parse` speak.
+        let header = std::str::from_utf8(&fixture[..=newline]).unwrap();
+        assert_eq!(resp.to_json_line(), header);
+        assert!(header.ends_with(",\"payload_bytes\":16}\n"));
+        match Response::parse(header.trim()).unwrap() {
+            Response::Ok(r) => assert_eq!((r.data_bits, r.ncells), (None, 4)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replies_without_a_payload_are_one_line() {
+        let bare = Response::Ok(ok_reply(None));
+        let sent = wire(&bare);
+        assert_eq!(sent, bare.to_json_line().as_bytes());
+        assert!(!bare.to_json_line().contains("payload_bytes"));
+        assert_eq!(read_all(&sent).unwrap(), bare);
+        // A field offered beside a reply that cannot carry one is ignored.
+        let pong = Response::Pong { id: 3 };
+        let mut out = Vec::new();
+        assert_eq!(write_response(&mut out, &pong, Some(&[1.0])).unwrap(), 0);
+        assert_eq!(out, pong.to_json_line().as_bytes());
+    }
+
+    #[test]
+    fn a_field_over_the_cap_is_answered_with_an_error_line() {
+        let resp = Response::Ok(ok_reply(None));
+        let mut out = Vec::new();
+        assert_eq!(
+            write_capped(&mut out, &resp, Some(&[1.0; 3]), 8).unwrap(),
+            0
+        );
+        match read_all(&out).unwrap() {
+            Response::Error { id, message } => {
+                assert_eq!(id, 9);
+                assert!(message.contains("12-byte field"), "{message}");
             }
             other => panic!("unexpected {other:?}"),
         }
+        // At the cap the frame goes out.
+        out.clear();
+        assert_eq!(
+            write_capped(&mut out, &resp, Some(&[1.0; 2]), 8).unwrap(),
+            8
+        );
+    }
+
+    #[test]
+    fn pipelined_frames_are_consumed_exactly() {
+        let with = Response::Ok(ok_reply(Some(AWKWARD_BITS.to_vec())));
+        let without = Response::Ok(ok_reply(None));
+        let mut stream = wire(&with);
+        stream.extend(wire(&without));
+        stream.extend(wire(&with));
+        let mut rest = &stream[..];
+        let mut partial = PartialResponse::default();
+        for want in [&with, &without, &with] {
+            assert_eq!(&read_response(&mut rest, &mut partial).unwrap(), want);
+        }
+        assert!(matches!(
+            read_response(&mut rest, &mut partial),
+            Err(WireError::Closed)
+        ));
+    }
+
+    /// Hands out `parts` one read at a time, timing out between them.
+    struct Stalling {
+        parts: std::collections::VecDeque<Vec<u8>>,
+        stalled: bool,
+    }
+
+    impl io::Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.stalled, false) {
+                self.stalled = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let Some(part) = self.parts.front_mut() else {
+                return Ok(0);
+            };
+            let n = part.len().min(buf.len());
+            buf[..n].copy_from_slice(&part[..n]);
+            part.drain(..n);
+            if part.is_empty() {
+                self.parts.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timed_out_read_resumes_at_every_split_point() {
+        let resp = Response::Ok(ok_reply(Some(AWKWARD_BITS.to_vec())));
+        let sent = wire(&resp);
+        // Cut the frame in three at every pair of positions a stride apart:
+        // inside the header, on the newline, inside a word, between words.
+        for a in 0..sent.len() {
+            for b in [a, (a + 3).min(sent.len()), sent.len()] {
+                let parts = [&sent[..a], &sent[a..b], &sent[b..]];
+                let mut r = io::BufReader::new(Stalling {
+                    parts: parts
+                        .iter()
+                        .filter(|p| !p.is_empty())
+                        .map(|p| p.to_vec())
+                        .collect(),
+                    stalled: false,
+                });
+                let mut partial = PartialResponse::default();
+                let mut timeouts = 0;
+                let got = loop {
+                    match read_response(&mut r, &mut partial) {
+                        Err(WireError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                            timeouts += 1
+                        }
+                        other => break other,
+                    }
+                };
+                assert_eq!(got.unwrap(), resp, "split at {a}/{b}");
+                assert!(timeouts >= 1);
+            }
+        }
+    }
+
+    fn framing_error(bytes: &[u8]) -> String {
+        match read_all(bytes) {
+            Err(WireError::Framing(m)) => m,
+            other => panic!("expected a framing error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn broken_frames_are_typed_errors() {
+        let resp = Response::Ok(ok_reply(Some(AWKWARD_BITS.to_vec())));
+        let sent = wire(&resp);
+        let newline = sent.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&sent[..newline]).unwrap();
+
+        // Truncated anywhere after the first byte: the stream ended mid-frame.
+        for cut in [1, newline, newline + 1, newline + 6, sent.len() - 1] {
+            match read_all(&sent[..cut]) {
+                Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        // `payload_bytes` that disagrees with `ncells`.
+        let lying = header.replace("\"payload_bytes\":36", "\"payload_bytes\":40");
+        assert_ne!(lying, header);
+        assert!(framing_error(format!("{lying}\n").as_bytes()).contains("payload_bytes 40"));
+        // Over the cap, though consistent with `ncells`.
+        let huge = header
+            .replace("\"payload_bytes\":36", "\"payload_bytes\":4294967296")
+            .replace("\"ncells\":9", "\"ncells\":1073741824");
+        assert!(framing_error(format!("{huge}\n").as_bytes()).contains("payload_bytes"));
+        // Not a number of bytes at all.
+        for bad in ["-4", "1.5", "\"36\"", "null"] {
+            let line = header.replace("\"payload_bytes\":36", &format!("\"payload_bytes\":{bad}"));
+            framing_error(format!("{line}\n").as_bytes());
+        }
+        // A payload with no header: binary where a header line should be,
+        // read up to the next reply's newline or to a stray one of its own.
+        let mut orphan = sent[newline + 1..].to_vec();
+        orphan.extend(wire(&Response::Pong { id: 1 }));
+        framing_error(&orphan);
+        framing_error(&[0xFFu8, 0x00, 0x0A, 0x80]);
+        let endless = vec![0xAAu8; MAX_HEADER_BYTES + 1];
+        assert!(framing_error(&endless).contains("header exceeds"));
+    }
+
+    #[test]
+    fn memory_follows_bytes_received_not_bytes_announced() {
+        // The largest announcement the cap allows, then 40 bytes and silence.
+        let header = Response::Ok(DeriveReply {
+            ncells: MAX_PAYLOAD_BYTES / 4,
+            ..ok_reply(None)
+        })
+        .header_line(Some(MAX_PAYLOAD_BYTES));
+        let mut stream = header.into_bytes();
+        stream.extend([7u8; 40]);
+        let mut partial = PartialResponse::default();
+        match read_response(&mut &stream[..], &mut partial) {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("unexpected {other:?}"),
+        }
+        let body = partial.body.expect("the header was accepted");
+        assert_eq!(body.words as u64, MAX_PAYLOAD_BYTES / 4);
+        assert_eq!(body.bits.len(), 10);
+        assert!(body.bits.capacity() < 1024, "{}", body.bits.capacity());
     }
 
     #[test]
@@ -906,6 +1363,7 @@ mod tests {
                 evicted_idle: 1,
                 evicted_pressure: 1,
                 malformed: 4,
+                payload_bytes: 1 << 20,
             },
             tenants: vec![TenantStats {
                 tenant: "a".into(),

@@ -61,7 +61,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -76,7 +76,8 @@ use dfg_trace::{span, Tracer};
 
 use crate::faulty::FaultyStream;
 use crate::protocol::{
-    DeriveReply, DeriveRequest, ExecStrategy, RejectKind, Request, Response, ServerCounters,
+    write_response, DeriveReply, DeriveRequest, ExecStrategy, RejectKind, Request, Response,
+    ServerCounters,
 };
 
 /// Server configuration; `Default` gives a CPU-profile server with
@@ -191,24 +192,42 @@ struct ConnLimits {
     conn_stall: Duration,
 }
 
+/// A derived field as replies share it: the executor moves the result
+/// buffer in once, and every reply of the group — and each connection's
+/// writer thread, which encodes it straight into its socket — holds a
+/// reference, never a copy.
+type SharedField = Arc<Vec<f32>>;
+
+/// One reply on its way to a connection's writer thread.
+struct Outbound {
+    resp: Response,
+    /// The payload behind an `ok` header, for a request that asked for it.
+    field: Option<SharedField>,
+}
+
 /// The reply side of one connection: a bounded channel to the writer
-/// thread plus the connection's cancel flag. `send` never blocks — a full
+/// thread plus the connection's cancel flag. Sending never blocks — a full
 /// channel means the client stopped reading, so the connection is
 /// cancelled instead.
 #[derive(Clone)]
 struct ReplyTx {
-    tx: mpsc::SyncSender<String>,
+    tx: mpsc::SyncSender<Outbound>,
     conn: CancelToken,
 }
 
 impl ReplyTx {
-    /// Queue one reply line; `false` means the connection is dead (or was
-    /// just declared dead because the bounded channel overflowed).
-    fn send(&self, line: String) -> bool {
+    /// Queue one reply without a payload; see [`ReplyTx::send_with`].
+    fn send(&self, resp: Response) -> bool {
+        self.send_with(resp, None)
+    }
+
+    /// Queue one reply; `false` means the connection is dead (or was just
+    /// declared dead because the bounded channel overflowed).
+    fn send_with(&self, resp: Response, field: Option<SharedField>) -> bool {
         if self.conn.is_cancelled() {
             return false;
         }
-        match self.tx.try_send(line) {
+        match self.tx.try_send(Outbound { resp, field }) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.conn.cancel();
@@ -458,32 +477,34 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     // the reply channel overflows, or the socket dies — every in-flight
     // job derived from it stops at its next cancellation point.
     let conn = CancelToken::new();
-    let (tx, rx) = mpsc::sync_channel::<String>(limits.reply_depth);
+    let (tx, rx) = mpsc::sync_channel::<Outbound>(limits.reply_depth);
     let reply = ReplyTx {
         tx,
         conn: conn.clone(),
     };
-    let writer_stream = match stream.try_clone() {
+    let mut out = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    if writer_stream
-        .set_write_timeout(limits.write_deadline)
-        .is_err()
-    {
+    if out.set_write_timeout(limits.write_deadline).is_err() {
         return;
     }
     let writer = {
         let conn = conn.clone();
+        let shared = Arc::clone(&shared);
         thread::spawn(move || {
-            let mut out = BufWriter::new(writer_stream);
-            while let Ok(line) = rx.recv() {
-                if out.write_all(line.as_bytes()).is_err() || out.flush().is_err() {
-                    // Stalled or dead client: cancel the connection's
-                    // in-flight work and unblock the reader.
-                    conn.cancel();
-                    let _ = out.get_ref().shutdown(Shutdown::Both);
-                    break;
+            // Unbuffered: the codec hands the socket whole chunks.
+            while let Ok(Outbound { resp, field }) = rx.recv() {
+                match write_response(&mut out, &resp, field.as_ref().map(|f| &f[..])) {
+                    Ok(0) => {}
+                    Ok(bytes) => shared.count(|c| c.payload_bytes += bytes),
+                    Err(_) => {
+                        // Stalled or dead client: cancel the connection's
+                        // in-flight work and unblock the reader.
+                        conn.cancel();
+                        let _ = out.shutdown(Shutdown::Both);
+                        break;
+                    }
                 }
             }
         })
@@ -508,14 +529,11 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                     c.rejected_too_large += 1;
                 });
                 drop(span!(shared.tracer, "serve.reject", reason = "too_large"));
-                reply.send(
-                    Response::Rejected {
-                        id: 0,
-                        kind: RejectKind::TooLarge,
-                        message: format!("request frame exceeds {} bytes", limits.max_line_bytes),
-                    }
-                    .to_json_line(),
-                );
+                reply.send(Response::Rejected {
+                    id: 0,
+                    kind: RejectKind::TooLarge,
+                    message: format!("request frame exceeds {} bytes", limits.max_line_bytes),
+                });
                 continue;
             }
             Frame::Line(l) => l,
@@ -533,19 +551,16 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                 // match the failure to a request.
                 let id = Request::frame_id(trimmed).unwrap_or(0);
                 shared.count(|c| c.malformed += 1);
-                reply.send(
-                    Response::Error {
-                        id,
-                        message: format!("bad request: {e}"),
-                    }
-                    .to_json_line(),
-                );
+                reply.send(Response::Error {
+                    id,
+                    message: format!("bad request: {e}"),
+                });
                 continue;
             }
         };
         match req {
             Request::Ping { id } => {
-                reply.send(Response::Pong { id }.to_json_line());
+                reply.send(Response::Pong { id });
             }
             req => {
                 let (id, deadline) = match &req {
@@ -576,18 +591,15 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                         shared.count(|c| c.rejected_overload += 1);
                         drop(span!(shared.tracer, "serve.reject", reason = "overloaded"));
                     }
-                    job.reply.send(
-                        Response::Rejected {
-                            id,
-                            kind,
-                            message: if shutting_down {
-                                "server is draining".into()
-                            } else {
-                                "request queue is full".into()
-                            },
-                        }
-                        .to_json_line(),
-                    );
+                    job.reply.send(Response::Rejected {
+                        id,
+                        kind,
+                        message: if shutting_down {
+                            "server is draining".into()
+                        } else {
+                            "request queue is full".into()
+                        },
+                    });
                     if shutting_down {
                         break;
                     }
@@ -749,14 +761,14 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
                         server: *shared.counters.lock().expect("counters lock"),
                         tenants: state.registry.all_stats(),
                     };
-                    job.reply.send(resp.to_json_line());
+                    job.reply.send(resp);
                 }
                 Request::Shutdown { id } => {
-                    job.reply.send(Response::ShuttingDown { id }.to_json_line());
+                    job.reply.send(Response::ShuttingDown { id });
                     begin_shutdown(&shared, local_addr);
                 }
                 Request::Ping { id } => {
-                    job.reply.send(Response::Pong { id }.to_json_line());
+                    job.reply.send(Response::Pong { id });
                 }
             }
         }
@@ -819,14 +831,11 @@ fn reject_if_cancelled(
             tenant = tenant,
             id = id,
         ));
-        reply.send(
-            Response::Rejected {
-                id,
-                kind: RejectKind::DeadlineExceeded,
-                message: "deadline expired before execution".into(),
-            }
-            .to_json_line(),
-        );
+        reply.send(Response::Rejected {
+            id,
+            kind: RejectKind::DeadlineExceeded,
+            message: "deadline expired before execution".into(),
+        });
         true
     } else if cancel.is_cancelled() {
         shared.count(|c| c.cancelled += 1);
@@ -997,7 +1006,14 @@ fn run_merged(
                 .note_opt_saved(&leader, merged.stats.filters_eliminated() as u64);
             let mut first = true;
             for (group, field) in part.into_iter().zip(fields_out) {
-                let checksum: f64 = field.data.iter().map(|&v| v as f64).sum();
+                let ran = Executed::new(
+                    field,
+                    group.iter().any(|p| p.d.data),
+                    report.device_seconds() * 1e3,
+                    wall_ms,
+                    total,
+                    degraded,
+                );
                 for p in group {
                     // The merged execution already ran; a member whose
                     // deadline passed meanwhile (or whose connection died)
@@ -1017,31 +1033,7 @@ fn run_merged(
                             c.coalesced += 1;
                         }
                     });
-                    let resp = Response::Ok(DeriveReply {
-                        id: p.d.id,
-                        tenant: p.d.tenant.clone(),
-                        expr: p.d.expr.clone(),
-                        ncells: field.ncells as u64,
-                        checksum,
-                        device_ms: report.device_seconds() * 1e3,
-                        wall_ms,
-                        compiles: if first { compiles } else { 0 },
-                        coalesced: !first,
-                        batch: total,
-                        degraded,
-                        data_bits: if p.d.data {
-                            Some(field.data.iter().map(|f| f.to_bits()).collect())
-                        } else {
-                            None
-                        },
-                        payload_sum: p.d.data.then(|| {
-                            dfg_ocl::integrity::checksum_f32s(
-                                dfg_ocl::integrity::PAYLOAD_SUM_SEED,
-                                &field.data,
-                            )
-                        }),
-                    });
-                    p.reply.send(resp.to_json_line());
+                    ran.reply_to(&p, if first { compiles } else { 0 }, !first);
                     first = false;
                 }
             }
@@ -1073,49 +1065,33 @@ fn run_group(shared: &Shared, state: &mut ExecutorState, members: Vec<PendingDer
         shared.count(|c| c.batches += 1);
     }
 
-    // If any member wants the payload, the leader computes it once and
-    // every follower that asked shares the same bits.
+    // If any member wants the payload, the leader shares it once and every
+    // follower that asked gets the same buffer.
     let want_data = members.iter().any(|p| p.d.data);
-    let mut leader_payload: Option<DeriveReply> = None;
+    let mut leader: Option<Executed> = None;
     for p in members {
         // Expired or orphaned members never execute and never get a stale
         // reply — even as followers of a leader that already ran.
         if reject_if_cancelled(shared, &p.cancel, p.d.id, &p.reply, &p.d.tenant) {
             continue;
         }
-        if let Some(lp) = &leader_payload {
+        if let Some(ran) = &leader {
             shared.count(|c| {
                 c.ok += 1;
                 c.coalesced += 1;
             });
-            let resp = Response::Ok(DeriveReply {
-                id: p.d.id,
-                tenant: p.d.tenant.clone(),
-                expr: p.d.expr.clone(),
-                compiles: 0,
-                coalesced: true,
-                batch: batch_size,
-                data_bits: if p.d.data { lp.data_bits.clone() } else { None },
-                payload_sum: if p.d.data { lp.payload_sum } else { None },
-                ..lp.clone()
-            });
-            p.reply.send(resp.to_json_line());
+            ran.reply_to(&p, 0, true);
             continue;
         }
         // Leader (or retry after a failed leader): execute on this
         // member's own tenant so errors stay attributed per request.
         match run_one(shared, state, &p, batch_size, want_data) {
-            Some(Response::Ok(r)) => {
-                leader_payload = Some(r.clone());
-                let mut own = r;
-                if !p.d.data {
-                    own.data_bits = None;
-                    own.payload_sum = None;
-                }
-                p.reply.send(Response::Ok(own).to_json_line());
+            Some(Ok((ran, compiles))) => {
+                ran.reply_to(&p, compiles, false);
+                leader = Some(ran);
             }
-            Some(other) => {
-                p.reply.send(other.to_json_line());
+            Some(Err(refusal)) => {
+                p.reply.send(refusal);
             }
             // Cancelled mid-execution with a dead connection: no reply,
             // the next member (if any) becomes the leader.
@@ -1124,13 +1100,75 @@ fn run_group(shared: &Shared, state: &mut ExecutorState, members: Vec<PendingDer
     }
 }
 
+/// What one execution produced, as every reply made from it shares it.
+struct Executed {
+    /// The reply's execution-wide keys; id, tenant, expr, `compiles` and
+    /// `coalesced` are per member.
+    template: DeriveReply,
+    /// The field, moved out of the engine's report when a member asked.
+    field: Option<SharedField>,
+}
+
+impl Executed {
+    fn new(
+        field: dfg_core::Field,
+        want_data: bool,
+        device_ms: f64,
+        wall_ms: f64,
+        batch: u64,
+        degraded: bool,
+    ) -> Executed {
+        Executed {
+            template: DeriveReply {
+                id: 0,
+                tenant: String::new(),
+                expr: String::new(),
+                ncells: field.ncells as u64,
+                checksum: field.data.iter().map(|&v| v as f64).sum(),
+                device_ms,
+                wall_ms,
+                compiles: 0,
+                coalesced: false,
+                batch,
+                degraded,
+                data_bits: None,
+                payload_sum: want_data.then(|| {
+                    dfg_ocl::integrity::checksum_f32s(
+                        dfg_ocl::integrity::PAYLOAD_SUM_SEED,
+                        &field.data,
+                    )
+                }),
+            },
+            field: want_data.then(|| Arc::new(field.data)),
+        }
+    }
+
+    /// Answer `p` from this execution; the payload goes only to a member
+    /// that asked for it.
+    fn reply_to(&self, p: &PendingDerive, compiles: u64, coalesced: bool) {
+        let resp = Response::Ok(DeriveReply {
+            id: p.d.id,
+            tenant: p.d.tenant.clone(),
+            expr: p.d.expr.clone(),
+            compiles,
+            coalesced,
+            payload_sum: self.template.payload_sum.filter(|_| p.d.data),
+            ..self.template.clone()
+        });
+        p.reply
+            .send_with(resp, self.field.clone().filter(|_| p.d.data));
+    }
+}
+
+/// Execute `p`: the execution and the compiles it triggered, the typed
+/// refusal to answer with, or `None` when nobody is listening any more.
 fn run_one(
     shared: &Shared,
     state: &mut ExecutorState,
     p: &PendingDerive,
     batch_size: u64,
     want_data: bool,
-) -> Option<Response> {
+) -> Option<Result<(Executed, u64), Response>> {
     let d = &p.d;
     let _span = span!(
         shared.tracer,
@@ -1164,8 +1202,8 @@ fn run_one(
     match result {
         Ok(report) => {
             let degraded = report.recovery.as_ref().is_some_and(|r| r.degraded);
-            let field = report.field.as_ref().expect("real-mode serve");
-            let checksum: f64 = field.data.iter().map(|&v| v as f64).sum();
+            let device_ms = report.device_seconds() * 1e3;
+            let field = report.field.expect("real-mode serve");
             let compiles_after = state
                 .registry
                 .stats(&d.tenant)
@@ -1177,30 +1215,8 @@ fn run_one(
                     c.degraded += 1;
                 }
             });
-            Some(Response::Ok(DeriveReply {
-                id: d.id,
-                tenant: d.tenant.clone(),
-                expr: d.expr.clone(),
-                ncells: field.ncells as u64,
-                checksum,
-                device_ms: report.device_seconds() * 1e3,
-                wall_ms,
-                compiles: compiles_after.saturating_sub(compiles_before),
-                coalesced: false,
-                batch: batch_size,
-                degraded,
-                data_bits: if want_data {
-                    Some(field.data.iter().map(|f| f.to_bits()).collect())
-                } else {
-                    None
-                },
-                payload_sum: want_data.then(|| {
-                    dfg_ocl::integrity::checksum_f32s(
-                        dfg_ocl::integrity::PAYLOAD_SUM_SEED,
-                        &field.data,
-                    )
-                }),
-            }))
+            let ran = Executed::new(field, want_data, device_ms, wall_ms, batch_size, degraded);
+            Some(Ok((ran, compiles_after.saturating_sub(compiles_before))))
         }
         Err(e) if e.is_cancelled() => {
             // The token fired mid-execution; rollback already ran inside
@@ -1214,11 +1230,11 @@ fn run_one(
                     tenant = d.tenant.as_str(),
                     id = d.id,
                 ));
-                Some(Response::Rejected {
+                Some(Err(Response::Rejected {
                     id: d.id,
                     kind: RejectKind::DeadlineExceeded,
                     message: "deadline expired during execution".into(),
-                })
+                }))
             } else {
                 shared.count(|c| c.cancelled += 1);
                 drop(span!(
@@ -1238,18 +1254,18 @@ fn run_one(
                 reason = "quota_exceeded",
                 tenant = d.tenant.as_str(),
             ));
-            Some(Response::Rejected {
+            Some(Err(Response::Rejected {
                 id: d.id,
                 kind: RejectKind::QuotaExceeded,
                 message: format!("tenant `{}` exceeded its device-memory quota", d.tenant),
-            })
+            }))
         }
         Err(e) => {
             shared.count(|c| c.errors += 1);
-            Some(Response::Error {
+            Some(Err(Response::Error {
                 id: d.id,
                 message: e.to_string(),
-            })
+            }))
         }
     }
 }

@@ -6,12 +6,19 @@
 //! The corpus is generated from a seeded xorshift PRNG, so a failure
 //! reproduces exactly: re-run with the same seed and the same frames
 //! arrive in the same order.
+//!
+//! The reply direction gets the same treatment from the other side: a
+//! scripted in-test server sends the [`Client`] truncated, lying, oversized
+//! and header-less binary frames, and stalls in the middle of good ones.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dfg_serve::{Client, ExecStrategy, ServeConfig, Server};
+use dfg_serve::protocol::{write_response, MAX_PAYLOAD_BYTES};
+use dfg_serve::{
+    Client, ClientError, DeriveReply, ExecStrategy, Request, Response, ServeConfig, Server,
+};
 
 /// Seeded xorshift64 — the same generator the fault plan uses, so fuzz
 /// runs are reproducible without any external RNG dependency.
@@ -39,6 +46,18 @@ fn valid_frame(id: u64) -> String {
          \"grid\":[4,4,4],\"strategy\":\"fusion\",\"data\":false}}\n"
     )
 }
+
+/// Numbers that are not ids: casting any of them to `u64` would run the
+/// request under an id the client never chose.
+const HOSTILE_IDS: [&str; 7] = [
+    "1e999",
+    "-7",
+    "-5",
+    "0.5",
+    "1.5",
+    "18446744073709551616",
+    "1e308",
+];
 
 /// The seeded corpus: raw garbage, invalid UTF-8, truncated JSON,
 /// bit-flipped valid frames, huge/negative/non-finite numeric fields.
@@ -74,7 +93,7 @@ fn corpus(seed: u64) -> Vec<Vec<u8>> {
 
     // Hostile numeric fields: ids and deadlines that are huge, negative,
     // fractional, or non-finite after parsing.
-    for id_text in ["1e999", "-7", "0.5", "18446744073709551616", "1e308"] {
+    for id_text in HOSTILE_IDS {
         frames.push(format!("{{\"op\":\"ping\",\"id\":{id_text}}}\n").into_bytes());
     }
     for deadline in ["1e999", "-3", "0.25", "null", "\"soon\""] {
@@ -257,4 +276,230 @@ fn slow_loris_is_disconnected_but_idle_connections_live() {
 
     idle.shutdown().unwrap();
     server.join().unwrap();
+}
+
+#[test]
+fn ids_that_are_not_ids_are_refused_not_recast() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut sock = TcpStream::connect(&addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    let mut line = String::new();
+    for id in HOSTILE_IDS {
+        for frame in [
+            format!("{{\"op\":\"ping\",\"id\":{id}}}\n"),
+            valid_frame(0).replace("\"id\":0", &format!("\"id\":{id}")),
+        ] {
+            sock.write_all(frame.as_bytes()).unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(
+                line.contains("\"status\":\"error\"") && line.contains("\"id\":0,"),
+                "id {id} was answered as if it were one: {line:?}"
+            );
+        }
+    }
+    let counters = server.counters();
+    assert_eq!(counters.ok, 0, "a request ran under a recast id");
+    assert_eq!(counters.malformed, 2 * HOSTILE_IDS.len() as u64);
+    server.shutdown();
+    drop((sock, reader));
+    server.join().unwrap();
+}
+
+/// One step of a scripted reply stream.
+enum Step {
+    Send(Vec<u8>),
+    Stall(Duration),
+}
+
+/// Accept one connection, play `script` into it, then hold the socket open
+/// until the client closes its end.
+fn scripted_server(script: Vec<Step>) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        for step in script {
+            match step {
+                Step::Send(bytes) => {
+                    sock.write_all(&bytes).unwrap();
+                }
+                Step::Stall(d) => std::thread::sleep(d),
+            }
+        }
+        let mut sink = Vec::new();
+        let _ = sock.read_to_end(&mut sink);
+    });
+    (addr, handle)
+}
+
+fn ok_reply(id: u64, bits: Vec<u32>) -> Response {
+    Response::Ok(DeriveReply {
+        id,
+        tenant: "t".into(),
+        expr: "m = u".into(),
+        ncells: bits.len() as u64,
+        checksum: 0.0,
+        device_ms: 0.0,
+        wall_ms: 0.0,
+        compiles: 0,
+        coalesced: false,
+        batch: 1,
+        degraded: false,
+        payload_sum: Some(dfg_ocl::integrity::checksum_bits(
+            dfg_ocl::integrity::PAYLOAD_SUM_SEED,
+            &bits,
+        )),
+        data_bits: Some(bits),
+    })
+}
+
+/// `resp` as the one wire writer sends it, its `data_bits` the payload.
+fn wire(resp: &Response) -> Vec<u8> {
+    let field: Option<Vec<f32>> = match resp {
+        Response::Ok(r) => r
+            .data_bits
+            .as_ref()
+            .map(|bits| bits.iter().map(|&b| f32::from_bits(b)).collect()),
+        _ => None,
+    };
+    let mut out = Vec::new();
+    write_response(&mut out, resp, field.as_deref()).unwrap();
+    out
+}
+
+/// Split a frame's bytes into its header line (no newline) and payload.
+fn split_frame(frame: &[u8]) -> (String, &[u8]) {
+    let newline = frame.iter().position(|&b| b == b'\n').unwrap();
+    let header = String::from_utf8(frame[..newline].to_vec()).unwrap();
+    (header, &frame[newline + 1..])
+}
+
+#[test]
+fn a_reply_stalled_mid_frame_resumes_on_the_next_recv() {
+    let bits: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let frame = wire(&ok_reply(1, bits.clone()));
+    let (header, _) = split_frame(&frame);
+    // Two replies, stalled once inside the header line and once inside the
+    // payload, off a word boundary.
+    let cuts = [header.len() / 2, header.len() + 1 + 4 * 333 + 2];
+    let stall = Duration::from_millis(250);
+    let mut script = Vec::new();
+    for cut in cuts {
+        script.push(Step::Send(frame[..cut].to_vec()));
+        script.push(Step::Stall(stall));
+        script.push(Step::Send(frame[cut..].to_vec()));
+    }
+    let (addr, handle) = scripted_server(script);
+
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    for _ in cuts {
+        let mut timeouts = 0;
+        let reply = loop {
+            match client.recv_for(1) {
+                Ok(Response::Ok(reply)) => break reply,
+                Err(ClientError::Io(e))
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    timeouts += 1;
+                    assert!(timeouts < 100, "the stalled reply never arrived");
+                }
+                other => panic!("a retried recv_for lost the frame: {other:?}"),
+            }
+        };
+        assert!(timeouts >= 1, "the stall was not observed as a timeout");
+        assert_eq!(reply.data_bits.as_deref(), Some(&bits[..]));
+        dfg_serve::verify_payload(&reply).unwrap();
+    }
+    drop(client);
+    handle.join().unwrap();
+}
+
+#[test]
+fn broken_reply_frames_are_typed_client_errors() {
+    let bits = vec![0x3F80_0000u32; 64];
+    let frame = wire(&ok_reply(1, bits));
+    let (header, payload) = split_frame(&frame);
+    let with_header = |header: String, payload: &[u8]| {
+        let mut bytes = header.into_bytes();
+        bytes.push(b'\n');
+        bytes.extend_from_slice(payload);
+        bytes
+    };
+    let announced = "\"payload_bytes\":256";
+    assert!(header.contains(announced));
+
+    enum Want {
+        UnexpectedEof,
+        Framing(&'static str),
+    }
+    let cases: Vec<(&str, Vec<u8>, Want)> = vec![
+        (
+            "payload cut short, then the server goes away",
+            frame[..frame.len() - 100].to_vec(),
+            Want::UnexpectedEof,
+        ),
+        (
+            "payload_bytes disagrees with ncells",
+            with_header(header.replace(announced, "\"payload_bytes\":252"), payload),
+            Want::Framing("payload_bytes 252"),
+        ),
+        (
+            "payload_bytes over the cap",
+            with_header(
+                header
+                    .replace(
+                        announced,
+                        &format!("\"payload_bytes\":{}", 4 * MAX_PAYLOAD_BYTES),
+                    )
+                    .replace("\"ncells\":64", &format!("\"ncells\":{MAX_PAYLOAD_BYTES}")),
+                payload,
+            ),
+            Want::Framing("payload_bytes"),
+        ),
+        (
+            "a payload with no header",
+            [payload, &wire(&Response::Pong { id: 2 })[..]].concat(),
+            Want::Framing(""),
+        ),
+    ];
+    for (what, bytes, want) in cases {
+        // The script ends with the server closing its end.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            sock.write_all(&bytes).unwrap();
+        });
+        let mut client = Client::connect(&addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match (client.recv(), want) {
+            (Err(ClientError::Io(e)), Want::UnexpectedEof) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{what}")
+            }
+            (Err(ClientError::Framing(m)), Want::Framing(part)) => {
+                assert!(m.contains(part), "{what}: {m}")
+            }
+            (other, _) => panic!("{what}: {other:?}"),
+        }
+        // Closed, not desynchronised: nothing after the break is parsed.
+        match client.recv() {
+            Err(ClientError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotConnected, "{what}")
+            }
+            other => panic!("{what}: the client read on after the break: {other:?}"),
+        }
+        assert!(client.send(Request::Ping { id: 0 }).is_err() || client.recv().is_err());
+        server.join().unwrap();
+    }
 }

@@ -4,22 +4,25 @@
 //! bits. Server-side, a registry running with verification enabled
 //! reports its integrity counters through the stats endpoint.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::thread;
 use std::time::Duration;
 
 use dfg_ocl::integrity::{checksum_bits, PAYLOAD_SUM_SEED};
 use dfg_ocl::VerifyPolicy;
+use dfg_serve::protocol::write_response;
 use dfg_serve::{
     Client, ClientError, DeriveReply, ExecStrategy, Request, Response, RetryPolicy, ServeConfig,
     Server,
 };
 
 /// A minimal in-test server that answers derive requests with a fixed
-/// payload, garbling the first `garble_first` replies *after* computing
-/// the checksum over the clean bits — exactly what a transport-level bit
-/// flip between server and client looks like.
+/// payload through the one wire writer, garbling the first `garble_first`
+/// replies *after* computing the checksum over the clean bits: one bit of
+/// the binary frame differs from what the header's `payload_sum` covers —
+/// exactly what a transport-level bit flip between server and client
+/// looks like.
 fn garbling_server(bits: Vec<u32>, garble_first: usize) -> (String, thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -43,7 +46,7 @@ fn garbling_server(bits: Vec<u32>, garble_first: usize) -> (String, thread::Join
                     let sum = checksum_bits(PAYLOAD_SUM_SEED, &bits);
                     let mut sent = bits.clone();
                     if served < garble_first {
-                        sent[0] ^= 1 << 7;
+                        sent[37] ^= 1 << 31;
                     }
                     served += 1;
                     let resp = Response::Ok(DeriveReply {
@@ -58,14 +61,14 @@ fn garbling_server(bits: Vec<u32>, garble_first: usize) -> (String, thread::Join
                         coalesced: false,
                         batch: 1,
                         degraded: false,
-                        data_bits: Some(sent),
+                        data_bits: None,
                         payload_sum: Some(sum),
                     });
-                    writer.write_all(resp.to_json_line().as_bytes()).unwrap();
+                    let field: Vec<f32> = sent.iter().map(|&b| f32::from_bits(b)).collect();
+                    write_response(&mut writer, &resp, Some(&field)).unwrap();
                 }
                 Request::Shutdown { id } => {
-                    let resp = Response::ShuttingDown { id };
-                    writer.write_all(resp.to_json_line().as_bytes()).unwrap();
+                    write_response(&mut writer, &Response::ShuttingDown { id }, None).unwrap();
                     return;
                 }
                 _ => {}

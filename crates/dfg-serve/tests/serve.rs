@@ -1,6 +1,8 @@
 //! End-to-end serve tests: concurrent tenancy, quotas, coalescing,
 //! admission control, clean shutdown.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -408,4 +410,122 @@ fn shutdown_drains_and_joins_cleanly() {
             c.ping().is_err()
         }
     );
+}
+
+#[test]
+fn pipelined_fetch_and_nodata_replies_stay_matched_by_id() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let grid = [8, 8, 8];
+    let exprs = [EXPR, "m = u*v", "m = u + w"];
+    // Six requests in flight on one connection, payloads and bare replies
+    // interleaved, two of them the same expression (they coalesce, and only
+    // the member that asked gets the field).
+    let sent: Vec<(u64, &str, bool)> = (0..6)
+        .map(|k| {
+            let (expr, data) = (exprs[k % 3], k % 2 == 0);
+            let id = client
+                .send(Request::Derive(DeriveRequest {
+                    id: 0,
+                    tenant: "pipe".into(),
+                    expr: expr.into(),
+                    grid,
+                    strategy: ExecStrategy::Fusion,
+                    data,
+                    deadline_ms: None,
+                }))
+                .unwrap();
+            (id, expr, data)
+        })
+        .collect();
+    // Collected out of order: later ids first, so earlier replies (binary
+    // frames among them) pass through the pending map.
+    for &(id, expr, data) in sent.iter().rev() {
+        match client.recv_for(id).unwrap() {
+            Response::Ok(reply) => {
+                assert_eq!((reply.id, reply.expr.as_str()), (id, expr));
+                dfg_serve::verify_payload(&reply).unwrap();
+                if data {
+                    assert_eq!(reply.data_bits, Some(local_bits(expr, grid)), "id {id}");
+                } else {
+                    assert_eq!((reply.data_bits, reply.payload_sum), (None, None));
+                }
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    client.shutdown().unwrap();
+    let counters = server.join().unwrap();
+    assert_eq!(counters.ok, 6);
+    assert_eq!(counters.payload_bytes, 3 * 4 * 512, "three fetches of 8^3");
+}
+
+#[test]
+fn a_fetch_reply_costs_its_field_plus_a_header_on_the_socket() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let grid = [16, 16, 16];
+    let raw = 4 * 16 * 16 * 16;
+
+    let mut sock = TcpStream::connect(&addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = Request::Derive(DeriveRequest {
+        id: 1,
+        tenant: "wire".into(),
+        expr: EXPR.into(),
+        grid,
+        strategy: ExecStrategy::Fusion,
+        data: true,
+        deadline_ms: None,
+    });
+    sock.write_all(request.to_json_line().as_bytes()).unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert!(
+        header.contains(&format!("\"payload_bytes\":{raw}}}")),
+        "{header:?}"
+    );
+    assert!(!header.contains("data_bits"), "{header:?}");
+    let mut payload = vec![0u8; raw];
+    reader.read_exact(&mut payload).unwrap();
+    // Nothing trails the frame: the next bytes are the next reply.
+    sock.write_all(Request::Ping { id: 2 }.to_json_line().as_bytes())
+        .unwrap();
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    assert_eq!(pong, "{\"status\":\"pong\",\"id\":2}\n");
+
+    let on_socket = header.len() + payload.len();
+    assert!(
+        on_socket as f64 <= 1.1 * raw as f64,
+        "{on_socket} bytes on the socket for {raw} bytes of field"
+    );
+    let got: Vec<u32> = payload
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    assert_eq!(got, local_bits(EXPR, grid), "little-endian, field order");
+
+    server.shutdown();
+    drop((sock, reader));
+    let counters = server.join().unwrap();
+    assert_eq!(counters.payload_bytes, raw as u64);
+}
+
+#[test]
+fn a_vector_result_is_sixteen_bytes_per_cell() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let expr = "g = grad3d(u, dims, x, y, z)";
+    let reply = client
+        .derive("vec", expr, [4, 4, 4], ExecStrategy::Fusion, true)
+        .unwrap();
+    assert_eq!(reply.ncells, 64);
+    assert_eq!(reply.data_bits, Some(local_bits(expr, [4, 4, 4])));
+    assert_eq!(reply.data_bits.unwrap().len(), 4 * 64, "four lanes a cell");
+    client.shutdown().unwrap();
+    let counters = server.join().unwrap();
+    assert_eq!(counters.payload_bytes, 16 * 64);
 }
