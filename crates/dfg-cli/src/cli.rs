@@ -8,7 +8,7 @@ use dfg_dataflow::Width;
 use dfg_expr::compile;
 use dfg_kernels_shim::generated_source_of;
 use dfg_mesh::{RectilinearMesh, RtWorkload, TABLE1_CATALOG};
-use dfg_ocl::{DeviceProfile, ExecMode};
+use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 use dfg_sim::FlowSimulation;
 use dfg_trace::Tracer;
 use dfg_vtk::io::{read_vtk, write_vtk};
@@ -689,6 +689,10 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         device_s: f64,
         wall_ms: f64,
         peak_mb: f64,
+        /// Modeled transfer volume (both directions) beside the bytes the
+        /// host physically copied to carry it out.
+        moved_mb: f64,
+        copied_mb: f64,
         flame: String,
         path: std::path::PathBuf,
         checks: u64,
@@ -738,6 +742,10 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             device_s: report.device_seconds(),
             wall_ms: report.wall.as_secs_f64() * 1e3,
             peak_mb: report.high_water_bytes() as f64 / 1e6,
+            moved_mb: (report.profile.bytes(EventKind::HostToDevice)
+                + report.profile.bytes(EventKind::DeviceToHost)) as f64
+                / 1e6,
+            copied_mb: report.profile.host_bytes_copied as f64 / 1e6,
             flame: trace.to_flame_text(),
             path,
             checks: report.integrity.checks,
@@ -747,16 +755,28 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "{:<10} {:>6} {:>6} {:>6} {:>12} {:>10} {:>9}",
-        "strategy", "Dev-W", "Dev-R", "K-Exe", "device s", "wall ms", "peak MB"
+        "{:<10} {:>6} {:>6} {:>6} {:>12} {:>10} {:>9} {:>9} {:>10}",
+        "strategy",
+        "Dev-W",
+        "Dev-R",
+        "K-Exe",
+        "device s",
+        "wall ms",
+        "peak MB",
+        "moved MB",
+        "copied MB"
     );
     for row in &rows {
         let (w, r, k) = row.table2;
         println!(
-            "{:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1}",
-            row.name, row.device_s, row.wall_ms, row.peak_mb
+            "{:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1} {:>9.1} {:>10.1}",
+            row.name, row.device_s, row.wall_ms, row.peak_mb, row.moved_mb, row.copied_mb
         );
     }
+    println!(
+        "(moved: modeled host<->device transfer volume; copied: bytes the host \
+         physically copied for it — whole-field uploads adopt the host's arrays)"
+    );
     if verify.enabled() {
         println!();
         println!("integrity verification ({}):", verify.name());

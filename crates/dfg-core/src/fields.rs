@@ -2,18 +2,29 @@
 //! host interface (§III-D), in Rust form.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dfg_dataflow::Width;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
+use dfg_ocl::SharedArray;
 
 /// One host field: real data or a virtual (model-mode) placeholder.
+///
+/// The data is a [`SharedArray`] — a reference-counted, immutable array.
+/// Cloning a `FieldValue` (or the [`FieldSet`] holding it) shares the lanes
+/// instead of copying them, and so does uploading it: a real-mode device
+/// buffer the field covers exactly keeps a handle to this array for as long
+/// as the buffer lives (a one-shot derive: until it returns; a
+/// [`crate::Session`] resident: until the field's next upload). Nobody
+/// holding a handle can write through it; see [`FieldSet::update_scalar`]
+/// for how the host changes a field that is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldValue {
     /// Value width.
     pub width: Width,
     /// Backing data (`None` for virtual fields used with
-    /// [`dfg_ocl::ExecMode::Model`]).
-    pub data: Option<Vec<f32>>,
+    /// [`dfg_ocl::ExecMode::Model`]); dereferences to `[f32]`.
+    pub data: Option<SharedArray>,
     /// Version counter, bumped by every insert/update/touch of this name.
     /// A [`crate::Session`] compares it against the generation of its
     /// device-resident copy to decide whether a re-upload is needed.
@@ -21,21 +32,37 @@ pub struct FieldValue {
 }
 
 impl FieldValue {
-    /// The field's current version. Monotonically increasing per
-    /// [`FieldSet`]; unchanged by [`Clone`].
+    /// The field's current version: drawn from one process-wide counter, so
+    /// no two inserts, updates or touches — of any name, in any set — share
+    /// one, and equal generations mean the same contents. Unchanged by
+    /// [`Clone`], which shares the contents too.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 }
 
+/// The next generation any [`FieldSet`] hands out. One counter for the
+/// process, not one per set: a session matches a resident by name, size and
+/// generation, and sets that each started counting at 1 made two different
+/// grids of equal cell count indistinguishable to it. The counter orders
+/// nothing and guards no other data, hence `Relaxed`; it does not depend on
+/// the execution mode, so Model and Real runs make the same skip decisions.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_gen() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
 /// The set of input fields a host application provides for one execution:
 /// the analogue of the paper's "NumPy objects for the input data arrays".
+///
+/// Fields are shared, immutable arrays (see [`FieldValue`]): cloning a set
+/// copies no data, and the clones stay independent — an update through one
+/// is never seen through the other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldSet {
     ncells: usize,
     fields: HashMap<String, FieldValue>,
-    /// Next generation to hand out; generations are unique within a set.
-    next_gen: u64,
 }
 
 impl FieldSet {
@@ -44,20 +71,13 @@ impl FieldSet {
         FieldSet {
             ncells,
             fields: HashMap::new(),
-            next_gen: 1,
         }
-    }
-
-    fn fresh_gen(&mut self) -> u64 {
-        let g = self.next_gen;
-        self.next_gen += 1;
-        g
     }
 
     /// Insert (or replace) field `name` — with its bytes, or as a virtual
     /// field that has only a shape — under a fresh generation.
-    fn put(&mut self, name: &str, width: Width, data: Option<Vec<f32>>) {
-        let generation = self.fresh_gen();
+    fn put(&mut self, name: &str, width: Width, data: Option<SharedArray>) {
+        let generation = fresh_gen();
         let value = FieldValue {
             width,
             data,
@@ -71,7 +91,8 @@ impl FieldSet {
         self.ncells
     }
 
-    /// Insert a problem-sized scalar field.
+    /// Insert a problem-sized scalar field; the set wraps `data` without
+    /// copying it.
     ///
     /// # Errors
     /// Returns the expected/actual lengths on mismatch.
@@ -79,14 +100,19 @@ impl FieldSet {
         if data.len() != self.ncells {
             return Err((self.ncells, data.len()));
         }
-        self.put(name, Width::Scalar, Some(data));
+        self.put(name, Width::Scalar, Some(data.into()));
         Ok(())
     }
 
-    /// Overwrite an existing scalar field's data in place, bumping its
-    /// generation. Unlike [`FieldSet::insert_scalar`] this reuses the
-    /// existing allocation when lengths match and fails if the field does
-    /// not already exist as a real scalar.
+    /// Give an existing scalar field new contents, bumping its generation;
+    /// fails if the field does not already exist as a real scalar.
+    ///
+    /// The copy lands in the field's own allocation when this set holds the
+    /// only reference to it. When a clone of the set, a device buffer that
+    /// adopted the array (see [`FieldValue`]) or anyone else shares it, the
+    /// set installs a fresh array instead, and every other holder keeps
+    /// reading the old contents: a result already derived, a resident not
+    /// yet re-uploaded and a cloned set never change under their owner.
     ///
     /// # Errors
     /// Returns the expected/actual lengths on mismatch (also used for a
@@ -95,15 +121,17 @@ impl FieldSet {
         if data.len() != self.ncells {
             return Err((self.ncells, data.len()));
         }
-        let generation = self.fresh_gen();
         let field = self
             .fields
             .get_mut(name)
             .filter(|f| f.width == Width::Scalar)
             .ok_or((self.ncells, 0))?;
-        let buf = field.data.as_mut().ok_or((self.ncells, 0))?;
-        buf.copy_from_slice(data);
-        field.generation = generation;
+        let array = field.data.as_mut().ok_or((self.ncells, 0))?;
+        match array.get_mut() {
+            Some(lanes) => lanes.copy_from_slice(data),
+            None => *array = data.to_vec().into(),
+        }
+        field.generation = fresh_gen();
         Ok(())
     }
 
@@ -111,10 +139,9 @@ impl FieldSet {
     /// clone-and-reinsert), bumping its generation. Returns `false` if the
     /// field does not exist.
     pub fn touch(&mut self, name: &str) -> bool {
-        let generation = self.fresh_gen();
         match self.fields.get_mut(name) {
             Some(field) => {
-                field.generation = generation;
+                field.generation = fresh_gen();
                 true
             }
             None => false,
@@ -123,7 +150,7 @@ impl FieldSet {
 
     /// Insert a small auxiliary buffer (e.g. `dims`, 3 lanes).
     pub fn insert_small(&mut self, name: &str, data: Vec<f32>) {
-        self.put(name, Width::Small, Some(data));
+        self.put(name, Width::Small, Some(data.into()));
     }
 
     /// Insert a virtual scalar field (model mode: shape only, no data).
@@ -252,7 +279,7 @@ mod tests {
         fs.insert_scalar("v", vec![0.0; 4]).unwrap();
         let gu = fs.get("u").unwrap().generation();
         let gv = fs.get("v").unwrap().generation();
-        assert_ne!(gu, gv, "generations are unique within a set");
+        assert_ne!(gu, gv, "generations are unique");
 
         // Updating one field bumps only that field.
         fs.update_scalar("u", &[1.0; 4]).unwrap();
@@ -271,6 +298,58 @@ mod tests {
         assert_eq!(fs.update_scalar("w", &[0.0; 4]), Err((4, 0)));
         fs.insert_virtual_scalar("p");
         assert_eq!(fs.update_scalar("p", &[0.0; 4]), Err((4, 0)));
+    }
+
+    #[test]
+    fn update_scalar_writes_in_place_only_when_unshared() {
+        let mut fs = FieldSet::new(4);
+        fs.insert_scalar("u", vec![0.0; 4]).unwrap();
+        let array_of = |fs: &FieldSet| fs.get("u").unwrap().data.as_deref().unwrap().as_ptr();
+        let first = array_of(&fs);
+        fs.update_scalar("u", &[1.0; 4]).unwrap();
+        assert_eq!(array_of(&fs), first, "sole holder: same allocation");
+
+        // A clone of the set — or any other handle, such as the one a
+        // device buffer keeps — makes the array read-only for everyone.
+        let snapshot = fs.clone();
+        fs.update_scalar("u", &[2.0; 4]).unwrap();
+        assert_ne!(array_of(&fs), first, "shared: a fresh array");
+        assert_eq!(array_of(&snapshot), first);
+        assert_eq!(
+            snapshot.get("u").unwrap().data.as_deref(),
+            Some(&[1.0f32; 4][..])
+        );
+        assert_eq!(fs.get("u").unwrap().data.as_deref(), Some(&[2.0f32; 4][..]));
+        assert_ne!(
+            fs.get("u").unwrap().generation(),
+            snapshot.get("u").unwrap().generation()
+        );
+        // Once the other holder is gone the set owns its array again.
+        drop(snapshot);
+        let second = array_of(&fs);
+        fs.update_scalar("u", &[3.0; 4]).unwrap();
+        assert_eq!(array_of(&fs), second);
+    }
+
+    #[test]
+    fn generations_are_unique_across_sets() {
+        let gens = |fs: &FieldSet| ["u", "v"].map(|name| fs.get(name).unwrap().generation());
+        let build = || {
+            let mut fs = FieldSet::new(2);
+            fs.insert_scalar("u", vec![0.0; 2]).unwrap();
+            fs.insert_scalar("v", vec![0.0; 2]).unwrap();
+            fs
+        };
+        let (a, b) = (build(), build());
+        let mut all: Vec<u64> = gens(&a).into_iter().chain(gens(&b)).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 4, "two sets built alike share no generation");
+        assert_eq!(
+            gens(&a.clone()),
+            gens(&a),
+            "a clone shares contents and generations"
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@ mod tests;
 
 pub use cancel::CancelToken;
 pub use dfg_dataflow::{OptLevel, OptStats, Strategy};
+pub use dfg_ocl::SharedArray;
 pub use engine::{Engine, EngineOptions, ExecReport, SlabPolicy, StreamOptions};
 pub use error::EngineError;
 pub use fields::{Field, FieldSet, FieldValue};

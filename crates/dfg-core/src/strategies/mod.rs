@@ -119,16 +119,17 @@ pub(crate) fn check_field<'a>(
     }
 }
 
-/// Write a validated host field into `buf`, which holds `lanes` lanes. The
-/// context copies the field's bytes when it is real and the field has them,
-/// and accounts the same transfer when neither does.
+/// Write a validated host field into `buf`, which holds `lanes` lanes. A
+/// real context adopts the field's shared array (no lane is copied; see
+/// [`Context::enqueue_write_q`]), and the same transfer is accounted when
+/// neither the context nor the field has bytes.
 pub(crate) fn write_field(
     ctx: &mut Context,
     buf: BufferId,
     fv: &FieldValue,
     lanes: usize,
 ) -> Result<(), EngineError> {
-    let src = HostEnd::or_absent(fv.data.as_deref(), lanes);
+    let src = HostEnd::or_absent(fv.data.as_ref(), lanes);
     ctx.enqueue_write_q(QueueId::DEFAULT, buf, src, &[])?;
     Ok(())
 }

@@ -8,22 +8,23 @@
 //! reproduce the paper's Table II transfer counts and Figure 6 memory
 //! curves.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
-use dfg_ocl::{Context, DeviceKernel, ExecMode, HostEnd, QueueId};
+use dfg_ocl::{Context, DeviceKernel, ExecMode, HostEnd, QueueId, SharedArray};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
 use crate::strategies::{check_field, lanes_for, read_buffer};
 
-/// A host-resident intermediate value: borrowed from the host's field set
-/// or computed (kernel download, host decompose, constant fill); `None`
-/// when only its shape is tracked (model mode, virtual fields).
-type HostVal<'a> = Option<Cow<'a, [f32]>>;
+/// A host-resident intermediate value: the host's own field array, or one
+/// computed here (kernel download, host decompose, constant fill) and
+/// wrapped without a copy — either way a shared array its per-port uploads
+/// adopt; `None` when only its shape is tracked (model mode, virtual
+/// fields).
+type HostVal = Option<SharedArray>;
 
 /// Execute `roots` of `spec` with the roundtrip strategy, extracting the
 /// result fields from the host-value map (the schedule must pin `roots`
@@ -56,22 +57,23 @@ pub(crate) fn run_roundtrip(
         match &node.op {
             FilterOp::Input { name, small } => {
                 let fv = check_field(fields, name, *small, ctx.mode())?;
-                host.insert(id, fv.data.as_deref().map(Cow::Borrowed));
+                host.insert(id, fv.data.clone());
             }
             FilterOp::Const(v) => {
                 // Materialized as a problem-sized host array; uploaded once
                 // per consuming port below.
-                host.insert(id, real.then(|| Cow::Owned(vec![*v; n])));
+                host.insert(id, real.then(|| vec![*v; n].into()));
             }
             FilterOp::Decompose(comp) => {
                 // Host-side slicing: no device kernel under roundtrip.
                 let val = real.then(|| {
                     let src = host
                         .get(&node.inputs[0])
-                        .and_then(|v| v.as_deref())
+                        .and_then(Option::as_ref)
                         .expect("scheduled operand present in real mode");
                     let comp = *comp as usize;
-                    Cow::Owned((0..n).map(|i| src[4 * i + comp]).collect())
+                    let plane: Vec<f32> = (0..n).map(|i| src[4 * i + comp]).collect();
+                    plane.into()
                 });
                 host.insert(id, val);
             }
@@ -106,7 +108,7 @@ pub(crate) fn run_roundtrip(
                         }
                         let lanes = lanes_for(host_width(spec, input), n);
                         let buf = ctx.create_buffer(lanes)?;
-                        let data = host.get(&input).and_then(|v| v.as_deref());
+                        let data = host.get(&input).and_then(Option::as_ref);
                         let src = HostEnd::or_absent(data, lanes);
                         ctx.enqueue_write_q(QueueId::DEFAULT, buf, src, &[])?;
                         uploaded.insert(input, buf);
@@ -122,7 +124,7 @@ pub(crate) fn run_roundtrip(
                 }
                 let val = {
                     let _download = dfg_trace::span!(tracer, "roundtrip.download");
-                    read_buffer(ctx, out, out_lanes)?.map(Cow::Owned)
+                    read_buffer(ctx, out, out_lanes)?.map(SharedArray::from)
                 };
                 host.insert(id, val);
                 // The device is drained after every filter (each created
@@ -143,12 +145,21 @@ pub(crate) fn run_roundtrip(
         return Ok(None);
     }
     let mut out = Vec::with_capacity(roots.len());
-    for &root in roots {
-        let data = host.get(&root).expect("root pinned by schedule");
+    for (i, &root) in roots.iter().enumerate() {
+        // The last request for a root takes its array out of the map, so a
+        // computed root moves into its field instead of being copied.
+        let val = if roots[i + 1..].contains(&root) {
+            host.get(&root).cloned()
+        } else {
+            host.remove(&root)
+        };
         out.push(Field {
             width: spec.width(root),
             ncells: n,
-            data: data.as_deref().expect("real mode").to_vec(),
+            data: val
+                .expect("root pinned by schedule")
+                .expect("real mode")
+                .into_vec(),
         });
     }
     Ok(Some(out))

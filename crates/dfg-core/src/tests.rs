@@ -126,7 +126,13 @@ fn model_mode_reproduces_real_mode_accounting() {
     let mut fields_shaped = fields_virtual.clone();
     fields_shaped.insert_small(
         "dims",
-        fields_real.get("dims").unwrap().data.clone().unwrap(),
+        fields_real
+            .get("dims")
+            .unwrap()
+            .data
+            .as_deref()
+            .unwrap()
+            .to_vec(),
     );
     let mut real = cpu_engine();
     let mut model = Engine::with_options(
@@ -1471,4 +1477,193 @@ mod session {
             "u v w x y z dims upload once for three cycles"
         );
     }
+
+    /// A resident is trusted on name + size + generation, so generations
+    /// must tell two field sets apart: two grids of equal cell count through
+    /// one session (what `dfg-serve` does per tenant) each get their own
+    /// answer, and all seven inputs of the second upload.
+    #[test]
+    fn two_grids_of_equal_cell_count_never_share_a_resident() {
+        let src = Workload::QCriterion.source();
+        let mut engine = cpu_engine();
+        let mut session = engine.session();
+        for (cycle, dims) in [[8, 8, 8], [16, 8, 4], [8, 8, 8]].into_iter().enumerate() {
+            let fields = small_rt_fields(dims);
+            assert_eq!(fields.ncells(), 512);
+            let got = session.derive(src, &fields, Strategy::Fusion).unwrap();
+            let fresh = cpu_engine().derive(src, &fields, Strategy::Fusion).unwrap();
+            assert_bits_eq(
+                &fresh.field.unwrap().data,
+                &got.field.unwrap().data,
+                &format!("grid {dims:?}"),
+            );
+            assert_eq!(session.stats().uploads, 7 * (cycle as u64 + 1));
+        }
+        assert_eq!(session.stats().uploads_skipped, 0);
+    }
+
+    /// Clones share generations (and contents) until one is updated; two
+    /// clones updated apart must not look alike to the session.
+    #[test]
+    fn clones_updated_apart_are_told_apart() {
+        let src = Workload::VelocityMagnitude.source();
+        let mut a = small_rt_fields([4, 4, 4]);
+        let mut b = a.clone();
+        let n = a.ncells();
+        let mut engine = cpu_engine();
+        let mut session = engine.session();
+        session.derive(src, &a, Strategy::Fusion).unwrap();
+        session.derive(src, &b, Strategy::Fusion).unwrap();
+        assert_eq!(session.stats().uploads_skipped, 3, "an untouched clone");
+        a.update_scalar("u", &vec![2.0; n]).unwrap();
+        b.update_scalar("u", &vec![5.0; n]).unwrap();
+        for fields in [&a, &b, &a] {
+            let got = session.derive(src, fields, Strategy::Fusion).unwrap();
+            let fresh = cpu_engine().derive(src, fields, Strategy::Fusion).unwrap();
+            assert_bits_eq(
+                &fresh.field.unwrap().data,
+                &got.field.unwrap().data,
+                "clone updated apart",
+            );
+        }
+    }
+
+    /// The session's residents *are* the host's arrays, so an update between
+    /// two cycles must land in a fresh array: the second result changes,
+    /// while the first result, the handle taken before the update and the
+    /// resident (until its re-upload) keep the old bits.
+    #[test]
+    fn update_between_cycles_changes_the_next_result_only() {
+        let src = "r = u + v";
+        let mut fields = small_rt_fields([4, 4, 4]);
+        let n = fields.ncells();
+        let mut engine = cpu_engine();
+        let mut session = engine.session();
+        let first = session.derive(src, &fields, Strategy::Staged).unwrap();
+        let first = first.field.unwrap();
+        let first_bits: Vec<u32> = first.data.iter().map(|v| v.to_bits()).collect();
+        let old_u = fields.get("u").unwrap().data.clone().unwrap();
+        let old_bits: Vec<u32> = old_u.iter().map(|v| v.to_bits()).collect();
+
+        fields.update_scalar("u", &vec![9.0; n]).unwrap();
+        assert!(old_u
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(old_bits.iter().copied()));
+        let second = session.derive(src, &fields, Strategy::Staged).unwrap();
+        let second = second.field.unwrap();
+        let fresh = cpu_engine().derive(src, &fields, Strategy::Staged).unwrap();
+        assert_bits_eq(&fresh.field.unwrap().data, &second.data, "after update");
+        assert_ne!(first.data, second.data);
+        assert!(first.data.iter().map(|v| v.to_bits()).eq(first_bits));
+        assert_eq!(session.stats().uploads, 2 + 1, "only `u` went up again");
+    }
+
+    /// A `mem_flip` on an adopted resident under full verification: caught
+    /// at the launch, healed by the re-upload, and the host's field set —
+    /// whose arrays the residents share — keeps every bit.
+    #[test]
+    fn mem_flip_on_an_adopted_resident_never_reaches_the_field_set() {
+        use dfg_ocl::{FaultKind, FaultPlan, VerifyPolicy};
+        let src = Workload::VelocityMagnitude.source();
+        let fields = small_rt_fields([5, 4, 3]);
+        let bits = |fields: &FieldSet| -> Vec<Vec<u32>> {
+            ["u", "v", "w"]
+                .iter()
+                .map(|name| {
+                    let data = fields.get(name).unwrap().data.as_deref().unwrap();
+                    data.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect()
+        };
+        let before = bits(&fields);
+        let clean = cpu_engine().derive(src, &fields, Strategy::Fusion).unwrap();
+        let plan = FaultPlan::with_seed(9);
+        let mut engine = Engine::with_options(
+            DeviceProfile::intel_x5660(),
+            EngineOptions {
+                verify: VerifyPolicy::Full,
+                ..Default::default()
+            },
+        );
+        engine.set_fault_plan(plan.clone());
+        let mut session = engine.session();
+        session.derive(src, &fields, Strategy::Fusion).unwrap();
+        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
+        let err = session.derive(src, &fields, Strategy::Fusion).unwrap_err();
+        assert!(err.to_string().contains("integrity"), "{err}");
+        assert_eq!(session.context().integrity_stats().violations, 1);
+        assert_eq!(bits(&fields), before, "the flip stayed on the device side");
+        let healed = session.derive(src, &fields, Strategy::Fusion).unwrap();
+        assert_eq!(session.stats().integrity_healed, 1);
+        assert_bits_eq(
+            &clean.field.unwrap().data,
+            &healed.field.unwrap().data,
+            "after heal",
+        );
+        assert_eq!(bits(&fields), before);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Host bytes copied: "zero-copy" as an asserted number.
+// ---------------------------------------------------------------------------
+
+/// Whole-field uploads adopt the host's arrays, so a real derive physically
+/// copies its downloads and nothing else — while the modeled host-to-device
+/// volume, which is what the paper counts, is what it always was. Slab
+/// uploads are borrowed windows and are still copied; a model run copies
+/// nothing at all.
+#[test]
+fn host_bytes_copied_is_the_download_except_when_streaming() {
+    use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
+    let fields = small_rt_fields([6, 5, 4]);
+    let n = fields.ncells() as u64;
+    let src = Workload::QCriterion.source();
+    for strategy in Strategy::ALL {
+        let profile = cpu_engine().derive(src, &fields, strategy).unwrap().profile;
+        assert_eq!(
+            profile.host_bytes_copied,
+            profile.bytes(DeviceToHost),
+            "{strategy}"
+        );
+        assert!(profile.bytes(HostToDevice) >= 6 * 4 * n + 12, "{strategy}");
+    }
+    let mut engine = cpu_engine();
+    let mut session = engine.session();
+    let mut dirty = fields.clone();
+    for cycle in 0..3 {
+        dirty
+            .update_scalar("u", &vec![cycle as f32; n as usize])
+            .unwrap();
+        let profile = session
+            .derive(src, &dirty, Strategy::Fusion)
+            .unwrap()
+            .profile;
+        assert_eq!(profile.host_bytes_copied, 4 * n, "cycle {cycle}");
+        let uploaded = if cycle == 0 { 6 * 4 * n + 12 } else { 4 * n };
+        assert_eq!(profile.bytes(HostToDevice), uploaded, "cycle {cycle}");
+    }
+    let streamed = cpu_engine()
+        .derive_streamed(src, &fields, Some(8 * 4 * (6 * 5 * 3)))
+        .unwrap()
+        .profile;
+    assert!(streamed.count(HostToDevice) > 7, "several slabs");
+    assert_eq!(
+        streamed.host_bytes_copied,
+        streamed.bytes(HostToDevice) + streamed.bytes(DeviceToHost)
+    );
+    let mut model = Engine::with_options(
+        DeviceProfile::intel_x5660(),
+        EngineOptions {
+            mode: ExecMode::Model,
+            ..Default::default()
+        },
+    );
+    let modeled = model
+        .derive(src, &FieldSet::virtual_rt([6, 5, 4]), Strategy::Fusion)
+        .unwrap()
+        .profile;
+    assert_eq!(modeled.host_bytes_copied, 0);
+    assert_eq!(modeled.bytes(HostToDevice), 6 * 4 * n + 12);
 }

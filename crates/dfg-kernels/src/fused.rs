@@ -28,15 +28,25 @@
 //!
 //! The program says *what* is computed; how it is laid over the host's
 //! cores and caches is the executor's business and no part of the program.
+//! [`FusedKernel::new`] lowers the instructions once to the **step list**
+//! the executor runs (see `Lowering`): a step is an instruction with its
+//! registers resolved to where the values are — a bank row, the span of an
+//! input array (a `LoadInput` is a binding, not a copy), a lane of a vector
+//! value (likewise a `Decompose`), or the output plane itself (the step
+//! that makes a root nothing else reads stores it, there is no final
+//! copy) — and a `Mul` read only by one `Add` is that `Add`'s mul-add step,
+//! the product rounded before the sum exactly as the two instructions
+//! rounded it. No step changes a bit of any value.
+//!
 //! A launch is cut into tasks of [`dfg_exec::effective_chunk`] cells. A task
-//! allocates one register **bank** — `num_sregs + 4·num_vregs` rows of
-//! `chunk_width(rows)` lanes, scalar rows first, then four rows (`.s0`–`.s3`)
-//! per vector register — and walks its cells a chunk at a time, running
-//! each instruction as one slice loop over a bank row: the match on the
-//! instruction (and on its [`BinKind`]/[`UnKind`]) happens once per chunk,
+//! allocates one register **bank** — as many rows of `chunk_width(rows)`
+//! lanes as the steps have values live at once, four consecutive rows
+//! (`.s0`–`.s3`) per vector value below the scalar rows — and walks its
+//! cells a chunk at a time, running each step as one slice loop: the match
+//! on the step (and on its [`BinKind`]/[`UnKind`]) happens once per chunk,
 //! outside the loop, and the loops are plain zips the compiler vectorizes.
 //! The chunk width comes from the bank's footprint, so the rows every
-//! instruction re-reads stay cache-resident beside the streamed inputs.
+//! step re-reads stay cache-resident beside the streamed inputs.
 //!
 //! Outputs are **planar**: root `o` of a multi-root program owns the lanes
 //! `[lane_offset(o)·n, (lane_offset(o) + w(o))·n)` of the one output buffer
@@ -627,19 +637,542 @@ impl FusedProgram {
     }
 }
 
+/// Where a step reads one row-shaped operand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Src {
+    /// A bank row.
+    Row(usize),
+    /// The chunk's span of a global input array: a load that is not a copy.
+    Input(u16),
+}
+
+/// Where a step writes its row-shaped result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Dst {
+    /// A bank row.
+    Row(usize),
+    /// The chunk's span of the task's piece of an output plane: a store
+    /// that is not a copy.
+    Out(usize),
+}
+
+/// One step of the list the executor runs: a [`RegOp`] with its registers
+/// resolved to where the values actually are. Vector values always live in
+/// four consecutive bank rows, named by the first.
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    Fill {
+        value: f32,
+        dst: Dst,
+    },
+    Copy {
+        src: Src,
+        dst: Dst,
+    },
+    Bin {
+        op: BinKind,
+        a: Src,
+        b: Src,
+        dst: Dst,
+    },
+    /// Two instructions in one pass: `outer(inner(a, b), c)` — or
+    /// `outer(c, inner(a, b))` when the inner value was the outer's right
+    /// operand — with the inner result rounded to `f32` before the outer
+    /// operation exactly as the two instructions rounded it (`a*b + c` is
+    /// never `f32::mul_add`). Both kinds are among [`CHAINED`].
+    Chain {
+        inner: BinKind,
+        outer: BinKind,
+        a: Src,
+        b: Src,
+        c: Src,
+        inner_first: bool,
+        dst: Dst,
+    },
+    Un {
+        op: UnKind,
+        a: Src,
+        dst: Dst,
+    },
+    Select {
+        c: Src,
+        a: Src,
+        b: Src,
+        dst: Dst,
+    },
+    Compose3 {
+        lanes: [Src; 3],
+        out: usize,
+    },
+    Grad3d {
+        field: u16,
+        dims: u16,
+        x: u16,
+        y: u16,
+        z: u16,
+        out: usize,
+    },
+    Norm3 {
+        a: usize,
+        dst: Dst,
+    },
+    Dot3 {
+        a: usize,
+        b: usize,
+        dst: Dst,
+    },
+    Cross3 {
+        a: usize,
+        b: usize,
+        out: usize,
+    },
+    /// Interleave a vector value's rows into a `float4` output plane.
+    StoreVec4 {
+        a: usize,
+        output: usize,
+    },
+}
+
+/// The kinds a [`Step::Chain`] is made of: the one-cycle arithmetic whose
+/// loops are bound by loads and stores, so that an intermediate row skipped
+/// is time saved.
+const CHAINED: [BinKind; 3] = [BinKind::Add, BinKind::Sub, BinKind::Mul];
+
+/// One mention of a value in a [`Step`], as [`Step::visit`] reports it.
+/// While a program is being lowered the numbers inside are value ids; the
+/// last pass of the lowering rewrites them to bank rows.
+enum Mention<'a> {
+    Read(&'a mut Src),
+    Write(&'a mut Dst),
+    /// First of the four ids/rows of a vector value that is read.
+    ReadVec(&'a mut usize),
+    /// First of the four ids/rows of a vector value that is written.
+    WriteVec(&'a mut usize),
+}
+
+impl Step {
+    /// Call `f` on every value the step mentions, writes first.
+    fn visit(&mut self, f: &mut dyn FnMut(Mention<'_>)) {
+        use Mention::{Read, ReadVec, Write, WriteVec};
+        match self {
+            Step::Fill { dst, .. } => f(Write(dst)),
+            Step::Copy { src, dst } => {
+                f(Write(dst));
+                f(Read(src));
+            }
+            Step::Bin { a, b, dst, .. } => {
+                f(Write(dst));
+                f(Read(a));
+                f(Read(b));
+            }
+            Step::Chain { a, b, c, dst, .. } | Step::Select { c, a, b, dst } => {
+                f(Write(dst));
+                f(Read(a));
+                f(Read(b));
+                f(Read(c));
+            }
+            Step::Un { a, dst, .. } => {
+                f(Write(dst));
+                f(Read(a));
+            }
+            Step::Compose3 { lanes, out } => {
+                f(WriteVec(out));
+                lanes.iter_mut().for_each(|lane| f(Read(lane)));
+            }
+            Step::Grad3d { out, .. } => f(WriteVec(out)),
+            Step::Norm3 { a, dst } => {
+                f(Write(dst));
+                f(ReadVec(a));
+            }
+            Step::Dot3 { a, b, dst } => {
+                f(Write(dst));
+                f(ReadVec(a));
+                f(ReadVec(b));
+            }
+            Step::Cross3 { a, b, out } => {
+                f(WriteVec(out));
+                f(ReadVec(a));
+                f(ReadVec(b));
+            }
+            Step::StoreVec4 { a, .. } => f(ReadVec(a)),
+        }
+    }
+}
+
+/// Lowers a [`FusedProgram`]'s instructions to the [`Step`] list. The
+/// program stays the definition of *what* is computed — and of the
+/// generated source, the cost model and the register counts; the steps say
+/// where each value is read from and written to when the host's cores run
+/// it, and no step changes a bit of any value.
+///
+/// The instructions are first read as single-assignment code: every write
+/// of a register makes a new value with its own id (a vector value takes
+/// four consecutive ids, one per lane), and a read resolves to the value
+/// its register held *at that instruction* — so nothing below has to ask
+/// whether a register was reallocated in between. Then:
+///
+/// * a `LoadInput` makes no value and no step: reads of its register
+///   resolve to the input span itself; likewise a `Decompose` resolves to
+///   the lane of the vector value it selects;
+/// * a scalar root that no step reads is computed straight into its output
+///   plane; any other root is copied there at the end;
+/// * an `Add`, `Sub` or `Mul` whose result has exactly one reader, itself
+///   one of those three, becomes part of that reader's [`Step::Chain`]
+///   (a `Mul` read by an `Add`: the mul-add step);
+/// * bank rows are handed out anew by liveness over the *steps* (a step's
+///   destination is allocated before its operands are released, so it never
+///   aliases one), vector values in aligned groups of four rows below the
+///   scalar rows.
+struct Lowering {
+    steps: Vec<Step>,
+    /// Ids handed out so far; `lanes[id]` is 4 for the first id of a vector
+    /// value, 1 for a scalar value and 0 for a vector's other three ids.
+    lanes: Vec<usize>,
+    /// The step that makes each value (indexed by its first id).
+    def: Vec<usize>,
+}
+
+impl Lowering {
+    fn value(&mut self, lanes: usize) -> usize {
+        let id = self.lanes.len();
+        self.lanes.push(lanes);
+        self.lanes.resize(id + lanes, 0);
+        self.def.resize(id + lanes, self.steps.len());
+        id
+    }
+
+    /// The first id of the value `id` belongs to.
+    fn base(&self, id: usize) -> usize {
+        (0..=id)
+            .rev()
+            .find(|&b| self.lanes[b] > 0)
+            .expect("id 0 starts a value")
+    }
+
+    fn run(prog: &FusedProgram) -> (Vec<Step>, usize) {
+        let mut lw = Lowering {
+            steps: Vec::with_capacity(prog.ops.len()),
+            lanes: Vec::new(),
+            def: Vec::new(),
+        };
+        // What each register holds now.
+        let mut sreg = Regs([None; MAX_REGS + 1]);
+        let mut vreg = Regs([None; MAX_REGS + 1]);
+
+        for op in &prog.ops {
+            let step = match *op {
+                RegOp::LoadInput { slot, reg } => {
+                    sreg.set(reg, Src::Input(slot));
+                    continue;
+                }
+                RegOp::Decompose { a, comp, out } => {
+                    sreg.set(out, Src::Row(vreg.get(a) + comp as usize));
+                    continue;
+                }
+                RegOp::Const { value, reg } => {
+                    let dst = lw.scalar(&mut sreg, reg);
+                    Step::Fill { value, dst }
+                }
+                RegOp::Bin { op, a, b, out } => {
+                    let (a, b) = (sreg.get(a), sreg.get(b));
+                    let dst = lw.scalar(&mut sreg, out);
+                    Step::Bin { op, a, b, dst }
+                }
+                RegOp::Un { op, a, out } => {
+                    let a = sreg.get(a);
+                    let dst = lw.scalar(&mut sreg, out);
+                    Step::Un { op, a, dst }
+                }
+                RegOp::Select { c, a, b, out } => {
+                    let (c, a, b) = (sreg.get(c), sreg.get(a), sreg.get(b));
+                    let dst = lw.scalar(&mut sreg, out);
+                    Step::Select { c, a, b, dst }
+                }
+                RegOp::Compose3 { a, b, c, out } => {
+                    let lanes = [sreg.get(a), sreg.get(b), sreg.get(c)];
+                    let out = lw.vector(&mut vreg, out);
+                    Step::Compose3 { lanes, out }
+                }
+                RegOp::Grad3d {
+                    field,
+                    dims,
+                    x,
+                    y,
+                    z,
+                    out,
+                } => {
+                    let out = lw.vector(&mut vreg, out);
+                    Step::Grad3d {
+                        field,
+                        dims,
+                        x,
+                        y,
+                        z,
+                        out,
+                    }
+                }
+                RegOp::Norm3 { a, out } => {
+                    let a = vreg.get(a);
+                    let dst = lw.scalar(&mut sreg, out);
+                    Step::Norm3 { a, dst }
+                }
+                RegOp::Dot3 { a, b, out } => {
+                    let (a, b) = (vreg.get(a), vreg.get(b));
+                    let dst = lw.scalar(&mut sreg, out);
+                    Step::Dot3 { a, b, dst }
+                }
+                RegOp::Cross3 { a, b, out } => {
+                    let (a, b) = (vreg.get(a), vreg.get(b));
+                    let out = lw.vector(&mut vreg, out);
+                    Step::Cross3 { a, b, out }
+                }
+            };
+            lw.steps.push(step);
+        }
+
+        lw.store_outputs(prog, &sreg, &vreg);
+        lw.fuse_chains();
+        lw.allocate_rows()
+    }
+
+    /// A new scalar value, bound to `reg`; returns where its step writes.
+    fn scalar(&mut self, regs: &mut Regs<Src>, reg: Reg) -> Dst {
+        let id = self.value(1);
+        regs.set(reg, Src::Row(id));
+        Dst::Row(id)
+    }
+
+    /// A new vector value, bound to `reg`; returns its first id.
+    fn vector(&mut self, regs: &mut Regs<usize>, reg: Reg) -> usize {
+        let id = self.value(4);
+        regs.set(reg, id);
+        id
+    }
+
+    /// How many times the steps read each value (indexed by first id).
+    fn reads(&mut self) -> Vec<usize> {
+        let mut reads = vec![0; self.lanes.len()];
+        let mut ids = Vec::new();
+        for step in &mut self.steps {
+            step.visit(&mut |m| match m {
+                Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => ids.push(*id),
+                _ => {}
+            });
+        }
+        for id in ids {
+            reads[self.base(id)] += 1;
+        }
+        reads
+    }
+
+    /// Get every root into its output plane: a scalar value that no step
+    /// reads and no other root shares is written there by the step that
+    /// makes it; anything else — a value with readers, a bare input, a
+    /// vector lane, two roots on one value — is copied (a `Vec4` root:
+    /// interleaved) there at the end.
+    fn store_outputs(&mut self, prog: &FusedProgram, sreg: &Regs<Src>, vreg: &Regs<usize>) {
+        let reads = self.reads();
+        let scalar_roots: Vec<Option<Src>> = prog
+            .outputs
+            .iter()
+            .map(|slot| (slot.width != Width::Vec4).then(|| sreg.get(slot.reg)))
+            .collect();
+        for (o, slot) in prog.outputs.iter().enumerate() {
+            let Some(src) = scalar_roots[o] else {
+                let a = vreg.get(slot.reg);
+                self.steps.push(Step::StoreVec4 { a, output: o });
+                continue;
+            };
+            let alone = scalar_roots.iter().filter(|r| **r == Some(src)).count() == 1;
+            match src {
+                Src::Row(id) if self.lanes[id] == 1 && reads[id] == 0 && alone => {
+                    self.steps[self.def[id]].visit(&mut |m| {
+                        if let Mention::Write(dst) = m {
+                            *dst = Dst::Out(o);
+                        }
+                    });
+                }
+                _ => self.steps.push(Step::Copy {
+                    src,
+                    dst: Dst::Out(o),
+                }),
+            }
+        }
+    }
+
+    /// Make every [`CHAINED`] step one of whose operands is a value nothing
+    /// else reads, made by a plain [`CHAINED`] step, compute that value
+    /// itself, and drop the step that made it. A step takes over at most one
+    /// operand (the left one first), and only from a step that has taken
+    /// over none: chains are two instructions deep.
+    fn fuse_chains(&mut self) {
+        let reads = self.reads();
+        let mut absorbed = vec![false; self.steps.len()];
+        for k in 0..self.steps.len() {
+            let Step::Bin {
+                op: outer,
+                a,
+                b,
+                dst,
+            } = self.steps[k]
+            else {
+                continue;
+            };
+            if !CHAINED.contains(&outer) {
+                continue;
+            }
+            let inner_of = |src: Src| match src {
+                Src::Row(id) if self.lanes[id] == 1 && reads[id] == 1 => {
+                    match self.steps[self.def[id]] {
+                        Step::Bin { op, a, b, .. } if CHAINED.contains(&op) => {
+                            Some((self.def[id], op, a, b))
+                        }
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            let ((at, inner, ia, ib), c, inner_first) = match (inner_of(a), inner_of(b)) {
+                (Some(found), _) => (found, b, true),
+                (None, Some(found)) => (found, a, false),
+                (None, None) => continue,
+            };
+            absorbed[at] = true;
+            self.steps[k] = Step::Chain {
+                inner,
+                outer,
+                a: ia,
+                b: ib,
+                c,
+                inner_first,
+                dst,
+            };
+        }
+        let mut absorbed = absorbed.into_iter();
+        self.steps
+            .retain(|_| !absorbed.next().expect("one flag per step"));
+    }
+
+    /// Replace value ids by bank rows, reusing a row once the last step
+    /// reading its value has run. Returns the steps and the rows they use.
+    fn allocate_rows(mut self) -> (Vec<Step>, usize) {
+        // Every value each step mentions (by first id), writes first.
+        let mut mentions: Vec<Vec<(usize, bool)>> = vec![Vec::new(); self.steps.len()];
+        for (k, step) in self.steps.iter_mut().enumerate() {
+            step.visit(&mut |m| match m {
+                Mention::Write(Dst::Row(id)) | Mention::WriteVec(id) => {
+                    mentions[k].push((*id, true))
+                }
+                Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => {
+                    mentions[k].push((*id, false))
+                }
+                _ => {}
+            });
+        }
+        let mut last = vec![0; self.lanes.len()];
+        for (k, ids) in mentions.iter().enumerate() {
+            for &(id, _) in ids {
+                last[self.base(id)] = k;
+            }
+        }
+        // Index of each value in its pool: groups of four rows for vector
+        // values, single rows above them for scalar values.
+        let mut index = vec![usize::MAX; self.lanes.len()];
+        let mut pools = [Pool::default(), Pool::default()];
+        for (k, ids) in mentions.iter().enumerate() {
+            for &(id, write) in ids {
+                if write {
+                    index[id] = pools[usize::from(self.lanes[id] == 4)].take();
+                }
+            }
+            for &(id, _) in ids {
+                let value = self.base(id);
+                if last[value] == k && index[value] != usize::MAX {
+                    pools[usize::from(self.lanes[value] == 4)].give(index[value]);
+                    last[value] = usize::MAX;
+                }
+            }
+        }
+        let [scalars, vectors] = pools;
+        let mut steps = std::mem::take(&mut self.steps);
+        let row = |id: usize| {
+            let value = self.base(id);
+            assert!(
+                index[value] != usize::MAX,
+                "fused step reads a value no step makes"
+            );
+            match self.lanes[value] {
+                4 => 4 * index[value] + (id - value),
+                _ => 4 * vectors.high_water + index[value],
+            }
+        };
+        for step in &mut steps {
+            step.visit(&mut |m| match m {
+                Mention::Read(Src::Row(id))
+                | Mention::Write(Dst::Row(id))
+                | Mention::ReadVec(id)
+                | Mention::WriteVec(id) => *id = row(*id),
+                _ => {}
+            });
+        }
+        (steps, 4 * vectors.high_water + scalars.high_water)
+    }
+}
+
+/// What each register of one bank holds while a program is being lowered.
+struct Regs<T>([Option<T>; MAX_REGS + 1]);
+
+impl<T: Copy> Regs<T> {
+    fn set(&mut self, reg: Reg, value: T) {
+        self.0[reg as usize] = Some(value);
+    }
+
+    fn get(&self, reg: Reg) -> T {
+        self.0[reg as usize].expect("fused program reads a register it never wrote")
+    }
+}
+
+/// A free list over `0..high_water`.
+#[derive(Default)]
+struct Pool {
+    free: Vec<usize>,
+    high_water: usize,
+}
+
+impl Pool {
+    fn take(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.high_water += 1;
+            self.high_water - 1
+        })
+    }
+
+    fn give(&mut self, index: usize) {
+        self.free.push(index);
+    }
+}
+
 /// The fused program as a launchable device kernel.
 pub struct FusedKernel {
     /// The compiled program.
     pub program: FusedProgram,
     label: String,
+    /// What [`FusedKernel::run`] executes: `program`'s instructions lowered
+    /// once, here, instead of being re-read every chunk.
+    steps: Vec<Step>,
+    /// Bank rows the steps use.
+    rows: usize,
 }
 
 impl FusedKernel {
     /// Wrap a program, labeling profiling events `fused_<label>`.
     pub fn new(program: FusedProgram, label: &str) -> Self {
+        let (steps, rows) = Lowering::run(&program);
         FusedKernel {
             program,
             label: label.to_string(),
+            steps,
+            rows,
         }
     }
 }
@@ -661,12 +1194,8 @@ impl DeviceKernel for FusedKernel {
     fn run(&self, args: KernelArgs<'_>) {
         let prog = &self.program;
         let (n, inputs) = (args.n, args.inputs);
-        let rows = prog.num_sregs + 4 * prog.num_vregs;
-        let width = chunk_width(rows);
+        let width = chunk_width(self.rows);
         let task = dfg_exec::effective_chunk(n, PAR_CHUNK).next_multiple_of(width);
-        // Bank rows: scalar register `r`, then lane `l` of vector register `r`.
-        let s = |r: Reg| r as usize;
-        let v = |r: Reg, lane: usize| prog.num_sregs + 4 * r as usize + lane;
 
         // Cut every output plane at the task boundaries: task `t` owns piece
         // `t` of each plane.
@@ -683,106 +1212,21 @@ impl DeviceKernel for FusedKernel {
         }
 
         tasks.par_chunks_mut(1).enumerate().for_each(|(t, pieces)| {
-            let pieces = &mut pieces[0];
             let start = t * task;
             let cells = task.min(n - start);
-            let mut bank = Bank::new(rows, width);
+            let mut chunk = Chunk {
+                bank: vec![0.0; self.rows * width],
+                width,
+                pieces: &mut pieces[0],
+                inputs,
+                base: start,
+                at: 0,
+                len: 0,
+            };
             for at in (0..cells).step_by(width) {
-                let (base, len) = (start + at, width.min(cells - at));
-                for op in &prog.ops {
-                    match *op {
-                        RegOp::LoadInput { slot, reg } => {
-                            let src = &inputs[slot as usize][base..base + len];
-                            bank.split(s(reg), [], len).0.copy_from_slice(src);
-                        }
-                        RegOp::Const { value, reg } => bank.split(s(reg), [], len).0.fill(value),
-                        RegOp::Bin { op, a, b, out } => {
-                            let (o, [a, b]) = bank.split(s(out), [s(a), s(b)], len);
-                            op.apply(o, a, b);
-                        }
-                        RegOp::Un { op, a, out } => {
-                            let (o, [a]) = bank.split(s(out), [s(a)], len);
-                            op.apply(o, a);
-                        }
-                        RegOp::Select { c, a, b, out } => {
-                            let (o, [c, a, b]) = bank.split(s(out), [s(c), s(a), s(b)], len);
-                            for (t, o) in o.iter_mut().enumerate() {
-                                *o = select(c[t], a[t], b[t]);
-                            }
-                        }
-                        RegOp::Decompose { a, comp, out } => {
-                            let (o, [a]) = bank.split(s(out), [v(a, comp as usize)], len);
-                            o.copy_from_slice(a);
-                        }
-                        RegOp::Compose3 { a, b, c, out } => {
-                            for (lane, src) in [a, b, c].into_iter().enumerate() {
-                                let (o, [src]) = bank.split(v(out, lane), [s(src)], len);
-                                o.copy_from_slice(src);
-                            }
-                            bank.split(v(out, 3), [], len).0.fill(0.0);
-                        }
-                        RegOp::Grad3d {
-                            field,
-                            dims,
-                            x,
-                            y,
-                            z,
-                            out,
-                        } => {
-                            let [f, dims, x, y, z] =
-                                [field, dims, x, y, z].map(|i| inputs[i as usize]);
-                            let d = Dims3::from_buffer(dims);
-                            let lanes = lanes3(&mut bank.lanes[v(out, 0) * width..], width, len);
-                            gradient_span(f, x, y, z, d, base, lanes);
-                            bank.split(v(out, 3), [], len).0.fill(0.0);
-                        }
-                        RegOp::Norm3 { a, out } => {
-                            let (o, [x, y, z]) =
-                                bank.split(s(out), [v(a, 0), v(a, 1), v(a, 2)], len);
-                            for (t, o) in o.iter_mut().enumerate() {
-                                *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
-                            }
-                        }
-                        RegOp::Dot3 { a, b, out } => {
-                            let operands = [v(a, 0), v(b, 0), v(a, 1), v(b, 1), v(a, 2), v(b, 2)];
-                            let (o, [a0, b0, a1, b1, a2, b2]) = bank.split(s(out), operands, len);
-                            for (t, o) in o.iter_mut().enumerate() {
-                                let mut acc = 0.0f32;
-                                acc += a0[t] * b0[t];
-                                acc += a1[t] * b1[t];
-                                acc += a2[t] * b2[t];
-                                *o = acc;
-                            }
-                        }
-                        RegOp::Cross3 { a, b, out } => {
-                            // Lane `l` is `a.p * b.q - a.q * b.p` for the
-                            // cyclic pair `(p, q)` after `l`.
-                            for (lane, (p, q)) in [(1, 2), (2, 0), (0, 1)].into_iter().enumerate() {
-                                let operands = [v(a, p), v(b, q), v(a, q), v(b, p)];
-                                let (o, [ap, bq, aq, bp]) = bank.split(v(out, lane), operands, len);
-                                for (t, o) in o.iter_mut().enumerate() {
-                                    *o = ap[t] * bq[t] - aq[t] * bp[t];
-                                }
-                            }
-                            bank.split(v(out, 3), [], len).0.fill(0.0);
-                        }
-                    }
-                }
-
-                // Store every output into this task's piece of its plane.
-                for (slot, piece) in prog.outputs.iter().zip(pieces.iter_mut()) {
-                    match slot.width {
-                        Width::Vec4 => {
-                            let cells = &mut piece[4 * at..4 * (at + len)];
-                            for lane in 0..4 {
-                                let src = bank.row(v(slot.reg, lane), len);
-                                for (cell, x) in cells.chunks_exact_mut(4).zip(src) {
-                                    cell[lane] = *x;
-                                }
-                            }
-                        }
-                        _ => piece[at..at + len].copy_from_slice(bank.row(s(slot.reg), len)),
-                    }
+                (chunk.base, chunk.at, chunk.len) = (start + at, at, width.min(cells - at));
+                for step in &self.steps {
+                    chunk.run(step);
                 }
             }
         });
@@ -808,53 +1252,185 @@ pub(crate) fn chunk_width(rows: usize) -> usize {
     (fit.next_power_of_two() / 2).clamp(128, 1024)
 }
 
-/// One task's register bank: `rows` rows of `width` lanes in one
-/// allocation, created once per task and reused for every chunk.
-struct Bank {
-    lanes: Vec<f32>,
+/// One task's view of a launch while it walks its cells a chunk at a time:
+/// the register bank (`rows` rows of `width` lanes in one allocation,
+/// created once per task and reused for every chunk), the task's piece of
+/// every output plane, the global inputs, and the current chunk — cells
+/// `[base, base + len)` of the launch, `[at, at + len)` of the task.
+struct Chunk<'a, 'p> {
+    bank: Vec<f32>,
     width: usize,
+    pieces: &'a mut [&'p mut [f32]],
+    inputs: &'a [&'a [f32]],
+    base: usize,
+    at: usize,
+    len: usize,
 }
 
-impl Bank {
-    fn new(rows: usize, width: usize) -> Self {
-        Bank {
-            lanes: vec![0.0; rows * width],
-            width,
+impl Chunk<'_, '_> {
+    /// `dst` mutably beside the `srcs` shared, `len` lanes each. The
+    /// register allocator never hands an instruction a live operand's
+    /// register as its output (`alloc_for` runs before `consume`), and the
+    /// lowering moves no read past a write of its register; this is where
+    /// both are checked rather than assumed.
+    ///
+    /// # Panics
+    /// Panics if an operand row is the destination row.
+    #[inline]
+    fn bind<const K: usize>(&mut self, dst: Dst, srcs: [Src; K]) -> (&mut [f32], [&[f32]; K]) {
+        let (w, len, inputs) = (self.width, self.len, self.inputs);
+        let span = self.base..self.base + len;
+        match dst {
+            Dst::Row(out) => {
+                let (below, rest) = self.bank.split_at_mut(out * w);
+                let (o, above) = rest.split_at_mut(w);
+                let (below, above) = (&*below, &*above);
+                let srcs = srcs.map(|src| match src {
+                    Src::Input(slot) => &inputs[slot as usize][span.clone()],
+                    Src::Row(r) => {
+                        assert!(r != out, "fused instruction reads the row it writes");
+                        if r < out {
+                            &below[r * w..][..len]
+                        } else {
+                            &above[(r - out - 1) * w..][..len]
+                        }
+                    }
+                });
+                (&mut o[..len], srcs)
+            }
+            Dst::Out(o) => {
+                let bank = &self.bank;
+                let srcs = srcs.map(|src| match src {
+                    Src::Input(slot) => &inputs[slot as usize][span.clone()],
+                    Src::Row(r) => &bank[r * w..][..len],
+                });
+                (&mut self.pieces[o][self.at..self.at + len], srcs)
+            }
         }
     }
 
-    /// The first `len` lanes of row `r`.
-    fn row(&self, r: usize, len: usize) -> &[f32] {
-        &self.lanes[r * self.width..][..len]
+    /// Zero lane 3 of the vector value at rows `out..out + 4`.
+    fn clear_w(&mut self, out: usize) {
+        self.bind(Dst::Row(out + 3), []).0.fill(0.0);
     }
 
-    /// Row `out` mutably beside the `operands` rows shared, `len` lanes
-    /// each. The register allocator never hands an instruction a live
-    /// operand's register as its output (`alloc_for` runs before
-    /// `consume`); this is where that is checked rather than assumed.
-    ///
-    /// # Panics
-    /// Panics if an operand row is the output row.
-    #[inline]
-    fn split<const K: usize>(
-        &mut self,
-        out: usize,
-        operands: [usize; K],
-        len: usize,
-    ) -> (&mut [f32], [&[f32]; K]) {
-        let w = self.width;
-        let (below, rest) = self.lanes.split_at_mut(out * w);
-        let (o, above) = rest.split_at_mut(w);
-        let (below, above) = (&*below, &*above);
-        let operands = operands.map(|r| {
-            assert!(r != out, "fused instruction reads the row it writes");
-            if r < out {
-                &below[r * w..][..len]
-            } else {
-                &above[(r - out - 1) * w..][..len]
+    /// Run one step over the current chunk: the step (and its
+    /// [`BinKind`]/[`UnKind`]) is matched here, once per chunk, and every
+    /// arm is a plain slice loop the compiler vectorizes.
+    fn run(&mut self, step: &Step) {
+        match *step {
+            Step::Fill { value, dst } => self.bind(dst, []).0.fill(value),
+            Step::Copy { src, dst } => {
+                let (o, [src]) = self.bind(dst, [src]);
+                o.copy_from_slice(src);
             }
-        });
-        (&mut o[..len], operands)
+            Step::Bin { op, a, b, dst } => {
+                let (o, [a, b]) = self.bind(dst, [a, b]);
+                op.apply(o, a, b);
+            }
+            Step::Chain {
+                inner,
+                outer,
+                a,
+                b,
+                c,
+                inner_first,
+                dst,
+            } => {
+                let (o, [a, b, c]) = self.bind(dst, [a, b, c]);
+                let lanes = o.iter_mut().zip(a).zip(b).zip(c);
+                // One loop per pair of kinds and operand order, each with
+                // both operations inlined.
+                macro_rules! per_pair {
+                    ($($inner:ident $outer:ident)*) => {
+                        match (inner, outer, inner_first) {
+                            $((BinKind::$inner, BinKind::$outer, true) => {
+                                for (((o, &a), &b), &c) in lanes {
+                                    *o = BinKind::$outer.eval(BinKind::$inner.eval(a, b), c);
+                                }
+                            }
+                            (BinKind::$inner, BinKind::$outer, false) => {
+                                for (((o, &a), &b), &c) in lanes {
+                                    *o = BinKind::$outer.eval(c, BinKind::$inner.eval(a, b));
+                                }
+                            })*
+                            _ => unreachable!("the lowering chains only `CHAINED` kinds"),
+                        }
+                    };
+                }
+                per_pair!(Add Add  Add Sub  Add Mul  Sub Add  Sub Sub  Sub Mul  Mul Add  Mul Sub  Mul Mul);
+            }
+            Step::Un { op, a, dst } => {
+                let (o, [a]) = self.bind(dst, [a]);
+                op.apply(o, a);
+            }
+            Step::Select { c, a, b, dst } => {
+                let (o, [c, a, b]) = self.bind(dst, [c, a, b]);
+                for (t, o) in o.iter_mut().enumerate() {
+                    *o = select(c[t], a[t], b[t]);
+                }
+            }
+            Step::Compose3 { lanes, out } => {
+                for (lane, src) in lanes.into_iter().enumerate() {
+                    let (o, [src]) = self.bind(Dst::Row(out + lane), [src]);
+                    o.copy_from_slice(src);
+                }
+                self.clear_w(out);
+            }
+            Step::Grad3d {
+                field,
+                dims,
+                x,
+                y,
+                z,
+                out,
+            } => {
+                let [f, dims, x, y, z] = [field, dims, x, y, z].map(|i| self.inputs[i as usize]);
+                let d = Dims3::from_buffer(dims);
+                let lanes = lanes3(&mut self.bank[out * self.width..], self.width, self.len);
+                gradient_span(f, x, y, z, d, self.base, lanes);
+                self.clear_w(out);
+            }
+            Step::Norm3 { a, dst } => {
+                let (o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
+                for (t, o) in o.iter_mut().enumerate() {
+                    *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
+                }
+            }
+            Step::Dot3 { a, b, dst } => {
+                let operands = [a, b, a + 1, b + 1, a + 2, b + 2].map(Src::Row);
+                let (o, [a0, b0, a1, b1, a2, b2]) = self.bind(dst, operands);
+                for (t, o) in o.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    acc += a0[t] * b0[t];
+                    acc += a1[t] * b1[t];
+                    acc += a2[t] * b2[t];
+                    *o = acc;
+                }
+            }
+            Step::Cross3 { a, b, out } => {
+                // Lane `l` is `a.p * b.q - a.q * b.p` for the cyclic pair
+                // `(p, q)` after `l`.
+                for (lane, (p, q)) in [(1, 2), (2, 0), (0, 1)].into_iter().enumerate() {
+                    let operands = [a + p, b + q, a + q, b + p].map(Src::Row);
+                    let (o, [ap, bq, aq, bp]) = self.bind(Dst::Row(out + lane), operands);
+                    for (t, o) in o.iter_mut().enumerate() {
+                        *o = ap[t] * bq[t] - aq[t] * bp[t];
+                    }
+                }
+                self.clear_w(out);
+            }
+            Step::StoreVec4 { a, output } => {
+                let (w, at, len) = (self.width, self.at, self.len);
+                let cells = &mut self.pieces[output][4 * at..4 * (at + len)];
+                for lane in 0..4 {
+                    let src = &self.bank[(a + lane) * w..][..len];
+                    for (cell, x) in cells.chunks_exact_mut(4).zip(src) {
+                        cell[lane] = *x;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1151,20 +1727,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "fused instruction reads the row it writes")]
     fn aliased_output_register_panics_instead_of_aliasing() {
-        // `r0 = r0 + r0` is a program the allocator never emits; the bank
-        // must refuse it rather than hand out overlapping rows.
-        let mut prog = fuse(&example_networks::velmag_example()).unwrap();
-        prog.ops = vec![
-            RegOp::LoadInput { slot: 0, reg: 0 },
-            RegOp::Bin {
-                op: BinKind::Add,
-                a: 0,
-                b: 0,
-                out: 0,
-            },
-        ];
+        // `row0 = row0 + row0` is a step the lowering never emits (a
+        // destination row is allocated before the operands' are released);
+        // the executor must refuse it rather than hand out overlapping rows.
+        let mut kernel = FusedKernel::new(
+            fuse(&example_networks::velmag_example()).unwrap(),
+            "aliased",
+        );
+        kernel.steps = vec![Step::Bin {
+            op: BinKind::Add,
+            a: Src::Row(0),
+            b: Src::Row(0),
+            dst: Dst::Row(0),
+        }];
         let u = [1.0f32; 4];
-        FusedKernel::new(prog, "aliased").run(KernelArgs {
+        kernel.run(KernelArgs {
             inputs: &[&u, &u, &u],
             output: &mut [0.0; 4],
             n: 4,
@@ -1177,6 +1754,288 @@ mod tests {
         assert_eq!(prog.inputs.len(), 4);
         assert_eq!(prog.output_width, Width::Scalar);
         assert_eq!(prog.len(), 7); // 4 loads + 3 ops
+    }
+}
+
+/// The lowering against its hazards: every program here is run through the
+/// step list and through the staged primitives, node by node, and the two
+/// must agree bit for bit — over enough cells to cross chunk and task
+/// boundaries.
+#[cfg(test)]
+mod lowering_tests {
+    use super::*;
+    use crate::primitives::Primitive;
+    use dfg_dataflow::NetworkBuilder;
+    use dfg_mesh::RectilinearMesh;
+
+    /// 23 x 29 x 31 cells: more than two minimum tasks, a multiple of no
+    /// chunk width.
+    fn mesh_fields() -> (usize, HashMap<String, Vec<f32>>) {
+        let mesh = RectilinearMesh::unit_cube([23, 29, 31]);
+        let (x, y, z) = mesh.coord_arrays();
+        let mut fields = HashMap::new();
+        fields.insert("u".into(), mesh.sample(|x, y, z| (7.0 * x).sin() + y * z));
+        fields.insert(
+            "v".into(),
+            mesh.sample(|x, y, z| x * x - (5.0 * y).cos() + z),
+        );
+        fields.insert("w".into(), mesh.sample(|x, y, z| (x + 2.0 * y) * (1.5 - z)));
+        fields.insert("dims".into(), mesh.dims_buffer());
+        fields.insert("x".into(), x);
+        fields.insert("y".into(), y);
+        fields.insert("z".into(), z);
+        (mesh.ncells(), fields)
+    }
+
+    /// `roots` evaluated one primitive launch per node: what staged runs.
+    fn staged(
+        spec: &NetworkSpec,
+        roots: &[NodeId],
+        fields: &HashMap<String, Vec<f32>>,
+        n: usize,
+    ) -> Vec<Vec<f32>> {
+        let sched = Schedule::for_roots(spec, roots).unwrap();
+        let mut vals: HashMap<NodeId, Vec<f32>> = HashMap::new();
+        for &id in &sched.order {
+            let node = spec.node(id);
+            let val = match &node.op {
+                FilterOp::Input { name, .. } => fields[name].clone(),
+                op => {
+                    let inputs: Vec<&[f32]> = node.inputs.iter().map(|i| &vals[i][..]).collect();
+                    let mut out = vec![0.0; lanes_of(op.width()) * n];
+                    Primitive::from_filter_op(op).unwrap().run(KernelArgs {
+                        inputs: &inputs,
+                        output: &mut out,
+                        n,
+                    });
+                    out
+                }
+            };
+            vals.insert(id, val);
+        }
+        roots.iter().map(|root| vals[root].clone()).collect()
+    }
+
+    /// Fuse `roots`, run the lowered kernel, and hold every output plane
+    /// against the staged evaluation. Returns the kernel for step checks.
+    fn check(spec: &NetworkSpec, roots: &[NodeId]) -> FusedKernel {
+        let (n, fields) = mesh_fields();
+        let kernel = FusedKernel::new(fuse_roots(spec, roots).unwrap(), "lowered");
+        let program = &kernel.program;
+        let inputs: Vec<&[f32]> = program
+            .inputs
+            .iter()
+            .map(|slot| &fields[&slot.name][..])
+            .collect();
+        let mut output = vec![f32::NAN; n * program.lanes_per_elem];
+        kernel.run(KernelArgs {
+            inputs: &inputs,
+            output: &mut output,
+            n,
+        });
+        let expected = staged(spec, roots, &fields, n);
+        for (slot, want) in program.outputs.iter().zip(&expected) {
+            let plane = &output[slot.lane_offset * n..][..want.len()];
+            let differ = plane
+                .iter()
+                .zip(want)
+                .position(|(a, b)| a.to_bits() != b.to_bits());
+            assert_eq!(differ, None, "output `{}` differs from staged", slot.name);
+        }
+        kernel
+    }
+
+    fn count(kernel: &FusedKernel, which: impl Fn(&Step) -> bool) -> usize {
+        kernel.steps.iter().filter(|step| which(step)).count()
+    }
+
+    fn is_chain(step: &Step) -> bool {
+        matches!(step, Step::Chain { .. })
+    }
+
+    fn is_mul_add(step: &Step) -> bool {
+        matches!(
+            step,
+            Step::Chain {
+                inner: BinKind::Mul,
+                outer: BinKind::Add,
+                ..
+            }
+        )
+    }
+
+    fn is_copy(step: &Step) -> bool {
+        matches!(step, Step::Copy { .. })
+    }
+
+    #[test]
+    fn velmag_lowers_to_four_steps_on_two_rows() {
+        let spec = dfg_dataflow::example_networks::velmag_example();
+        let kernel = check(&spec, &[spec.result]);
+        // v*v, u*u + that, that + w*w, sqrt into the plane: no load, no
+        // store, and the register program is what it was.
+        assert_eq!(kernel.steps.len(), 4);
+        assert_eq!(count(&kernel, is_mul_add), 2);
+        assert_eq!(kernel.rows, 2);
+        assert_eq!(kernel.program.len(), 9);
+        assert_eq!(kernel.program.num_sregs, 4);
+        assert!(matches!(
+            kernel.steps.last(),
+            Some(Step::Un {
+                dst: Dst::Out(0),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn mul_operand_register_reallocated_before_the_add() {
+        // Each square's operand dies at the `Mul`, so the fuser hands its
+        // register to the very `Add` that consumes the product (and reloads
+        // an input register between another `Mul` and its `Add`): the
+        // carried product must still read the operand's value, not the
+        // register's next tenant.
+        let mut b = NetworkBuilder::new();
+        let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
+        let s = b.binary(BinKind::Add, u, v);
+        let d = b.binary(BinKind::Sub, v, w);
+        let ss = b.binary(BinKind::Mul, s, s);
+        let dd = b.binary(BinKind::Mul, d, d);
+        let ww = b.binary(BinKind::Mul, w, w);
+        let acc = b.binary(BinKind::Add, ss, dd);
+        let acc = b.binary(BinKind::Add, acc, ww);
+        let root = b.unary(UnKind::Sqrt, acc);
+        let spec = b.finish(root);
+        let kernel = check(&spec, &[root]);
+        assert_eq!(count(&kernel, is_mul_add), 2);
+        assert!(kernel.steps.iter().any(|step| matches!(
+            step,
+            Step::Chain {
+                inner_first: false,
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn product_with_two_readers_stays_a_mul() {
+        let mut b = NetworkBuilder::new();
+        let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
+        let p = b.binary(BinKind::Mul, u, v);
+        let twice = b.binary(BinKind::Add, p, p);
+        let q = b.binary(BinKind::Mul, v, w);
+        let sum = b.binary(BinKind::Add, q, w);
+        let both = b.binary(BinKind::Div, sum, q);
+        let root = b.binary(BinKind::Sub, twice, both);
+        let spec = b.finish(root);
+        let kernel = check(&spec, &[root]);
+        assert_eq!(count(&kernel, is_mul_add), 0);
+        // `twice` has one reader, the final `Sub`: that pair does chain.
+        assert_eq!(count(&kernel, is_chain), 1);
+    }
+
+    #[test]
+    fn root_that_a_later_op_reads_is_copied_out() {
+        // `m` is a root *and* an operand of the ops after it; `s` is a root
+        // nothing reads. Only `s` can be computed in its plane.
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let m = b.binary(BinKind::Mul, u, v);
+        b.name(m, "m");
+        let a = b.binary(BinKind::Add, m, u);
+        let s = b.unary(UnKind::Sqrt, a);
+        b.name(s, "s");
+        let spec = b.finish(s);
+        let kernel = check(&spec, &[m, s]);
+        assert_eq!(count(&kernel, is_copy), 1);
+        assert_eq!(count(&kernel, is_mul_add), 0, "the product is a root");
+        check(&spec, &[s, m]);
+    }
+
+    #[test]
+    fn bare_input_root_is_one_copy() {
+        let mut b = NetworkBuilder::new();
+        let u = b.input("u");
+        let spec = b.finish(u);
+        let kernel = check(&spec, &[u]);
+        assert_eq!(kernel.steps.len(), 1);
+        assert_eq!(kernel.rows, 0);
+        assert!(matches!(
+            kernel.steps[0],
+            Step::Copy {
+                src: Src::Input(0),
+                dst: Dst::Out(0)
+            }
+        ));
+        // Beside a computed root, and as a lane of a gradient.
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let dims = b.small_input("dims");
+        let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
+        let g = b.grad3d(u, dims, x, y, z);
+        let gy = b.decompose(g, 1);
+        let r = b.binary(BinKind::Max, gy, v);
+        let spec = b.finish(r);
+        check(&spec, &[v, r, gy]);
+    }
+
+    #[test]
+    fn two_roots_on_one_value_both_get_it() {
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let m = b.binary(BinKind::Mul, u, v);
+        let r = b.binary(BinKind::Add, m, v);
+        let spec = b.finish(r);
+        let kernel = check(&spec, &[r, r]);
+        assert_eq!(count(&kernel, is_copy), 2);
+        assert_eq!(count(&kernel, is_mul_add), 1);
+        // Two roots with one shared producer: the shared value takes a row.
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let m = b.binary(BinKind::Mul, u, v);
+        let p = b.binary(BinKind::Add, m, u);
+        let q = b.binary(BinKind::Sub, m, v);
+        let spec = b.finish(p);
+        let kernel = check(&spec, &[p, q]);
+        assert_eq!(count(&kernel, is_copy), 0);
+        assert_eq!(count(&kernel, is_mul_add), 0);
+    }
+
+    #[test]
+    fn vec4_roots_keep_their_float4_planes() {
+        let mut b = NetworkBuilder::new();
+        let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
+        let dims = b.small_input("dims");
+        let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
+        let gu = b.grad3d(u, dims, x, y, z);
+        let gv = b.grad3d(v, dims, x, y, z);
+        let cross = b.binary(FilterOp::Cross3, gu, gv);
+        let dot = b.binary(FilterOp::Dot3, cross, gu);
+        let packed = b.compose3(w, dot, u);
+        let norm = b.unary(FilterOp::Norm3, packed);
+        let spec = b.finish(norm);
+        for roots in [
+            vec![gu],
+            vec![cross, norm],
+            vec![norm, packed, gv],
+            vec![packed, packed, dot],
+        ] {
+            check(&spec, &roots);
+        }
+    }
+
+    #[test]
+    fn select_and_constants_lower_like_any_value() {
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let half = b.constant(0.5);
+        let cond = b.binary(BinKind::Gt, u, half);
+        let scaled = b.binary(BinKind::Mul, half, v);
+        let shifted = b.binary(BinKind::Add, scaled, half);
+        let sel = b.select(cond, shifted, u);
+        let spec = b.finish(sel);
+        let kernel = check(&spec, &[sel, half]);
+        assert_eq!(count(&kernel, is_mul_add), 1);
     }
 }
 

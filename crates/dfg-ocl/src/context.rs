@@ -3,7 +3,7 @@
 use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::host::HostEnd;
+use crate::host::{HostEnd, SharedArray, UploadSource};
 use crate::integrity::{
     checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy, BUFFER_SUM_SEED,
 };
@@ -154,13 +154,23 @@ const GUARD_WORD: u32 = 0xF0E1_D2C3;
 /// reads a loud, recognizable garbage value instead of stale data.
 const POISON_WORD: u32 = 0xDEAD_BEEF;
 
+/// What backs a materialized slot.
+enum Storage {
+    /// Private storage: `GUARD_LANES` sentinel lanes, then the `lanes`-lane
+    /// payload, then `GUARD_LANES` more sentinel lanes.
+    Owned(Vec<f32>),
+    /// The host's own array, adopted by a whole-buffer upload of a
+    /// [`SharedArray`]. The payload is the array; there are no guard lanes
+    /// and no mutable view — [`Slot::payload_mut`] replaces this with an
+    /// `Owned` copy before anything writes.
+    Shared(SharedArray),
+}
+
 struct Slot {
     /// Backing storage; `None` in model mode — and, in real mode, until the
     /// first write or launch materializes it (the zero-fill is deferred so a
-    /// create-then-write sequence touches the memory exactly once). When
-    /// present, the vector holds `GUARD_LANES` sentinel lanes, then the
-    /// `lanes`-lane payload, then `GUARD_LANES` more sentinel lanes.
-    data: Option<Vec<f32>>,
+    /// create-then-write sequence touches the memory exactly once).
+    data: Option<Storage>,
     /// Real mode: whether the buffer holds defined contents (a host write or
     /// a kernel launch). Unwritten buffers read as zeros; in particular,
     /// recycled pool storage must never leak a previous buffer's values.
@@ -186,16 +196,32 @@ impl Slot {
 
     /// The payload view of materialized storage.
     fn payload(&self) -> Option<&[f32]> {
-        self.data
-            .as_ref()
-            .map(|d| &d[GUARD_LANES..GUARD_LANES + self.lanes])
+        self.data.as_ref().map(|d| match d {
+            Storage::Owned(d) => &d[GUARD_LANES..GUARD_LANES + self.lanes],
+            Storage::Shared(array) => &array[..],
+        })
     }
 
-    /// Mutable payload view of materialized storage.
+    /// The slot's private storage, guard lanes included. An adopted array
+    /// is first replaced by a private copy of it, so no write made through
+    /// a slot can reach host memory.
+    fn owned_mut(&mut self) -> Option<&mut Vec<f32>> {
+        if let Some(Storage::Shared(array)) = &self.data {
+            let mut private = Slot::alloc_storage(self.lanes);
+            private[GUARD_LANES..GUARD_LANES + self.lanes].copy_from_slice(array);
+            self.data = Some(Storage::Owned(private));
+        }
+        match &mut self.data {
+            Some(Storage::Owned(d)) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Mutable payload view of materialized storage (private storage: see
+    /// [`Slot::owned_mut`]).
     fn payload_mut(&mut self) -> Option<&mut [f32]> {
         let lanes = self.lanes;
-        self.data
-            .as_mut()
+        self.owned_mut()
             .map(|d| &mut d[GUARD_LANES..GUARD_LANES + lanes])
     }
 
@@ -213,7 +239,7 @@ impl Slot {
         if !self.written {
             match self.payload_mut() {
                 Some(payload) => payload[from..].fill(0.0),
-                None => self.data = Some(Slot::alloc_storage(self.lanes)),
+                None => self.data = Some(Storage::Owned(Slot::alloc_storage(self.lanes))),
             }
             self.written = true;
         }
@@ -230,11 +256,12 @@ impl Slot {
     }
 
     /// Whether every guard lane still carries the sentinel (vacuously true
-    /// for unmaterialized storage).
+    /// for unmaterialized storage and for an adopted array, which has no
+    /// guard lanes because nothing on the device side can write it).
     fn guards_intact(&self) -> bool {
         match &self.data {
-            None => true,
-            Some(d) => d[..GUARD_LANES]
+            None | Some(Storage::Shared(_)) => true,
+            Some(Storage::Owned(d)) => d[..GUARD_LANES]
                 .iter()
                 .chain(&d[self.lanes + GUARD_LANES..])
                 .all(|v| v.to_bits() == GUARD_WORD),
@@ -286,6 +313,10 @@ pub struct Context {
     /// Poison released payloads with a recognizable bit pattern
     /// (`DFG_POOL_POISON=1`, read once at construction).
     poison: bool,
+    /// Bytes this context physically copied between host and device
+    /// storage since the last [`Context::reset_profile`] (see
+    /// [`ProfileReport::host_bytes_copied`]).
+    host_bytes_copied: u64,
 }
 
 impl Context {
@@ -313,6 +344,7 @@ impl Context {
             poison: std::env::var("DFG_POOL_POISON")
                 .map(|v| v == "1")
                 .unwrap_or(false),
+            host_bytes_copied: 0,
         }
     }
 
@@ -524,14 +556,16 @@ impl Context {
         ProfileReport {
             events: self.events.clone(),
             high_water_bytes: self.high_water,
+            host_bytes_copied: self.host_bytes_copied,
         }
     }
 
-    /// Clear recorded events and reset the clock (all queues) and
-    /// high-water mark. Live allocations are kept (and re-seed the
-    /// high-water mark).
+    /// Clear recorded events and the copied-bytes counter and reset the
+    /// clock (all queues) and high-water mark. Live allocations are kept
+    /// (and re-seed the high-water mark).
     pub fn reset_profile(&mut self) {
         self.events.clear();
+        self.host_bytes_copied = 0;
         self.clock = 0.0;
         for q in &mut self.queue_clocks {
             *q = 0.0;
@@ -657,9 +691,15 @@ impl Context {
         self.free_ids.push(id.0);
         if self.pooling {
             // Keep the storage but forget its contents: the next owner must
-            // observe zeros until it writes, never this buffer's data.
+            // observe zeros until it writes, never this buffer's data. An
+            // adopted array is the host's, not storage to keep: the handle
+            // is dropped and the slot parks bare, exactly as a Model slot
+            // does, so pool counters cannot tell the two apart.
             slot.written = false;
             slot.sum = None;
+            if let Some(Storage::Shared(_)) = slot.data {
+                slot.data = None;
+            }
             // Optional hygiene tripwire: overwrite the released payload with
             // a loud bit pattern so any path that (incorrectly) relies on
             // recycled contents fails recognizably instead of silently.
@@ -860,32 +900,52 @@ impl Context {
             &whole,
             &[],
         )?;
+        self.host_bytes_copied += whole.lanes as u64 * 4;
         self.peek(id)
     }
 
     /// Enqueue a host→device write on `queue`, ordered after `deps`. A Real
-    /// context copies `src`'s bytes in at enqueue time; a Model context
+    /// context takes `src`'s bytes at enqueue time; a Model context
     /// accounts the same event and touches no storage. A *prefix* write —
     /// `src.lanes()` below the buffer's — is allowed, so an over-sized
     /// pooled ring buffer can receive a smaller final slab: bytes and
     /// modeled time follow the data actually moved, and in a never-written
     /// buffer the remaining lanes read as zeros.
-    pub fn enqueue_write_q(
+    ///
+    /// How the bytes are taken follows from what `src` is (see
+    /// [`UploadSource`]): a borrowed slice is copied into the slot's
+    /// storage; a [`SharedArray`] covering the whole buffer is *adopted* —
+    /// the slot keeps a clone of the handle and no lane is copied. Either
+    /// way the accounting above is the same call.
+    pub fn enqueue_write_q<S: UploadSource>(
         &mut self,
         queue: QueueId,
         id: BufferId,
-        src: HostEnd<&[f32]>,
+        src: HostEnd<S>,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
         let token = self.transfer(TransferDir::HostToDevice, queue, id, 0, &src, deps)?;
-        if let (ExecMode::Real, Some(data)) = (self.mode, src.data) {
+        if let (ExecMode::Real, Some(src)) = (self.mode, &src.data) {
             let verify = self.verify.enabled();
             let slot = self.slots[id.0].as_mut().expect("validated above");
-            slot.define_from(data.len());
-            slot.payload_mut().expect("just materialized")[..data.len()].copy_from_slice(data);
+            let copied = match src.shared().filter(|array| array.len() == slot.lanes) {
+                Some(array) => {
+                    slot.data = Some(Storage::Shared(array.clone()));
+                    slot.written = true;
+                    0
+                }
+                None => {
+                    let data = src.as_ref();
+                    slot.define_from(data.len());
+                    slot.payload_mut().expect("just materialized")[..data.len()]
+                        .copy_from_slice(data);
+                    data.len()
+                }
+            };
             // The sum covers the whole payload (prefix plus whatever tail
             // the write left behind), so verification stays whole-buffer.
             slot.learn_sum(verify);
+            self.host_bytes_copied += copied as u64 * 4;
         }
         Ok(token)
     }
@@ -911,6 +971,7 @@ impl Context {
                 Some(src) => dst.copy_from_slice(&src[offset..offset + dst.len()]),
                 None => dst.fill(0.0),
             }
+            self.host_bytes_copied += dst.len() as u64 * 4;
         }
         Ok(token)
     }
@@ -1020,8 +1081,8 @@ impl Context {
             let out_slot = self.slots[output.0].as_mut().expect("validated");
             let out_lanes = out_slot.lanes;
             let mut out_data = out_slot
-                .data
-                .take()
+                .owned_mut()
+                .map(std::mem::take)
                 .unwrap_or_else(|| Slot::alloc_storage(out_lanes));
             {
                 let input_views: Vec<&[f32]> = inputs
@@ -1044,7 +1105,7 @@ impl Context {
             // this kernel's result are verifiable); cheaper levels leave it
             // unlearned rather than pay a pass per launch.
             let out_slot = self.slots[output.0].as_mut().expect("validated");
-            out_slot.data = Some(out_data);
+            out_slot.data = Some(Storage::Owned(out_data));
             out_slot.written = true;
             out_slot.learn_sum(full);
         }
@@ -1173,7 +1234,7 @@ impl Context {
     #[doc(hidden)]
     pub fn debug_poke_guard(&mut self, id: BufferId) {
         if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
-            if let Some(d) = slot.data.as_mut() {
+            if let Some(d) = slot.owned_mut() {
                 d[0] = f32::from_bits(!GUARD_WORD);
             }
         }
@@ -1227,6 +1288,11 @@ mod tests {
     /// has bytes (Real), its lane count alone where it has none (Model).
     /// Nothing else in a script varies with the mode.
     pub(super) fn src(bytes: bool, data: &[f32]) -> HostEnd<&[f32]> {
+        HostEnd::or_absent(bytes.then_some(data), data.len())
+    }
+
+    /// [`src`] for a host that holds `data` as a shared array.
+    pub(super) fn shared_src(bytes: bool, data: &SharedArray) -> HostEnd<&SharedArray> {
         HostEnd::or_absent(bytes.then_some(data), data.len())
     }
 
@@ -1445,7 +1511,7 @@ mod tests {
         );
         for queue in [QueueId::DEFAULT, qs[0]] {
             assert!(matches!(
-                c.enqueue_write_q(queue, a, HostEnd::absent(4), &[]),
+                c.enqueue_write_q(queue, a, HostEnd::<&[f32]>::absent(4), &[]),
                 Err(OclError::InvalidOperation(_))
             ));
             assert!(matches!(
@@ -1599,6 +1665,83 @@ mod tests {
         assert_eq!(moved, [400, 800, 400]);
         assert_eq!(high_water, 2 * 512 * 4);
         assert_eq!(fault_draws[4], 6, "one stale_slot draw per pool hit");
+    }
+
+    #[test]
+    fn shared_host_ends_are_modeled_like_borrowed_slices() {
+        // One script, the uploads' host ends either borrowed slices or
+        // shared arrays: pooled cycles, a whole-buffer write over a slot
+        // that already holds an array, a prefix write (which copies, shared
+        // or not), a launch *into* a buffer that holds an adopted array.
+        // Everything modeled — events, clocks, bytes, high-water mark,
+        // fault-plan draws — and the pool counters must be the same four
+        // ways: Real and Model, borrowed and shared.
+        let script = |share: bool| {
+            move |c: &mut Context, bytes: bool| {
+                let whole = SharedArray::from(vec![0.5f32; 512]);
+                let part = SharedArray::from(vec![3.0f32; 100]);
+                let up = |c: &mut Context, q: QueueId, id: BufferId, data: &SharedArray| {
+                    if share {
+                        c.enqueue_write_q(q, id, shared_src(bytes, data), &[])
+                    } else {
+                        c.enqueue_write_q(q, id, src(bytes, data), &[])
+                    }
+                    .unwrap()
+                };
+                c.set_pooling(true);
+                for _ in 0..3 {
+                    let a = c.create_buffer(512).unwrap();
+                    let b = c.create_buffer(512).unwrap();
+                    up(c, QueueId::DEFAULT, a, &whole);
+                    up(c, QueueId::DEFAULT, a, &whole);
+                    c.launch(&Double, &[a], b, 512).unwrap();
+                    c.enqueue_read_range_q(
+                        QueueId::DEFAULT,
+                        b,
+                        0,
+                        dst(bytes, &mut [0.0; 512]),
+                        &[],
+                    )
+                    .unwrap();
+                    c.release(a).unwrap();
+                    c.release(b).unwrap();
+                }
+                let qs = c.acquire_queues(1);
+                let a = c.create_buffer(512).unwrap();
+                let b = c.create_buffer(512).unwrap();
+                up(c, qs[0], b, &whole);
+                let t = up(c, qs[0], a, &part);
+                let k = c.launch_q(qs[0], &Double, &[a], b, 100, &[t]).unwrap();
+                let mut out = [0.0f32; 512];
+                c.enqueue_read_range_q(qs[0], b, 0, dst(bytes, &mut out), &[k])
+                    .unwrap();
+                if bytes {
+                    // The launch wrote private storage, not the host's array.
+                    assert_eq!(out[..100], [6.0; 100]);
+                    assert_eq!(out[100..], [0.5; 412], "lanes the kernel left alone");
+                    assert_eq!(whole[..], [0.5; 512]);
+                    assert_eq!(c.peek(a).unwrap()[100..], [0.0; 412]);
+                }
+                assert_eq!(c.pool_hits(), 6);
+                assert_eq!(c.pooled_bytes(), 0);
+                c.release(a).unwrap();
+                c.release(b).unwrap();
+                assert_eq!(c.pooled_bytes(), 2 * 512 * 4);
+                assert_eq!(c.in_use_bytes(), 0);
+                // Copied bytes are the one reading that tells the two
+                // apart: downloads always, uploads only when not adopted.
+                let (downloads, prefix) = (4 * 512 * 4, 100 * 4);
+                let copied = match (bytes, share) {
+                    (false, _) => 0,
+                    (true, true) => downloads + prefix,
+                    (true, false) => downloads + prefix + 7 * 512 * 4,
+                };
+                assert_eq!(c.report().host_bytes_copied, copied);
+            }
+        };
+        let borrowed = both_modes(script(false));
+        assert_eq!(both_modes(script(true)), borrowed);
+        assert_eq!(borrowed.2, 2 * 512 * 4);
     }
 
     #[test]
@@ -2042,6 +2185,104 @@ mod integrity_tests {
         let out = c.enqueue_read(b).unwrap();
         let expect: Vec<f32> = input.iter().map(|v| v * 2.0).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn integrity_of_an_adopted_input_mem_flip_is_detected_and_never_reaches_the_host() {
+        // The same fault, the same detection and the same heal as for a
+        // copied input — and the array the host still holds is untouched,
+        // because the flip first gave the slot storage of its own.
+        let mut c = ctx();
+        c.set_verify(VerifyPolicy::Full);
+        // The flipped bit follows the plan's seed: `DFG_FAULT_SEED` in CI's
+        // integrity matrix, the fixed default otherwise.
+        c.set_fault_plan(FaultPlan::parse("mem_flip@1").unwrap());
+        let host: SharedArray = (0..32).map(|i| i as f32).collect::<Vec<_>>().into();
+        let before: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
+        let a = c.create_buffer(32).unwrap();
+        let b = c.create_buffer(32).unwrap();
+        c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+            .unwrap();
+        assert_eq!(c.report().host_bytes_copied, 0, "adopted, not copied");
+        match c.launch(&Double, &[a], b, 32) {
+            Err(OclError::IntegrityViolation {
+                kind: IntegrityKind::Checksum,
+                buffer,
+                ..
+            }) => assert_eq!(buffer, a.index()),
+            other => panic!("expected checksum violation, got {other:?}"),
+        }
+        let after: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            after, before,
+            "the host's array is not the device's to flip"
+        );
+        let device: Vec<u32> = c.peek(a).unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_ne!(device, before, "the flip landed in the slot's own storage");
+        // Heal: the re-upload adopts the clean array again.
+        c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+            .unwrap();
+        c.launch(&Double, &[a], b, 32).unwrap();
+        let expect: Vec<f32> = host.iter().map(|v| v * 2.0).collect();
+        assert_eq!(c.enqueue_read(b).unwrap(), expect);
+    }
+
+    #[test]
+    fn integrity_of_an_adopted_buffer_survives_every_device_side_write() {
+        // Debug flips, guard pokes, pool poisoning and a launch into the
+        // buffer: each is observable on the device side exactly as on a
+        // copied buffer, none of them through the host's handle.
+        let host = SharedArray::from(vec![1.5f32; 16]);
+        let adopt = |c: &mut Context| {
+            let a = c.create_buffer(16).unwrap();
+            c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+                .unwrap();
+            a
+        };
+        let mut c = ctx();
+        c.set_verify(VerifyPolicy::Residents);
+        c.set_pooling(true);
+        c.debug_set_poison(true);
+
+        let a = adopt(&mut c);
+        c.verify_buffer(a).unwrap();
+        c.debug_flip_bit(a, 7, 3);
+        assert!(matches!(
+            c.verify_buffer(a),
+            Err(OclError::IntegrityViolation {
+                kind: IntegrityKind::Checksum,
+                ..
+            })
+        ));
+        c.release(a).unwrap();
+
+        let a = adopt(&mut c);
+        c.debug_poke_guard(a);
+        assert!(matches!(
+            c.verify_buffer(a),
+            Err(OclError::IntegrityViolation {
+                kind: IntegrityKind::Guard,
+                ..
+            })
+        ));
+        assert_eq!(c.peek(a).unwrap(), vec![1.5; 16]);
+        // Releasing an adopted slot parks it without storage: nothing of
+        // the host's to poison, nothing stale to hand out.
+        let a2 = adopt(&mut c);
+        c.release(a2).unwrap();
+        let fresh = c.create_buffer(16).unwrap();
+        assert_eq!(c.enqueue_read(fresh).unwrap(), vec![0.0; 16]);
+
+        // A launch whose output is an adopted buffer writes its own storage.
+        let input = adopt(&mut c);
+        let output = adopt(&mut c);
+        c.launch(&Double, &[input], output, 16).unwrap();
+        assert_eq!(c.enqueue_read(output).unwrap(), vec![3.0; 16]);
+
+        assert_eq!(host[..], [1.5; 16]);
+        let mut host = host;
+        drop(c);
+        assert!(host.get_mut().is_some(), "every slot let go of its handle");
     }
 
     #[test]

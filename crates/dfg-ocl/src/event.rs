@@ -68,6 +68,7 @@ impl Event {
 ///                 bytes: 4096, t_start: 0.13, t_end: 0.14, queue: 0 },
 ///     ],
 ///     high_water_bytes: 8192,
+///     host_bytes_copied: 8192,
 /// };
 /// // Table II row: (Dev-W, Dev-R, K-Exe).
 /// assert_eq!(report.table2_row(), (1, 1, 1));
@@ -82,6 +83,14 @@ pub struct ProfileReport {
     /// Peak bytes of device global memory allocated to buffers — the
     /// "high-water mark" of the paper's memory study (§IV-D.2).
     pub high_water_bytes: u64,
+    /// Bytes the context physically copied between host memory and device
+    /// storage: an upload that copied its source, every download. Zero on a
+    /// Model context, and zero for an upload that adopted the host's
+    /// [`SharedArray`](crate::SharedArray) — which is still a
+    /// [`EventKind::HostToDevice`] event of its full modeled size, so
+    /// [`ProfileReport::bytes`] is the transfer volume the paper counts and
+    /// this is what the host actually paid.
+    pub host_bytes_copied: u64,
 }
 
 impl ProfileReport {
@@ -233,6 +242,7 @@ mod tests {
                 ev(EventKind::KernelCompile, 0, 0.0, 0.1),
             ],
             high_water_bytes: 300,
+            ..Default::default()
         };
         assert_eq!(report.count(EventKind::HostToDevice), 2);
         assert_eq!(report.bytes(EventKind::HostToDevice), 150);
@@ -262,6 +272,7 @@ mod tests {
                 ev_q(EventKind::DeviceToHost, 3, 3.0, 3.5),
             ],
             high_water_bytes: 0,
+            ..Default::default()
         };
         // Summed: 2 + 2 + 1 = 5 s of work … in a 3.5 s window (compile
         // excluded from both).
@@ -278,6 +289,7 @@ mod tests {
         let only_compile = ProfileReport {
             events: vec![ev_q(EventKind::KernelCompile, 0, 0.0, 0.5)],
             high_water_bytes: 0,
+            ..Default::default()
         };
         assert_eq!(only_compile.makespan_seconds(), 0.0);
         assert_eq!(only_compile.overlap_efficiency(), 0.0);

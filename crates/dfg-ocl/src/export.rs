@@ -90,6 +90,7 @@ mod tests {
                 },
             ],
             high_water_bytes: 8192,
+            ..Default::default()
         }
     }
 

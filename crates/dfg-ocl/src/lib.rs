@@ -65,7 +65,7 @@ pub use context::{
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RankFate};
-pub use host::HostEnd;
+pub use host::{HostEnd, SharedArray, UploadSource};
 pub use integrity::{IntegrityKind, IntegrityStats, VerifyPolicy};
 pub use profile::{DeviceKind, DeviceProfile};
 

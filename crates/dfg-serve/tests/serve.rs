@@ -68,6 +68,32 @@ fn concurrent_tenants_match_sequential_single_tenant_bits() {
     server.join().unwrap();
 }
 
+/// One tenant, one session, two grids of the same cell count: the session
+/// matches residents by name, size and generation, so each grid's field set
+/// must carry generations of its own — every reply equals a local derive on
+/// *its* grid, whichever grid the session saw last.
+#[test]
+fn one_tenant_on_two_grids_of_equal_cell_count_gets_each_grids_answer() {
+    const Q: &str = "q = u*v + x - sqrt(w*w + y*y) * z";
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let grids = [[16, 16, 16], [32, 16, 8], [16, 16, 16], [8, 16, 32]];
+    for grid in grids {
+        let reply = client
+            .derive("tenant", Q, grid, ExecStrategy::Fusion, true)
+            .unwrap();
+        assert_eq!(reply.ncells, 4096);
+        assert_eq!(
+            reply.data_bits.as_deref(),
+            Some(&local_bits(Q, grid)[..]),
+            "grid {grid:?}: reply differs from a local derive"
+        );
+    }
+    assert_eq!(server.counters().errors, 0);
+    server.shutdown();
+    server.join().unwrap();
+}
+
 #[test]
 fn coalescing_reduces_compiles_and_preserves_bits() {
     let run = |coalesce: bool| {

@@ -35,7 +35,7 @@ fn interpret(spec: &NetworkSpec, fields: &FieldSet) -> Vec<f32> {
         let out: Vec<f32> = match &node.op {
             FilterOp::Input { name, .. } => fields
                 .get(name)
-                .and_then(|f| f.data.clone())
+                .and_then(|f| f.data.as_deref().map(<[f32]>::to_vec))
                 .expect("field provided"),
             FilterOp::Const(v) => vec![*v; n],
             FilterOp::Bin(BinKind::Add) => (0..n).map(|i| ins[0][i] + ins[1][i]).collect(),
