@@ -1,17 +1,20 @@
-//! Chaos benchmark: goodput and latency under seeded connection faults.
+//! Chaos benchmark: goodput under seeded connection faults.
 //!
 //! Four tenants push one hundred requests each against an in-process
 //! `dfg-serve` server whose accepted sockets drop, stall, and garble
 //! under a seeded [`dfg_ocl::FaultPlan`], at overall fault rates of
 //! 0 / 1 / 5 / 20 percent of connection I/O operations. Per rate:
-//! goodput (fraction of requests answered `ok`), p50/p99 latency of the
-//! surviving requests, and the server's typed-failure counters. Every
-//! surviving reply is asserted bit-identical to the fault-free run —
-//! chaos may cost throughput, never correctness.
+//! goodput (fraction of requests answered `ok`) and the server's
+//! typed-failure counters. Every surviving reply is asserted bit-identical
+//! to the fault-free run — chaos may cost throughput, never correctness.
 //!
-//! Writes `BENCH_chaos.json`.
+//! Writes `BENCH_chaos.json`. Unlike the other `BENCH_*.json` files it is
+//! not a golden file CI diffs: which request a fault lands on depends on
+//! how the tenants' socket operations interleave, so the `ok`/`dropped`
+//! counts at non-zero rates move from run to run. Request latency under
+//! load is `bench/`'s `serve_small` workload.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dfg_ocl::FaultPlan;
 use dfg_serve::{Client, ClientError, ExecStrategy, ServeConfig, Server};
@@ -28,18 +31,8 @@ struct RatePoint {
     ok: usize,
     dropped: usize,
     reconnects: usize,
-    p50_ms: f64,
-    p99_ms: f64,
-    elapsed_s: f64,
     cancelled: u64,
     malformed: u64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
 /// Run the full tenant load against a server with `spec` faults
@@ -55,14 +48,12 @@ fn run_rate(rate_pct: f64, spec: Option<&'static str>) -> (RatePoint, Option<Vec
     let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().to_string();
 
-    let started = Instant::now();
     let mut handles = Vec::new();
     for t in 0..TENANTS {
         let addr = addr.clone();
         handles.push(std::thread::spawn(move || {
             let tenant = format!("t{t}");
             let mut client: Option<Client> = None;
-            let mut lat = Vec::new();
             let mut bits: Option<Vec<u32>> = None;
             let (mut ok, mut dropped, mut reconnects) = (0usize, 0usize, 0usize);
             for _ in 0..REQUESTS_PER_TENANT {
@@ -81,7 +72,6 @@ fn run_rate(rate_pct: f64, spec: Option<&'static str>) -> (RatePoint, Option<Vec
                         }
                     },
                 };
-                let t0 = Instant::now();
                 match c.derive_with_deadline(
                     &tenant,
                     EXPR,
@@ -109,7 +99,6 @@ fn run_rate(rate_pct: f64, spec: Option<&'static str>) -> (RatePoint, Option<Vec
                                 continue;
                             }
                         };
-                        lat.push(t0.elapsed().as_secs_f64() * 1e3);
                         if let Some(b) = &bits {
                             assert_eq!(b, &got, "{tenant}: bit drift between replies");
                         } else {
@@ -124,30 +113,26 @@ fn run_rate(rate_pct: f64, spec: Option<&'static str>) -> (RatePoint, Option<Vec
                     Err(_) => dropped += 1,
                 }
             }
-            (ok, dropped, reconnects, lat, bits)
+            (ok, dropped, reconnects, bits)
         }));
     }
 
     let (mut ok, mut dropped, mut reconnects) = (0usize, 0usize, 0usize);
-    let mut latencies: Vec<f64> = Vec::new();
     let mut bits: Option<Vec<u32>> = None;
     for h in handles {
-        let (o, d, r, lat, b) = h.join().expect("tenant thread panicked");
+        let (o, d, r, b) = h.join().expect("tenant thread panicked");
         ok += o;
         dropped += d;
         reconnects += r;
-        latencies.extend(lat);
         if bits.is_none() {
             bits = b;
         } else if let Some(got) = b {
             assert_eq!(bits.as_ref(), Some(&got), "bit drift between tenants");
         }
     }
-    let elapsed_s = started.elapsed().as_secs_f64();
     server.shutdown();
     let counters = server.join().expect("server panicked under chaos");
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     // Connections are not sessions: the first connect per tenant is setup,
     // not chaos-induced.
     let point = RatePoint {
@@ -156,9 +141,6 @@ fn run_rate(rate_pct: f64, spec: Option<&'static str>) -> (RatePoint, Option<Vec
         ok,
         dropped,
         reconnects: reconnects.saturating_sub(TENANTS),
-        p50_ms: percentile(&latencies, 0.50),
-        p99_ms: percentile(&latencies, 0.99),
-        elapsed_s,
         cancelled: counters.cancelled,
         malformed: counters.malformed,
     };
@@ -202,16 +184,12 @@ fn main() {
             (Some(_), None) => {}
         }
         println!(
-            "  {:>5.1}% faults: {:>3}/{} ok ({} dropped, {} reconnects)  \
-             p50 {:>7.3} ms  p99 {:>7.3} ms  in {:.2}s",
+            "  {:>5.1}% faults: {:>3}/{} ok ({} dropped, {} reconnects)",
             p.rate_pct,
             p.ok,
             TENANTS * REQUESTS_PER_TENANT,
             p.dropped,
             p.reconnects,
-            p.p50_ms,
-            p.p99_ms,
-            p.elapsed_s,
         );
         points.push(p);
     }
@@ -226,7 +204,7 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                r#"    {{"fault_rate_pct": {}, "spec": {}, "total": {}, "ok": {}, "dropped": {}, "reconnects": {}, "goodput": {:.4}, "p50_ms": {:.4}, "p99_ms": {:.4}, "elapsed_s": {:.3}, "server_cancelled": {}, "server_malformed": {}}}"#,
+                r#"    {{"fault_rate_pct": {}, "spec": {}, "total": {}, "ok": {}, "dropped": {}, "reconnects": {}, "goodput": {:.4}, "server_cancelled": {}, "server_malformed": {}}}"#,
                 p.rate_pct,
                 p.spec
                     .map(|s| format!("\"{s}\""))
@@ -236,9 +214,6 @@ fn main() {
                 p.dropped,
                 p.reconnects,
                 p.ok as f64 / (TENANTS * REQUESTS_PER_TENANT) as f64,
-                p.p50_ms,
-                p.p99_ms,
-                p.elapsed_s,
                 p.cancelled,
                 p.malformed,
             )

@@ -1,35 +1,7 @@
 //! Regenerates Figure 2: device global-memory constraints of the example
-//! dataflow network under each execution strategy.
-
-use dfg_dataflow::{example_networks, memreq_units, Strategy};
+//! dataflow network under each execution strategy; exits non-zero if a
+//! strategy diverges from the paper's count.
 
 fn main() {
-    let spec = example_networks::fig2_example();
-    println!("FIGURE 2");
-    println!("Example dataflow network (two filters merging into a third):");
-    println!();
-    println!("{}", spec.to_script());
-    println!("Peak problem-sized device arrays required to execute it:");
-    println!();
-    println!("{:<12} {:>16}   paper", "Strategy", "peak arrays");
-    println!("{}", "-".repeat(42));
-    let paper = [3u64, 4, 5];
-    for (strategy, expect) in Strategy::ALL.into_iter().zip(paper) {
-        let req = memreq_units(&spec, strategy).expect("valid example network");
-        let ok = req.units == expect;
-        println!(
-            "{:<12} {:>16}   {} {}",
-            strategy.name(),
-            req.units,
-            expect,
-            if ok { "✓" } else { "✗ MISMATCH" }
-        );
-        assert!(ok, "{strategy} diverged from the paper's Figure 2");
-    }
-    println!();
-    println!(
-        "Roundtrip holds intermediates on the host; staged must keep the first\n\
-         filter's intermediate resident while the second executes; fusion needs\n\
-         all four inputs plus the output simultaneously for its single kernel."
-    );
+    dfg_bench::artifacts::fig2().print_and_check();
 }

@@ -1,83 +1,10 @@
 //! Regenerates Figure 5: single-device runtime for the three expressions ×
-//! four series × twelve grids × two devices, on the virtual clock.
-//!
-//! The y-values are modeled device seconds (host→device transfers + kernel
-//! executions + device→host transfers, as in §IV-D.1). Absolute values are
-//! calibrated estimates — the shape (orderings, crossovers, failures) is
-//! the reproduction target.
-
-use dfg_bench::{figure_charts, fmt_secs, full_matrix, Outcome, Series, Target};
-use dfg_core::Workload;
-use dfg_mesh::TABLE1_CATALOG;
+//! four series × twelve grids × two devices, on the virtual clock; exits
+//! non-zero unless the GPU completes the paper's 106 of 144 cases and the
+//! CPU all. With `--svg <dir>`, also renders the figure as SVG charts.
 
 fn main() {
-    let cases = full_matrix();
-    maybe_write_svgs(&cases, false);
-    println!("FIGURE 5 — single-device runtime (modeled seconds)");
-    for workload in Workload::ALL {
-        println!();
-        println!("=== {} ===", workload.table2_name());
-        print!("{:<22}", "grid");
-        for target in Target::ALL {
-            for series in Series::ALL {
-                print!(" {:>4}:{:<9}", target.name(), series.name());
-            }
-        }
-        println!();
-        println!("{}", "-".repeat(22 + 8 * 15));
-        for grid in TABLE1_CATALOG {
-            print!("{:<22}", grid.to_string());
-            for target in Target::ALL {
-                for series in Series::ALL {
-                    let case = cases
-                        .iter()
-                        .find(|c| {
-                            c.workload == workload
-                                && c.series == series
-                                && c.target == target
-                                && c.grid == grid
-                        })
-                        .expect("full matrix");
-                    print!(" {:>14}", fmt_secs(&case.outcome));
-                }
-            }
-            println!();
-        }
-    }
-
-    // Summary statistics the paper reports in §V-A.
-    let gpu_cases: Vec<_> = cases.iter().filter(|c| c.target == Target::Gpu).collect();
-    let gpu_ok = gpu_cases
-        .iter()
-        .filter(|c| matches!(c.outcome, Outcome::Ok { .. }))
-        .count();
-    println!();
-    println!(
-        "GPU completed {gpu_ok} of {} test cases ({:.0}%); paper: 106 of 144 (73%).",
-        gpu_cases.len(),
-        100.0 * gpu_ok as f64 / gpu_cases.len() as f64
-    );
-    let cpu_ok = cases
-        .iter()
-        .filter(|c| c.target == Target::Cpu)
-        .all(|c| matches!(c.outcome, Outcome::Ok { .. }));
-    println!(
-        "CPU completed all test cases: {} (paper: yes).",
-        if cpu_ok { "yes" } else { "NO — investigate" }
-    );
-}
-
-/// With `--svg <dir>`, also render the figure as SVG charts.
-fn maybe_write_svgs(cases: &[dfg_bench::Case], memory: bool) {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(pos) = args.iter().position(|a| a == "--svg") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(args.get(pos + 1).map(String::as_str).unwrap_or("."));
-    std::fs::create_dir_all(&dir).expect("create svg output dir");
-    for (name, chart) in figure_charts(cases, memory) {
-        let path = dir.join(format!("{name}.svg"));
-        std::fs::write(&path, chart.render()).expect("write svg");
-        eprintln!("wrote {}", path.display());
-    }
+    let matrix = dfg_bench::Matrix::full();
+    dfg_bench::write_svgs_if_asked(&matrix, false);
+    dfg_bench::artifacts::fig5(&matrix).print_and_check();
 }

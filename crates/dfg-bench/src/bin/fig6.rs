@@ -1,119 +1,10 @@
 //! Regenerates Figure 6: maximum global device memory reserved for OpenCL
-//! buffers during each Figure-5 run, against the M2050's 3 GB line.
-
-use dfg_bench::{figure_charts, fmt_mem, full_matrix, Outcome, Series, Target};
-use dfg_core::Workload;
-use dfg_mesh::TABLE1_CATALOG;
+//! buffers during each Figure-5 run, against the M2050's 3 GB line; exits
+//! non-zero unless memory exactly explains the GPU's failures. With
+//! `--svg <dir>`, also renders the figure as SVG charts.
 
 fn main() {
-    let cases = full_matrix();
-    maybe_write_svgs(&cases);
-    let usable = Target::Gpu.profile().global_mem_bytes;
-    println!("FIGURE 6 — device memory high-water mark (GB)");
-    println!("NVIDIA M2050 nominal capacity (the paper's green line): 3.0 GB");
-    println!(
-        "Usable after ECC + driver reservation (the failure threshold): {:.2} GB",
-        usable as f64 / (1u64 << 30) as f64
-    );
-    for workload in Workload::ALL {
-        println!();
-        println!("=== {} ===", workload.table2_name());
-        print!("{:<22}", "grid");
-        for series in Series::ALL {
-            print!(" {:>9}", series.name());
-        }
-        println!("   (CPU values; GPU identical where it succeeds, FAILED otherwise)");
-        println!("{}", "-".repeat(22 + 4 * 10 + 12));
-        for grid in TABLE1_CATALOG {
-            print!("{:<22}", grid.to_string());
-            for series in Series::ALL {
-                let cpu = cases
-                    .iter()
-                    .find(|c| {
-                        c.workload == workload
-                            && c.series == series
-                            && c.target == Target::Cpu
-                            && c.grid == grid
-                    })
-                    .expect("full matrix");
-                print!(" {:>9}", fmt_mem(&cpu.outcome));
-            }
-            // Mark which series failed on the GPU for this grid.
-            let failed: Vec<&str> = Series::ALL
-                .iter()
-                .filter(|series| {
-                    cases
-                        .iter()
-                        .find(|c| {
-                            c.workload == workload
-                                && c.series == **series
-                                && c.target == Target::Gpu
-                                && c.grid == grid
-                        })
-                        .is_some_and(|c| c.outcome == Outcome::OutOfMemory)
-                })
-                .map(|s| s.name())
-                .collect();
-            if failed.is_empty() {
-                println!("   gpu: all fit");
-            } else {
-                println!("   gpu FAILED: {}", failed.join(", "));
-            }
-        }
-    }
-
-    // Consistency check mirroring §V-B: a GPU case fails exactly when its
-    // CPU-measured footprint exceeds the 3 GB line.
-    let mut consistent = true;
-    for gpu_case in cases.iter().filter(|c| c.target == Target::Gpu) {
-        let cpu_case = cases
-            .iter()
-            .find(|c| {
-                c.workload == gpu_case.workload
-                    && c.series == gpu_case.series
-                    && c.target == Target::Cpu
-                    && c.grid == gpu_case.grid
-            })
-            .expect("full matrix");
-        let Outcome::Ok { high_water, .. } = cpu_case.outcome else {
-            consistent = false;
-            continue;
-        };
-        let over = high_water > usable;
-        let failed = gpu_case.outcome == Outcome::OutOfMemory;
-        if over != failed {
-            consistent = false;
-            println!(
-                "INCONSISTENT: {}/{} {} needs {high_water} B but failed={failed}",
-                gpu_case.workload,
-                gpu_case.series.name(),
-                gpu_case.grid
-            );
-        }
-    }
-    println!();
-    println!(
-        "Memory requirements {} the GPU failure set (paper: \"memory constraints \
-         were the cause of the failed GPU test cases\").",
-        if consistent {
-            "exactly explain"
-        } else {
-            "DO NOT explain"
-        }
-    );
-}
-
-/// With `--svg <dir>`, also render the figure as SVG charts.
-fn maybe_write_svgs(cases: &[dfg_bench::Case]) {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(pos) = args.iter().position(|a| a == "--svg") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(args.get(pos + 1).map(String::as_str).unwrap_or("."));
-    std::fs::create_dir_all(&dir).expect("create svg output dir");
-    for (name, chart) in figure_charts(cases, true) {
-        let path = dir.join(format!("{name}.svg"));
-        std::fs::write(&path, chart.render()).expect("write svg");
-        eprintln!("wrote {}", path.display());
-    }
+    let matrix = dfg_bench::Matrix::full();
+    dfg_bench::write_svgs_if_asked(&matrix, true);
+    dfg_bench::artifacts::fig6(&matrix).print_and_check();
 }

@@ -7,7 +7,8 @@
 //!
 //! `--full`: the paper's full configuration — 3072³ cells, 3072 sub-grids
 //! of 192×192×256, 256 devices on 128 nodes, fusion strategy — executed in
-//! model mode (virtual buffers, modeled clocks).
+//! model mode (virtual buffers, modeled clocks); the same run `report`
+//! summarizes.
 
 use dfg_cluster::render::render_slice;
 use dfg_cluster::{run_distributed, Cluster, DistOptions};
@@ -17,54 +18,13 @@ use dfg_ocl::{DeviceProfile, ExecMode};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    println!("FIGURE 7 — distributed-memory parallel Q-criterion (fusion strategy)");
-    println!();
     if full {
-        run_full_scale();
+        dfg_bench::artifacts::fig7().print_and_check();
     } else {
+        println!("FIGURE 7 — distributed-memory parallel Q-criterion (fusion strategy)");
+        println!();
         run_scaled_down();
     }
-}
-
-fn run_full_scale() {
-    let global = RectilinearMesh::unit_cube([3072, 3072, 3072]);
-    let rt = RtWorkload::paper_default();
-    let cluster = Cluster::edge_128x2();
-    println!(
-        "Full configuration (model mode): {} cells, 3072 sub-grids of 192x192x256,",
-        27_u64 * 1024 * 1024 * 1024
-    );
-    println!(
-        "{} nodes x {} GPUs = {} ranks, 12 sub-grids per GPU.",
-        cluster.nodes,
-        cluster.devices_per_node,
-        cluster.ranks()
-    );
-    let result = run_distributed(
-        &global,
-        [16, 16, 12],
-        &rt,
-        &cluster,
-        &DistOptions {
-            workload: Workload::QCriterion,
-            strategy: Strategy::Fusion,
-            mode: ExecMode::Model,
-            ..Default::default()
-        },
-    )
-    .expect("full-scale model run");
-    println!();
-    println!("sub-grids processed:        {}", result.blocks);
-    println!("total kernel launches:      {}", result.total_kernel_execs);
-    println!(
-        "per-device peak memory:     {:.3} GB (M2050 capacity 3.0 GB)",
-        result.max_high_water as f64 / (1u64 << 30) as f64
-    );
-    println!(
-        "modeled makespan:           {:.3} s  (max over ranks; mean {:.3} s)",
-        result.makespan_seconds,
-        result.rank_device_seconds.iter().sum::<f64>() / result.ranks as f64
-    );
 }
 
 fn run_scaled_down() {

@@ -2,20 +2,21 @@
 //!
 //! Three questions the integrity subsystem must answer with numbers:
 //!
-//! 1. **Overhead when clean** — what does each [`VerifyPolicy`] level
-//!    cost in host wall time on a fault-free session, given that the
-//!    modeled device clock must not move at all (checksums are
-//!    host-side)?
+//! 1. **Overhead when clean** — each [`VerifyPolicy`] level must leave
+//!    the modeled device clock and every output bit of a fault-free
+//!    session untouched (checksums are host-side; their host wall cost is
+//!    `bench/`'s `insitu_slab` `core.cycle_{residents,full}_ms` against
+//!    `core.cycle_ms`).
 //! 2. **Detection coverage** — with seeded `mem_flip` corruption injected
 //!    at increasing rates, how many flips fire, how many violations are
 //!    detected, and does every healed run stay bit-exact?
 //! 3. **Check volume** — how many verifications does each policy level
-//!    actually perform, so the overhead has a denominator?
+//!    actually perform, so that cost has a denominator?
 //!
 //! Writes `BENCH_integrity.json`.
 
-use dfg_core::{Engine, EngineOptions, FieldSet, RecoveryPolicy, Strategy, Workload};
-use dfg_mesh::{RectilinearMesh, RtWorkload};
+use dfg_bench::{checksum, rt_fields};
+use dfg_core::{Engine, EngineOptions, RecoveryPolicy, Strategy, Workload};
 use dfg_ocl::{DeviceProfile, FaultPlan, VerifyPolicy};
 
 const DIMS: [usize; 3] = [32, 32, 32];
@@ -23,8 +24,8 @@ const ITERS: usize = 8;
 const RATES: [f64; 3] = [0.05, 0.15, 0.40];
 const SEED: u64 = 42;
 
+#[derive(Default)]
 struct Arm {
-    wall_seconds: f64,
     device_seconds: f64,
     checks: u64,
     violations: u64,
@@ -32,15 +33,10 @@ struct Arm {
     checksum: f64,
 }
 
-fn fields() -> FieldSet {
-    let mesh = RectilinearMesh::unit_cube(DIMS);
-    FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default())
-}
-
 /// Run an `ITERS`-cycle Q-criterion session under one verification
 /// policy, optionally with a fault plan installed; sum the costs.
 fn run(verify: VerifyPolicy, strategy: Strategy, faults: Option<&str>) -> Arm {
-    let fields = fields();
+    let fields = rt_fields(DIMS);
     let mut engine = Engine::with_options(
         DeviceProfile::nvidia_m2050(),
         EngineOptions {
@@ -53,31 +49,16 @@ fn run(verify: VerifyPolicy, strategy: Strategy, faults: Option<&str>) -> Arm {
         engine.set_fault_plan(FaultPlan::parse(spec).expect("valid spec"));
     }
     let mut sess = engine.session();
-    let mut arm = Arm {
-        wall_seconds: 0.0,
-        device_seconds: 0.0,
-        checks: 0,
-        violations: 0,
-        healed: 0,
-        checksum: 0.0,
-    };
+    let mut arm = Arm::default();
     for _ in 0..ITERS {
         let report = sess
             .derive(Workload::QCriterion.source(), &fields, strategy)
             .expect("derivation heals");
-        arm.wall_seconds += report.wall.as_secs_f64();
         arm.device_seconds += report.device_seconds();
         if let Some(r) = &report.recovery {
             arm.healed += r.integrity_healed + u64::from(r.retries);
         }
-        arm.checksum += report
-            .field
-            .as_ref()
-            .expect("real mode")
-            .data
-            .iter()
-            .map(|v| *v as f64)
-            .sum::<f64>();
+        arm.checksum += checksum(&report.field.as_ref().expect("real mode").data);
     }
     let integrity = sess.context().integrity_stats();
     arm.checks = integrity.checks;
@@ -93,9 +74,6 @@ fn main() {
         DIMS[0], DIMS[1], DIMS[2]
     );
     println!();
-
-    // Warm-up to stabilize wall timings (allocator, thread pool).
-    let _ = run(VerifyPolicy::Off, Strategy::Fusion, None);
 
     // Question 1 + 3: clean-session overhead and check volume per level.
     let off = run(VerifyPolicy::Off, Strategy::Fusion, None);
@@ -116,16 +94,12 @@ fn main() {
     }
     assert_eq!(off.checks, 0, "Off never verifies");
     assert!(full.checks > residents.checks, "Full checks strictly more");
-    println!(
-        "{:>10} {:>12} {:>10} {:>10}",
-        "policy", "wall ms", "checks", "overhead"
-    );
+    println!("{:>10} {:>12} {:>10}", "policy", "device ms", "checks");
     for (name, arm) in [("off", &off), ("residents", &residents), ("full", &full)] {
         println!(
-            "{name:>10} {:>12.3} {:>10} {:>9.2}x",
-            arm.wall_seconds * 1e3,
+            "{name:>10} {:>12.3} {:>10}",
+            arm.device_seconds * 1e3,
             arm.checks,
-            arm.wall_seconds / off.wall_seconds,
         );
     }
     println!();
@@ -177,13 +151,9 @@ fn main() {
             format!(
                 r#"    {{
       "policy": "{name}",
-      "wall_seconds": {:.6},
-      "checks": {},
-      "wall_overhead": {:.3}
+      "checks": {}
     }}"#,
-                arm.wall_seconds,
                 arm.checks,
-                arm.wall_seconds / off.wall_seconds,
             )
         })
         .collect();

@@ -18,8 +18,8 @@
 
 use std::time::Duration;
 
+use dfg_bench::rt_fields;
 use dfg_core::{Engine, EngineOptions, FieldSet, OptLevel, Strategy, Workload};
-use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 use dfg_serve::{Client, DeriveRequest, ExecStrategy, Request, Response, ServeConfig, Server};
 
@@ -34,11 +34,6 @@ const TENANT_EXPRS: [&str; 4] = [
     "s = u*u + v*v + w*w",
     "sp = (u*u + v*v + w*w) + 1",
 ];
-
-fn rt_fields(dims: [usize; 3]) -> FieldSet {
-    let mesh = RectilinearMesh::unit_cube(dims);
-    FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default())
-}
 
 struct Row {
     strategy: Strategy,

@@ -13,7 +13,7 @@
 //!
 //! Writes `BENCH_rankfault.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dfg_cluster::{run_distributed, Cluster, DistOptions, DistResult};
 use dfg_core::{RecoveryPolicy, Strategy, Workload};
@@ -45,21 +45,14 @@ fn opts(fault_spec: Option<String>, deadline: Option<Duration>) -> DistOptions {
     }
 }
 
-fn run(o: &DistOptions) -> (DistResult, f64) {
+fn run(o: &DistOptions) -> DistResult {
     let global = RectilinearMesh::unit_cube(DIMS);
     let rt = RtWorkload::paper_default();
-    let start = Instant::now();
-    let result = run_distributed(&global, NBLOCKS, &rt, &cluster(), o).expect("run completes");
-    (result, start.elapsed().as_secs_f64())
+    run_distributed(&global, NBLOCKS, &rt, &cluster(), o).expect("run completes")
 }
 
 fn checksum(r: &DistResult) -> f64 {
-    r.field
-        .as_ref()
-        .expect("real mode")
-        .iter()
-        .map(|v| *v as f64)
-        .sum()
+    dfg_bench::checksum(r.field.as_ref().expect("real mode"))
 }
 
 fn main() {
@@ -73,13 +66,10 @@ fn main() {
     );
     println!();
 
-    // Warm-up (thread pool, allocator).
-    let _ = run(&opts(None, Some(Duration::from_secs(5))));
-
     // Question 1: the resilience machinery's overhead on a healthy run.
     // `exchange_deadline: None` is the pre-resilience blocking exchange.
-    let (baseline, baseline_wall) = run(&opts(None, None));
-    let (armed, armed_wall) = run(&opts(None, Some(Duration::from_secs(5))));
+    let baseline = run(&opts(None, None));
+    let armed = run(&opts(None, Some(Duration::from_secs(5))));
     assert_eq!(
         checksum(&baseline).to_bits(),
         checksum(&armed).to_bits(),
@@ -92,12 +82,10 @@ fn main() {
     );
     assert!(!armed.degraded);
     assert_eq!(armed.exchange_timeouts, 0);
-    let overhead = armed_wall / baseline_wall;
     println!(
-        "fault-free overhead: blocking exchange {:.3} ms wall, deadline-armed \
-         {:.3} ms wall ({overhead:.2}x), identical modeled makespan",
-        baseline_wall * 1e3,
-        armed_wall * 1e3,
+        "fault-free overhead: blocking and deadline-armed exchange give identical \
+         output bits and identical modeled makespan ({:.3} ms)",
+        baseline.makespan_seconds * 1e3,
     );
     println!();
 
@@ -106,13 +94,13 @@ fn main() {
     // path rather than waiting out the deadline.
     let clean_sum = checksum(&baseline);
     println!(
-        "{:>6} {:>12} {:>9} {:>14} {:>12} {:>12}",
-        "killed", "makespan ms", "vs clean", "redistributed", "ghost faces", "wall ms"
+        "{:>6} {:>12} {:>9} {:>14} {:>12}",
+        "killed", "makespan ms", "vs clean", "redistributed", "ghost faces"
     );
     let mut sweep = Vec::new();
     for kills in KILLS {
         let spec = (kills > 0).then(|| format!("rank_die@1x{kills}"));
-        let (result, wall) = run(&opts(spec, Some(Duration::from_secs(5))));
+        let result = run(&opts(spec, Some(Duration::from_secs(5))));
         assert_eq!(result.lost_ranks.len(), kills);
         let sum = checksum(&result);
         assert_eq!(
@@ -125,19 +113,18 @@ fn main() {
             "losing ranks cannot shrink the modeled makespan"
         );
         println!(
-            "{kills:>6} {:>12.3} {:>8.2}x {:>14} {:>12} {:>12.3}",
+            "{kills:>6} {:>12.3} {:>8.2}x {:>14} {:>12}",
             result.makespan_seconds * 1e3,
             result.makespan_seconds / baseline.makespan_seconds,
             result.redistributed_blocks.len(),
             result.ghost_filled_faces,
-            wall * 1e3,
         );
-        sweep.push((kills, result, wall));
+        sweep.push((kills, result));
     }
 
     let sweep_json: Vec<String> = sweep
         .iter()
-        .map(|(kills, r, wall)| {
+        .map(|(kills, r)| {
             format!(
                 r#"    {{
       "killed_ranks": {kills},
@@ -145,14 +132,12 @@ fn main() {
       "makespan_vs_clean": {:.4},
       "redistributed_blocks": {},
       "ghost_filled_faces": {},
-      "wall_seconds": {:.6},
       "bit_exact": true
     }}"#,
                 r.makespan_seconds,
                 r.makespan_seconds / baseline.makespan_seconds,
                 r.redistributed_blocks.len(),
                 r.ghost_filled_faces,
-                wall,
             )
         })
         .collect();
@@ -166,9 +151,6 @@ fn main() {
   "strategy": "fusion",
   "device": "NVIDIA Tesla M2050 (modeled)",
   "fault_free": {{
-    "blocking_wall_seconds": {:.6},
-    "deadline_armed_wall_seconds": {:.6},
-    "wall_overhead": {overhead:.3},
     "makespan_identical": true
   }},
   "kill_sweep": [
@@ -182,8 +164,6 @@ fn main() {
         NBLOCKS[0],
         NBLOCKS[1],
         NBLOCKS[2],
-        baseline_wall,
-        armed_wall,
         sweep_json.join(",\n"),
     );
     std::fs::write("BENCH_rankfault.json", json).expect("write BENCH_rankfault.json");

@@ -4,16 +4,15 @@
 //!
 //! 1. **Overhead when healthy** — enabling [`RecoveryPolicy`] on a
 //!    fault-free engine must cost nothing on the modeled device clock
-//!    (the clean path is the plain executor) and only noise on the wall
-//!    clock.
+//!    (the clean path is the plain executor) and change no output bit.
 //! 2. **Time-to-recover under fire** — with deterministic transient
 //!    faults injected at increasing rates, how much modeled device time
 //!    do the retries and fallbacks add per derivation?
 //!
 //! Writes `BENCH_resilience.json`.
 
-use dfg_core::{Engine, EngineOptions, FieldSet, RecoveryPolicy, Strategy, Workload};
-use dfg_mesh::{RectilinearMesh, RtWorkload};
+use dfg_bench::{checksum, rt_fields};
+use dfg_core::{Engine, EngineOptions, RecoveryPolicy, Strategy, Workload};
 use dfg_ocl::{DeviceProfile, FaultPlan};
 
 const DIMS: [usize; 3] = [32, 32, 32];
@@ -21,8 +20,8 @@ const ITERS: usize = 8;
 const RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
 const SEED: u64 = 42;
 
+#[derive(Default)]
 struct Arm {
-    wall_seconds: f64,
     device_seconds: f64,
     retries: u64,
     fallbacks: u64,
@@ -30,14 +29,9 @@ struct Arm {
     checksum: f64,
 }
 
-fn fields() -> FieldSet {
-    let mesh = RectilinearMesh::unit_cube(DIMS);
-    FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default())
-}
-
 /// Run `ITERS` Q-criterion derivations on one engine; sum the costs.
 fn run(recovery: RecoveryPolicy, faults: Option<&str>) -> Arm {
-    let fields = fields();
+    let fields = rt_fields(DIMS);
     let mut engine = Engine::with_options(
         DeviceProfile::nvidia_m2050(),
         EngineOptions {
@@ -48,33 +42,18 @@ fn run(recovery: RecoveryPolicy, faults: Option<&str>) -> Arm {
     if let Some(spec) = faults {
         engine.set_fault_plan(FaultPlan::parse(spec).expect("valid spec"));
     }
-    let mut arm = Arm {
-        wall_seconds: 0.0,
-        device_seconds: 0.0,
-        retries: 0,
-        fallbacks: 0,
-        degraded_runs: 0,
-        checksum: 0.0,
-    };
+    let mut arm = Arm::default();
     for _ in 0..ITERS {
         let report = engine
             .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
             .expect("derivation recovers");
-        arm.wall_seconds += report.wall.as_secs_f64();
         arm.device_seconds += report.device_seconds();
         if let Some(r) = &report.recovery {
             arm.retries += u64::from(r.retries);
             arm.fallbacks += u64::from(r.fallbacks);
             arm.degraded_runs += u64::from(r.degraded);
         }
-        arm.checksum += report
-            .field
-            .as_ref()
-            .expect("real mode")
-            .data
-            .iter()
-            .map(|v| *v as f64)
-            .sum::<f64>();
+        arm.checksum += checksum(&report.field.as_ref().expect("real mode").data);
     }
     arm
 }
@@ -86,9 +65,6 @@ fn main() {
         DIMS[0], DIMS[1], DIMS[2]
     );
     println!();
-
-    // Warm-up to stabilize wall timings (allocator, thread pool).
-    let _ = run(RecoveryPolicy::disabled(), None);
 
     // Question 1: overhead of the recovery driver when nothing fails.
     let off = run(RecoveryPolicy::disabled(), None);
@@ -104,12 +80,10 @@ fn main() {
         "recovery must add zero modeled device time when healthy"
     );
     assert_eq!(on.retries + on.fallbacks, 0);
-    let overhead = on.wall_seconds / off.wall_seconds;
     println!(
-        "fault-free overhead: recovery off {:.3} ms wall, on {:.3} ms wall \
-         ({overhead:.2}x), identical modeled device seconds",
-        off.wall_seconds * 1e3,
-        on.wall_seconds * 1e3,
+        "fault-free overhead: recovery on and off give identical output bits \
+         and identical modeled device seconds ({:.3} ms)",
+        off.device_seconds * 1e3,
     );
     println!();
 
@@ -180,9 +154,6 @@ fn main() {
   "device": "NVIDIA Tesla M2050 (modeled)",
   "fault_seed": {SEED},
   "fault_free": {{
-    "recovery_off_wall_seconds": {:.6},
-    "recovery_on_wall_seconds": {:.6},
-    "wall_overhead": {overhead:.3},
     "device_seconds_identical": true
   }},
   "transient_sweep": [
@@ -193,8 +164,6 @@ fn main() {
         DIMS[0],
         DIMS[1],
         DIMS[2],
-        off.wall_seconds,
-        on.wall_seconds,
         sweep_json.join(",\n"),
     );
     std::fs::write("BENCH_resilience.json", json).expect("write BENCH_resilience.json");

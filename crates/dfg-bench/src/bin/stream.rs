@@ -18,8 +18,7 @@
 //! A small real-mode parity guard re-checks that depth does not change a
 //! single output bit. Writes `BENCH_stream.json`.
 
-use dfg_core::{Engine, EngineOptions, FieldSet, SlabPolicy, Strategy, StreamOptions, Workload};
-use dfg_mesh::{RectilinearMesh, RtWorkload, TABLE1_CATALOG};
+use dfg_core::{Engine, EngineOptions, SlabPolicy, Strategy, StreamOptions, Workload};
 use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 
 /// Grid for the slab-size sweep: the largest Table I mesh, which fusion
@@ -45,27 +44,21 @@ struct Run {
     occupancy: Vec<f64>,
 }
 
-fn model_engine(device: DeviceProfile, stream: StreamOptions) -> Engine {
-    Engine::with_options(
+fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) -> Run {
+    let mut engine = Engine::with_options(
         device,
         EngineOptions {
             mode: ExecMode::Model,
             stream,
             ..Default::default()
         },
-    )
-}
-
-fn virtual_fields(dims: [usize; 3]) -> FieldSet {
-    let mut fields = FieldSet::virtual_rt(dims);
-    fields.insert_small("dims", vec![dims[0] as f32, dims[1] as f32, dims[2] as f32]);
-    fields
-}
-
-fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) -> Run {
-    let mut engine = model_engine(device, stream);
+    );
     let report = engine
-        .derive_streamed(Workload::QCriterion.source(), &virtual_fields(dims), None)
+        .derive_streamed(
+            Workload::QCriterion.source(),
+            &dfg_bench::virtual_fields(dims),
+            None,
+        )
         .expect("streamed run completes");
     let p = &report.profile;
     Run {
@@ -87,8 +80,7 @@ fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) 
 
 /// Real-mode guard: the overlap depth must not change one output bit.
 fn parity_guard() {
-    let mesh = RectilinearMesh::unit_cube([12, 10, 16]);
-    let fields = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
+    let fields = dfg_bench::rt_fields([12, 10, 16]);
     let budget = Some(14 * 4 * (12 * 10 * 9) as u64); // forces several slabs
     let mut fusion_engine = Engine::new(DeviceProfile::intel_x5660());
     let fused = fusion_engine
@@ -218,7 +210,7 @@ fn main() {
         "HEADLINE: {}^3 Q-criterion through a 3 GB budget: {} slabs, peak {:.3} GB,",
         HEADLINE_DIMS[0],
         headline.slabs,
-        headline.peak_bytes as f64 / (1u64 << 30) as f64
+        dfg_bench::gib(headline.peak_bytes)
     );
     println!(
         "  makespan {:.3}s vs {:.3}s serial device-seconds ({:.3}s of transfer hidden, {:.0}% of it)",
@@ -230,40 +222,22 @@ fn main() {
     println!();
 
     // ---- Question 3: Figure 5/6 FAILED cases complete under streaming -----
-    let mut recovered = 0;
-    let mut total_failed = 0;
     let mut recovered_rows = Vec::new();
-    for workload in Workload::ALL {
-        for grid in TABLE1_CATALOG {
-            let mut engine = model_engine(gpu.clone(), StreamOptions::default());
-            let fields = virtual_fields(grid.dims());
-            if engine
-                .derive(workload.source(), &fields, Strategy::Fusion)
-                .is_ok()
-            {
-                continue; // only the paper's failure cases
-            }
-            total_failed += 1;
-            let r = engine
-                .derive_streamed(workload.source(), &fields, None)
-                .expect("streaming completes every failed fusion case");
-            recovered += 1;
-            recovered_rows.push(format!(
-                r#"    {{ "expr": "{}", "grid": "{}", "makespan_seconds": {:.6}, "peak_bytes": {}, "slabs": {} }}"#,
-                workload.table2_name(),
-                grid,
-                r.profile.makespan_seconds(),
-                r.high_water_bytes(),
-                r.profile.count(EventKind::KernelExec),
-            ));
-        }
+    for (workload, grid, streamed) in dfg_bench::stream_failed_fusion_cases() {
+        let r = streamed.expect("streaming completes every failed fusion case");
+        recovered_rows.push(format!(
+            r#"    {{ "expr": "{}", "grid": "{}", "makespan_seconds": {:.6}, "peak_bytes": {}, "slabs": {} }}"#,
+            workload.table2_name(),
+            grid,
+            r.profile.makespan_seconds(),
+            r.high_water_bytes(),
+            r.profile.count(EventKind::KernelExec),
+        ));
     }
-    assert_eq!(
-        recovered, total_failed,
-        "every failed fusion case must stream"
-    );
+    // The `expect` above makes every previously failed case a recovered one.
+    let recovered = recovered_rows.len();
     println!(
-        "{recovered}/{total_failed} previously-failing GPU fusion cases complete under streaming."
+        "{recovered}/{recovered} previously-failing GPU fusion cases complete under streaming."
     );
 
     let occupancy_json: Vec<String> = headline
@@ -296,7 +270,7 @@ fn main() {
 {}
   ],
   "recovered": {recovered},
-  "previously_failed": {total_failed}
+  "previously_failed": {recovered}
 }}
 "#,
         SWEEP_DIMS[0],

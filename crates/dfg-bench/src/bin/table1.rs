@@ -1,33 +1,6 @@
 //! Regenerates Table I: the sub-grid catalog used for the single-device
 //! evaluation.
 
-use dfg_mesh::TABLE1_CATALOG;
-
 fn main() {
-    println!("TABLE I");
-    println!("Sub-grids of 3072^3 RT simulation time step used for single-device evaluation.");
-    println!();
-    println!(
-        "{:<22} {:>13} {:>11}",
-        "Sub-grid Dimensions", "# of Cells", "Data Size"
-    );
-    println!("{}", "-".repeat(48));
-    for grid in TABLE1_CATALOG {
-        let cells = grid.ncells();
-        // Thousands separators, as the paper prints them.
-        let cells_str = cells
-            .to_string()
-            .as_bytes()
-            .rchunks(3)
-            .rev()
-            .map(|c| std::str::from_utf8(c).unwrap())
-            .collect::<Vec<_>>()
-            .join(",");
-        println!(
-            "{:<22} {:>13} {:>11}",
-            grid.to_string(),
-            cells_str,
-            grid.data_size_display()
-        );
-    }
+    dfg_bench::artifacts::table1().print_and_check();
 }

@@ -1,58 +1,8 @@
 //! Regenerates Table II: host-to-device transfers (Dev-W), device-to-host
 //! transfers (Dev-R), and kernel executions (K-Exe) per expression ×
-//! strategy, measured from the device-event profile and asserted against
-//! the paper's published counts.
-
-use dfg_core::{Engine, EngineOptions, FieldSet, Strategy, Workload};
-use dfg_ocl::{DeviceProfile, ExecMode};
+//! strategy, measured from the device-event profile and checked against
+//! the paper's published counts; exits non-zero on a mismatch.
 
 fn main() {
-    println!("TABLE II");
-    println!("Device events per expression and execution strategy (measured).");
-    println!();
-    println!(
-        "{:<12} {:<11} {:>6} {:>6} {:>6}   paper",
-        "Expression", "Strategy", "Dev-W", "Dev-R", "K-Exe"
-    );
-    println!("{}", "-".repeat(58));
-    let mut engine = Engine::with_options(
-        DeviceProfile::nvidia_m2050(),
-        EngineOptions {
-            mode: ExecMode::Model,
-            ..Default::default()
-        },
-    );
-    // Event counts are size-independent; use the smallest catalog grid.
-    let fields = FieldSet::virtual_rt([192, 192, 256]);
-    let mut mismatches = 0;
-    for workload in Workload::ALL {
-        for strategy in Strategy::ALL {
-            let report = engine
-                .derive(workload.source(), &fields, strategy)
-                .expect("model-mode run cannot fail on the smallest grid");
-            let (w, r, k) = report.table2_row();
-            let paper = workload.paper_table2(strategy);
-            let ok = (w, r, k) == paper;
-            if !ok {
-                mismatches += 1;
-            }
-            println!(
-                "{:<12} {:<11} {:>6} {:>6} {:>6}   {:?} {}",
-                workload.table2_name(),
-                strategy.name(),
-                w,
-                r,
-                k,
-                paper,
-                if ok { "✓" } else { "✗ MISMATCH" }
-            );
-        }
-    }
-    println!();
-    if mismatches == 0 {
-        println!("All 9 rows match the paper's Table II exactly.");
-    } else {
-        println!("{mismatches} rows differ from the paper — investigate!");
-        std::process::exit(1);
-    }
+    dfg_bench::artifacts::table2().print_and_check();
 }

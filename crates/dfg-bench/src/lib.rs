@@ -1,13 +1,18 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The binaries in `src/bin/` print the artifacts; this library holds the
-//! evaluation matrix they share. See DESIGN.md §5 for the experiment index
-//! and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! This library holds the evaluation matrix and, in [`artifacts`], the one
+//! definition of every table and figure; the binaries in `src/bin/` print
+//! them and `report` composes them into REPORT.md. Everything here reads
+//! the modeled device clock and event counts, never the host's wall clock
+//! (that is `bench/`'s job), so every artifact is a pure function of the
+//! code. See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
+//! recorded paper-vs-measured results.
 
-use dfg_core::{Engine, EngineOptions, FieldSet, Strategy, Workload};
-use dfg_mesh::{GridSpec, TABLE1_CATALOG};
+use dfg_core::{Engine, EngineError, EngineOptions, ExecReport, FieldSet, Strategy, Workload};
+use dfg_mesh::{GridSpec, RectilinearMesh, RtWorkload, TABLE1_CATALOG};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
+pub mod artifacts;
 pub mod svg;
 
 /// One plotted series of Figures 5 and 6: the three strategies plus the
@@ -84,6 +89,24 @@ pub enum Outcome {
     OutOfMemory,
 }
 
+impl Outcome {
+    /// Modeled device seconds, `None` for an out-of-memory failure.
+    pub fn seconds(&self) -> Option<f64> {
+        match self {
+            Outcome::Ok { seconds, .. } => Some(*seconds),
+            Outcome::OutOfMemory => None,
+        }
+    }
+
+    /// Peak device memory in bytes, `None` for an out-of-memory failure.
+    pub fn high_water(&self) -> Option<u64> {
+        match self {
+            Outcome::Ok { high_water, .. } => Some(*high_water),
+            Outcome::OutOfMemory => None,
+        }
+    }
+}
+
 /// One cell of the evaluation matrix.
 #[derive(Debug, Clone)]
 pub struct Case {
@@ -99,15 +122,20 @@ pub struct Case {
     pub outcome: Outcome,
 }
 
-/// Run one case in model mode (paper-scale without paper-scale memory).
-pub fn run_case(workload: Workload, series: Series, target: Target, grid: GridSpec) -> Outcome {
-    let mut engine = Engine::with_options(
-        target.profile(),
+/// A model-mode engine (paper-scale grids without paper-scale memory).
+pub fn model_engine(profile: DeviceProfile) -> Engine {
+    Engine::with_options(
+        profile,
         EngineOptions {
             mode: ExecMode::Model,
             ..Default::default()
         },
-    );
+    )
+}
+
+/// Run one case in model mode.
+pub fn run_case(workload: Workload, series: Series, target: Target, grid: GridSpec) -> Outcome {
+    let mut engine = model_engine(target.profile());
     let fields = FieldSet::virtual_rt(grid.dims());
     let result = match series {
         Series::Strategy(strategy) => engine.derive(workload.source(), &fields, strategy),
@@ -123,45 +151,179 @@ pub fn run_case(workload: Workload, series: Series, target: Target, grid: GridSp
     }
 }
 
-/// Run the full evaluation matrix of Figures 5 and 6: 3 expressions × 4
-/// series × 12 grids × 2 devices (the paper's 144 GPU test cases plus the
-/// always-successful 144 CPU cases).
-pub fn full_matrix() -> Vec<Case> {
+/// The evaluation matrix of Figures 5 and 6.
+#[derive(Debug, Clone)]
+pub struct Matrix {
+    cases: Vec<Case>,
+}
+
+impl Matrix {
+    /// Run the full matrix: 3 expressions × 4 series × 12 grids × 2 devices
+    /// (the paper's 144 GPU test cases plus the always-successful 144 CPU
+    /// cases).
+    pub fn full() -> Self {
+        let mut cases = Vec::new();
+        for workload in Workload::ALL {
+            for series in Series::ALL {
+                for target in Target::ALL {
+                    for grid in TABLE1_CATALOG {
+                        let outcome = run_case(workload, series, target, grid);
+                        cases.push(Case {
+                            workload,
+                            series,
+                            target,
+                            grid,
+                            outcome,
+                        });
+                    }
+                }
+            }
+        }
+        Matrix { cases }
+    }
+
+    /// Every case, in run order.
+    pub fn cases(&self) -> &[Case] {
+        &self.cases
+    }
+
+    /// The outcome of one case.
+    pub fn get(
+        &self,
+        workload: Workload,
+        series: Series,
+        target: Target,
+        grid: GridSpec,
+    ) -> &Outcome {
+        let case = self.cases.iter().find(|c| {
+            c.workload == workload && c.series == series && c.target == target && c.grid == grid
+        });
+        &case.expect("the matrix holds every case").outcome
+    }
+}
+
+/// Real RT fields on the unit cube, `dims` cells: what the extension
+/// experiments derive from.
+pub fn rt_fields(dims: [usize; 3]) -> FieldSet {
+    FieldSet::for_rt_mesh(
+        &RectilinearMesh::unit_cube(dims),
+        &RtWorkload::paper_default(),
+    )
+}
+
+/// The lanes of a derived field summed in `f64`, in order: two runs that
+/// agree bit for bit have checksums with equal bits.
+pub fn checksum(data: &[f32]) -> f64 {
+    data.iter().map(|v| *v as f64).sum()
+}
+
+/// Virtual (model-mode) RT fields with a real `dims` array, which slab
+/// streaming reads to cut the grid.
+pub fn virtual_fields(dims: [usize; 3]) -> FieldSet {
+    let mut fields = FieldSet::virtual_rt(dims);
+    fields.insert_small("dims", dims.map(|d| d as f32).to_vec());
+    fields
+}
+
+/// Every expression × catalog grid whose single-pass fusion fails on the
+/// M2050 (the paper's FAILED fusion cases), re-run under z-slab streamed
+/// fusion — the paper's §VI future work.
+pub fn stream_failed_fusion_cases() -> Vec<(Workload, GridSpec, Result<ExecReport, EngineError>)> {
     let mut out = Vec::new();
     for workload in Workload::ALL {
-        for series in Series::ALL {
-            for target in Target::ALL {
-                for grid in TABLE1_CATALOG {
-                    let outcome = run_case(workload, series, target, grid);
-                    out.push(Case {
-                        workload,
-                        series,
-                        target,
-                        grid,
-                        outcome,
-                    });
-                }
+        for grid in TABLE1_CATALOG {
+            let mut engine = model_engine(Target::Gpu.profile());
+            let fields = virtual_fields(grid.dims());
+            let src = workload.source();
+            if engine.derive(src, &fields, Strategy::Fusion).is_err() {
+                out.push((workload, grid, engine.derive_streamed(src, &fields, None)));
             }
         }
     }
     out
 }
 
-/// Format seconds for table output.
-pub fn fmt_secs(outcome: &Outcome) -> String {
-    match outcome {
-        Outcome::Ok { seconds, .. } => format!("{seconds:9.4}"),
-        Outcome::OutOfMemory => "   FAILED".to_string(),
+/// Bytes as GB (2³⁰ bytes), the unit of Figure 6.
+pub fn gib(bytes: u64) -> f64 {
+    bytes as f64 / (1u64 << 30) as f64
+}
+
+/// Colors for the four series (matching a classic matplotlib cycle).
+fn series_color(series: Series) -> &'static str {
+    match series {
+        Series::Strategy(Strategy::Roundtrip) => "#1f77b4",
+        Series::Strategy(Strategy::Staged) => "#ff7f0e",
+        Series::Strategy(Strategy::Fusion) => "#d62728",
+        Series::Reference => "#2ca02c",
     }
 }
 
-/// Format a memory high-water mark in GB for table output.
-pub fn fmt_mem(outcome: &Outcome) -> String {
-    match outcome {
-        Outcome::Ok { high_water, .. } => {
-            format!("{:8.3}", *high_water as f64 / (1u64 << 30) as f64)
+/// Build the Figure 5 (runtime) or Figure 6 (memory) SVG charts from the
+/// evaluation matrix: one chart per expression, both devices overlaid
+/// (CPU dashed, GPU solid), failed GPU cases breaking the line — the gray
+/// series of the paper.
+pub fn figure_charts(matrix: &Matrix, memory: bool) -> Vec<(String, svg::SvgChart)> {
+    let mut charts = Vec::new();
+    for workload in Workload::ALL {
+        let mut series = Vec::new();
+        for target in Target::ALL {
+            for s in Series::ALL {
+                let points: Vec<Option<(f64, f64)>> = TABLE1_CATALOG
+                    .iter()
+                    .map(|grid| {
+                        let outcome = matrix.get(workload, s, target, *grid);
+                        let y = if memory {
+                            outcome.high_water().map(gib)
+                        } else {
+                            outcome.seconds()
+                        };
+                        y.map(|y| (grid.ncells() as f64 / 1e6, y))
+                    })
+                    .collect();
+                series.push(svg::SvgSeries {
+                    label: format!("{} ({})", s.name(), target.name()),
+                    color: series_color(s).to_string(),
+                    dashed: target == Target::Cpu,
+                    points,
+                });
+            }
         }
-        Outcome::OutOfMemory => "  FAILED".to_string(),
+        let (what, unit) = if memory {
+            ("device memory", "high-water GB")
+        } else {
+            ("runtime", "modeled seconds")
+        };
+        charts.push((
+            format!(
+                "fig{}_{}",
+                if memory { 6 } else { 5 },
+                workload.table2_name().to_lowercase().replace('-', "")
+            ),
+            svg::SvgChart {
+                title: format!("{} — {what}", workload.table2_name()),
+                x_label: "cells (millions)".into(),
+                y_label: unit.into(),
+                series,
+                h_line: memory.then(|| (3.0, "M2050 3 GB".to_string())),
+            },
+        ));
+    }
+    charts
+}
+
+/// With `--svg <dir>` on the command line, also write Figure 5 (runtime) or
+/// Figure 6 (memory) as SVG charts into `<dir>`.
+pub fn write_svgs_if_asked(matrix: &Matrix, memory: bool) {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(pos) = args.iter().position(|a| a == "--svg") else {
+        return;
+    };
+    let dir = std::path::PathBuf::from(args.get(pos + 1).map(String::as_str).unwrap_or("."));
+    std::fs::create_dir_all(&dir).expect("create svg output dir");
+    for (name, chart) in figure_charts(matrix, memory) {
+        let path = dir.join(format!("{name}.svg"));
+        std::fs::write(&path, chart.render()).expect("write svg");
+        eprintln!("wrote {}", path.display());
     }
 }
 
@@ -212,89 +374,13 @@ mod tests {
     }
 }
 
-/// Colors for the four series (matching a classic matplotlib cycle).
-pub fn series_color(series: Series) -> &'static str {
-    match series {
-        Series::Strategy(Strategy::Roundtrip) => "#1f77b4",
-        Series::Strategy(Strategy::Staged) => "#ff7f0e",
-        Series::Strategy(Strategy::Fusion) => "#d62728",
-        Series::Reference => "#2ca02c",
-    }
-}
-
-/// Build the Figure 5 (runtime) or Figure 6 (memory) SVG charts from the
-/// evaluation matrix: one chart per expression, both devices overlaid
-/// (CPU dashed, GPU solid), failed GPU cases breaking the line — the gray
-/// series of the paper.
-pub fn figure_charts(cases: &[Case], memory: bool) -> Vec<(String, svg::SvgChart)> {
-    let mut charts = Vec::new();
-    for workload in Workload::ALL {
-        let mut series = Vec::new();
-        for target in Target::ALL {
-            for s in Series::ALL {
-                let points: Vec<Option<(f64, f64)>> = TABLE1_CATALOG
-                    .iter()
-                    .map(|grid| {
-                        let case = cases.iter().find(|c| {
-                            c.workload == workload
-                                && c.series == s
-                                && c.target == target
-                                && c.grid == *grid
-                        })?;
-                        match &case.outcome {
-                            Outcome::Ok {
-                                seconds,
-                                high_water,
-                            } => Some((
-                                grid.ncells() as f64 / 1e6,
-                                if memory {
-                                    *high_water as f64 / (1u64 << 30) as f64
-                                } else {
-                                    *seconds
-                                },
-                            )),
-                            Outcome::OutOfMemory => None,
-                        }
-                    })
-                    .collect();
-                series.push(svg::SvgSeries {
-                    label: format!("{} ({})", s.name(), target.name()),
-                    color: series_color(s).to_string(),
-                    dashed: target == Target::Cpu,
-                    points,
-                });
-            }
-        }
-        let (what, unit) = if memory {
-            ("device memory", "high-water GB")
-        } else {
-            ("runtime", "modeled seconds")
-        };
-        charts.push((
-            format!(
-                "fig{}_{}",
-                if memory { 6 } else { 5 },
-                workload.table2_name().to_lowercase().replace('-', "")
-            ),
-            svg::SvgChart {
-                title: format!("{} — {what}", workload.table2_name()),
-                x_label: "cells (millions)".into(),
-                y_label: unit.into(),
-                series,
-                h_line: memory.then(|| (3.0, "M2050 3 GB".to_string())),
-            },
-        ));
-    }
-    charts
-}
-
 #[cfg(test)]
 mod chart_tests {
     use super::*;
 
     #[test]
     fn charts_cover_all_expressions_and_break_on_failures() {
-        let cases = full_matrix();
+        let cases = Matrix::full();
         let charts = figure_charts(&cases, false);
         assert_eq!(charts.len(), 3);
         for (name, chart) in &charts {
