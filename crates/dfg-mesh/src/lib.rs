@@ -14,7 +14,9 @@
 //!   vortical structure standing in for the RT dataset. It is defined as an
 //!   analytic function of *global* coordinates, so any sub-grid of the
 //!   global mesh generates bit-identical data independently — which makes
-//!   the distributed ghost-exchange evaluation exactly verifiable;
+//!   the distributed ghost-exchange evaluation exactly verifiable. The
+//!   field is separable: bulk sampling multiplies per-axis tables,
+//!   bit-identical to `velocity_at`, instead of calling libm per cell;
 //! * [`decomp`] — block decomposition with ghost (halo) layers, mirroring
 //!   VisIt's ghost-data generation that the paper's distributed test relies
 //!   on;

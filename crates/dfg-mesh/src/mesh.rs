@@ -82,7 +82,7 @@ impl RectilinearMesh {
     /// The flattened problem-sized coordinate arrays `(x, y, z)` the
     /// expression framework consumes (one value per cell, x-major order).
     pub fn coord_arrays(&self) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let [nx, ny, nz] = self.dims();
+        let [nx, ny, _] = self.dims();
         let n = self.ncells();
         let mut x = vec![0.0f32; n];
         let mut y = vec![0.0f32; n];
@@ -94,18 +94,12 @@ impl RectilinearMesh {
             .zip(z.par_chunks_mut(slab))
             .enumerate()
             .for_each(|(k, ((xs, ys), zs))| {
-                let zk = self.axes[2][k];
-                for j in 0..ny {
-                    let yj = self.axes[1][j];
-                    let row = j * nx;
-                    for i in 0..nx {
-                        xs[row + i] = self.axes[0][i];
-                        ys[row + i] = yj;
-                        zs[row + i] = zk;
-                    }
+                zs.fill(self.axes[2][k]);
+                for (j, (xr, yr)) in xs.chunks_mut(nx).zip(ys.chunks_mut(nx)).enumerate() {
+                    xr.copy_from_slice(&self.axes[0]);
+                    yr.fill(self.axes[1][j]);
                 }
             });
-        let _ = nz;
         (x, y, z)
     }
 

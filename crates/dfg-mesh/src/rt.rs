@@ -107,10 +107,19 @@ impl RtWorkload {
 
     /// Sample the three velocity components over a mesh, in parallel.
     /// Returns `(u, v, w)` flattened in the mesh's x-major order.
+    ///
+    /// Bit-identical to [`velocity_at`](Self::velocity_at) at every cell
+    /// centre: each term is `coef · f(x) · g(y) · h(z)`, so the factors are
+    /// tabulated once per axis and the rows accumulate them in
+    /// `velocity_at`'s own order.
     pub fn sample_velocity(&self, mesh: &RectilinearMesh) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let [nx, ny, _] = mesh.dims();
         let n = mesh.ncells();
         let slab = nx * ny;
+        let (xs, ys, zs) = (mesh.axis(0), mesh.axis(1), mesh.axis(2));
+        let tables: Vec<ModeTables> = self.modes.iter().map(|m| m.tables(xs, ys, zs)).collect();
+        let px = along(xs, |x| self.plume_amp * (self.plume_k * x).cos());
+        let py = along(ys, |y| (self.plume_k * y).cos());
         let mut u = vec![0.0f32; n];
         let mut v = vec![0.0f32; n];
         let mut w = vec![0.0f32; n];
@@ -119,18 +128,63 @@ impl RtWorkload {
             .zip(w.par_chunks_mut(slab))
             .enumerate()
             .for_each(|(k, ((us, vs), ws))| {
-                let zk = mesh.axis(2)[k];
-                for j in 0..ny {
-                    let yj = mesh.axis(1)[j];
-                    for i in 0..nx {
-                        let vel = self.velocity_at(mesh.axis(0)[i], yj, zk);
-                        us[j * nx + i] = vel[0];
-                        vs[j * nx + i] = vel[1];
-                        ws[j * nx + i] = vel[2];
+                let rows = us
+                    .chunks_mut(nx)
+                    .zip(vs.chunks_mut(nx))
+                    .zip(ws.chunks_mut(nx));
+                for (j, ((ur, vr), wr)) in rows.enumerate() {
+                    for t in &tables {
+                        let (sy, cy, sz, cz) = (t.sy[j], t.cy[j], t.sz[k], t.cz[k]);
+                        for (u, &a) in ur.iter_mut().zip(&t.ux) {
+                            *u += a * cy * cz;
+                        }
+                        for (v, &a) in vr.iter_mut().zip(&t.vx) {
+                            *v -= a * sy * cz;
+                        }
+                        for (w, &a) in wr.iter_mut().zip(&t.wx) {
+                            *w += a * cy * sz;
+                        }
+                    }
+                    for (w, &p) in wr.iter_mut().zip(&px) {
+                        *w += p * py[j];
                     }
                 }
             });
         (u, v, w)
+    }
+}
+
+/// `f` at every coordinate of one axis.
+fn along(coords: &[f32], f: impl Fn(f32) -> f32) -> Vec<f32> {
+    coords.iter().map(|&c| f(c)).collect()
+}
+
+/// One mode's factors along each axis of a mesh. An entry is the value
+/// `velocity_at` computes, from the same `f32` expression; the x tables
+/// carry the coefficient that its left-to-right products multiply first.
+struct ModeTables {
+    ux: Vec<f32>,
+    vx: Vec<f32>,
+    wx: Vec<f32>,
+    sy: Vec<f32>,
+    cy: Vec<f32>,
+    sz: Vec<f32>,
+    cz: Vec<f32>,
+}
+
+impl Mode {
+    fn tables(&self, xs: &[f32], ys: &[f32], zs: &[f32]) -> ModeTables {
+        ModeTables {
+            ux: along(xs, |x| self.a * (self.kx * x + self.phase[0]).sin()),
+            vx: along(xs, |x| {
+                self.a * (self.kx / self.ky) * (self.kx * x + self.phase[0]).cos()
+            }),
+            wx: along(xs, |x| self.b * (self.kx * x + self.phase[0]).cos()),
+            sy: along(ys, |y| (self.ky * y + self.phase[1]).sin()),
+            cy: along(ys, |y| (self.ky * y + self.phase[1]).cos()),
+            sz: along(zs, |z| (self.kz * z + self.phase[2]).sin()),
+            cz: along(zs, |z| (self.kz * z + self.phase[2]).cos()),
+        }
     }
 }
 

@@ -5,6 +5,24 @@ use proptest::prelude::*;
 use dfg_mesh::decomp::{extract_block, insert_block};
 use dfg_mesh::{partition_blocks, RectilinearMesh, RtWorkload, SubGrid};
 
+/// A strictly increasing, non-uniform axis of 1–9 cell centres.
+fn stretched_axis() -> impl Strategy<Value = Vec<f32>> {
+    (-2000i32..2000, prop::collection::vec(10u32..700, 0..9)).prop_map(|(start, steps)| {
+        let mut axis = vec![start as f32 * 1e-3];
+        for step in steps {
+            axis.push(axis[axis.len() - 1] + step as f32 * 1e-3);
+        }
+        axis
+    })
+}
+
+/// A window `(offset, len)` inside an axis of `n` cells, drawn from two
+/// arbitrary numbers.
+fn window(n: usize, a: usize, b: usize) -> (usize, usize) {
+    let offset = a % n;
+    (offset, 1 + b % (n - offset))
+}
+
 fn dims_and_blocks() -> impl Strategy<Value = ([usize; 3], [usize; 3])> {
     (1usize..12, 1usize..12, 1usize..12).prop_flat_map(|(nx, ny, nz)| {
         (1..=nx, 1..=ny, 1..=nz).prop_map(move |(bx, by, bz)| ([nx, ny, nz], [bx, by, bz]))
@@ -93,6 +111,42 @@ proptest! {
                     prop_assert_eq!(gu[g].to_bits(), su[s].to_bits());
                     prop_assert_eq!(gv[g].to_bits(), sv[s].to_bits());
                     prop_assert_eq!(gw[g].to_bits(), sw[s].to_bits());
+                }
+            }
+        }
+    }
+
+    /// The bulk path is the pointwise definition: on stretched and 1-cell
+    /// axes, for any mode count, on a mesh and on a sub-mesh of it,
+    /// `sample_velocity` equals `velocity_at` bit for bit at every cell, at
+    /// one thread and at the pool's default.
+    #[test]
+    fn bulk_sampling_is_velocity_at_bit_for_bit(
+        (xs, ys, zs) in (stretched_axis(), stretched_axis(), stretched_axis()),
+        seed in 0u64..u64::MAX,
+        nmodes in 0usize..=6,
+        picks in prop::collection::vec(0usize..64, 6..7),
+    ) {
+        let wl = RtWorkload::new(seed, nmodes);
+        let global = RectilinearMesh::with_axes(xs, ys, zs);
+        let [nx, ny, nz] = global.dims();
+        let (ox, lx) = window(nx, picks[0], picks[1]);
+        let (oy, ly) = window(ny, picks[2], picks[3]);
+        let (oz, lz) = window(nz, picks[4], picks[5]);
+        for mesh in [global.submesh([ox, oy, oz], [lx, ly, lz]), global] {
+            let pooled = wl.sample_velocity(&mesh);
+            let serial = dfg_exec::with_serial(|| wl.sample_velocity(&mesh));
+            prop_assert_eq!(&pooled, &serial);
+            let [nx, ny, nz] = mesh.dims();
+            for k in 0..nz {
+                for j in 0..ny {
+                    for i in 0..nx {
+                        let [x, y, z] = mesh.cell_center(i, j, k);
+                        let want = wl.velocity_at(x, y, z).map(f32::to_bits);
+                        let idx = mesh.index(i, j, k);
+                        let got = [pooled.0[idx], pooled.1[idx], pooled.2[idx]].map(f32::to_bits);
+                        prop_assert_eq!(got, want, "cell ({}, {}, {})", i, j, k);
+                    }
                 }
             }
         }

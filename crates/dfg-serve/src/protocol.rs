@@ -374,6 +374,8 @@ pub struct ServerCounters {
     pub evicted_idle: u64,
     /// Tenant sessions evicted by the memory-pressure watchdog (LRU).
     pub evicted_pressure: u64,
+    /// Per-grid host field sets dropped by the memory-pressure watchdog.
+    pub evicted_fields: u64,
     /// Frames that failed to parse (answered with an error, not executed).
     pub malformed: u64,
     /// Binary payload bytes written behind `ok` headers (headers excluded).
@@ -552,7 +554,8 @@ impl Response {
                      \"errors\":{},\"batches\":{},\"coalesced\":{},\"merged\":{},\
                      \"degraded\":{},\"rejected_too_large\":{},\"rejected_deadline\":{},\
                      \"cancelled\":{},\"evicted_idle\":{},\"evicted_pressure\":{},\
-                     \"malformed\":{},\"payload_bytes\":{}}},\"tenants\":[{}]}}\n",
+                     \"evicted_fields\":{},\"malformed\":{},\"payload_bytes\":{}}},\
+                     \"tenants\":[{}]}}\n",
                     id,
                     server.requests,
                     server.ok,
@@ -568,6 +571,7 @@ impl Response {
                     server.cancelled,
                     server.evicted_idle,
                     server.evicted_pressure,
+                    server.evicted_fields,
                     server.malformed,
                     server.payload_bytes,
                     tenants_json.join(","),
@@ -673,6 +677,7 @@ impl Response {
                     cancelled: num("cancelled")?,
                     evicted_idle: num("evicted_idle")?,
                     evicted_pressure: num("evicted_pressure")?,
+                    evicted_fields: num("evicted_fields")?,
                     malformed: num("malformed")?,
                     payload_bytes: num("payload_bytes")?,
                 };
@@ -1362,6 +1367,7 @@ mod tests {
                 cancelled: 1,
                 evicted_idle: 1,
                 evicted_pressure: 1,
+                evicted_fields: 3,
                 malformed: 4,
                 payload_bytes: 1 << 20,
             },

@@ -34,9 +34,10 @@
 //!   in bounded time and orphaned work stops instead of computing into a
 //!   closed socket;
 //! * a **maintenance tick** on the executor evicts tenants idle past the
-//!   TTL and, under memory pressure, trims buffer pools then evicts LRU
-//!   tenants (`serve.evict` spans, `evicted_idle`/`evicted_pressure`
-//!   counters) — long-running processes do not accumulate dead sessions;
+//!   TTL and, under memory pressure, trims buffer pools, drops cached
+//!   per-grid field sets, then evicts LRU tenants (`serve.evict` spans,
+//!   `evicted_idle`/`evicted_fields`/`evicted_pressure` counters) —
+//!   long-running processes accumulate neither dead sessions nor grids;
 //! * with [`ServeConfig::conn_faults`] installed, every accepted socket is
 //!   wrapped in a [`crate::FaultyStream`], so connection-level chaos
 //!   (drops, stalls, garbled bytes) is seeded and reproducible.
@@ -139,9 +140,11 @@ pub struct ServeConfig {
     /// eviction.
     pub idle_ttl: Option<Duration>,
     /// Memory-pressure threshold over all tenants' device bytes (in-use +
-    /// pooled). When crossed, the watchdog first trims every pool, then
-    /// evicts least-recently-used tenants until back under. `None`
-    /// disables the watchdog.
+    /// pooled) plus the host-side field sets cached per grid. When crossed,
+    /// the watchdog first trims every pool, then drops the least recently
+    /// used field sets the current batch did not read, then evicts
+    /// least-recently-used tenants until back under. `None` disables the
+    /// watchdog.
     pub memory_pressure_bytes: Option<u64>,
     /// Seeded connection-fault plan (`conn_drop` / `conn_stall` /
     /// `byte_garble` kinds); every accepted socket shares it, so a chaos
@@ -644,15 +647,50 @@ struct CompiledExpr {
 
 struct ExecutorState {
     registry: SessionRegistry,
-    /// Host-side synthetic fields per grid: stable across requests, so
-    /// generation-based upload skipping works across the whole server.
-    fields: HashMap<[usize; 3], FieldSet>,
+    fields: FieldCache,
     /// Memoized `expr source → optimized network + canonical hash`
     /// (None: frontend error, reported per request at execution time).
     compiled: HashMap<String, Option<CompiledExpr>>,
     /// Optimizer level for coalescing/merging: at least `Cse` (so shared
     /// subgraphs actually unify), or higher when the engines run higher.
     level: dfg_dataflow::OptLevel,
+}
+
+/// Host-side synthetic fields per grid: stable across requests, so
+/// generation-based upload skipping works across the whole server. A grid
+/// dropped under memory pressure is regenerated by its next request under
+/// fresh generations, so residents re-upload instead of matching stale ones.
+#[derive(Default)]
+struct FieldCache {
+    /// Each grid's field set and the batch that last read it.
+    grids: HashMap<[usize; 3], (FieldSet, u64)>,
+    /// The batch being executed; its grids are never dropped.
+    batch: u64,
+}
+
+impl FieldCache {
+    fn get(&mut self, grid: [usize; 3]) -> &FieldSet {
+        let (set, read) = self.grids.entry(grid).or_insert_with(|| {
+            let mesh = RectilinearMesh::unit_cube(grid);
+            let set = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
+            (set, 0)
+        });
+        *read = self.batch;
+        set
+    }
+
+    /// Host bytes held: `x, y, z, u, v, w`, one `f32` per cell each.
+    fn bytes(&self) -> u64 {
+        let cells: usize = self.grids.values().map(|(set, _)| set.ncells()).sum();
+        24 * cells as u64
+    }
+
+    /// Drop the least recently read grid outside the current batch, if any.
+    fn drop_lru(&mut self) -> bool {
+        let reads = self.grids.iter().map(|(grid, (_, read))| (*read, *grid));
+        let lru = reads.filter(|(read, _)| *read < self.batch).min();
+        lru.is_some_and(|(_, grid)| self.grids.remove(&grid).is_some())
+    }
 }
 
 impl ExecutorState {
@@ -688,7 +726,7 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
     }
     let mut state = ExecutorState {
         registry,
-        fields: HashMap::new(),
+        fields: FieldCache::default(),
         compiled: HashMap::new(),
         level: config.options.optimize.max(dfg_dataflow::OptLevel::Cse),
     };
@@ -737,6 +775,7 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
             }
         };
 
+        state.fields.batch += 1;
         // Control jobs run in arrival order relative to nothing in
         // particular — they read state the derive jobs in this batch have
         // already (or not yet) produced; pull them out first. Expired or
@@ -853,8 +892,9 @@ fn reject_if_cancelled(
 
 /// The executor's lifecycle pass: idle-TTL eviction, then the
 /// memory-pressure watchdog (trim pools first — cheap, amortization
-/// untouched — then evict LRU tenants until under the threshold). Runs
-/// between batches and on empty-queue ticks.
+/// untouched — then drop the field sets of grids the current batch did not
+/// read, then evict LRU tenants until under the threshold). Runs between
+/// batches and on empty-queue ticks.
 fn maintenance(shared: &Shared, state: &mut ExecutorState, config: &ServeConfig) {
     if let Some(ttl) = config.idle_ttl {
         for tenant in state.registry.evict_idle(ttl) {
@@ -868,7 +908,8 @@ fn maintenance(shared: &Shared, state: &mut ExecutorState, config: &ServeConfig)
         }
     }
     if let Some(limit) = config.memory_pressure_bytes {
-        let total = state.registry.total_in_use_bytes() + state.registry.total_pooled_bytes();
+        let held = |s: &ExecutorState| s.registry.total_in_use_bytes() + s.fields.bytes();
+        let total = held(state) + state.registry.total_pooled_bytes();
         if total > limit {
             let freed = state.registry.trim_pools();
             drop(span!(
@@ -877,7 +918,11 @@ fn maintenance(shared: &Shared, state: &mut ExecutorState, config: &ServeConfig)
                 freed_bytes = freed,
                 over_bytes = total.saturating_sub(limit),
             ));
-            while state.registry.total_in_use_bytes() > limit {
+            while held(state) > limit && state.fields.drop_lru() {
+                shared.count(|c| c.evicted_fields += 1);
+                drop(span!(shared.tracer, "serve.evict", reason = "fields"));
+            }
+            while held(state) > limit {
                 let Some(tenant) = state.registry.evict_lru() else {
                     break;
                 };
@@ -983,10 +1028,7 @@ fn run_merged(
         .map(|s| s.session.codegen_compiles)
         .unwrap_or(0);
     let wall = Instant::now();
-    let fields = state.fields.entry(grid).or_insert_with(|| {
-        let mesh = RectilinearMesh::unit_cube(grid);
-        FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default())
-    });
+    let fields = state.fields.get(grid);
     let result = state
         .registry
         .derive_network(&leader, &merged.spec, &merged.roots, fields, core);
@@ -1183,10 +1225,7 @@ fn run_one(
         .map(|s| s.session.codegen_compiles)
         .unwrap_or(0);
     let wall = Instant::now();
-    let fields = state.fields.entry(d.grid).or_insert_with(|| {
-        let mesh = RectilinearMesh::unit_cube(d.grid);
-        FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default())
-    });
+    let fields = state.fields.get(d.grid);
     // Install the job's token so the engine observes disconnects and
     // deadline expiry between recovery-ladder rungs; always cleared after,
     // fired or not.

@@ -555,3 +555,91 @@ fn a_vector_result_is_sixteen_bytes_per_cell() {
     let counters = server.join().unwrap();
     assert_eq!(counters.payload_bytes, 16 * 64);
 }
+
+/// A client walking through grids must not grow the server without bound:
+/// the per-grid host field sets count against `memory_pressure_bytes`, and
+/// the ones the current batch does not read are dropped (least recently
+/// used first) before any tenant is evicted. A dropped grid is regenerated
+/// on its next request under fresh generations, so a tenant whose residents
+/// still hold the old arrays re-uploads and answers with the same bits.
+#[test]
+fn walking_through_grids_stays_under_the_memory_limit() {
+    /// Every grid has 4096 cells, so every field set is the same 96 KiB.
+    const SET_BYTES: u64 = 24 * 4096;
+    const LIMIT: u64 = 640 * 1024;
+    let config = ServeConfig {
+        memory_pressure_bytes: Some(LIMIT),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let stats = |client: &mut Client| match client.stats().unwrap() {
+        Response::Stats {
+            server, tenants, ..
+        } => (server, tenants),
+        other => panic!("unexpected {other:?}"),
+    };
+    let uploads = |tenants: &[dfg_core::TenantStats]| {
+        let pinned = tenants.iter().find(|t| t.tenant == "pinned").unwrap();
+        (pinned.session.uploads, pinned.session.uploads_skipped)
+    };
+
+    // `pinned` derives on one grid, twice: the second finds its residents.
+    let first = client
+        .derive("pinned", EXPR, [16, 16, 16], ExecStrategy::Fusion, true)
+        .unwrap();
+    client
+        .derive("pinned", EXPR, [16, 16, 16], ExecStrategy::Fusion, false)
+        .unwrap();
+    assert_eq!(uploads(&stats(&mut client).1), (3, 3));
+
+    // `walker` visits twelve more grids: 13 × 96 KiB of field sets alone
+    // would be twice the limit.
+    let walk: [[usize; 3]; 12] = [
+        [8, 32, 16],
+        [32, 8, 16],
+        [16, 8, 32],
+        [8, 16, 32],
+        [32, 16, 8],
+        [16, 32, 8],
+        [4, 32, 32],
+        [32, 4, 32],
+        [32, 32, 4],
+        [64, 8, 8],
+        [8, 64, 8],
+        [8, 8, 64],
+    ];
+    for (visited, grid) in walk.iter().enumerate() {
+        client
+            .derive("walker", EXPR, *grid, ExecStrategy::Fusion, false)
+            .unwrap();
+        let (counters, tenants) = stats(&mut client);
+        let cached = visited as u64 + 2 - counters.evicted_fields;
+        let device: u64 = (tenants.iter())
+            .map(|t| t.in_use_bytes + t.pooled_bytes)
+            .sum();
+        assert!(
+            cached * SET_BYTES + device <= LIMIT,
+            "{cached} field sets and {device} device bytes after grid {visited}"
+        );
+        assert_eq!(counters.evicted_pressure, 0, "field sets go before tenants");
+        assert_eq!(tenants.len(), 2);
+    }
+    let (counters, _) = stats(&mut client);
+    assert!(counters.evicted_fields >= 7, "{counters:?}");
+
+    // `pinned`'s grid was the least recently read, so it went first; its
+    // residents are of a generation no field set has any more.
+    let again = client
+        .derive("pinned", EXPR, [16, 16, 16], ExecStrategy::Fusion, true)
+        .unwrap();
+    assert_eq!(again.data_bits, first.data_bits);
+    assert_eq!(
+        again.data_bits.as_deref(),
+        Some(&local_bits(EXPR, [16, 16, 16])[..])
+    );
+    assert_eq!(uploads(&stats(&mut client).1), (6, 3));
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
