@@ -36,7 +36,7 @@ use std::borrow::BorrowMut;
 use std::collections::HashMap;
 
 use dfg_dataflow::{NetworkSpec, NodeId, Strategy};
-use dfg_kernels::FusedProgram;
+use dfg_kernels::FusedKernel;
 use dfg_ocl::{BufferId, Context};
 use dfg_trace::span;
 
@@ -54,9 +54,10 @@ pub(crate) struct Resident {
     pub lanes: usize,
 }
 
-/// A cached fusion codegen result.
+/// A cached fusion codegen result: the kernel, lowered once — a hit runs
+/// its step list under the request's label — and its generated source.
 pub(crate) struct CachedProgram {
-    pub program: FusedProgram,
+    pub kernel: FusedKernel,
     pub source: String,
 }
 

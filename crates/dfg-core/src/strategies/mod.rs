@@ -195,10 +195,7 @@ pub(crate) fn fused_kernel(
     let mut cache = session.map(|state| (program_key(spec, roots, streamed), state));
     if let Some((key, state)) = &mut cache {
         if let Some(hit) = state.programs.get(key) {
-            let out = (
-                FusedKernel::new(hit.program.clone(), &kernel_label),
-                hit.source.clone(),
-            );
+            let out = (hit.kernel.relabeled(&kernel_label), hit.source.clone());
             state.stats.codegen_cached += 1;
             drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
             return Ok(out);
@@ -212,15 +209,16 @@ pub(crate) fn fused_kernel(
         program
     };
     let source = program.generated_source(&kernel_name);
+    let kernel = FusedKernel::new(program, &kernel_label);
     if let Some((key, state)) = cache {
         state.stats.codegen_compiles += 1;
         state.programs.insert(
             key,
             CachedProgram {
-                program: program.clone(),
+                kernel: kernel.clone(),
                 source: source.clone(),
             },
         );
     }
-    Ok((FusedKernel::new(program, &kernel_label), source))
+    Ok((kernel, source))
 }

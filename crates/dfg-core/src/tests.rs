@@ -1420,6 +1420,31 @@ mod session {
         assert_eq!(roots(&engine.tracer().unwrap().snapshot()), 2);
     }
 
+    /// A kernel-cache hit runs the very step list the miss lowered: a
+    /// session's second derive lowers (and cuts) nothing.
+    #[test]
+    fn cached_kernel_shares_the_lowered_steps() {
+        use crate::session::SessionState;
+        use crate::strategies::fused_kernel;
+        let spec = compile(Workload::QCriterion.source()).unwrap();
+        let mut ctx = dfg_ocl::Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
+        let mut state = SessionState::default();
+        let mut kernel = |label: &str, streamed: bool| {
+            let session = Some(&mut state);
+            fused_kernel(&spec, &[spec.result], &mut ctx, session, label, streamed)
+                .unwrap()
+                .0
+        };
+        let (miss, hit) = (kernel("first", false), kernel("second", false));
+        assert!(hit.shares_steps_with(&miss));
+        // The slab variant is another cache slot: lowered once, too.
+        let (slab_miss, slab_hit) = (kernel("first", true), kernel("second", true));
+        assert!(slab_hit.shares_steps_with(&slab_miss));
+        assert!(!slab_miss.shares_steps_with(&miss));
+        let stats = &state.stats;
+        assert_eq!((stats.codegen_compiles, stats.codegen_cached), (2, 2));
+    }
+
     /// Streamed derivation through a session caches codegen and matches the
     /// one-shot streamed result.
     #[test]

@@ -34,14 +34,15 @@
 //! input array (a `LoadInput` is a binding, not a copy), a lane of a vector
 //! value (likewise a `Decompose`), or the output plane itself (the step
 //! that makes a root nothing else reads stores it, there is no final
-//! copy) — and a `Mul` read only by one `Add` is that `Add`'s mul-add step,
-//! the product rounded before the sum exactly as the two instructions
-//! rounded it. No step changes a bit of any value.
+//! copy) — and every tree of `Add`/`Sub`/`Mul` instructions is cut into
+//! **runs**: up to four of them in one pass over one running value that
+//! stays in a register, each rounded exactly as its instruction rounded it
+//! (see `Step::Run`). No step changes a bit of any value.
 //!
 //! A launch is cut into tasks of [`dfg_exec::effective_chunk`] cells. A task
 //! allocates one register **bank** — as many rows of `chunk_width(rows)`
-//! lanes as the steps have values live at once, four consecutive rows
-//! (`.s0`–`.s3`) per vector value below the scalar rows — and walks its
+//! lanes as the steps have values live at once, consecutive rows for the
+//! lanes of a vector value — and walks its
 //! cells a chunk at a time, running each step as one slice loop: the match
 //! on the step (and on its [`BinKind`]/[`UnKind`]) happens once per chunk,
 //! outside the loop, and the loops are plain zips the compiler vectorizes.
@@ -54,6 +55,7 @@
 //! the host splits a download into fields by contiguous range.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dfg_dataflow::{
     select, BinKind, FilterOp, NetworkSpec, NodeId, Schedule, ScheduleError, UnKind, Width,
@@ -139,15 +141,9 @@ enum RegOp {
     Compose3 { a: Reg, b: Reg, c: Reg, out: Reg },
     /// Vector component extract (source-level `.sN`).
     Decompose { a: Reg, comp: u8, out: Reg },
-    /// Gradient with direct global-memory access.
-    Grad3d {
-        field: u16,
-        dims: u16,
-        x: u16,
-        y: u16,
-        z: u16,
-        out: Reg,
-    },
+    /// Gradient with direct global-memory access: the slots of `field`,
+    /// `dims`, `x`, `y` and `z`.
+    Grad3d { slots: [u16; 5], out: Reg },
     /// Norm of a vector register.
     Norm3 { a: Reg, out: Reg },
     /// Dot product of vector registers.
@@ -214,12 +210,31 @@ struct Fuser<'a> {
     /// Scalar and vector registers are allocated independently (the
     /// generated source names them `rN` / `vN`, and the executor gives them
     /// separate rows of its bank).
-    free_sregs: Vec<Reg>,
-    next_sreg: usize,
-    hw_sregs: usize,
-    free_vregs: Vec<Reg>,
-    next_vreg: usize,
-    hw_vregs: usize,
+    sregs: RegFile,
+    vregs: RegFile,
+}
+
+/// One register file of the generated kernel: `used` registers so far, the
+/// `free` ones among them holding dead values.
+#[derive(Default)]
+struct RegFile {
+    free: Vec<Reg>,
+    used: usize,
+}
+
+impl RegFile {
+    fn alloc(&mut self) -> Result<Reg, FuseError> {
+        if let Some(r) = self.free.pop() {
+            return Ok(r);
+        }
+        if self.used >= MAX_REGS {
+            return Err(FuseError::RegisterPressure {
+                needed: self.used + 1,
+            });
+        }
+        self.used += 1;
+        Ok((self.used - 1) as Reg)
+    }
 }
 
 impl<'a> Fuser<'a> {
@@ -239,40 +254,11 @@ impl<'a> Fuser<'a> {
         s
     }
 
-    fn alloc_sreg(&mut self) -> Result<Reg, FuseError> {
-        if let Some(r) = self.free_sregs.pop() {
-            return Ok(r);
-        }
-        if self.next_sreg >= MAX_REGS {
-            return Err(FuseError::RegisterPressure {
-                needed: self.next_sreg + 1,
-            });
-        }
-        let r = self.next_sreg as Reg;
-        self.next_sreg += 1;
-        self.hw_sregs = self.hw_sregs.max(self.next_sreg);
-        Ok(r)
-    }
-
-    fn alloc_vreg(&mut self) -> Result<Reg, FuseError> {
-        if let Some(r) = self.free_vregs.pop() {
-            return Ok(r);
-        }
-        if self.next_vreg >= MAX_REGS {
-            return Err(FuseError::RegisterPressure {
-                needed: self.next_vreg + 1,
-            });
-        }
-        let r = self.next_vreg as Reg;
-        self.next_vreg += 1;
-        self.hw_vregs = self.hw_vregs.max(self.next_vreg);
-        Ok(r)
-    }
-
-    fn alloc_for(&mut self, width: Width) -> Result<Reg, FuseError> {
+    /// The register file values of `width` live in.
+    fn regs(&mut self, width: Width) -> &mut RegFile {
         match width {
-            Width::Vec4 => self.alloc_vreg(),
-            _ => self.alloc_sreg(),
+            Width::Vec4 => &mut self.vregs,
+            _ => &mut self.sregs,
         }
     }
 
@@ -285,13 +271,13 @@ impl<'a> Fuser<'a> {
         match &self.spec.node(id).op {
             FilterOp::Input { .. } => {
                 let slot = self.slot_for(id);
-                let reg = self.alloc_sreg()?;
+                let reg = self.sregs.alloc()?;
                 self.ops.push(RegOp::LoadInput { slot, reg });
                 self.reg_of.insert(id, reg);
                 Ok(reg)
             }
             FilterOp::Const(v) => {
-                let reg = self.alloc_sreg()?;
+                let reg = self.sregs.alloc()?;
                 self.ops.push(RegOp::Const { value: *v, reg });
                 self.reg_of.insert(id, reg);
                 Ok(reg)
@@ -309,20 +295,10 @@ impl<'a> Fuser<'a> {
         *uses -= 1;
         if *uses == 0 {
             if let Some(r) = self.reg_of.remove(&id) {
-                if self.spec.width(id) == Width::Vec4 {
-                    self.free_vregs.push(r);
-                } else {
-                    self.free_sregs.push(r);
-                }
+                self.regs(self.spec.width(id)).free.push(r);
             }
         }
     }
-}
-
-/// Does `consumer_op` read its operands through registers? Gradient
-/// operands are read directly from global memory instead.
-fn is_register_read(consumer_op: &FilterOp) -> bool {
-    !matches!(consumer_op, FilterOp::Grad3d)
 }
 
 /// Lanes one element of `width` occupies in an output plane.
@@ -344,13 +320,14 @@ pub fn fuse(spec: &NetworkSpec) -> Result<FusedProgram, FuseError> {
 pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, FuseError> {
     let sched = Schedule::for_roots(spec, roots).map_err(FuseError::Schedule)?;
 
-    // Count register reads per node (ports of non-gradient consumers), so
-    // registers are freed after their last use. Every root gets a sentinel
-    // use so its register survives to the store.
+    // Count register reads per node (ports of non-gradient consumers: a
+    // gradient reads its operands from global memory), so registers are
+    // freed after their last use. Every root gets a sentinel use so its
+    // register survives to the store.
     let mut reg_uses: HashMap<NodeId, u32> = HashMap::new();
     for &id in &sched.order {
         let node = spec.node(id);
-        if is_register_read(&node.op) {
+        if node.op != FilterOp::Grad3d {
             for &input in &node.inputs {
                 *reg_uses.entry(input).or_insert(0) += 1;
             }
@@ -367,12 +344,8 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
         input_list: Vec::new(),
         reg_of: HashMap::new(),
         reg_uses_left: reg_uses,
-        free_sregs: Vec::new(),
-        next_sreg: 0,
-        hw_sregs: 0,
-        free_vregs: Vec::new(),
-        next_vreg: 0,
-        hw_vregs: 0,
+        sregs: RegFile::default(),
+        vregs: RegFile::default(),
     };
 
     let mut flops: u64 = 0;
@@ -391,20 +364,9 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
                         return Err(FuseError::GradientOfComputedValue { node: id });
                     }
                 }
-                let field = fz.slot_for(node.inputs[0]);
-                let dims = fz.slot_for(node.inputs[1]);
-                let x = fz.slot_for(node.inputs[2]);
-                let y = fz.slot_for(node.inputs[3]);
-                let z = fz.slot_for(node.inputs[4]);
-                let out = fz.alloc_vreg()?;
-                fz.ops.push(RegOp::Grad3d {
-                    field,
-                    dims,
-                    x,
-                    y,
-                    z,
-                    out,
-                });
+                let slots = [0, 1, 2, 3, 4].map(|port| fz.slot_for(node.inputs[port]));
+                let out = fz.vregs.alloc()?;
+                fz.ops.push(RegOp::Grad3d { slots, out });
                 fz.reg_of.insert(id, out);
                 read_lanes += 12;
             }
@@ -414,7 +376,7 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
                     .iter()
                     .map(|&i| fz.reg_for(i))
                     .collect::<Result<_, _>>()?;
-                let out = fz.alloc_for(node.op.width())?;
+                let out = fz.regs(node.op.width()).alloc()?;
                 let (a, arg) = (operands[0], |port: usize| operands[port]);
                 let regop = match *op {
                     FilterOp::Bin(op) => RegOp::Bin {
@@ -461,10 +423,7 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
     let mut outputs = Vec::with_capacity(roots.len());
     let mut lane_offset = 0usize;
     for (i, &root) in roots.iter().enumerate() {
-        let reg = match fz.reg_of.get(&root) {
-            Some(&r) => r,
-            None => fz.reg_for(root)?,
-        };
+        let reg = fz.reg_for(root)?;
         let width = spec.width(root);
         let name = spec
             .node(root)
@@ -482,9 +441,9 @@ pub fn fuse_roots(spec: &NetworkSpec, roots: &[NodeId]) -> Result<FusedProgram, 
 
     Ok(FusedProgram {
         ops: fz.ops,
-        num_regs: fz.hw_sregs + fz.hw_vregs,
-        num_sregs: fz.hw_sregs,
-        num_vregs: fz.hw_vregs,
+        num_regs: fz.sregs.used + fz.vregs.used,
+        num_sregs: fz.sregs.used,
+        num_vregs: fz.vregs.used,
         inputs: fz.input_list,
         output_width: outputs[0].width,
         outputs,
@@ -514,60 +473,33 @@ impl FusedProgram {
             src.push_str("\n\n");
         }
         src.push_str(&format!("__kernel void {kernel_name}(\n"));
-        for slot in &self.inputs {
+        let out_name = |out: &OutputSlot| match self.outputs.len() {
+            1 => "out".to_string(),
+            _ => format!("out_{}", out.name),
+        };
+        let inputs = self.inputs.iter().map(|slot| {
             let ty = if slot.small { "int" } else { "float" };
-            src.push_str(&format!("    __global const {ty} *{},\n", slot.name));
-        }
-        let single = self.outputs.len() == 1;
-        for (i, out) in self.outputs.iter().enumerate() {
+            format!("    __global const {ty} *{}", slot.name)
+        });
+        let outputs = self.outputs.iter().map(|out| {
             let ty = if out.width == Width::Vec4 {
                 "float4"
             } else {
                 "float"
             };
-            let name = if single {
-                "out".to_string()
-            } else {
-                format!("out_{}", out.name)
-            };
-            let sep = if i + 1 == self.outputs.len() {
-                ")"
-            } else {
-                ","
-            };
-            src.push_str(&format!("    __global {ty} *{name}{sep}\n"));
-        }
+            format!("    __global {ty} *{}", out_name(out))
+        });
+        let params: Vec<String> = inputs.chain(outputs).collect();
+        src.push_str(&format!("{})\n", params.join(",\n")));
         src.push_str("{\n    int idx = get_global_id(0);\n");
         // Declare each register once (the allocator reuses registers, so
-        // per-assignment declarations would redeclare). Scalar assignments
-        // use `rN`, vector assignments `vN` — distinct C variables even
-        // when they share a register slot.
-        let mut scalar_regs = std::collections::BTreeSet::new();
-        let mut vector_regs = std::collections::BTreeSet::new();
-        for op in &self.ops {
-            match op {
-                RegOp::LoadInput { reg, .. } | RegOp::Const { reg, .. } => {
-                    scalar_regs.insert(*reg);
-                }
-                RegOp::Bin { out, .. }
-                | RegOp::Un { out, .. }
-                | RegOp::Select { out, .. }
-                | RegOp::Decompose { out, .. }
-                | RegOp::Norm3 { out, .. }
-                | RegOp::Dot3 { out, .. } => {
-                    scalar_regs.insert(*out);
-                }
-                RegOp::Grad3d { out, .. }
-                | RegOp::Cross3 { out, .. }
-                | RegOp::Compose3 { out, .. } => {
-                    vector_regs.insert(*out);
-                }
-            }
-        }
-        for r in &scalar_regs {
+        // per-assignment declarations would redeclare, and numbers them
+        // densely). Scalar assignments use `rN`, vector assignments `vN` —
+        // distinct C variables even when they share a register slot.
+        for r in 0..self.num_sregs {
             src.push_str(&format!("    float r{r};\n"));
         }
-        for r in &vector_regs {
+        for r in 0..self.num_vregs {
             src.push_str(&format!("    float4 v{r};\n"));
         }
         for op in &self.ops {
@@ -592,21 +524,10 @@ impl FusedProgram {
                 RegOp::Decompose { a, comp, out } => {
                     format!("r{out} = v{a}.s{comp};")
                 }
-                RegOp::Grad3d {
-                    field,
-                    dims,
-                    x,
-                    y,
-                    z,
-                    out,
-                } => format!(
-                    "v{out} = dfg_grad3d({}, {}, {}, {}, {}, idx);",
-                    self.inputs[*field as usize].name,
-                    self.inputs[*dims as usize].name,
-                    self.inputs[*x as usize].name,
-                    self.inputs[*y as usize].name,
-                    self.inputs[*z as usize].name,
-                ),
+                RegOp::Grad3d { slots, out } => {
+                    let arrays = slots.map(|slot| self.inputs[slot as usize].name.as_str());
+                    format!("v{out} = dfg_grad3d({}, idx);", arrays.join(", "))
+                }
                 RegOp::Norm3 { a, out } => {
                     format!("r{out} = sqrt(v{a}.s0*v{a}.s0 + v{a}.s1*v{a}.s1 + v{a}.s2*v{a}.s2);")
                 }
@@ -623,14 +544,8 @@ impl FusedProgram {
             src.push_str(&line);
             src.push('\n');
         }
-        let single = self.outputs.len() == 1;
         for out in &self.outputs {
-            let name = if single {
-                "out".to_string()
-            } else {
-                format!("out_{}", out.name)
-            };
-            src.push_str(&format!("    {name}[idx] = r{};\n", out.reg));
+            src.push_str(&format!("    {}[idx] = r{};\n", out_name(out), out.reg));
         }
         src.push_str("}\n");
         src
@@ -657,8 +572,8 @@ enum Dst {
 }
 
 /// One step of the list the executor runs: a [`RegOp`] with its registers
-/// resolved to where the values actually are. Vector values always live in
-/// four consecutive bank rows, named by the first.
+/// resolved to where the values actually are. A vector value lives in
+/// consecutive bank rows, one per lane, named by the first.
 #[derive(Debug, Clone, PartialEq)]
 enum Step {
     Fill {
@@ -675,18 +590,13 @@ enum Step {
         b: Src,
         dst: Dst,
     },
-    /// Two instructions in one pass: `outer(inner(a, b), c)` — or
-    /// `outer(c, inner(a, b))` when the inner value was the outer's right
-    /// operand — with the inner result rounded to `f32` before the outer
-    /// operation exactly as the two instructions rounded it (`a*b + c` is
-    /// never `f32::mul_add`). Both kinds are among [`CHAINED`].
-    Chain {
-        inner: BinKind,
-        outer: BinKind,
-        a: Src,
-        b: Src,
-        c: Src,
-        inner_first: bool,
+    /// Up to [`MAX_LINKS`] instructions in one pass: a running value `v`
+    /// starts as `start` and every [`Link`] replaces it, rounded to `f32` as
+    /// its instruction rounded it (`v*x` then `+ y` is never `f32::mul_add`).
+    /// The values in between are never stored.
+    Run {
+        start: Src,
+        links: [Link; MAX_LINKS],
         dst: Dst,
     },
     Un {
@@ -700,16 +610,8 @@ enum Step {
         b: Src,
         dst: Dst,
     },
-    Compose3 {
-        lanes: [Src; 3],
-        out: usize,
-    },
     Grad3d {
-        field: u16,
-        dims: u16,
-        x: u16,
-        y: u16,
-        z: u16,
+        slots: [u16; 5],
         out: usize,
     },
     Norm3 {
@@ -733,10 +635,33 @@ enum Step {
     },
 }
 
-/// The kinds a [`Step::Chain`] is made of: the one-cycle arithmetic whose
-/// loops are bound by loads and stores, so that an intermediate row skipped
-/// is time saved.
-const CHAINED: [BinKind; 3] = [BinKind::Add, BinKind::Sub, BinKind::Mul];
+/// Links a [`Step::Run`] can hold.
+const MAX_LINKS: usize = 4;
+
+/// The instructions a [`Step::Run`] is made of.
+const LINKED: [BinKind; 3] = [BinKind::Add, BinKind::Sub, BinKind::Mul];
+
+/// One instruction of a [`Step::Run`]: its kind, and the row operand `x` and
+/// the constant `k` of the kinds that read one.
+type Link = (u8, Src, f32);
+
+/// The kinds of link, as the const parameters of [`run_links`]: the kinds
+/// whose loops are bound by loads and stores, so that an intermediate row
+/// skipped is time saved. An operand order is kept only where it changes a
+/// bit (`SUB`, `RSUB`).
+const NONE: u8 = 0; // past the run's last instruction: `v`
+const ADD: u8 = 1; // `v + x`
+const SUB: u8 = 2; // `v - x`
+const RSUB: u8 = 3; // `x - v`
+const MUL: u8 = 4; // `v * x`
+const SQ: u8 = 5; // `v * v`
+const SCALE: u8 = 6; // `v * k`: a constant broadcast, not loaded from a filled row
+const SQRT: u8 = 7; // `sqrt(v)`: the `Un` step that alone read the run
+
+/// Whether a link of `kind` reads its row operand.
+fn reads_row(kind: u8) -> bool {
+    (ADD..=MUL).contains(&kind)
+}
 
 /// One mention of a value in a [`Step`], as [`Step::visit`] reports it.
 /// While a program is being lowered the numbers inside are value ids; the
@@ -744,10 +669,22 @@ const CHAINED: [BinKind; 3] = [BinKind::Add, BinKind::Sub, BinKind::Mul];
 enum Mention<'a> {
     Read(&'a mut Src),
     Write(&'a mut Dst),
-    /// First of the four ids/rows of a vector value that is read.
+    /// First of the ids/rows of a vector value that is read.
     ReadVec(&'a mut usize),
-    /// First of the four ids/rows of a vector value that is written.
+    /// First of the ids/rows of a vector value that is written.
     WriteVec(&'a mut usize),
+}
+
+impl<'a> Mention<'a> {
+    /// The id (or row) mentioned, unless it is an input span or an output
+    /// plane, and whether it is written.
+    fn row(self) -> Option<(&'a mut usize, bool)> {
+        match self {
+            Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => Some((id, false)),
+            Mention::Write(Dst::Row(id)) | Mention::WriteVec(id) => Some((id, true)),
+            _ => None,
+        }
+    }
 }
 
 impl Step {
@@ -765,7 +702,13 @@ impl Step {
                 f(Read(a));
                 f(Read(b));
             }
-            Step::Chain { a, b, c, dst, .. } | Step::Select { c, a, b, dst } => {
+            Step::Run { start, links, dst } => {
+                f(Write(dst));
+                f(Read(start));
+                let rows = links.iter_mut().filter(|link| reads_row(link.0));
+                rows.for_each(|link| f(Read(&mut link.1)));
+            }
+            Step::Select { c, a, b, dst } => {
                 f(Write(dst));
                 f(Read(a));
                 f(Read(b));
@@ -774,10 +717,6 @@ impl Step {
             Step::Un { a, dst, .. } => {
                 f(Write(dst));
                 f(Read(a));
-            }
-            Step::Compose3 { lanes, out } => {
-                f(WriteVec(out));
-                lanes.iter_mut().for_each(|lane| f(Read(lane)));
             }
             Step::Grad3d { out, .. } => f(WriteVec(out)),
             Step::Norm3 { a, dst } => {
@@ -816,17 +755,19 @@ impl Step {
 ///   the lane of the vector value it selects;
 /// * a scalar root that no step reads is computed straight into its output
 ///   plane; any other root is copied there at the end;
-/// * an `Add`, `Sub` or `Mul` whose result has exactly one reader, itself
-///   one of those three, becomes part of that reader's [`Step::Chain`]
-///   (a `Mul` read by an `Add`: the mul-add step);
+/// * the `Add`, `Sub` and `Mul` steps become [`Step::Run`]s, cut so that as
+///   few of their values as possible are stored (see `Lowering::cut_runs`);
+/// * a vector value gets its fourth lane (zeroed every chunk) only if a step
+///   reads it;
 /// * bank rows are handed out anew by liveness over the *steps* (a step's
 ///   destination is allocated before its operands are released, so it never
-///   aliases one), vector values in aligned groups of four rows below the
+///   aliases one), vector values in groups of four or three rows below the
 ///   scalar rows.
 struct Lowering {
     steps: Vec<Step>,
-    /// Ids handed out so far; `lanes[id]` is 4 for the first id of a vector
-    /// value, 1 for a scalar value and 0 for a vector's other three ids.
+    /// Ids handed out so far; `lanes[id]` is the rows the value at `id` takes:
+    /// 4 for the first id of a vector value (3 once `cut_runs` finds lane 3
+    /// unread), 1 for a scalar value, and 0 for a vector's other three ids.
     lanes: Vec<usize>,
     /// The step that makes each value (indexed by its first id).
     def: Vec<usize>,
@@ -855,18 +796,18 @@ impl Lowering {
             lanes: Vec::new(),
             def: Vec::new(),
         };
-        // What each register holds now.
-        let mut sreg = Regs([None; MAX_REGS + 1]);
-        let mut vreg = Regs([None; MAX_REGS + 1]);
+        // What each register holds now (a program reads none it never wrote).
+        let mut sreg: Regs<Src> = HashMap::new();
+        let mut vreg: Regs<usize> = HashMap::new();
 
         for op in &prog.ops {
             let step = match *op {
                 RegOp::LoadInput { slot, reg } => {
-                    sreg.set(reg, Src::Input(slot));
+                    sreg.insert(reg, Src::Input(slot));
                     continue;
                 }
                 RegOp::Decompose { a, comp, out } => {
-                    sreg.set(out, Src::Row(vreg.get(a) + comp as usize));
+                    sreg.insert(out, Src::Row(vreg[&a] + comp as usize));
                     continue;
                 }
                 RegOp::Const { value, reg } => {
@@ -874,55 +815,47 @@ impl Lowering {
                     Step::Fill { value, dst }
                 }
                 RegOp::Bin { op, a, b, out } => {
-                    let (a, b) = (sreg.get(a), sreg.get(b));
+                    let (a, b) = (sreg[&a], sreg[&b]);
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Bin { op, a, b, dst }
                 }
                 RegOp::Un { op, a, out } => {
-                    let a = sreg.get(a);
+                    let a = sreg[&a];
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Un { op, a, dst }
                 }
                 RegOp::Select { c, a, b, out } => {
-                    let (c, a, b) = (sreg.get(c), sreg.get(a), sreg.get(b));
+                    let (c, a, b) = (sreg[&c], sreg[&a], sreg[&b]);
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Select { c, a, b, dst }
                 }
                 RegOp::Compose3 { a, b, c, out } => {
-                    let lanes = [sreg.get(a), sreg.get(b), sreg.get(c)];
+                    // One copy per lane; the first makes the vector value.
+                    let [x, y, z] = [a, b, c].map(|lane| sreg[&lane]);
                     let out = lw.vector(&mut vreg, out);
-                    Step::Compose3 { lanes, out }
+                    let lane = |l: usize, src: Src| Step::Copy {
+                        src,
+                        dst: Dst::Row(out + l),
+                    };
+                    lw.steps.extend([lane(0, x), lane(1, y)]);
+                    lane(2, z)
                 }
-                RegOp::Grad3d {
-                    field,
-                    dims,
-                    x,
-                    y,
-                    z,
-                    out,
-                } => {
+                RegOp::Grad3d { slots, out } => {
                     let out = lw.vector(&mut vreg, out);
-                    Step::Grad3d {
-                        field,
-                        dims,
-                        x,
-                        y,
-                        z,
-                        out,
-                    }
+                    Step::Grad3d { slots, out }
                 }
                 RegOp::Norm3 { a, out } => {
-                    let a = vreg.get(a);
+                    let a = vreg[&a];
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Norm3 { a, dst }
                 }
                 RegOp::Dot3 { a, b, out } => {
-                    let (a, b) = (vreg.get(a), vreg.get(b));
+                    let (a, b) = (vreg[&a], vreg[&b]);
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Dot3 { a, b, dst }
                 }
                 RegOp::Cross3 { a, b, out } => {
-                    let (a, b) = (vreg.get(a), vreg.get(b));
+                    let (a, b) = (vreg[&a], vreg[&b]);
                     let out = lw.vector(&mut vreg, out);
                     Step::Cross3 { a, b, out }
                 }
@@ -931,38 +864,39 @@ impl Lowering {
         }
 
         lw.store_outputs(prog, &sreg, &vreg);
-        lw.fuse_chains();
+        lw.cut_runs();
         lw.allocate_rows()
     }
 
     /// A new scalar value, bound to `reg`; returns where its step writes.
     fn scalar(&mut self, regs: &mut Regs<Src>, reg: Reg) -> Dst {
         let id = self.value(1);
-        regs.set(reg, Src::Row(id));
+        regs.insert(reg, Src::Row(id));
         Dst::Row(id)
     }
 
     /// A new vector value, bound to `reg`; returns its first id.
     fn vector(&mut self, regs: &mut Regs<usize>, reg: Reg) -> usize {
         let id = self.value(4);
-        regs.set(reg, id);
+        regs.insert(reg, id);
         id
     }
 
-    /// How many times the steps read each value (indexed by first id).
-    fn reads(&mut self) -> Vec<usize> {
+    /// How many times the steps read each id — a vector operand reads its
+    /// first three, a `float4` output plane all four — and the last step that
+    /// reads a scalar id.
+    fn reads(&mut self) -> (Vec<usize>, Vec<usize>) {
         let mut reads = vec![0; self.lanes.len()];
-        let mut ids = Vec::new();
-        for step in &mut self.steps {
+        let mut reader = vec![0; self.lanes.len()];
+        for (k, step) in self.steps.iter_mut().enumerate() {
+            let lanes = 3 + usize::from(matches!(step, Step::StoreVec4 { .. }));
             step.visit(&mut |m| match m {
-                Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => ids.push(*id),
+                Mention::Read(Src::Row(id)) => (reads[*id], reader[*id]) = (reads[*id] + 1, k),
+                Mention::ReadVec(id) => reads[*id..*id + lanes].iter_mut().for_each(|r| *r += 1),
                 _ => {}
             });
         }
-        for id in ids {
-            reads[self.base(id)] += 1;
-        }
-        reads
+        (reads, reader)
     }
 
     /// Get every root into its output plane: a scalar value that no step
@@ -971,15 +905,15 @@ impl Lowering {
     /// vector lane, two roots on one value — is copied (a `Vec4` root:
     /// interleaved) there at the end.
     fn store_outputs(&mut self, prog: &FusedProgram, sreg: &Regs<Src>, vreg: &Regs<usize>) {
-        let reads = self.reads();
+        let (reads, _) = self.reads();
         let scalar_roots: Vec<Option<Src>> = prog
             .outputs
             .iter()
-            .map(|slot| (slot.width != Width::Vec4).then(|| sreg.get(slot.reg)))
+            .map(|slot| (slot.width != Width::Vec4).then(|| sreg[&slot.reg]))
             .collect();
         for (o, slot) in prog.outputs.iter().enumerate() {
             let Some(src) = scalar_roots[o] else {
-                let a = vreg.get(slot.reg);
+                let a = vreg[&slot.reg];
                 self.steps.push(Step::StoreVec4 { a, output: o });
                 continue;
             };
@@ -1000,166 +934,187 @@ impl Lowering {
         }
     }
 
-    /// Make every [`CHAINED`] step one of whose operands is a value nothing
-    /// else reads, made by a plain [`CHAINED`] step, compute that value
-    /// itself, and drop the step that made it. A step takes over at most one
-    /// operand (the left one first), and only from a step that has taken
-    /// over none: chains are two instructions deep.
-    fn fuse_chains(&mut self) {
-        let reads = self.reads();
-        let mut absorbed = vec![false; self.steps.len()];
-        for k in 0..self.steps.len() {
-            let Step::Bin {
-                op: outer,
-                a,
-                b,
-                dst,
-            } = self.steps[k]
-            else {
+    /// Turn the `Add`/`Sub`/`Mul` steps into [`Step::Run`]s. A step can
+    /// continue the run of an operand that nothing else reads (`x*x` reads it
+    /// twice) and that such a step made; every other operand is loaded, and
+    /// one that is a run of its own was stored first. Each step that continues
+    /// a run therefore saves one store and one load, whichever operand it
+    /// continues, and a shorter run leaves its readers more room: bottom-up,
+    /// every step continues the shortest run it can, and the rows moved per
+    /// cell are the fewest any cut into runs of [`MAX_LINKS`] moves. A
+    /// constant factor is broadcast ([`SCALE`]) and its `Fill` dropped once
+    /// nothing loads it. The fourth link can only be `+ x`, or the `sqrt` that
+    /// alone reads the run (which takes that place in a shorter one): what
+    /// keeps [`run_links`] under 700 instantiations.
+    fn cut_runs(&mut self) {
+        let (reads, reader) = self.reads();
+        let n = self.steps.len();
+        let node = |k: usize| match self.steps[k] {
+            Step::Bin { op, a, b, dst } if LINKED.contains(&op) => Some((op, a, b, dst)),
+            _ => None,
+        };
+        let constant = |src: Src| match src {
+            Src::Row(id) => match self.steps[self.def[id]] {
+                Step::Fill { value, .. } => Some((id, value)),
+                _ => None,
+            },
+            Src::Input(_) => None,
+        };
+
+        // `len[k]`: links of the run step `k` ends; `via[k]`: the step before
+        // it in that run.
+        let (mut len, mut via) = (vec![1; n], vec![None; n]);
+        for k in 0..n {
+            let Some((op, a, b, _)) = node(k) else {
                 continue;
             };
-            if !CHAINED.contains(&outer) {
-                continue;
-            }
-            let inner_of = |src: Src| match src {
-                Src::Row(id) if self.lanes[id] == 1 && reads[id] == 1 => {
-                    match self.steps[self.def[id]] {
-                        Step::Bin { op, a, b, .. } if CHAINED.contains(&op) => {
-                            Some((self.def[id], op, a, b))
-                        }
-                        _ => None,
-                    }
+            let only_reader = |src: Src| match src {
+                Src::Row(id) if reads[id] == usize::from(a == src) + usize::from(b == src) => {
+                    node(self.def[id]).map(|_| self.def[id])
                 }
                 _ => None,
             };
-            let ((at, inner, ia, ib), c, inner_first) = match (inner_of(a), inner_of(b)) {
-                (Some(found), _) => (found, b, true),
-                (None, Some(found)) => (found, a, false),
-                (None, None) => continue,
+            let fits = |c: &usize| match (a == b, len[*c] + 1 < MAX_LINKS) {
+                (true, room) => room && op == BinKind::Mul,
+                (false, room) => room || (len[*c] < MAX_LINKS && op == BinKind::Add),
             };
-            absorbed[at] = true;
-            self.steps[k] = Step::Chain {
-                inner,
-                outer,
-                a: ia,
-                b: ib,
-                c,
-                inner_first,
-                dst,
-            };
+            let continued = [only_reader(a), only_reader(b)].into_iter().flatten();
+            via[k] = continued.filter(fits).min_by_key(|&c| len[c]);
+            len[k] += via[k].map_or(0, |c| len[c]);
         }
-        let mut absorbed = absorbed.into_iter();
-        self.steps
-            .retain(|_| !absorbed.next().expect("one flag per step"));
-    }
 
-    /// Replace value ids by bank rows, reusing a row once the last step
-    /// reading its value has run. Returns the steps and the rows they use.
-    fn allocate_rows(mut self) -> (Vec<Step>, usize) {
-        // Every value each step mentions (by first id), writes first.
-        let mut mentions: Vec<Vec<(usize, bool)>> = vec![Vec::new(); self.steps.len()];
-        for (k, step) in self.steps.iter_mut().enumerate() {
-            step.visit(&mut |m| match m {
-                Mention::Write(Dst::Row(id)) | Mention::WriteVec(id) => {
-                    mentions[k].push((*id, true))
+        let mut loads = reads.clone();
+        let mut runs: Vec<Option<Step>> = vec![None; n];
+        let mut inside = vec![false; n];
+        for top in (0..n).rev() {
+            let Some((.., mut dst)) = node(top).filter(|_| !inside[top]) else {
+                continue;
+            };
+            let mut path = vec![top];
+            while let Some(c) = via[path[path.len() - 1]] {
+                inside[c] = true;
+                path.push(c);
+            }
+            let (op, a, b, _) = node(path[path.len() - 1]).expect("runs are made of nodes");
+            let start = match (op, constant(a)) {
+                (BinKind::Mul, Some(_)) => b,
+                _ => a,
+            };
+            let (mut v, mut links) = (start, [(NONE, start, 0.0); MAX_LINKS]);
+            for (link, &at) in links.iter_mut().zip(path.iter().rev()) {
+                let (op, a, b, made) = node(at).expect("runs are made of nodes");
+                let (x, v_first) = if a == v { (b, true) } else { (a, false) };
+                *link = match (op, constant(x)) {
+                    (BinKind::Mul, _) if x == v => (SQ, x, 0.0),
+                    (BinKind::Mul, Some((id, value))) => {
+                        loads[id] -= 1;
+                        (SCALE, x, value)
+                    }
+                    (BinKind::Mul, None) => (MUL, x, 0.0),
+                    (BinKind::Add, _) => (ADD, x, 0.0),
+                    _ if v_first => (SUB, x, 0.0),
+                    _ => (RSUB, x, 0.0),
+                };
+                if let Dst::Row(id) = made {
+                    v = Src::Row(id);
                 }
-                Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => {
-                    mentions[k].push((*id, false))
+            }
+            if let (Dst::Row(id), NONE) = (dst, links[MAX_LINKS - 1].0) {
+                if let Step::Un { op, dst: out, .. } = self.steps[reader[id]] {
+                    if (op, reads[id]) == (UnKind::Sqrt, 1) {
+                        (links[MAX_LINKS - 1].0, dst, inside[reader[id]]) = (SQRT, out, true);
+                    }
                 }
+            }
+            runs[top] = Some(Step::Run { start, links, dst });
+        }
+
+        for (at, mut step) in std::mem::take(&mut self.steps).into_iter().enumerate() {
+            let unloaded = matches!(step, Step::Fill { dst: Dst::Row(id), .. } if loads[id] == 0);
+            if inside[at] || unloaded {
+                continue;
+            }
+            // The vector value this step makes, if it makes one.
+            let mut made = None;
+            step.visit(&mut |m| match m.row() {
+                Some((&mut id, true)) if self.lanes[id] == 4 => made = Some(id),
                 _ => {}
             });
+            self.steps.push(runs[at].take().unwrap_or(step));
+            match made {
+                Some(out) if reads[out + 3] > 0 => self.steps.push(Step::Fill {
+                    value: 0.0,
+                    dst: Dst::Row(out + 3),
+                }),
+                Some(out) => self.lanes[out] = 3,
+                None => {}
+            }
         }
+    }
+
+    /// Replace value ids by bank rows: a value takes the first free rows when
+    /// its step runs and gives them back after the last step that mentions
+    /// it. Returns the steps and the rows they use.
+    fn allocate_rows(mut self) -> (Vec<Step>, usize) {
+        let mut steps = std::mem::take(&mut self.steps);
         let mut last = vec![0; self.lanes.len()];
-        for (k, ids) in mentions.iter().enumerate() {
-            for &(id, _) in ids {
-                last[self.base(id)] = k;
-            }
-        }
-        // Index of each value in its pool: groups of four rows for vector
-        // values, single rows above them for scalar values.
-        let mut index = vec![usize::MAX; self.lanes.len()];
-        let mut pools = [Pool::default(), Pool::default()];
-        for (k, ids) in mentions.iter().enumerate() {
-            for &(id, write) in ids {
-                if write {
-                    index[id] = pools[usize::from(self.lanes[id] == 4)].take();
+        for (k, step) in steps.iter_mut().enumerate() {
+            step.visit(&mut |m| {
+                if let Some((id, _)) = m.row() {
+                    last[self.base(*id)] = k;
                 }
-            }
-            for &(id, _) in ids {
-                let value = self.base(id);
-                if last[value] == k && index[value] != usize::MAX {
-                    pools[usize::from(self.lanes[value] == 4)].give(index[value]);
+            });
+        }
+        // Which rows hold a live value, and the first row of each value.
+        let mut busy: Vec<bool> = Vec::new();
+        let mut row_of = vec![usize::MAX; self.lanes.len()];
+        for (k, step) in steps.iter_mut().enumerate() {
+            let mut mentioned = Vec::new();
+            step.visit(&mut |m| {
+                let Some((id, write)) = m.row() else {
+                    return;
+                };
+                let (value, lanes) = (self.base(*id), self.lanes[*id]);
+                // (Zeroing lane 3 writes into a value, it makes none.)
+                if write && lanes > 0 {
+                    let free = |at: &usize| !busy[*at..].iter().take(lanes).any(|&b| b);
+                    let at = (0..=busy.len())
+                        .find(free)
+                        .expect("the rows past the last are free");
+                    busy.resize(busy.len().max(at + lanes), false);
+                    busy[at..at + lanes].fill(true);
+                    row_of[value] = at;
+                }
+                assert!(
+                    row_of[value] != usize::MAX,
+                    "fused step reads a value no step makes"
+                );
+                mentioned.push(value);
+                *id = row_of[value] + (*id - value);
+            });
+            for value in mentioned {
+                if last[value] == k {
+                    busy[row_of[value]..][..self.lanes[value]].fill(false);
                     last[value] = usize::MAX;
                 }
             }
         }
-        let [scalars, vectors] = pools;
-        let mut steps = std::mem::take(&mut self.steps);
-        let row = |id: usize| {
-            let value = self.base(id);
-            assert!(
-                index[value] != usize::MAX,
-                "fused step reads a value no step makes"
-            );
-            match self.lanes[value] {
-                4 => 4 * index[value] + (id - value),
-                _ => 4 * vectors.high_water + index[value],
-            }
-        };
-        for step in &mut steps {
-            step.visit(&mut |m| match m {
-                Mention::Read(Src::Row(id))
-                | Mention::Write(Dst::Row(id))
-                | Mention::ReadVec(id)
-                | Mention::WriteVec(id) => *id = row(*id),
-                _ => {}
-            });
-        }
-        (steps, 4 * vectors.high_water + scalars.high_water)
+        (steps, busy.len())
     }
 }
 
-/// What each register of one bank holds while a program is being lowered.
-struct Regs<T>([Option<T>; MAX_REGS + 1]);
-
-impl<T: Copy> Regs<T> {
-    fn set(&mut self, reg: Reg, value: T) {
-        self.0[reg as usize] = Some(value);
-    }
-
-    fn get(&self, reg: Reg) -> T {
-        self.0[reg as usize].expect("fused program reads a register it never wrote")
-    }
-}
-
-/// A free list over `0..high_water`.
-#[derive(Default)]
-struct Pool {
-    free: Vec<usize>,
-    high_water: usize,
-}
-
-impl Pool {
-    fn take(&mut self) -> usize {
-        self.free.pop().unwrap_or_else(|| {
-            self.high_water += 1;
-            self.high_water - 1
-        })
-    }
-
-    fn give(&mut self, index: usize) {
-        self.free.push(index);
-    }
-}
+/// What each register of one file holds while a program is being lowered.
+type Regs<T> = HashMap<Reg, T>;
 
 /// The fused program as a launchable device kernel.
+#[derive(Clone)]
 pub struct FusedKernel {
     /// The compiled program.
     pub program: FusedProgram,
     label: String,
     /// What [`FusedKernel::run`] executes: `program`'s instructions lowered
-    /// once, here, instead of being re-read every chunk.
-    steps: Vec<Step>,
+    /// once, in [`FusedKernel::new`], instead of being re-read every chunk.
+    steps: Arc<[Step]>,
     /// Bank rows the steps use.
     rows: usize,
 }
@@ -1171,9 +1126,24 @@ impl FusedKernel {
         FusedKernel {
             program,
             label: label.to_string(),
-            steps,
+            steps: steps.into(),
             rows,
         }
+    }
+
+    /// The same kernel under another label. Nothing is lowered again: both
+    /// kernels run one step list.
+    pub fn relabeled(&self, label: &str) -> Self {
+        FusedKernel {
+            label: label.to_string(),
+            ..self.clone()
+        }
+    }
+
+    /// Whether `other` runs the very step list this kernel runs (one was
+    /// [`FusedKernel::relabeled`] from the other), not an equal one.
+    pub fn shares_steps_with(&self, other: &FusedKernel) -> bool {
+        Arc::ptr_eq(&self.steps, &other.steps)
     }
 }
 
@@ -1225,7 +1195,7 @@ impl DeviceKernel for FusedKernel {
             };
             for at in (0..cells).step_by(width) {
                 (chunk.base, chunk.at, chunk.len) = (start + at, at, width.min(cells - at));
-                for step in &self.steps {
+                for step in self.steps.iter() {
                     chunk.run(step);
                 }
             }
@@ -1252,6 +1222,77 @@ pub(crate) fn chunk_width(rows: usize) -> usize {
     (fit.next_power_of_two() / 2).clamp(128, 1024)
 }
 
+/// One link of kind `K` applied to the running value `v`.
+#[inline(always)]
+fn link<const K: u8>(v: f32, x: f32, k: f32) -> f32 {
+    match K {
+        ADD => v + x,
+        SUB => v - x,
+        RSUB => x - v,
+        MUL => v * x,
+        SQ => v * v,
+        SCALE => v * k,
+        SQRT => v.sqrt(),
+        _ => v,
+    }
+}
+
+/// A [`Step::Run`] over one chunk: four links of kinds known at compile time,
+/// so the running value stays in a register and the loop vectorizes.
+fn run_links<const K0: u8, const K1: u8, const K2: u8, const K3: u8>(
+    o: &mut [f32],
+    start: &[f32],
+    x: [&[f32]; MAX_LINKS],
+    k: [f32; MAX_LINKS],
+) {
+    let lanes = o
+        .iter_mut()
+        .zip(start)
+        .zip(x[0])
+        .zip(x[1])
+        .zip(x[2])
+        .zip(x[3]);
+    for (((((o, &v), &x0), &x1), &x2), &x3) in lanes {
+        let v = link::<K2>(link::<K1>(link::<K0>(v, x0, k[0]), x1, k[1]), x2, k[2]);
+        *o = link::<K3>(v, x3, k[3]);
+    }
+}
+
+/// Call the [`run_links`] of `$kinds`, one `match` per link and only on the
+/// kinds `Lowering::cut_runs` puts there: a first link is not `NONE` (or
+/// `RSUB`: the operands would be swapped), nothing but the fourth follows a
+/// `NONE`, and the fourth is `NONE`, `ADD` or `SQRT` — 5 · (1 + 6 · (1 + 6))
+/// · 3 = 645 instantiations.
+macro_rules! with_kinds {
+    ($kinds:ident[] $args:tt) => {
+        with_kinds!(@link $kinds[0] [] $args: ADD SUB MUL SQ SCALE)
+    };
+    ($kinds:ident[$k0:ident] $args:tt) => {
+        with_kinds!(@link $kinds[1] [$k0] $args: NONE ADD SUB RSUB MUL SQ SCALE)
+    };
+    ($kinds:ident[$k0:ident NONE] $args:tt) => {
+        with_kinds!($kinds[$k0 NONE NONE] $args)
+    };
+    ($kinds:ident[$k0:ident $k1:ident] $args:tt) => {
+        with_kinds!(@link $kinds[2] [$k0 $k1] $args: NONE ADD SUB RSUB MUL SQ SCALE)
+    };
+    ($kinds:ident[$k0:ident $k1:ident $k2:ident] $args:tt) => {
+        with_kinds!(@link $kinds[3] [$k0 $k1 $k2] $args: NONE ADD SQRT)
+    };
+    ($kinds:ident[$k0:ident $k1:ident $k2:ident $k3:ident] $args:tt) => {
+        run_links::<$k0, $k1, $k2, $k3> $args
+    };
+    (@link $kinds:ident[$at:literal] $chosen:tt $args:tt: $($kind:ident)*) => {
+        match $kinds[$at] {
+            $($kind => with_kinds!(@push $chosen $kind $kinds $args),)*
+            _ => unreachable!("no run has this link here"),
+        }
+    };
+    (@push [$($chosen:ident)*] $kind:ident $kinds:ident $args:tt) => {
+        with_kinds!($kinds[$($chosen)* $kind] $args)
+    };
+}
+
 /// One task's view of a launch while it walks its cells a chunk at a time:
 /// the register bank (`rows` rows of `width` lanes in one allocation,
 /// created once per task and reused for every chunk), the task's piece of
@@ -1270,7 +1311,7 @@ struct Chunk<'a, 'p> {
 impl Chunk<'_, '_> {
     /// `dst` mutably beside the `srcs` shared, `len` lanes each. The
     /// register allocator never hands an instruction a live operand's
-    /// register as its output (`alloc_for` runs before `consume`), and the
+    /// register as its output (it is allocated before they are consumed), and the
     /// lowering moves no read past a write of its register; this is where
     /// both are checked rather than assumed.
     ///
@@ -1280,38 +1321,24 @@ impl Chunk<'_, '_> {
     fn bind<const K: usize>(&mut self, dst: Dst, srcs: [Src; K]) -> (&mut [f32], [&[f32]; K]) {
         let (w, len, inputs) = (self.width, self.len, self.inputs);
         let span = self.base..self.base + len;
-        match dst {
+        // The bank below and above the destination (all of it, for a plane).
+        let (below, o, above): (&[f32], &mut [f32], &[f32]) = match dst {
             Dst::Row(out) => {
                 let (below, rest) = self.bank.split_at_mut(out * w);
                 let (o, above) = rest.split_at_mut(w);
-                let (below, above) = (&*below, &*above);
-                let srcs = srcs.map(|src| match src {
-                    Src::Input(slot) => &inputs[slot as usize][span.clone()],
-                    Src::Row(r) => {
-                        assert!(r != out, "fused instruction reads the row it writes");
-                        if r < out {
-                            &below[r * w..][..len]
-                        } else {
-                            &above[(r - out - 1) * w..][..len]
-                        }
-                    }
-                });
-                (&mut o[..len], srcs)
+                (below, &mut o[..len], above)
             }
-            Dst::Out(o) => {
-                let bank = &self.bank;
-                let srcs = srcs.map(|src| match src {
-                    Src::Input(slot) => &inputs[slot as usize][span.clone()],
-                    Src::Row(r) => &bank[r * w..][..len],
-                });
-                (&mut self.pieces[o][self.at..self.at + len], srcs)
+            Dst::Out(o) => (&self.bank, &mut self.pieces[o][self.at..][..len], &[]),
+        };
+        let srcs = srcs.map(|src| match src {
+            Src::Input(slot) => &inputs[slot as usize][span.clone()],
+            Src::Row(r) if r * w < below.len() => &below[r * w..][..len],
+            Src::Row(r) => {
+                let past = (r * w - below.len()).checked_sub(w);
+                &above[past.expect("fused instruction reads the row it writes")..][..len]
             }
-        }
-    }
-
-    /// Zero lane 3 of the vector value at rows `out..out + 4`.
-    fn clear_w(&mut self, out: usize) {
-        self.bind(Dst::Row(out + 3), []).0.fill(0.0);
+        });
+        (o, srcs)
     }
 
     /// Run one step over the current chunk: the step (and its
@@ -1328,37 +1355,13 @@ impl Chunk<'_, '_> {
                 let (o, [a, b]) = self.bind(dst, [a, b]);
                 op.apply(o, a, b);
             }
-            Step::Chain {
-                inner,
-                outer,
-                a,
-                b,
-                c,
-                inner_first,
-                dst,
-            } => {
-                let (o, [a, b, c]) = self.bind(dst, [a, b, c]);
-                let lanes = o.iter_mut().zip(a).zip(b).zip(c);
-                // One loop per pair of kinds and operand order, each with
-                // both operations inlined.
-                macro_rules! per_pair {
-                    ($($inner:ident $outer:ident)*) => {
-                        match (inner, outer, inner_first) {
-                            $((BinKind::$inner, BinKind::$outer, true) => {
-                                for (((o, &a), &b), &c) in lanes {
-                                    *o = BinKind::$outer.eval(BinKind::$inner.eval(a, b), c);
-                                }
-                            }
-                            (BinKind::$inner, BinKind::$outer, false) => {
-                                for (((o, &a), &b), &c) in lanes {
-                                    *o = BinKind::$outer.eval(c, BinKind::$inner.eval(a, b));
-                                }
-                            })*
-                            _ => unreachable!("the lowering chains only `CHAINED` kinds"),
-                        }
-                    };
-                }
-                per_pair!(Add Add  Add Sub  Add Mul  Sub Add  Sub Sub  Sub Mul  Mul Add  Mul Sub  Mul Mul);
+            Step::Run { start, links, dst } => {
+                // A link that reads no row binds `start` again, unread.
+                let [x0, x1, x2, x3] =
+                    links.map(|(kind, x, _)| if reads_row(kind) { x } else { start });
+                let (o, [s, x0, x1, x2, x3]) = self.bind(dst, [start, x0, x1, x2, x3]);
+                let (kinds, k) = (links.map(|link| link.0), links.map(|link| link.2));
+                with_kinds!(kinds[] (o, s, [x0, x1, x2, x3], k));
             }
             Step::Un { op, a, dst } => {
                 let (o, [a]) = self.bind(dst, [a]);
@@ -1370,26 +1373,11 @@ impl Chunk<'_, '_> {
                     *o = select(c[t], a[t], b[t]);
                 }
             }
-            Step::Compose3 { lanes, out } => {
-                for (lane, src) in lanes.into_iter().enumerate() {
-                    let (o, [src]) = self.bind(Dst::Row(out + lane), [src]);
-                    o.copy_from_slice(src);
-                }
-                self.clear_w(out);
-            }
-            Step::Grad3d {
-                field,
-                dims,
-                x,
-                y,
-                z,
-                out,
-            } => {
-                let [f, dims, x, y, z] = [field, dims, x, y, z].map(|i| self.inputs[i as usize]);
+            Step::Grad3d { slots, out } => {
+                let [f, dims, x, y, z] = slots.map(|slot| self.inputs[slot as usize]);
                 let d = Dims3::from_buffer(dims);
                 let lanes = lanes3(&mut self.bank[out * self.width..], self.width, self.len);
                 gradient_span(f, x, y, z, d, self.base, lanes);
-                self.clear_w(out);
             }
             Step::Norm3 { a, dst } => {
                 let (o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
@@ -1401,11 +1389,7 @@ impl Chunk<'_, '_> {
                 let operands = [a, b, a + 1, b + 1, a + 2, b + 2].map(Src::Row);
                 let (o, [a0, b0, a1, b1, a2, b2]) = self.bind(dst, operands);
                 for (t, o) in o.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    acc += a0[t] * b0[t];
-                    acc += a1[t] * b1[t];
-                    acc += a2[t] * b2[t];
-                    *o = acc;
+                    *o = a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t];
                 }
             }
             Step::Cross3 { a, b, out } => {
@@ -1418,7 +1402,6 @@ impl Chunk<'_, '_> {
                         *o = ap[t] * bq[t] - aq[t] * bp[t];
                     }
                 }
-                self.clear_w(out);
             }
             Step::StoreVec4 { a, output } => {
                 let (w, at, len) = (self.width, self.at, self.len);
@@ -1727,19 +1710,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "fused instruction reads the row it writes")]
     fn aliased_output_register_panics_instead_of_aliasing() {
-        // `row0 = row0 + row0` is a step the lowering never emits (a
+        // `row0 = row0 / row0` is a step the lowering never emits (a
         // destination row is allocated before the operands' are released);
         // the executor must refuse it rather than hand out overlapping rows.
         let mut kernel = FusedKernel::new(
             fuse(&example_networks::velmag_example()).unwrap(),
             "aliased",
         );
-        kernel.steps = vec![Step::Bin {
-            op: BinKind::Add,
+        kernel.rows = 1;
+        kernel.steps = Arc::new([Step::Bin {
+            op: BinKind::Div,
             a: Src::Row(0),
             b: Src::Row(0),
             dst: Dst::Row(0),
-        }];
+        }]);
         let u = [1.0f32; 4];
         kernel.run(KernelArgs {
             inputs: &[&u, &u, &u],
@@ -1767,6 +1751,7 @@ mod lowering_tests {
     use crate::primitives::Primitive;
     use dfg_dataflow::NetworkBuilder;
     use dfg_mesh::RectilinearMesh;
+    use proptest::prelude::*;
 
     /// 23 x 29 x 31 cells: more than two minimum tasks, a multiple of no
     /// chunk width.
@@ -1816,10 +1801,23 @@ mod lowering_tests {
         roots.iter().map(|root| vals[root].clone()).collect()
     }
 
-    /// Fuse `roots`, run the lowered kernel, and hold every output plane
-    /// against the staged evaluation. Returns the kernel for step checks.
+    /// [`check_on`] the mesh fields.
     fn check(spec: &NetworkSpec, roots: &[NodeId]) -> FusedKernel {
         let (n, fields) = mesh_fields();
+        check_on(spec, roots, n, &fields)
+    }
+
+    /// Fuse `roots`, run the lowered kernel, and hold every output plane
+    /// against the staged evaluation, bit for bit — except that a NaN
+    /// matches any NaN: which of two NaN operands an instruction returns is
+    /// the CPU's rule on the operand order the compiler chose, in either
+    /// executor. Returns the kernel for step checks.
+    fn check_on(
+        spec: &NetworkSpec,
+        roots: &[NodeId],
+        n: usize,
+        fields: &HashMap<String, Vec<f32>>,
+    ) -> FusedKernel {
         let kernel = FusedKernel::new(fuse_roots(spec, roots).unwrap(), "lowered");
         let program = &kernel.program;
         let inputs: Vec<&[f32]> = program
@@ -1833,68 +1831,69 @@ mod lowering_tests {
             output: &mut output,
             n,
         });
-        let expected = staged(spec, roots, &fields, n);
+        let expected = staged(spec, roots, fields, n);
         for (slot, want) in program.outputs.iter().zip(&expected) {
             let plane = &output[slot.lane_offset * n..][..want.len()];
             let differ = plane
                 .iter()
                 .zip(want)
-                .position(|(a, b)| a.to_bits() != b.to_bits());
+                .position(|(a, b)| a.to_bits() != b.to_bits() && !(a.is_nan() && b.is_nan()));
             assert_eq!(differ, None, "output `{}` differs from staged", slot.name);
         }
         kernel
     }
 
-    fn count(kernel: &FusedKernel, which: impl Fn(&Step) -> bool) -> usize {
-        kernel.steps.iter().filter(|step| which(step)).count()
+    /// Row passes (every step but the gradient stencils), bank rows, and row
+    /// loads + stores per cell of a lowered kernel: each row operand a pass
+    /// names is a load (three for a vector operand), each destination a
+    /// store, and so is a `Fill`.
+    fn traffic(kernel: &FusedKernel) -> (usize, usize, usize) {
+        let mut steps = kernel.steps.to_vec();
+        steps.retain(|step| !matches!(step, Step::Grad3d { .. }));
+        let mut moved = 0;
+        for step in &mut steps {
+            step.visit(&mut |m| match m {
+                Mention::Read(_) | Mention::Write(_) => moved += 1,
+                Mention::ReadVec(_) | Mention::WriteVec(_) => moved += 3,
+            });
+        }
+        (steps.len(), kernel.rows, moved)
     }
 
-    fn is_chain(step: &Step) -> bool {
-        matches!(step, Step::Chain { .. })
-    }
-
-    fn is_mul_add(step: &Step) -> bool {
-        matches!(
-            step,
-            Step::Chain {
-                inner: BinKind::Mul,
-                outer: BinKind::Add,
-                ..
-            }
-        )
-    }
-
-    fn is_copy(step: &Step) -> bool {
-        matches!(step, Step::Copy { .. })
-    }
-
+    /// The per-expression lowering table of docs/PERFORMANCE.md (CI prints
+    /// it with `--nocapture`): what the cut is judged by is the last column.
     #[test]
-    fn velmag_lowers_to_four_steps_on_two_rows() {
-        let spec = dfg_dataflow::example_networks::velmag_example();
-        let kernel = check(&spec, &[spec.result]);
-        // v*v, u*u + that, that + w*w, sqrt into the plane: no load, no
-        // store, and the register program is what it was.
-        assert_eq!(kernel.steps.len(), 4);
-        assert_eq!(count(&kernel, is_mul_add), 2);
-        assert_eq!(kernel.rows, 2);
-        assert_eq!(kernel.program.len(), 9);
-        assert_eq!(kernel.program.num_sregs, 4);
-        assert!(matches!(
-            kernel.steps.last(),
-            Some(Step::Un {
-                dst: Dst::Out(0),
-                ..
-            })
-        ));
+    fn paper_expressions_lowering_table() {
+        use dfg_expr::workloads::{Q_CRITERION, VELOCITY_MAGNITUDE, VORTICITY_MAGNITUDE};
+        println!("| expression | row passes | bank rows | row loads + stores per cell |");
+        println!("|---|---|---|---|");
+        let rows = [
+            ("vel_mag", VELOCITY_MAGNITUDE),
+            ("vort_mag", VORTICITY_MAGNITUDE),
+            ("q_crit", Q_CRITERION),
+        ]
+        .map(|(name, source)| {
+            let spec = dfg_expr::compile(source).unwrap();
+            let (passes, rows, moved) = traffic(&check(&spec, &[spec.result]));
+            println!("| `{name}` | {passes} | {rows} | {moved} |");
+            (passes, rows, moved)
+        });
+        // At the parent commit: (4, 2, 13), (7, 16, 25), (29, 26, 114).
+        assert_eq!(rows, [(3, 2, 8), (3, 11, 11), (16, 13, 58)]);
+    }
+
+    fn copies(kernel: &FusedKernel) -> usize {
+        let is_copy = |step: &&Step| matches!(step, Step::Copy { .. });
+        kernel.steps.iter().filter(is_copy).count()
     }
 
     #[test]
     fn mul_operand_register_reallocated_before_the_add() {
         // Each square's operand dies at the `Mul`, so the fuser hands its
         // register to the very `Add` that consumes the product (and reloads
-        // an input register between another `Mul` and its `Add`): the
-        // carried product must still read the operand's value, not the
-        // register's next tenant.
+        // an input register between another `Mul` and its `Add`): a run
+        // must still read the operand's value, not the register's next
+        // tenant.
         let mut b = NetworkBuilder::new();
         let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
         let s = b.binary(BinKind::Add, u, v);
@@ -1906,32 +1905,7 @@ mod lowering_tests {
         let acc = b.binary(BinKind::Add, acc, ww);
         let root = b.unary(UnKind::Sqrt, acc);
         let spec = b.finish(root);
-        let kernel = check(&spec, &[root]);
-        assert_eq!(count(&kernel, is_mul_add), 2);
-        assert!(kernel.steps.iter().any(|step| matches!(
-            step,
-            Step::Chain {
-                inner_first: false,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn product_with_two_readers_stays_a_mul() {
-        let mut b = NetworkBuilder::new();
-        let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
-        let p = b.binary(BinKind::Mul, u, v);
-        let twice = b.binary(BinKind::Add, p, p);
-        let q = b.binary(BinKind::Mul, v, w);
-        let sum = b.binary(BinKind::Add, q, w);
-        let both = b.binary(BinKind::Div, sum, q);
-        let root = b.binary(BinKind::Sub, twice, both);
-        let spec = b.finish(root);
-        let kernel = check(&spec, &[root]);
-        assert_eq!(count(&kernel, is_mul_add), 0);
-        // `twice` has one reader, the final `Sub`: that pair does chain.
-        assert_eq!(count(&kernel, is_chain), 1);
+        check(&spec, &[root]);
     }
 
     #[test]
@@ -1947,8 +1921,7 @@ mod lowering_tests {
         b.name(s, "s");
         let spec = b.finish(s);
         let kernel = check(&spec, &[m, s]);
-        assert_eq!(count(&kernel, is_copy), 1);
-        assert_eq!(count(&kernel, is_mul_add), 0, "the product is a root");
+        assert_eq!(copies(&kernel), 1);
         check(&spec, &[s, m]);
     }
 
@@ -1958,15 +1931,14 @@ mod lowering_tests {
         let u = b.input("u");
         let spec = b.finish(u);
         let kernel = check(&spec, &[u]);
-        assert_eq!(kernel.steps.len(), 1);
         assert_eq!(kernel.rows, 0);
-        assert!(matches!(
-            kernel.steps[0],
-            Step::Copy {
+        assert_eq!(
+            kernel.steps[..],
+            [Step::Copy {
                 src: Src::Input(0),
                 dst: Dst::Out(0)
-            }
-        ));
+            }]
+        );
         // Beside a computed root, and as a lane of a gradient.
         let mut b = NetworkBuilder::new();
         let (u, v) = (b.input("u"), b.input("v"));
@@ -1987,8 +1959,7 @@ mod lowering_tests {
         let r = b.binary(BinKind::Add, m, v);
         let spec = b.finish(r);
         let kernel = check(&spec, &[r, r]);
-        assert_eq!(count(&kernel, is_copy), 2);
-        assert_eq!(count(&kernel, is_mul_add), 1);
+        assert_eq!(copies(&kernel), 2);
         // Two roots with one shared producer: the shared value takes a row.
         let mut b = NetworkBuilder::new();
         let (u, v) = (b.input("u"), b.input("v"));
@@ -1997,8 +1968,7 @@ mod lowering_tests {
         let q = b.binary(BinKind::Sub, m, v);
         let spec = b.finish(p);
         let kernel = check(&spec, &[p, q]);
-        assert_eq!(count(&kernel, is_copy), 0);
-        assert_eq!(count(&kernel, is_mul_add), 0);
+        assert_eq!(copies(&kernel), 0);
     }
 
     #[test]
@@ -2013,15 +1983,37 @@ mod lowering_tests {
         let dot = b.binary(FilterOp::Dot3, cross, gu);
         let packed = b.compose3(w, dot, u);
         let norm = b.unary(FilterOp::Norm3, packed);
+        // Lane 3 is zeroed only for a value something reads it from.
+        let (gu_w, packed_w) = (b.decompose(gu, 3), b.decompose(packed, 3));
         let spec = b.finish(norm);
         for roots in [
             vec![gu],
             vec![cross, norm],
             vec![norm, packed, gv],
             vec![packed, packed, dot],
+            vec![gu_w, norm, packed_w],
         ] {
             check(&spec, &roots);
         }
+    }
+
+    #[test]
+    fn dot3_of_negative_zero_products_is_negative_zero() {
+        // `dot` is `a0*b0 + a1*b1 + a2*b2` as the primitive computes it: a
+        // sum seeded with `+0.0` would turn three `-0.0` products into `+0.0`.
+        let mut b = NetworkBuilder::new();
+        let (u, w) = (b.input("u"), b.input("w"));
+        let (zero, one) = (b.constant(0.0), b.constant(1.0));
+        let uu = b.binary(BinKind::Mul, u, u);
+        let plus_zero = b.binary(BinKind::Mul, uu, zero);
+        let minus_zero = b.unary(UnKind::Neg, plus_zero);
+        let w_zero = b.binary(BinKind::Mul, w, zero);
+        let unit = b.binary(BinKind::Add, w_zero, one);
+        let zeros = b.compose3(minus_zero, minus_zero, minus_zero);
+        let units = b.compose3(unit, unit, unit);
+        let dot = b.binary(FilterOp::Dot3, zeros, units);
+        let spec = b.finish(dot);
+        check(&spec, &[dot]);
     }
 
     #[test]
@@ -2034,8 +2026,74 @@ mod lowering_tests {
         let shifted = b.binary(BinKind::Add, scaled, half);
         let sel = b.select(cond, shifted, u);
         let spec = b.finish(sel);
-        let kernel = check(&spec, &[sel, half]);
-        assert_eq!(count(&kernel, is_mul_add), 1);
+        check(&spec, &[sel, half]);
+    }
+
+    /// Values on which a changed rounding, operand order or sign shows.
+    const PALETTE: [f32; 16] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0e-40,
+        -3.0e-42,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        1.0,
+        -1.0,
+        0.5,
+        -2.5,
+        3.0e-20,
+        -7.0e19,
+        1.000_000_1,
+        16_777_217.0,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `Add`/`Sub`/`Mul`/unary DAGs — shared subexpressions, values
+        /// with several readers, `x*x`, constant factors, roots that are also
+        /// operands, several roots on one value, bare inputs and constants as
+        /// roots — over signed zeros, infinities and subnormals, at lengths
+        /// that are multiples of no chunk width: the lowered kernel equals the
+        /// staged evaluation bit for bit, at one thread and at the pool's
+        /// default.
+        #[test]
+        fn random_dags_match_staged_bit_for_bit(
+            nodes in prop::collection::vec((0u8..8, 0usize..1000, 0usize..1000), 1..16),
+            roots in prop::collection::vec(0usize..1000, 1..4),
+            picks in prop::collection::vec(0usize..16, 5..6),
+            n in 1usize..20_000,
+        ) {
+            let mut b = NetworkBuilder::new();
+            let mut fields = HashMap::new();
+            let mut values = Vec::new();
+            for (t, name) in ["a", "b", "c"].into_iter().enumerate() {
+                let stride = 2 * picks[t] + 1;
+                let field = (0..n).map(|i| PALETTE[(i * stride + picks[t + 1]) % 16]).collect();
+                fields.insert(name.to_string(), field);
+                values.push(b.input(name));
+            }
+            values.push(b.constant(PALETTE[picks[3]]));
+            values.push(b.constant(PALETTE[picks[4]]));
+            for (op, i, j) in nodes {
+                let (x, y) = (values[i % values.len()], values[j % values.len()]);
+                values.push(match op {
+                    0 => b.binary(BinKind::Sub, x, y),
+                    1 => b.binary(BinKind::Mul, x, y),
+                    2 => b.binary(BinKind::Mul, x, x),
+                    3 => b.unary(UnKind::Neg, x),
+                    4 => b.unary(UnKind::Abs, x),
+                    5 => b.unary(UnKind::Sqrt, x),
+                    _ => b.binary(BinKind::Add, x, y),
+                });
+            }
+            let roots: Vec<NodeId> = roots.iter().map(|r| values[r % values.len()]).collect();
+            let spec = b.finish(roots[0]);
+            check_on(&spec, &roots, n, &fields);
+            dfg_exec::with_serial(|| check_on(&spec, &roots, n, &fields));
+        }
     }
 }
 
