@@ -1204,11 +1204,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let counters = server
         .join()
         .map_err(|_| "server thread panicked".to_string())?;
-    println!(
+    println!("{}", serve_exit_line(&counters));
+    Ok(())
+}
+
+/// The line `dfgc serve` prints when the server stops.
+fn serve_exit_line(counters: &dfg_serve::ServerCounters) -> String {
+    format!(
         "served {} requests: {} ok ({} coalesced, {} degraded), \
          {} overloaded, {} over quota, {} errors, {} malformed, \
          {} too large, {} past deadline, {} cancelled, \
-         {} sessions evicted ({} idle, {} pressure)",
+         {} sessions evicted ({} idle, {} pressure), {} grid field sets evicted",
         counters.requests,
         counters.ok,
         counters.coalesced,
@@ -1223,8 +1229,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         counters.evicted_idle + counters.evicted_pressure,
         counters.evicted_idle,
         counters.evicted_pressure,
-    );
-    Ok(())
+        counters.evicted_fields,
+    )
 }
 
 /// `dfgc bench-clients`: drive a running server with N tenant threads ×
@@ -1786,6 +1792,21 @@ mod tests {
         client.shutdown().unwrap();
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_exit_line_names_every_eviction() {
+        let counters = dfg_serve::ServerCounters {
+            evicted_idle: 1,
+            evicted_pressure: 2,
+            evicted_fields: 5,
+            ..Default::default()
+        };
+        let line = serve_exit_line(&counters);
+        assert!(
+            line.ends_with("3 sessions evicted (1 idle, 2 pressure), 5 grid field sets evicted"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! (*"it implements the decomposition primitive using a kernel to move
 //! intermediate results on the OpenCL target device"*), constants are
 //! materialized by a device fill kernel, and buffers are released the moment
-//! their reference count drops to zero.
+//! their reference count drops to zero. An element-wise kernel whose operand
+//! dies with it computes into that operand's storage
+//! ([`Context::launch_then_release`]); the modeled buffers, bytes and events
+//! are the paper's either way.
 
 use std::collections::HashMap;
 
@@ -61,20 +64,18 @@ pub(crate) fn run_staged(
                 let prim = Primitive::from_filter_op(op).expect("compute op or const");
                 let out = ctx.create_buffer(lanes_for(op.width(), n))?;
                 let inputs: Vec<BufferId> = node.inputs.iter().map(|i| dev[i]).collect();
-                {
-                    let _kernel = dfg_trace::span!(tracer, "staged.kernel", kernel = prim.name());
-                    ctx.launch(&prim, &inputs, out, n)?;
-                }
+                // Reference counting: the launch releases the buffers whose
+                // last consumer it is (session-resident inputs stay on the
+                // device), and may compute in place over one of them.
+                let dying: Vec<BufferId> = sched.free_after[step]
+                    .iter()
+                    .filter_map(|dead| dev.remove(dead))
+                    .filter(|&buf| !session.as_deref().is_some_and(|s| s.is_resident(buf)))
+                    .collect();
+                let kernel = dfg_trace::span!(tracer, "staged.kernel", kernel = prim.name());
+                let in_place = ctx.launch_then_release(&prim, &inputs, out, n, &dying)?;
+                drop(kernel.meta("in_place", in_place));
                 dev.insert(id, out);
-            }
-        }
-        // Reference counting: release buffers whose last consumer ran
-        // (session-resident inputs stay on the device).
-        for dead in &sched.free_after[step] {
-            if let Some(buf) = dev.remove(dead) {
-                if !session.as_deref().is_some_and(|s| s.is_resident(buf)) {
-                    ctx.release(buf)?;
-                }
             }
         }
     }

@@ -1116,6 +1116,38 @@ fn dims_disagreeing_with_the_grid_is_a_typed_error_before_any_device_work() {
     }
 }
 
+/// The in-place table of docs/PERFORMANCE.md (CI prints it with
+/// `--nocapture`): per paper expression, the staged launches and how many of
+/// them compute into the storage of an operand that dies with them, read
+/// from the `in_place` flag of each `staged.kernel` span.
+#[test]
+fn staged_in_place_table() {
+    use dfg_trace::{MetaValue, Tracer};
+    let fields = small_rt_fields([6, 5, 4]);
+    println!("| expression | staged launches | launches in place |");
+    println!("|---|---|---|");
+    let names = ["vel_mag", "vort_mag", "q_crit"];
+    let rows = Workload::ALL.map(|workload| {
+        let name = names[workload as usize];
+        let mut engine = cpu_engine();
+        engine.set_tracer(Tracer::new());
+        let report = engine
+            .derive(workload.source(), &fields, Strategy::Staged)
+            .unwrap();
+        let trace = report.trace.unwrap();
+        let flags: Vec<bool> = trace
+            .spans()
+            .iter()
+            .filter(|s| s.name == "staged.kernel")
+            .map(|s| s.meta_get("in_place") == Some(&MetaValue::Bool(true)))
+            .collect();
+        let in_place = flags.iter().filter(|&&f| f).count();
+        println!("| `{name}` | {} | {in_place} |", flags.len());
+        (flags.len(), in_place)
+    });
+    assert_eq!(rows, [(6, 3), (18, 9), (67, 45)]);
+}
+
 // ---------------------------------------------------------------------------
 // Persistent sessions: resident fields, kernel cache, buffer pooling.
 // ---------------------------------------------------------------------------
@@ -1691,4 +1723,309 @@ fn host_bytes_copied_is_the_download_except_when_streaming() {
         .profile;
     assert_eq!(modeled.host_bytes_copied, 0);
     assert_eq!(modeled.bytes(HostToDevice), 6 * 4 * n + 12);
+}
+
+// ---------------------------------------------------------------------------
+// Staged launches in place: an element-wise kernel takes the storage of an
+// operand that dies with it. Only storage moves, so everything the model
+// counts is unchanged, and nothing but a private, dying operand is written.
+// ---------------------------------------------------------------------------
+
+mod in_place {
+    use super::*;
+    use crate::recovery::Request;
+    use crate::{EngineError, ExecReport, Field, RecoveryPolicy};
+    use dfg_dataflow::{BinKind, NetworkBuilder, NetworkSpec, NodeId, Strategy, UnKind};
+    use dfg_ocl::{FaultKind, FaultPlan, OclError, VerifyPolicy};
+    use dfg_trace::{MetaValue, Tracer};
+    use proptest::prelude::*;
+
+    fn engine(mode: ExecMode) -> Engine {
+        let options = EngineOptions {
+            mode,
+            ..Default::default()
+        };
+        Engine::with_options(DeviceProfile::intel_x5660(), options)
+    }
+
+    /// `roots` of `spec` on a fresh one-shot context, with no optimizer:
+    /// the fields, the report, and the bytes the run left in use.
+    fn one_shot(
+        engine: &Engine,
+        spec: &NetworkSpec,
+        roots: &[NodeId],
+        fields: &FieldSet,
+        strategy: Strategy,
+    ) -> (Vec<Field>, ExecReport, u64) {
+        let mut ctx = engine.traced_context();
+        let request = Request::Strategy(strategy);
+        let (out, report) = engine
+            .execute(spec, roots, fields, request, &mut ctx, None)
+            .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+        (out, report, ctx.in_use_bytes())
+    }
+
+    /// Bit for bit, except that a NaN matches any NaN: which of two NaN
+    /// operands an instruction returns is the CPU's rule on the operand
+    /// order the compiler chose.
+    #[track_caller]
+    fn assert_same_values(want: &[Field], got: &[Field], what: &str) {
+        assert_eq!(want.len(), got.len(), "{what}: roots");
+        for (root, (a, b)) in want.iter().zip(got).enumerate() {
+            let differ = (a.data.iter().zip(&b.data))
+                .position(|(x, y)| x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()));
+            assert_eq!(differ, None, "{what}: root {root} differs from roundtrip");
+        }
+    }
+
+    /// Staged one-shot and staged in a pooled session over three cycles,
+    /// each in Real and Model mode: the bits equal roundtrip's (which never
+    /// computes in place), Real events equal Model events, `in_use` returns
+    /// to its baseline and the pool hits equal the Model run's — a Model
+    /// context has no storage to donate. Returns the one-shot run's
+    /// launches in place.
+    fn check(spec: &NetworkSpec, roots: &[NodeId], real: &FieldSet, model: &FieldSet) -> usize {
+        let (want, ..) = one_shot(
+            &engine(ExecMode::Real),
+            spec,
+            roots,
+            real,
+            Strategy::Roundtrip,
+        );
+        let mut traced = engine(ExecMode::Real);
+        traced.set_tracer(Tracer::new());
+        let (got, r, in_use) = one_shot(&traced, spec, roots, real, Strategy::Staged);
+        let (_, m, _) = one_shot(
+            &engine(ExecMode::Model),
+            spec,
+            roots,
+            model,
+            Strategy::Staged,
+        );
+        assert_same_values(&want, &got, "one-shot");
+        assert_same_accounting(&r, &m, "one-shot");
+        assert_eq!(in_use, 0, "one-shot");
+        let (mut real_engine, mut model_engine) = (engine(ExecMode::Real), engine(ExecMode::Model));
+        let (mut sr, mut sm) = (real_engine.session(), model_engine.session());
+        for cycle in 0..3 {
+            let what = format!("session cycle {cycle}");
+            let (got, r) = sr
+                .derive_network(spec, roots, real, Strategy::Staged)
+                .unwrap();
+            let (_, m) = sm
+                .derive_network(spec, roots, model, Strategy::Staged)
+                .unwrap();
+            assert_same_values(&want, &got, &what);
+            assert_same_accounting(&r, &m, &what);
+            assert_eq!(sr.context().in_use_bytes(), sr.resident_bytes(), "{what}");
+            assert_eq!(sr.pool_hits(), sm.pool_hits(), "{what}: pool hits");
+        }
+        let trace = traced.tracer().unwrap().snapshot();
+        let in_place = Some(&MetaValue::Bool(true));
+        (trace.spans().iter())
+            .filter(|s| s.name == "staged.kernel" && s.meta_get("in_place") == in_place)
+            .count()
+    }
+
+    /// Values on which a changed operand, order or sign shows.
+    const PALETTE: [f32; 16] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1.0e-40,
+        -3.0e-42,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        1.0,
+        -1.0,
+        0.5,
+        -2.5,
+        3.0e-20,
+        -7.0e19,
+        16_777_217.0,
+    ];
+
+    /// Inputs `a`, `b`, `c` of `n` cells drawn from [`PALETTE`] with the
+    /// strides and offsets in `picks`, real and virtual.
+    fn inputs(n: usize, picks: &[usize]) -> (FieldSet, FieldSet) {
+        let (mut real, mut model) = (FieldSet::new(n), FieldSet::new(n));
+        for (t, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let stride = 2 * picks[t] + 1;
+            let lanes = (0..n).map(|i| PALETTE[(i * stride + picks[t + 1]) % 16]);
+            real.insert_scalar(name, lanes.collect()).unwrap();
+            model.insert_virtual_scalar(name);
+        }
+        (real, model)
+    }
+
+    /// The hazards of computing in place, one network: `t*t` and `t-t` on a
+    /// dying `t`, a donor on the right of `Sub`, `Div` and `Pow`, a root
+    /// that a later launch reads, a bare input as an operand and as a root.
+    #[test]
+    fn in_place_hazards_match_roundtrip() {
+        let mut b = NetworkBuilder::new();
+        let (x, y, z) = (b.input("a"), b.input("b"), b.input("c"));
+        let t = b.binary(BinKind::Add, x, y);
+        let tt = b.binary(BinKind::Mul, t, t);
+        let s = b.binary(BinKind::Mul, x, z);
+        let ss = b.binary(BinKind::Sub, s, s);
+        let d = b.binary(BinKind::Div, z, tt);
+        let p = b.binary(BinKind::Pow, y, d);
+        let q = b.binary(BinKind::Sub, x, p);
+        let r = b.binary(BinKind::Atan2, ss, q);
+        let root = b.unary(UnKind::Abs, r);
+        let spec = b.finish(root);
+        let (real, model) = inputs(4099, &[3, 1, 4, 1]);
+        for roots in [vec![root], vec![q, root, x], vec![d, ss, root, y]] {
+            assert!(check(&spec, &roots, &real, &model) >= 4, "{roots:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random element-wise DAGs over every `BinKind` and `UnKind`, with
+        /// shared subexpressions, `x op x`, several roots (some read later,
+        /// some bare inputs) and a constant, over signed zeros, infinities,
+        /// NaN and subnormals: see [`check`].
+        #[test]
+        fn random_elementwise_dags_in_place_match_roundtrip(
+            nodes in prop::collection::vec((0usize..25, 0usize..1000, 0usize..1000, 0u8..4), 1..14),
+            roots in prop::collection::vec(0usize..1000, 1..4),
+            picks in prop::collection::vec(0usize..16, 5..6),
+            n in 1usize..3000,
+        ) {
+            let mut b = NetworkBuilder::new();
+            let mut values = vec![b.input("a"), b.input("b"), b.input("c")];
+            values.push(b.constant(PALETTE[picks[4]]));
+            for (op, i, j, pair) in nodes {
+                // One node in four reads one value twice (`t*t`, `t-t`).
+                let x = values[i % values.len()];
+                let y = if pair == 0 { x } else { values[j % values.len()] };
+                values.push(match BinKind::ALL.get(op) {
+                    Some(&kind) => b.binary(kind, x, y),
+                    None => b.unary(UnKind::ALL[op - BinKind::ALL.len()], x),
+                });
+            }
+            let roots: Vec<NodeId> = roots.iter().map(|r| values[r % values.len()]).collect();
+            let spec = b.finish(roots[0]);
+            let (real, model) = inputs(n, &picks);
+            check(&spec, &roots, &real, &model);
+        }
+    }
+
+    /// A resident is the session's, not the launch's. A flip and its undo
+    /// give each resident private storage with its checksum intact — the
+    /// state a `mem_flip` leaves — and still no launch takes it: the next
+    /// three cycles skip every upload and verify clean under
+    /// `verify=residents`.
+    #[test]
+    fn a_session_resident_is_never_donated() {
+        let src = "r = u*u + v";
+        let fields = small_rt_fields([5, 4, 3]);
+        let mut engine = Engine::with_options(
+            DeviceProfile::intel_x5660(),
+            EngineOptions {
+                verify: VerifyPolicy::Residents,
+                ..Default::default()
+            },
+        );
+        let mut session = engine.session();
+        let first = session.derive(src, &fields, Strategy::Staged).unwrap();
+        let residents: Vec<_> = session.state.resident.values().map(|r| r.buf).collect();
+        assert_eq!(residents.len(), 2);
+        for &buf in &residents {
+            session.context_mut().debug_flip_bit(buf, 0, 0);
+            session.context_mut().debug_flip_bit(buf, 0, 0);
+        }
+        let skipped = session.stats().uploads_skipped;
+        for cycle in 0..3 {
+            let again = session.derive(src, &fields, Strategy::Staged).unwrap();
+            assert_bits_eq(
+                &first.field.as_ref().unwrap().data,
+                &again.field.unwrap().data,
+                &format!("cycle {cycle}"),
+            );
+        }
+        assert_eq!(session.stats().uploads_skipped, skipped + 3 * 2);
+        assert_eq!(session.stats().integrity_healed, 0);
+        for &buf in &residents {
+            session.context_mut().verify_buffer(buf).unwrap();
+        }
+        assert_eq!(session.context().integrity_stats().violations, 0);
+    }
+
+    /// `r = u*u + u`: the add computes into `t = u*u`, which dies with it,
+    /// beside `u`, an adopted array that dies too. A `mem_flip` before the
+    /// add under `verify=full` lands on the donor for some seeds and on the
+    /// bystander for others; either way it is detected, and recovery gives
+    /// the clean run's bits.
+    #[test]
+    fn mem_flip_on_a_donor_or_a_bystander_is_detected_and_healed() {
+        let src = "r = u*u + u";
+        let fields = small_rt_fields([5, 4, 3]);
+        let clean = cpu_engine().derive(src, &fields, Strategy::Staged).unwrap();
+        let flipped = |seed: u64, recovery: RecoveryPolicy| {
+            let mut engine = Engine::with_options(
+                DeviceProfile::intel_x5660(),
+                EngineOptions {
+                    verify: VerifyPolicy::Full,
+                    recovery,
+                    ..Default::default()
+                },
+            );
+            let plan = FaultPlan::with_seed(seed);
+            plan.fail_nth_from_now(FaultKind::MemFlip, 2, 1);
+            engine.set_fault_plan(plan);
+            engine.derive(src, &fields, Strategy::Staged)
+        };
+        let mut victims = std::collections::BTreeSet::new();
+        for seed in 0..32 {
+            // Without recovery the violation names the flipped buffer.
+            match flipped(seed, RecoveryPolicy::disabled()) {
+                Err(EngineError::Ocl(OclError::IntegrityViolation { buffer, .. })) => {
+                    victims.insert(buffer);
+                }
+                other => panic!("seed {seed}: expected a detected flip, got {other:?}"),
+            }
+            let healed = flipped(seed, RecoveryPolicy::resilient()).unwrap();
+            assert_eq!(healed.integrity.violations, 1, "seed {seed}");
+            assert_bits_eq(
+                &clean.field.as_ref().unwrap().data,
+                &healed.field.unwrap().data,
+                &format!("seed {seed}"),
+            );
+        }
+        assert_eq!(
+            victims.len(),
+            2,
+            "the donor and the bystander were both hit"
+        );
+    }
+
+    /// Poisoned releases (`DFG_POOL_POISON=1`) include the storage a donor
+    /// gets in exchange: a staged session's bits do not change.
+    #[test]
+    fn pool_poison_leaves_a_staged_session_bit_identical() {
+        let src = Workload::QCriterion.source();
+        let fields = small_rt_fields([6, 5, 4]);
+        let run = |poison: bool| {
+            let mut engine = cpu_engine();
+            let mut session = engine.session();
+            session.context_mut().debug_set_poison(poison);
+            let cycles: Vec<Vec<f32>> = (0..3)
+                .map(|_| {
+                    let report = session.derive(src, &fields, Strategy::Staged).unwrap();
+                    report.field.unwrap().data
+                })
+                .collect();
+            assert!(session.pool_hits() > 0);
+            cycles
+        };
+        for (cycle, (plain, poisoned)) in run(false).iter().zip(&run(true)).enumerate() {
+            assert_bits_eq(plain, poisoned, &format!("cycle {cycle}"));
+        }
+    }
 }

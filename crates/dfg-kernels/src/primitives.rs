@@ -206,6 +206,10 @@ impl DeviceKernel for Primitive {
         }
     }
 
+    fn in_place(&self) -> bool {
+        matches!(self, Primitive::Bin(_) | Primitive::Un(_))
+    }
+
     fn run(&self, args: KernelArgs<'_>) {
         let n = args.n;
         // Scale the chunk size to the live thread count (`DFG_NUM_THREADS`
@@ -213,6 +217,10 @@ impl DeviceKernel for Primitive {
         // Every arm is element-wise, so results are bit-identical for every
         // thread count.
         let chunk = dfg_exec::effective_chunk(n, PAR_CHUNK);
+        // An operand whose storage this launch took (`in_place`) is `None`.
+        let operands: Vec<Option<&[f32]>> =
+            (0..args.inputs.len()).map(|i| args.operand(i)).collect();
+        let operand = |i: usize, at: usize| operands[i].map(|v| &v[at..]);
         // `body(at, out)`: one task's `lanes`-wide output cells, the first
         // of which is cell `at`.
         let mut tasks = |lanes: usize, body: &(dyn Fn(usize, &mut [f32]) + Sync)| {
@@ -224,9 +232,9 @@ impl DeviceKernel for Primitive {
         let input = |i: usize| args.inputs[i];
         match *self {
             Primitive::Bin(k) => tasks(1, &|at, out| {
-                k.apply(out, &input(0)[at..], &input(1)[at..]);
+                k.apply_in_place(out, operand(0, at), operand(1, at));
             }),
-            Primitive::Un(k) => tasks(1, &|at, out| k.apply(out, &input(0)[at..])),
+            Primitive::Un(k) => tasks(1, &|at, out| k.apply_in_place(out, operand(0, at))),
             Primitive::Select => tasks(1, &|at, out| {
                 let len = out.len();
                 let (c, a, b) = (

@@ -112,12 +112,25 @@ pub struct KernelCost {
 
 /// Arguments passed to a kernel's real execution.
 pub struct KernelArgs<'a> {
-    /// Input buffers, in the kernel's declared order.
+    /// Input buffers, in the kernel's declared order; an input the launch
+    /// computes in place over is an empty view (see [`KernelArgs::operand`]).
     pub inputs: &'a [&'a [f32]],
-    /// The output buffer.
+    /// The output buffer. Its contents on entry are unspecified, unless an
+    /// input is computed in place over it.
     pub output: &'a mut [f32],
     /// Number of mesh elements in this launch (one work-item per element).
     pub n: usize,
+}
+
+impl<'a> KernelArgs<'a> {
+    /// Input `i`'s lanes, or `None` when input `i` *is* the output: the
+    /// launch took that operand's storage (only ever for a kernel whose
+    /// [`DeviceKernel::in_place`] is true), so its lanes are `output`'s on
+    /// entry and lane `t` may be read only before lane `t` is written.
+    pub fn operand(&self, i: usize) -> Option<&'a [f32]> {
+        let view = self.inputs[i];
+        (!view.is_empty()).then_some(view)
+    }
 }
 
 /// A compiled device kernel: the analogue of a `cl_kernel`.
@@ -134,6 +147,12 @@ pub trait DeviceKernel: Sync {
     fn cost(&self, n: usize) -> KernelCost;
     /// Execute the kernel body.
     fn run(&self, args: KernelArgs<'_>);
+    /// Whether output lane `t` reads no input lane but `t`, so
+    /// [`Context::launch_then_release`] may give the kernel an input's
+    /// storage as its output; such a kernel must read [`KernelArgs::operand`].
+    fn in_place(&self) -> bool {
+        false
+    }
 }
 
 /// Guard lanes placed on each side of a slot's payload. The guards carry a
@@ -1014,12 +1033,12 @@ impl Context {
     /// Launch a kernel over `n` elements on `queue`, ordered after `deps`.
     ///
     /// In real mode the kernel body executes on the host's cores at enqueue
-    /// time; in model mode only the cost model runs. The modeled execution
-    /// interval is placed after the queue's prior work and every
-    /// dependency. The output buffer must not alias any input. The caller
-    /// is responsible for passing the tokens of the uploads/downloads the
-    /// launch actually depends on — exactly the discipline real
-    /// out-of-order queues require.
+    /// time, into the output's own storage; in model mode only the cost
+    /// model runs. The modeled execution interval is placed after the
+    /// queue's prior work and every dependency. The output buffer must not
+    /// alias any input. The caller is responsible for passing the tokens of
+    /// the uploads/downloads the launch actually depends on — exactly the
+    /// discipline real out-of-order queues require.
     pub fn launch_q(
         &mut self,
         queue: QueueId,
@@ -1029,13 +1048,54 @@ impl Context {
         n: usize,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
+        self.launch_body(queue, kernel, inputs, output, n, deps, &[])
+            .map(|(token, _)| token)
+    }
+
+    /// [`Context::launch`], then [`Context::release`] of every buffer in
+    /// `dying` (the operands this launch reads last), in order; a failed
+    /// launch releases nothing. Returns whether the kernel ran in place:
+    /// an [`in_place`](DeviceKernel::in_place) kernel computes into the
+    /// storage of a dying input that is private (never an adopted host
+    /// array) and as wide as the output, whose own storage (pooled, or none
+    /// yet) goes to that input instead. Only storage moves, so `in_use`, the
+    /// high-water mark, pool counters and every event are unchanged.
+    pub fn launch_then_release(
+        &mut self,
+        kernel: &dyn DeviceKernel,
+        inputs: &[BufferId],
+        output: BufferId,
+        n: usize,
+        dying: &[BufferId],
+    ) -> Result<bool, OclError> {
+        let (_, in_place) =
+            self.launch_body(QueueId::DEFAULT, kernel, inputs, output, n, &[], dying)?;
+        for &id in dying {
+            self.release(id)?;
+        }
+        Ok(in_place)
+    }
+
+    /// The one launch body: checks, fault draws, verification, the kernel
+    /// (in place over a `dying` input where it may) and the event.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_body(
+        &mut self,
+        queue: QueueId,
+        kernel: &dyn DeviceKernel,
+        inputs: &[BufferId],
+        output: BufferId,
+        n: usize,
+        deps: &[EventToken],
+        dying: &[BufferId],
+    ) -> Result<(EventToken, bool), OclError> {
         if inputs.contains(&output) {
             return Err(OclError::OutputAliasesInput {
                 kernel: kernel.name(),
             });
         }
         // Validate all ids up front.
-        for &id in inputs {
+        for &id in inputs.iter().chain(dying) {
             self.slot(id)?;
         }
         self.slot(output)?;
@@ -1062,6 +1122,16 @@ impl Context {
             }
         }
 
+        // The dying operand an in-place launch computes into, if any (see
+        // `launch_then_release`); a Model slot has no storage to give.
+        let out_lanes = self.slot(output)?.lanes;
+        let donor = dying.iter().copied().find(|&id| {
+            let slot = self.slots[id.0].as_ref().expect("validated");
+            kernel.in_place()
+                && inputs.contains(&id)
+                && slot.lanes == out_lanes
+                && matches!(slot.data, Some(Storage::Owned(_)))
+        });
         if self.mode == ExecMode::Real {
             // Never-written inputs must read as zeros inside the kernel too,
             // so materialize them first (pooled storage may be stale).
@@ -1073,13 +1143,22 @@ impl Context {
                     slot.learn_sum(full);
                 }
             }
+            // In place, the output and the donor first trade storage: the
+            // kernel writes over the donor's lanes, and the donor leaves
+            // with the output's (pooled, or none yet).
+            if let Some(donor) = donor {
+                let Ok([Some(out), Some(donor)]) = self.slots.get_disjoint_mut([output.0, donor.0])
+                else {
+                    unreachable!("the output and its donor are distinct live slots");
+                };
+                std::mem::swap(&mut out.data, &mut donor.data);
+            }
             // Temporarily take the output storage to satisfy the borrow
             // checker, then gather immutable input views. The output's prior
             // contents are unspecified (as in OpenCL): lanes the kernel does
             // not write keep whatever the storage held, so pooled reuse
             // never pays a zero-fill here.
             let out_slot = self.slots[output.0].as_mut().expect("validated");
-            let out_lanes = out_slot.lanes;
             let mut out_data = out_slot
                 .owned_mut()
                 .map(std::mem::take)
@@ -1088,6 +1167,9 @@ impl Context {
                 let input_views: Vec<&[f32]> = inputs
                     .iter()
                     .map(|&id| {
+                        if Some(id) == donor {
+                            return &[][..];
+                        }
                         self.slots[id.0]
                             .as_ref()
                             .expect("validated")
@@ -1113,14 +1195,15 @@ impl Context {
         let seconds = self
             .profile
             .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-        Ok(self.record(
+        let token = self.record(
             queue,
             EventKind::KernelExec,
             &kernel.name(),
             cost.bytes_read + cost.bytes_written,
             seconds,
             deps,
-        ))
+        );
+        Ok((token, donor.is_some()))
     }
 
     /// Flip one seeded bit in one of `candidates` that has materialized,
@@ -2373,5 +2456,150 @@ mod integrity_tests {
                 .collect()
         };
         assert_eq!(run(false), run(true));
+    }
+}
+
+#[cfg(test)]
+mod in_place_tests {
+    use super::tests::{both_modes, ctx, shared_src, src, Double};
+    use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
+    use std::cell::RefCell;
+
+    /// An element-wise binary kernel that honours in-place launches.
+    struct Ew(fn(f32, f32) -> f32);
+
+    impl DeviceKernel for Ew {
+        fn name(&self) -> String {
+            "ew".into()
+        }
+        fn cost(&self, n: usize) -> KernelCost {
+            KernelCost {
+                bytes_read: 8 * n as u64,
+                bytes_written: 4 * n as u64,
+                flops: n as u64,
+            }
+        }
+        fn in_place(&self) -> bool {
+            true
+        }
+        fn run(&self, args: KernelArgs<'_>) {
+            let (a, b) = (args.operand(0), args.operand(1));
+            for (t, o) in args.output[..args.n].iter_mut().enumerate() {
+                *o = (self.0)(a.map_or(*o, |a| a[t]), b.map_or(*o, |b| b[t]));
+            }
+        }
+    }
+
+    const MUL: Ew = Ew(|a, b| a * b);
+    const ADD: Ew = Ew(|a, b| a + b);
+    const SUB: Ew = Ew(|a, b| a - b);
+
+    /// `r = u*u + u` with `u` an adopted host array, then `(v - r) - (v - r)`
+    /// style steps with a copied `v`: donors on the left, on the right and on
+    /// both sides; an adopted operand dying beside a donor. Real and Model
+    /// record the same events, clocks, high-water mark and fault draws (the
+    /// harness) and the same pool counters, with pooling off and on; only
+    /// the Real run ever computes in place, and never over `u`'s array.
+    #[test]
+    fn donation_moves_storage_and_nothing_the_model_counts() {
+        let n = 37;
+        let host = SharedArray::from((0..n).map(|i| i as f32 - 5.5).collect::<Vec<_>>());
+        let before: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
+        let v: Vec<f32> = (0..n).map(|i| 0.25 * i as f32).collect();
+        for pooling in [false, true] {
+            let seen = RefCell::new(Vec::new());
+            both_modes(|c, bytes| {
+                c.set_pooling(pooling);
+                let (a, b) = (c.create_buffer(n).unwrap(), c.create_buffer(n).unwrap());
+                c.enqueue_write_q(QueueId::DEFAULT, a, shared_src(bytes, &host), &[])
+                    .unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, b, src(bytes, &v), &[])
+                    .unwrap();
+                let t = c.create_buffer(n).unwrap();
+                c.launch(&MUL, &[a, a], t, n).unwrap();
+                let mut flags = Vec::new();
+                let mut step = |c: &mut Context, k: &Ew, inputs: &[BufferId], dying: &[_]| {
+                    let out = c.create_buffer(n).unwrap();
+                    flags.push(c.launch_then_release(k, inputs, out, n, dying).unwrap());
+                    out
+                };
+                let r = step(c, &ADD, &[t, a], &[t, a]); // t donates, u's array never
+                let s = step(c, &SUB, &[b, r], &[r]); // a donor on the right
+                let d = step(c, &SUB, &[s, s], &[s]); // t - t on a dying t
+                let q = step(c, &SUB, &[d, b], &[d, b]); // donor on the left
+                if bytes {
+                    let want: Vec<u32> = (0..n)
+                        .map(|i| {
+                            let u = host[i];
+                            let s = v[i] - (u * u + u);
+                            ((s - s) - v[i]).to_bits()
+                        })
+                        .collect();
+                    let got: Vec<u32> = c.peek(q).unwrap().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want);
+                }
+                c.release(q).unwrap();
+                assert_eq!(c.in_use_bytes(), 0);
+                let counters = (c.pool_hits(), c.pooled_bytes());
+                seen.borrow_mut().push((bytes, flags, counters));
+            });
+            let seen = seen.into_inner();
+            let (real, model) = (&seen[0], &seen[1]);
+            assert_eq!(real.1, [true; 4], "pooling {pooling}: real donates");
+            assert_eq!(model.1, [false; 4], "a model context has no storage");
+            assert_eq!(real.2, model.2, "pooling {pooling}: pool counters");
+        }
+        let mut host = host;
+        assert!(host.get_mut().is_some(), "every slot let go of u's array");
+        let after: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(after, before, "u's array is bit-identical");
+    }
+
+    /// A kernel that does not declare itself in place, an operand narrower
+    /// than the output, a dying buffer that is no operand and an adopted
+    /// array are all released without donating; a failed launch releases
+    /// nothing, and its dying operand is still intact for the retry.
+    #[test]
+    fn donation_only_where_the_contract_allows_and_never_on_failure() {
+        let mut c = ctx();
+        let a = c.create_buffer(8).unwrap();
+        c.enqueue_write(a, &[3.0; 8]).unwrap();
+        let out = c.create_buffer(8).unwrap();
+        assert!(!c.launch_then_release(&Double, &[a], out, 8, &[a]).unwrap());
+        assert_eq!(c.peek(out).unwrap(), vec![6.0; 8]);
+
+        let (narrow, other) = (c.create_buffer(4).unwrap(), c.create_buffer(8).unwrap());
+        c.enqueue_write(narrow, &[1.0; 4]).unwrap();
+        c.enqueue_write(other, &[1.0; 8]).unwrap();
+        let wide = c.create_buffer(8).unwrap();
+        let dying = [narrow, other];
+        assert!(!c
+            .launch_then_release(&ADD, &[narrow, narrow], wide, 4, &dying)
+            .unwrap());
+
+        let host = SharedArray::from(vec![2.0f32; 8]);
+        let adopted = c.create_buffer(8).unwrap();
+        c.enqueue_write_q(QueueId::DEFAULT, adopted, (&host).into(), &[])
+            .unwrap();
+        let sum = c.create_buffer(8).unwrap();
+        assert!(!c
+            .launch_then_release(&ADD, &[adopted, out], sum, 8, &[adopted])
+            .unwrap());
+        assert_eq!(c.peek(sum).unwrap(), vec![8.0; 8]);
+
+        let plan = FaultPlan::with_seed(0);
+        plan.fail_nth_from_now(FaultKind::Launch, 1, 1);
+        c.set_fault_plan(plan);
+        let in_use = c.in_use_bytes();
+        let next = c.create_buffer(8).unwrap();
+        let err = c.launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum]);
+        assert!(matches!(err, Err(OclError::LaunchFailed { .. })));
+        assert_eq!(c.in_use_bytes(), in_use + 32, "nothing released");
+        assert_eq!(c.peek(out).unwrap(), vec![6.0; 8], "the donor is intact");
+        assert!(c
+            .launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum])
+            .unwrap());
+        assert_eq!(c.peek(next).unwrap(), vec![14.0; 8]);
     }
 }

@@ -18,11 +18,14 @@
 # Prints, per workload and end-to-end metric: both medians, both quartile
 # pairs, change ÷ parent, how many pairs the change won (ties count for
 # neither side) and whether the medians are further apart than the parent's
-# interquartile distance; then `perf compare` on the two sets of medians,
-# which holds every metric against its bound. Every run made is listed.
+# interquartile distance; then the same per arm, from the arm medians in
+# each run's `--out` document (`timings`), so a change in `arms_ms` is
+# attributed to its arm without a traced run; then `perf compare` on the
+# two sets of medians, which holds every metric against its bound. Every
+# run made is listed.
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
 pairs=${3:-10}
 shift $(($# < 3 ? $# : 3))
@@ -47,10 +50,11 @@ for dir in "$parent" "$change"; do
     (cd "$dir" && "${cmd[@]}" contract >/dev/null)
 done
 
-run() { # side dir pair workload: the last stdout line is the result document
+run() { # side dir pair workload: the last stdout line is the result; --out keeps the timings
     local side=$1 dir=$2 pair=$3 workload=$4
     (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>/dev/null || true) |
+        --seconds "$seconds" --trace 0 --out "$out/$side.$workload.$pair.doc.json" \
+        2>/dev/null || true) |
         tail -n 1 >"$out/$side.$workload.$pair.json"
 }
 
@@ -116,6 +120,37 @@ for workload in workloads:
         print(f"{'':<14} {'':<13} change {' '.join(f'{x:.4g}' for x in b)}")
     print(f"{workload:<14} runs with a failed op or no result: "
           f"parent {failed['parent']}/{pairs}, change {failed['change']}/{pairs}")
+
+def timings(side, workload, pair):
+    try:
+        doc = json.loads(open(f"{out}/{side}.{workload}.{pair}.doc.json").read())
+        return doc["runs"][0]["timings"] or {}
+    except (OSError, ValueError, KeyError, IndexError):
+        return {}
+
+# Per arm: each run's arm median (ms, at the nominal machine speed), taken
+# over the pairs where both sides have one — the parts `arms_ms` sums.
+print()
+print(f"{'workload':<14} {'arm':<13} {'parent med':>11} {'[p25, p75]':>21} "
+      f"{'change med':>11} {'[p25, p75]':>21} {'chg/par':>8} {'won':>6}  apart > parent IQR")
+for workload in workloads:
+    runs = [(timings("parent", workload, p), timings("change", workload, p))
+            for p in range(1, pairs + 1)]
+    arms = dict.fromkeys(k for run in runs for side in run for k in side
+                         if k not in ("setup_s", "calib_ms", "sweep_ms"))
+    for arm in arms:
+        both = [(a[arm]["median"], b[arm]["median"]) for a, b in runs if arm in a and arm in b]
+        if not both:
+            continue
+        a, b = [x for x, _ in both], [y for _, y in both]
+        ma, mb = statistics.median(a), statistics.median(b)
+        (a25, a75), (b25, b75) = quartiles(a), quartiles(b)
+        won = sum(1 for x, y in both if y < x)
+        lost = sum(1 for x, y in both if y > x)
+        apart = "yes" if abs(ma - mb) > a75 - a25 else "no"
+        print(f"{workload:<14} {arm:<13} {ma:>11.4f} {f'[{a25:.4f}, {a75:.4f}]':>21} "
+              f"{mb:>11.4f} {f'[{b25:.4f}, {b75:.4f}]':>21} {mb / ma:>8.4f} "
+              f"{f'{won}/{won + lost}':>6}  {apart}")
 
 for side, by_workload in medians.items():
     doc = {"runs": [{"workload": w, "trace": 0,
