@@ -8,11 +8,11 @@
 //! typed-failure counters. Every surviving reply is asserted bit-identical
 //! to the fault-free run — chaos may cost throughput, never correctness.
 //!
-//! Writes `BENCH_chaos.json`. Unlike the other `BENCH_*.json` files it is
-//! not a golden file CI diffs: which request a fault lands on depends on
-//! how the tenants' socket operations interleave, so the `ok`/`dropped`
-//! counts at non-zero rates move from run to run. Request latency under
-//! load is `bench/`'s `serve_small` workload.
+//! Writes `BENCH_chaos.json`, a run artifact that is not committed (it is
+//! gitignored): which request a fault lands on depends on how the tenants'
+//! socket operations interleave, so the `ok`/`dropped` counts at non-zero
+//! rates move from run to run. Request latency under load is `bench/`'s
+//! `serve_small` workload.
 
 use std::time::Duration;
 

@@ -1,13 +1,12 @@
-//! Extension experiment: the overlapped out-of-core streaming pipeline.
+//! Extension experiment: the double-buffered out-of-core streaming pipeline.
 //!
 //! Three questions the multi-queue slab pipeline must answer with numbers
 //! (all on the modeled virtual clock, so results are machine-independent):
 //!
-//! 1. **Does overlap pay?** — sweep the slab size (`SlabPolicy::FixedLayers`)
-//!    at overlap depths 1 (strictly serial), 2 and 3, and compare the
-//!    pipeline *makespan* (wall span of the three queues) against the
-//!    depth-1 serial baseline. On transfer-bound slab sizes the overlapped
-//!    makespan must be strictly below the serial one.
+//! 1. **Does overlap pay?** — sweep the slab size through the device budget
+//!    and compare the pipeline *makespan* (wall span of the three queues)
+//!    against the serial baseline, the run's summed device seconds. On
+//!    transfer-bound slab sizes the makespan must be strictly below it.
 //! 2. **Headline out-of-core run** — a 3072^3 grid (~116 GB per field)
 //!    streamed through a modeled 3 GB GPU: completes, stays under budget,
 //!    and hides transfer time behind compute.
@@ -15,10 +14,9 @@
 //!    still completes under streaming (folded in from the retired
 //!    `streaming` bin), now through the overlapped pipeline.
 //!
-//! A small real-mode parity guard re-checks that depth does not change a
-//! single output bit. Writes `BENCH_stream.json`.
+//! Writes `BENCH_stream.json`.
 
-use dfg_core::{Engine, EngineOptions, SlabPolicy, Strategy, StreamOptions, Workload};
+use dfg_core::{Engine, EngineOptions, Workload};
 use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 
 /// Grid for the slab-size sweep: the largest Table I mesh, which fusion
@@ -26,7 +24,11 @@ use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 const SWEEP_DIMS: [usize; 3] = [192, 192, 3072];
 /// Interior layers per slab for the sweep.
 const SLAB_LAYERS: [usize; 5] = [8, 16, 32, 64, 128];
-const DEPTHS: [usize; 3] = [1, 2, 3];
+/// Device bytes of one Q-criterion slab layer of the sweep grid: six inputs
+/// (u, v, w, x, y, z) plus the output, 4 B each, per 192·192 cells.
+const LAYER_BYTES: u64 = 7 * 4 * 192 * 192;
+/// The `dims` header every ring slot holds: three f32.
+const DIMS_HEADER_BYTES: u64 = 3 * 4;
 
 /// Headline grid and device: 3072^3 cells through a 3 GB budget.
 const HEADLINE_DIMS: [usize; 3] = [3072, 3072, 3072];
@@ -44,12 +46,11 @@ struct Run {
     occupancy: Vec<f64>,
 }
 
-fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) -> Run {
+fn run_streamed(device: DeviceProfile, dims: [usize; 3], budget: Option<u64>) -> Run {
     let mut engine = Engine::with_options(
         device,
         EngineOptions {
             mode: ExecMode::Model,
-            stream,
             ..Default::default()
         },
     );
@@ -57,7 +58,7 @@ fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) 
         .derive_streamed(
             Workload::QCriterion.source(),
             &dfg_bench::virtual_fields(dims),
-            None,
+            budget,
         )
         .expect("streamed run completes");
     let p = &report.profile;
@@ -78,95 +79,45 @@ fn run_streamed(device: DeviceProfile, dims: [usize; 3], stream: StreamOptions) 
     }
 }
 
-/// Real-mode guard: the overlap depth must not change one output bit.
-fn parity_guard() {
-    let fields = dfg_bench::rt_fields([12, 10, 16]);
-    let budget = Some(14 * 4 * (12 * 10 * 9) as u64); // forces several slabs
-    let mut fusion_engine = Engine::new(DeviceProfile::intel_x5660());
-    let fused = fusion_engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
-        .expect("fusion")
-        .field
-        .expect("real mode");
-    for depth in DEPTHS {
-        let mut engine = Engine::with_options(
-            DeviceProfile::intel_x5660(),
-            EngineOptions {
-                stream: StreamOptions {
-                    overlap_depth: depth,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let streamed = engine
-            .derive_streamed(Workload::QCriterion.source(), &fields, budget)
-            .expect("streamed")
-            .field
-            .expect("real mode");
-        for (i, (a, b)) in fused.data.iter().zip(&streamed.data).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "depth {depth} diverges from fusion at cell {i}: {a} vs {b}"
-            );
-        }
-    }
-}
-
 fn main() {
     let gpu = DeviceProfile::nvidia_m2050();
-    parity_guard();
-    println!("overlap parity guard: depths 1-3 bit-identical to single-pass fusion");
-    println!();
 
-    // ---- Question 1: slab-size x depth sweep ------------------------------
+    // ---- Question 1: slab-size sweep --------------------------------------
     println!(
         "STREAM SWEEP: Q-criterion over {}x{}x{} on {} (modeled)",
         SWEEP_DIMS[0], SWEEP_DIMS[1], SWEEP_DIMS[2], gpu.name
     );
     println!(
-        "{:>7} {:>6} {:>7} {:>12} {:>12} {:>10} {:>8}",
-        "layers", "depth", "slabs", "makespan s", "serial s", "hidden s", "eff"
+        "{:>7} {:>7} {:>12} {:>12} {:>10} {:>8}",
+        "layers", "slabs", "makespan s", "serial s", "hidden s", "eff"
     );
     let mut sweep_rows = Vec::new();
     for layers in SLAB_LAYERS {
-        let mut serial_makespan = 0.0;
-        for depth in DEPTHS {
-            let run = run_streamed(
-                gpu.clone(),
-                SWEEP_DIMS,
-                StreamOptions {
-                    overlap_depth: depth,
-                    slab_policy: SlabPolicy::FixedLayers(layers),
-                },
+        // Two ring slots of `layers` interior layers plus a halo layer on
+        // each side: the largest slab that fits is exactly `layers` deep.
+        let budget = 2 * ((layers as u64 + 2) * LAYER_BYTES + DIMS_HEADER_BYTES);
+        let run = run_streamed(gpu.clone(), SWEEP_DIMS, Some(budget));
+        assert_eq!(
+            run.slabs,
+            SWEEP_DIMS[2].div_ceil(layers),
+            "a {budget} B budget must give {layers}-layer slabs"
+        );
+        let transfer_bound = run.transfer_seconds > run.kernel_seconds;
+        if transfer_bound {
+            assert!(
+                run.makespan < run.device_seconds,
+                "layers {layers}: overlapped makespan {} not below serial {}",
+                run.makespan,
+                run.device_seconds
             );
-            if depth == 1 {
-                serial_makespan = run.makespan;
-                assert!(
-                    (run.makespan - run.device_seconds).abs() <= 1e-12 * run.device_seconds,
-                    "depth 1 must be strictly serial: makespan {} vs summed {}",
-                    run.makespan,
-                    run.device_seconds
-                );
-            }
-            let transfer_bound = run.transfer_seconds > run.kernel_seconds;
-            if depth > 1 && transfer_bound {
-                assert!(
-                    run.makespan < serial_makespan,
-                    "layers {layers} depth {depth}: overlapped makespan {} \
-                     not below serial {serial_makespan}",
-                    run.makespan
-                );
-            }
-            println!(
-                "{layers:>7} {depth:>6} {:>7} {:>12.3} {:>12.3} {:>10.3} {:>8.2}",
-                run.slabs, run.makespan, serial_makespan, run.hidden, run.efficiency
-            );
-            sweep_rows.push(format!(
-                r#"    {{
+        }
+        println!(
+            "{layers:>7} {:>7} {:>12.3} {:>12.3} {:>10.3} {:>8.2}",
+            run.slabs, run.makespan, run.device_seconds, run.hidden, run.efficiency
+        );
+        sweep_rows.push(format!(
+            r#"    {{
       "interior_layers": {layers},
-      "overlap_depth": {depth},
       "slabs": {},
       "makespan_seconds": {:.6},
       "device_seconds": {:.6},
@@ -177,23 +128,22 @@ fn main() {
       "transfer_bound": {transfer_bound},
       "speedup_vs_serial": {:.4}
     }}"#,
-                run.slabs,
-                run.makespan,
-                run.device_seconds,
-                run.transfer_seconds,
-                run.kernel_seconds,
-                run.hidden,
-                run.efficiency,
-                serial_makespan / run.makespan,
-            ));
-        }
+            run.slabs,
+            run.makespan,
+            run.device_seconds,
+            run.transfer_seconds,
+            run.kernel_seconds,
+            run.hidden,
+            run.efficiency,
+            run.device_seconds / run.makespan,
+        ));
     }
     println!();
 
     // ---- Question 2: the 3072^3 / 3 GB headline ---------------------------
     let mut small_gpu = gpu.clone();
     small_gpu.global_mem_bytes = HEADLINE_BUDGET;
-    let headline = run_streamed(small_gpu, HEADLINE_DIMS, StreamOptions::default());
+    let headline = run_streamed(small_gpu, HEADLINE_DIMS, None);
     assert!(
         headline.peak_bytes <= HEADLINE_BUDGET,
         "headline peak {} exceeds the 3 GB budget",
@@ -257,7 +207,6 @@ fn main() {
   "headline": {{
     "grid": [{}, {}, {}],
     "budget_bytes": {},
-    "overlap_depth": 2,
     "slabs": {},
     "peak_bytes": {},
     "makespan_seconds": {:.6},

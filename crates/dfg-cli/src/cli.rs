@@ -44,13 +44,13 @@ usage:
   dfgc profile <program> [--grid NXxNYxNZ | --input <in.vtk>]
              [--device cpu|gpu] [--out-dir <dir>]
              [--opt off|cse|default|fast] [--verify off|residents|full]
-             [--stream <overlap-depth>] [--budget-mb <n>]
+             [--budget-mb <n>]
   dfgc insitu [--cycles <n>] [--grid NXxNYxNZ] [--expr <program>]
              [--strategy fusion|staged|roundtrip|streamed] [--device cpu|gpu]
   dfgc parse --expr <program>
   dfgc serve [--addr HOST:PORT] [--addr-file <path>] [--device cpu|gpu]
              [--queue <n>] [--batch-window-ms <n>] [--coalesce on|off]
-             [--quota-mb <n>] [--recovery on|off] [--stream-depth <n>]
+             [--quota-mb <n>] [--recovery on|off]
              [--deadline-ms <n>] [--idle-ttl-s <n>] [--max-line-kb <n>]
              [--pressure-mb <n>] [--conn-faults <plan>]
   dfgc bench-clients --addr HOST:PORT [--tenants <n>] [--requests <n>]
@@ -145,7 +145,6 @@ const PROFILE_FLAGS: &[&str] = &[
     "out-dir",
     "opt",
     "verify",
-    "stream",
     "budget-mb",
 ];
 
@@ -197,7 +196,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             "coalesce",
             "quota-mb",
             "recovery",
-            "stream-depth",
             "deadline-ms",
             "idle-ttl-s",
             "max-line-kb",
@@ -629,7 +627,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 /// `dfgc profile <expression>`: run the expression under every single-pass
 /// strategy with a tracer attached, write one Chrome-trace JSON per
-/// strategy, and print a comparison table plus flame summaries.
+/// strategy, and print a comparison table plus flame summaries; then run
+/// it streamed under `--budget-mb` and print the pipeline's queue stats.
 fn cmd_profile(raw: &[String]) -> Result<(), String> {
     // The expression may be given positionally (`dfgc profile "mag = …"`)
     // or through the usual --expr / --expr-file flags.
@@ -671,6 +670,17 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         None => dfg_dataflow::OptLevel::Off,
     };
     let verify = verify_of(&args)?;
+    // Device budget of the streamed row; without the flag, the device's capacity.
+    let budget = args
+        .get("budget-mb")
+        .map(|s| {
+            s.parse::<u64>()
+                .ok()
+                .filter(|&n| n > 0)
+                .map(|mb| mb << 20)
+                .ok_or_else(|| format!("--budget-mb must be a positive integer, got `{s}`"))
+        })
+        .transpose()?;
     let out_dir = std::path::PathBuf::from(args.get("out-dir").unwrap_or("."));
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
@@ -820,81 +830,60 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         );
         print!("{}", row.flame);
     }
-    // Optional fourth column: the overlapped streamed pipeline at the
-    // requested depth, with its queue-level occupancy breakdown.
-    if let Some(depth_s) = args.get("stream") {
-        let depth = depth_s
-            .parse::<usize>()
-            .ok()
-            .filter(|&d| d > 0)
-            .ok_or_else(|| format!("--stream takes a positive overlap depth, got `{depth_s}`"))?;
-        let budget =
-            match args.get("budget-mb") {
-                Some(s) => Some(
-                    s.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--budget-mb must be a positive integer, got `{s}`")
-                    })? << 20,
-                ),
-                None => None,
-            };
-        let mut engine = Engine::with_options(
-            profile.clone(),
-            EngineOptions {
-                optimize: opt_level,
-                verify,
-                stream: dfg_core::StreamOptions {
-                    overlap_depth: depth,
-                    ..Default::default()
-                },
-                ..EngineOptions::default()
-            },
-        );
-        engine.set_tracer(Tracer::new());
-        let report = engine
-            .derive_streamed(&expression, &fields, budget)
-            .map_err(|e| pretty_engine_err(&e, &expression))?;
-        let trace = report.trace.as_ref().expect("tracer attached");
-        let path = out_dir.join("trace-streamed.json");
-        std::fs::write(&path, trace.to_chrome_trace())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        let p = &report.profile;
-        let slabs = p.count(dfg_ocl::EventKind::KernelExec);
-        let eff_depth = trace
+    // The streamed pipeline under the budget, with its queue-level
+    // occupancy breakdown.
+    let mut engine = Engine::with_options(
+        profile.clone(),
+        EngineOptions {
+            optimize: opt_level,
+            verify,
+            ..EngineOptions::default()
+        },
+    );
+    engine.set_tracer(Tracer::new());
+    let report = engine
+        .derive_streamed(&expression, &fields, budget)
+        .map_err(|e| pretty_engine_err(&e, &expression))?;
+    let trace = report.trace.as_ref().expect("tracer attached");
+    let path = out_dir.join("trace-streamed.json");
+    std::fs::write(&path, trace.to_chrome_trace())
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let p = &report.profile;
+    let pipeline = |key: &str| {
+        trace
             .spans()
             .iter()
             .find(|s| s.name == "stream.pipeline")
-            .and_then(|s| s.meta_u64("depth"))
-            .unwrap_or(depth as u64);
-        println!();
+            .and_then(|s| s.meta_u64(key))
+            .unwrap_or(0)
+    };
+    let (slabs, slots) = (pipeline("slabs"), pipeline("depth"));
+    println!();
+    println!(
+        "--- streamed pipeline (chrome trace: {}) ---",
+        path.display()
+    );
+    println!(
+        "  {slabs} slab{} through {slots} ring slot{}, peak {:.1} MB of a {:.1} MB budget",
+        if slabs == 1 { "" } else { "s" },
+        if slots == 1 { "" } else { "s" },
+        report.high_water_bytes() as f64 / 1e6,
+        budget.unwrap_or(profile.global_mem_bytes) as f64 / 1e6,
+    );
+    println!(
+        "  makespan {:.6}s vs {:.6}s serialized ({:.6}s of transfer hidden, \
+         overlap efficiency {:.0}%)",
+        p.makespan_seconds(),
+        p.device_seconds(),
+        p.overlap_hidden_seconds(),
+        p.overlap_efficiency() * 100.0,
+    );
+    for q in p.queues_used() {
         println!(
-            "--- streamed pipeline (chrome trace: {}) ---",
-            path.display()
+            "  queue {q}: busy {:.6}s, occupancy {:.0}%",
+            p.queue_busy_seconds(q),
+            p.queue_occupancy(q) * 100.0,
         );
-        println!(
-            "  {slabs} slab{} at overlap depth {eff_depth}{}, peak {:.1} MB",
-            if slabs == 1 { "" } else { "s" },
-            if eff_depth == depth as u64 {
-                String::new()
-            } else {
-                format!(" (requested {depth}, shrunk to fit)")
-            },
-            report.high_water_bytes() as f64 / 1e6,
-        );
-        println!(
-            "  makespan {:.6}s vs {:.6}s serialized ({:.6}s of transfer hidden, \
-             overlap efficiency {:.0}%)",
-            p.makespan_seconds(),
-            p.device_seconds(),
-            p.overlap_hidden_seconds(),
-            p.overlap_efficiency() * 100.0,
-        );
-        for q in p.queues_used() {
-            println!(
-                "  queue {q}: busy {:.6}s, occupancy {:.0}%",
-                p.queue_busy_seconds(q),
-                p.queue_occupancy(q) * 100.0,
-            );
-        }
     }
     let pool = dfg_exec::global();
     let (executed, steals) = pool.stats();
@@ -1133,18 +1122,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     } else {
         dfg_core::RecoveryPolicy::disabled()
     };
-    let stream = dfg_core::StreamOptions {
-        overlap_depth: uint_of(args, "stream-depth", 2)? as usize,
-        ..Default::default()
-    };
-    if stream.overlap_depth == 0 {
-        return Err("--stream-depth must be at least 1".into());
-    }
     let config = dfg_serve::ServeConfig {
         profile,
         options: EngineOptions {
             recovery,
-            stream,
             ..EngineOptions::default()
         },
         queue_capacity: uint_of(args, "queue", 64)? as usize,
@@ -1440,25 +1421,73 @@ mod tests {
                 "fusion",
                 ["fusion.upload", "fusion.kernel", "fusion.download"],
             ),
+            (
+                "streamed",
+                ["execute.streamed", "stream.pipeline", "stream.slab"],
+            ),
         ] {
-            let path = dir.join(format!("trace-{strategy}.json"));
-            let text = std::fs::read_to_string(&path).unwrap();
-            let doc = dfg_trace::json::parse(&text).expect("valid Chrome-trace JSON");
-            let names: Vec<&str> = doc
-                .get("traceEvents")
-                .and_then(dfg_trace::json::Value::as_array)
-                .expect("traceEvents array")
-                .iter()
-                .filter(|e| e.get("ph").and_then(dfg_trace::json::Value::as_str) == Some("X"))
-                .filter_map(|e| e.get("name").and_then(dfg_trace::json::Value::as_str))
-                .collect();
+            let spans = complete_spans(&dir.join(format!("trace-{strategy}.json")));
             for required in ["parse", "plan", "ocl.kernel"].into_iter().chain(stages) {
                 assert!(
-                    names.contains(&required),
+                    spans.iter().any(|(name, _)| name == required),
                     "{strategy}: missing `{required}` span"
                 );
             }
         }
+    }
+
+    /// Every complete (`"ph": "X"`) event of a Chrome trace: name and args.
+    fn complete_spans(path: &std::path::Path) -> Vec<(String, dfg_trace::json::Value)> {
+        use dfg_trace::json::Value;
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = dfg_trace::json::parse(&text).expect("valid Chrome-trace JSON");
+        doc.get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .filter_map(|e| {
+                let name = e.get("name").and_then(Value::as_str)?;
+                Some((
+                    name.to_string(),
+                    e.get("args").cloned().unwrap_or(Value::Null),
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn profile_budget_sizes_the_streamed_slabs() {
+        // On the default 32^3 grid, vorticity holds seven f32 lanes per
+        // cell (917 KB): a 1 MB budget cannot take the grid in one of two
+        // ring slots, so the streamed row splits it.
+        let dir = std::env::temp_dir().join("dfgc_test_profile_budget");
+        std::fs::create_dir_all(&dir).unwrap();
+        dispatch(&strs(&[
+            "profile",
+            "q = norm(curl(u, v, w, dims, x, y, z))",
+            "--budget-mb",
+            "1",
+            "--out-dir",
+            dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let spans = complete_spans(&dir.join("trace-streamed.json"));
+        let slabs = spans
+            .iter()
+            .find(|(name, _)| name == "stream.pipeline")
+            .and_then(|(_, args)| args.get("slabs"))
+            .and_then(dfg_trace::json::Value::as_f64)
+            .expect("stream.pipeline records its slab count");
+        assert!(
+            slabs > 1.0,
+            "--budget-mb 1 must split 32^3, got {slabs} slab"
+        );
+        // The ring depth is not a knob.
+        let err = dispatch(&strs(&["profile", "r = u", "--stream", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--stream` for `profile`");
+        let err = dispatch(&strs(&["profile", "r = u", "--budget-mb", "0"])).unwrap_err();
+        assert!(err.contains("--budget-mb"), "got {err}");
     }
 
     #[test]

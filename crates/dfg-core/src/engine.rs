@@ -39,11 +39,6 @@ pub struct EngineOptions {
     /// `docs/ROBUSTNESS.md`). Disabled by default — failures surface
     /// immediately, exactly the paper's behavior.
     pub recovery: RecoveryPolicy,
-    /// Out-of-core streaming configuration: pipeline overlap depth and the
-    /// slab-size policy (see `docs/PERFORMANCE.md`, "Out-of-core
-    /// streaming"). Affects the streamed strategy only; outputs are
-    /// bit-identical at every setting.
-    pub stream: StreamOptions,
     /// Silent-corruption verification level (see `docs/ROBUSTNESS.md`,
     /// "Silent data corruption"): `Off` (the default) is the pre-integrity
     /// behavior bit-for-bit; `Residents` checksums host uploads and
@@ -56,45 +51,6 @@ pub struct EngineOptions {
     pub verify: dfg_ocl::VerifyPolicy,
 }
 
-/// Configuration for the overlapped streamed executor (the z-slab
-/// pipeline of `derive_streamed` and the recovery ladder's streamed rung).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamOptions {
-    /// Ring depth: how many slabs are in flight at once. Depth 1 is the
-    /// strictly serial upload→kernel→download baseline; depth 2 double-
-    /// buffers so the next slab's upload overlaps the current kernel and
-    /// the previous download; deeper rings add slack against stage-time
-    /// jitter at the cost of device memory (each in-flight slab holds a
-    /// full buffer set, so slabs shrink as `budget / depth`). Values are
-    /// clamped to at least 1.
-    pub overlap_depth: usize,
-    /// How slab extents are chosen within the per-slab budget share.
-    pub slab_policy: SlabPolicy,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            overlap_depth: 2,
-            slab_policy: SlabPolicy::MaxFit,
-        }
-    }
-}
-
-/// Slab-size policy for the streamed executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlabPolicy {
-    /// Largest ghosted slab whose `overlap_depth` copies fit the device
-    /// budget — fewest slabs, fewest kernel launches (the default).
-    #[default]
-    MaxFit,
-    /// At most this many interior z-layers per slab (still clamped to what
-    /// fits). Smaller slabs pipeline more finely: more launch overhead,
-    /// but shorter stages to overlap — the knob the stream benchmark
-    /// sweeps.
-    FixedLayers(usize),
-}
-
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
@@ -102,7 +58,6 @@ impl Default for EngineOptions {
             roundtrip_dedup_uploads: false,
             optimize: OptLevel::Off,
             recovery: RecoveryPolicy::disabled(),
-            stream: StreamOptions::default(),
             verify: dfg_ocl::VerifyPolicy::Off,
         }
     }
@@ -328,7 +283,7 @@ impl Engine {
     }
 
     /// Mutable access to the engine's options, for adjusting run-to-run
-    /// knobs (streaming depth, slab policy, optimization level) after
+    /// knobs (optimization level, recovery, verification) after
     /// construction. Takes effect on the next derivation; compiled-program
     /// caches are keyed independently and stay valid.
     pub fn options_mut(&mut self) -> &mut EngineOptions {

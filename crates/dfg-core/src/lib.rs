@@ -44,12 +44,11 @@ mod tests;
 pub use cancel::CancelToken;
 pub use dfg_dataflow::{OptLevel, OptStats, Strategy};
 pub use dfg_ocl::SharedArray;
-pub use engine::{Engine, EngineOptions, ExecReport, SlabPolicy, StreamOptions};
+pub use engine::{Engine, EngineOptions, ExecReport};
 pub use error::EngineError;
 pub use fields::{Field, FieldSet, FieldValue};
 pub use planner::{plan, plan_opt, plan_traced, Plan, PlanOption};
 pub use recovery::{AttemptOutcome, AttemptRecord, ExecLevel, RecoveryPolicy, RecoveryReport};
 pub use registry::{SessionRegistry, TenantStats};
 pub use session::{Session, SessionStats};
-pub use strategies::StreamReport;
 pub use workloads::Workload;

@@ -34,9 +34,7 @@ use crate::engine::EngineOptions;
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
-use crate::strategies::{
-    run_fusion, run_roundtrip, run_staged, run_streamed, StreamReport, StreamRetry,
-};
+use crate::strategies::{run_fusion, run_roundtrip, run_staged, run_streamed};
 
 /// How the engine responds to device failures; part of
 /// [`EngineOptions`](crate::EngineOptions). The default policy is disabled
@@ -302,10 +300,9 @@ fn ladder(
     levels
 }
 
-/// What one attempt returns: the output fields (absent in model mode), the
-/// generated fused source when the level produced one, and the stream
-/// report (slabs, depth, absorbed in-pipeline retries) for streamed runs.
-type AttemptOutput = (Option<Vec<Field>>, Option<String>, Option<StreamReport>);
+/// What one attempt returns: the output fields (absent in model mode) and
+/// the generated fused source when the level produced one.
+type AttemptOutput = (Option<Vec<Field>>, Option<String>);
 
 /// Execute one level on the given context. Session state flows through for
 /// device levels; the CPU fallback always runs one-shot (its buffers live
@@ -333,35 +330,15 @@ fn execute_level(
             session,
             rc.options.roundtrip_dedup_uploads,
         )
-        .map(|f| (f, None, None)),
+        .map(|f| (f, None)),
         ExecLevel::Staged => {
-            run_staged(spec, sched, fields, ctx, roots, session).map(|f| (f, None, None))
+            run_staged(spec, sched, fields, ctx, roots, session).map(|f| (f, None))
         }
         ExecLevel::Fusion | ExecLevel::CpuFusion => {
-            run_fusion(spec, fields, ctx, roots, session, label)
-                .map(|(f, src)| (f, Some(src), None))
+            run_fusion(spec, fields, ctx, roots, session, label).map(|(f, src)| (f, Some(src)))
         }
-        ExecLevel::Streamed => {
-            // The streamed rung inherits the pipeline overlap and absorbs
-            // transient faults *inside* the pipeline: the faulted queue
-            // backs off and re-issues without draining the other queues.
-            let policy = rc.options.recovery;
-            let retry = (policy.max_retries > 0).then_some(StreamRetry {
-                max_retries: policy.max_retries,
-                backoff_seconds: policy.backoff_us as f64 * 1e-6,
-            });
-            run_streamed(
-                spec,
-                fields,
-                ctx,
-                session,
-                label,
-                streamed_budget,
-                rc.options.stream,
-                retry,
-            )
-            .map(|(f, src, report)| (f.map(|x| vec![x]), Some(src), Some(report)))
-        }
+        ExecLevel::Streamed => run_streamed(spec, fields, ctx, session, label, streamed_budget)
+            .map(|(f, src)| (f.map(|x| vec![x]), Some(src))),
     }
 }
 
@@ -540,31 +517,9 @@ pub(crate) fn run_with_recovery(
                 attempt_session,
             );
             exec_span.virt_end(exec_ctx.clock_seconds());
+            drop(exec_span);
             match result {
-                Ok((fields_out, generated_source, stream)) => {
-                    match stream {
-                        Some(s) => {
-                            // Transient faults the pipeline absorbed in
-                            // flight count as retries of this level — they
-                            // just never drained the pipeline.
-                            if s.in_pipeline_retries > 0 {
-                                report.retries += s.in_pipeline_retries;
-                                report.backoff_seconds += s.backoff_seconds;
-                                report.attempts.push(AttemptRecord {
-                                    level,
-                                    outcome: AttemptOutcome::Retried {
-                                        backoff_seconds: s.backoff_seconds,
-                                    },
-                                    error: Some(format!(
-                                        "{} transient fault(s) absorbed in-pipeline",
-                                        s.in_pipeline_retries
-                                    )),
-                                });
-                            }
-                            drop(exec_span.meta("slabs", s.slabs).meta("depth", s.depth));
-                        }
-                        None => drop(exec_span),
-                    }
+                Ok((fields_out, generated_source)) => {
                     report.completed = Some(level);
                     report.degraded = !is_requested;
                     report.attempts.push(AttemptRecord {
@@ -580,7 +535,6 @@ pub(crate) fn run_with_recovery(
                     });
                 }
                 Err(e) => {
-                    drop(exec_span);
                     if level == ExecLevel::CpuFusion {
                         exec_ctx.rollback(&mark);
                     } else {

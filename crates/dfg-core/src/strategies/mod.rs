@@ -36,12 +36,10 @@ mod roundtrip;
 mod staged;
 mod streamed;
 
-pub use streamed::StreamReport;
-
 pub(crate) use fusion::run_fusion;
 pub(crate) use roundtrip::run_roundtrip;
 pub(crate) use staged::run_staged;
-pub(crate) use streamed::{run_streamed, StreamRetry};
+pub(crate) use streamed::run_streamed;
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
 use dfg_kernels::{fuse_roots, Dims3, FusedKernel};

@@ -1,6 +1,6 @@
 //! The *streamed fusion* execution strategy — the paper's §VI future work
 //! ("we plan to investigate the runtime performance of our execution
-//! strategies in a streaming context"), implemented as an **overlapped
+//! strategies in a streaming context"), implemented as a **double-buffered
 //! slab pipeline**.
 //!
 //! The mesh is processed in z-slabs. Each slab is uploaded with a one-cell
@@ -11,12 +11,13 @@
 //! use the same central differences, and the global boundary slabs use the
 //! same one-sided differences.
 //!
-//! Unlike a strictly serial upload→kernel→download loop, the pipeline keeps
-//! an N-deep ring of device slab buffers (N = the configured overlap depth)
-//! and drives three in-order command queues — one per stage — so the H2D
-//! upload of slab *n+1* overlaps the kernel of slab *n*, which overlaps the
-//! D2H download of slab *n−1*. Cross-queue [`EventToken`] dependencies
-//! express exactly the hazards the ring has:
+//! The pipeline has one shape. Slabs are the largest the budget allows, and
+//! the device holds two ring slots of slab buffers when the budget fits two
+//! ghosted slabs and the grid needs more than one slab (otherwise one).
+//! Three in-order command queues — one per stage — let the H2D upload of
+//! slab *n+1* overlap the kernel of slab *n*, which overlaps the D2H
+//! download of slab *n−1*. Cross-queue [`EventToken`] dependencies express
+//! exactly the hazards the ring has:
 //!
 //! * a slab's kernel waits for its uploads and for the previous download
 //!   out of the same ring slot's output buffer (WAR on the output);
@@ -24,11 +25,10 @@
 //!   slot's input buffers (WAR on the inputs);
 //! * a slab's download waits for its kernel (RAW).
 //!
-//! At depth 1 the download is additionally chained into the next upload, so
-//! `overlap_depth = 1` is the strictly serial baseline for overlap
-//! ablations. All virtual-clock arithmetic happens serially at enqueue
-//! time, so Model and Real mode produce bit-identical clocks regardless of
-//! `DFG_NUM_THREADS`.
+//! All virtual-clock arithmetic happens serially at enqueue time, so Model
+//! and Real mode produce bit-identical clocks regardless of
+//! `DFG_NUM_THREADS`. A faulted operation fails the whole run; the recovery
+//! ladder retries it like any other level.
 //!
 //! Host-side allocation discipline (the dgen-rs zero-copy rule: generate
 //! into the destination, never into a temp `Vec`): big-field slabs upload
@@ -45,53 +45,22 @@ use dfg_dataflow::{NetworkSpec, Width};
 use dfg_kernels::Dims3;
 use dfg_ocl::{Context, EventToken, ExecMode, HostEnd};
 
-use crate::engine::{SlabPolicy, StreamOptions};
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::session::SessionState;
 use crate::strategies::{check_field, fused_kernel};
-
-/// What one streamed run reports back to its driver.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamReport {
-    /// Number of z-slabs the grid was split into.
-    pub slabs: usize,
-    /// Effective pipeline depth (ring slots actually used; never more than
-    /// the slab count).
-    pub depth: usize,
-    /// Transient faults absorbed *inside* the pipeline — the faulted
-    /// operation was re-issued on its queue after a backoff without
-    /// draining the other queues.
-    pub in_pipeline_retries: u32,
-    /// Total virtual-clock backoff spent on in-pipeline retries, seconds.
-    pub backoff_seconds: f64,
-}
-
-/// In-pipeline transient-retry budget, derived from the engine's
-/// [`RecoveryPolicy`](crate::RecoveryPolicy) when recovery is enabled.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StreamRetry {
-    /// Transient faults absorbed before the error propagates to the
-    /// recovery ladder.
-    pub max_retries: u32,
-    /// Initial per-retry virtual-clock backoff, seconds (doubles per
-    /// retry, mirroring the ladder's whole-attempt backoff).
-    pub backoff_seconds: f64,
-}
 
 /// Execute `spec` by streaming z-slabs through the fused kernel, keeping
 /// peak device memory at or below `device_budget_bytes`.
 ///
 /// The grid shape comes from the program's `dims` input when a gradient is
 /// present; purely elementwise programs are streamed as flat chunks.
-/// Returns the derived field (real mode), the generated kernel source, and
-/// a [`StreamReport`] with the slab count and pipeline depth.
+/// Returns the derived field (real mode) and the generated kernel source;
+/// the slab count and ring depth are on the `stream.pipeline` span.
 ///
-/// `retry` is the in-pipeline transient-retry budget. With a session,
-/// codegen/compile is served from its kernel cache, and the ring's device
-/// buffers come from (and return to) the context's pool, so successive
-/// cycles reuse the same slab storage.
-#[allow(clippy::too_many_arguments)]
+/// With a session, codegen/compile is served from its kernel cache, and the
+/// ring's device buffers come from (and return to) the context's pool, so
+/// successive cycles reuse the same slab storage.
 pub(crate) fn run_streamed(
     spec: &NetworkSpec,
     fields: &FieldSet,
@@ -99,9 +68,7 @@ pub(crate) fn run_streamed(
     session: Option<&mut SessionState>,
     label: &str,
     device_budget_bytes: u64,
-    stream: StreamOptions,
-    retry: Option<StreamRetry>,
-) -> Result<(Option<Field>, String, StreamReport), EngineError> {
+) -> Result<(Option<Field>, String), EngineError> {
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
@@ -154,41 +121,26 @@ pub(crate) fn run_streamed(
     let nz = dims3.nz;
     let layer_bytes = plane as u64 * bytes_per_cell;
 
-    // Slab sizing: `depth` ring slots must fit the budget simultaneously,
-    // so each slab's ghosted extent gets budget/depth bytes. If the grid
-    // needs fewer slabs than the requested depth, shrink the depth (and
-    // re-size) — a grid that fits in one slab degenerates to the serial
-    // single-slab case regardless of the requested overlap.
-    let requested_depth = stream.overlap_depth.max(1);
-    let mut depth = requested_depth;
-    let (interior_layers, slabs) = loop {
-        let slot_budget = (device_budget_bytes / depth as u64).saturating_sub(small_bytes_per_slot);
-        let max_layers = (slot_budget / layer_bytes.max(1)) as usize;
-        let fit = max_layers.saturating_sub(2 * halo);
-        let interior = match stream.slab_policy {
-            SlabPolicy::MaxFit => fit,
-            SlabPolicy::FixedLayers(k) => fit.min(k.max(1)),
-        };
-        if interior == 0 {
-            // A tight budget may not hold `depth` ghosted slabs at once;
-            // trade pipeline depth for slab size before giving up. Only a
-            // budget too small for a single minimal slab is a real OOM.
-            if depth > 1 {
-                depth -= 1;
-                continue;
-            }
-            return Err(EngineError::Ocl(dfg_ocl::OclError::OutOfMemory {
-                requested: (1 + 2 * halo) as u64 * layer_bytes,
-                in_use: 0,
-                capacity: device_budget_bytes,
-            }));
-        }
-        let slabs = nz.div_ceil(interior);
-        if slabs >= depth || depth == 1 {
-            break (interior, slabs);
-        }
-        depth = slabs.max(1);
+    // Slab sizing: the most interior layers per slab such that `slots`
+    // ghosted slabs (and their dims headers) fit the budget at once. Two
+    // slots when that leaves at least one layer and the grid needs more than
+    // one slab; otherwise a single slot takes the whole budget.
+    let interior_fitting = |slots: u64| {
+        let slot_budget = (device_budget_bytes / slots).saturating_sub(small_bytes_per_slot);
+        ((slot_budget / layer_bytes.max(1)) as usize).saturating_sub(2 * halo)
     };
+    let (depth, interior_layers) = match interior_fitting(2) {
+        k if k > 0 && k < nz => (2, k),
+        _ => (1, interior_fitting(1)),
+    };
+    if interior_layers == 0 {
+        return Err(EngineError::Ocl(dfg_ocl::OclError::OutOfMemory {
+            requested: (1 + 2 * halo) as u64 * layer_bytes + small_bytes_per_slot,
+            in_use: 0,
+            capacity: device_budget_bytes,
+        }));
+    }
+    let slabs = nz.div_ceil(interior_layers);
     let max_ghosted_layers = (interior_layers + 2 * halo).min(nz);
     let max_slab_cells = plane * max_ghosted_layers;
 
@@ -269,54 +221,9 @@ pub(crate) fn run_streamed(
         return Err(e);
     }
 
-    // In-pipeline transient retry state.
-    let mut retries_left = retry.as_ref().map_or(0, |r| r.max_retries);
-    let mut backoff = retry.as_ref().map_or(0.0, |r| r.backoff_seconds);
-    let mut report = StreamReport {
-        slabs,
-        depth,
-        in_pipeline_retries: 0,
-        backoff_seconds: 0.0,
-    };
-
-    // Issue one queued operation with in-pipeline retry: a transient fault
-    // backs off on the *faulted queue only* (the other stages keep their
-    // schedules) and re-issues; persistent faults or an exhausted budget
-    // propagate to the caller (the recovery ladder). Integrity violations
-    // are transient but NOT retryable in-pipeline: re-issuing the same
-    // operation re-reads the same corrupt bits, so they propagate to the
-    // ladder, which invalidates the tainted buffer before its retry.
-    macro_rules! issue {
-        ($queue:expr, $op:expr) => {
-            loop {
-                match $op {
-                    Ok(tok) => break Ok(tok),
-                    Err(e) if e.is_transient() && !e.is_integrity() && retries_left > 0 => {
-                        retries_left -= 1;
-                        report.in_pipeline_retries += 1;
-                        report.backoff_seconds += backoff;
-                        let rs = dfg_trace::span!(
-                            tracer,
-                            "stream.retry",
-                            queue = $queue.index(),
-                            remaining = retries_left,
-                        );
-                        rs.virt_start(ctx.queue_clock_seconds($queue));
-                        ctx.advance_queue($queue, backoff);
-                        rs.virt_end(ctx.queue_clock_seconds($queue));
-                        drop(rs.meta("error", e.to_string()));
-                        backoff *= 2.0;
-                    }
-                    Err(e) => break Err(EngineError::from(e)),
-                }
-            }
-        };
-    }
-
     // Per-ring-slot hazard tokens.
     let mut last_kernel: Vec<Option<EventToken>> = vec![None; depth];
     let mut last_download: Vec<Option<EventToken>> = vec![None; depth];
-    let mut prev_download: Option<EventToken> = None;
 
     let run = (|| -> Result<(), EngineError> {
         for slab in 0..slabs {
@@ -338,18 +245,8 @@ pub(crate) fn run_streamed(
             );
 
             // WAR: this slot's input buffers are still being read by the
-            // kernel issued `depth` slabs ago. At depth 1 the previous
-            // download is chained in too, making the pipeline strictly
-            // serial — the overlap-off ablation baseline.
-            let mut upload_deps: Vec<EventToken> = Vec::with_capacity(2);
-            if let Some(t) = last_kernel[slot] {
-                upload_deps.push(t);
-            }
-            if depth == 1 {
-                if let Some(t) = prev_download {
-                    upload_deps.push(t);
-                }
-            }
+            // kernel issued `depth` slabs ago.
+            let upload_deps = last_kernel[slot].as_slice();
 
             let mut first_start: Option<f64> = None;
             let mut kernel_deps: Vec<EventToken> = Vec::with_capacity(inputs.len() + 1);
@@ -363,7 +260,7 @@ pub(crate) fn run_streamed(
                     let window = input.data.map(|d| &d[plane * gz0..plane * gz1]);
                     HostEnd::or_absent(window, slab_cells)
                 };
-                let tok = issue!(q_h2d, ctx.enqueue_write_q(q_h2d, buf, src, &upload_deps))?;
+                let tok = ctx.enqueue_write_q(q_h2d, buf, src, upload_deps)?;
                 first_start.get_or_insert(tok.virt_start());
                 kernel_deps.push(tok);
             }
@@ -373,16 +270,13 @@ pub(crate) fn run_streamed(
             if let Some(t) = last_download[slot] {
                 kernel_deps.push(t);
             }
-            let k_tok = issue!(
+            let k_tok = ctx.launch_q(
                 q_kexe,
-                ctx.launch_q(
-                    q_kexe,
-                    &kernel,
-                    &ring_inputs[slot],
-                    ring_out[slot],
-                    slab_cells,
-                    &kernel_deps,
-                )
+                &kernel,
+                &ring_inputs[slot],
+                ring_out[slot],
+                slab_cells,
+                &kernel_deps,
             )?;
             last_kernel[slot] = Some(k_tok);
 
@@ -391,13 +285,10 @@ pub(crate) fn run_streamed(
             let src_off = (z0 - gz0) * plane * out_lanes_per_cell;
             let len = (z1 - z0) * plane * out_lanes_per_cell;
             let dst_off = z0 * plane * out_lanes_per_cell;
-            let d_tok = issue!(q_d2h, {
-                let window = out_data.as_mut().map(|dst| &mut dst[dst_off..][..len]);
-                let dst = HostEnd::or_absent(window, len);
-                ctx.enqueue_read_range_q(q_d2h, ring_out[slot], src_off, dst, &[k_tok])
-            })?;
+            let window = out_data.as_mut().map(|dst| &mut dst[dst_off..][..len]);
+            let dst = HostEnd::or_absent(window, len);
+            let d_tok = ctx.enqueue_read_range_q(q_d2h, ring_out[slot], src_off, dst, &[k_tok])?;
             last_download[slot] = Some(d_tok);
-            prev_download = Some(d_tok);
 
             slab_span.virt_start(first_start.unwrap_or(k_tok.virt_start()));
             slab_span.virt_end(d_tok.virt_end());
@@ -425,5 +316,5 @@ pub(crate) fn run_streamed(
         ncells: n,
         data,
     });
-    Ok((field, source, report))
+    Ok((field, source))
 }

@@ -7,7 +7,7 @@ use dfg_expr::compile;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
-use crate::{Engine, EngineOptions, FieldSet, OptLevel, StreamOptions, Workload};
+use crate::{Engine, EngineOptions, FieldSet, OptLevel, Workload};
 
 fn small_rt_fields(dims: [usize; 3]) -> FieldSet {
     let mesh = RectilinearMesh::unit_cube(dims);
@@ -804,17 +804,7 @@ fn executors_surface_injected_device_failures_cleanly() {
             "streamed",
             Box::new(|ctx| {
                 let budget = ctx.profile().global_mem_bytes;
-                run_streamed(
-                    &spec,
-                    &fields,
-                    ctx,
-                    None,
-                    "t",
-                    budget,
-                    StreamOptions::default(),
-                    None,
-                )
-                .map(|_| ())
+                run_streamed(&spec, &fields, ctx, None, "t", budget).map(|_| ())
             }),
         ),
     ];

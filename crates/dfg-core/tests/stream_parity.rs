@@ -1,41 +1,66 @@
-//! Bit-parity and determinism tests for the overlapped streaming pipeline.
+//! Bit-parity and determinism tests for the double-buffered streaming
+//! pipeline.
 //!
-//! The contract under test: the multi-queue slab pipeline is a pure
-//! performance transform. Whatever the overlap depth, the slab policy, the
-//! execution mode, or a mid-pipeline transient fault, the derived field is
-//! bit-identical to single-pass fusion — and the virtual clock is a pure
-//! function of the issue order, so Model and Real mode agree on every event
-//! bit regardless of `DFG_NUM_THREADS`.
+//! The contract under test: the slab pipeline is a pure performance
+//! transform. At every device budget — the whole grid in one slab, several
+//! slabs through two ring slots, several slabs through one — in either
+//! execution mode, one-shot or across session cycles, and across a
+//! mid-pipeline transient fault, the derived field is bit-identical to
+//! single-pass fusion and peak device memory stays within the budget. The
+//! virtual clock is a pure function of the issue order, so Model and Real
+//! mode agree on every event bit regardless of `DFG_NUM_THREADS`.
 //!
-//! The CI streaming leg runs this suite across a `DFG_NUM_THREADS` x
-//! `DFG_STREAM_DEPTH` matrix; the env depth, when set, is added to the
-//! depths tested.
+//! The CI streaming leg runs this suite under both `DFG_NUM_THREADS`
+//! regimes.
 
 use dfg_core::{
-    Engine, EngineOptions, FieldSet, RecoveryPolicy, SlabPolicy, Strategy, StreamOptions, Workload,
+    Engine, EngineError, EngineOptions, ExecReport, FieldSet, RecoveryPolicy, Strategy, Workload,
 };
 use dfg_mesh::{RectilinearMesh, RtWorkload};
-use dfg_ocl::{DeviceProfile, ExecMode, FaultKind, FaultPlan};
+use dfg_ocl::{DeviceProfile, ExecMode, FaultKind, FaultPlan, OclError};
+use dfg_trace::Tracer;
 
 const DIMS: [usize; 3] = [12, 10, 16];
-/// Tight enough to force several slabs for every workload on this grid.
-const BUDGET: u64 = 14 * 4 * (12 * 10 * 9) as u64;
+/// Device bytes of one z-layer for the gradient workloads: six inputs
+/// (u, v, w, x, y, z) plus the output, 4 B each, per 12·10 cells.
+const LAYER: u64 = 7 * 4 * 12 * 10;
+/// The `dims` header every ring slot holds: three f32.
+const HEADER: u64 = 3 * 4;
+/// The two workloads with a gradient stencil (slabs carry halo layers).
+const WORKLOADS: [Workload; 2] = [Workload::VorticityMagnitude, Workload::QCriterion];
 
-/// Depths 1 (strictly serial), 2 (double-buffered) and 3, plus whatever the
-/// CI matrix passes via `DFG_STREAM_DEPTH`.
-fn depths() -> Vec<usize> {
-    let mut d = vec![1, 2, 3];
-    if let Some(extra) = std::env::var("DFG_STREAM_DEPTH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-    {
-        if !d.contains(&extra) {
-            d.push(extra);
-        }
-    }
-    d
+/// One device budget and the pipeline shape it must produce.
+struct Case {
+    label: &'static str,
+    budget: Option<u64>,
+    slabs: u64,
+    depth: u64,
 }
+
+const CASES: [Case; 3] = [
+    // The device's capacity holds the whole grid: one slab, one slot.
+    Case {
+        label: "one slab",
+        budget: None,
+        slabs: 1,
+        depth: 1,
+    },
+    // Two slots of 6 interior + 2 halo layers: ⌈16 / 6⌉ slabs.
+    Case {
+        label: "several slabs",
+        budget: Some(2 * (8 * LAYER + HEADER)),
+        slabs: 3,
+        depth: 2,
+    },
+    // Room for one 4-layer ghosted slab but not for two 3-layer ones:
+    // 2 interior layers per slab, all through a single slot.
+    Case {
+        label: "single slot",
+        budget: Some(4 * LAYER + HEADER),
+        slabs: 8,
+        depth: 1,
+    },
+];
 
 fn rt_fields() -> FieldSet {
     let mesh = RectilinearMesh::unit_cube(DIMS);
@@ -48,18 +73,38 @@ fn model_fields() -> FieldSet {
     fields
 }
 
-fn engine_with(mode: ExecMode, depth: usize) -> Engine {
+fn engine_in(mode: ExecMode) -> Engine {
     Engine::with_options(
         DeviceProfile::intel_x5660(),
         EngineOptions {
             mode,
-            stream: StreamOptions {
-                overlap_depth: depth,
-                ..Default::default()
-            },
             ..Default::default()
         },
     )
+}
+
+/// Every streamed report of `workload` at `budget` in `mode`: a traced
+/// one-shot run, then three cycles of one session.
+fn streamed_runs(mode: ExecMode, workload: Workload, budget: Option<u64>) -> Vec<ExecReport> {
+    let fields = match mode {
+        ExecMode::Real => rt_fields(),
+        ExecMode::Model => model_fields(),
+    };
+    let src = workload.source();
+    let mut engine = engine_in(mode);
+    engine.set_tracer(Tracer::new());
+    let mut runs = vec![engine
+        .derive_streamed(src, &fields, budget)
+        .expect("one-shot streamed")];
+    let mut session = engine.session();
+    for _ in 0..3 {
+        runs.push(
+            session
+                .derive_streamed(src, &fields, budget)
+                .expect("session streamed"),
+        );
+    }
+    runs
 }
 
 fn assert_bits_equal(label: &str, a: &[f32], b: &[f32]) {
@@ -73,107 +118,89 @@ fn assert_bits_equal(label: &str, a: &[f32], b: &[f32]) {
     }
 }
 
-/// Real mode, one-shot: every depth, both slab policies, every workload —
-/// bit-identical to single-pass fusion (depth 1 doubles as the serial
-/// streamed reference, so this covers overlapped == serial == fusion).
+fn assert_same_events(label: &str, a: &ExecReport, b: &ExecReport) {
+    let (ae, be) = (&a.profile.events, &b.profile.events);
+    assert_eq!(ae.len(), be.len(), "{label}: event count");
+    for (i, (x, y)) in ae.iter().zip(be).enumerate() {
+        assert_eq!(x.kind, y.kind, "{label} event {i}: kind");
+        assert_eq!(x.queue, y.queue, "{label} event {i}: queue");
+        assert_eq!(x.bytes, y.bytes, "{label} event {i}: bytes");
+        assert_eq!(
+            x.t_start.to_bits(),
+            y.t_start.to_bits(),
+            "{label} event {i}: t_start {} vs {}",
+            x.t_start,
+            y.t_start
+        );
+        assert_eq!(
+            x.t_end.to_bits(),
+            y.t_end.to_bits(),
+            "{label} event {i}: t_end {} vs {}",
+            x.t_end,
+            y.t_end
+        );
+    }
+    assert_eq!(
+        a.profile.makespan_seconds().to_bits(),
+        b.profile.makespan_seconds().to_bits(),
+        "{label}: makespan"
+    );
+}
+
+/// Real mode, one-shot and every session cycle, at every budget:
+/// bit-identical to single-pass fusion, under the budget, and shaped as
+/// the budget dictates (the `stream.pipeline` span's slabs and depth).
 #[test]
-fn overlapped_bits_match_fusion_at_every_depth() {
+fn streamed_matches_fusion_at_every_budget() {
     let fields = rt_fields();
-    for workload in Workload::ALL {
+    let capacity = DeviceProfile::intel_x5660().global_mem_bytes;
+    for workload in WORKLOADS {
         let fused = Engine::new(DeviceProfile::intel_x5660())
             .derive(workload.source(), &fields, Strategy::Fusion)
             .expect("fusion")
             .field
             .expect("real mode");
-        for depth in depths() {
-            for policy in [SlabPolicy::MaxFit, SlabPolicy::FixedLayers(2)] {
-                let mut engine = engine_with(ExecMode::Real, depth);
-                engine.options_mut().stream.slab_policy = policy;
-                let report = engine
-                    .derive_streamed(workload.source(), &fields, Some(BUDGET))
-                    .expect("streamed");
+        for case in &CASES {
+            let budget = case.budget.unwrap_or(capacity);
+            let runs = streamed_runs(ExecMode::Real, workload, case.budget);
+            let trace = runs[0].trace.as_ref().expect("tracer attached");
+            let pipeline = trace
+                .spans()
+                .iter()
+                .find(|s| s.name == "stream.pipeline")
+                .expect("stream.pipeline span");
+            let label = format!("{workload} {}", case.label);
+            assert_eq!(pipeline.meta_u64("slabs"), Some(case.slabs), "{label}");
+            assert_eq!(pipeline.meta_u64("depth"), Some(case.depth), "{label}");
+            for (run, report) in runs.iter().enumerate() {
+                let label = format!("{label} run {run}");
                 assert!(
-                    report.high_water_bytes() <= BUDGET,
-                    "{workload} depth {depth}: peak {} over budget {BUDGET}",
+                    report.high_water_bytes() <= budget,
+                    "{label}: peak {} over budget {budget}",
                     report.high_water_bytes()
                 );
-                let streamed = report.field.expect("real mode");
-                assert_bits_equal(
-                    &format!("{workload} depth {depth} {policy:?}"),
-                    &fused.data,
-                    &streamed.data,
-                );
+                let streamed = report.field.as_ref().expect("real mode");
+                assert_bits_equal(&label, &fused.data, &streamed.data);
             }
         }
     }
 }
 
-/// Session path: codegen cached across cycles, ring buffers pooled — still
-/// bit-identical to fusion at every depth, on every cycle.
-#[test]
-fn session_streamed_bits_match_fusion_at_every_depth() {
-    let fields = rt_fields();
-    let fused = Engine::new(DeviceProfile::intel_x5660())
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
-        .expect("fusion")
-        .field
-        .expect("real mode");
-    for depth in depths() {
-        let mut engine = engine_with(ExecMode::Real, depth);
-        let mut session = engine.session();
-        for cycle in 0..3 {
-            let report = session
-                .derive_streamed(Workload::QCriterion.source(), &fields, Some(BUDGET))
-                .expect("streamed session cycle");
-            let streamed = report.field.expect("real mode");
-            assert_bits_equal(
-                &format!("session depth {depth} cycle {cycle}"),
-                &fused.data,
-                &streamed.data,
-            );
-        }
-    }
-}
-
 /// Model mode and Real mode must produce bitwise-identical virtual clocks,
-/// event kinds, queues and byte counts for the multi-queue pipeline — the
-/// paper-scale model runs are trustworthy because they are the same
-/// schedule arithmetic as a real execution.
+/// event kinds, queues and byte counts for the multi-queue pipeline at
+/// every budget, one-shot and on every session cycle — the paper-scale
+/// model runs are trustworthy because they are the same schedule
+/// arithmetic as a real execution.
 #[test]
 fn model_and_real_clocks_agree_bitwise() {
-    for depth in depths() {
-        let real = engine_with(ExecMode::Real, depth)
-            .derive_streamed(Workload::QCriterion.source(), &rt_fields(), Some(BUDGET))
-            .expect("real streamed");
-        let model = engine_with(ExecMode::Model, depth)
-            .derive_streamed(Workload::QCriterion.source(), &model_fields(), Some(BUDGET))
-            .expect("model streamed");
-        let (re, me) = (&real.profile.events, &model.profile.events);
-        assert_eq!(re.len(), me.len(), "depth {depth}: event count");
-        for (i, (r, m)) in re.iter().zip(me).enumerate() {
-            assert_eq!(r.kind, m.kind, "depth {depth} event {i}: kind");
-            assert_eq!(r.queue, m.queue, "depth {depth} event {i}: queue");
-            assert_eq!(r.bytes, m.bytes, "depth {depth} event {i}: bytes");
-            assert_eq!(
-                r.t_start.to_bits(),
-                m.t_start.to_bits(),
-                "depth {depth} event {i}: t_start {} vs {}",
-                r.t_start,
-                m.t_start
-            );
-            assert_eq!(
-                r.t_end.to_bits(),
-                m.t_end.to_bits(),
-                "depth {depth} event {i}: t_end {} vs {}",
-                r.t_end,
-                m.t_end
-            );
+    for workload in WORKLOADS {
+        for case in &CASES {
+            let real = streamed_runs(ExecMode::Real, workload, case.budget);
+            let model = streamed_runs(ExecMode::Model, workload, case.budget);
+            for (run, (r, m)) in real.iter().zip(&model).enumerate() {
+                assert_same_events(&format!("{workload} {} run {run}", case.label), r, m);
+            }
         }
-        assert_eq!(
-            real.profile.makespan_seconds().to_bits(),
-            model.profile.makespan_seconds().to_bits(),
-            "depth {depth}: makespan"
-        );
     }
 }
 
@@ -182,79 +209,60 @@ fn model_and_real_clocks_agree_bitwise() {
 /// matrix sets for this process.
 #[test]
 fn clocks_are_reproducible_run_to_run() {
-    for depth in depths() {
-        let run = |_: usize| {
-            engine_with(ExecMode::Model, depth)
-                .derive_streamed(Workload::QCriterion.source(), &model_fields(), Some(BUDGET))
-                .expect("model streamed")
-        };
-        let (a, b) = (run(0), run(1));
-        assert_eq!(a.profile.events.len(), b.profile.events.len());
-        for (x, y) in a.profile.events.iter().zip(&b.profile.events) {
-            assert_eq!(x.t_start.to_bits(), y.t_start.to_bits());
-            assert_eq!(x.t_end.to_bits(), y.t_end.to_bits());
-            assert_eq!(x.queue, y.queue);
+    for case in &CASES {
+        let a = streamed_runs(ExecMode::Model, Workload::QCriterion, case.budget);
+        let b = streamed_runs(ExecMode::Model, Workload::QCriterion, case.budget);
+        for (run, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_same_events(&format!("{} run {run}", case.label), x, y);
         }
     }
 }
 
-/// Overlap actually overlaps: at depth >= 2 the pipeline makespan drops
-/// below the strictly serial depth-1 makespan, and depth 1's makespan
-/// equals the summed device seconds (nothing hidden).
+/// Overlap actually overlaps: with two ring slots and one interior layer
+/// per slab (sixteen slabs, so the pipeline reaches steady state), the
+/// makespan drops below the serial baseline, the summed device seconds.
 #[test]
-fn depth_one_is_serial_and_deeper_overlaps() {
-    // FixedLayers(1) maximizes the slab count so the pipeline reaches
-    // steady state even on the test grid.
-    let run = |depth: usize| {
-        let mut engine = engine_with(ExecMode::Model, depth);
-        engine.options_mut().stream.slab_policy = SlabPolicy::FixedLayers(1);
-        engine
-            .derive_streamed(Workload::QCriterion.source(), &model_fields(), Some(BUDGET))
-            .expect("model streamed")
-            .profile
-    };
-    let serial = run(1);
-    assert!(
-        (serial.makespan_seconds() - serial.device_seconds()).abs()
-            <= 1e-12 * serial.device_seconds(),
-        "depth 1 must hide nothing: makespan {} vs summed {}",
-        serial.makespan_seconds(),
-        serial.device_seconds()
+fn double_buffering_hides_transfer_behind_compute() {
+    let report = engine_in(ExecMode::Model)
+        .derive_streamed(
+            Workload::QCriterion.source(),
+            &model_fields(),
+            Some(2 * (3 * LAYER + HEADER)),
+        )
+        .expect("model streamed");
+    let p = &report.profile;
+    assert_eq!(
+        p.count(dfg_ocl::EventKind::KernelExec),
+        16,
+        "one layer per slab"
     );
-    for depth in [2, 3] {
-        let overlapped = run(depth);
-        assert!(
-            overlapped.makespan_seconds() < serial.makespan_seconds(),
-            "depth {depth}: makespan {} not below serial {}",
-            overlapped.makespan_seconds(),
-            serial.makespan_seconds()
-        );
-        assert!(overlapped.overlap_hidden_seconds() > 0.0);
-    }
+    assert!(
+        p.makespan_seconds() < p.device_seconds(),
+        "makespan {} not below serial {}",
+        p.makespan_seconds(),
+        p.device_seconds()
+    );
+    assert!(p.overlap_hidden_seconds() > 0.0);
 }
 
-/// A transient transfer fault in the middle of the pipeline is absorbed by
-/// the in-pipeline retry (no drain, no re-run) and the output stays
-/// bit-identical to the fault-free run.
+/// A transient transfer fault in the middle of the pipeline fails the
+/// attempt; the recovery ladder retries the streamed level, and the output
+/// stays bit-identical to the fault-free run.
 #[test]
 fn transient_fault_mid_pipeline_recovers_bit_exact() {
     let fields = rt_fields();
-    let clean = engine_with(ExecMode::Real, 2)
-        .derive_streamed(Workload::QCriterion.source(), &fields, Some(BUDGET))
-        .expect("clean streamed")
-        .field
-        .expect("real mode");
-    for depth in depths() {
-        // Fault the 6th upcoming transfer: deep enough that the ring is in
-        // steady state, early enough that every depth reaches it.
+    for case in CASES.iter().filter(|c| c.slabs > 1) {
+        let clean = engine_in(ExecMode::Real)
+            .derive_streamed(Workload::QCriterion.source(), &fields, case.budget)
+            .expect("clean streamed")
+            .field
+            .expect("real mode");
+        // Fault the 6th upcoming transfer: the ring is allocated and the
+        // H2D queue has uploads in flight when it fires.
         let mut engine = Engine::with_options(
             DeviceProfile::intel_x5660(),
             EngineOptions {
                 recovery: RecoveryPolicy::resilient(),
-                stream: StreamOptions {
-                    overlap_depth: depth,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
         );
@@ -262,52 +270,56 @@ fn transient_fault_mid_pipeline_recovers_bit_exact() {
         plan.fail_nth_from_now(FaultKind::Transfer, 5, 1);
         engine.set_fault_plan(plan.clone());
         let report = engine
-            .derive_streamed(Workload::QCriterion.source(), &fields, Some(BUDGET))
-            .expect("fault is absorbed");
+            .derive_streamed(Workload::QCriterion.source(), &fields, case.budget)
+            .expect("fault is recovered");
+        let label = case.label;
         assert_eq!(
             plan.faults_fired(FaultKind::Transfer),
             1,
-            "depth {depth}: the fault must fire"
+            "{label}: the fault must fire"
         );
         let recovery = report
             .recovery
             .as_ref()
-            .expect("an absorbed fault still produces a recovery record");
-        assert!(
-            recovery.retries >= 1,
-            "depth {depth}: in-pipeline retry must be reported"
-        );
-        assert_eq!(recovery.fallbacks, 0, "depth {depth}: no fallback needed");
+            .expect("a recovered fault produces a recovery record");
+        assert!(recovery.retries >= 1, "{label}: the ladder must retry");
+        assert_eq!(recovery.fallbacks, 0, "{label}: no fallback needed");
         assert_bits_equal(
-            &format!("faulted depth {depth}"),
+            &format!("faulted {label}"),
             &clean.data,
             &report.field.expect("real mode").data,
         );
     }
 }
 
-/// A depth larger than the slab count shrinks to fit instead of wasting
-/// ring slots (or failing): a grid that fits in one slab degenerates to
-/// the serial single-slab case.
+/// The smallest slab set is one interior layer, two halo layers and the
+/// `dims` header. A budget seven bytes short of it fails, and the error
+/// names a request larger than the capacity; the exact size streams.
 #[test]
-fn depth_shrinks_to_slab_count() {
+fn out_of_memory_error_counts_the_dims_header() {
     let fields = rt_fields();
-    let fused = Engine::new(DeviceProfile::intel_x5660())
-        .derive(
-            Workload::VorticityMagnitude.source(),
-            &fields,
-            Strategy::Fusion,
-        )
-        .expect("fusion")
-        .field
-        .expect("real mode");
-    // Unbounded budget: the whole grid fits in one slab even at depth 8.
-    let report = engine_with(ExecMode::Real, 8)
-        .derive_streamed(Workload::VorticityMagnitude.source(), &fields, None)
-        .expect("streamed");
-    assert_bits_equal(
-        "depth 8, one slab",
-        &fused.data,
-        &report.field.expect("real").data,
-    );
+    let src = Workload::QCriterion.source();
+    let minimal = 3 * LAYER + HEADER;
+    let err = engine_in(ExecMode::Real)
+        .derive_streamed(src, &fields, Some(3 * LAYER + 5))
+        .expect_err("a budget below one slab set must fail");
+    match err {
+        EngineError::Ocl(OclError::OutOfMemory {
+            requested,
+            capacity,
+            ..
+        }) => {
+            assert_eq!(requested, minimal);
+            assert_eq!(capacity, 3 * LAYER + 5);
+            assert!(
+                requested > capacity,
+                "{requested} B requested of {capacity} B"
+            );
+        }
+        other => panic!("expected out-of-memory, got {other}"),
+    }
+    let report = engine_in(ExecMode::Real)
+        .derive_streamed(src, &fields, Some(minimal))
+        .expect("the minimal slab set streams");
+    assert!(report.high_water_bytes() <= minimal);
 }

@@ -505,15 +505,6 @@ impl Context {
         self.clock
     }
 
-    /// One queue's ready time in seconds: when its last enqueued operation
-    /// completes on the virtual clock.
-    pub fn queue_clock_seconds(&self, queue: QueueId) -> f64 {
-        self.queue_clocks
-            .get(queue.0)
-            .copied()
-            .unwrap_or(self.clock)
-    }
-
     /// Advance the virtual clock by `seconds` without recording an event —
     /// modeled idle time, e.g. retry backoff after a transient fault.
     /// Negative or non-finite durations are ignored. Acts as a barrier:
@@ -523,19 +514,6 @@ impl Context {
             self.clock += seconds;
             for q in &mut self.queue_clocks {
                 *q = self.clock;
-            }
-        }
-    }
-
-    /// Advance one queue's ready time by `seconds` without recording an
-    /// event — modeled per-queue idle time, e.g. the backoff before
-    /// re-issuing a faulted transfer on that queue while the other pipeline
-    /// queues keep draining. Negative or non-finite durations are ignored.
-    pub fn advance_queue(&mut self, queue: QueueId, seconds: f64) {
-        if seconds.is_finite() && seconds > 0.0 {
-            if let Some(q) = self.queue_clocks.get_mut(queue.0) {
-                *q += seconds;
-                self.clock = self.clock.max(*q);
             }
         }
     }
@@ -799,10 +777,14 @@ impl Context {
         deps: &[EventToken],
     ) -> EventToken {
         let barrier = queue == QueueId::DEFAULT;
+        // A queue's ready time: when its last enqueued operation completes.
         let mut t_start = if barrier {
             self.clock
         } else {
-            self.queue_clock_seconds(queue)
+            self.queue_clocks
+                .get(queue.0)
+                .copied()
+                .unwrap_or(self.clock)
         };
         for dep in deps {
             t_start = t_start.max(dep.t_end);
@@ -1982,9 +1964,6 @@ mod tests {
         c.reset_profile();
         let t0 = c.enqueue_write_q(qs2[1], a, host(&[3.0; 64]), &[]).unwrap();
         assert_eq!(t0.virt_start().to_bits(), 0f64.to_bits());
-        // advance_queue moves one queue and the global frontier.
-        c.advance_queue(qs2[1], 1.0);
-        assert!(c.clock_seconds() >= 1.0);
     }
 
     #[test]
