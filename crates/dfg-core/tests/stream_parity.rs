@@ -147,43 +147,105 @@ fn assert_same_events(label: &str, a: &ExecReport, b: &ExecReport) {
     );
 }
 
-/// Real mode, one-shot and every session cycle, at every budget:
-/// bit-identical to single-pass fusion, under the budget, and shaped as
-/// the budget dictates (the `stream.pipeline` span's slabs and depth).
+fn fused(workload: Workload, fields: &FieldSet) -> Vec<f32> {
+    Engine::new(DeviceProfile::intel_x5660())
+        .derive(workload.source(), fields, Strategy::Fusion)
+        .expect("fusion")
+        .field
+        .expect("real mode")
+        .data
+}
+
+/// The `stream.pipeline` span's (slabs, depth) of a traced streamed run.
+fn pipeline_shape(report: &ExecReport) -> (Option<u64>, Option<u64>) {
+    let trace = report.trace.as_ref().expect("tracer attached");
+    let pipeline = trace
+        .spans()
+        .iter()
+        .find(|s| s.name == "stream.pipeline")
+        .expect("stream.pipeline span");
+    (pipeline.meta_u64("slabs"), pipeline.meta_u64("depth"))
+}
+
+/// A Real-mode streamed report is under `budget` (the device capacity when
+/// `None`) and bit-identical to `fused`.
+fn assert_streamed_matches(label: &str, report: &ExecReport, budget: Option<u64>, fused: &[f32]) {
+    let budget = budget.unwrap_or(DeviceProfile::intel_x5660().global_mem_bytes);
+    assert!(
+        report.high_water_bytes() <= budget,
+        "{label}: peak {} over budget {budget}",
+        report.high_water_bytes()
+    );
+    let streamed = report.field.as_ref().expect("real mode");
+    assert_bits_equal(label, fused, &streamed.data);
+}
+
+/// Real mode, one-shot, at every budget — one slot or two ring slots —
+/// and every gradient workload: bit-identical to single-pass fusion, under
+/// the budget, and shaped as the budget dictates (the `stream.pipeline`
+/// span's slabs and depth).
 #[test]
-fn streamed_matches_fusion_at_every_budget() {
+fn overlapped_bits_match_fusion_at_every_depth() {
     let fields = rt_fields();
-    let capacity = DeviceProfile::intel_x5660().global_mem_bytes;
     for workload in WORKLOADS {
-        let fused = Engine::new(DeviceProfile::intel_x5660())
-            .derive(workload.source(), &fields, Strategy::Fusion)
-            .expect("fusion")
-            .field
-            .expect("real mode");
+        let fused = fused(workload, &fields);
         for case in &CASES {
-            let budget = case.budget.unwrap_or(capacity);
-            let runs = streamed_runs(ExecMode::Real, workload, case.budget);
-            let trace = runs[0].trace.as_ref().expect("tracer attached");
-            let pipeline = trace
-                .spans()
-                .iter()
-                .find(|s| s.name == "stream.pipeline")
-                .expect("stream.pipeline span");
+            let mut engine = engine_in(ExecMode::Real);
+            engine.set_tracer(Tracer::new());
+            let report = engine
+                .derive_streamed(workload.source(), &fields, case.budget)
+                .expect("one-shot streamed");
             let label = format!("{workload} {}", case.label);
-            assert_eq!(pipeline.meta_u64("slabs"), Some(case.slabs), "{label}");
-            assert_eq!(pipeline.meta_u64("depth"), Some(case.depth), "{label}");
-            for (run, report) in runs.iter().enumerate() {
-                let label = format!("{label} run {run}");
-                assert!(
-                    report.high_water_bytes() <= budget,
-                    "{label}: peak {} over budget {budget}",
-                    report.high_water_bytes()
-                );
-                let streamed = report.field.as_ref().expect("real mode");
-                assert_bits_equal(&label, &fused.data, &streamed.data);
+            assert_eq!(
+                pipeline_shape(&report),
+                (Some(case.slabs), Some(case.depth)),
+                "{label}: (slabs, depth)"
+            );
+            assert_streamed_matches(&label, &report, case.budget, &fused);
+        }
+    }
+}
+
+/// Session path: codegen cached across cycles, ring buffers pooled — still
+/// bit-identical to fusion and under the budget at every budget, on every
+/// cycle.
+#[test]
+fn session_streamed_bits_match_fusion_at_every_depth() {
+    let fields = rt_fields();
+    for workload in WORKLOADS {
+        let fused = fused(workload, &fields);
+        for case in &CASES {
+            let mut engine = engine_in(ExecMode::Real);
+            let mut session = engine.session();
+            for cycle in 0..3 {
+                let report = session
+                    .derive_streamed(workload.source(), &fields, case.budget)
+                    .expect("streamed session cycle");
+                let label = format!("session {workload} {} cycle {cycle}", case.label);
+                assert_streamed_matches(&label, &report, case.budget, &fused);
             }
         }
     }
+}
+
+/// A budget with room for two ring slots does not waste the second when
+/// the whole grid fits in one slab: the pipeline degenerates to one slab
+/// through one slot, still bit-identical to fusion.
+#[test]
+fn depth_shrinks_to_slab_count() {
+    let fields = rt_fields();
+    let workload = Workload::VorticityMagnitude;
+    let mut engine = engine_in(ExecMode::Real);
+    engine.set_tracer(Tracer::new());
+    let report = engine
+        .derive_streamed(workload.source(), &fields, None)
+        .expect("streamed");
+    assert_eq!(
+        pipeline_shape(&report),
+        (Some(1), Some(1)),
+        "(slabs, depth)"
+    );
+    assert_streamed_matches("one slab", &report, None, &fused(workload, &fields));
 }
 
 /// Model mode and Real mode must produce bitwise-identical virtual clocks,
