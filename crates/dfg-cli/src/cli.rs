@@ -711,6 +711,7 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     }
     let mut rows = Vec::new();
     let mut opt_stats = None;
+    let mut staged_kernels = Vec::new();
     for strategy in [Strategy::Roundtrip, Strategy::Staged, Strategy::Fusion] {
         let mut engine = Engine::with_options(
             profile.clone(),
@@ -743,6 +744,9 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             None
         };
         let trace = report.trace.as_ref().expect("tracer attached");
+        if strategy == Strategy::Staged {
+            staged_kernels = staged_kernel_rows(trace);
+        }
         let path = out_dir.join(format!("trace-{}.json", strategy.name()));
         std::fs::write(&path, trace.to_chrome_trace())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
@@ -787,6 +791,20 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         "(moved: modeled host<->device transfer volume; copied: bytes the host \
          physically copied for it — whole-field uploads adopt the host's arrays)"
     );
+    println!();
+    println!(
+        "staged launches by kernel (wall: `staged.kernel` spans; modeled: their device events)"
+    );
+    println!(
+        "  {:<16} {:>8} {:>10} {:>11}",
+        "kernel", "launches", "wall ms", "modeled ms"
+    );
+    for row in &staged_kernels {
+        println!(
+            "  {:<16} {:>8} {:>10.3} {:>11.3}",
+            row.kernel, row.launches, row.wall_ms, row.modeled_ms
+        );
+    }
     if verify.enabled() {
         println!();
         println!("integrity verification ({}):", verify.name());
@@ -899,6 +917,51 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         },
     );
     Ok(())
+}
+
+/// One row of `dfgc profile`'s staged attribution: every launch of one
+/// kernel name.
+#[derive(Debug, Default)]
+struct KernelRow {
+    kernel: String,
+    launches: usize,
+    wall_ms: f64,
+    modeled_ms: f64,
+}
+
+/// A staged run's launches grouped by kernel name, most wall time first:
+/// wall time from the `staged.kernel` spans, modeled time from the
+/// `ocl.kernel` device event each of them records.
+fn staged_kernel_rows(trace: &dfg_trace::Trace) -> Vec<KernelRow> {
+    let spans = trace.spans();
+    let mut rows: Vec<KernelRow> = Vec::new();
+    for (i, span) in spans.iter().enumerate() {
+        let Some(dfg_trace::MetaValue::Str(kernel)) = span.meta_get("kernel") else {
+            continue;
+        };
+        if span.name != "staged.kernel" {
+            continue;
+        }
+        let modeled_s: f64 = (spans.iter())
+            .filter(|event| event.parent == Some(i) && event.name == "ocl.kernel")
+            .filter_map(|event| event.virt_seconds())
+            .sum();
+        let at = rows
+            .iter()
+            .position(|r| &r.kernel == kernel)
+            .unwrap_or_else(|| {
+                rows.push(KernelRow {
+                    kernel: kernel.clone(),
+                    ..KernelRow::default()
+                });
+                rows.len() - 1
+            });
+        rows[at].launches += 1;
+        rows[at].wall_ms += span.wall_ns() as f64 / 1e6;
+        rows[at].modeled_ms += modeled_s * 1e3;
+    }
+    rows.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
+    rows
 }
 
 /// `dfgc insitu`: drive the miniature flow solver for N cycles under a
@@ -1434,6 +1497,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `dfgc profile`'s staged table: one row per kernel name, `decompose`
+    /// launches among them, every launch counted once, and wall time that
+    /// fits inside the run's.
+    #[test]
+    fn profile_attributes_staged_wall_time_by_kernel() {
+        let mesh = RectilinearMesh::unit_cube([12, 10, 8]);
+        let fields = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
+        let mut engine = Engine::new(DeviceProfile::intel_x5660());
+        engine.set_tracer(Tracer::new());
+        let source = dfg_core::workloads::Q_CRITERION;
+        let report = engine.derive(source, &fields, Strategy::Staged).unwrap();
+        let rows = staged_kernel_rows(report.trace.as_ref().unwrap());
+        let decompose = rows.iter().find(|r| r.kernel == "decompose_s0").unwrap();
+        assert_eq!(decompose.launches, 3);
+        assert!(decompose.modeled_ms > 0.0);
+        let launches: usize = rows.iter().map(|r| r.launches).sum();
+        assert_eq!(launches, report.table2_row().2);
+        let wall: f64 = rows.iter().map(|r| r.wall_ms).sum();
+        assert!(wall <= report.wall.as_secs_f64() * 1e3, "{wall} ms");
+        let modeled: f64 = rows.iter().map(|r| r.modeled_ms).sum();
+        let device_ms = report.profile.seconds(EventKind::KernelExec) * 1e3;
+        assert!((modeled - device_ms).abs() < 1e-9 * device_ms.max(1.0));
+        assert!(rows.windows(2).all(|w| w[0].wall_ms >= w[1].wall_ms));
     }
 
     /// Every complete (`"ph": "X"`) event of a Chrome trace: name and args.

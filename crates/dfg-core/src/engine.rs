@@ -541,7 +541,7 @@ impl Engine {
         let out_lanes = lanes_for(Width::Scalar, n);
         let out = ctx.create_buffer(out_lanes)?;
         ctx.launch(kernel.as_ref(), &bufs, out, n)?;
-        let field = read_buffer(&mut ctx, out, out_lanes)?.map(|data| Field {
+        let field = read_buffer(&mut ctx, out, out_lanes, 1)?.map(|data| Field {
             width: Width::Scalar,
             ncells: n,
             data,

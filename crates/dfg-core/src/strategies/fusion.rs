@@ -58,7 +58,7 @@ pub(crate) fn run_fusion(
     }
 
     let _download = dfg_trace::span!(tracer, "fusion.download");
-    let fields_out = read_buffer(ctx, out, lanes_per_elem * n)?.map(|mut planes| {
+    let fields_out = read_buffer(ctx, out, lanes_per_elem * n, 1)?.map(|mut planes| {
         // Planes sit in root order, so peeling them off the tail leaves the
         // first root holding the downloaded allocation itself.
         let mut fields: Vec<Field> = program

@@ -132,17 +132,19 @@ pub(crate) fn write_field(
     Ok(())
 }
 
-/// Download the whole of `buf` (`lanes` lanes): its contents from a real
-/// context, `None` — the same transfer, accounted — from a model one. The
-/// one place a download asks which it is, because only a real context has
-/// bytes to put in a fresh `Vec`.
+/// Download the whole of `buf` (`lanes` lanes, as `planes` planes): its
+/// contents from a real context, cell by cell (see
+/// [`Context::enqueue_read_cells`]), `None` — the same transfer, accounted
+/// — from a model one. The one place a download asks which it is, because
+/// only a real context has bytes to put in a fresh `Vec`.
 pub(crate) fn read_buffer(
     ctx: &mut Context,
     buf: BufferId,
     lanes: usize,
+    planes: usize,
 ) -> Result<Option<Vec<f32>>, EngineError> {
     Ok(match ctx.mode() {
-        ExecMode::Real => Some(ctx.enqueue_read(buf)?),
+        ExecMode::Real => Some(ctx.enqueue_read_cells(buf, planes)?),
         ExecMode::Model => {
             ctx.enqueue_read_range_q(QueueId::DEFAULT, buf, 0, HostEnd::absent(lanes), &[])?;
             None

@@ -6,13 +6,15 @@
 //! (array slicing), and constants are materialized as problem-sized host
 //! arrays uploaded per consuming port — both behaviours are required to
 //! reproduce the paper's Table II transfer counts and Figure 6 memory
-//! curves.
+//! curves. A `Vec4` value stays in the primitives' planar layout on the
+//! host too, so a decompose is one plane; a `Vec4` root is interleaved into
+//! `float4` cells once, at the end.
 
 use std::collections::HashMap;
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
-use dfg_ocl::{Context, DeviceKernel, ExecMode, HostEnd, QueueId, SharedArray};
+use dfg_ocl::{interleave, Context, DeviceKernel, ExecMode, HostEnd, QueueId, SharedArray};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
@@ -71,9 +73,7 @@ pub(crate) fn run_roundtrip(
                         .get(&node.inputs[0])
                         .and_then(Option::as_ref)
                         .expect("scheduled operand present in real mode");
-                    let comp = *comp as usize;
-                    let plane: Vec<f32> = (0..n).map(|i| src[4 * i + comp]).collect();
-                    plane.into()
+                    src[*comp as usize * n..][..n].to_vec().into()
                 });
                 host.insert(id, val);
             }
@@ -124,7 +124,7 @@ pub(crate) fn run_roundtrip(
                 }
                 let val = {
                     let _download = dfg_trace::span!(tracer, "roundtrip.download");
-                    read_buffer(ctx, out, out_lanes)?.map(SharedArray::from)
+                    read_buffer(ctx, out, out_lanes, 1)?.map(SharedArray::from)
                 };
                 host.insert(id, val);
                 // The device is drained after every filter (each created
@@ -153,13 +153,15 @@ pub(crate) fn run_roundtrip(
         } else {
             host.remove(&root)
         };
+        let val = val.expect("root pinned by schedule").expect("real mode");
+        let width = spec.width(root);
         out.push(Field {
-            width: spec.width(root),
+            width,
             ncells: n,
-            data: val
-                .expect("root pinned by schedule")
-                .expect("real mode")
-                .into_vec(),
+            data: match width {
+                Width::Vec4 => interleave(&val, 4),
+                _ => val.into_vec(),
+            },
         });
     }
     Ok(Some(out))

@@ -7,15 +7,18 @@
 //! intermediate results on the OpenCL target device"*), constants are
 //! materialized by a device fill kernel, and buffers are released the moment
 //! their reference count drops to zero. An element-wise kernel whose operand
-//! dies with it computes into that operand's storage
-//! ([`Context::launch_then_release`]); the modeled buffers, bytes and events
-//! are the paper's either way.
+//! dies with it computes into that operand's storage, and a `decompose`
+//! launch's output is a view of the plane it would copy
+//! ([`Context::launch_then_release`]): a `Vec4` buffer is planar in storage
+//! (see `dfg_kernels::primitives`), and a root of that width is interleaved
+//! into the host's `float4` cells by its one download. The modeled buffers,
+//! bytes and events are the paper's either way.
 
 use std::collections::HashMap;
 
-use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule};
+use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
-use dfg_ocl::{BufferId, Context, DeviceKernel, ExecMode};
+use dfg_ocl::{BufferId, Context, DeviceKernel, ExecMode, Placement};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
@@ -73,8 +76,9 @@ pub(crate) fn run_staged(
                     .filter(|&buf| !session.as_deref().is_some_and(|s| s.is_resident(buf)))
                     .collect();
                 let kernel = dfg_trace::span!(tracer, "staged.kernel", kernel = prim.name());
-                let in_place = ctx.launch_then_release(&prim, &inputs, out, n, &dying)?;
-                drop(kernel.meta("in_place", in_place));
+                let placement = ctx.launch_then_release(&prim, &inputs, out, n, &dying)?;
+                let kernel = kernel.meta("in_place", placement == Placement::InPlace);
+                drop(kernel.meta("view", placement == Placement::View));
                 dev.insert(id, out);
             }
         }
@@ -99,7 +103,8 @@ pub(crate) fn run_staged(
             }
         };
         let width = spec.width(root);
-        let data = read_buffer(ctx, result_buf, lanes_for(width, n))?;
+        let planes = if width == Width::Vec4 { 4 } else { 1 };
+        let data = read_buffer(ctx, result_buf, lanes_for(width, n), planes)?;
         if let (Some(fields_out), Some(data)) = (out.as_mut(), data) {
             fields_out.push(Field {
                 width,

@@ -1107,15 +1107,16 @@ fn dims_disagreeing_with_the_grid_is_a_typed_error_before_any_device_work() {
 }
 
 /// The in-place table of docs/PERFORMANCE.md (CI prints it with
-/// `--nocapture`): per paper expression, the staged launches and how many of
-/// them compute into the storage of an operand that dies with them, read
-/// from the `in_place` flag of each `staged.kernel` span.
+/// `--nocapture`): per paper expression, the staged launches, how many of
+/// them compute into the storage of an operand that dies with them, and how
+/// many are `decompose`s whose output shares a plane of their operand, read
+/// from the `in_place` and `view` flags of each `staged.kernel` span.
 #[test]
 fn staged_in_place_table() {
     use dfg_trace::{MetaValue, Tracer};
     let fields = small_rt_fields([6, 5, 4]);
-    println!("| expression | staged launches | launches in place |");
-    println!("|---|---|---|");
+    println!("| expression | staged launches | launches in place | views |");
+    println!("|---|---|---|---|");
     let names = ["vel_mag", "vort_mag", "q_crit"];
     let rows = Workload::ALL.map(|workload| {
         let name = names[workload as usize];
@@ -1125,17 +1126,19 @@ fn staged_in_place_table() {
             .derive(workload.source(), &fields, Strategy::Staged)
             .unwrap();
         let trace = report.trace.unwrap();
-        let flags: Vec<bool> = trace
-            .spans()
-            .iter()
+        let kernels: Vec<_> = (trace.spans().iter())
             .filter(|s| s.name == "staged.kernel")
-            .map(|s| s.meta_get("in_place") == Some(&MetaValue::Bool(true)))
             .collect();
-        let in_place = flags.iter().filter(|&&f| f).count();
-        println!("| `{name}` | {} | {in_place} |", flags.len());
-        (flags.len(), in_place)
+        let count = |flag: &str| {
+            let set =
+                |s: &&&dfg_trace::SpanRecord| s.meta_get(flag) == Some(&MetaValue::Bool(true));
+            kernels.iter().filter(set).count()
+        };
+        let (in_place, views) = (count("in_place"), count("view"));
+        println!("| `{name}` | {} | {in_place} | {views} |", kernels.len());
+        (kernels.len(), in_place, views)
     });
-    assert_eq!(rows, [(6, 3), (18, 9), (67, 45)]);
+    assert_eq!(rows, [(6, 3, 0), (18, 9, 6), (67, 45, 9)]);
 }
 
 // ---------------------------------------------------------------------------
@@ -1725,7 +1728,7 @@ mod in_place {
     use super::*;
     use crate::recovery::Request;
     use crate::{EngineError, ExecReport, Field, RecoveryPolicy};
-    use dfg_dataflow::{BinKind, NetworkBuilder, NetworkSpec, NodeId, Strategy, UnKind};
+    use dfg_dataflow::{BinKind, FilterOp, NetworkBuilder, NetworkSpec, NodeId, Strategy, UnKind};
     use dfg_ocl::{FaultKind, FaultPlan, OclError, VerifyPolicy};
     use dfg_trace::{MetaValue, Tracer};
     use proptest::prelude::*;
@@ -1770,11 +1773,16 @@ mod in_place {
 
     /// Staged one-shot and staged in a pooled session over three cycles,
     /// each in Real and Model mode: the bits equal roundtrip's (which never
-    /// computes in place), Real events equal Model events, `in_use` returns
-    /// to its baseline and the pool hits equal the Model run's — a Model
-    /// context has no storage to donate. Returns the one-shot run's
-    /// launches in place.
-    fn check(spec: &NetworkSpec, roots: &[NodeId], real: &FieldSet, model: &FieldSet) -> usize {
+    /// computes in place or shares a plane) and fusion's, Real events equal
+    /// Model events, `in_use` returns to its baseline and the pool hits
+    /// equal the Model run's — a Model context has no storage to donate or
+    /// share. Returns the one-shot run's launches in place and views.
+    fn check(
+        spec: &NetworkSpec,
+        roots: &[NodeId],
+        real: &FieldSet,
+        model: &FieldSet,
+    ) -> (usize, usize) {
         let (want, ..) = one_shot(
             &engine(ExecMode::Real),
             spec,
@@ -1782,6 +1790,8 @@ mod in_place {
             real,
             Strategy::Roundtrip,
         );
+        let (fused, ..) = one_shot(&engine(ExecMode::Real), spec, roots, real, Strategy::Fusion);
+        assert_same_values(&want, &fused, "fusion");
         let mut traced = engine(ExecMode::Real);
         traced.set_tracer(Tracer::new());
         let (got, r, in_use) = one_shot(&traced, spec, roots, real, Strategy::Staged);
@@ -1811,10 +1821,13 @@ mod in_place {
             assert_eq!(sr.pool_hits(), sm.pool_hits(), "{what}: pool hits");
         }
         let trace = traced.tracer().unwrap().snapshot();
-        let in_place = Some(&MetaValue::Bool(true));
-        (trace.spans().iter())
-            .filter(|s| s.name == "staged.kernel" && s.meta_get("in_place") == in_place)
-            .count()
+        let count = |flag: &str| {
+            let set = Some(&MetaValue::Bool(true));
+            (trace.spans().iter())
+                .filter(|s| s.name == "staged.kernel" && s.meta_get(flag) == set)
+                .count()
+        };
+        (count("in_place"), count("view"))
     }
 
     /// Values on which a changed operand, order or sign shows.
@@ -1869,7 +1882,7 @@ mod in_place {
         let spec = b.finish(root);
         let (real, model) = inputs(4099, &[3, 1, 4, 1]);
         for roots in [vec![root], vec![q, root, x], vec![d, ss, root, y]] {
-            assert!(check(&spec, &roots, &real, &model) >= 4, "{roots:?}");
+            assert!(check(&spec, &roots, &real, &model).0 >= 4, "{roots:?}");
         }
     }
 
@@ -1879,7 +1892,8 @@ mod in_place {
         /// Random element-wise DAGs over every `BinKind` and `UnKind`, with
         /// shared subexpressions, `x op x`, several roots (some read later,
         /// some bare inputs) and a constant, over signed zeros, infinities,
-        /// NaN and subnormals: see [`check`].
+        /// NaN and subnormals: see [`check`]. The vector sibling below is
+        /// the same check over `Vec4` values.
         #[test]
         fn random_elementwise_dags_in_place_match_roundtrip(
             nodes in prop::collection::vec((0usize..25, 0usize..1000, 0usize..1000, 0u8..4), 1..14),
@@ -1904,6 +1918,71 @@ mod in_place {
             let (real, model) = inputs(n, &picks);
             check(&spec, &roots, &real, &model);
         }
+
+        /// Random DAGs over vector values: gradients of smooth and of
+        /// special-valued fields, `vector`, `cross`, `dot`, `norm` and a
+        /// `decompose` of every lane (the zero fourth too), beside
+        /// element-wise steps, with shared subexpressions and scalar and
+        /// `Vec4` roots, on ragged grids (one of them over a minimum task):
+        /// see [`check`], under the pool and serially.
+        #[test]
+        fn random_vector_dags_match_across_strategies(
+            nodes in prop::collection::vec((0usize..9, 0usize..1000, 0usize..1000, 0usize..1000), 2..20),
+            roots in prop::collection::vec(0usize..1000, 0..3),
+            picks in prop::collection::vec(0usize..16, 5..6),
+            grid in 0usize..3,
+        ) {
+            let mut b = NetworkBuilder::new();
+            let dims = b.small_input("dims");
+            let [x, y, z] = ["x", "y", "z"].map(|axis| b.input(axis));
+            let mut scalars = ["u", "v", "w", "a", "b", "c"].map(|name| b.input(name)).to_vec();
+            let mut vectors = vec![b.grad3d(scalars[0], dims, x, y, z)];
+            // An even draw takes one of the three newest values (a chain),
+            // an odd one any value (a shared subexpression).
+            let pick = |values: &[NodeId], t: usize| {
+                let len = values.len();
+                values[if t.is_multiple_of(2) { len - 1 - t / 2 % len.min(3) } else { t / 2 % len }]
+            };
+            let mut last = vectors[0];
+            for (op, i, j, k) in nodes {
+                let [si, sj, sk] = [i, j, k].map(|t| pick(&scalars, t));
+                let [vi, vj] = [i, j].map(|t| pick(&vectors, t));
+                let (list, value) = match op {
+                    // Fusion differentiates inputs only.
+                    0 => (&mut vectors, b.grad3d(scalars[i % 6], dims, x, y, z)),
+                    1 => (&mut vectors, b.compose3(si, sj, sk)),
+                    2 => (&mut vectors, b.binary(FilterOp::Cross3, vi, vj)),
+                    3 => (&mut scalars, b.binary(FilterOp::Dot3, vi, vj)),
+                    4 => (&mut scalars, b.unary(FilterOp::Norm3, vi)),
+                    5 | 6 => (&mut scalars, b.decompose(vi, (k % 4) as u8)),
+                    _ => (&mut scalars, b.binary(BinKind::ALL[k % BinKind::ALL.len()], si, sj)),
+                };
+                list.push(value);
+                last = value;
+            }
+            let values: Vec<NodeId> = scalars.iter().chain(&vectors).copied().collect();
+            let roots: Vec<NodeId> = std::iter::once(last)
+                .chain(roots.iter().map(|r| values[r % values.len()]))
+                .collect();
+            let spec = b.finish(last);
+            let (real, model) = mesh_inputs([[37, 5, 3], [4, 1, 6], [41, 23, 19]][grid], &picks);
+            let pooled = check(&spec, &roots, &real, &model);
+            let serial = dfg_exec::with_serial(|| check(&spec, &roots, &real, &model));
+            prop_assert_eq!(pooled, serial);
+        }
+    }
+
+    /// [`inputs`] beside the fields of a `dims` grid: `x`, `y`, `z`, `dims`
+    /// and the smooth velocity `u`, `v`, `w`.
+    fn mesh_inputs(dims: [usize; 3], picks: &[usize]) -> (FieldSet, FieldSet) {
+        let (mut real, mut model) = (small_rt_fields(dims), FieldSet::virtual_rt(dims));
+        let (palette, _) = inputs(real.ncells(), picks);
+        for name in ["a", "b", "c"] {
+            let lanes = palette.get(name).and_then(|f| f.data.as_deref()).unwrap();
+            real.insert_scalar(name, lanes.to_vec()).unwrap();
+            model.insert_virtual_scalar(name);
+        }
+        (real, model)
     }
 
     /// A resident is the session's, not the launch's. A flip and its undo
@@ -1995,8 +2074,54 @@ mod in_place {
         );
     }
 
+    /// `g[0]*g[1] + g[2]*g[0]` of one gradient: its two products read only
+    /// views of `g`'s planes, and its three `decompose`s read `g`. A
+    /// `mem_flip` at each of the seven launches under `verify=full` — on a
+    /// view, on `g`, on an input — is detected, and recovery gives the
+    /// clean run's bits.
+    #[test]
+    fn mem_flip_on_a_viewed_plane_is_detected_and_healed() {
+        let src = "g = grad3d(u, dims, x, y, z)\nr = g[0] * g[1] + g[2] * g[0]";
+        let fields = small_rt_fields([7, 5, 3]);
+        let clean = cpu_engine().derive(src, &fields, Strategy::Staged).unwrap();
+        assert_eq!(clean.table2_row().2, 7);
+        let flipped = |nth: u64, seed: u64, recovery: RecoveryPolicy| {
+            let mut engine = Engine::with_options(
+                DeviceProfile::intel_x5660(),
+                EngineOptions {
+                    verify: VerifyPolicy::Full,
+                    recovery,
+                    ..Default::default()
+                },
+            );
+            let plan = FaultPlan::with_seed(seed);
+            plan.fail_nth_from_now(FaultKind::MemFlip, nth, 1);
+            engine.set_fault_plan(plan);
+            engine.derive(src, &fields, Strategy::Staged)
+        };
+        for (nth, seed) in (1..=7).flat_map(|nth| (0..3).map(move |seed| (nth, seed))) {
+            let what = format!("launch {nth}, seed {seed}");
+            let detected = flipped(nth, seed, RecoveryPolicy::disabled());
+            assert!(
+                matches!(
+                    detected,
+                    Err(EngineError::Ocl(OclError::IntegrityViolation { .. }))
+                ),
+                "{what}: {detected:?}"
+            );
+            let healed = flipped(nth, seed, RecoveryPolicy::resilient()).unwrap();
+            assert_eq!(healed.integrity.violations, 1, "{what}");
+            assert_bits_eq(
+                &clean.field.as_ref().unwrap().data,
+                &healed.field.unwrap().data,
+                &what,
+            );
+        }
+    }
+
     /// Poisoned releases (`DFG_POOL_POISON=1`) include the storage a donor
-    /// gets in exchange: a staged session's bits do not change.
+    /// gets in exchange, and a view parks without storage: a staged
+    /// session's bits do not change.
     #[test]
     fn pool_poison_leaves_a_staged_session_bit_identical() {
         let src = Workload::QCriterion.source();

@@ -1772,7 +1772,9 @@ mod lowering_tests {
         (mesh.ncells(), fields)
     }
 
-    /// `roots` evaluated one primitive launch per node: what staged runs.
+    /// `roots` evaluated one primitive launch per node: what staged runs,
+    /// in the host's layout (a `Vec4` root's planes interleaved into cells,
+    /// as staged's download does).
     fn staged(
         spec: &NetworkSpec,
         roots: &[NodeId],
@@ -1798,7 +1800,10 @@ mod lowering_tests {
             };
             vals.insert(id, val);
         }
-        roots.iter().map(|root| vals[root].clone()).collect()
+        let planes = |root: &NodeId| lanes_of(spec.width(*root));
+        (roots.iter())
+            .map(|root| dfg_ocl::interleave(&vals[root], planes(root)))
+            .collect()
     }
 
     /// [`check_on`] the mesh fields.

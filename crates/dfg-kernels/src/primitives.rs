@@ -14,13 +14,22 @@
 //! is `dfg-dataflow`'s operation table ([`BinKind`], [`UnKind`]); this
 //! module adds what only a standalone kernel has: the launch loop and the
 //! bytes it moves.
+//!
+//! A `Vec4` buffer is the paper's `float4` array in size, but planar in
+//! storage: lanes `k·n .. (k+1)·n` hold component `k` of the `n` cells. The
+//! stencil's native output is planar, so `grad3d` writes its three planes
+//! directly; a `decompose` is one plane, which a launch can share instead of
+//! copying ([`DeviceKernel::view`]); and the zero fourth lane is never
+//! written ([`DeviceKernel::unwritten_from`]). Hosts see `float4` cells: a
+//! download interleaves.
 
-use dfg_dataflow::{select, BinKind, FilterOp, UnKind};
+use std::ops::Range;
+
+use dfg_dataflow::{select, BinKind, FilterOp, UnKind, Width};
 use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
 use rayon::prelude::*;
 
-use crate::fused::chunk_width;
-use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::grad::{gradient_span, Dims3};
 
 /// A standalone device kernel for one dataflow primitive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,13 +40,15 @@ pub enum Primitive {
     Un(UnKind),
     /// `select(cond, a, b)`: inputs `[cond, a, b]`, scalar out.
     Select,
-    /// Extract vec4 component: inputs `[v]` (4n lanes), scalar out.
+    /// Extract vec4 component `k`: inputs `[v]`, scalar out — `v`'s plane `k`.
     Decompose(u8),
     /// Fill the output with a constant (staged's constant materialization).
     ConstFill(f32),
-    /// Pack three scalars into a vec4: inputs `[a, b, c]`, vec4 out.
+    /// Pack three scalars into a vec4: inputs `[a, b, c]`, vec4 out whose
+    /// planes are `a`, `b`, `c` and zeros.
     Compose3,
-    /// Gradient: inputs `[field, dims, x, y, z]`, vec4 out.
+    /// Gradient: inputs `[field, dims, x, y, z]`, vec4 out (the planes
+    /// `∂/∂x`, `∂/∂y`, `∂/∂z` and zeros).
     Grad3d,
     /// Norm of first three lanes: inputs `[v]` (vec4), scalar out.
     Norm3,
@@ -210,6 +221,17 @@ impl DeviceKernel for Primitive {
         matches!(self, Primitive::Bin(_) | Primitive::Un(_))
     }
 
+    fn view(&self, n: usize) -> Option<Range<usize>> {
+        let Primitive::Decompose(k) = *self else {
+            return None;
+        };
+        Some(k as usize * n..(k as usize + 1) * n)
+    }
+
+    fn unwritten_from(&self, n: usize) -> Option<usize> {
+        (self.filter_op().width() == Width::Vec4).then_some(3 * n)
+    }
+
     fn run(&self, args: KernelArgs<'_>) {
         let n = args.n;
         // Scale the chunk size to the live thread count (`DFG_NUM_THREADS`
@@ -221,102 +243,79 @@ impl DeviceKernel for Primitive {
         let operands: Vec<Option<&[f32]>> =
             (0..args.inputs.len()).map(|i| args.operand(i)).collect();
         let operand = |i: usize, at: usize| operands[i].map(|v| &v[at..]);
-        // `body(at, out)`: one task's `lanes`-wide output cells, the first
-        // of which is cell `at`.
-        let mut tasks = |lanes: usize, body: &(dyn Fn(usize, &mut [f32]) + Sync)| {
-            args.output[..lanes * n]
-                .par_chunks_mut(lanes * chunk)
+        // `body(at, out)`: one task's cells of the output plane `plane`, the
+        // first of which is cell `at`.
+        let tasks = |plane: &mut [f32], body: &(dyn Fn(usize, &mut [f32]) + Sync)| {
+            plane[..n]
+                .par_chunks_mut(chunk)
                 .enumerate()
                 .for_each(|(c, out)| body(c * chunk, out));
         };
-        let input = |i: usize| args.inputs[i];
+        // Lane `k`'s plane of input `i`, over cells `at..at + len`.
+        let lane = |i: usize, k: usize, at: usize, len: usize| &args.inputs[i][k * n + at..][..len];
+        let (out, input) = (args.output, |i: usize| args.inputs[i]);
         match *self {
-            Primitive::Bin(k) => tasks(1, &|at, out| {
+            Primitive::Bin(k) => tasks(out, &|at, out| {
                 k.apply_in_place(out, operand(0, at), operand(1, at));
             }),
-            Primitive::Un(k) => tasks(1, &|at, out| k.apply_in_place(out, operand(0, at))),
-            Primitive::Select => tasks(1, &|at, out| {
-                let len = out.len();
-                let (c, a, b) = (
-                    &input(0)[at..][..len],
-                    &input(1)[at..][..len],
-                    &input(2)[at..][..len],
-                );
+            Primitive::Un(k) => tasks(out, &|at, out| k.apply_in_place(out, operand(0, at))),
+            Primitive::Select => tasks(out, &|at, out| {
+                let [c, a, b] = [0, 1, 2].map(|i| lane(i, 0, at, out.len()));
                 for (t, o) in out.iter_mut().enumerate() {
                     *o = select(c[t], a[t], b[t]);
                 }
             }),
-            Primitive::Compose3 => tasks(4, &|at, out| {
-                let len = out.len() / 4;
-                let (a, b, c) = (
-                    &input(0)[at..][..len],
-                    &input(1)[at..][..len],
-                    &input(2)[at..][..len],
-                );
-                for (t, o) in out.chunks_exact_mut(4).enumerate() {
-                    o.copy_from_slice(&[a[t], b[t], c[t], 0.0]);
+            Primitive::Compose3 => {
+                for (k, plane) in out.chunks_exact_mut(n.max(1)).take(3).enumerate() {
+                    tasks(plane, &|at, out| {
+                        out.copy_from_slice(lane(k, 0, at, out.len()))
+                    });
                 }
+            }
+            Primitive::Decompose(k) => tasks(out, &|at, out| {
+                out.copy_from_slice(lane(0, k as usize, at, out.len()));
             }),
-            Primitive::Decompose(comp) => tasks(1, &|at, out| {
-                let v = input(0)[4 * at..].chunks_exact(4);
-                for (o, v) in out.iter_mut().zip(v) {
-                    *o = v[comp as usize];
-                }
-            }),
-            Primitive::ConstFill(val) => tasks(1, &|_, out| out.fill(val)),
+            Primitive::ConstFill(val) => tasks(out, &|_, out| out.fill(val)),
             Primitive::Grad3d => {
                 let d = Dims3::from_buffer(input(1));
-                // The stencil writes planar rows; the primitive's output is
-                // per-cell `float4`, so a task interleaves one block of row
-                // scratch at a time.
-                let width = chunk_width(3);
-                tasks(4, &|at, out| {
-                    let mut rows = vec![0.0f32; 3 * width];
-                    for (b, out) in out.chunks_mut(4 * width).enumerate() {
-                        let [gx, gy, gz] = lanes3(&mut rows, width, out.len() / 4);
-                        let base = at + b * width;
-                        gradient_span(
-                            input(0),
-                            input(2),
-                            input(3),
-                            input(4),
-                            d,
-                            base,
-                            [&mut *gx, &mut *gy, &mut *gz],
-                        );
-                        for (t, o) in out.chunks_exact_mut(4).enumerate() {
-                            o.copy_from_slice(&[gx[t], gy[t], gz[t], 0.0]);
-                        }
-                    }
-                });
+                let (gx, rest) = out.split_at_mut(n);
+                let (gy, gz) = rest.split_at_mut(n);
+                (gx.par_chunks_mut(chunk).zip(gy.par_chunks_mut(chunk)))
+                    .zip(gz[..n].par_chunks_mut(chunk))
+                    .enumerate()
+                    .for_each(|(c, ((gx, gy), gz))| {
+                        let (f, x, y, z) = (input(0), input(2), input(3), input(4));
+                        gradient_span(f, x, y, z, d, c * chunk, [gx, gy, gz]);
+                    });
             }
-            Primitive::Norm3 => tasks(1, &|at, out| {
-                let v = input(0)[4 * at..].chunks_exact(4);
-                for (o, v) in out.iter_mut().zip(v) {
-                    *o = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+            Primitive::Norm3 => tasks(out, &|at, out| {
+                let [x, y, z] = [0, 1, 2].map(|k| lane(0, k, at, out.len()));
+                for (t, o) in out.iter_mut().enumerate() {
+                    *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
                 }
             }),
-            Primitive::Dot3 => tasks(1, &|at, out| {
-                let (a, b) = (
-                    input(0)[4 * at..].chunks_exact(4),
-                    input(1)[4 * at..].chunks_exact(4),
-                );
-                for ((o, a), b) in out.iter_mut().zip(a).zip(b) {
-                    *o = a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+            Primitive::Dot3 => tasks(out, &|at, out| {
+                let [a0, a1, a2] = [0, 1, 2].map(|k| lane(0, k, at, out.len()));
+                let [b0, b1, b2] = [0, 1, 2].map(|k| lane(1, k, at, out.len()));
+                for (t, o) in out.iter_mut().enumerate() {
+                    *o = a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t];
                 }
             }),
-            Primitive::Cross3 => tasks(4, &|at, out| {
-                let (a, b) = (
-                    input(0)[4 * at..].chunks_exact(4),
-                    input(1)[4 * at..].chunks_exact(4),
-                );
-                for ((o, a), b) in out.chunks_exact_mut(4).zip(a).zip(b) {
-                    o[0] = a[1] * b[2] - a[2] * b[1];
-                    o[1] = a[2] * b[0] - a[0] * b[2];
-                    o[2] = a[0] * b[1] - a[1] * b[0];
-                    o[3] = 0.0;
+            // Lane `l` is `a.p * b.q - a.q * b.p` for the cyclic pair `(p, q)`
+            // after `l`.
+            Primitive::Cross3 => {
+                let pairs = [(1, 2), (2, 0), (0, 1)];
+                for (plane, (p, q)) in out.chunks_exact_mut(n.max(1)).zip(pairs) {
+                    tasks(plane, &|at, out| {
+                        let len = out.len();
+                        let (ap, bq) = (lane(0, p, at, len), lane(1, q, at, len));
+                        let (aq, bp) = (lane(0, q, at, len), lane(1, p, at, len));
+                        for (t, o) in out.iter_mut().enumerate() {
+                            *o = ap[t] * bq[t] - aq[t] * bp[t];
+                        }
+                    });
                 }
-            }),
+            }
         }
     }
 }
@@ -498,20 +497,32 @@ mod tests {
         assert_eq!(out, vec![10.0, 21.0, 12.0]);
     }
 
+    /// A vec4 of two cells, `(1, 2, 3, 0)` and `(4, 5, 6, 0)`, is four
+    /// planes; a decompose launch shares one, and the kernel body — which
+    /// runs when the operand is an adopted host array — copies it.
     #[test]
     fn decompose_extracts_lanes() {
         let v = vec![
-            1.0, 2.0, 3.0, 0.0, //
-            4.0, 5.0, 6.0, 0.0,
+            1.0, 4.0, //
+            2.0, 5.0, //
+            3.0, 6.0, //
+            0.0, 0.0,
         ];
-        assert_eq!(
-            run_prim(Primitive::Decompose(0), std::slice::from_ref(&v), 2, 2),
-            vec![1.0, 4.0]
-        );
-        assert_eq!(
-            run_prim(Primitive::Decompose(2), &[v], 2, 2),
-            vec![3.0, 6.0]
-        );
+        for (k, want) in [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0], [0.0, 0.0]]
+            .into_iter()
+            .enumerate()
+        {
+            let prim = Primitive::Decompose(k as u8);
+            assert_eq!(prim.view(2), Some(2 * k..2 * k + 2));
+            assert_eq!(run_prim(prim, std::slice::from_ref(&v), 2, 2), want);
+            let mut out = [9.0; 2];
+            prim.run(KernelArgs {
+                inputs: &[&v],
+                output: &mut out,
+                n: 2,
+            });
+            assert_eq!(out, want);
+        }
     }
 
     #[test]
@@ -519,20 +530,61 @@ mod tests {
         assert_eq!(run_prim(Primitive::ConstFill(0.5), &[], 3, 3), vec![0.5; 3]);
     }
 
+    /// Two cells, planar: `a` is `(1, 2, 2)` and `(0, 3, 4)`, `b` is
+    /// `(0, 1, 0)` and `(1, 0, 0)`.
     #[test]
     fn norm_dot_cross() {
-        let a = vec![1.0, 2.0, 2.0, 0.0];
-        let b = vec![0.0, 1.0, 0.0, 0.0];
+        let a = vec![1.0, 0.0, 2.0, 3.0, 2.0, 4.0, 0.0, 0.0];
+        let b = vec![0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         assert_eq!(
-            run_prim(Primitive::Norm3, std::slice::from_ref(&a), 1, 1),
-            vec![3.0]
+            run_prim(Primitive::Norm3, std::slice::from_ref(&a), 2, 2),
+            vec![3.0, 5.0]
         );
         assert_eq!(
-            run_prim(Primitive::Dot3, &[a.clone(), b.clone()], 1, 1),
-            vec![2.0]
+            run_prim(Primitive::Dot3, &[a.clone(), b.clone()], 2, 2),
+            vec![2.0, 0.0]
         );
-        let c = run_prim(Primitive::Cross3, &[a, b], 4, 1);
-        assert_eq!(c, vec![-2.0, 0.0, 1.0, 0.0]);
+        let c = run_prim(Primitive::Cross3, &[a, b], 8, 2);
+        assert_eq!(c, vec![-2.0, 0.0, 0.0, 4.0, 1.0, -3.0, 0.0, 0.0]);
+    }
+
+    /// The fourth plane of a vec4 output is never written: fresh storage
+    /// holds zeros there, and a launch into recycled storage — poisoned on
+    /// release — clears it.
+    #[test]
+    fn vec4_outputs_read_zero_in_their_fourth_plane() {
+        use dfg_mesh::RectilinearMesh;
+        let mesh = RectilinearMesh::unit_cube([5, 3, 2]);
+        let n = mesh.ncells();
+        let (x, y, z) = mesh.coord_arrays();
+        let f = mesh.sample(|x, y, z| x * y - z);
+        let v = |s: f32| (0..4 * n).map(|i| s * i as f32).collect::<Vec<f32>>();
+        let launches = [
+            (Primitive::Compose3, vec![x.clone(), y.clone(), z.clone()]),
+            (Primitive::Cross3, vec![v(0.5), v(-1.5)]),
+            (Primitive::Grad3d, vec![f, mesh.dims_buffer(), x, y, z]),
+        ];
+        let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
+        ctx.set_pooling(true);
+        ctx.debug_set_poison(true);
+        for (p, inputs) in launches {
+            let ids: Vec<_> = (inputs.iter())
+                .map(|v| {
+                    let id = ctx.create_buffer(v.len()).unwrap();
+                    ctx.enqueue_write(id, v).unwrap();
+                    id
+                })
+                .collect();
+            for recycled in [false, true] {
+                let out = ctx.create_buffer(4 * n).unwrap();
+                ctx.launch(&p, &ids, out, n).unwrap();
+                let lanes = ctx.enqueue_read(out).unwrap();
+                assert!(lanes[3 * n..].iter().all(|&l| l == 0.0), "{p:?} {recycled}");
+                ctx.release(out).unwrap();
+            }
+            ids.into_iter().for_each(|id| ctx.release(id).unwrap());
+        }
+        assert!(ctx.pool_hits() >= 3);
     }
 
     #[test]
@@ -548,11 +600,12 @@ mod tests {
             4 * n,
             n,
         );
+        // Planar: the ∂/∂x plane, then ∂/∂y, ∂/∂z and zeros.
         for e in 0..n {
-            assert!((out[4 * e] - 2.0).abs() < 1e-4, "d/dx at {e}");
-            assert!((out[4 * e + 1] + 1.0).abs() < 1e-4, "d/dy at {e}");
-            assert!((out[4 * e + 2] - 4.0).abs() < 1e-4, "d/dz at {e}");
-            assert_eq!(out[4 * e + 3], 0.0);
+            assert!((out[e] - 2.0).abs() < 1e-4, "d/dx at {e}");
+            assert!((out[n + e] + 1.0).abs() < 1e-4, "d/dy at {e}");
+            assert!((out[2 * n + e] - 4.0).abs() < 1e-4, "d/dz at {e}");
+            assert_eq!(out[3 * n + e], 0.0);
         }
     }
 

@@ -3,13 +3,15 @@
 use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::host::{HostEnd, SharedArray, UploadSource};
+use crate::host::{interleave, HostEnd, SharedArray, UploadSource};
 use crate::integrity::{
     checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy, BUFFER_SUM_SEED,
 };
 use crate::profile::DeviceProfile;
 use crate::ExecMode;
 use dfg_trace::Tracer;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Handle to a device global-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,6 +155,31 @@ pub trait DeviceKernel: Sync {
     fn in_place(&self) -> bool {
         false
     }
+    /// The lanes of input 0 that a launch over `n` elements copies to its
+    /// whole output, when that is all the kernel does: the launch may then
+    /// make the output a [`Placement::View`] of them instead of running.
+    fn view(&self, _n: usize) -> Option<Range<usize>> {
+        None
+    }
+    /// The first output lane a launch over `n` elements leaves unwritten,
+    /// when it writes only a prefix: the launch makes the rest read as
+    /// zeros, which fresh storage already does, so only recycled storage
+    /// pays a pass for it.
+    fn unwritten_from(&self, _n: usize) -> Option<usize> {
+        None
+    }
+}
+
+/// Where a launch put its output. Only storage differs: what the model
+/// counts — bytes, events, the clock — is the same for all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Storage of the output's own: pooled, or fresh.
+    Own,
+    /// The storage of a dying operand ([`DeviceKernel::in_place`]).
+    InPlace,
+    /// The lanes of its operand it copies, shared ([`DeviceKernel::view`]).
+    View,
 }
 
 /// Guard lanes placed on each side of a slot's payload. The guards carry a
@@ -183,6 +210,12 @@ enum Storage {
     /// and no mutable view — [`Slot::payload_mut`] replaces this with an
     /// `Owned` copy before anything writes.
     Shared(SharedArray),
+    /// Lanes `at..at + lanes` of guarded storage that other slots may view
+    /// too: a [`Placement::View`] output and the operand it views. A write
+    /// goes through [`Slot::owned_mut`], which copies the lanes first; only a
+    /// launch writes a view where it lies, and only into the last handle to
+    /// the storage ([`Context::private`]).
+    View(Arc<Vec<f32>>, usize),
 }
 
 struct Slot {
@@ -218,16 +251,18 @@ impl Slot {
         self.data.as_ref().map(|d| match d {
             Storage::Owned(d) => &d[GUARD_LANES..GUARD_LANES + self.lanes],
             Storage::Shared(array) => &array[..],
+            Storage::View(block, at) => &block[*at..at + self.lanes],
         })
     }
 
     /// The slot's private storage, guard lanes included. An adopted array
-    /// is first replaced by a private copy of it, so no write made through
-    /// a slot can reach host memory.
+    /// or a view is first replaced by a private copy of it, so no write made
+    /// through a slot can reach host memory or another slot.
     fn owned_mut(&mut self) -> Option<&mut Vec<f32>> {
-        if let Some(Storage::Shared(array)) = &self.data {
+        if let Some(Storage::Shared(_) | Storage::View(..)) = &self.data {
             let mut private = Slot::alloc_storage(self.lanes);
-            private[GUARD_LANES..GUARD_LANES + self.lanes].copy_from_slice(array);
+            private[GUARD_LANES..GUARD_LANES + self.lanes]
+                .copy_from_slice(self.payload().expect("materialized"));
             self.data = Some(Storage::Owned(private));
         }
         match &mut self.data {
@@ -276,15 +311,18 @@ impl Slot {
 
     /// Whether every guard lane still carries the sentinel (vacuously true
     /// for unmaterialized storage and for an adopted array, which has no
-    /// guard lanes because nothing on the device side can write it).
+    /// guard lanes because nothing on the device side can write it). A view
+    /// answers for the guards of the storage it shares.
     fn guards_intact(&self) -> bool {
-        match &self.data {
-            None | Some(Storage::Shared(_)) => true,
-            Some(Storage::Owned(d)) => d[..GUARD_LANES]
-                .iter()
-                .chain(&d[self.lanes + GUARD_LANES..])
-                .all(|v| v.to_bits() == GUARD_WORD),
-        }
+        let d: &[f32] = match &self.data {
+            None | Some(Storage::Shared(_)) => return true,
+            Some(Storage::Owned(d)) => d,
+            Some(Storage::View(block, _)) => block,
+        };
+        d[..GUARD_LANES]
+            .iter()
+            .chain(&d[d.len() - GUARD_LANES..])
+            .all(|v| v.to_bits() == GUARD_WORD)
     }
 }
 
@@ -689,12 +727,12 @@ impl Context {
         if self.pooling {
             // Keep the storage but forget its contents: the next owner must
             // observe zeros until it writes, never this buffer's data. An
-            // adopted array is the host's, not storage to keep: the handle
-            // is dropped and the slot parks bare, exactly as a Model slot
-            // does, so pool counters cannot tell the two apart.
+            // adopted array is the host's and a view is shared, not storage
+            // to keep: the handle is dropped and the slot parks bare, exactly
+            // as a Model slot does, so pool counters cannot tell them apart.
             slot.written = false;
             slot.sum = None;
-            if let Some(Storage::Shared(_)) = slot.data {
+            if let Some(Storage::Shared(_) | Storage::View(..)) = slot.data {
                 slot.data = None;
             }
             // Optional hygiene tripwire: overwrite the released payload with
@@ -888,6 +926,18 @@ impl Context {
     /// kernel) reads as zeros. A Model context has no contents to return:
     /// account its downloads with [`Context::enqueue_read_range_q`].
     pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
+        self.enqueue_read_cells(id, 1)
+    }
+
+    /// [`Context::enqueue_read`] of a buffer that holds a value as `planes`
+    /// equal planes (a `Vec4` value: four), returned in the host's layout,
+    /// cell by cell (see [`interleave`]). The same one transfer, and the
+    /// same one copy: the interleave is the copy.
+    pub fn enqueue_read_cells(
+        &mut self,
+        id: BufferId,
+        planes: usize,
+    ) -> Result<Vec<f32>, OclError> {
         // The host end is the `Vec` this call returns.
         let whole = HostEnd {
             lanes: self.slot(id)?.lanes,
@@ -902,7 +952,10 @@ impl Context {
             &[],
         )?;
         self.host_bytes_copied += whole.lanes as u64 * 4;
-        self.peek(id)
+        Ok(match self.slot(id)?.contents() {
+            Some(payload) => interleave(payload, planes),
+            None => vec![0.0f32; whole.lanes],
+        })
     }
 
     /// Enqueue a host→device write on `queue`, ordered after `deps`. A Real
@@ -1015,8 +1068,10 @@ impl Context {
     /// Launch a kernel over `n` elements on `queue`, ordered after `deps`.
     ///
     /// In real mode the kernel body executes on the host's cores at enqueue
-    /// time, into the output's own storage; in model mode only the cost
-    /// model runs. The modeled execution interval is placed after the
+    /// time, into the output's own storage — or, for a kernel that only
+    /// copies lanes of its operand, makes the output a view of them (see
+    /// [`Context::launch_then_release`]); in model mode only the cost model
+    /// runs. The modeled execution interval is placed after the
     /// queue's prior work and every dependency. The output buffer must not
     /// alias any input. The caller is responsible for passing the tokens of
     /// the uploads/downloads the launch actually depends on — exactly the
@@ -1036,12 +1091,23 @@ impl Context {
 
     /// [`Context::launch`], then [`Context::release`] of every buffer in
     /// `dying` (the operands this launch reads last), in order; a failed
-    /// launch releases nothing. Returns whether the kernel ran in place:
-    /// an [`in_place`](DeviceKernel::in_place) kernel computes into the
-    /// storage of a dying input that is private (never an adopted host
-    /// array) and as wide as the output, whose own storage (pooled, or none
-    /// yet) goes to that input instead. Only storage moves, so `in_use`, the
-    /// high-water mark, pool counters and every event are unchanged.
+    /// launch releases nothing. Returns where the output went:
+    /// - [`Placement::InPlace`]: an [`in_place`](DeviceKernel::in_place)
+    ///   kernel computes into the storage of a dying input that is private
+    ///   (see below) and as wide as the output, whose own storage (pooled,
+    ///   or none yet) goes to that input instead;
+    /// - [`Placement::View`]: a kernel that only copies lanes of its operand
+    ///   ([`DeviceKernel::view`]) does not run, and its output shares those
+    ///   lanes — unless the operand is an adopted host array.
+    ///
+    /// Storage is private when no other live slot holds it: never an
+    /// adopted array, and a view only once its operand and every sibling
+    /// view are released. A dying view that is not private still donates,
+    /// by copy on write fused into the kernel's pass: the kernel reads the
+    /// view and writes the output's own storage. Any other write through a
+    /// view (a `mem_flip`, a host write) copies its lanes first. Only
+    /// storage moves and changes shape, so `in_use`, the high-water mark,
+    /// pool counters and every event are the same in every case.
     pub fn launch_then_release(
         &mut self,
         kernel: &dyn DeviceKernel,
@@ -1049,17 +1115,18 @@ impl Context {
         output: BufferId,
         n: usize,
         dying: &[BufferId],
-    ) -> Result<bool, OclError> {
-        let (_, in_place) =
+    ) -> Result<Placement, OclError> {
+        let (_, placement) =
             self.launch_body(QueueId::DEFAULT, kernel, inputs, output, n, &[], dying)?;
         for &id in dying {
             self.release(id)?;
         }
-        Ok(in_place)
+        Ok(placement)
     }
 
     /// The one launch body: checks, fault draws, verification, the kernel
-    /// (in place over a `dying` input where it may) and the event.
+    /// (in place over a `dying` input, or as a view, where it may) and the
+    /// event.
     #[allow(clippy::too_many_arguments)]
     fn launch_body(
         &mut self,
@@ -1070,7 +1137,7 @@ impl Context {
         n: usize,
         deps: &[EventToken],
         dying: &[BufferId],
-    ) -> Result<(EventToken, bool), OclError> {
+    ) -> Result<(EventToken, Placement), OclError> {
         if inputs.contains(&output) {
             return Err(OclError::OutputAliasesInput {
                 kernel: kernel.name(),
@@ -1112,8 +1179,16 @@ impl Context {
             kernel.in_place()
                 && inputs.contains(&id)
                 && slot.lanes == out_lanes
-                && matches!(slot.data, Some(Storage::Owned(_)))
+                && matches!(slot.data, Some(Storage::Owned(_) | Storage::View(..)))
         });
+        // A donor that shares its lanes with another live slot is copied on
+        // write, and the copy is the kernel's own pass: the kernel reads the
+        // donor's lanes and writes the output's storage.
+        let donor_storage = donor.filter(|&id| self.private(id));
+        let mut placement = match donor {
+            Some(_) => Placement::InPlace,
+            None => Placement::Own,
+        };
         if self.mode == ExecMode::Real {
             // Never-written inputs must read as zeros inside the kernel too,
             // so materialize them first (pooled storage may be stale).
@@ -1128,48 +1203,28 @@ impl Context {
             // In place, the output and the donor first trade storage: the
             // kernel writes over the donor's lanes, and the donor leaves
             // with the output's (pooled, or none yet).
-            if let Some(donor) = donor {
+            if let Some(donor) = donor_storage {
                 let Ok([Some(out), Some(donor)]) = self.slots.get_disjoint_mut([output.0, donor.0])
                 else {
                     unreachable!("the output and its donor are distinct live slots");
                 };
                 std::mem::swap(&mut out.data, &mut donor.data);
             }
-            // Temporarily take the output storage to satisfy the borrow
-            // checker, then gather immutable input views. The output's prior
-            // contents are unspecified (as in OpenCL): lanes the kernel does
-            // not write keep whatever the storage held, so pooled reuse
-            // never pays a zero-fill here.
-            let out_slot = self.slots[output.0].as_mut().expect("validated");
-            let mut out_data = out_slot
-                .owned_mut()
-                .map(std::mem::take)
-                .unwrap_or_else(|| Slot::alloc_storage(out_lanes));
-            {
-                let input_views: Vec<&[f32]> = inputs
-                    .iter()
-                    .map(|&id| {
-                        if Some(id) == donor {
-                            return &[][..];
-                        }
-                        self.slots[id.0]
-                            .as_ref()
-                            .expect("validated")
-                            .payload()
-                            .expect("materialized above")
-                    })
-                    .collect();
-                kernel.run(KernelArgs {
-                    inputs: &input_views,
-                    output: &mut out_data[GUARD_LANES..GUARD_LANES + out_lanes],
-                    n,
-                });
+            let shared = match (kernel.view(n), inputs.first()) {
+                (Some(lanes), Some(&input)) if donor.is_none() && lanes.len() == out_lanes => {
+                    self.share(input, lanes, output)
+                }
+                _ => false,
+            };
+            if shared {
+                placement = Placement::View;
+            } else {
+                self.run(kernel, inputs, output, n, donor_storage);
             }
             // Learn the output's checksum under Full (so downstream uses of
             // this kernel's result are verifiable); cheaper levels leave it
             // unlearned rather than pay a pass per launch.
             let out_slot = self.slots[output.0].as_mut().expect("validated");
-            out_slot.data = Some(Storage::Owned(out_data));
             out_slot.written = true;
             out_slot.learn_sum(full);
         }
@@ -1185,7 +1240,93 @@ impl Context {
             seconds,
             deps,
         );
-        Ok((token, donor.is_some()))
+        Ok((token, placement))
+    }
+
+    /// Whether no live slot but `id` holds `id`'s storage: storage of its
+    /// own, or a view whose operand and siblings are all released. Never an
+    /// adopted host array.
+    fn private(&self, id: BufferId) -> bool {
+        match &self.slots[id.0].as_ref().expect("validated").data {
+            Some(Storage::Owned(_)) => true,
+            Some(Storage::View(block, _)) => Arc::strong_count(block) == 1,
+            _ => false,
+        }
+    }
+
+    /// Make `output` a view of lanes `lanes` of `input`'s storage when that
+    /// storage is the device's own (never an adopted host array): private
+    /// storage becomes shared by both slots. Returns whether it did.
+    fn share(&mut self, input: BufferId, lanes: Range<usize>, output: BufferId) -> bool {
+        let src = self.slots[input.0].as_mut().expect("validated");
+        if lanes.end > src.lanes {
+            return false;
+        }
+        let (block, at) = match src.data.take() {
+            Some(Storage::Owned(d)) => (Arc::new(d), GUARD_LANES),
+            Some(Storage::View(block, at)) => (block, at),
+            other => {
+                src.data = other;
+                return false;
+            }
+        };
+        src.data = Some(Storage::View(Arc::clone(&block), at));
+        let out = self.slots[output.0].as_mut().expect("validated");
+        out.data = Some(Storage::View(block, at + lanes.start));
+        true
+    }
+
+    /// Run `kernel` into `output`'s storage — a private `donor`'s, in place,
+    /// a view where it lies. The output's prior contents are unspecified (as
+    /// in OpenCL), so pooled reuse pays no zero-fill, except for a tail the
+    /// kernel leaves unwritten ([`DeviceKernel::unwritten_from`]), which
+    /// fresh storage already holds as zeros.
+    fn run(
+        &mut self,
+        kernel: &dyn DeviceKernel,
+        inputs: &[BufferId],
+        output: BufferId,
+        n: usize,
+        donor: Option<BufferId>,
+    ) {
+        // Temporarily take the output storage to satisfy the borrow
+        // checker, then gather immutable input views.
+        let out_slot = self.slots[output.0].as_mut().expect("validated");
+        let lanes = out_slot.lanes;
+        let fresh = out_slot.data.is_none();
+        let mut storage = match out_slot.data.take() {
+            Some(view @ Storage::View(..)) if donor.is_some() => view,
+            data => {
+                out_slot.data = data;
+                let d = (out_slot.owned_mut().map(std::mem::take))
+                    .unwrap_or_else(|| Slot::alloc_storage(lanes));
+                Storage::Owned(d)
+            }
+        };
+        let out = match &mut storage {
+            Storage::Owned(d) => &mut d[GUARD_LANES..GUARD_LANES + lanes],
+            Storage::View(block, at) => {
+                let d = Arc::get_mut(block).expect("a private view's the only handle");
+                &mut d[*at..*at + lanes]
+            }
+            Storage::Shared(_) => unreachable!("made private above"),
+        };
+        let input_views: Vec<&[f32]> = inputs
+            .iter()
+            .map(|&id| match self.slots[id.0].as_ref().expect("validated") {
+                _ if Some(id) == donor => &[][..],
+                slot => slot.payload().expect("materialized above"),
+            })
+            .collect();
+        kernel.run(KernelArgs {
+            inputs: &input_views,
+            output: &mut *out,
+            n,
+        });
+        if let Some(from) = kernel.unwritten_from(n).filter(|_| !fresh) {
+            out[from..].fill(0.0);
+        }
+        self.slots[output.0].as_mut().expect("validated").data = Some(storage);
     }
 
     /// Flip one seeded bit in one of `candidates` that has materialized,
@@ -2500,7 +2641,8 @@ mod in_place_tests {
                 let mut flags = Vec::new();
                 let mut step = |c: &mut Context, k: &Ew, inputs: &[BufferId], dying: &[_]| {
                     let out = c.create_buffer(n).unwrap();
-                    flags.push(c.launch_then_release(k, inputs, out, n, dying).unwrap());
+                    let placement = c.launch_then_release(k, inputs, out, n, dying).unwrap();
+                    flags.push(placement == Placement::InPlace);
                     out
                 };
                 let r = step(c, &ADD, &[t, a], &[t, a]); // t donates, u's array never
@@ -2545,7 +2687,8 @@ mod in_place_tests {
         let a = c.create_buffer(8).unwrap();
         c.enqueue_write(a, &[3.0; 8]).unwrap();
         let out = c.create_buffer(8).unwrap();
-        assert!(!c.launch_then_release(&Double, &[a], out, 8, &[a]).unwrap());
+        let own = Ok(Placement::Own);
+        assert_eq!(c.launch_then_release(&Double, &[a], out, 8, &[a]), own);
         assert_eq!(c.peek(out).unwrap(), vec![6.0; 8]);
 
         let (narrow, other) = (c.create_buffer(4).unwrap(), c.create_buffer(8).unwrap());
@@ -2553,18 +2696,16 @@ mod in_place_tests {
         c.enqueue_write(other, &[1.0; 8]).unwrap();
         let wide = c.create_buffer(8).unwrap();
         let dying = [narrow, other];
-        assert!(!c
-            .launch_then_release(&ADD, &[narrow, narrow], wide, 4, &dying)
-            .unwrap());
+        let placement = c.launch_then_release(&ADD, &[narrow, narrow], wide, 4, &dying);
+        assert_eq!(placement, own);
 
         let host = SharedArray::from(vec![2.0f32; 8]);
         let adopted = c.create_buffer(8).unwrap();
         c.enqueue_write_q(QueueId::DEFAULT, adopted, (&host).into(), &[])
             .unwrap();
         let sum = c.create_buffer(8).unwrap();
-        assert!(!c
-            .launch_then_release(&ADD, &[adopted, out], sum, 8, &[adopted])
-            .unwrap());
+        let placement = c.launch_then_release(&ADD, &[adopted, out], sum, 8, &[adopted]);
+        assert_eq!(placement, own);
         assert_eq!(c.peek(sum).unwrap(), vec![8.0; 8]);
 
         let plan = FaultPlan::with_seed(0);
@@ -2576,9 +2717,224 @@ mod in_place_tests {
         assert!(matches!(err, Err(OclError::LaunchFailed { .. })));
         assert_eq!(c.in_use_bytes(), in_use + 32, "nothing released");
         assert_eq!(c.peek(out).unwrap(), vec![6.0; 8], "the donor is intact");
-        assert!(c
-            .launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum])
-            .unwrap());
+        let placement = c.launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum]);
+        assert_eq!(placement, Ok(Placement::InPlace));
         assert_eq!(c.peek(next).unwrap(), vec![14.0; 8]);
+    }
+
+    /// `decompose`'s shape: output plane `k` of a four-plane operand.
+    struct Lane(usize);
+
+    impl DeviceKernel for Lane {
+        fn name(&self) -> String {
+            format!("lane{}", self.0)
+        }
+        fn cost(&self, n: usize) -> KernelCost {
+            KernelCost {
+                bytes_read: 4 * n as u64,
+                bytes_written: 4 * n as u64,
+                flops: 0,
+            }
+        }
+        fn view(&self, n: usize) -> Option<Range<usize>> {
+            Some(self.0 * n..(self.0 + 1) * n)
+        }
+        fn run(&self, args: KernelArgs<'_>) {
+            args.output[..args.n].copy_from_slice(&args.inputs[0][self.0 * args.n..][..args.n]);
+        }
+    }
+
+    /// The storage a view shares, if `id` is one.
+    fn block_of(c: &Context, id: BufferId) -> Option<*const Vec<f32>> {
+        match &c.slots[id.0].as_ref()?.data {
+            Some(Storage::View(block, _)) => Some(Arc::as_ptr(block)),
+            _ => None,
+        }
+    }
+
+    const N: usize = 6;
+
+    /// Four planes of `N` lanes, no two lanes equal.
+    fn planes() -> Vec<f32> {
+        (0..4 * N).map(|i| i as f32 * 0.5 - 3.0).collect()
+    }
+
+    fn bits(lanes: &[f32]) -> Vec<u32> {
+        lanes.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A view shares its plane of the operand. A flip through it — the
+    /// write a `mem_flip` makes — lands in a copy of its own, so neither the
+    /// operand nor a sibling view sees it, and verification names the view;
+    /// so does an injected `mem_flip` on either operand of a launch, which a
+    /// fresh view of the clean operand heals.
+    #[test]
+    fn a_write_through_a_view_is_copied_first_and_never_reaches_its_siblings() {
+        let (p_bits, plane) = (bits(&planes()), |k: usize| bits(&planes()[k * N..][..N]));
+        let mut c = ctx();
+        c.set_verify(VerifyPolicy::Full);
+        let p = c.create_buffer(4 * N).unwrap();
+        c.enqueue_write(p, &planes()).unwrap();
+        let view = |c: &mut Context, k: usize| {
+            let v = c.create_buffer(N).unwrap();
+            assert_eq!(c.launch(&Lane(k), &[p], v, N), Ok(()));
+            assert!(block_of(c, v).is_some() && block_of(c, v) == block_of(c, p));
+            v
+        };
+        let views = [0, 1, 2, 3].map(|k| view(&mut c, k));
+        for (k, &v) in views.iter().enumerate() {
+            assert_eq!(bits(&c.peek(v).unwrap()), plane(k));
+        }
+        c.debug_flip_bit(views[1], 2, 7);
+        assert_eq!(block_of(&c, views[1]), None, "the flip copied the plane");
+        let mut flipped = plane(1);
+        flipped[2] ^= 1 << 7;
+        assert_eq!(bits(&c.peek(views[1]).unwrap()), flipped);
+        assert_eq!(bits(&c.peek(p).unwrap()), p_bits);
+        for k in [0, 2, 3] {
+            assert_eq!(bits(&c.peek(views[k]).unwrap()), plane(k));
+            c.verify_buffer(views[k]).unwrap();
+        }
+        c.verify_buffer(p).unwrap();
+        assert!(matches!(
+            c.verify_buffer(views[1]),
+            Err(OclError::IntegrityViolation { buffer, .. }) if buffer == views[1].index()
+        ));
+
+        let mut victims = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            let (a, b) = (view(&mut c, 0), view(&mut c, 2));
+            let plan = FaultPlan::with_seed(seed);
+            plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
+            c.set_fault_plan(plan);
+            let out = c.create_buffer(N).unwrap();
+            let victim = match c.launch(&ADD, &[a, b], out, N) {
+                Err(OclError::IntegrityViolation { buffer, .. }) => buffer,
+                other => panic!("seed {seed}: expected a detected flip, got {other:?}"),
+            };
+            victims.insert(usize::from(victim == b.index()));
+            assert_eq!(bits(&c.peek(p).unwrap()), p_bits, "seed {seed}");
+            let (tainted, clean) = if victim == a.index() { (a, b) } else { (b, a) };
+            assert_eq!(block_of(&c, tainted), None);
+            assert_eq!(block_of(&c, clean), block_of(&c, p));
+            c.clear_fault_plan();
+            c.release(tainted).unwrap();
+            let healed = view(&mut c, if tainted == a { 0 } else { 2 });
+            let inputs = if tainted == a {
+                [healed, b]
+            } else {
+                [a, healed]
+            };
+            c.launch(&ADD, &inputs, out, N).unwrap();
+            let want: Vec<u32> = (0..N)
+                .map(|t| (planes()[t] + planes()[2 * N + t]).to_bits())
+                .collect();
+            assert_eq!(bits(&c.peek(out).unwrap()), want, "seed {seed}");
+            for id in [inputs[0], inputs[1], out] {
+                c.release(id).unwrap();
+            }
+        }
+        assert_eq!(victims.len(), 2, "both operands were hit");
+    }
+
+    /// While another slot holds a view's storage — its operand, or a
+    /// sibling on any plane — a dying view is copied on write: the launch
+    /// counts as in place and the others keep their bits. The last holder is
+    /// written where it lies. Real and Model record the same events, clocks,
+    /// high-water mark and fault draws (the harness), and the same `in_use`
+    /// and pool counters, with pooling off and on; only Real shares or
+    /// donates.
+    #[test]
+    fn a_view_is_written_where_it_lies_only_as_the_sole_holder_of_its_storage() {
+        let p_bits = bits(&planes());
+        let plane = |k: usize| planes()[k * N..][..N].to_vec();
+        let xs: Vec<f32> = (0..N).map(|i| 100.0 + i as f32).collect();
+        for pooling in [false, true] {
+            let seen = RefCell::new(Vec::new());
+            both_modes(|c, bytes| {
+                c.set_pooling(pooling);
+                let p = c.create_buffer(4 * N).unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, p, src(bytes, &planes()), &[])
+                    .unwrap();
+                let x = c.create_buffer(N).unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, x, src(bytes, &xs), &[])
+                    .unwrap();
+                let mut placements = Vec::new();
+                let mut launch =
+                    |c: &mut Context, k: &dyn DeviceKernel, inputs: &[_], dying: &[_]| {
+                        let out = c.create_buffer(N).unwrap();
+                        placements.push(c.launch_then_release(k, inputs, out, N, dying).unwrap());
+                        out
+                    };
+                let v1 = launch(c, &Lane(1), &[p], &[]);
+                let s = launch(c, &ADD, &[v1, x], &[v1]);
+                if bytes {
+                    assert_eq!(bits(&c.peek(p).unwrap()), p_bits, "the operand's plane");
+                    assert_eq!(block_of(c, s), None, "a copy of its own");
+                }
+                let (v0, v2, w2) = (
+                    launch(c, &Lane(0), &[p], &[]),
+                    launch(c, &Lane(2), &[p], &[]),
+                    launch(c, &Lane(2), &[p], &[]),
+                );
+                c.release(p).unwrap();
+                let u = launch(c, &MUL, &[v2, w2], &[v2]);
+                if bytes {
+                    assert_eq!(block_of(c, u), None, "v0 and w2 hold the storage");
+                    assert_eq!(c.peek(w2).unwrap(), plane(2));
+                    assert_eq!(c.peek(v0).unwrap(), plane(0));
+                    let want: Vec<f32> = plane(2).iter().map(|v| v * v).collect();
+                    assert_eq!(c.peek(u).unwrap(), want);
+                }
+                let block = block_of(c, v0);
+                c.release(w2).unwrap();
+                let t = launch(c, &SUB, &[v0, x], &[v0]);
+                if bytes {
+                    assert!(
+                        block.is_some() && block_of(c, t) == block,
+                        "written where it lies"
+                    );
+                    let want: Vec<f32> = (0..N).map(|i| plane(0)[i] - xs[i]).collect();
+                    assert_eq!(c.peek(t).unwrap(), want);
+                }
+                for id in [x, s, t, u] {
+                    c.release(id).unwrap();
+                }
+                assert_eq!(c.in_use_bytes(), 0);
+                let counters = (c.pool_hits(), c.pooled_bytes());
+                seen.borrow_mut().push((placements, counters));
+            });
+            let seen = seen.into_inner();
+            let (real, model) = (&seen[0], &seen[1]);
+            use Placement::{InPlace, Own, View};
+            assert_eq!(real.0, [View, InPlace, View, View, View, InPlace, InPlace]);
+            assert_eq!(model.0, [Own; 7], "a model context has no storage");
+            assert_eq!(real.1, model.1, "pooling {pooling}: pool counters");
+        }
+    }
+
+    /// A launch never views an adopted host array: it copies the plane into
+    /// storage of the output's own, which a flip and a donation then write
+    /// without reaching the host.
+    #[test]
+    fn an_adopted_array_is_never_viewed() {
+        let host = SharedArray::from(planes());
+        let mut c = ctx();
+        let p = c.create_buffer(4 * N).unwrap();
+        c.enqueue_write_q(QueueId::DEFAULT, p, (&host).into(), &[])
+            .unwrap();
+        let v = c.create_buffer(N).unwrap();
+        let placement = c.launch_then_release(&Lane(1), &[p], v, N, &[p]);
+        assert_eq!(placement, Ok(Placement::Own));
+        assert_eq!(block_of(&c, v), None);
+        assert_eq!(c.peek(v).unwrap(), planes()[N..2 * N]);
+        c.debug_flip_bit(v, 0, 31);
+        let out = c.create_buffer(N).unwrap();
+        let placement = c.launch_then_release(&MUL, &[v, v], out, N, &[v]);
+        assert_eq!(placement, Ok(Placement::InPlace));
+        assert_eq!(bits(&host), bits(&planes()));
+        drop(c);
+        let mut host = host;
+        assert!(host.get_mut().is_some(), "every slot let go of the array");
     }
 }

@@ -53,6 +53,28 @@ impl<S: AsRef<[f32]>> From<S> for HostEnd<S> {
     }
 }
 
+/// `planar`'s `planes` equal planes as cells of `planes` lanes each: lane
+/// `k` of cell `c` is lane `c` of plane `k`. A device keeps a vector value
+/// planar; this is the per-cell layout the host keeps it in.
+///
+/// ```
+/// let planar = [1.0, 2.0, 10.0, 20.0, 0.0, 0.0];
+/// assert_eq!(dfg_ocl::interleave(&planar, 3), [1.0, 10.0, 0.0, 2.0, 20.0, 0.0]);
+/// ```
+pub fn interleave(planar: &[f32], planes: usize) -> Vec<f32> {
+    let n = planar.len() / planes;
+    if planes == 1 || n == 0 {
+        return planar.to_vec();
+    }
+    let mut cells = vec![0.0f32; planar.len()];
+    for (c, cell) in cells.chunks_exact_mut(planes).enumerate() {
+        for (k, lane) in cell.iter_mut().enumerate() {
+            *lane = planar[k * n + c];
+        }
+    }
+    cells
+}
+
 /// A host array that is shared and immutable: a reference-counted handle to
 /// one `Vec<f32>`, cloned without touching the lanes.
 ///

@@ -60,12 +60,13 @@ pub mod integrity;
 mod profile;
 
 pub use context::{
-    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, QueueId,
+    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, Placement,
+    QueueId,
 };
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RankFate};
-pub use host::{HostEnd, SharedArray, UploadSource};
+pub use host::{interleave, HostEnd, SharedArray, UploadSource};
 pub use integrity::{IntegrityKind, IntegrityStats, VerifyPolicy};
 pub use profile::{DeviceKind, DeviceProfile};
 
