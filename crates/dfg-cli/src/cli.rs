@@ -695,14 +695,9 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
 
     struct Row {
         name: &'static str,
-        table2: (usize, usize, usize),
-        device_s: f64,
+        /// The strategy table's line ([`strategy_line`]).
+        line: String,
         wall_ms: f64,
-        peak_mb: f64,
-        /// Modeled transfer volume (both directions) beside the bytes the
-        /// host physically copied to carry it out.
-        moved_mb: f64,
-        copied_mb: f64,
         flame: String,
         path: std::path::PathBuf,
         checks: u64,
@@ -752,14 +747,8 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         rows.push(Row {
             name: strategy.name(),
-            table2: report.table2_row(),
-            device_s: report.device_seconds(),
+            line: strategy_line(strategy.name(), &report),
             wall_ms: report.wall.as_secs_f64() * 1e3,
-            peak_mb: report.high_water_bytes() as f64 / 1e6,
-            moved_mb: (report.profile.bytes(EventKind::HostToDevice)
-                + report.profile.bytes(EventKind::DeviceToHost)) as f64
-                / 1e6,
-            copied_mb: report.profile.host_bytes_copied as f64 / 1e6,
             flame: trace.to_flame_text(),
             path,
             checks: report.integrity.checks,
@@ -781,15 +770,12 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         "copied MB"
     );
     for row in &rows {
-        let (w, r, k) = row.table2;
-        println!(
-            "{:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1} {:>9.1} {:>10.1}",
-            row.name, row.device_s, row.wall_ms, row.peak_mb, row.moved_mb, row.copied_mb
-        );
+        println!("{}", row.line);
     }
     println!(
         "(moved: modeled host<->device transfer volume; copied: bytes the host \
-         physically copied for it — whole-field uploads adopt the host's arrays)"
+         physically copied for it — whole-field uploads adopt the host's arrays, \
+         and a one-shot download takes the device's storage)"
     );
     println!();
     println!(
@@ -917,6 +903,23 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         },
     );
     Ok(())
+}
+
+/// One line of `dfgc profile`'s strategy table: Table II's counts, modeled
+/// device seconds, wall ms, peak MB, and the modeled transfer volume (both
+/// directions) beside the bytes the host physically copied to carry it out.
+fn strategy_line(name: &str, report: &dfg_core::ExecReport) -> String {
+    let (w, r, k) = report.table2_row();
+    let p = &report.profile;
+    let moved = p.bytes(EventKind::HostToDevice) + p.bytes(EventKind::DeviceToHost);
+    format!(
+        "{name:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1} {:>9.2} {:>10.2}",
+        report.device_seconds(),
+        report.wall.as_secs_f64() * 1e3,
+        report.high_water_bytes() as f64 / 1e6,
+        moved as f64 / 1e6,
+        p.host_bytes_copied as f64 / 1e6,
+    )
 }
 
 /// One row of `dfgc profile`'s staged attribution: every launch of one
@@ -1496,7 +1499,25 @@ mod tests {
                     "{strategy}: missing `{required}` span"
                 );
             }
+            if strategy == "fusion" {
+                let (_, args) = (spans.iter().find(|(name, _)| name == "fusion.download"))
+                    .expect("a download span");
+                let handed_over = args.get("handed_over").and_then(|v| v.as_f64());
+                assert_eq!(handed_over, Some(512.0), "every lane handed over");
+            }
         }
+        // The one-shot fusion row: the modeled volume is three 8³ uploads
+        // and one download (8 192 B), of which the host copied nothing.
+        let mut fields = FieldSet::new(512);
+        for name in ["u", "v", "w"] {
+            fields.insert_scalar(name, vec![0.5; 512]).unwrap();
+        }
+        let report = Engine::new(DeviceProfile::nvidia_m2050())
+            .derive("mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+            .unwrap();
+        let line = strategy_line("fusion", &report);
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(cells[7..], ["0.01", "0.00"], "moved MB, copied MB: {line}");
     }
 
     /// `dfgc profile`'s staged table: one row per kernel name, `decompose`

@@ -541,15 +541,15 @@ impl Engine {
         let out_lanes = lanes_for(Width::Scalar, n);
         let out = ctx.create_buffer(out_lanes)?;
         ctx.launch(kernel.as_ref(), &bufs, out, n)?;
-        let field = read_buffer(&mut ctx, out, out_lanes, 1)?.map(|data| Field {
+        for buf in bufs {
+            ctx.release(buf)?;
+        }
+        let (data, _) = read_buffer(&mut ctx, out, out_lanes, 1, true)?;
+        let field = data.map(|data| Field {
             width: Width::Scalar,
             ncells: n,
             data,
         });
-        for buf in bufs {
-            ctx.release(buf)?;
-        }
-        ctx.release(out)?;
         let wall = t0.elapsed();
         exec_span.virt_end(ctx.clock_seconds());
         drop(exec_span);

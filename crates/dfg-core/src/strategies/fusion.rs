@@ -16,7 +16,8 @@ use crate::strategies::{fused_kernel, read_buffer, upload_field};
 /// Execute `roots` of `spec` with the fusion strategy: one generated kernel
 /// computes every root, writing one plane per root into a single output
 /// buffer, and the single download is split into fields by plane — for one
-/// root the downloaded buffer *is* the field. Returns the derived fields in
+/// root the downloaded buffer *is* the field, and without a session its
+/// storage is handed over rather than copied. Returns the derived fields in
 /// real mode, `None` in model mode, plus the generated kernel source.
 ///
 /// With a session, codegen is served from its kernel cache and input
@@ -57,10 +58,18 @@ pub(crate) fn run_fusion(
         ctx.launch(&kernel, &bufs, out, n)?;
     }
 
-    let _download = dfg_trace::span!(tracer, "fusion.download");
-    let fields_out = read_buffer(ctx, out, lanes_per_elem * n, 1)?.map(|mut planes| {
+    for buf in owned {
+        ctx.release(buf)?;
+    }
+    let download = dfg_trace::span!(tracer, "fusion.download");
+    let (planes, handed_over) = read_buffer(ctx, out, lanes_per_elem * n, 1, true)?;
+    let _download = download.meta("handed_over", handed_over);
+    let fields_out = planes.map(|mut planes| {
         // Planes sit in root order, so peeling them off the tail leaves the
-        // first root holding the downloaded allocation itself.
+        // first root holding the downloaded allocation itself. Shrinking it
+        // also drops a handed-over buffer's guard lanes from its capacity;
+        // glibc shrinks in place, and `qcrit_128`'s peak RSS read 8 MiB
+        // lower with the shrink than without (docs/PERFORMANCE.md).
         let mut fields: Vec<Field> = program
             .outputs
             .iter()
@@ -81,9 +90,5 @@ pub(crate) fn run_fusion(
         fields.reverse();
         fields
     });
-    for buf in owned {
-        ctx.release(buf)?;
-    }
-    ctx.release(out)?;
     Ok((fields_out, source))
 }

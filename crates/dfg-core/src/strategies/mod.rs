@@ -21,7 +21,9 @@
 //!
 //! No executor picks a device call by [`ExecMode`]: uploads go through
 //! [`write_field`] (or the queued write) with whatever bytes the host has,
-//! whole-buffer downloads through [`read_buffer`], and a model run is the
+//! whole-buffer downloads through [`read_buffer`] — whose last read of a
+//! buffer also releases it, so that the buffer's storage can become the
+//! host's field instead of being copied — and a model run is the
 //! same sequence on a context without storage. What an executor may still
 //! ask is whether *host* data exists, for host-side compute that has no
 //! model counterpart (roundtrip's constant fill and decompose slicing,
@@ -43,7 +45,7 @@ pub(crate) use streamed::run_streamed;
 
 use dfg_dataflow::{NetworkSpec, NodeId, Width};
 use dfg_kernels::{fuse_roots, Dims3, FusedKernel};
-use dfg_ocl::{BufferId, Context, ExecMode, HostEnd, QueueId};
+use dfg_ocl::{interleave, BufferId, Context, ExecMode, HostEnd, QueueId};
 
 use crate::error::EngineError;
 use crate::fields::{FieldSet, FieldValue};
@@ -133,23 +135,44 @@ pub(crate) fn write_field(
 }
 
 /// Download the whole of `buf` (`lanes` lanes, as `planes` planes): its
-/// contents from a real context, cell by cell (see
-/// [`Context::enqueue_read_cells`]), `None` — the same transfer, accounted
-/// — from a model one. The one place a download asks which it is, because
-/// only a real context has bytes to put in a fresh `Vec`.
+/// contents from a real context, cell by cell (see [`interleave`]), `None` —
+/// the same transfer, accounted — from a model one; beside them, the lanes
+/// whose storage went to the host without a copy.
+///
+/// The `last` read of a buffer also releases it
+/// ([`Context::read_and_release`]), which may hand the buffer's storage over
+/// instead of copying it; any other read copies, and the buffer stays live.
 pub(crate) fn read_buffer(
     ctx: &mut Context,
     buf: BufferId,
     lanes: usize,
     planes: usize,
-) -> Result<Option<Vec<f32>>, EngineError> {
-    Ok(match ctx.mode() {
-        ExecMode::Real => Some(ctx.enqueue_read_cells(buf, planes)?),
+    last: bool,
+) -> Result<(Option<Vec<f32>>, usize), EngineError> {
+    if last {
+        let copied = ctx.host_bytes_copied();
+        let data = ctx.read_and_release(buf, planes)?;
+        let handed_over = match &data {
+            Some(data) if ctx.host_bytes_copied() == copied => data.len(),
+            _ => 0,
+        };
+        return Ok((data, handed_over));
+    }
+    let data = match ctx.mode() {
+        ExecMode::Real => {
+            let data = ctx.enqueue_read(buf)?;
+            Some(if planes == 1 {
+                data
+            } else {
+                interleave(&data, planes)
+            })
+        }
         ExecMode::Model => {
             ctx.enqueue_read_range_q(QueueId::DEFAULT, buf, 0, HostEnd::absent(lanes), &[])?;
             None
         }
-    })
+    };
+    Ok((data, 0))
 }
 
 /// Put one named input field on the device: through the session's

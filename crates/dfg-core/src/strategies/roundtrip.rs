@@ -25,7 +25,8 @@ use crate::strategies::{check_field, lanes_for, read_buffer};
 /// computed here (kernel download, host decompose, constant fill) and
 /// wrapped without a copy — either way a shared array its per-port uploads
 /// adopt; `None` when only its shape is tracked (model mode, virtual
-/// fields).
+/// fields). A one-shot download is the output buffer's own storage, so a
+/// filter's result reaches the next filter's device buffer without a copy.
 type HostVal = Option<SharedArray>;
 
 /// Execute `roots` of `spec` with the roundtrip strategy, extracting the
@@ -122,17 +123,16 @@ pub(crate) fn run_roundtrip(
                     let _kernel = dfg_trace::span!(tracer, "roundtrip.kernel");
                     ctx.launch(&prim, &port_bufs, out, n)?;
                 }
-                let val = {
-                    let _download = dfg_trace::span!(tracer, "roundtrip.download");
-                    read_buffer(ctx, out, out_lanes, 1)?.map(SharedArray::from)
-                };
-                host.insert(id, val);
                 // The device is drained after every filter (each created
-                // buffer released exactly once).
+                // buffer released exactly once, the output by its download,
+                // whose storage becomes the host value without a copy).
                 for buf in created {
                     ctx.release(buf)?;
                 }
-                ctx.release(out)?;
+                let download = dfg_trace::span!(tracer, "roundtrip.download");
+                let (val, handed_over) = read_buffer(ctx, out, out_lanes, 1, true)?;
+                drop(download.meta("handed_over", handed_over));
+                host.insert(id, val.map(SharedArray::from));
             }
         }
         // Reference-counted host reuse: drop dead intermediates.

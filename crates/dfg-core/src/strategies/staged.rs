@@ -84,10 +84,14 @@ pub(crate) fn run_staged(
         }
     }
 
-    // One device-to-host read per root.
+    // One device-to-host read per root. The last read of a computed root
+    // releases its buffer, which may hand the storage to the host; a root
+    // read again later, a bare input and a session resident are copied and
+    // left to the drain below.
     let mut out = (ctx.mode() == ExecMode::Real).then(Vec::new);
-    let _download = dfg_trace::span!(tracer, "staged.download", roots = roots.len());
-    for &root in roots {
+    let download = dfg_trace::span!(tracer, "staged.download", roots = roots.len());
+    let mut handed_over = 0;
+    for (i, &root) in roots.iter().enumerate() {
         let result_buf = match dev.get(&root) {
             Some(&buf) => buf,
             None => {
@@ -102,9 +106,15 @@ pub(crate) fn run_staged(
                 buf
             }
         };
+        let computed = !matches!(spec.node(root).op, FilterOp::Input { .. });
+        let last = computed && !roots[i + 1..].contains(&root);
         let width = spec.width(root);
         let planes = if width == Width::Vec4 { 4 } else { 1 };
-        let data = read_buffer(ctx, result_buf, lanes_for(width, n), planes)?;
+        let (data, moved) = read_buffer(ctx, result_buf, lanes_for(width, n), planes, last)?;
+        if last {
+            dev.remove(&root);
+        }
+        handed_over += moved;
         if let (Some(fields_out), Some(data)) = (out.as_mut(), data) {
             fields_out.push(Field {
                 width,
@@ -113,6 +123,7 @@ pub(crate) fn run_staged(
             });
         }
     }
+    let _download = download.meta("handed_over", handed_over);
     // Drain the device (session-resident inputs stay for the next cycle).
     for (_, buf) in dev {
         if !session.as_deref().is_some_and(|s| s.is_resident(buf)) {

@@ -1659,25 +1659,44 @@ mod session {
 // Host bytes copied: "zero-copy" as an asserted number.
 // ---------------------------------------------------------------------------
 
-/// Whole-field uploads adopt the host's arrays, so a real derive physically
-/// copies its downloads and nothing else — while the modeled host-to-device
-/// volume, which is what the paper counts, is what it always was. Slab
-/// uploads are borrowed windows and are still copied; a model run copies
-/// nothing at all.
+/// Whole-field uploads adopt the host's arrays, and the last read of a
+/// one-shot scalar result hands its storage to the host, so a one-shot
+/// derive copies nothing — while the modeled transfer volume, which is what
+/// the paper counts, is what it always was. A staged `Vec4` root is
+/// interleaved, so it copies its download; a session's pooled context keeps
+/// its storage, so it copies its download; slab uploads are borrowed windows
+/// and are copied; a model run copies nothing at all.
 #[test]
-fn host_bytes_copied_is_the_download_except_when_streaming() {
+fn host_bytes_copied_is_what_the_host_could_not_take_over() {
     use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
     let fields = small_rt_fields([6, 5, 4]);
     let n = fields.ncells() as u64;
     let src = Workload::QCriterion.source();
     for strategy in Strategy::ALL {
         let profile = cpu_engine().derive(src, &fields, strategy).unwrap().profile;
-        assert_eq!(
-            profile.host_bytes_copied,
-            profile.bytes(DeviceToHost),
-            "{strategy}"
-        );
+        assert_eq!(profile.host_bytes_copied, 0, "{strategy}");
+        assert!(profile.bytes(DeviceToHost) >= 4 * n, "{strategy}");
         assert!(profile.bytes(HostToDevice) >= 6 * 4 * n + 12, "{strategy}");
+    }
+    let reference = cpu_engine()
+        .run_reference(Workload::QCriterion, &fields)
+        .unwrap()
+        .profile;
+    assert_eq!(reference.host_bytes_copied, 0, "reference");
+    assert_eq!(reference.bytes(DeviceToHost), 4 * n, "reference");
+    let gradient = "g = grad3d(u, dims, x, y, z)";
+    for strategy in Strategy::ALL {
+        let profile = cpu_engine()
+            .derive(gradient, &fields, strategy)
+            .unwrap()
+            .profile;
+        let interleaved = if strategy == Strategy::Staged {
+            16 * n
+        } else {
+            0
+        };
+        assert_eq!(profile.bytes(DeviceToHost), 16 * n, "{strategy}");
+        assert_eq!(profile.host_bytes_copied, interleaved, "{strategy}");
     }
     let mut engine = cpu_engine();
     let mut session = engine.session();
@@ -1716,6 +1735,57 @@ fn host_bytes_copied_is_the_download_except_when_streaming() {
         .profile;
     assert_eq!(modeled.host_bytes_copied, 0);
     assert_eq!(modeled.bytes(HostToDevice), 6 * 4 * n + 12);
+}
+
+/// The host-copies table (CI prints it with `--nocapture`): per paper
+/// expression, path and run, the bytes downloaded beside the bytes the host
+/// copied and the bytes whose storage was handed over (the `handed_over`
+/// lanes of the `*.download` spans). A one-shot hands over every download;
+/// a session, whose context pools, copies every download; streamed copies
+/// its slab windows both ways.
+#[test]
+fn host_copies_table() {
+    use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
+    use dfg_trace::Tracer;
+    let fields = small_rt_fields([6, 5, 4]);
+    let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
+    println!("| expression | path | run | downloaded B | copied B | handed over B |");
+    println!("|---|---|---|---|---|---|");
+    for (name, workload) in [
+        ("vel_mag", Workload::VelocityMagnitude),
+        ("q_crit", Workload::QCriterion),
+    ] {
+        let src = workload.source();
+        for path in paths.clone() {
+            for run in ["one-shot", "session"] {
+                let mut engine = cpu_engine();
+                engine.set_tracer(Tracer::new());
+                let report = match (run, path) {
+                    ("one-shot", Some(strategy)) => engine.derive(src, &fields, strategy),
+                    ("one-shot", None) => engine.derive_streamed(src, &fields, None),
+                    (_, Some(strategy)) => engine.session().derive(src, &fields, strategy),
+                    (_, None) => engine.session().derive_streamed(src, &fields, None),
+                }
+                .unwrap();
+                let handed_over: u64 = (report.trace.unwrap().spans().iter())
+                    .filter(|s| s.name.ends_with(".download"))
+                    .filter_map(|s| s.meta_u64("handed_over"))
+                    .sum::<u64>()
+                    * 4;
+                let profile = report.profile;
+                let (down, up) = (profile.bytes(DeviceToHost), profile.bytes(HostToDevice));
+                let copied = profile.host_bytes_copied;
+                let path = path.map_or("streamed", |s| s.name());
+                println!("| `{name}` | {path} | {run} | {down} | {copied} | {handed_over} |");
+                let want = match (path, run) {
+                    ("streamed", _) => (up + down, 0),
+                    (_, "one-shot") => (0, down),
+                    _ => (down, 0),
+                };
+                assert_eq!((copied, handed_over), want, "{name} {path} {run}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1776,22 +1846,28 @@ mod in_place {
     /// computes in place or shares a plane) and fusion's, Real events equal
     /// Model events, `in_use` returns to its baseline and the pool hits
     /// equal the Model run's — a Model context has no storage to donate or
-    /// share. Returns the one-shot run's launches in place and views.
+    /// share. Every download's storage is either handed to the host or
+    /// copied: roundtrip and fusion one-shots copy nothing, a staged one-shot
+    /// copies what it does not hand over, and a session copies every
+    /// download. Returns the one-shot run's launches in place and views.
     fn check(
         spec: &NetworkSpec,
         roots: &[NodeId],
         real: &FieldSet,
         model: &FieldSet,
     ) -> (usize, usize) {
-        let (want, ..) = one_shot(
+        use dfg_ocl::EventKind::DeviceToHost;
+        let (want, w, _) = one_shot(
             &engine(ExecMode::Real),
             spec,
             roots,
             real,
             Strategy::Roundtrip,
         );
-        let (fused, ..) = one_shot(&engine(ExecMode::Real), spec, roots, real, Strategy::Fusion);
+        let (fused, f, _) = one_shot(&engine(ExecMode::Real), spec, roots, real, Strategy::Fusion);
         assert_same_values(&want, &fused, "fusion");
+        let copied = |r: &ExecReport| r.profile.host_bytes_copied;
+        assert_eq!((copied(&w), copied(&f)), (0, 0), "roundtrip, fusion");
         let mut traced = engine(ExecMode::Real);
         traced.set_tracer(Tracer::new());
         let (got, r, in_use) = one_shot(&traced, spec, roots, real, Strategy::Staged);
@@ -1805,6 +1881,15 @@ mod in_place {
         assert_same_values(&want, &got, "one-shot");
         assert_same_accounting(&r, &m, "one-shot");
         assert_eq!(in_use, 0, "one-shot");
+        let handed_over: u64 = (traced.tracer().unwrap().snapshot().spans().iter())
+            .filter(|s| s.name == "staged.download")
+            .map(|s| s.meta_u64("handed_over").unwrap())
+            .sum();
+        assert_eq!(
+            copied(&r) + 4 * handed_over,
+            r.profile.bytes(DeviceToHost),
+            "one-shot downloads"
+        );
         let (mut real_engine, mut model_engine) = (engine(ExecMode::Real), engine(ExecMode::Model));
         let (mut sr, mut sm) = (real_engine.session(), model_engine.session());
         for cycle in 0..3 {
@@ -1819,6 +1904,8 @@ mod in_place {
             assert_same_accounting(&r, &m, &what);
             assert_eq!(sr.context().in_use_bytes(), sr.resident_bytes(), "{what}");
             assert_eq!(sr.pool_hits(), sm.pool_hits(), "{what}: pool hits");
+            let downloads = r.profile.bytes(DeviceToHost);
+            assert_eq!(copied(&r), downloads, "{what}: a pooled context copies");
         }
         let trace = traced.tracer().unwrap().snapshot();
         let count = |flag: &str| {
@@ -2117,6 +2204,111 @@ mod in_place {
                 &what,
             );
         }
+    }
+
+    /// Only the last read of a computed root hands its storage over. A root
+    /// read twice is copied first, and a bare-input root — an adopted array
+    /// in a one-shot, a resident in a session — is copied and stays the
+    /// input's. Every read keeps its bits, one-shot and over three session
+    /// cycles (see [`check`]), and the one-shot hands over exactly the last
+    /// reads of its two computed roots.
+    #[test]
+    fn a_root_read_twice_a_bare_input_root_and_a_resident_keep_their_bits() {
+        let mut b = NetworkBuilder::new();
+        let (x, y, z) = (b.input("a"), b.input("b"), b.input("c"));
+        let t = b.binary(BinKind::Mul, x, y);
+        let r = b.binary(BinKind::Add, t, z);
+        let spec = b.finish(r);
+        let n = 257;
+        let (real, model) = inputs(n, &[3, 1, 4, 1]);
+        let roots = [r, t, r, x, t, x];
+        check(&spec, &roots, &real, &model);
+        let mut traced = engine(ExecMode::Real);
+        traced.set_tracer(Tracer::new());
+        let (got, report, _) = one_shot(&traced, &spec, &roots, &real, Strategy::Staged);
+        let download = (traced.tracer().unwrap().snapshot().spans().iter())
+            .find(|s| s.name == "staged.download")
+            .and_then(|s| s.meta_u64("handed_over"));
+        assert_eq!(download, Some(2 * n as u64));
+        assert_eq!(report.profile.host_bytes_copied, 4 * 4 * n as u64);
+        let a = real.get("a").and_then(|f| f.data.as_deref()).unwrap();
+        for field in [&got[3], &got[5]] {
+            assert_bits_eq(&field.data, a, "bare-input root");
+        }
+    }
+
+    /// `t = a*b` is a root that the launch of `r = t + c` reads. A
+    /// `mem_flip` at that launch lands on `t` for some seeds: without
+    /// verification the flipped root reaches the host; under `verify=full`
+    /// it is caught at the launch, before its storage could be handed over,
+    /// and recovery gives the clean run's bits.
+    #[test]
+    fn mem_flip_on_a_root_is_caught_before_it_is_handed_over() {
+        let mut b = NetworkBuilder::new();
+        let (x, y, z) = (b.input("a"), b.input("b"), b.input("c"));
+        let t = b.binary(BinKind::Mul, x, y);
+        let r = b.binary(BinKind::Add, t, z);
+        let spec = b.finish(r);
+        let (real, _) = inputs(301, &[5, 2, 7, 3]);
+        let run = |seed: Option<u64>, verify: VerifyPolicy, recovery: RecoveryPolicy| {
+            let options = EngineOptions {
+                verify,
+                recovery,
+                ..Default::default()
+            };
+            let mut engine = Engine::with_options(DeviceProfile::intel_x5660(), options);
+            if let Some(seed) = seed {
+                let plan = FaultPlan::with_seed(seed);
+                plan.fail_nth_from_now(FaultKind::MemFlip, 2, 1);
+                engine.set_fault_plan(plan);
+            }
+            let mut ctx = engine.traced_context();
+            let request = Request::Strategy(Strategy::Staged);
+            let out = engine.execute(&spec, &[t, r], &real, request, &mut ctx, None);
+            out.map(|(fields, report)| (fields, report.integrity.violations))
+        };
+        let (clean, _) = run(None, VerifyPolicy::Off, RecoveryPolicy::disabled()).unwrap();
+        let mut corrupted = 0;
+        for seed in 0..16 {
+            let (silent, _) =
+                run(Some(seed), VerifyPolicy::Off, RecoveryPolicy::disabled()).unwrap();
+            corrupted += usize::from(silent[0].data != clean[0].data);
+            let caught = run(Some(seed), VerifyPolicy::Full, RecoveryPolicy::disabled());
+            assert!(
+                matches!(
+                    caught,
+                    Err(EngineError::Ocl(OclError::IntegrityViolation { .. }))
+                ),
+                "seed {seed}: {caught:?}"
+            );
+            let (healed, violations) =
+                run(Some(seed), VerifyPolicy::Full, RecoveryPolicy::resilient()).unwrap();
+            assert_eq!(violations, 1, "seed {seed}");
+            assert_same_values(&clean, &healed, &format!("seed {seed}"));
+        }
+        assert!(corrupted > 0, "no seed flipped the root");
+    }
+
+    /// A last read on a pooled context parks the buffer exactly as a read
+    /// and a release did: a three-cycle session's pool hits, per paper
+    /// expression and strategy, are the figures from before last reads
+    /// consumed their buffers.
+    #[test]
+    fn a_session_keeps_its_pool_hits() {
+        let fields = small_rt_fields([6, 5, 4]);
+        let hits = Workload::ALL.map(|workload| {
+            Strategy::ALL.map(|strategy| {
+                let mut engine = cpu_engine();
+                let mut session = engine.session();
+                for _ in 0..3 {
+                    session
+                        .derive(workload.source(), &fields, strategy)
+                        .unwrap();
+                }
+                session.pool_hits()
+            })
+        });
+        assert_eq!(hits, [[30, 15, 2], [83, 46, 2], [491, 182, 2]]);
     }
 
     /// Poisoned releases (`DFG_POOL_POISON=1`) include the storage a donor

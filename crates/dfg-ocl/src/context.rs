@@ -182,15 +182,17 @@ pub enum Placement {
     View,
 }
 
-/// Guard lanes placed on each side of a slot's payload. The guards carry a
-/// sentinel bit pattern; an out-of-bounds write into the allocation breaks
-/// the sentinel and is reported as an [`IntegrityKind::Guard`] violation
-/// when the slot is next verified or handed back out of the pool. Guard
-/// lanes are a property of the *backing storage* only — `Slot::bytes` (and
-/// therefore every byte counter, the high-water mark, and the pool
-/// accounting) covers the payload alone, so the paper's memory numbers are
-/// unchanged.
-const GUARD_LANES: usize = 4;
+/// Guard lanes placed behind a slot's payload. The guards carry a sentinel
+/// bit pattern; a write past the payload breaks the sentinel and is
+/// reported as an [`IntegrityKind::Guard`] violation when the slot is next
+/// verified or handed back out of the pool. Safe code cannot write ahead of
+/// lane 0 of a slice, so the payload comes first: lane 0 of the storage is
+/// payload lane 0, and the storage is handed to the host by truncating the
+/// guards. Guard lanes are a property of the *backing storage* only —
+/// `Slot::bytes` (and therefore every byte counter, the high-water mark, and
+/// the pool accounting) covers the payload alone, so the paper's memory
+/// numbers are unchanged.
+const GUARD_LANES: usize = 8;
 
 /// Sentinel bit pattern filling the guard lanes.
 const GUARD_WORD: u32 = 0xF0E1_D2C3;
@@ -202,8 +204,8 @@ const POISON_WORD: u32 = 0xDEAD_BEEF;
 
 /// What backs a materialized slot.
 enum Storage {
-    /// Private storage: `GUARD_LANES` sentinel lanes, then the `lanes`-lane
-    /// payload, then `GUARD_LANES` more sentinel lanes.
+    /// Private storage: the `lanes`-lane payload, then `GUARD_LANES`
+    /// sentinel lanes.
     Owned(Vec<f32>),
     /// The host's own array, adopted by a whole-buffer upload of a
     /// [`SharedArray`]. The payload is the array; there are no guard lanes
@@ -237,19 +239,17 @@ struct Slot {
 }
 
 impl Slot {
-    /// Fresh guarded storage: a zeroed payload framed by sentinel lanes.
+    /// Fresh guarded storage: a zeroed payload followed by sentinel lanes.
     fn alloc_storage(lanes: usize) -> Vec<f32> {
-        let guard = f32::from_bits(GUARD_WORD);
-        let mut buf = vec![0.0f32; lanes + 2 * GUARD_LANES];
-        buf[..GUARD_LANES].fill(guard);
-        buf[lanes + GUARD_LANES..].fill(guard);
+        let mut buf = vec![0.0f32; lanes + GUARD_LANES];
+        buf[lanes..].fill(f32::from_bits(GUARD_WORD));
         buf
     }
 
     /// The payload view of materialized storage.
     fn payload(&self) -> Option<&[f32]> {
         self.data.as_ref().map(|d| match d {
-            Storage::Owned(d) => &d[GUARD_LANES..GUARD_LANES + self.lanes],
+            Storage::Owned(d) => &d[..self.lanes],
             Storage::Shared(array) => &array[..],
             Storage::View(block, at) => &block[*at..at + self.lanes],
         })
@@ -261,8 +261,7 @@ impl Slot {
     fn owned_mut(&mut self) -> Option<&mut Vec<f32>> {
         if let Some(Storage::Shared(_) | Storage::View(..)) = &self.data {
             let mut private = Slot::alloc_storage(self.lanes);
-            private[GUARD_LANES..GUARD_LANES + self.lanes]
-                .copy_from_slice(self.payload().expect("materialized"));
+            private[..self.lanes].copy_from_slice(self.payload().expect("materialized"));
             self.data = Some(Storage::Owned(private));
         }
         match &mut self.data {
@@ -275,14 +274,22 @@ impl Slot {
     /// [`Slot::owned_mut`]).
     fn payload_mut(&mut self) -> Option<&mut [f32]> {
         let lanes = self.lanes;
-        self.owned_mut()
-            .map(|d| &mut d[GUARD_LANES..GUARD_LANES + lanes])
+        self.owned_mut().map(|d| &mut d[..lanes])
     }
 
     /// Defined contents, or `None` for a slot that reads as zeros (never
     /// written; recycled pool storage must not leak its previous owner).
     fn contents(&self) -> Option<&[f32]> {
         self.payload().filter(|_| self.written)
+    }
+
+    /// A copy of the contents as `planes` planes in the host's layout (see
+    /// [`interleave`]); zeros for a slot without defined contents.
+    fn copy_out(&self, planes: usize) -> Vec<f32> {
+        match self.contents() {
+            Some(payload) => interleave(payload, planes),
+            None => vec![0.0; self.lanes],
+        }
     }
 
     /// Give a slot without defined contents some: lanes `from..` read as
@@ -319,9 +326,8 @@ impl Slot {
             Some(Storage::Owned(d)) => d,
             Some(Storage::View(block, _)) => block,
         };
-        d[..GUARD_LANES]
+        d[d.len() - GUARD_LANES..]
             .iter()
-            .chain(&d[d.len() - GUARD_LANES..])
             .all(|v| v.to_bits() == GUARD_WORD)
     }
 }
@@ -436,11 +442,6 @@ impl Context {
             self.pool.clear();
             self.pooled_bytes = 0;
         }
-    }
-
-    /// Whether buffer pooling is enabled.
-    pub fn pooling(&self) -> bool {
-        self.pooling
     }
 
     /// Allocations served from the pool since creation.
@@ -584,6 +585,13 @@ impl Context {
     /// Peak bytes ever allocated (the memory study's high-water mark).
     pub fn high_water_bytes(&self) -> u64 {
         self.high_water
+    }
+
+    /// Bytes physically copied between host and device storage since the
+    /// last [`Context::reset_profile`]: what
+    /// [`ProfileReport::host_bytes_copied`] will read.
+    pub fn host_bytes_copied(&self) -> u64 {
+        self.host_bytes_copied
     }
 
     /// Snapshot the profiling state.
@@ -922,26 +930,68 @@ impl Context {
     }
 
     /// Enqueue a device→host read of the whole buffer on the default queue,
-    /// returning its contents; a buffer that was never written (by host or
-    /// kernel) reads as zeros. A Model context has no contents to return:
-    /// account its downloads with [`Context::enqueue_read_range_q`].
+    /// returning a copy of its contents; a buffer that was never written (by
+    /// host or kernel) reads as zeros. A Model context has no contents to
+    /// return: account its downloads with [`Context::read_and_release`] or
+    /// [`Context::enqueue_read_range_q`].
     pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
-        self.enqueue_read_cells(id, 1)
+        self.read_whole(id, true)?;
+        let data = self.slot(id)?.copy_out(1);
+        self.host_bytes_copied += data.len() as u64 * 4;
+        Ok(data)
     }
 
-    /// [`Context::enqueue_read`] of a buffer that holds a value as `planes`
-    /// equal planes (a `Vec4` value: four), returned in the host's layout,
-    /// cell by cell (see [`interleave`]). The same one transfer, and the
-    /// same one copy: the interleave is the copy.
-    pub fn enqueue_read_cells(
+    /// The last read of a buffer: [`Context::enqueue_read`], then
+    /// [`Context::release`]. The buffer holds a value as `planes` equal
+    /// planes (a `Vec4` value: four), returned in the host's layout, cell by
+    /// cell (see [`interleave`]); a Model context records the same transfer
+    /// and release and returns `None`.
+    ///
+    /// Because nothing reads the buffer again, a real context may hand its
+    /// storage to the host instead of copying it. It does in one case: the
+    /// context does not pool, the value is one plane, and the slot holds
+    /// written storage of its own. Every other buffer is copied and then
+    /// released (or parked): a pooled slot keeps its storage for the next
+    /// allocation, a vector value is interleaved, an adopted array is the
+    /// host's own and a view shares its storage. Only storage moves, so the
+    /// event, bytes, fault draw, [`VerifyPolicy::Full`] check, clock,
+    /// `in_use` and pool counters are those of the two calls; only
+    /// [`Context::host_bytes_copied`] tells the cases apart. A failed
+    /// transfer releases nothing.
+    pub fn read_and_release(
         &mut self,
         id: BufferId,
         planes: usize,
-    ) -> Result<Vec<f32>, OclError> {
-        // The host end is the `Vec` this call returns.
+    ) -> Result<Option<Vec<f32>>, OclError> {
+        let real = self.mode == ExecMode::Real;
+        self.read_whole(id, real)?;
+        let data = real.then(|| {
+            let slot = self.slots[id.0]
+                .as_mut()
+                .expect("validated by the transfer");
+            let hand_over = !self.pooling && planes == 1 && slot.written;
+            match slot.data.take() {
+                Some(Storage::Owned(mut storage)) if hand_over => {
+                    storage.truncate(slot.lanes);
+                    storage
+                }
+                data => {
+                    slot.data = data;
+                    self.host_bytes_copied += slot.lanes as u64 * 4;
+                    slot.copy_out(planes)
+                }
+            }
+        });
+        self.release(id)?;
+        Ok(data)
+    }
+
+    /// The accounting of a whole-buffer download on the default queue, into
+    /// host memory when `bytes`.
+    fn read_whole(&mut self, id: BufferId, bytes: bool) -> Result<(), OclError> {
         let whole = HostEnd {
             lanes: self.slot(id)?.lanes,
-            data: Some(()),
+            data: bytes.then_some(()),
         };
         self.transfer(
             TransferDir::DeviceToHost,
@@ -950,12 +1000,8 @@ impl Context {
             0,
             &whole,
             &[],
-        )?;
-        self.host_bytes_copied += whole.lanes as u64 * 4;
-        Ok(match self.slot(id)?.contents() {
-            Some(payload) => interleave(payload, planes),
-            None => vec![0.0f32; whole.lanes],
-        })
+        )
+        .map(drop)
     }
 
     /// Enqueue a host→device write on `queue`, ordered after `deps`. A Real
@@ -1263,7 +1309,7 @@ impl Context {
             return false;
         }
         let (block, at) = match src.data.take() {
-            Some(Storage::Owned(d)) => (Arc::new(d), GUARD_LANES),
+            Some(Storage::Owned(d)) => (Arc::new(d), 0),
             Some(Storage::View(block, at)) => (block, at),
             other => {
                 src.data = other;
@@ -1304,7 +1350,7 @@ impl Context {
             }
         };
         let out = match &mut storage {
-            Storage::Owned(d) => &mut d[GUARD_LANES..GUARD_LANES + lanes],
+            Storage::Owned(d) => &mut d[..lanes],
             Storage::View(block, at) => {
                 let d = Arc::get_mut(block).expect("a private view's the only handle");
                 &mut d[*at..*at + lanes]
@@ -1369,11 +1415,7 @@ impl Context {
             self.slot(id)?;
             return Err(OclError::InvalidOperation("peek in model mode".into()));
         }
-        let slot = self.slot(id)?;
-        Ok(match slot.contents() {
-            Some(payload) => payload.to_vec(),
-            None => vec![0.0f32; slot.lanes],
-        })
+        Ok(self.slot(id)?.copy_out(1))
     }
 
     /// Revalidate a buffer's integrity: guard zones intact and, when a
@@ -1434,14 +1476,15 @@ impl Context {
         }
     }
 
-    /// Overwrite the first guard lane ahead of a buffer's payload — a test
+    /// Overwrite the first guard lane behind a buffer's payload — a test
     /// hook simulating an out-of-bounds write into the allocation (real
     /// mode, materialized buffers only; silently a no-op otherwise).
     #[doc(hidden)]
     pub fn debug_poke_guard(&mut self, id: BufferId) {
         if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
+            let lanes = slot.lanes;
             if let Some(d) = slot.owned_mut() {
-                d[0] = f32::from_bits(!GUARD_WORD);
+                d[lanes] = f32::from_bits(!GUARD_WORD);
             }
         }
     }
@@ -1502,7 +1545,7 @@ mod tests {
         HostEnd::or_absent(bytes.then_some(data), data.len())
     }
 
-    fn dst(bytes: bool, data: &mut [f32]) -> HostEnd<&mut [f32]> {
+    pub(super) fn dst(bytes: bool, data: &mut [f32]) -> HostEnd<&mut [f32]> {
         let lanes = data.len();
         HostEnd::or_absent(bytes.then_some(data), lanes)
     }
@@ -2723,7 +2766,7 @@ mod in_place_tests {
     }
 
     /// `decompose`'s shape: output plane `k` of a four-plane operand.
-    struct Lane(usize);
+    pub(super) struct Lane(pub(super) usize);
 
     impl DeviceKernel for Lane {
         fn name(&self) -> String {
@@ -2745,21 +2788,21 @@ mod in_place_tests {
     }
 
     /// The storage a view shares, if `id` is one.
-    fn block_of(c: &Context, id: BufferId) -> Option<*const Vec<f32>> {
+    pub(super) fn block_of(c: &Context, id: BufferId) -> Option<*const Vec<f32>> {
         match &c.slots[id.0].as_ref()?.data {
             Some(Storage::View(block, _)) => Some(Arc::as_ptr(block)),
             _ => None,
         }
     }
 
-    const N: usize = 6;
+    pub(super) const N: usize = 6;
 
     /// Four planes of `N` lanes, no two lanes equal.
-    fn planes() -> Vec<f32> {
+    pub(super) fn planes() -> Vec<f32> {
         (0..4 * N).map(|i| i as f32 * 0.5 - 3.0).collect()
     }
 
-    fn bits(lanes: &[f32]) -> Vec<u32> {
+    pub(super) fn bits(lanes: &[f32]) -> Vec<u32> {
         lanes.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -2936,5 +2979,188 @@ mod in_place_tests {
         drop(c);
         let mut host = host;
         assert!(host.get_mut().is_some(), "every slot let go of the array");
+    }
+}
+
+#[cfg(test)]
+mod read_and_release_tests {
+    use super::in_place_tests::{bits, planes, Lane, N};
+    use super::tests::{both_modes, ctx, dst, shared_src, src, Double};
+    use super::*;
+    use crate::integrity::{IntegrityKind, VerifyPolicy};
+    use std::cell::RefCell;
+
+    fn doubled(lanes: &[f32]) -> Vec<f32> {
+        lanes.iter().map(|v| v * 2.0).collect()
+    }
+
+    /// A buffer's last read, either as [`Context::read_and_release`] or as a
+    /// ranged read into a fresh `Vec` and a release: what the host gets.
+    fn last_read(
+        c: &mut Context,
+        consume: bool,
+        bytes: bool,
+        id: BufferId,
+        planes: usize,
+    ) -> Option<Vec<f32>> {
+        if consume {
+            return c.read_and_release(id, planes).unwrap();
+        }
+        let mut out = vec![0.0; c.slot(id).unwrap().lanes];
+        c.enqueue_read_range_q(QueueId::DEFAULT, id, 0, dst(bytes, &mut out), &[])
+            .unwrap();
+        c.release(id).unwrap();
+        bytes.then(|| interleave(&out, planes))
+    }
+
+    /// The last read of a private, written scalar buffer on a context that
+    /// does not pool hands the storage over: the `Vec` holds exactly the
+    /// slot's lanes, nothing is copied, and the slot is gone. What is
+    /// modeled — events, clocks, high-water mark, fault draws — and `in_use`
+    /// are those of a read and a release, Real and Model alike.
+    #[test]
+    fn a_last_read_hands_over_the_storage_and_models_a_read_and_a_release() {
+        let input: Vec<f32> = (0..37).map(|i| i as f32 - 3.5).collect();
+        let seen = RefCell::new(Vec::new());
+        let script = |consume: bool| {
+            let (input, seen) = (&input, &seen);
+            move |c: &mut Context, bytes: bool| {
+                let (a, b) = (c.create_buffer(37).unwrap(), c.create_buffer(37).unwrap());
+                c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, input), &[])
+                    .unwrap();
+                c.launch(&Double, &[a], b, 37).unwrap();
+                let copied = c.host_bytes_copied();
+                let data = last_read(c, consume, bytes, b, 1);
+                assert_eq!(data, bytes.then(|| doubled(input)));
+                assert!(matches!(c.release(b), Err(OclError::InvalidBuffer { .. })));
+                let in_use = c.in_use_bytes();
+                c.release(a).unwrap();
+                let copied = c.host_bytes_copied() - copied;
+                seen.borrow_mut().push((consume, bytes, in_use, copied));
+            }
+        };
+        assert_eq!(both_modes(script(true)), both_modes(script(false)));
+        let four_bytes = 37 * 4;
+        assert_eq!(
+            seen.into_inner(),
+            [
+                (true, true, four_bytes, 0),
+                (true, false, four_bytes, 0),
+                (false, true, four_bytes, four_bytes),
+                (false, false, four_bytes, 0),
+            ]
+        );
+    }
+
+    /// What a last read must copy — a scalar on a pooled context, a vector
+    /// value, a view and an adopted array — it copies: the host gets the
+    /// same lanes and the same copied bytes as from a read and a release, a
+    /// parked slot serves the next allocation, which reads as zeros and
+    /// computes, and the viewed operand and the host's array keep their
+    /// bits. Everything modeled, `in_use` and the pool counters are the same
+    /// four ways: Real and Model, consuming or not.
+    #[test]
+    fn a_last_read_copies_what_the_context_may_not_give_away() {
+        let host = SharedArray::from(planes()[N..2 * N].to_vec());
+        let seen = RefCell::new(Vec::new());
+        let script = |consume: bool| {
+            let (host, seen) = (&host, &seen);
+            move |c: &mut Context, bytes: bool| {
+                c.set_pooling(true);
+                let scalar = &planes()[..N];
+                let a = c.create_buffer(N).unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, scalar), &[])
+                    .unwrap();
+                let mut got = Vec::new();
+                for _ in 0..2 {
+                    let s = c.create_buffer(N).unwrap();
+                    if bytes {
+                        assert_eq!(c.peek(s).unwrap(), [0.0; N], "no stale lanes");
+                    }
+                    c.launch(&Double, &[a], s, N).unwrap();
+                    got.push(last_read(c, consume, bytes, s, 1));
+                }
+                let p = c.create_buffer(4 * N).unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, p, src(bytes, &planes()), &[])
+                    .unwrap();
+                let v = c.create_buffer(N).unwrap();
+                let placement = c.launch_then_release(&Lane(2), &[p], v, N, &[]).unwrap();
+                assert_eq!(placement == Placement::View, bytes);
+                got.push(last_read(c, consume, bytes, v, 1));
+                if bytes {
+                    assert_eq!(bits(&c.peek(p).unwrap()), bits(&planes()));
+                }
+                got.push(last_read(c, consume, bytes, p, 4));
+                let x = c.create_buffer(N).unwrap();
+                c.enqueue_write_q(QueueId::DEFAULT, x, shared_src(bytes, host), &[])
+                    .unwrap();
+                got.push(last_read(c, consume, bytes, x, 1));
+                c.release(a).unwrap();
+                assert_eq!(c.in_use_bytes(), 0);
+                if bytes {
+                    let want = [
+                        doubled(scalar),
+                        doubled(scalar),
+                        planes()[2 * N..3 * N].to_vec(),
+                        interleave(&planes(), 4),
+                        host.to_vec(),
+                    ];
+                    assert_eq!(got, want.map(Some));
+                }
+                let counters = (c.pool_hits(), c.pooled_bytes(), c.host_bytes_copied());
+                seen.borrow_mut().push((bytes, counters));
+            }
+        };
+        assert_eq!(both_modes(script(true)), both_modes(script(false)));
+        let seen = seen.into_inner();
+        let [real, model, real_read, model_read] = &seen[..] else {
+            panic!("four runs")
+        };
+        assert_eq!(real, real_read, "copied as a read and a release");
+        assert_eq!(model, model_read);
+        assert_eq!(
+            (real.1 .0, real.1 .1),
+            (model.1 .0, model.1 .1),
+            "pool counters"
+        );
+        assert!(real.1 .0 >= 3, "parked slots were reused");
+        let uploads = (N + 4 * N) as u64 * 4;
+        let reads = (N + N + N + 4 * N + N) as u64 * 4;
+        assert_eq!(real.1 .2, uploads + reads);
+        drop(seen);
+        let mut host = host;
+        assert!(host.get_mut().is_some(), "every slot let go of the array");
+    }
+
+    /// Under [`VerifyPolicy::Full`] a flipped bit in a result is caught by
+    /// the read, before the storage could go to the host: the slot stays
+    /// live for the caller to heal, no transfer is recorded, and the healed
+    /// result is handed over with clean bits.
+    #[test]
+    fn a_flipped_result_is_caught_before_it_is_handed_over() {
+        let input: Vec<f32> = (0..N).map(|i| i as f32 + 0.25).collect();
+        let mut c = ctx();
+        c.set_verify(VerifyPolicy::Full);
+        let (a, b) = (c.create_buffer(N).unwrap(), c.create_buffer(N).unwrap());
+        c.enqueue_write(a, &input).unwrap();
+        c.launch(&Double, &[a], b, N).unwrap();
+        c.debug_flip_bit(b, 3, 9);
+        let in_use = c.in_use_bytes();
+        match c.read_and_release(b, 1) {
+            Err(OclError::IntegrityViolation {
+                kind: IntegrityKind::Checksum,
+                buffer,
+                ..
+            }) => assert_eq!(buffer, b.index()),
+            other => panic!("expected a checksum violation, got {other:?}"),
+        }
+        assert_eq!(c.in_use_bytes(), in_use, "nothing released");
+        assert_eq!(c.report().count(EventKind::DeviceToHost), 0);
+        c.launch(&Double, &[a], b, N).unwrap();
+        let copied = c.host_bytes_copied();
+        let healed = c.read_and_release(b, 1).unwrap().unwrap();
+        assert_eq!(bits(&healed), bits(&doubled(&input)));
+        assert_eq!(c.host_bytes_copied(), copied, "handed over");
+        assert_eq!(c.integrity_stats().violations, 1);
     }
 }

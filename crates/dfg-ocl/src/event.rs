@@ -84,10 +84,12 @@ pub struct ProfileReport {
     /// "high-water mark" of the paper's memory study (§IV-D.2).
     pub high_water_bytes: u64,
     /// Bytes the context physically copied between host memory and device
-    /// storage: an upload that copied its source, every download. Zero on a
-    /// Model context, and zero for an upload that adopted the host's
-    /// [`SharedArray`](crate::SharedArray) — which is still a
-    /// [`EventKind::HostToDevice`] event of its full modeled size, so
+    /// storage: an upload that copied its source, a download that copied its
+    /// buffer. Zero on a Model context, zero for an upload that adopted the
+    /// host's [`SharedArray`](crate::SharedArray) and zero for a last read
+    /// that handed the buffer's storage to the host
+    /// ([`Context::read_and_release`](crate::Context::read_and_release)) —
+    /// each still an event of its full modeled size, so
     /// [`ProfileReport::bytes`] is the transfer volume the paper counts and
     /// this is what the host actually paid.
     pub host_bytes_copied: u64,

@@ -31,7 +31,9 @@
 //! There is one write ([`Context::enqueue_write_q`]), one ranged read
 //! ([`Context::enqueue_read_range_q`]) and one launch
 //! ([`Context::launch_q`]); the un-suffixed whole-buffer forms are the same
-//! bodies on the default queue. The mode is a property of the context's
+//! bodies on the default queue, and a buffer's last read
+//! ([`Context::read_and_release`]) is a whole-buffer read and a release,
+//! which may hand the buffer's storage to the host instead of copying it. The mode is a property of the context's
 //! storage, not of the function a caller picks: the host end of a transfer
 //! is a [`HostEnd`] — a lane count, plus the bytes when the host has them —
 //! and a modeling run makes the same calls with nothing behind either end.
