@@ -758,7 +758,7 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "{:<10} {:>6} {:>6} {:>6} {:>12} {:>10} {:>9} {:>9} {:>10}",
+        "{:<10} {:>6} {:>6} {:>6} {:>12} {:>10} {:>9} {:>9} {:>10} {:>10}",
         "strategy",
         "Dev-W",
         "Dev-R",
@@ -767,7 +767,8 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         "wall ms",
         "peak MB",
         "moved MB",
-        "copied MB"
+        "copied MB",
+        "zeroed MB"
     );
     for row in &rows {
         println!("{}", row.line);
@@ -775,7 +776,8 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     println!(
         "(moved: modeled host<->device transfer volume; copied: bytes the host \
          physically copied for it — whole-field uploads adopt the host's arrays, \
-         and a one-shot download takes the device's storage)"
+         and a one-shot download takes the device's storage; zeroed: device \
+         lanes the host cleared because no kernel or upload writes them)"
     );
     println!();
     println!(
@@ -907,18 +909,20 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
 
 /// One line of `dfgc profile`'s strategy table: Table II's counts, modeled
 /// device seconds, wall ms, peak MB, and the modeled transfer volume (both
-/// directions) beside the bytes the host physically copied to carry it out.
+/// directions) beside the bytes the host physically copied to carry it out
+/// and the bytes of device storage it zero-filled.
 fn strategy_line(name: &str, report: &dfg_core::ExecReport) -> String {
     let (w, r, k) = report.table2_row();
     let p = &report.profile;
     let moved = p.bytes(EventKind::HostToDevice) + p.bytes(EventKind::DeviceToHost);
     format!(
-        "{name:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1} {:>9.2} {:>10.2}",
+        "{name:<10} {w:>6} {r:>6} {k:>6} {:>12.6} {:>10.3} {:>9.1} {:>9.2} {:>10.2} {:>10.2}",
         report.device_seconds(),
         report.wall.as_secs_f64() * 1e3,
         report.high_water_bytes() as f64 / 1e6,
         moved as f64 / 1e6,
         p.host_bytes_copied as f64 / 1e6,
+        p.host_bytes_zeroed as f64 / 1e6,
     )
 }
 
@@ -1507,7 +1511,8 @@ mod tests {
             }
         }
         // The one-shot fusion row: the modeled volume is three 8³ uploads
-        // and one download (8 192 B), of which the host copied nothing.
+        // and one download (8 192 B), of which the host copied nothing, and
+        // the kernel wrote its output once, so nothing was zero-filled.
         let mut fields = FieldSet::new(512);
         for name in ["u", "v", "w"] {
             fields.insert_scalar(name, vec![0.5; 512]).unwrap();
@@ -1517,7 +1522,11 @@ mod tests {
             .unwrap();
         let line = strategy_line("fusion", &report);
         let cells: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(cells[7..], ["0.01", "0.00"], "moved MB, copied MB: {line}");
+        assert_eq!(
+            cells[7..],
+            ["0.01", "0.00", "0.00"],
+            "moved, copied, zeroed MB: {line}"
+        );
     }
 
     /// `dfgc profile`'s staged table: one row per kernel name, `decompose`

@@ -1749,8 +1749,8 @@ fn host_copies_table() {
     use dfg_trace::Tracer;
     let fields = small_rt_fields([6, 5, 4]);
     let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
-    println!("| expression | path | run | downloaded B | copied B | handed over B |");
-    println!("|---|---|---|---|---|---|");
+    println!("| expression | path | run | downloaded B | copied B | handed over B | zeroed B |");
+    println!("|---|---|---|---|---|---|---|");
     for (name, workload) in [
         ("vel_mag", Workload::VelocityMagnitude),
         ("q_crit", Workload::QCriterion),
@@ -1774,17 +1774,134 @@ fn host_copies_table() {
                     * 4;
                 let profile = report.profile;
                 let (down, up) = (profile.bytes(DeviceToHost), profile.bytes(HostToDevice));
-                let copied = profile.host_bytes_copied;
+                let (copied, zeroed) = (profile.host_bytes_copied, profile.host_bytes_zeroed);
                 let path = path.map_or("streamed", |s| s.name());
-                println!("| `{name}` | {path} | {run} | {down} | {copied} | {handed_over} |");
+                println!(
+                    "| `{name}` | {path} | {run} | {down} | {copied} | {handed_over} | {zeroed} |"
+                );
                 let want = match (path, run) {
                     ("streamed", _) => (up + down, 0),
                     (_, "one-shot") => (0, down),
                     _ => (down, 0),
                 };
                 assert_eq!((copied, handed_over), want, "{name} {path} {run}");
+                // Launches write fresh storage once: the context clears only
+                // a `Vec4` value's fourth plane, which no kernel writes —
+                // none in `vel_mag`, and `q_crit`'s three gradients.
+                let n = fields.ncells() as u64;
+                match (name, path) {
+                    ("vel_mag", _) => assert_eq!(zeroed, 0, "{name} {path} {run}"),
+                    ("q_crit", "staged") => assert_eq!(zeroed, 3 * n * 4, "{name} {run}"),
+                    _ => {}
+                }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Outputs written once (DESIGN.md D11): a launch into fresh storage is its
+// kernel's one pass over it. Only how storage is initialized changed, so a
+// Model run records a Real run's events one for one, and verification still
+// covers every lane a kernel wrote.
+// ---------------------------------------------------------------------------
+
+mod write_once {
+    use super::*;
+    use crate::{EngineError, RecoveryPolicy};
+    use dfg_ocl::{FaultKind, FaultPlan, OclError, ProfileReport, VerifyPolicy};
+
+    /// Every paper expression × path, one-shot and two session cycles (the
+    /// second recycles the first's storage): the same events — kind, label,
+    /// bytes, both clock ends, queue — and high-water mark in both modes,
+    /// and a Model run zero-fills nothing.
+    #[test]
+    fn model_records_real_events_one_for_one() {
+        let dims = [6, 5, 4];
+        let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
+        for workload in Workload::ALL {
+            for path in paths.clone() {
+                let run = |mode: ExecMode| -> Vec<ProfileReport> {
+                    let fields = match mode {
+                        ExecMode::Real => small_rt_fields(dims),
+                        // Streaming a gradient reads the grid shape on the host.
+                        ExecMode::Model => {
+                            let mut fields = FieldSet::virtual_rt(dims);
+                            let mesh = RectilinearMesh::unit_cube(dims);
+                            fields.insert_small("dims", mesh.dims_buffer());
+                            fields
+                        }
+                    };
+                    let options = EngineOptions {
+                        mode,
+                        ..Default::default()
+                    };
+                    let mut engine = Engine::with_options(DeviceProfile::intel_x5660(), options);
+                    let src = workload.source();
+                    let mut reports = vec![match path {
+                        Some(strategy) => engine.derive(src, &fields, strategy),
+                        None => engine.derive_streamed(src, &fields, None),
+                    }];
+                    let mut session = engine.session();
+                    for _ in 0..2 {
+                        reports.push(match path {
+                            Some(strategy) => session.derive(src, &fields, strategy),
+                            None => session.derive_streamed(src, &fields, None),
+                        });
+                    }
+                    reports.into_iter().map(|r| r.unwrap().profile).collect()
+                };
+                let (real, model) = (run(ExecMode::Real), run(ExecMode::Model));
+                for (run, (real, model)) in real.iter().zip(&model).enumerate() {
+                    let what = format!("{workload} {path:?} run {run}");
+                    assert_eq!(real.events, model.events, "{what}");
+                    assert_eq!(real.high_water_bytes, model.high_water_bytes, "{what}");
+                    assert_eq!(model.host_bytes_zeroed, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// `(u*v) * (v*w)` staged: the third launch reads two outputs the first
+    /// two wrote into fresh storage. A `mem_flip` there under `verify=full`
+    /// is caught — each output's checksum is learned from the lanes its
+    /// kernel wrote once — on either output across seeds, and recovery gives
+    /// the clean run's bits.
+    #[test]
+    fn mem_flip_on_a_freshly_written_output_is_detected_and_healed() {
+        let src = "r = (u*v) * (v*w)";
+        let fields = small_rt_fields([5, 4, 3]);
+        let clean = cpu_engine().derive(src, &fields, Strategy::Staged).unwrap();
+        assert_eq!(clean.table2_row().2, 3);
+        let flipped = |seed: u64, recovery: RecoveryPolicy| {
+            let options = EngineOptions {
+                verify: VerifyPolicy::Full,
+                recovery,
+                ..Default::default()
+            };
+            let mut engine = Engine::with_options(DeviceProfile::intel_x5660(), options);
+            let plan = FaultPlan::with_seed(seed);
+            plan.fail_nth_from_now(FaultKind::MemFlip, 3, 1);
+            engine.set_fault_plan(plan);
+            engine.derive(src, &fields, Strategy::Staged)
+        };
+        let mut victims = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            match flipped(seed, RecoveryPolicy::disabled()) {
+                Err(EngineError::Ocl(OclError::IntegrityViolation { buffer, .. })) => {
+                    victims.insert(buffer);
+                }
+                other => panic!("seed {seed}: expected a detected flip, got {other:?}"),
+            }
+            let healed = flipped(seed, RecoveryPolicy::resilient()).unwrap();
+            assert_eq!(healed.integrity.violations, 1, "seed {seed}");
+            assert_bits_eq(
+                &clean.field.as_ref().unwrap().data,
+                &healed.field.unwrap().data,
+                &format!("seed {seed}"),
+            );
+        }
+        assert_eq!(victims.len(), 2, "both fresh outputs were hit");
     }
 }
 

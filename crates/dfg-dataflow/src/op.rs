@@ -170,63 +170,6 @@ impl BinKind {
         }
     }
 
-    /// [`BinKind::eval`] over slices: `out[t] = eval(a[t], b[t])` for every
-    /// lane of `out`. The kind is matched once, outside the loop, and each
-    /// arm is its own monomorphized slice loop the compiler can vectorize;
-    /// the standalone primitive and the fused executor both run this.
-    ///
-    /// # Panics
-    /// Panics if an operand is shorter than `out`.
-    pub fn apply(self, out: &mut [f32], a: &[f32], b: &[f32]) {
-        let (a, b) = (&a[..out.len()], &b[..out.len()]);
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(BinKind::$kind => {
-                        for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
-                            *o = BinKind::$kind.eval(a, b);
-                        }
-                    })*
-                }
-            };
-        }
-        per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
-    }
-
-    /// [`BinKind::apply`] where an operand may be `out` itself: a `None`
-    /// operand is `out`'s lanes on entry, each read before the same lane is
-    /// written — so `out` can hold `a`, `b` or both (`t*t`), bit for bit as
-    /// `apply` over a copy. Panics if a `Some` operand is shorter than `out`.
-    pub fn apply_in_place(self, out: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>) {
-        let len = out.len();
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(BinKind::$kind => {
-                        let f = |a: f32, b: f32| BinKind::$kind.eval(a, b);
-                        match (a, b) {
-                            (None, Some(b)) => {
-                                for (o, &b) in out.iter_mut().zip(&b[..len]) {
-                                    *o = f(*o, b);
-                                }
-                            }
-                            (Some(a), None) => {
-                                for (o, &a) in out.iter_mut().zip(&a[..len]) {
-                                    *o = f(a, *o);
-                                }
-                            }
-                            _ => out.iter_mut().for_each(|o| *o = f(*o, *o)), // `t op t`
-                        }
-                    })*
-                }
-            };
-        }
-        match (a, b) {
-            (Some(a), Some(b)) => self.apply(out, a, b),
-            _ => per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or),
-        }
-    }
-
     /// C-style operator/function text for generated kernel source.
     pub fn source_expr(self, a: &str, b: &str) -> String {
         match self {
@@ -317,43 +260,6 @@ impl UnKind {
             UnKind::Exp => a.exp(),
             UnKind::Log => a.ln(),
             UnKind::Not => f32::from(a == 0.0),
-        }
-    }
-
-    /// [`UnKind::eval`] over slices, matched once outside the loop like
-    /// [`BinKind::apply`].
-    ///
-    /// # Panics
-    /// Panics if `a` is shorter than `out`.
-    pub fn apply(self, out: &mut [f32], a: &[f32]) {
-        let a = &a[..out.len()];
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(UnKind::$kind => {
-                        for (o, &a) in out.iter_mut().zip(a) {
-                            *o = UnKind::$kind.eval(a);
-                        }
-                    })*
-                }
-            };
-        }
-        per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
-    }
-
-    /// [`UnKind::apply`] where the operand may be `out` itself (`None`), as
-    /// in [`BinKind::apply_in_place`].
-    pub fn apply_in_place(self, out: &mut [f32], a: Option<&[f32]>) {
-        macro_rules! per_kind {
-            ($($kind:ident)*) => {
-                match self {
-                    $(UnKind::$kind => out.iter_mut().for_each(|o| *o = UnKind::$kind.eval(*o)),)*
-                }
-            };
-        }
-        match a {
-            Some(a) => self.apply(out, a),
-            None => per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not),
         }
     }
 

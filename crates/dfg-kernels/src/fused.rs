@@ -60,10 +60,10 @@ use std::sync::Arc;
 use dfg_dataflow::{
     select, BinKind, FilterOp, NetworkSpec, NodeId, Schedule, ScheduleError, UnKind, Width,
 };
-use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
-use rayon::prelude::*;
+use dfg_ocl::{DeviceKernel, KernelCost, LaunchArgs, OutLanes};
 
 use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::primitives::{bin, par_pieces, un};
 
 /// Maximum registers the generator may allocate before it reports register
 /// pressure.
@@ -1161,7 +1161,12 @@ impl DeviceKernel for FusedKernel {
         }
     }
 
-    fn run(&self, args: KernelArgs<'_>) {
+    /// A launch over `n` cells writes the `n`-cell planes of every output.
+    fn unwritten_from(&self, n: usize) -> Option<usize> {
+        Some(n * self.program.lanes_per_elem)
+    }
+
+    fn write(&self, args: LaunchArgs<'_>) {
         let prog = &self.program;
         let (n, inputs) = (args.n, args.inputs);
         let width = chunk_width(self.rows);
@@ -1169,25 +1174,25 @@ impl DeviceKernel for FusedKernel {
 
         // Cut every output plane at the task boundaries: task `t` owns piece
         // `t` of each plane.
-        let mut tasks: Vec<Vec<&mut [f32]>> = Vec::new();
+        let mut tasks: Vec<Vec<OutLanes<'_>>> = Vec::new();
         tasks.resize_with(n.div_ceil(task), Vec::new);
-        let mut rest = &mut args.output[..n * prog.lanes_per_elem];
+        let mut rest = args.output.slice(..n * prog.lanes_per_elem);
         for slot in &prog.outputs {
             let lanes = lanes_of(slot.width);
-            let (plane, tail) = rest.split_at_mut(lanes * n);
+            let (plane, tail) = rest.split_at(lanes * n);
             rest = tail;
-            for (pieces, piece) in tasks.iter_mut().zip(plane.chunks_mut(lanes * task)) {
+            for (pieces, piece) in tasks.iter_mut().zip(plane.chunks(lanes * task)) {
                 pieces.push(piece);
             }
         }
 
-        tasks.par_chunks_mut(1).enumerate().for_each(|(t, pieces)| {
+        par_pieces(tasks, |t, pieces| {
             let start = t * task;
             let cells = task.min(n - start);
             let mut chunk = Chunk {
                 bank: vec![0.0; self.rows * width],
                 width,
-                pieces: &mut pieces[0],
+                pieces,
                 inputs,
                 base: start,
                 at: 0,
@@ -1240,7 +1245,7 @@ fn link<const K: u8>(v: f32, x: f32, k: f32) -> f32 {
 /// A [`Step::Run`] over one chunk: four links of kinds known at compile time,
 /// so the running value stays in a register and the loop vectorizes.
 fn run_links<const K0: u8, const K1: u8, const K2: u8, const K3: u8>(
-    o: &mut [f32],
+    mut o: OutLanes<'_>,
     start: &[f32],
     x: [&[f32]; MAX_LINKS],
     k: [f32; MAX_LINKS],
@@ -1254,7 +1259,7 @@ fn run_links<const K0: u8, const K1: u8, const K2: u8, const K3: u8>(
         .zip(x[3]);
     for (((((o, &v), &x0), &x1), &x2), &x3) in lanes {
         let v = link::<K2>(link::<K1>(link::<K0>(v, x0, k[0]), x1, k[1]), x2, k[2]);
-        *o = link::<K3>(v, x3, k[3]);
+        o.set(link::<K3>(v, x3, k[3]));
     }
 }
 
@@ -1301,7 +1306,7 @@ macro_rules! with_kinds {
 struct Chunk<'a, 'p> {
     bank: Vec<f32>,
     width: usize,
-    pieces: &'a mut [&'p mut [f32]],
+    pieces: &'a mut [OutLanes<'p>],
     inputs: &'a [&'a [f32]],
     base: usize,
     at: usize,
@@ -1318,17 +1323,20 @@ impl Chunk<'_, '_> {
     /// # Panics
     /// Panics if an operand row is the destination row.
     #[inline]
-    fn bind<const K: usize>(&mut self, dst: Dst, srcs: [Src; K]) -> (&mut [f32], [&[f32]; K]) {
+    fn bind<const K: usize>(&mut self, dst: Dst, srcs: [Src; K]) -> (OutLanes<'_>, [&[f32]; K]) {
         let (w, len, inputs) = (self.width, self.len, self.inputs);
         let span = self.base..self.base + len;
         // The bank below and above the destination (all of it, for a plane).
-        let (below, o, above): (&[f32], &mut [f32], &[f32]) = match dst {
+        let (below, o, above): (&[f32], OutLanes<'_>, &[f32]) = match dst {
             Dst::Row(out) => {
                 let (below, rest) = self.bank.split_at_mut(out * w);
                 let (o, above) = rest.split_at_mut(w);
-                (below, &mut o[..len], above)
+                (below, (&mut o[..len]).into(), above)
             }
-            Dst::Out(o) => (&self.bank, &mut self.pieces[o][self.at..][..len], &[]),
+            Dst::Out(o) => {
+                let piece = self.pieces[o].reborrow().slice(self.at..self.at + len);
+                (&self.bank, piece, &[])
+            }
         };
         let srcs = srcs.map(|src| match src {
             Src::Input(slot) => &inputs[slot as usize][span.clone()],
@@ -1348,12 +1356,12 @@ impl Chunk<'_, '_> {
         match *step {
             Step::Fill { value, dst } => self.bind(dst, []).0.fill(value),
             Step::Copy { src, dst } => {
-                let (o, [src]) = self.bind(dst, [src]);
+                let (mut o, [src]) = self.bind(dst, [src]);
                 o.copy_from_slice(src);
             }
             Step::Bin { op, a, b, dst } => {
                 let (o, [a, b]) = self.bind(dst, [a, b]);
-                op.apply(o, a, b);
+                bin(op, o, a, b);
             }
             Step::Run { start, links, dst } => {
                 // A link that reads no row binds `start` again, unread.
@@ -1365,12 +1373,12 @@ impl Chunk<'_, '_> {
             }
             Step::Un { op, a, dst } => {
                 let (o, [a]) = self.bind(dst, [a]);
-                op.apply(o, a);
+                un(op, o, a);
             }
             Step::Select { c, a, b, dst } => {
-                let (o, [c, a, b]) = self.bind(dst, [c, a, b]);
+                let (mut o, [c, a, b]) = self.bind(dst, [c, a, b]);
                 for (t, o) in o.iter_mut().enumerate() {
-                    *o = select(c[t], a[t], b[t]);
+                    o.set(select(c[t], a[t], b[t]));
                 }
             }
             Step::Grad3d { slots, out } => {
@@ -1380,16 +1388,16 @@ impl Chunk<'_, '_> {
                 gradient_span(f, x, y, z, d, self.base, lanes);
             }
             Step::Norm3 { a, dst } => {
-                let (o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
+                let (mut o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
                 for (t, o) in o.iter_mut().enumerate() {
-                    *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
+                    o.set((x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt());
                 }
             }
             Step::Dot3 { a, b, dst } => {
                 let operands = [a, b, a + 1, b + 1, a + 2, b + 2].map(Src::Row);
-                let (o, [a0, b0, a1, b1, a2, b2]) = self.bind(dst, operands);
+                let (mut o, [a0, b0, a1, b1, a2, b2]) = self.bind(dst, operands);
                 for (t, o) in o.iter_mut().enumerate() {
-                    *o = a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t];
+                    o.set(a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t]);
                 }
             }
             Step::Cross3 { a, b, out } => {
@@ -1397,19 +1405,19 @@ impl Chunk<'_, '_> {
                 // `(p, q)` after `l`.
                 for (lane, (p, q)) in [(1, 2), (2, 0), (0, 1)].into_iter().enumerate() {
                     let operands = [a + p, b + q, a + q, b + p].map(Src::Row);
-                    let (o, [ap, bq, aq, bp]) = self.bind(Dst::Row(out + lane), operands);
+                    let (mut o, [ap, bq, aq, bp]) = self.bind(Dst::Row(out + lane), operands);
                     for (t, o) in o.iter_mut().enumerate() {
-                        *o = ap[t] * bq[t] - aq[t] * bp[t];
+                        o.set(ap[t] * bq[t] - aq[t] * bp[t]);
                     }
                 }
             }
             Step::StoreVec4 { a, output } => {
                 let (w, at, len) = (self.width, self.at, self.len);
-                let cells = &mut self.pieces[output][4 * at..4 * (at + len)];
+                let mut cells = self.pieces[output].reborrow().slice(4 * at..4 * (at + len));
                 for lane in 0..4 {
                     let src = &self.bank[(a + lane) * w..][..len];
-                    for (cell, x) in cells.chunks_exact_mut(4).zip(src) {
-                        cell[lane] = *x;
+                    for (mut cell, x) in cells.reborrow().chunks_exact(4).zip(src) {
+                        cell.set(lane, *x);
                     }
                 }
             }
@@ -1421,7 +1429,7 @@ impl Chunk<'_, '_> {
 mod tests {
     use super::*;
     use dfg_dataflow::{example_networks, NetworkBuilder};
-    use dfg_ocl::{Context, DeviceProfile, ExecMode};
+    use dfg_ocl::{Context, DeviceProfile, ExecMode, KernelArgs};
 
     fn run_fused(spec: &NetworkSpec, fields: &[(&str, Vec<f32>)], n: usize) -> Vec<f32> {
         let prog = fuse(spec).unwrap();
@@ -1751,6 +1759,7 @@ mod lowering_tests {
     use crate::primitives::Primitive;
     use dfg_dataflow::NetworkBuilder;
     use dfg_mesh::RectilinearMesh;
+    use dfg_ocl::KernelArgs;
     use proptest::prelude::*;
 
     /// 23 x 29 x 31 cells: more than two minimum tasks, a multiple of no

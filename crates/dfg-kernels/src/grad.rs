@@ -11,6 +11,8 @@
 //! non-uniform) cell-center coordinates, falling back to one-sided
 //! differences on boundaries. Axes with a single cell get a zero derivative.
 
+use dfg_ocl::OutLanes;
+
 /// Mesh dims decoded from the small `dims` buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dims3 {
@@ -123,7 +125,7 @@ fn run_derivative(
     start: usize,
     lo: usize,
     hi: usize,
-    out: &mut [f32],
+    mut out: OutLanes<'_>,
 ) {
     let n = out.len();
     let (f_lo, f_hi) = (&field[start - lo..][..n], &field[start + hi..][..n]);
@@ -131,12 +133,12 @@ fn run_derivative(
     for (t, o) in out.iter_mut().enumerate() {
         let dx = c_hi[t] - c_lo[t];
         let q = (f_hi[t] - f_lo[t]) / dx;
-        *o = if dx == 0.0 { 0.0 } else { q };
+        o.set(if dx == 0.0 { 0.0 } else { q });
     }
 }
 
 /// [`gradient_at`] over the contiguous cells `[base, base + len)`, written
-/// to three planar slices of `len` lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`).
+/// to three planar runs of `len` output lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`).
 ///
 /// The range is walked one x-row segment at a time: `(i, j, k)` is decoded
 /// once per segment, the y/z neighbour offsets are per-row constants
@@ -155,7 +157,7 @@ pub fn gradient_span(
     z: &[f32],
     d: Dims3,
     base: usize,
-    [gx, gy, gz]: [&mut [f32]; 3],
+    [mut gx, mut gy, mut gz]: [OutLanes<'_>; 3],
 ) {
     let len = gx.len();
     assert!(gy.len() == len && gz.len() == len, "gradient lanes differ");
@@ -170,26 +172,26 @@ pub fn gradient_span(
         let (mut a, mut b) = (0, seg);
         if i == 0 {
             let hi = usize::from(d.nx > 1);
-            run_derivative(field, x, idx, 0, hi, &mut gx[t..t + 1]);
+            run_derivative(field, x, idx, 0, hi, gx.reborrow().slice(t..t + 1));
             a = 1;
         }
         if i + seg == d.nx && a < b {
             b -= 1;
-            run_derivative(field, x, idx + b, 1, 0, &mut gx[t + b..t + seg]);
+            run_derivative(field, x, idx + b, 1, 0, gx.reborrow().slice(t + b..t + seg));
         }
         if a < b {
-            run_derivative(field, x, idx + a, 1, 1, &mut gx[t + a..t + b]);
+            run_derivative(field, x, idx + a, 1, 1, gx.reborrow().slice(t + a..t + b));
         }
         let (lo, hi) = (
             if j == 0 { 0 } else { sy },
             if j + 1 == d.ny { 0 } else { sy },
         );
-        run_derivative(field, y, idx, lo, hi, &mut gy[t..t + seg]);
+        run_derivative(field, y, idx, lo, hi, gy.reborrow().slice(t..t + seg));
         let (lo, hi) = (
             if k == 0 { 0 } else { sz },
             if k + 1 == d.nz { 0 } else { sz },
         );
-        run_derivative(field, z, idx, lo, hi, &mut gz[t..t + seg]);
+        run_derivative(field, z, idx, lo, hi, gz.reborrow().slice(t..t + seg));
         t += seg;
     }
 }
@@ -197,10 +199,10 @@ pub fn gradient_span(
 /// The first `len` lanes of each of the three `width`-lane rows at the head
 /// of `rows`: the planar output [`gradient_span`] takes, carved out of a
 /// bank or a block of row scratch.
-pub(crate) fn lanes3(rows: &mut [f32], width: usize, len: usize) -> [&mut [f32]; 3] {
+pub(crate) fn lanes3(rows: &mut [f32], width: usize, len: usize) -> [OutLanes<'_>; 3] {
     let (gx, rest) = rows.split_at_mut(width);
     let (gy, gz) = rest.split_at_mut(width);
-    [&mut gx[..len], &mut gy[..len], &mut gz[..len]]
+    [&mut gx[..len], &mut gy[..len], &mut gz[..len]].map(OutLanes::from)
 }
 
 #[cfg(test)]
@@ -386,7 +388,15 @@ mod tests {
             for base in (0..n).step_by(width) {
                 let len = width.min(n - base);
                 let (mut gx, mut gy, mut gz) = (vec![9.0; len], vec![9.0; len], vec![9.0; len]);
-                gradient_span(&f, &x, &y, &z, d, base, [&mut gx, &mut gy, &mut gz]);
+                gradient_span(
+                    &f,
+                    &x,
+                    &y,
+                    &z,
+                    d,
+                    base,
+                    [&mut gx[..], &mut gy[..], &mut gz[..]].map(OutLanes::from),
+                );
                 for t in 0..len {
                     let want = gradient_at(&f, &x, &y, &z, d, base + t).map(f32::to_bits);
                     let got = [gx[t], gy[t], gz[t]].map(f32::to_bits);
@@ -431,6 +441,14 @@ mod tests {
         };
         let a = [0.0f32; 8];
         let (mut gx, mut gy, mut gz) = ([0.0f32; 5], [0.0f32; 5], [0.0f32; 5]);
-        gradient_span(&a, &a, &a, &a, d, 0, [&mut gx, &mut gy, &mut gz]);
+        gradient_span(
+            &a,
+            &a,
+            &a,
+            &a,
+            d,
+            0,
+            [&mut gx[..], &mut gy[..], &mut gz[..]].map(OutLanes::from),
+        );
     }
 }

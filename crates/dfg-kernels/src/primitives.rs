@@ -26,7 +26,7 @@
 use std::ops::Range;
 
 use dfg_dataflow::{select, BinKind, FilterOp, UnKind, Width};
-use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
+use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost, LaunchArgs, OutLanes};
 use rayon::prelude::*;
 
 use crate::grad::{gradient_span, Dims3};
@@ -228,90 +228,125 @@ impl DeviceKernel for Primitive {
         Some(k as usize * n..(k as usize + 1) * n)
     }
 
+    /// A `Vec4` value's fourth plane is never written: the launch makes it
+    /// read as zeros.
     fn unwritten_from(&self, n: usize) -> Option<usize> {
-        (self.filter_op().width() == Width::Vec4).then_some(3 * n)
+        Some(match self.filter_op().width() {
+            Width::Vec4 => 3 * n,
+            _ => n,
+        })
     }
 
+    /// In place, the operand whose storage the launch took is `output`
+    /// itself (an empty input), each lane read before it is written. Any
+    /// other call is the kernel body, [`DeviceKernel::write`].
     fn run(&self, args: KernelArgs<'_>) {
+        let n = args.n;
+        let operands: Vec<Option<&[f32]>> =
+            (0..args.inputs.len()).map(|i| args.operand(i)).collect();
+        if !self.in_place() || n == 0 || operands.iter().all(Option::is_some) {
+            return self.write(args.into());
+        }
+        let chunk = dfg_exec::effective_chunk(n, PAR_CHUNK);
+        let operand = |i: usize, at: usize| operands[i].map(|v| &v[at..]);
+        (args.output[..n].par_chunks_mut(chunk))
+            .enumerate()
+            .for_each(|(c, out)| match *self {
+                Primitive::Bin(k) => {
+                    bin_in_place(k, out, operand(0, c * chunk), operand(1, c * chunk))
+                }
+                Primitive::Un(k) => un_in_place(k, out),
+                _ => unreachable!("only element-wise kernels run in place"),
+            });
+    }
+
+    fn write(&self, args: LaunchArgs<'_>) {
         let n = args.n;
         // Scale the chunk size to the live thread count (`DFG_NUM_THREADS`
         // aware): at most ~4 tasks per worker, and one chunk when serial.
         // Every arm is element-wise, so results are bit-identical for every
         // thread count.
         let chunk = dfg_exec::effective_chunk(n, PAR_CHUNK);
-        // An operand whose storage this launch took (`in_place`) is `None`.
-        let operands: Vec<Option<&[f32]>> =
-            (0..args.inputs.len()).map(|i| args.operand(i)).collect();
-        let operand = |i: usize, at: usize| operands[i].map(|v| &v[at..]);
         // `body(at, out)`: one task's cells of the output plane `plane`, the
         // first of which is cell `at`.
-        let tasks = |plane: &mut [f32], body: &(dyn Fn(usize, &mut [f32]) + Sync)| {
-            plane[..n]
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(c, out)| body(c * chunk, out));
+        let tasks = |plane: OutLanes<'_>, body: &(dyn Fn(usize, OutLanes<'_>) + Sync)| {
+            let pieces = plane.slice(..n).chunks(chunk).collect();
+            par_pieces(pieces, |c, out| body(c * chunk, out.reborrow()));
         };
         // Lane `k`'s plane of input `i`, over cells `at..at + len`.
         let lane = |i: usize, k: usize, at: usize, len: usize| &args.inputs[i][k * n + at..][..len];
         let (out, input) = (args.output, |i: usize| args.inputs[i]);
         match *self {
             Primitive::Bin(k) => tasks(out, &|at, out| {
-                k.apply_in_place(out, operand(0, at), operand(1, at));
+                let len = out.len();
+                bin(k, out, lane(0, 0, at, len), lane(1, 0, at, len));
             }),
-            Primitive::Un(k) => tasks(out, &|at, out| k.apply_in_place(out, operand(0, at))),
-            Primitive::Select => tasks(out, &|at, out| {
+            Primitive::Un(k) => tasks(out, &|at, out| {
+                let len = out.len();
+                un(k, out, lane(0, 0, at, len));
+            }),
+            Primitive::Select => tasks(out, &|at, mut out| {
                 let [c, a, b] = [0, 1, 2].map(|i| lane(i, 0, at, out.len()));
                 for (t, o) in out.iter_mut().enumerate() {
-                    *o = select(c[t], a[t], b[t]);
+                    o.set(select(c[t], a[t], b[t]));
                 }
             }),
             Primitive::Compose3 => {
-                for (k, plane) in out.chunks_exact_mut(n.max(1)).take(3).enumerate() {
-                    tasks(plane, &|at, out| {
+                for (k, plane) in out.chunks_exact(n.max(1)).take(3).enumerate() {
+                    tasks(plane, &|at, mut out| {
                         out.copy_from_slice(lane(k, 0, at, out.len()))
                     });
                 }
             }
-            Primitive::Decompose(k) => tasks(out, &|at, out| {
+            Primitive::Decompose(k) => tasks(out, &|at, mut out| {
                 out.copy_from_slice(lane(0, k as usize, at, out.len()));
             }),
-            Primitive::ConstFill(val) => tasks(out, &|_, out| out.fill(val)),
+            Primitive::ConstFill(val) => tasks(out, &|_, mut out| out.fill(val)),
             Primitive::Grad3d => {
                 let d = Dims3::from_buffer(input(1));
-                let (gx, rest) = out.split_at_mut(n);
-                let (gy, gz) = rest.split_at_mut(n);
-                (gx.par_chunks_mut(chunk).zip(gy.par_chunks_mut(chunk)))
-                    .zip(gz[..n].par_chunks_mut(chunk))
-                    .enumerate()
-                    .for_each(|(c, ((gx, gy), gz))| {
-                        let (f, x, y, z) = (input(0), input(2), input(3), input(4));
-                        gradient_span(f, x, y, z, d, c * chunk, [gx, gy, gz]);
-                    });
+                let (gx, rest) = out.split_at(n);
+                let (gy, gz) = rest.split_at(n);
+                let pieces = (gx.chunks(chunk).zip(gy.chunks(chunk)))
+                    .zip(gz.slice(..n).chunks(chunk))
+                    .map(|((gx, gy), gz)| [gx, gy, gz])
+                    .collect();
+                par_pieces(pieces, |c, lanes: &mut [OutLanes<'_>; 3]| {
+                    let (f, x, y, z) = (input(0), input(2), input(3), input(4));
+                    gradient_span(
+                        f,
+                        x,
+                        y,
+                        z,
+                        d,
+                        c * chunk,
+                        lanes.each_mut().map(|l| l.reborrow()),
+                    );
+                });
             }
-            Primitive::Norm3 => tasks(out, &|at, out| {
+            Primitive::Norm3 => tasks(out, &|at, mut out| {
                 let [x, y, z] = [0, 1, 2].map(|k| lane(0, k, at, out.len()));
                 for (t, o) in out.iter_mut().enumerate() {
-                    *o = (x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt();
+                    o.set((x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt());
                 }
             }),
-            Primitive::Dot3 => tasks(out, &|at, out| {
+            Primitive::Dot3 => tasks(out, &|at, mut out| {
                 let [a0, a1, a2] = [0, 1, 2].map(|k| lane(0, k, at, out.len()));
                 let [b0, b1, b2] = [0, 1, 2].map(|k| lane(1, k, at, out.len()));
                 for (t, o) in out.iter_mut().enumerate() {
-                    *o = a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t];
+                    o.set(a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t]);
                 }
             }),
             // Lane `l` is `a.p * b.q - a.q * b.p` for the cyclic pair `(p, q)`
             // after `l`.
             Primitive::Cross3 => {
                 let pairs = [(1, 2), (2, 0), (0, 1)];
-                for (plane, (p, q)) in out.chunks_exact_mut(n.max(1)).zip(pairs) {
-                    tasks(plane, &|at, out| {
+                for (plane, (p, q)) in out.chunks_exact(n.max(1)).zip(pairs) {
+                    tasks(plane, &|at, mut out| {
                         let len = out.len();
                         let (ap, bq) = (lane(0, p, at, len), lane(1, q, at, len));
                         let (aq, bp) = (lane(0, q, at, len), lane(1, p, at, len));
                         for (t, o) in out.iter_mut().enumerate() {
-                            *o = ap[t] * bq[t] - aq[t] * bp[t];
+                            o.set(ap[t] * bq[t] - aq[t] * bp[t]);
                         }
                     });
                 }
@@ -320,10 +355,105 @@ impl DeviceKernel for Primitive {
     }
 }
 
+/// `body(c, piece)` for every piece `c` of `pieces`, on the host pool: the
+/// pieces are disjoint runs of output lanes, one task each.
+pub(crate) fn par_pieces<T: Send>(mut pieces: Vec<T>, body: impl Fn(usize, &mut T) + Sync) {
+    (pieces.par_chunks_mut(1))
+        .enumerate()
+        .for_each(|(c, piece)| body(c, &mut piece[0]));
+}
+
+/// [`BinKind::eval`] over lanes: `out[t] = eval(a[t], b[t])` for every lane
+/// of `out`. The kind is matched once, outside the loop, and each arm is its
+/// own monomorphized loop the compiler can vectorize; the standalone
+/// primitive and the fused executor both run this.
+///
+/// # Panics
+/// Panics if an operand is shorter than `out`.
+pub(crate) fn bin(k: BinKind, mut out: OutLanes<'_>, a: &[f32], b: &[f32]) {
+    let (a, b) = (&a[..out.len()], &b[..out.len()]);
+    macro_rules! per_kind {
+        ($($kind:ident)*) => {
+            match k {
+                $(BinKind::$kind => {
+                    for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                        o.set(BinKind::$kind.eval(a, b));
+                    }
+                })*
+            }
+        };
+    }
+    per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
+}
+
+/// [`bin`] in place: a `None` operand is `out`'s lanes on entry, each read
+/// before the same lane is written — so `out` holds `a`, `b` or both
+/// (`t*t`), bit for bit as `bin` over a copy. Panics if a `Some` operand is
+/// shorter than `out`.
+fn bin_in_place(k: BinKind, out: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>) {
+    let len = out.len();
+    macro_rules! per_kind {
+        ($($kind:ident)*) => {
+            match k {
+                $(BinKind::$kind => {
+                    let f = |a: f32, b: f32| BinKind::$kind.eval(a, b);
+                    match (a, b) {
+                        (None, Some(b)) => {
+                            for (o, &b) in out.iter_mut().zip(&b[..len]) {
+                                *o = f(*o, b);
+                            }
+                        }
+                        (Some(a), None) => {
+                            for (o, &a) in out.iter_mut().zip(&a[..len]) {
+                                *o = f(a, *o);
+                            }
+                        }
+                        (None, None) => out.iter_mut().for_each(|o| *o = f(*o, *o)), // `t op t`
+                        (Some(_), Some(_)) => unreachable!("in place over neither operand"),
+                    }
+                })*
+            }
+        };
+    }
+    per_kind!(Add Sub Mul Div Min Max Lt Gt Le Ge Eq Ne Pow Atan2 And Or);
+}
+
+/// [`UnKind::eval`] over lanes, matched once outside the loop like [`bin`].
+///
+/// # Panics
+/// Panics if `a` is shorter than `out`.
+pub(crate) fn un(k: UnKind, mut out: OutLanes<'_>, a: &[f32]) {
+    let a = &a[..out.len()];
+    macro_rules! per_kind {
+        ($($kind:ident)*) => {
+            match k {
+                $(UnKind::$kind => {
+                    for (o, &a) in out.iter_mut().zip(a) {
+                        o.set(UnKind::$kind.eval(a));
+                    }
+                })*
+            }
+        };
+    }
+    per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
+}
+
+/// [`un`] in place: the operand is `out`'s lanes on entry.
+fn un_in_place(k: UnKind, out: &mut [f32]) {
+    macro_rules! per_kind {
+        ($($kind:ident)*) => {
+            match k {
+                $(UnKind::$kind => out.iter_mut().for_each(|o| *o = UnKind::$kind.eval(*o)),)*
+            }
+        };
+    }
+    per_kind!(Neg Sqrt Abs Sin Cos Tan Exp Log Not);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfg_ocl::{Context, DeviceProfile, ExecMode};
+    use dfg_ocl::{Context, DeviceProfile, ExecMode, QueueId, SharedArray};
 
     fn run_prim(p: Primitive, inputs: &[Vec<f32>], out_lanes: usize, n: usize) -> Vec<f32> {
         let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
@@ -427,9 +557,9 @@ mod tests {
         }
     }
 
-    /// The slice forms are `eval`, lane for lane, for every kind — on the
-    /// values where a vectorized loop could plausibly differ: signed zeros,
-    /// NaN, infinities and subnormals.
+    /// The lane forms (`bin`, `un`) are `eval`, lane for lane, for every
+    /// kind — on the values where a vectorized loop could plausibly differ:
+    /// signed zeros, NaN, infinities and subnormals.
     #[test]
     fn slice_forms_equal_eval_bit_for_bit_for_every_kind() {
         let tiny = f32::from_bits(1);
@@ -451,7 +581,7 @@ mod tests {
         let b: Vec<f32> = vals.iter().flat_map(|_| vals).collect();
         let mut out = vec![0.0f32; a.len()];
         for k in BinKind::ALL {
-            k.apply(&mut out, &a, &b);
+            bin(k, (&mut out[..]).into(), &a, &b);
             for t in 0..a.len() {
                 let want = k.eval(a[t], b[t]);
                 assert_eq!(
@@ -470,7 +600,7 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
         for k in UnKind::ALL {
-            k.apply(&mut out, &a);
+            un(k, (&mut out[..]).into(), &a);
             for t in 0..a.len() {
                 assert_eq!(out[t].to_bits(), k.eval(a[t]).to_bits(), "{k:?}({})", a[t]);
             }
@@ -548,9 +678,11 @@ mod tests {
         assert_eq!(c, vec![-2.0, 0.0, 0.0, 4.0, 1.0, -3.0, 0.0, 0.0]);
     }
 
-    /// The fourth plane of a vec4 output is never written: fresh storage
-    /// holds zeros there, and a launch into recycled storage — poisoned on
-    /// release — clears it.
+    /// The fourth plane of a vec4 output is never written by the kernel: a
+    /// launch clears it, into fresh storage (which holds nothing before the
+    /// kernel writes it), into recycled storage — poisoned on release — and
+    /// into a buffer that held an adopted host array, which it leaves alone.
+    /// Those lanes are the bytes the context zero-fills.
     #[test]
     fn vec4_outputs_read_zero_in_their_fourth_plane() {
         use dfg_mesh::RectilinearMesh;
@@ -575,16 +707,24 @@ mod tests {
                     id
                 })
                 .collect();
-            for recycled in [false, true] {
+            for storage in ["fresh", "recycled", "adopted"] {
                 let out = ctx.create_buffer(4 * n).unwrap();
+                let host = SharedArray::from(vec![7.0; 4 * n]);
+                if storage == "adopted" {
+                    ctx.enqueue_write_q(QueueId::DEFAULT, out, (&host).into(), &[])
+                        .unwrap();
+                }
+                let zeroed = ctx.report().host_bytes_zeroed;
                 ctx.launch(&p, &ids, out, n).unwrap();
-                let lanes = ctx.enqueue_read(out).unwrap();
-                assert!(lanes[3 * n..].iter().all(|&l| l == 0.0), "{p:?} {recycled}");
+                assert_eq!(ctx.report().host_bytes_zeroed - zeroed, 4 * n as u64);
+                let lanes = ctx.peek(out).unwrap();
+                assert!(lanes[3 * n..].iter().all(|&l| l == 0.0), "{p:?} {storage}");
+                assert_eq!(host[..], vec![7.0; 4 * n], "{p:?}: the host's array");
                 ctx.release(out).unwrap();
             }
             ids.into_iter().for_each(|id| ctx.release(id).unwrap());
         }
-        assert!(ctx.pool_hits() >= 3);
+        assert!(ctx.pool_hits() >= 6);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! Each reference kernel is a single launch taking exactly the inputs the
 //! fused kernel takes, with a hand-minimized body.
 
-use dfg_ocl::{DeviceKernel, KernelArgs, KernelCost};
-use rayon::prelude::*;
+use dfg_ocl::{DeviceKernel, KernelCost, LaunchArgs, OutLanes};
 
 use crate::fused::chunk_width;
 use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::primitives::par_pieces;
 
 /// Minimum elements per rayon task; scaled up per launch by
 /// [`dfg_exec::effective_chunk`] to match the live thread count.
@@ -28,27 +28,25 @@ type Jacobian<'a> = [[&'a [f32]; 3]; 3];
 /// split the launch into tasks, walk each task in blocks of row scratch,
 /// fill the nine rows of the block's Jacobian with the shared stencil, and
 /// let `body` turn them into the block's output with one slice loop.
-fn for_jacobian_blocks(args: KernelArgs<'_>, body: impl Fn(Jacobian<'_>, &mut [f32]) + Sync) {
+fn for_jacobian_blocks(args: LaunchArgs<'_>, body: impl Fn(Jacobian<'_>, OutLanes<'_>) + Sync) {
     let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
     let inputs = args.inputs;
     let d = Dims3::from_buffer(inputs[3]);
     let width = chunk_width(9);
-    args.output[..args.n]
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(c, out)| {
-            let mut rows = vec![0.0f32; 9 * width];
-            for (b, out) in out.chunks_mut(width).enumerate() {
-                let (base, len) = (c * chunk + b * width, out.len());
-                for (r, rows) in rows.chunks_mut(3 * width).enumerate() {
-                    let lanes = lanes3(rows, width, len);
-                    gradient_span(inputs[r], inputs[4], inputs[5], inputs[6], d, base, lanes);
-                }
-                let row = |i: usize| &rows[i * width..][..len];
-                let jacobian = [0, 3, 6].map(|r| [row(r), row(r + 1), row(r + 2)]);
-                body(jacobian, out);
+    let pieces = args.output.slice(..args.n).chunks(chunk).collect();
+    par_pieces(pieces, |c, out| {
+        let mut rows = vec![0.0f32; 9 * width];
+        for (b, out) in out.reborrow().chunks(width).enumerate() {
+            let (base, len) = (c * chunk + b * width, out.len());
+            for (r, rows) in rows.chunks_mut(3 * width).enumerate() {
+                let lanes = lanes3(rows, width, len);
+                gradient_span(inputs[r], inputs[4], inputs[5], inputs[6], d, base, lanes);
             }
-        });
+            let row = |i: usize| &rows[i * width..][..len];
+            let jacobian = [0, 3, 6].map(|r| [row(r), row(r + 1), row(r + 2)]);
+            body(jacobian, out);
+        }
+    });
 }
 
 /// Reference kernel for velocity magnitude. Inputs: `[u, v, w]`.
@@ -68,19 +66,21 @@ impl DeviceKernel for VelMagRef {
         }
     }
 
-    fn run(&self, args: KernelArgs<'_>) {
+    fn unwritten_from(&self, n: usize) -> Option<usize> {
+        Some(n)
+    }
+
+    fn write(&self, args: LaunchArgs<'_>) {
         let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
         let (u, v, w) = (args.inputs[0], args.inputs[1], args.inputs[2]);
-        args.output[..args.n]
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(c, out)| {
-                let (at, len) = (c * chunk, out.len());
-                let (u, v, w) = (&u[at..][..len], &v[at..][..len], &w[at..][..len]);
-                for (t, o) in out.iter_mut().enumerate() {
-                    *o = (u[t] * u[t] + v[t] * v[t] + w[t] * w[t]).sqrt();
-                }
-            });
+        let pieces = args.output.slice(..args.n).chunks(chunk).collect();
+        par_pieces(pieces, |c, out| {
+            let (at, len) = (c * chunk, out.len());
+            let (u, v, w) = (&u[at..][..len], &v[at..][..len], &w[at..][..len]);
+            for (t, o) in out.iter_mut().enumerate() {
+                o.set((u[t] * u[t] + v[t] * v[t] + w[t] * w[t]).sqrt());
+            }
+        });
     }
 }
 
@@ -104,13 +104,17 @@ impl DeviceKernel for VortMagRef {
         }
     }
 
-    fn run(&self, args: KernelArgs<'_>) {
-        for_jacobian_blocks(args, |[du, dv, dw], out| {
+    fn unwritten_from(&self, n: usize) -> Option<usize> {
+        Some(n)
+    }
+
+    fn write(&self, args: LaunchArgs<'_>) {
+        for_jacobian_blocks(args, |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 let wx = dw[1][t] - dv[2][t];
                 let wy = du[2][t] - dw[0][t];
                 let wz = dv[0][t] - du[1][t];
-                *o = (wx * wx + wy * wy + wz * wz).sqrt();
+                o.set((wx * wx + wy * wy + wz * wz).sqrt());
             }
         });
     }
@@ -134,8 +138,12 @@ impl DeviceKernel for QCritRef {
         }
     }
 
-    fn run(&self, args: KernelArgs<'_>) {
-        for_jacobian_blocks(args, |[du, dv, dw], out| {
+    fn unwritten_from(&self, n: usize) -> Option<usize> {
+        Some(n)
+    }
+
+    fn write(&self, args: LaunchArgs<'_>) {
+        for_jacobian_blocks(args, |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 // S = ½(J + Jᵀ), Ω = ½(J − Jᵀ); Q = ½(‖Ω‖² − ‖S‖²).
                 let s1 = 0.5 * (du[1][t] + dv[0][t]);
@@ -149,7 +157,7 @@ impl DeviceKernel for QCritRef {
                     + dw[2][t] * dw[2][t]
                     + 2.0 * (s1 * s1 + s2 * s2 + s5 * s5);
                 let w_norm = 2.0 * (w1 * w1 + w2 * w2 + w5 * w5);
-                *o = 0.5 * (w_norm - s_norm);
+                o.set(0.5 * (w_norm - s_norm));
             }
         });
     }

@@ -7,6 +7,7 @@ use crate::host::{interleave, HostEnd, SharedArray, UploadSource};
 use crate::integrity::{
     checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy, BUFFER_SUM_SEED,
 };
+use crate::lanes::{first_unwritten, write_once, OutLanes, UNWRITTEN};
 use crate::profile::DeviceProfile;
 use crate::ExecMode;
 use dfg_trace::Tracer;
@@ -112,7 +113,7 @@ pub struct KernelCost {
     pub flops: u64,
 }
 
-/// Arguments passed to a kernel's real execution.
+/// Arguments of [`DeviceKernel::run`]: a kernel run into an `f32` slice.
 pub struct KernelArgs<'a> {
     /// Input buffers, in the kernel's declared order; an input the launch
     /// computes in place over is an empty view (see [`KernelArgs::operand`]).
@@ -135,6 +136,26 @@ impl<'a> KernelArgs<'a> {
     }
 }
 
+/// Arguments of [`DeviceKernel::write`], the kernel body.
+pub struct LaunchArgs<'a> {
+    /// Input buffers, in the kernel's declared order.
+    pub inputs: &'a [&'a [f32]],
+    /// The output lanes, write-only: fresh storage holds nothing on entry.
+    pub output: OutLanes<'a>,
+    /// Number of mesh elements in this launch (one work-item per element).
+    pub n: usize,
+}
+
+impl<'a> From<KernelArgs<'a>> for LaunchArgs<'a> {
+    fn from(args: KernelArgs<'a>) -> Self {
+        LaunchArgs {
+            inputs: args.inputs,
+            output: args.output.into(),
+            n: args.n,
+        }
+    }
+}
+
 /// A compiled device kernel: the analogue of a `cl_kernel`.
 ///
 /// Implementations live in `dfg-kernels`; they execute for real (in
@@ -147,11 +168,25 @@ pub trait DeviceKernel: Sync {
     fn name(&self) -> String;
     /// Cost model for a launch over `n` elements.
     fn cost(&self, n: usize) -> KernelCost;
-    /// Execute the kernel body.
-    fn run(&self, args: KernelArgs<'_>);
+    /// The kernel body: a launch over `n` elements stores every output lane
+    /// below [`DeviceKernel::unwritten_from`] (all of them, when that is
+    /// `None`). That is a contract, not a check (DESIGN.md D11): a launch
+    /// into fresh storage publishes those lanes after the body returns, so
+    /// a lane the body skips would be read uninitialized. A debug build
+    /// marks every lane first and panics on a launch that leaves one.
+    fn write(&self, args: LaunchArgs<'_>);
+    /// Run the kernel into `args.output`: the body, [`DeviceKernel::write`].
+    /// A launch into storage that already holds lanes calls this — pooled
+    /// storage, or, computing in place, the storage of an operand that then
+    /// is an empty input — so an [`in_place`](DeviceKernel::in_place) kernel
+    /// provides its own `run` that reads that operand from `output`.
+    fn run(&self, args: KernelArgs<'_>) {
+        self.write(args.into());
+    }
     /// Whether output lane `t` reads no input lane but `t`, so
     /// [`Context::launch_then_release`] may give the kernel an input's
-    /// storage as its output; such a kernel must read [`KernelArgs::operand`].
+    /// storage as its output; such a kernel must read [`KernelArgs::operand`]
+    /// in [`DeviceKernel::run`].
     fn in_place(&self) -> bool {
         false
     }
@@ -163,8 +198,7 @@ pub trait DeviceKernel: Sync {
     }
     /// The first output lane a launch over `n` elements leaves unwritten,
     /// when it writes only a prefix: the launch makes the rest read as
-    /// zeros, which fresh storage already does, so only recycled storage
-    /// pays a pass for it.
+    /// zeros.
     fn unwritten_from(&self, _n: usize) -> Option<usize> {
         None
     }
@@ -239,10 +273,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// Fresh guarded storage: a zeroed payload followed by sentinel lanes.
-    fn alloc_storage(lanes: usize) -> Vec<f32> {
-        let mut buf = vec![0.0f32; lanes + GUARD_LANES];
-        buf[lanes..].fill(f32::from_bits(GUARD_WORD));
+    /// Fresh guarded storage, written once: `prefix`, zeros up to `lanes`,
+    /// then the sentinel lanes.
+    fn alloc_storage(prefix: &[f32], lanes: usize) -> Vec<f32> {
+        let mut buf = Vec::with_capacity(lanes + GUARD_LANES);
+        buf.extend_from_slice(prefix);
+        buf.resize(lanes, 0.0);
+        buf.resize(lanes + GUARD_LANES, f32::from_bits(GUARD_WORD));
         buf
     }
 
@@ -260,8 +297,7 @@ impl Slot {
     /// through a slot can reach host memory or another slot.
     fn owned_mut(&mut self) -> Option<&mut Vec<f32>> {
         if let Some(Storage::Shared(_) | Storage::View(..)) = &self.data {
-            let mut private = Slot::alloc_storage(self.lanes);
-            private[..self.lanes].copy_from_slice(self.payload().expect("materialized"));
+            let private = Slot::alloc_storage(self.payload().expect("materialized"), self.lanes);
             self.data = Some(Storage::Owned(private));
         }
         match &mut self.data {
@@ -292,17 +328,30 @@ impl Slot {
         }
     }
 
-    /// Give a slot without defined contents some: lanes `from..` read as
-    /// zeros afterwards (fresh storage is born zeroed and materialized here
-    /// on first use; recycled pool storage is cleared) and the caller
-    /// fills `..from`. A slot that already holds contents is left alone.
-    fn define_from(&mut self, from: usize) {
-        if !self.written {
-            match self.payload_mut() {
-                Some(payload) => payload[from..].fill(0.0),
-                None => self.data = Some(Storage::Owned(Slot::alloc_storage(self.lanes))),
+    /// Write `data` over the payload's first lanes. In a slot without
+    /// defined contents the lanes past them read as zeros afterwards:
+    /// recycled storage is cleared, and storage is materialized here on
+    /// first use, in one pass. Returns the lanes cleared.
+    fn write_prefix(&mut self, data: &[f32]) -> usize {
+        let (lanes, written) = (self.lanes, self.written);
+        self.written = true;
+        match &mut self.data {
+            Some(Storage::Owned(d)) => {
+                d[..data.len()].copy_from_slice(data);
+                if !written {
+                    d[data.len()..lanes].fill(0.0);
+                }
             }
-            self.written = true;
+            // Copy on write: the prefix lands on the slot's own copy.
+            Some(_) if written && data.len() < lanes => {
+                self.payload_mut().expect("materialized")[..data.len()].copy_from_slice(data);
+            }
+            _ => self.data = Some(Storage::Owned(Slot::alloc_storage(data, lanes))),
+        }
+        if written {
+            0
+        } else {
+            lanes - data.len()
         }
     }
 
@@ -380,6 +429,10 @@ pub struct Context {
     /// storage since the last [`Context::reset_profile`] (see
     /// [`ProfileReport::host_bytes_copied`]).
     host_bytes_copied: u64,
+    /// Bytes of device storage this context filled with zeros since the
+    /// last [`Context::reset_profile`] (see
+    /// [`ProfileReport::host_bytes_zeroed`]).
+    host_bytes_zeroed: u64,
 }
 
 impl Context {
@@ -408,6 +461,7 @@ impl Context {
                 .map(|v| v == "1")
                 .unwrap_or(false),
             host_bytes_copied: 0,
+            host_bytes_zeroed: 0,
         }
     }
 
@@ -600,15 +654,17 @@ impl Context {
             events: self.events.clone(),
             high_water_bytes: self.high_water,
             host_bytes_copied: self.host_bytes_copied,
+            host_bytes_zeroed: self.host_bytes_zeroed,
         }
     }
 
-    /// Clear recorded events and the copied-bytes counter and reset the
+    /// Clear recorded events and the copied and zeroed byte counters and reset the
     /// clock (all queues) and high-water mark. Live allocations are kept
     /// (and re-seed the high-water mark).
     pub fn reset_profile(&mut self) {
         self.events.clear();
         self.host_bytes_copied = 0;
+        self.host_bytes_zeroed = 0;
         self.clock = 0.0;
         for q in &mut self.queue_clocks {
             *q = 0.0;
@@ -1036,9 +1092,7 @@ impl Context {
                 }
                 None => {
                     let data = src.as_ref();
-                    slot.define_from(data.len());
-                    slot.payload_mut().expect("just materialized")[..data.len()]
-                        .copy_from_slice(data);
+                    self.host_bytes_zeroed += slot.write_prefix(data) as u64 * 4;
                     data.len()
                 }
             };
@@ -1242,7 +1296,7 @@ impl Context {
             for &id in inputs {
                 let slot = self.slots[id.0].as_mut().expect("validated");
                 if !slot.written {
-                    slot.define_from(0);
+                    self.host_bytes_zeroed += slot.write_prefix(&[]) as u64 * 4;
                     slot.learn_sum(full);
                 }
             }
@@ -1322,11 +1376,15 @@ impl Context {
         true
     }
 
-    /// Run `kernel` into `output`'s storage — a private `donor`'s, in place,
-    /// a view where it lies. The output's prior contents are unspecified (as
-    /// in OpenCL), so pooled reuse pays no zero-fill, except for a tail the
-    /// kernel leaves unwritten ([`DeviceKernel::unwritten_from`]), which
-    /// fresh storage already holds as zeros.
+    /// Run `kernel` into `output`'s storage: storage that holds lanes —
+    /// pooled, or a private `donor`'s (a view where it lies), whose lanes an
+    /// in-place kernel's `run` reads — or else fresh storage, which the
+    /// kernel's body writes once (DESIGN.md D11). The output's prior contents
+    /// are unspecified (as in OpenCL), so no launch clears its output or
+    /// copies the storage it held (an adopted array or a view is dropped).
+    /// The launch then writes the lanes the kernel leaves
+    /// ([`DeviceKernel::unwritten_from`]) as zeros, and fresh storage's
+    /// guard lanes.
     fn run(
         &mut self,
         kernel: &dyn DeviceKernel,
@@ -1339,23 +1397,10 @@ impl Context {
         // checker, then gather immutable input views.
         let out_slot = self.slots[output.0].as_mut().expect("validated");
         let lanes = out_slot.lanes;
-        let fresh = out_slot.data.is_none();
-        let mut storage = match out_slot.data.take() {
-            Some(view @ Storage::View(..)) if donor.is_some() => view,
-            data => {
-                out_slot.data = data;
-                let d = (out_slot.owned_mut().map(std::mem::take))
-                    .unwrap_or_else(|| Slot::alloc_storage(lanes));
-                Storage::Owned(d)
-            }
-        };
-        let out = match &mut storage {
-            Storage::Owned(d) => &mut d[..lanes],
-            Storage::View(block, at) => {
-                let d = Arc::get_mut(block).expect("a private view's the only handle");
-                &mut d[*at..*at + lanes]
-            }
-            Storage::Shared(_) => unreachable!("made private above"),
+        let storage = match out_slot.data.take() {
+            Some(view @ Storage::View(..)) if donor.is_some() => Some(view),
+            Some(Storage::Owned(d)) => Some(Storage::Owned(d)),
+            _ => None,
         };
         let input_views: Vec<&[f32]> = inputs
             .iter()
@@ -1364,15 +1409,53 @@ impl Context {
                 slot => slot.payload().expect("materialized above"),
             })
             .collect();
-        kernel.run(KernelArgs {
-            inputs: &input_views,
-            output: &mut *out,
-            n,
-        });
-        if let Some(from) = kernel.unwritten_from(n).filter(|_| !fresh) {
-            out[from..].fill(0.0);
+        let from = kernel.unwritten_from(n).unwrap_or(lanes);
+        // A debug build marks every lane the kernel must write — here, or
+        // in `write_once` for fresh storage — except an operand's.
+        let mark = cfg!(debug_assertions) && donor.is_none();
+        let storage = match storage {
+            Some(mut storage) => {
+                let out = match &mut storage {
+                    Storage::Owned(d) => &mut d[..lanes],
+                    Storage::View(block, at) => {
+                        let d = Arc::get_mut(block).expect("a private view's the only handle");
+                        &mut d[*at..*at + lanes]
+                    }
+                    Storage::Shared(_) => unreachable!("never taken above"),
+                };
+                if mark {
+                    out.fill(f32::from_bits(UNWRITTEN));
+                }
+                kernel.run(KernelArgs {
+                    inputs: &input_views,
+                    output: &mut *out,
+                    n,
+                });
+                out[from..].fill(0.0);
+                storage
+            }
+            None => Storage::Owned(write_once(lanes + GUARD_LANES, |out| {
+                let (mut payload, mut guards) = out.split_at(lanes);
+                guards.fill(f32::from_bits(GUARD_WORD));
+                kernel.write(LaunchArgs {
+                    inputs: &input_views,
+                    output: payload.reborrow(),
+                    n,
+                });
+                payload.slice(from..).fill(0.0);
+            })),
+        };
+        self.host_bytes_zeroed += (lanes - from) as u64 * 4;
+        let slot = self.slots[output.0].as_mut().expect("validated");
+        slot.data = Some(storage);
+        if mark {
+            if let Some(t) = first_unwritten(&slot.payload().expect("just stored")[..from]) {
+                panic!(
+                    "kernel `{}` left output lane {t} of {from} unwritten (DESIGN.md D11)",
+                    kernel.name()
+                );
+            }
         }
-        self.slots[output.0].as_mut().expect("validated").data = Some(storage);
     }
 
     /// Flip one seeded bit in one of `candidates` that has materialized,
@@ -1517,9 +1600,12 @@ mod tests {
                 flops: n as u64,
             }
         }
-        fn run(&self, args: KernelArgs<'_>) {
+        fn unwritten_from(&self, n: usize) -> Option<usize> {
+            Some(n)
+        }
+        fn write(&self, mut args: LaunchArgs<'_>) {
             for i in 0..args.n {
-                args.output[i] = args.inputs[0][i] * 2.0;
+                args.output.set(i, args.inputs[0][i] * 2.0);
             }
         }
     }
@@ -1965,9 +2051,10 @@ mod tests {
                 c.enqueue_read_range_q(qs[0], b, 0, dst(bytes, &mut out), &[k])
                     .unwrap();
                 if bytes {
-                    // The launch wrote private storage, not the host's array.
+                    // The launch wrote private storage, not the host's
+                    // array, and the lanes its kernel leaves read as zeros.
                     assert_eq!(out[..100], [6.0; 100]);
-                    assert_eq!(out[100..], [0.5; 412], "lanes the kernel left alone");
+                    assert_eq!(out[100..], [0.0; 412], "lanes the kernel left");
                     assert_eq!(whole[..], [0.5; 512]);
                     assert_eq!(c.peek(a).unwrap()[100..], [0.0; 412]);
                 }
@@ -2646,6 +2733,15 @@ mod in_place_tests {
         fn in_place(&self) -> bool {
             true
         }
+        fn unwritten_from(&self, n: usize) -> Option<usize> {
+            Some(n)
+        }
+        fn write(&self, args: LaunchArgs<'_>) {
+            let [a, b] = [0, 1].map(|i| args.inputs[i]);
+            for (t, o) in args.output.slice(..args.n).iter_mut().enumerate() {
+                o.set((self.0)(a[t], b[t]));
+            }
+        }
         fn run(&self, args: KernelArgs<'_>) {
             let (a, b) = (args.operand(0), args.operand(1));
             for (t, o) in args.output[..args.n].iter_mut().enumerate() {
@@ -2782,8 +2878,12 @@ mod in_place_tests {
         fn view(&self, n: usize) -> Option<Range<usize>> {
             Some(self.0 * n..(self.0 + 1) * n)
         }
-        fn run(&self, args: KernelArgs<'_>) {
-            args.output[..args.n].copy_from_slice(&args.inputs[0][self.0 * args.n..][..args.n]);
+        fn unwritten_from(&self, n: usize) -> Option<usize> {
+            Some(n)
+        }
+        fn write(&self, args: LaunchArgs<'_>) {
+            (args.output.slice(..args.n))
+                .copy_from_slice(&args.inputs[0][self.0 * args.n..][..args.n]);
         }
     }
 
@@ -3162,5 +3262,93 @@ mod read_and_release_tests {
         assert_eq!(bits(&healed), bits(&doubled(&input)));
         assert_eq!(c.host_bytes_copied(), copied, "handed over");
         assert_eq!(c.integrity_stats().violations, 1);
+    }
+}
+
+#[cfg(test)]
+mod write_once_tests {
+    use super::tests::{ctx, Double};
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Writes every lane of a launch over `n` cells but the last.
+    struct Lazy;
+
+    impl DeviceKernel for Lazy {
+        fn name(&self) -> String {
+            "lazy".into()
+        }
+        fn cost(&self, _n: usize) -> KernelCost {
+            KernelCost::default()
+        }
+        fn write(&self, args: LaunchArgs<'_>) {
+            args.output.slice(..args.n - 1).fill(1.0);
+        }
+    }
+
+    /// A kernel that skips a lane is caught: `run` over marked lanes in any
+    /// build, and, in a debug build, the launch itself, into fresh storage
+    /// and into recycled storage alike.
+    #[test]
+    fn a_kernel_that_skips_a_lane_is_caught() {
+        let mut marked = vec![f32::from_bits(UNWRITTEN); 8];
+        Lazy.run(KernelArgs {
+            inputs: &[],
+            output: &mut marked,
+            n: 8,
+        });
+        assert_eq!(first_unwritten(&marked), Some(7));
+        if !cfg!(debug_assertions) {
+            return; // the launch would publish a lane nothing wrote
+        }
+        for recycled in [false, true] {
+            let mut c = ctx();
+            c.set_pooling(true);
+            if recycled {
+                let old = c.create_buffer(8).unwrap();
+                c.enqueue_write(old, &[2.0; 8]).unwrap();
+                c.release(old).unwrap();
+            }
+            let out = c.create_buffer(8).unwrap();
+            let hit = catch_unwind(AssertUnwindSafe(|| c.launch(&Lazy, &[], out, 8)));
+            let message = *hit.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                message.contains("kernel `lazy` left output lane 7 of 8 unwritten"),
+                "recycled {recycled}: {message}"
+            );
+        }
+    }
+
+    /// Fresh launch storage is the kernel's lanes, zeros past its
+    /// `unwritten_from` and intact guards; `host_bytes_zeroed` counts the
+    /// lanes the context clears — a launch's tail, a prefix upload's tail, a
+    /// never-written launch input — and nothing a kernel or upload writes.
+    #[test]
+    fn the_context_zeroes_only_what_nothing_writes() {
+        let mut c = ctx();
+        c.set_verify(VerifyPolicy::Residents);
+        let a = c.create_buffer(8).unwrap();
+        c.enqueue_write(a, &[1.0; 8]).unwrap();
+        assert_eq!(c.report().host_bytes_zeroed, 0, "a whole upload");
+        let out = c.create_buffer(8).unwrap();
+        c.launch(&Double, &[a], out, 4).unwrap();
+        assert_eq!(
+            c.peek(out).unwrap(),
+            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        );
+        assert_eq!(c.report().host_bytes_zeroed, 16, "the launch's tail");
+        c.verify_buffer(out).unwrap();
+        let prefix = c.create_buffer(8).unwrap();
+        c.enqueue_write_q(QueueId::DEFAULT, prefix, (&[3.0; 5][..]).into(), &[])
+            .unwrap();
+        assert_eq!(c.peek(prefix).unwrap()[4..], [3.0, 0.0, 0.0, 0.0]);
+        assert_eq!(c.report().host_bytes_zeroed, 16 + 12, "the upload's tail");
+        let blank = c.create_buffer(8).unwrap();
+        let out = c.create_buffer(8).unwrap();
+        c.launch(&Double, &[blank], out, 8).unwrap();
+        assert_eq!(c.peek(out).unwrap(), [0.0; 8]);
+        assert_eq!(c.report().host_bytes_zeroed, 28 + 32, "a blank input");
+        c.reset_profile();
+        assert_eq!(c.report().host_bytes_zeroed, 0);
     }
 }

@@ -69,6 +69,7 @@ impl Event {
 ///     ],
 ///     high_water_bytes: 8192,
 ///     host_bytes_copied: 8192,
+///     host_bytes_zeroed: 0,
 /// };
 /// // Table II row: (Dev-W, Dev-R, K-Exe).
 /// assert_eq!(report.table2_row(), (1, 1, 1));
@@ -93,6 +94,12 @@ pub struct ProfileReport {
     /// [`ProfileReport::bytes`] is the transfer volume the paper counts and
     /// this is what the host actually paid.
     pub host_bytes_copied: u64,
+    /// Bytes of device storage the context filled with zeros: the lanes a
+    /// launch's kernel leaves unwritten (a `Vec4` value's fourth plane), the
+    /// tail a prefix upload leaves, and a launch input that was never
+    /// written. Fresh storage is not zero-filled first: a kernel or an
+    /// upload writes it once (DESIGN.md D11). Zero on a Model context.
+    pub host_bytes_zeroed: u64,
 }
 
 impl ProfileReport {

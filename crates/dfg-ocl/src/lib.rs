@@ -59,17 +59,19 @@ mod export;
 mod fault;
 mod host;
 pub mod integrity;
+mod lanes;
 mod profile;
 
 pub use context::{
-    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, Placement,
-    QueueId,
+    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, LaunchArgs,
+    Placement, QueueId,
 };
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RankFate};
 pub use host::{interleave, HostEnd, SharedArray, UploadSource};
 pub use integrity::{IntegrityKind, IntegrityStats, VerifyPolicy};
+pub use lanes::{first_unwritten, Lane, OutLanes, UNWRITTEN};
 pub use profile::{DeviceKind, DeviceProfile};
 
 /// Execution mode for a [`Context`].
