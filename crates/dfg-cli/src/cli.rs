@@ -697,12 +697,10 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         name: &'static str,
         /// The strategy table's line ([`strategy_line`]).
         line: String,
-        wall_ms: f64,
         flame: String,
         path: std::path::PathBuf,
-        checks: u64,
-        violations: u64,
-        unverified_wall_ms: Option<f64>,
+        /// The verification table's line ([`verify_line`]).
+        verified: String,
     }
     let mut rows = Vec::new();
     let mut opt_stats = None;
@@ -748,12 +746,9 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         rows.push(Row {
             name: strategy.name(),
             line: strategy_line(strategy.name(), &report),
-            wall_ms: report.wall.as_secs_f64() * 1e3,
             flame: trace.to_flame_text(),
             path,
-            checks: report.integrity.checks,
-            violations: report.integrity.violations,
-            unverified_wall_ms,
+            verified: verify_line(strategy.name(), &report, unverified_wall_ms),
         });
     }
 
@@ -797,17 +792,7 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         println!();
         println!("integrity verification ({}):", verify.name());
         for row in &rows {
-            let base = row.unverified_wall_ms.unwrap_or(row.wall_ms);
-            let overhead = if base > 0.0 {
-                (row.wall_ms / base - 1.0) * 100.0
-            } else {
-                0.0
-            };
-            println!(
-                "  {:<10} {} check(s), {} violation(s), wall {:.3} ms vs {:.3} ms \
-                 unverified ({overhead:+.1}%)",
-                row.name, row.checks, row.violations, row.wall_ms, base,
-            );
+            println!("{}", row.verified);
         }
     }
     if let Some(opt) = opt_stats {
@@ -923,6 +908,29 @@ fn strategy_line(name: &str, report: &dfg_core::ExecReport) -> String {
         moved as f64 / 1e6,
         p.host_bytes_copied as f64 / 1e6,
         p.host_bytes_zeroed as f64 / 1e6,
+    )
+}
+
+/// One line of `dfgc profile`'s verification table: checks, violations,
+/// the bytes checksummed and the wall ms beside an unverified run's.
+fn verify_line(
+    name: &str,
+    report: &dfg_core::ExecReport,
+    unverified_wall_ms: Option<f64>,
+) -> String {
+    let wall_ms = report.wall.as_secs_f64() * 1e3;
+    let base = unverified_wall_ms.unwrap_or(wall_ms);
+    let overhead = if base > 0.0 {
+        (wall_ms / base - 1.0) * 100.0
+    } else {
+        0.0
+    };
+    format!(
+        "  {name:<10} {} check(s), {} violation(s), {:.3} MB hashed, wall {wall_ms:.3} ms \
+         vs {base:.3} ms unverified ({overhead:+.1}%)",
+        report.integrity.checks,
+        report.integrity.violations,
+        report.profile.host_bytes_hashed as f64 / 1e6,
     )
 }
 
@@ -1347,6 +1355,7 @@ fn cmd_bench_clients(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfg_ocl::VerifyPolicy;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1792,6 +1801,22 @@ mod tests {
             dir.to_str().unwrap(),
         ]))
         .unwrap();
+        // The fusion row under `full`: the adopted inputs are never hashed,
+        // the result twice — learned at the launch, checked at the download
+        // (2 × 32³ × 4 B).
+        let mut fields = FieldSet::new(32 * 32 * 32);
+        for name in ["u", "v", "w"] {
+            fields.insert_scalar(name, vec![0.5; 32 * 32 * 32]).unwrap();
+        }
+        let options = EngineOptions {
+            verify: VerifyPolicy::Full,
+            ..EngineOptions::default()
+        };
+        let report = Engine::with_options(DeviceProfile::nvidia_m2050(), options)
+            .derive("mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+            .unwrap();
+        let line = verify_line("fusion", &report, None);
+        assert!(line.contains(" 0.262 MB hashed,"), "{line}");
     }
 
     #[test]

@@ -66,10 +66,11 @@ pub(crate) fn run_fusion(
     let _download = download.meta("handed_over", handed_over);
     let fields_out = planes.map(|mut planes| {
         // Planes sit in root order, so peeling them off the tail leaves the
-        // first root holding the downloaded allocation itself. Shrinking it
-        // also drops a handed-over buffer's guard lanes from its capacity;
-        // glibc shrinks in place, and `qcrit_128`'s peak RSS read 8 MiB
-        // lower with the shrink than without (docs/PERFORMANCE.md).
+        // first root holding the downloaded allocation itself. With several
+        // roots it gives back the planes split off (glibc shrinks in place:
+        // `insitu_slab`'s peak RSS reads 12 MiB lower). A lone root keeps
+        // the guard lanes as capacity: freeing those 32 B left a chunk that
+        // fragments a small heap (`serve_small`; docs/PERFORMANCE.md).
         let mut fields: Vec<Field> = program
             .outputs
             .iter()
@@ -79,7 +80,9 @@ pub(crate) fn run_fusion(
                     0 => std::mem::take(&mut planes),
                     at => planes.split_off(at),
                 };
-                data.shrink_to_fit();
+                if program.outputs.len() > 1 {
+                    data.shrink_to_fit();
+                }
                 Field {
                     width: o.width,
                     ncells: n,

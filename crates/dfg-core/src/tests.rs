@@ -1660,12 +1660,12 @@ mod session {
 // ---------------------------------------------------------------------------
 
 /// Whole-field uploads adopt the host's arrays, and the last read of a
-/// one-shot scalar result hands its storage to the host, so a one-shot
-/// derive copies nothing — while the modeled transfer volume, which is what
-/// the paper counts, is what it always was. A staged `Vec4` root is
-/// interleaved, so it copies its download; a session's pooled context keeps
-/// its storage, so it copies its download; slab uploads are borrowed windows
-/// and are copied; a model run copies nothing at all.
+/// scalar result hands its storage to the host, so a one-shot derive and
+/// every cycle of a session (whose context pools: the slot parks bare)
+/// copy nothing — while the modeled transfer volume, which is what the
+/// paper counts, is what it always was. A staged `Vec4` root is
+/// interleaved, so it copies its download; slab uploads are borrowed
+/// windows and are copied; a model run copies nothing at all.
 #[test]
 fn host_bytes_copied_is_what_the_host_could_not_take_over() {
     use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
@@ -1709,7 +1709,7 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
             .derive(src, &dirty, Strategy::Fusion)
             .unwrap()
             .profile;
-        assert_eq!(profile.host_bytes_copied, 4 * n, "cycle {cycle}");
+        assert_eq!(profile.host_bytes_copied, 0, "cycle {cycle}");
         let uploaded = if cycle == 0 { 6 * 4 * n + 12 } else { 4 * n };
         assert_eq!(profile.bytes(HostToDevice), uploaded, "cycle {cycle}");
     }
@@ -1739,32 +1739,54 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
 
 /// The host-copies table (CI prints it with `--nocapture`): per paper
 /// expression, path and run, the bytes downloaded beside the bytes the host
-/// copied and the bytes whose storage was handed over (the `handed_over`
-/// lanes of the `*.download` spans). A one-shot hands over every download;
-/// a session, whose context pools, copies every download; streamed copies
-/// its slab windows both ways.
+/// copied, the bytes whose storage was handed over (the `handed_over` lanes
+/// of the `*.download` spans), the bytes zero-filled and the bytes hashed. A
+/// one-shot and a session cycle hand over every download; streamed copies
+/// its slab windows both ways. A session row is its second cycle, at each
+/// verification level: the inputs are adopted arrays, not hashed while
+/// they are the host's, so a `vel_mag` fusion cycle hashes nothing under
+/// `residents`, and under `full` only its result, twice — learned at the
+/// launch and checked at the download.
 #[test]
 fn host_copies_table() {
     use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
+    use dfg_ocl::VerifyPolicy;
     use dfg_trace::Tracer;
     let fields = small_rt_fields([6, 5, 4]);
     let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
-    println!("| expression | path | run | downloaded B | copied B | handed over B | zeroed B |");
-    println!("|---|---|---|---|---|---|---|");
+    let runs = [
+        ("one-shot", VerifyPolicy::Off),
+        ("session", VerifyPolicy::Off),
+        ("session `residents`", VerifyPolicy::Residents),
+        ("session `full`", VerifyPolicy::Full),
+    ];
+    println!("| expression | path | run | downloaded B | copied B | handed over B | zeroed B | hashed B |");
+    println!("|---|---|---|---|---|---|---|---|");
     for (name, workload) in [
         ("vel_mag", Workload::VelocityMagnitude),
         ("q_crit", Workload::QCriterion),
     ] {
         let src = workload.source();
         for path in paths.clone() {
-            for run in ["one-shot", "session"] {
-                let mut engine = cpu_engine();
+            for (run, verify) in runs {
+                let options = EngineOptions {
+                    verify,
+                    ..Default::default()
+                };
+                let mut engine = Engine::with_options(DeviceProfile::intel_x5660(), options);
                 engine.set_tracer(Tracer::new());
                 let report = match (run, path) {
                     ("one-shot", Some(strategy)) => engine.derive(src, &fields, strategy),
                     ("one-shot", None) => engine.derive_streamed(src, &fields, None),
-                    (_, Some(strategy)) => engine.session().derive(src, &fields, strategy),
-                    (_, None) => engine.session().derive_streamed(src, &fields, None),
+                    _ => {
+                        let mut session = engine.session();
+                        let mut cycle = || match path {
+                            Some(strategy) => session.derive(src, &fields, strategy),
+                            None => session.derive_streamed(src, &fields, None),
+                        };
+                        cycle().unwrap();
+                        cycle()
+                    }
                 }
                 .unwrap();
                 let handed_over: u64 = (report.trace.unwrap().spans().iter())
@@ -1775,16 +1797,22 @@ fn host_copies_table() {
                 let profile = report.profile;
                 let (down, up) = (profile.bytes(DeviceToHost), profile.bytes(HostToDevice));
                 let (copied, zeroed) = (profile.host_bytes_copied, profile.host_bytes_zeroed);
+                let hashed = profile.host_bytes_hashed;
                 let path = path.map_or("streamed", |s| s.name());
                 println!(
-                    "| `{name}` | {path} | {run} | {down} | {copied} | {handed_over} | {zeroed} |"
+                    "| `{name}` | {path} | {run} | {down} | {copied} | {handed_over} | {zeroed} | {hashed} |"
                 );
-                let want = match (path, run) {
-                    ("streamed", _) => (up + down, 0),
-                    (_, "one-shot") => (0, down),
-                    _ => (down, 0),
+                let want = match path {
+                    "streamed" => (up + down, 0),
+                    _ => (0, down),
                 };
                 assert_eq!((copied, handed_over), want, "{name} {path} {run}");
+                let want_hashed = match (name, path, verify) {
+                    (_, _, VerifyPolicy::Off) | ("vel_mag", "fusion", VerifyPolicy::Residents) => 0,
+                    ("vel_mag", "fusion", VerifyPolicy::Full) => 2 * down,
+                    _ => hashed,
+                };
+                assert_eq!(hashed, want_hashed, "{name} {path} {run}");
                 // Launches write fresh storage once: the context clears only
                 // a `Vec4` value's fourth plane, which no kernel writes —
                 // none in `vel_mag`, and `q_crit`'s three gradients.
@@ -1964,9 +1992,10 @@ mod in_place {
     /// Model events, `in_use` returns to its baseline and the pool hits
     /// equal the Model run's — a Model context has no storage to donate or
     /// share. Every download's storage is either handed to the host or
-    /// copied: roundtrip and fusion one-shots copy nothing, a staged one-shot
-    /// copies what it does not hand over, and a session copies every
-    /// download. Returns the one-shot run's launches in place and views.
+    /// copied: roundtrip and fusion one-shots copy nothing, and a staged
+    /// one-shot copies what it does not hand over; a session, pooled, hands
+    /// over what the one-shot does. Returns the one-shot run's launches in
+    /// place and views.
     fn check(
         spec: &NetworkSpec,
         roots: &[NodeId],
@@ -1988,6 +2017,12 @@ mod in_place {
         let mut traced = engine(ExecMode::Real);
         traced.set_tracer(Tracer::new());
         let (got, r, in_use) = one_shot(&traced, spec, roots, real, Strategy::Staged);
+        let handed_over = |trace: &dfg_trace::Trace| -> u64 {
+            (trace.spans().iter())
+                .filter(|s| s.name == "staged.download")
+                .map(|s| s.meta_u64("handed_over").unwrap())
+                .sum()
+        };
         let (_, m, _) = one_shot(
             &engine(ExecMode::Model),
             spec,
@@ -1998,16 +2033,14 @@ mod in_place {
         assert_same_values(&want, &got, "one-shot");
         assert_same_accounting(&r, &m, "one-shot");
         assert_eq!(in_use, 0, "one-shot");
-        let handed_over: u64 = (traced.tracer().unwrap().snapshot().spans().iter())
-            .filter(|s| s.name == "staged.download")
-            .map(|s| s.meta_u64("handed_over").unwrap())
-            .sum();
+        let one_shot_handed_over = handed_over(&traced.tracer().unwrap().snapshot());
         assert_eq!(
-            copied(&r) + 4 * handed_over,
+            copied(&r) + 4 * one_shot_handed_over,
             r.profile.bytes(DeviceToHost),
             "one-shot downloads"
         );
         let (mut real_engine, mut model_engine) = (engine(ExecMode::Real), engine(ExecMode::Model));
+        real_engine.set_tracer(Tracer::new());
         let (mut sr, mut sm) = (real_engine.session(), model_engine.session());
         for cycle in 0..3 {
             let what = format!("session cycle {cycle}");
@@ -2021,8 +2054,17 @@ mod in_place {
             assert_same_accounting(&r, &m, &what);
             assert_eq!(sr.context().in_use_bytes(), sr.resident_bytes(), "{what}");
             assert_eq!(sr.pool_hits(), sm.pool_hits(), "{what}: pool hits");
+            let session_handed_over = handed_over(r.trace.as_ref().unwrap());
+            assert_eq!(
+                session_handed_over, one_shot_handed_over,
+                "{what}: handed over"
+            );
             let downloads = r.profile.bytes(DeviceToHost);
-            assert_eq!(copied(&r), downloads, "{what}: a pooled context copies");
+            assert_eq!(
+                copied(&r) + 4 * session_handed_over,
+                downloads,
+                "{what}: downloads"
+            );
         }
         let trace = traced.tracer().unwrap().snapshot();
         let count = |flag: &str| {

@@ -135,7 +135,7 @@ fn every_mem_flip_is_detected_healed_and_bit_exact() {
     let source = Workload::VorticityMagnitude.source();
     let fields = rt_fields();
     let bits = LevelBits::collect(source, &fields);
-    let mut total_violations = 0u64;
+    let (mut total_checks, mut total_violations) = (0u64, 0u64);
     for exec in EXECS {
         for session in [false, true] {
             let count = clean_flip_ops(exec, source, &fields, session);
@@ -161,6 +161,7 @@ fn every_mem_flip_is_detected_healed_and_bit_exact() {
                         .unwrap_or_else(|e| panic!("{label}: must heal, got {e}"))
                 };
                 assert_eq!(plan.faults_fired(FaultKind::MemFlip), 1, "{label}: fired");
+                total_checks += report.integrity.checks;
                 total_violations += report.integrity.violations;
                 if report.integrity.violations > 0 {
                     let recovery = report
@@ -192,14 +193,21 @@ fn every_mem_flip_is_detected_healed_and_bit_exact() {
         total_violations > 0,
         "the sweep must detect at least one corruption"
     );
+    // Pinned: hashing an adopted array only when its lanes become the
+    // device's own removes no check and misses no flip (DESIGN.md D7).
+    assert_eq!(
+        (total_checks, total_violations),
+        (5180, 64),
+        "checks, violations"
+    );
 }
 
-/// A stale pool hand-out (recycled slot with the previous owner's bits
-/// still in it) is caught by the allocator self-check, quarantined, and
-/// healed by the recovery ladder — at every pooled-reuse opportunity of a
-/// two-cycle roundtrip session.
-#[test]
-fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
+/// A stale pool hand-out (a recycled slot with the previous owner's bits
+/// still in it) at every pooled-reuse opportunity of a two-cycle `strategy`
+/// session: every run must complete bit-identical to the clean run of the
+/// level it completed at. Returns the draws, and the checks and violations
+/// summed over the sweep.
+fn stale_slot_sweep(strategy: Strategy) -> (u64, u64, u64) {
     let source = Workload::VorticityMagnitude.source();
     let fields = rt_fields();
     let bits = LevelBits::collect(source, &fields);
@@ -210,35 +218,36 @@ fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
         let plan = FaultPlan::with_seed(1);
         eng.set_fault_plan(plan.clone());
         let mut sess = eng.session();
-        sess.derive(source, &fields, Strategy::Roundtrip).unwrap();
-        sess.derive(source, &fields, Strategy::Roundtrip).unwrap();
+        sess.derive(source, &fields, strategy).unwrap();
+        sess.derive(source, &fields, strategy).unwrap();
         assert!(sess.pool_hits() > 0, "two cycles must reuse pooled slots");
         plan.ops_seen(FaultKind::StaleSlot)
     };
     assert!(count > 0, "stale-slot draws happen at pooled reuse");
 
-    let mut total_violations = 0u64;
+    let (mut total_checks, mut total_violations) = (0u64, 0u64);
     for index in 1..=count {
-        let label = format!("stale_slot@{index}");
+        let label = format!("{strategy}/stale_slot@{index}");
         let mut eng = engine(VerifyPolicy::Full);
         let plan = FaultPlan::with_seed(1);
         plan.fail_nth_from_now(FaultKind::StaleSlot, index, 1);
         eng.set_fault_plan(plan.clone());
         let mut sess = eng.session();
         let r1 = sess
-            .derive(source, &fields, Strategy::Roundtrip)
+            .derive(source, &fields, strategy)
             .unwrap_or_else(|e| panic!("{label}: cycle 1 must heal, got {e}"));
         let r2 = sess
-            .derive(source, &fields, Strategy::Roundtrip)
+            .derive(source, &fields, strategy)
             .unwrap_or_else(|e| panic!("{label}: cycle 2 must heal, got {e}"));
         assert_eq!(plan.faults_fired(FaultKind::StaleSlot), 1, "{label}: fired");
+        total_checks += r1.integrity.checks + r2.integrity.checks;
         total_violations += r1.integrity.violations + r2.integrity.violations;
         for (cycle, report) in [(1, &r1), (2, &r2)] {
             let completed = report
                 .recovery
                 .as_ref()
                 .and_then(|r| r.completed)
-                .unwrap_or(ExecLevel::Roundtrip);
+                .unwrap_or_else(|| Exec::Strategy(strategy).exec_level());
             assert_eq!(
                 bits_of(report),
                 bits.for_level(completed),
@@ -246,8 +255,27 @@ fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
             );
         }
     }
+    (count, total_checks, total_violations)
+}
+
+/// A roundtrip session hands every download's storage to the host and
+/// adopts every upload, so each of its slots parks bare (DESIGN.md D10):
+/// there is no stale storage to leak, and every draw is inert. A staged
+/// session's intermediates park with their storage; there a stale hand-out
+/// is caught by the allocator self-check, quarantined, and healed by the
+/// recovery ladder.
+#[test]
+fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
+    let roundtrip = stale_slot_sweep(Strategy::Roundtrip);
+    assert_eq!(
+        roundtrip,
+        (54, 13068, 0),
+        "roundtrip slots park bare: every draw is inert"
+    );
+    let staged = stale_slot_sweep(Strategy::Staged);
+    assert_eq!(staged, (28, 4904, 7), "draws, checks, violations");
     assert!(
-        total_violations > 0,
+        roundtrip.2 + staged.2 > 0,
         "the sweep must detect at least one stale hand-out"
     );
 }
@@ -261,6 +289,7 @@ fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
 fn verification_off_is_bit_and_clock_identical_to_full() {
     let source = Workload::QCriterion.source();
     let fields = rt_fields();
+    let mut checks = Vec::new();
     for exec in EXECS {
         let mut off = engine(VerifyPolicy::Off);
         let mut full = engine(VerifyPolicy::Full);
@@ -282,7 +311,11 @@ fn verification_off_is_bit_and_clock_identical_to_full() {
         assert_eq!(a.integrity.violations, 0);
         assert!(b.integrity.checks > 0, "{exec:?}: Full checks");
         assert_eq!(b.integrity.violations, 0, "{exec:?}: clean run");
+        checks.push(b.integrity.checks);
     }
+    // Pinned: an adopted array's check is counted whether or not its lanes
+    // are hashed (DESIGN.md D7).
+    assert_eq!(checks, [180, 133, 8, 8], "checks per execution mode");
 }
 
 /// `VerifyPolicy::Residents` heals a resident corrupted *between* uses: a

@@ -236,16 +236,22 @@ const GUARD_WORD: u32 = 0xF0E1_D2C3;
 /// reads a loud, recognizable garbage value instead of stale data.
 const POISON_WORD: u32 = 0xDEAD_BEEF;
 
+/// `payload`'s content checksum, counting its bytes into `hashed`.
+fn hash(payload: &[f32], hashed: &mut u64) -> u64 {
+    *hashed += payload.len() as u64 * 4;
+    checksum_f32s(BUFFER_SUM_SEED, payload)
+}
+
 /// What backs a materialized slot.
 enum Storage {
     /// Private storage: the `lanes`-lane payload, then `GUARD_LANES`
     /// sentinel lanes.
     Owned(Vec<f32>),
     /// The host's own array, adopted by a whole-buffer upload of a
-    /// [`SharedArray`]. The payload is the array; there are no guard lanes
-    /// and no mutable view — [`Slot::payload_mut`] replaces this with an
-    /// `Owned` copy before anything writes.
-    Shared(SharedArray),
+    /// [`SharedArray`], and whether its sum is due: the payload is the array,
+    /// with no guard lanes and no mutable view, so [`Slot::owned_mut`] copies
+    /// it before anything writes and learns a due sum then (DESIGN.md D7).
+    Shared(SharedArray, bool),
     /// Lanes `at..at + lanes` of guarded storage that other slots may view
     /// too: a [`Placement::View`] output and the operand it views. A write
     /// goes through [`Slot::owned_mut`], which copies the lanes first; only a
@@ -265,7 +271,8 @@ struct Slot {
     written: bool,
     /// Content checksum of the payload's bit patterns, learned at the last
     /// host write (and, under [`VerifyPolicy::Full`], at every kernel
-    /// write); `None` when verification is off or contents are undefined.
+    /// write); `None` when verification is off, contents are undefined or
+    /// the sum is due ([`Storage::Shared`]).
     sum: Option<u64>,
     /// Total f32 lanes (elements × width) of the payload.
     lanes: usize,
@@ -287,7 +294,7 @@ impl Slot {
     fn payload(&self) -> Option<&[f32]> {
         self.data.as_ref().map(|d| match d {
             Storage::Owned(d) => &d[..self.lanes],
-            Storage::Shared(array) => &array[..],
+            Storage::Shared(array, _) => &array[..],
             Storage::View(block, at) => &block[*at..at + self.lanes],
         })
     }
@@ -295,8 +302,11 @@ impl Slot {
     /// The slot's private storage, guard lanes included. An adopted array
     /// or a view is first replaced by a private copy of it, so no write made
     /// through a slot can reach host memory or another slot.
-    fn owned_mut(&mut self) -> Option<&mut Vec<f32>> {
-        if let Some(Storage::Shared(_) | Storage::View(..)) = &self.data {
+    fn owned_mut(&mut self, hashed: &mut u64) -> Option<&mut Vec<f32>> {
+        if let Some(Storage::Shared(array, true)) = &self.data {
+            self.sum = Some(hash(array, hashed));
+        }
+        if let Some(Storage::Shared(..) | Storage::View(..)) = &self.data {
             let private = Slot::alloc_storage(self.payload().expect("materialized"), self.lanes);
             self.data = Some(Storage::Owned(private));
         }
@@ -308,9 +318,9 @@ impl Slot {
 
     /// Mutable payload view of materialized storage (private storage: see
     /// [`Slot::owned_mut`]).
-    fn payload_mut(&mut self) -> Option<&mut [f32]> {
+    fn payload_mut(&mut self, hashed: &mut u64) -> Option<&mut [f32]> {
         let lanes = self.lanes;
-        self.owned_mut().map(|d| &mut d[..lanes])
+        self.owned_mut(hashed).map(|d| &mut d[..lanes])
     }
 
     /// Defined contents, or `None` for a slot that reads as zeros (never
@@ -332,7 +342,7 @@ impl Slot {
     /// defined contents the lanes past them read as zeros afterwards:
     /// recycled storage is cleared, and storage is materialized here on
     /// first use, in one pass. Returns the lanes cleared.
-    fn write_prefix(&mut self, data: &[f32]) -> usize {
+    fn write_prefix(&mut self, data: &[f32], hashed: &mut u64) -> usize {
         let (lanes, written) = (self.lanes, self.written);
         self.written = true;
         match &mut self.data {
@@ -344,7 +354,7 @@ impl Slot {
             }
             // Copy on write: the prefix lands on the slot's own copy.
             Some(_) if written && data.len() < lanes => {
-                self.payload_mut().expect("materialized")[..data.len()].copy_from_slice(data);
+                self.payload_mut(hashed).expect("materialized")[..data.len()].copy_from_slice(data);
             }
             _ => self.data = Some(Storage::Owned(Slot::alloc_storage(data, lanes))),
         }
@@ -356,13 +366,15 @@ impl Slot {
     }
 
     /// Learn the payload's content checksum — the value later verifications
-    /// compare against — or forget it when `learn` is off. Host-side only:
-    /// no event, no clock cost.
-    fn learn_sum(&mut self, learn: bool) {
-        self.sum = match self.payload() {
-            Some(payload) if learn => Some(checksum_f32s(BUFFER_SUM_SEED, payload)),
-            _ => None,
-        };
+    /// compare against; an adopted array's is marked due — or forget it when
+    /// `learn` is off. Host-side only: no event, no clock cost.
+    fn learn_sum(&mut self, learn: bool, hashed: &mut u64) {
+        self.sum = None;
+        if let Some(Storage::Shared(_, due)) = &mut self.data {
+            *due = learn;
+        } else if let Some(payload) = self.payload().filter(|_| learn) {
+            self.sum = Some(hash(payload, hashed));
+        }
     }
 
     /// Whether every guard lane still carries the sentinel (vacuously true
@@ -371,7 +383,7 @@ impl Slot {
     /// answers for the guards of the storage it shares.
     fn guards_intact(&self) -> bool {
         let d: &[f32] = match &self.data {
-            None | Some(Storage::Shared(_)) => return true,
+            None | Some(Storage::Shared(..)) => return true,
             Some(Storage::Owned(d)) => d,
             Some(Storage::View(block, _)) => block,
         };
@@ -433,6 +445,8 @@ pub struct Context {
     /// last [`Context::reset_profile`] (see
     /// [`ProfileReport::host_bytes_zeroed`]).
     host_bytes_zeroed: u64,
+    /// [`ProfileReport::host_bytes_hashed`] since the last reset.
+    host_bytes_hashed: u64,
 }
 
 impl Context {
@@ -462,6 +476,7 @@ impl Context {
                 .unwrap_or(false),
             host_bytes_copied: 0,
             host_bytes_zeroed: 0,
+            host_bytes_hashed: 0,
         }
     }
 
@@ -655,16 +670,18 @@ impl Context {
             high_water_bytes: self.high_water,
             host_bytes_copied: self.host_bytes_copied,
             host_bytes_zeroed: self.host_bytes_zeroed,
+            host_bytes_hashed: self.host_bytes_hashed,
         }
     }
 
-    /// Clear recorded events and the copied and zeroed byte counters and reset the
-    /// clock (all queues) and high-water mark. Live allocations are kept
-    /// (and re-seed the high-water mark).
+    /// Clear recorded events and the copied, zeroed and hashed byte counters
+    /// and reset the clock (all queues) and high-water mark. Live
+    /// allocations are kept (and re-seed the high-water mark).
     pub fn reset_profile(&mut self) {
         self.events.clear();
         self.host_bytes_copied = 0;
         self.host_bytes_zeroed = 0;
+        self.host_bytes_hashed = 0;
         self.clock = 0.0;
         for q in &mut self.queue_clocks {
             *q = 0.0;
@@ -796,14 +813,14 @@ impl Context {
             // as a Model slot does, so pool counters cannot tell them apart.
             slot.written = false;
             slot.sum = None;
-            if let Some(Storage::Shared(_) | Storage::View(..)) = slot.data {
+            if let Some(Storage::Shared(..) | Storage::View(..)) = slot.data {
                 slot.data = None;
             }
             // Optional hygiene tripwire: overwrite the released payload with
             // a loud bit pattern so any path that (incorrectly) relies on
             // recycled contents fails recognizably instead of silently.
             if self.poison {
-                if let Some(payload) = slot.payload_mut() {
+                if let Some(payload) = slot.payload_mut(&mut self.host_bytes_hashed) {
                     payload.fill(f32::from_bits(POISON_WORD));
                 }
             }
@@ -1005,12 +1022,11 @@ impl Context {
     ///
     /// Because nothing reads the buffer again, a real context may hand its
     /// storage to the host instead of copying it. It does in one case: the
-    /// context does not pool, the value is one plane, and the slot holds
-    /// written storage of its own. Every other buffer is copied and then
-    /// released (or parked): a pooled slot keeps its storage for the next
-    /// allocation, a vector value is interleaved, an adopted array is the
-    /// host's own and a view shares its storage. Only storage moves, so the
-    /// event, bytes, fault draw, [`VerifyPolicy::Full`] check, clock,
+    /// value is one plane and the slot holds written storage of its own (a
+    /// pooled slot then parks bare). Every other buffer is copied, then
+    /// released or parked: a vector value is interleaved, an adopted array is
+    /// the host's own and a view shares its storage. Only storage moves, so
+    /// the event, bytes, fault draw, [`VerifyPolicy::Full`] check, clock,
     /// `in_use` and pool counters are those of the two calls; only
     /// [`Context::host_bytes_copied`] tells the cases apart. A failed
     /// transfer releases nothing.
@@ -1025,7 +1041,7 @@ impl Context {
             let slot = self.slots[id.0]
                 .as_mut()
                 .expect("validated by the transfer");
-            let hand_over = !self.pooling && planes == 1 && slot.written;
+            let hand_over = planes == 1 && slot.written;
             match slot.data.take() {
                 Some(Storage::Owned(mut storage)) if hand_over => {
                     storage.truncate(slot.lanes);
@@ -1082,23 +1098,23 @@ impl Context {
     ) -> Result<EventToken, OclError> {
         let token = self.transfer(TransferDir::HostToDevice, queue, id, 0, &src, deps)?;
         if let (ExecMode::Real, Some(src)) = (self.mode, &src.data) {
-            let verify = self.verify.enabled();
+            let (verify, hashed) = (self.verify.enabled(), &mut self.host_bytes_hashed);
             let slot = self.slots[id.0].as_mut().expect("validated above");
             let copied = match src.shared().filter(|array| array.len() == slot.lanes) {
                 Some(array) => {
-                    slot.data = Some(Storage::Shared(array.clone()));
+                    slot.data = Some(Storage::Shared(array.clone(), false));
                     slot.written = true;
                     0
                 }
                 None => {
                     let data = src.as_ref();
-                    self.host_bytes_zeroed += slot.write_prefix(data) as u64 * 4;
+                    self.host_bytes_zeroed += slot.write_prefix(data, hashed) as u64 * 4;
                     data.len()
                 }
             };
             // The sum covers the whole payload (prefix plus whatever tail
             // the write left behind), so verification stays whole-buffer.
-            slot.learn_sum(verify);
+            slot.learn_sum(verify, hashed);
             self.host_bytes_copied += copied as u64 * 4;
         }
         Ok(token)
@@ -1296,8 +1312,9 @@ impl Context {
             for &id in inputs {
                 let slot = self.slots[id.0].as_mut().expect("validated");
                 if !slot.written {
-                    self.host_bytes_zeroed += slot.write_prefix(&[]) as u64 * 4;
-                    slot.learn_sum(full);
+                    let hashed = &mut self.host_bytes_hashed;
+                    self.host_bytes_zeroed += slot.write_prefix(&[], hashed) as u64 * 4;
+                    slot.learn_sum(full, hashed);
                 }
             }
             // In place, the output and the donor first trade storage: the
@@ -1326,7 +1343,7 @@ impl Context {
             // unlearned rather than pay a pass per launch.
             let out_slot = self.slots[output.0].as_mut().expect("validated");
             out_slot.written = true;
-            out_slot.learn_sum(full);
+            out_slot.learn_sum(full, &mut self.host_bytes_hashed);
         }
         let cost = kernel.cost(n);
         let seconds = self
@@ -1421,7 +1438,7 @@ impl Context {
                         let d = Arc::get_mut(block).expect("a private view's the only handle");
                         &mut d[*at..*at + lanes]
                     }
-                    Storage::Shared(_) => unreachable!("never taken above"),
+                    Storage::Shared(..) => unreachable!("never taken above"),
                 };
                 if mark {
                     out.fill(f32::from_bits(UNWRITTEN));
@@ -1486,7 +1503,9 @@ impl Context {
         let b = splitmix64(h) % bit_count;
         let lane = (b / 32) as usize;
         let bit = (b % 32) as u32;
-        let payload = slot.payload_mut().expect("filtered materialized");
+        let payload = slot
+            .payload_mut(&mut self.host_bytes_hashed)
+            .expect("materialized");
         payload[lane] = f32::from_bits(payload[lane].to_bits() ^ (1u32 << bit));
     }
 
@@ -1502,7 +1521,8 @@ impl Context {
     }
 
     /// Revalidate a buffer's integrity: guard zones intact and, when a
-    /// content checksum was learned, payload bits still matching it.
+    /// content checksum was learned, payload bits still matching it (an
+    /// adopted array's check hashes nothing: DESIGN.md D7).
     ///
     /// Host-side bookkeeping only — records no device event and never
     /// advances the virtual clock. Vacuously `Ok` in model mode (no backing
@@ -1515,6 +1535,7 @@ impl Context {
     /// to skip its re-upload; [`VerifyPolicy::Full`] additionally routes
     /// every launch input and download through it.
     pub fn verify_buffer(&mut self, id: BufferId) -> Result<(), OclError> {
+        let mut hashed = 0;
         let violation = {
             let slot = self.slot(id)?;
             if self.mode == ExecMode::Model || !self.verify.enabled() {
@@ -1524,15 +1545,14 @@ impl Context {
                 Some(IntegrityKind::Guard)
             } else {
                 match (slot.sum, slot.payload()) {
-                    (Some(expected), Some(payload))
-                        if checksum_f32s(BUFFER_SUM_SEED, payload) != expected =>
-                    {
+                    (Some(expected), Some(payload)) if hash(payload, &mut hashed) != expected => {
                         Some(IntegrityKind::Checksum)
                     }
                     _ => None,
                 }
             }
         };
+        self.host_bytes_hashed += hashed;
         self.integrity.checks += 1;
         if let Some(kind) = violation {
             self.integrity.violations += 1;
@@ -1551,7 +1571,7 @@ impl Context {
     #[doc(hidden)]
     pub fn debug_flip_bit(&mut self, id: BufferId, lane: usize, bit: u32) {
         if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
-            if let Some(payload) = slot.payload_mut() {
+            if let Some(payload) = slot.payload_mut(&mut self.host_bytes_hashed) {
                 if let Some(v) = payload.get_mut(lane) {
                     *v = f32::from_bits(v.to_bits() ^ (1u32 << (bit % 32)));
                 }
@@ -1566,7 +1586,7 @@ impl Context {
     pub fn debug_poke_guard(&mut self, id: BufferId) {
         if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
             let lanes = slot.lanes;
-            if let Some(d) = slot.owned_mut() {
+            if let Some(d) = slot.owned_mut(&mut self.host_bytes_hashed) {
                 d[lanes] = f32::from_bits(!GUARD_WORD);
             }
         }
@@ -2618,6 +2638,91 @@ mod integrity_tests {
         assert!(host.get_mut().is_some(), "every slot let go of its handle");
     }
 
+    /// An adopted array's checksum is due, not learned: nothing hashes its
+    /// lanes while they are the host's — neither the upload nor a check,
+    /// which is still counted — and the first private copy of them learns
+    /// it. So a flipped bit, an injected `mem_flip` and a guard poke are each
+    /// caught under `residents` and `full`, a re-upload heals, and the
+    /// host's array keeps its bits throughout.
+    #[test]
+    fn an_adopted_slot_is_hashed_when_its_lanes_become_the_devices_own() {
+        let host: SharedArray = (0..16).map(|i| i as f32 - 2.5).collect::<Vec<_>>().into();
+        let bits = |lanes: &[f32]| lanes.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = bits(&host);
+        for policy in [VerifyPolicy::Residents, VerifyPolicy::Full] {
+            for corruption in ["flip", "mem_flip", "guard"] {
+                let what = format!("{policy:?} {corruption}");
+                let mut c = ctx();
+                c.set_verify(policy);
+                c.set_fault_plan(FaultPlan::with_seed(5));
+                let (a, b) = (c.create_buffer(16).unwrap(), c.create_buffer(16).unwrap());
+                c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+                    .unwrap();
+                c.verify_buffer(a).unwrap();
+                assert_eq!(c.report().host_bytes_hashed, 0, "{what}: the host's lanes");
+                let caught = match corruption {
+                    "flip" => {
+                        c.debug_flip_bit(a, 3, 30);
+                        c.verify_buffer(a)
+                    }
+                    "guard" => {
+                        c.debug_poke_guard(a);
+                        c.verify_buffer(a)
+                    }
+                    _ => {
+                        let plan = c.fault_plan().unwrap().clone();
+                        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
+                        c.launch(&Double, &[a], b, 16)
+                            .and_then(|()| c.verify_buffer(a))
+                    }
+                };
+                assert!(
+                    matches!(caught, Err(OclError::IntegrityViolation { .. })),
+                    "{what}: {caught:?}"
+                );
+                // The private copy learned the sum (64 B); a checksum check
+                // hashed the copy again, a guard check stopped at the guard.
+                let hashed = if corruption == "guard" { 64 } else { 128 };
+                assert_eq!(c.report().host_bytes_hashed, hashed, "{what}");
+                assert_eq!(c.integrity_stats().violations, 1, "{what}");
+                assert_eq!(bits(&host), before, "{what}: the host's array");
+                // Heal: the re-upload adopts the clean array again.
+                c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+                    .unwrap();
+                c.verify_buffer(a).unwrap();
+                c.launch(&Double, &[a], b, 16).unwrap();
+                let doubled: Vec<f32> = host.iter().map(|v| v * 2.0).collect();
+                assert_eq!(c.enqueue_read(b).unwrap(), doubled, "{what}");
+                assert_eq!(bits(&c.peek(a).unwrap()), before, "{what}: healed");
+                assert_eq!(bits(&host), before, "{what}: the host's array");
+            }
+        }
+    }
+
+    /// A prefix write into an adopted slot lands on the slot's own copy of
+    /// the array, which then verifies clean, and is still watched: the sum
+    /// covers the prefix and the array's tail.
+    #[test]
+    fn a_prefix_write_into_an_adopted_slot_verifies_clean() {
+        let host = SharedArray::from(vec![1.5f32; 16]);
+        for policy in [VerifyPolicy::Residents, VerifyPolicy::Full] {
+            let mut c = ctx();
+            c.set_verify(policy);
+            let a = c.create_buffer(16).unwrap();
+            c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
+                .unwrap();
+            c.enqueue_write_q(QueueId::DEFAULT, a, src(true, &[9.0; 4]), &[])
+                .unwrap();
+            c.verify_buffer(a).unwrap();
+            let mut want = vec![1.5; 16];
+            want[..4].fill(9.0);
+            assert_eq!(c.peek(a).unwrap(), want, "{policy:?}");
+            assert_eq!(host[..], [1.5; 16], "{policy:?}: the host's array");
+            c.debug_flip_bit(a, 10, 1);
+            assert!(c.verify_buffer(a).is_err(), "{policy:?}: a later flip");
+        }
+    }
+
     #[test]
     fn mem_flip_without_verification_silently_corrupts_results() {
         let run = |flip: bool| -> Vec<u32> {
@@ -3152,13 +3257,14 @@ mod read_and_release_tests {
         );
     }
 
-    /// What a last read must copy — a scalar on a pooled context, a vector
-    /// value, a view and an adopted array — it copies: the host gets the
-    /// same lanes and the same copied bytes as from a read and a release, a
-    /// parked slot serves the next allocation, which reads as zeros and
-    /// computes, and the viewed operand and the host's array keep their
-    /// bits. Everything modeled, `in_use` and the pool counters are the same
-    /// four ways: Real and Model, consuming or not.
+    /// What a last read must copy — a vector value, a view and an adopted
+    /// array — it copies: the host gets the same lanes and the same copied
+    /// bytes as from a read and a release, and the viewed operand and the
+    /// host's array keep their bits. A scalar on a pooled context is handed
+    /// over, not copied: its slot parks bare and serves the next
+    /// allocation, which reads as zeros and computes. Everything modeled,
+    /// `in_use` and the pool counters are the same four ways: Real and
+    /// Model, consuming or not.
     #[test]
     fn a_last_read_copies_what_the_context_may_not_give_away() {
         let host = SharedArray::from(planes()[N..2 * N].to_vec());
@@ -3216,7 +3322,17 @@ mod read_and_release_tests {
         let [real, model, real_read, model_read] = &seen[..] else {
             panic!("four runs")
         };
-        assert_eq!(real, real_read, "copied as a read and a release");
+        assert_eq!(
+            (real.1 .0, real.1 .1),
+            (real_read.1 .0, real_read.1 .1),
+            "pooled as a read and a release"
+        );
+        let handed_over = 2 * N as u64 * 4;
+        assert_eq!(
+            real.1 .2 + handed_over,
+            real_read.1 .2,
+            "the scalars handed over"
+        );
         assert_eq!(model, model_read);
         assert_eq!(
             (real.1 .0, real.1 .1),
@@ -3226,7 +3342,7 @@ mod read_and_release_tests {
         assert!(real.1 .0 >= 3, "parked slots were reused");
         let uploads = (N + 4 * N) as u64 * 4;
         let reads = (N + N + N + 4 * N + N) as u64 * 4;
-        assert_eq!(real.1 .2, uploads + reads);
+        assert_eq!(real_read.1 .2, uploads + reads);
         drop(seen);
         let mut host = host;
         assert!(host.get_mut().is_some(), "every slot let go of the array");

@@ -70,6 +70,7 @@ impl Event {
 ///     high_water_bytes: 8192,
 ///     host_bytes_copied: 8192,
 ///     host_bytes_zeroed: 0,
+///     host_bytes_hashed: 0,
 /// };
 /// // Table II row: (Dev-W, Dev-R, K-Exe).
 /// assert_eq!(report.table2_row(), (1, 1, 1));
@@ -100,6 +101,10 @@ pub struct ProfileReport {
     /// written. Fresh storage is not zero-filled first: a kernel or an
     /// upload writes it once (DESIGN.md D11). Zero on a Model context.
     pub host_bytes_zeroed: u64,
+    /// Bytes the context checksummed to learn or verify a payload's sum. An
+    /// adopted array is hashed only once its lanes become the device's own
+    /// (DESIGN.md D7). Zero on a Model context and under `verify=off`.
+    pub host_bytes_hashed: u64,
 }
 
 impl ProfileReport {
