@@ -654,13 +654,14 @@ const ADD: u8 = 1; // `v + x`
 const SUB: u8 = 2; // `v - x`
 const RSUB: u8 = 3; // `x - v`
 const MUL: u8 = 4; // `v * x`
-const SQ: u8 = 5; // `v * v`
-const SCALE: u8 = 6; // `v * k`: a constant broadcast, not loaded from a filled row
-const SQRT: u8 = 7; // `sqrt(v)`: the `Un` step that alone read the run
+const ADDSQ: u8 = 5; // `v + x*x`: an `x*x` step that only this add read
+const SQ: u8 = 6; // `v * v`
+const SCALE: u8 = 7; // `v * k`: a constant broadcast, not loaded from a filled row
+const SQRT: u8 = 8; // `sqrt(v)`: the `Un` step that alone read the run
 
 /// Whether a link of `kind` reads its row operand.
 fn reads_row(kind: u8) -> bool {
-    (ADD..=MUL).contains(&kind)
+    (ADD..=ADDSQ).contains(&kind)
 }
 
 /// One mention of a value in a [`Step`], as [`Step::visit`] reports it.
@@ -941,11 +942,15 @@ impl Lowering {
     /// a run therefore saves one store and one load, whichever operand it
     /// continues, and a shorter run leaves its readers more room: bottom-up,
     /// every step continues the shortest run it can, and the rows moved per
-    /// cell are the fewest any cut into runs of [`MAX_LINKS`] moves. A
-    /// constant factor is broadcast ([`SCALE`]) and its `Fill` dropped once
-    /// nothing loads it. The fourth link can only be `+ x`, or the `sqrt` that
-    /// alone reads the run (which takes that place in a shorter one): what
-    /// keeps [`run_links`] under 700 instantiations.
+    /// cell are the fewest any cut into runs of [`MAX_LINKS`] moves. An `Add`
+    /// that continues a run ending in a square can also take in its other
+    /// operand's `x*x` step, if that loads `x` and nothing else reads the
+    /// square ([`ADDSQ`]): a pass that streams `x` by itself saved, so that is
+    /// chosen first. A constant factor is broadcast ([`SCALE`]) and its
+    /// `Fill` dropped once nothing loads it. The fourth link can only be
+    /// `+ x`, or the `sqrt` that alone reads the run (which takes that place
+    /// in a shorter one), and an [`ADDSQ`] only follows [`SQ`] or [`ADDSQ`]:
+    /// what keeps [`run_links`] under 700 instantiations.
     fn cut_runs(&mut self) {
         let (reads, reader) = self.reads();
         let n = self.steps.len();
@@ -961,9 +966,10 @@ impl Lowering {
             Src::Input(_) => None,
         };
 
+        let square = |k: usize| matches!(node(k), Some((BinKind::Mul, a, b, _)) if a == b);
         // `len[k]`: links of the run step `k` ends; `via[k]`: the step before
-        // it in that run.
-        let (mut len, mut via) = (vec![1; n], vec![None; n]);
+        // it in that run; `sq[k]`: the `x*x` step that step `k` takes in.
+        let (mut len, mut via, mut sq) = (vec![1; n], vec![None; n], vec![None; n]);
         for k in 0..n {
             let Some((op, a, b, _)) = node(k) else {
                 continue;
@@ -978,8 +984,18 @@ impl Lowering {
                 (true, room) => room && op == BinKind::Mul,
                 (false, room) => room || (len[*c] < MAX_LINKS && op == BinKind::Add),
             };
+            let takes_in = |&(c, m): &(usize, usize)| {
+                let ends_squared = square(c) || sq[c].is_some();
+                let room = op == BinKind::Add && a != b && len[c] + 1 < MAX_LINKS;
+                ends_squared && room && square(m) && len[m] == 1
+            };
+            let pairs = [(a, b), (b, a)].map(|(p, q)| only_reader(p).zip(only_reader(q)));
+            let taken = pairs.into_iter().flatten().filter(takes_in);
+            let taken = taken.min_by_key(|&(c, _)| len[c]);
             let continued = [only_reader(a), only_reader(b)].into_iter().flatten();
-            via[k] = continued.filter(fits).min_by_key(|&c| len[c]);
+            let shortest = || continued.filter(fits).min_by_key(|&c| len[c]);
+            via[k] = taken.map(|(c, _)| c).or_else(shortest);
+            sq[k] = taken.map(|(_, m)| m);
             len[k] += via[k].map_or(0, |c| len[c]);
         }
 
@@ -1015,6 +1031,9 @@ impl Lowering {
                     _ if v_first => (SUB, x, 0.0),
                     _ => (RSUB, x, 0.0),
                 };
+                if let Some(m) = sq[at] {
+                    (*link, inside[m]) = ((ADDSQ, node(m).expect("a square").1, 0.0), true);
+                }
                 if let Dst::Row(id) = made {
                     v = Src::Row(id);
                 }
@@ -1235,6 +1254,7 @@ fn link<const K: u8>(v: f32, x: f32, k: f32) -> f32 {
         SUB => v - x,
         RSUB => x - v,
         MUL => v * x,
+        ADDSQ => v + x * x,
         SQ => v * v,
         SCALE => v * k,
         SQRT => v.sqrt(),
@@ -1266,17 +1286,27 @@ fn run_links<const K0: u8, const K1: u8, const K2: u8, const K3: u8>(
 /// Call the [`run_links`] of `$kinds`, one `match` per link and only on the
 /// kinds `Lowering::cut_runs` puts there: a first link is not `NONE` (or
 /// `RSUB`: the operands would be swapped), nothing but the fourth follows a
-/// `NONE`, and the fourth is `NONE`, `ADD` or `SQRT` — 5 · (1 + 6 · (1 + 6))
-/// · 3 = 645 instantiations.
+/// `NONE`, an `ADDSQ` is the second or third link and follows `SQ` or
+/// `ADDSQ`, and the fourth is `NONE`, `ADD` or `SQRT` — 3 · (4 · 44 + 52) =
+/// 684 instantiations.
 macro_rules! with_kinds {
     ($kinds:ident[] $args:tt) => {
         with_kinds!(@link $kinds[0] [] $args: ADD SUB MUL SQ SCALE)
+    };
+    ($kinds:ident[SQ] $args:tt) => {
+        with_kinds!(@link $kinds[1] [SQ] $args: NONE ADD SUB RSUB MUL SQ SCALE ADDSQ)
     };
     ($kinds:ident[$k0:ident] $args:tt) => {
         with_kinds!(@link $kinds[1] [$k0] $args: NONE ADD SUB RSUB MUL SQ SCALE)
     };
     ($kinds:ident[$k0:ident NONE] $args:tt) => {
         with_kinds!($kinds[$k0 NONE NONE] $args)
+    };
+    ($kinds:ident[$k0:ident SQ] $args:tt) => {
+        with_kinds!(@link $kinds[2] [$k0 SQ] $args: NONE ADD SUB RSUB MUL SQ SCALE ADDSQ)
+    };
+    ($kinds:ident[$k0:ident ADDSQ] $args:tt) => {
+        with_kinds!(@link $kinds[2] [$k0 ADDSQ] $args: NONE ADD SUB RSUB MUL SQ SCALE ADDSQ)
     };
     ($kinds:ident[$k0:ident $k1:ident] $args:tt) => {
         with_kinds!(@link $kinds[2] [$k0 $k1] $args: NONE ADD SUB RSUB MUL SQ SCALE)
@@ -1757,7 +1787,7 @@ mod tests {
 mod lowering_tests {
     use super::*;
     use crate::primitives::Primitive;
-    use dfg_dataflow::NetworkBuilder;
+    use dfg_dataflow::{NetworkBuilder, OptLevel};
     use dfg_mesh::RectilinearMesh;
     use dfg_ocl::KernelArgs;
     use proptest::prelude::*;
@@ -1857,43 +1887,100 @@ mod lowering_tests {
         kernel
     }
 
-    /// Row passes (every step but the gradient stencils), bank rows, and row
-    /// loads + stores per cell of a lowered kernel: each row operand a pass
-    /// names is a load (three for a vector operand), each destination a
-    /// store, and so is a `Fill`.
-    fn traffic(kernel: &FusedKernel) -> (usize, usize, usize) {
+    /// Row passes (every step but the gradient stencils), those of them that
+    /// read an input span, bank rows, and row loads + stores per cell of a
+    /// lowered kernel: each row operand a pass names is a load (three for a
+    /// vector operand), each destination a store, and so is a `Fill`.
+    fn traffic(kernel: &FusedKernel) -> (usize, usize, usize, usize) {
         let mut steps = kernel.steps.to_vec();
         steps.retain(|step| !matches!(step, Step::Grad3d { .. }));
-        let mut moved = 0;
+        let (mut streaming, mut moved) = (0, 0);
         for step in &mut steps {
+            let mut streams = false;
             step.visit(&mut |m| match m {
-                Mention::Read(_) | Mention::Write(_) => moved += 1,
+                Mention::Read(src) => {
+                    (moved, streams) = (moved + 1, streams || matches!(src, Src::Input(_)))
+                }
+                Mention::Write(_) => moved += 1,
                 Mention::ReadVec(_) | Mention::WriteVec(_) => moved += 3,
             });
+            streaming += usize::from(streams);
         }
-        (steps.len(), kernel.rows, moved)
+        (steps.len(), streaming, kernel.rows, moved)
+    }
+
+    /// The scalar expressions of `dfg-serve`'s benchmark.
+    const SERVE_EXPRESSIONS: [&str; 4] = [
+        "m = sqrt(u*u + v*v + w*w)",
+        "m = sqrt(u*u + v*v) + w*w",
+        "m = u*v + v*w + w*u",
+        "m = (u + v)*(u + v) + w*w",
+    ];
+
+    /// `source` compiled and optimized at `level`, with the nodes its
+    /// assignments `outputs` name.
+    fn compile_roots(
+        source: &str,
+        outputs: &[&str],
+        level: OptLevel,
+    ) -> (NetworkSpec, Vec<NodeId>) {
+        let spec = dfg_expr::compile(source).unwrap();
+        let named = |name: &&str| {
+            let nodes = spec
+                .iter()
+                .filter(|(_, node)| node.name.as_deref() == Some(*name));
+            nodes.last().expect("the program assigns every output").0
+        };
+        let roots: Vec<NodeId> = outputs.iter().map(named).collect();
+        let out = dfg_dataflow::optimize(&spec, &roots, level).unwrap();
+        (out.spec, out.roots)
     }
 
     /// The per-expression lowering table of docs/PERFORMANCE.md (CI prints
-    /// it with `--nocapture`): what the cut is judged by is the last column.
+    /// it with `--nocapture`): what the cut is judged by is the last column,
+    /// and the passes that stream an input span beside it. The serve rows
+    /// are optimized as `dfg-serve` optimizes them (common subexpressions
+    /// merged), the others run as an engine's defaults run them.
     #[test]
     fn paper_expressions_lowering_table() {
         use dfg_expr::workloads::{Q_CRITERION, VELOCITY_MAGNITUDE, VORTICITY_MAGNITUDE};
-        println!("| expression | row passes | bank rows | row loads + stores per cell |");
-        println!("|---|---|---|---|");
-        let rows = [
-            ("vel_mag", VELOCITY_MAGNITUDE),
-            ("vort_mag", VORTICITY_MAGNITUDE),
-            ("q_crit", Q_CRITERION),
-        ]
-        .map(|(name, source)| {
-            let spec = dfg_expr::compile(source).unwrap();
-            let (passes, rows, moved) = traffic(&check(&spec, &[spec.result]));
-            println!("| `{name}` | {passes} | {rows} | {moved} |");
-            (passes, rows, moved)
-        });
-        // At the parent commit: (4, 2, 13), (7, 16, 25), (29, 26, 114).
-        assert_eq!(rows, [(3, 2, 8), (3, 11, 11), (16, 13, 58)]);
+        println!("| expression | row passes | passes that read an input span | bank rows | row loads + stores per cell |");
+        println!("|---|---|---|---|---|");
+        let insitu = format!("{VELOCITY_MAGNITUDE}{VORTICITY_MAGNITUDE}");
+        let mut programs: Vec<(&str, &str, &[&str], OptLevel)> = vec![
+            ("`vel_mag`", VELOCITY_MAGNITUDE, &["v_mag"], OptLevel::Off),
+            ("`vort_mag`", VORTICITY_MAGNITUDE, &["w_mag"], OptLevel::Off),
+            ("`q_crit`", Q_CRITERION, &["q_crit"], OptLevel::Off),
+        ];
+        for source in SERVE_EXPRESSIONS {
+            programs.push((&source[4..], source, &["m"], OptLevel::Cse));
+        }
+        programs.push(("in situ", &insitu, &["v_mag", "w_mag"], OptLevel::Off));
+        let rows: Vec<_> = (programs.iter())
+            .map(|(name, source, outputs, level)| {
+                let (spec, roots) = compile_roots(source, outputs, *level);
+                let (passes, streaming, rows, moved) = traffic(&check(&spec, &roots));
+                println!("| {name} | {passes} | {streaming} | {rows} | {moved} |");
+                (passes, streaming, rows, moved)
+            })
+            .collect();
+        // At the parent commit: `vel_mag` (3, 3, 2, 8), the serve
+        // expressions (3, 3, 2, 8), (3, 3, 2, 8), (3, 3, 2, 11), (2, 2, 1, 6)
+        // and in situ (6, 3, 11, 19); the rest as now. Before the runs,
+        // without the second column: (4, 2, 13), (7, 16, 25), (29, 26, 114).
+        assert_eq!(
+            rows,
+            [
+                (1, 1, 0, 4),
+                (3, 0, 11, 11),
+                (16, 0, 13, 58),
+                (1, 1, 0, 4),
+                (2, 2, 1, 6),
+                (3, 3, 2, 11),
+                (1, 1, 0, 4),
+                (4, 1, 11, 15),
+            ]
+        );
     }
 
     fn copies(kernel: &FusedKernel) -> usize {
@@ -2062,6 +2149,66 @@ mod lowering_tests {
         1.000_000_1,
         16_777_217.0,
     ];
+
+    /// [`check_on`] `u, v, w` taking every triple of [`PALETTE`] values
+    /// (`f32::MAX` squares to `∞`, beside `-∞`), on the mesh's `dims, x, y,
+    /// z`, at the pool's default and at one thread. Returns the `ADDSQ`
+    /// links the kernel runs.
+    fn check_squares(spec: &NetworkSpec, roots: &[NodeId]) -> usize {
+        let (n, mut fields) = mesh_fields();
+        for (t, name) in ["u", "v", "w"].into_iter().enumerate() {
+            let field = (0..n).map(|i| PALETTE[(i >> (4 * t)) % 16]).collect();
+            fields.insert(name.into(), field);
+        }
+        dfg_exec::with_serial(|| check_on(spec, roots, n, &fields));
+        let kernel = check_on(spec, roots, n, &fields);
+        let links = kernel.steps.iter().flat_map(|step| match step {
+            Step::Run { links, .. } => &links[..],
+            _ => &[],
+        });
+        links.filter(|link| link.0 == ADDSQ).count()
+    }
+
+    #[test]
+    fn sums_of_squares_round_as_their_instructions() {
+        use dfg_expr::workloads::{VELOCITY_MAGNITUDE, VORTICITY_MAGNITUDE};
+        let squares_taken_in = [2, 1, 0, 1];
+        for (source, taken) in SERVE_EXPRESSIONS.into_iter().zip(squares_taken_in) {
+            let (spec, roots) = compile_roots(source, &["m"], OptLevel::Cse);
+            assert_eq!(check_squares(&spec, &roots), taken, "{source}");
+        }
+        let insitu = format!("{VELOCITY_MAGNITUDE}{VORTICITY_MAGNITUDE}");
+        let (spec, roots) = compile_roots(&insitu, &["v_mag", "w_mag"], OptLevel::Off);
+        assert_eq!(check_squares(&spec, &roots), 2);
+    }
+
+    #[test]
+    fn a_square_is_taken_in_wherever_its_operand_lives() {
+        let mut b = NetworkBuilder::new();
+        let (u, v, w) = (b.input("u"), b.input("v"), b.input("w"));
+        let (uu, vv, ww) = (
+            b.binary(BinKind::Mul, u, u),
+            b.binary(BinKind::Mul, v, v),
+            b.binary(BinKind::Mul, w, w),
+        );
+        // `v` is read again after its square.
+        let sum = b.binary(BinKind::Add, uu, vv);
+        let other_readers = b.binary(BinKind::Mul, sum, v);
+        // A square of a bank row: `|w|` is a step's value, not a span.
+        let abs = b.unary(UnKind::Abs, w);
+        let abs_sq = b.binary(BinKind::Mul, abs, abs);
+        let uu2 = b.binary(BinKind::Mul, u, u);
+        let of_a_row = b.binary(BinKind::Add, uu2, abs_sq);
+        // The square is the add's left operand: `w*w + (u*u + v*v)`.
+        let (uu3, vv3) = (b.binary(BinKind::Mul, u, u), b.binary(BinKind::Mul, v, v));
+        let inner = b.binary(BinKind::Add, uu3, vv3);
+        let left = b.binary(BinKind::Add, ww, inner);
+        let spec = b.finish(left);
+        for (root, taken) in [(other_readers, 1), (of_a_row, 1), (left, 2)] {
+            assert_eq!(check_squares(&spec, &[root]), taken);
+        }
+        assert_eq!(check_squares(&spec, &[other_readers, of_a_row, left]), 4);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]

@@ -407,6 +407,13 @@ pub struct Context {
     /// operations act as barriers that bring every queue up to `clock`, so
     /// single-queue programs are bit-identical to the pre-multi-queue model.
     queue_clocks: Vec<f64>,
+    /// Created with room for more than 1 032 B of events, the largest block
+    /// glibc's malloc keeps in its per-thread cache, where a freed block is
+    /// never coalesced. A log that doubled up from four events took such
+    /// blocks while a derive ran, one of them from the start of an 8 MiB
+    /// buffer just freed, and left it cached there: the heap then needed
+    /// another 8 MiB for the same buffers (docs/PERFORMANCE.md "Sums of
+    /// squares in one pass").
     events: Vec<Event>,
     /// Failure injection: a deterministic, seeded schedule of device faults
     /// consulted at every allocation, transfer, launch, and compile.
@@ -461,7 +468,7 @@ impl Context {
             high_water: 0,
             clock: 0.0,
             queue_clocks: vec![0.0],
-            events: Vec::new(),
+            events: Vec::with_capacity(1 + 1032 / std::mem::size_of::<Event>()),
             faults: None,
             tracer: None,
             pool: std::collections::HashMap::new(),
