@@ -215,6 +215,10 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             cmd_info();
             Ok(())
         }
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            Ok(())
+        }
         other => Err(format!("unknown subcommand `{other}`")),
     }
 }
@@ -1908,6 +1912,10 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown strategy"));
+        // Asking for help is not an error: `USAGE` goes to stdout, exit 0.
+        for help in ["--help", "-h", "help"] {
+            assert_eq!(dispatch(&strs(&[help])), Ok(()), "{help}");
+        }
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub mod workloads;
 
 #[cfg(test)]
 mod tests;
+// The conformance harness names the crate as its suites under `tests/` do.
+#[cfg(test)]
+extern crate self as dfg_core;
 
 pub use cancel::CancelToken;
 pub use dfg_dataflow::{OptLevel, OptStats, Strategy};

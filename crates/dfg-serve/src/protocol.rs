@@ -218,6 +218,14 @@ impl Request {
                     }
                     *slot = n as usize;
                 }
+                // A reply carries at least 4 bytes per cell: refuse a grid no
+                // reply could carry before anything is allocated for it.
+                let cells = grid.iter().try_fold(1usize, |acc, &n| acc.checked_mul(n));
+                if !matches!(cells, Some(c) if c as u64 <= MAX_PAYLOAD_BYTES / 4) {
+                    return Err(format!(
+                        "derive: grid {grid:?} has more cells than a {MAX_PAYLOAD_BYTES}-byte reply carries"
+                    ));
+                }
                 let strategy = match v.get("strategy").and_then(Value::as_str) {
                     Some(name) => ExecStrategy::parse(name)?,
                     None => ExecStrategy::Fusion,
@@ -1000,6 +1008,22 @@ mod tests {
                 .is_err()
         );
         assert!(Request::parse(r#"{"op":"nope","id":1}"#).is_err());
+        // Grids no reply could carry: 4 B per cell over the payload cap, and
+        // a cell count that overflows.
+        let derive = |grid: &str| {
+            let line =
+                format!(r#"{{"op":"derive","id":1,"tenant":"t","expr":"m=u","grid":{grid}}}"#);
+            Request::parse(&line)
+        };
+        assert!(derive("[1024,1024,256]").is_ok());
+        for grid in [
+            "[1024,1024,257]",
+            "[100000,100000,100000]",
+            "[1e300,1e300,1e300]",
+        ] {
+            let err = derive(grid).unwrap_err();
+            assert!(err.contains("more cells than"), "{grid}: {err}");
+        }
         // An id `frame_id` would not echo is not executed under another one.
         for id in [
             "-5",
