@@ -503,7 +503,7 @@ impl Engine {
             session.as_deref_mut(),
         )?;
         let wall = t0.elapsed();
-        debug_assert_eq!(
+        assert_eq!(
             ctx.in_use_bytes(),
             session.map_or(0, |s| s.resident_bytes()),
             "executor leaked device buffers beyond the session's resident fields"
@@ -544,7 +544,9 @@ impl Engine {
         for buf in bufs {
             ctx.release(buf)?;
         }
-        let (data, _) = read_buffer(&mut ctx, out, out_lanes, 1, true)?;
+        let download = span!(self.tracer, "reference.download");
+        let (data, handed_over) = read_buffer(&mut ctx, out, out_lanes, 1, true)?;
+        drop(download.meta("handed_over", handed_over));
         let field = data.map(|data| Field {
             width: Width::Scalar,
             ncells: n,

@@ -437,7 +437,7 @@ impl<E: BorrowMut<Engine>> Session<E> {
         for (_, r) in self.state.resident.drain() {
             let _ = self.ctx.release(r.buf);
         }
-        debug_assert_eq!(self.ctx.in_use_bytes(), 0, "session leaked buffers");
+        assert_eq!(self.ctx.in_use_bytes(), 0, "session leaked buffers");
         self.state.stats
     }
 }

@@ -1545,12 +1545,12 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
 /// expression, path and run, the bytes downloaded beside the bytes the host
 /// copied, the bytes whose storage was handed over (the `handed_over` lanes
 /// of the `*.download` spans), the bytes zero-filled and the bytes hashed. A
-/// one-shot and a session cycle hand over every download; streamed copies
-/// its slab windows both ways. A session row is its second cycle, at each
-/// verification level: the inputs are adopted arrays, not hashed while
-/// they are the host's, so a `vel_mag` fusion cycle hashes nothing under
-/// `residents`, and under `full` only its result, twice — learned at the
-/// launch and checked at the download.
+/// one-shot (the reference kernel's too) and a session cycle hand over
+/// every download; streamed copies its slab windows both ways. A session
+/// row is its second cycle, at each verification level: the inputs are
+/// adopted arrays, not hashed while they are the host's, so a `vel_mag`
+/// fusion cycle hashes nothing under `residents`, and under `full` only its
+/// result, twice — learned at the launch and checked at the download.
 #[test]
 fn host_copies_table() {
     use dfg_ocl::EventKind::DeviceToHost;
@@ -1569,9 +1569,15 @@ fn host_copies_table() {
         ("vel_mag", Workload::VelocityMagnitude),
         ("q_crit", Workload::QCriterion),
     ] {
-        for exec in EXECS {
-            let path = exec.strategy().map_or("streamed", |s| s.name());
-            for (run, session, verify) in runs {
+        for exec in EXECS.into_iter().chain([Exec::Reference]) {
+            let path = match exec {
+                Exec::Streamed(_) => "streamed",
+                Exec::Reference => "reference",
+                _ => exec.strategy().expect("a strategy").name(),
+            };
+            // The reference kernel runs one-shot only.
+            let one_shot_only = exec == Exec::Reference;
+            for &(run, session, verify) in &runs[..if one_shot_only { 1 } else { runs.len() }] {
                 let what = format!("{name} {path} {run}");
                 let config = Config {
                     session,
@@ -2183,8 +2189,8 @@ mod in_place {
         assert_eq!(hits, [[30, 15, 2], [83, 46, 2], [491, 182, 2]]);
     }
 
-    /// Poisoned releases (`DFG_POOL_POISON=1`) include the storage a donor
-    /// gets in exchange, and a view parks without storage: a staged
+    /// Poisoned releases (`Context::debug_set_poison`) include the storage
+    /// a donor gets in exchange, and a view parks without storage: a staged
     /// session's bits do not change.
     #[test]
     fn pool_poison_leaves_a_staged_session_bit_identical() {

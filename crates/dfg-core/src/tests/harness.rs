@@ -13,9 +13,9 @@
 //! * [`same_events`] and [`model_matches_real`]: Model == Real, event for
 //!   event — kind, label, bytes, both clock ends, queue — and high water,
 //!   with equal pool hits and session counters;
-//! * the leak check inside [`run`]: `in_use` returns to its baseline (the
-//!   residents after a session cycle, zero after a one-shot whose context
-//!   the harness sees) after every such run, failed or not, in every build;
+//! * the leak check: `in_use` returns to its baseline in every build, inside
+//!   [`run`] after every session cycle and one-shot whose context it sees,
+//!   failed or not, and inside `Engine::execute` after every derive;
 //! * [`downloads_handed_over_or_copied`]: a download's storage is handed to
 //!   the host or copied, never both (DESIGN.md D10);
 //! * [`matches_clean_level`]: a recovered run equals the fault-free run of

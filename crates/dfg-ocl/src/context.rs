@@ -3,20 +3,18 @@
 use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::host::{interleave, HostEnd, SharedArray, UploadSource};
-use crate::integrity::{
-    checksum_f32s, IntegrityKind, IntegrityStats, VerifyPolicy, BUFFER_SUM_SEED,
-};
-use crate::lanes::{first_unwritten, write_once, OutLanes, UNWRITTEN};
+use crate::host::{HostEnd, UploadSource};
+use crate::integrity::{splitmix64, IntegrityStats, VerifyPolicy};
+use crate::lanes::OutLanes;
 use crate::profile::DeviceProfile;
+use crate::storage::Slots;
 use crate::ExecMode;
 use dfg_trace::Tracer;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Handle to a device global-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufferId(usize);
+pub struct BufferId(pub(crate) usize);
 
 impl BufferId {
     /// The handle's raw slot index, as reported by
@@ -216,189 +214,16 @@ pub enum Placement {
     View,
 }
 
-/// Guard lanes placed behind a slot's payload. The guards carry a sentinel
-/// bit pattern; a write past the payload breaks the sentinel and is
-/// reported as an [`IntegrityKind::Guard`] violation when the slot is next
-/// verified or handed back out of the pool. Safe code cannot write ahead of
-/// lane 0 of a slice, so the payload comes first: lane 0 of the storage is
-/// payload lane 0, and the storage is handed to the host by truncating the
-/// guards. Guard lanes are a property of the *backing storage* only —
-/// `Slot::bytes` (and therefore every byte counter, the high-water mark, and
-/// the pool accounting) covers the payload alone, so the paper's memory
-/// numbers are unchanged.
-const GUARD_LANES: usize = 8;
-
-/// Sentinel bit pattern filling the guard lanes.
-const GUARD_WORD: u32 = 0xF0E1_D2C3;
-
-/// Poison bit pattern written over a released slot's payload when
-/// `DFG_POOL_POISON=1` — any code path relying on recycled-slot contents
-/// reads a loud, recognizable garbage value instead of stale data.
-const POISON_WORD: u32 = 0xDEAD_BEEF;
-
-/// `payload`'s content checksum, counting its bytes into `hashed`.
-fn hash(payload: &[f32], hashed: &mut u64) -> u64 {
-    *hashed += payload.len() as u64 * 4;
-    checksum_f32s(BUFFER_SUM_SEED, payload)
-}
-
-/// What backs a materialized slot.
-enum Storage {
-    /// Private storage: the `lanes`-lane payload, then `GUARD_LANES`
-    /// sentinel lanes.
-    Owned(Vec<f32>),
-    /// The host's own array, adopted by a whole-buffer upload of a
-    /// [`SharedArray`], and whether its sum is due: the payload is the array,
-    /// with no guard lanes and no mutable view, so [`Slot::owned_mut`] copies
-    /// it before anything writes and learns a due sum then (DESIGN.md D7).
-    Shared(SharedArray, bool),
-    /// Lanes `at..at + lanes` of guarded storage that other slots may view
-    /// too: a [`Placement::View`] output and the operand it views. A write
-    /// goes through [`Slot::owned_mut`], which copies the lanes first; only a
-    /// launch writes a view where it lies, and only into the last handle to
-    /// the storage ([`Context::private`]).
-    View(Arc<Vec<f32>>, usize),
-}
-
-struct Slot {
-    /// Backing storage; `None` in model mode — and, in real mode, until the
-    /// first write or launch materializes it (the zero-fill is deferred so a
-    /// create-then-write sequence touches the memory exactly once).
-    data: Option<Storage>,
-    /// Real mode: whether the buffer holds defined contents (a host write or
-    /// a kernel launch). Unwritten buffers read as zeros; in particular,
-    /// recycled pool storage must never leak a previous buffer's values.
-    written: bool,
-    /// Content checksum of the payload's bit patterns, learned at the last
-    /// host write (and, under [`VerifyPolicy::Full`], at every kernel
-    /// write); `None` when verification is off, contents are undefined or
-    /// the sum is due ([`Storage::Shared`]).
-    sum: Option<u64>,
-    /// Total f32 lanes (elements × width) of the payload.
-    lanes: usize,
-    bytes: u64,
-}
-
-impl Slot {
-    /// Fresh guarded storage, written once: `prefix`, zeros up to `lanes`,
-    /// then the sentinel lanes.
-    fn alloc_storage(prefix: &[f32], lanes: usize) -> Vec<f32> {
-        let mut buf = Vec::with_capacity(lanes + GUARD_LANES);
-        buf.extend_from_slice(prefix);
-        buf.resize(lanes, 0.0);
-        buf.resize(lanes + GUARD_LANES, f32::from_bits(GUARD_WORD));
-        buf
-    }
-
-    /// The payload view of materialized storage.
-    fn payload(&self) -> Option<&[f32]> {
-        self.data.as_ref().map(|d| match d {
-            Storage::Owned(d) => &d[..self.lanes],
-            Storage::Shared(array, _) => &array[..],
-            Storage::View(block, at) => &block[*at..at + self.lanes],
-        })
-    }
-
-    /// The slot's private storage, guard lanes included. An adopted array
-    /// or a view is first replaced by a private copy of it, so no write made
-    /// through a slot can reach host memory or another slot.
-    fn owned_mut(&mut self, hashed: &mut u64) -> Option<&mut Vec<f32>> {
-        if let Some(Storage::Shared(array, true)) = &self.data {
-            self.sum = Some(hash(array, hashed));
-        }
-        if let Some(Storage::Shared(..) | Storage::View(..)) = &self.data {
-            let private = Slot::alloc_storage(self.payload().expect("materialized"), self.lanes);
-            self.data = Some(Storage::Owned(private));
-        }
-        match &mut self.data {
-            Some(Storage::Owned(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Mutable payload view of materialized storage (private storage: see
-    /// [`Slot::owned_mut`]).
-    fn payload_mut(&mut self, hashed: &mut u64) -> Option<&mut [f32]> {
-        let lanes = self.lanes;
-        self.owned_mut(hashed).map(|d| &mut d[..lanes])
-    }
-
-    /// Defined contents, or `None` for a slot that reads as zeros (never
-    /// written; recycled pool storage must not leak its previous owner).
-    fn contents(&self) -> Option<&[f32]> {
-        self.payload().filter(|_| self.written)
-    }
-
-    /// A copy of the contents as `planes` planes in the host's layout (see
-    /// [`interleave`]); zeros for a slot without defined contents.
-    fn copy_out(&self, planes: usize) -> Vec<f32> {
-        match self.contents() {
-            Some(payload) => interleave(payload, planes),
-            None => vec![0.0; self.lanes],
-        }
-    }
-
-    /// Write `data` over the payload's first lanes. In a slot without
-    /// defined contents the lanes past them read as zeros afterwards:
-    /// recycled storage is cleared, and storage is materialized here on
-    /// first use, in one pass. Returns the lanes cleared.
-    fn write_prefix(&mut self, data: &[f32], hashed: &mut u64) -> usize {
-        let (lanes, written) = (self.lanes, self.written);
-        self.written = true;
-        match &mut self.data {
-            Some(Storage::Owned(d)) => {
-                d[..data.len()].copy_from_slice(data);
-                if !written {
-                    d[data.len()..lanes].fill(0.0);
-                }
-            }
-            // Copy on write: the prefix lands on the slot's own copy.
-            Some(_) if written && data.len() < lanes => {
-                self.payload_mut(hashed).expect("materialized")[..data.len()].copy_from_slice(data);
-            }
-            _ => self.data = Some(Storage::Owned(Slot::alloc_storage(data, lanes))),
-        }
-        if written {
-            0
-        } else {
-            lanes - data.len()
-        }
-    }
-
-    /// Learn the payload's content checksum — the value later verifications
-    /// compare against; an adopted array's is marked due — or forget it when
-    /// `learn` is off. Host-side only: no event, no clock cost.
-    fn learn_sum(&mut self, learn: bool, hashed: &mut u64) {
-        self.sum = None;
-        if let Some(Storage::Shared(_, due)) = &mut self.data {
-            *due = learn;
-        } else if let Some(payload) = self.payload().filter(|_| learn) {
-            self.sum = Some(hash(payload, hashed));
-        }
-    }
-
-    /// Whether every guard lane still carries the sentinel (vacuously true
-    /// for unmaterialized storage and for an adopted array, which has no
-    /// guard lanes because nothing on the device side can write it). A view
-    /// answers for the guards of the storage it shares.
-    fn guards_intact(&self) -> bool {
-        let d: &[f32] = match &self.data {
-            None | Some(Storage::Shared(..)) => return true,
-            Some(Storage::Owned(d)) => d,
-            Some(Storage::View(block, _)) => block,
-        };
-        d[d.len() - GUARD_LANES..]
-            .iter()
-            .all(|v| v.to_bits() == GUARD_WORD)
-    }
-}
-
 /// A simulated OpenCL context + in-order command queue with profiling.
+///
+/// Each operation validates, draws from the fault plan, has a Real context's
+/// storage move the bytes, and records its event: only the storage step
+/// differs between the modes.
 pub struct Context {
     profile: DeviceProfile,
     mode: ExecMode,
-    slots: Vec<Option<Slot>>,
-    free_ids: Vec<usize>,
+    /// Every buffer's storage, the pool and the host bytes they moved.
+    slots: Slots,
     in_use: u64,
     high_water: u64,
     /// Global virtual-clock frontier: `max` over all queue clocks.
@@ -420,20 +245,6 @@ pub struct Context {
     faults: Option<FaultPlan>,
     /// When set, every recorded event also becomes a child span here.
     tracer: Option<Tracer>,
-    /// Released slots kept for reuse, keyed by lane count (see
-    /// [`Context::set_pooling`]). Pooled bytes do not count as `in_use`,
-    /// but they do occupy device memory: under allocation pressure parked
-    /// slots are evicted (oldest within the largest lane class first)
-    /// before [`OclError::OutOfMemory`] is returned, so the pool can never
-    /// starve a live allocation. Because eviction always restores enough
-    /// headroom when any exists, allocation success/failure,
-    /// `high_water_bytes`, and all recorded events remain identical with
-    /// pooling on or off.
-    pool: std::collections::HashMap<usize, Vec<Slot>>,
-    pooling: bool,
-    pool_hits: u64,
-    pooled_bytes: u64,
-    pool_evictions: u64,
     /// How much integrity verification this context performs (see
     /// [`VerifyPolicy`]). Off by default: no checksums are learned or
     /// checked, preserving pre-integrity behavior bit-for-bit.
@@ -441,19 +252,6 @@ pub struct Context {
     /// Verifications performed / violations detected so far (cumulative;
     /// not reset by [`Context::reset_profile`]).
     integrity: IntegrityStats,
-    /// Poison released payloads with a recognizable bit pattern
-    /// (`DFG_POOL_POISON=1`, read once at construction).
-    poison: bool,
-    /// Bytes this context physically copied between host and device
-    /// storage since the last [`Context::reset_profile`] (see
-    /// [`ProfileReport::host_bytes_copied`]).
-    host_bytes_copied: u64,
-    /// Bytes of device storage this context filled with zeros since the
-    /// last [`Context::reset_profile`] (see
-    /// [`ProfileReport::host_bytes_zeroed`]).
-    host_bytes_zeroed: u64,
-    /// [`ProfileReport::host_bytes_hashed`] since the last reset.
-    host_bytes_hashed: u64,
 }
 
 impl Context {
@@ -462,8 +260,7 @@ impl Context {
         Context {
             profile,
             mode,
-            slots: Vec::new(),
-            free_ids: Vec::new(),
+            slots: Slots::default(),
             in_use: 0,
             high_water: 0,
             clock: 0.0,
@@ -471,19 +268,8 @@ impl Context {
             events: Vec::with_capacity(1 + 1032 / std::mem::size_of::<Event>()),
             faults: None,
             tracer: None,
-            pool: std::collections::HashMap::new(),
-            pooling: false,
-            pool_hits: 0,
-            pooled_bytes: 0,
-            pool_evictions: 0,
             verify: VerifyPolicy::Off,
             integrity: IntegrityStats::default(),
-            poison: std::env::var("DFG_POOL_POISON")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-            host_bytes_copied: 0,
-            host_bytes_zeroed: 0,
-            host_bytes_hashed: 0,
         }
     }
 
@@ -513,22 +299,18 @@ impl Context {
     /// and `high_water_bytes` matches an unpooled run of the same sequence.
     /// Disabling drops every pooled slot.
     pub fn set_pooling(&mut self, on: bool) {
-        self.pooling = on;
-        if !on {
-            self.pool.clear();
-            self.pooled_bytes = 0;
-        }
+        self.slots.set_pooling(on);
     }
 
     /// Allocations served from the pool since creation.
     pub fn pool_hits(&self) -> u64 {
-        self.pool_hits
+        self.slots.pool_hits
     }
 
     /// Parked slots dropped to make headroom for live allocations (plus
     /// slots dropped by [`Context::trim_pool`]).
     pub fn pool_evictions(&self) -> u64 {
-        self.pool_evictions
+        self.slots.pool_evictions
     }
 
     /// Drop every parked pool slot, returning the bytes freed. Recovery
@@ -536,17 +318,12 @@ impl Context {
     /// itself never causes an avoidable failure; dropped slots count as
     /// evictions.
     pub fn trim_pool(&mut self) -> u64 {
-        let freed = self.pooled_bytes;
-        let parked: u64 = self.pool.values().map(|v| v.len() as u64).sum();
-        self.pool_evictions += parked;
-        self.pool.clear();
-        self.pooled_bytes = 0;
-        freed
+        self.slots.trim_pool()
     }
 
     /// Bytes currently parked in the pool (released, awaiting reuse).
     pub fn pooled_bytes(&self) -> u64 {
-        self.pooled_bytes
+        self.slots.pooled_bytes
     }
 
     /// Attach a tracer: from now on every enqueue/launch/compile event is
@@ -667,7 +444,7 @@ impl Context {
     /// last [`Context::reset_profile`]: what
     /// [`ProfileReport::host_bytes_copied`] will read.
     pub fn host_bytes_copied(&self) -> u64 {
-        self.host_bytes_copied
+        self.slots.copied
     }
 
     /// Snapshot the profiling state.
@@ -675,9 +452,9 @@ impl Context {
         ProfileReport {
             events: self.events.clone(),
             high_water_bytes: self.high_water,
-            host_bytes_copied: self.host_bytes_copied,
-            host_bytes_zeroed: self.host_bytes_zeroed,
-            host_bytes_hashed: self.host_bytes_hashed,
+            host_bytes_copied: self.slots.copied,
+            host_bytes_zeroed: self.slots.zeroed,
+            host_bytes_hashed: self.slots.hashed,
         }
     }
 
@@ -686,9 +463,7 @@ impl Context {
     /// allocations are kept (and re-seed the high-water mark).
     pub fn reset_profile(&mut self) {
         self.events.clear();
-        self.host_bytes_copied = 0;
-        self.host_bytes_zeroed = 0;
-        self.host_bytes_hashed = 0;
+        (self.slots.copied, self.slots.zeroed, self.slots.hashed) = (0, 0, 0);
         self.clock = 0.0;
         for q in &mut self.queue_clocks {
             *q = 0.0;
@@ -696,171 +471,58 @@ impl Context {
         self.high_water = self.in_use;
     }
 
-    fn slot(&self, id: BufferId) -> Result<&Slot, OclError> {
-        self.slots
-            .get(id.0)
-            .and_then(|s| s.as_ref())
-            .ok_or(OclError::InvalidBuffer { id: id.0 })
-    }
-
     /// Allocate a device buffer of `lanes` f32 lanes.
     pub fn create_buffer(&mut self, lanes: usize) -> Result<BufferId, OclError> {
-        let bytes = lanes as u64 * 4;
-        if self.fault(FaultKind::Alloc).is_some() {
-            return Err(OclError::OutOfMemory {
-                requested: bytes,
-                in_use: self.in_use,
-                capacity: self.profile.global_mem_bytes,
-            });
-        }
-        // Storage is materialized lazily: a fresh buffer carries no `Vec`
-        // until the first write/launch, so create-then-write initializes the
-        // memory once instead of zero-filling and then overwriting. A pooled
-        // slot arrives with its (stale) storage intact and `written` already
-        // cleared by `release`, so reads still see zeros, not old contents.
-        let pooled = if self.pooling {
-            self.pool.get_mut(&lanes).and_then(Vec::pop)
-        } else {
+        let (bytes, capacity) = (lanes as u64 * 4, self.profile.global_mem_bytes);
+        let id = if self.fault(FaultKind::Alloc).is_some() {
             None
+        } else if self.slots.parked(lanes) {
+            // A pool hit needs no capacity check. Its stale_slot draw happens
+            // in both modes (counter parity); a violation of the allocator's
+            // check is transient: the retried allocation gets a fresh slot.
+            let stale = self.fault(FaultKind::StaleSlot).is_some();
+            let check = self.verify.enabled();
+            self.integrity.checks += u64::from(check);
+            let reused = self.slots.reuse(lanes, stale, check);
+            Some(reused.map_err(|kind| {
+                self.integrity.violations += 1;
+                let buffer = self.slots.next_id();
+                OclError::IntegrityViolation {
+                    kind,
+                    buffer,
+                    offset: 0,
+                }
+            })?)
+        } else {
+            // Parked slots occupy device memory too: under pressure they are
+            // evicted before a genuinely new allocation gives up.
+            self.slots
+                .evict_to(capacity.saturating_sub(self.in_use + bytes));
+            (self.in_use + bytes <= capacity).then(|| self.slots.alloc(lanes))
         };
-        let slot = match pooled {
-            Some(mut slot) => {
-                // Reuse moves bytes from the pool back to `in_use`; the
-                // device footprint is unchanged, so no capacity check.
-                self.pool_hits += 1;
-                self.pooled_bytes -= slot.bytes;
-                // Silent-corruption injection: a stale hand-out skips the
-                // contents clear, leaking the previous owner's data. The
-                // draw happens in both modes (counter parity); the effect
-                // needs real storage.
-                if self.fault(FaultKind::StaleSlot).is_some()
-                    && self.mode == ExecMode::Real
-                    && slot.data.is_some()
-                {
-                    slot.written = true;
-                }
-                // Allocator self-check: the pool must only hand out slots
-                // with cleared contents and intact guards. A violation
-                // quarantines the slot (its storage is dropped, never
-                // reused) and surfaces as a transient error — the retried
-                // allocation gets a fresh, clean slot.
-                if self.verify.enabled() {
-                    self.integrity.checks += 1;
-                    let stale = slot.written;
-                    let guards = !slot.guards_intact();
-                    if stale || guards {
-                        self.integrity.violations += 1;
-                        let would_be = self.free_ids.last().copied().unwrap_or(self.slots.len());
-                        return Err(OclError::IntegrityViolation {
-                            kind: if stale {
-                                IntegrityKind::StaleSlot
-                            } else {
-                                IntegrityKind::Guard
-                            },
-                            buffer: would_be,
-                            offset: 0,
-                        });
-                    }
-                }
-                slot
-            }
-            None => {
-                // A genuinely new allocation: parked pool slots occupy
-                // device memory too, so under pressure evict them (largest
-                // lane class first, deterministically) before giving up.
-                while self.in_use + self.pooled_bytes + bytes > self.profile.global_mem_bytes
-                    && self.pooled_bytes > 0
-                {
-                    self.evict_one_pooled_slot();
-                }
-                if self.in_use + bytes > self.profile.global_mem_bytes {
-                    return Err(OclError::OutOfMemory {
-                        requested: bytes,
-                        in_use: self.in_use,
-                        capacity: self.profile.global_mem_bytes,
-                    });
-                }
-                Slot {
-                    data: None,
-                    written: false,
-                    sum: None,
-                    lanes,
-                    bytes,
-                }
-            }
-        };
+        let id = id.ok_or(OclError::OutOfMemory {
+            requested: bytes,
+            in_use: self.in_use,
+            capacity,
+        })?;
         self.in_use += bytes;
         self.high_water = self.high_water.max(self.in_use);
-        let idx = if let Some(idx) = self.free_ids.pop() {
-            self.slots[idx] = Some(slot);
-            idx
-        } else {
-            self.slots.push(Some(slot));
-            self.slots.len() - 1
-        };
-        Ok(BufferId(idx))
+        Ok(id)
     }
 
     /// Release a buffer, returning its bytes to the device's free capacity.
     /// With pooling enabled the backing storage is parked for reuse by a
     /// later same-sized [`Context::create_buffer`] instead of being dropped.
     pub fn release(&mut self, id: BufferId) -> Result<(), OclError> {
-        let mut slot = self
-            .slots
-            .get_mut(id.0)
-            .and_then(Option::take)
-            .ok_or(OclError::InvalidBuffer { id: id.0 })?;
-        self.in_use -= slot.bytes;
-        self.free_ids.push(id.0);
-        if self.pooling {
-            // Keep the storage but forget its contents: the next owner must
-            // observe zeros until it writes, never this buffer's data. An
-            // adopted array is the host's and a view is shared, not storage
-            // to keep: the handle is dropped and the slot parks bare, exactly
-            // as a Model slot does, so pool counters cannot tell them apart.
-            slot.written = false;
-            slot.sum = None;
-            if let Some(Storage::Shared(..) | Storage::View(..)) = slot.data {
-                slot.data = None;
-            }
-            // Optional hygiene tripwire: overwrite the released payload with
-            // a loud bit pattern so any path that (incorrectly) relies on
-            // recycled contents fails recognizably instead of silently.
-            if self.poison {
-                if let Some(payload) = slot.payload_mut(&mut self.host_bytes_hashed) {
-                    payload.fill(f32::from_bits(POISON_WORD));
-                }
-            }
-            self.pooled_bytes += slot.bytes;
-            self.pool.entry(slot.lanes).or_default().push(slot);
-        }
+        self.in_use -= self.slots.release(id)?;
         Ok(())
-    }
-
-    /// Drop one parked slot from the largest non-empty lane class.
-    fn evict_one_pooled_slot(&mut self) {
-        let largest = self
-            .pool
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&lanes, _)| lanes)
-            .max();
-        if let Some(lanes) = largest {
-            let parked = self.pool.get_mut(&lanes).expect("key exists");
-            let slot = parked.pop().expect("non-empty class");
-            if parked.is_empty() {
-                self.pool.remove(&lanes);
-            }
-            self.pooled_bytes -= slot.bytes;
-            self.pool_evictions += 1;
-        }
     }
 
     /// Snapshot the set of live buffers, so a failed execution attempt can
     /// be rolled back with [`Context::rollback`].
     pub fn alloc_mark(&self) -> AllocMark {
         AllocMark {
-            live: self.slots.iter().map(Option::is_some).collect(),
+            live: self.slots.live_ids(),
             in_use: self.in_use,
         }
     }
@@ -873,9 +535,8 @@ impl Context {
     /// storage when pooling is on.
     pub fn rollback(&mut self, mark: &AllocMark) -> u64 {
         let before = self.in_use;
-        for idx in 0..self.slots.len() {
-            let live_at_mark = mark.live.get(idx).copied().unwrap_or(false);
-            if self.slots[idx].is_some() && !live_at_mark {
+        for (idx, live) in self.slots.live_ids().into_iter().enumerate() {
+            if live && !mark.contains(BufferId(idx)) {
                 self.release(BufferId(idx)).expect("slot checked live");
             }
         }
@@ -954,7 +615,7 @@ impl Context {
         host: &HostEnd<S>,
         deps: &[EventToken],
     ) -> Result<EventToken, OclError> {
-        let cap = self.slot(id)?.lanes;
+        let cap = self.slots.lanes(id)?;
         if offset.checked_add(host.lanes).is_none_or(|end| end > cap) {
             return Err(OclError::SizeMismatch {
                 expected: cap,
@@ -998,7 +659,7 @@ impl Context {
     /// Enqueue a host→device write of the whole buffer on the default
     /// queue: [`Context::enqueue_write_q`] with an exact-size check.
     pub fn enqueue_write(&mut self, id: BufferId, data: &[f32]) -> Result<(), OclError> {
-        let lanes = self.slot(id)?.lanes;
+        let lanes = self.slots.lanes(id)?;
         if data.len() != lanes {
             return Err(OclError::SizeMismatch {
                 expected: lanes,
@@ -1016,26 +677,20 @@ impl Context {
     /// [`Context::enqueue_read_range_q`].
     pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
         self.read_whole(id, true)?;
-        let data = self.slot(id)?.copy_out(1);
-        self.host_bytes_copied += data.len() as u64 * 4;
-        Ok(data)
+        Ok(self.slots.read(id))
     }
 
     /// The last read of a buffer: [`Context::enqueue_read`], then
     /// [`Context::release`]. The buffer holds a value as `planes` equal
     /// planes (a `Vec4` value: four), returned in the host's layout, cell by
-    /// cell (see [`interleave`]); a Model context records the same transfer
-    /// and release and returns `None`.
+    /// cell (see [`interleave`](crate::interleave)); a Model context records
+    /// the same transfer and release and returns `None`.
     ///
     /// Because nothing reads the buffer again, a real context may hand its
-    /// storage to the host instead of copying it. It does in one case: the
-    /// value is one plane and the slot holds written storage of its own (a
-    /// pooled slot then parks bare). Every other buffer is copied, then
-    /// released or parked: a vector value is interleaved, an adopted array is
-    /// the host's own and a view shares its storage. Only storage moves, so
-    /// the event, bytes, fault draw, [`VerifyPolicy::Full`] check, clock,
-    /// `in_use` and pool counters are those of the two calls; only
-    /// [`Context::host_bytes_copied`] tells the cases apart. A failed
+    /// storage to the host instead of copying it (DESIGN.md D10). Only
+    /// storage moves, so the event, bytes, fault draw, [`VerifyPolicy::Full`]
+    /// check, clock, `in_use` and pool counters are those of the two calls;
+    /// only [`Context::host_bytes_copied`] tells the cases apart. A failed
     /// transfer releases nothing.
     pub fn read_and_release(
         &mut self,
@@ -1044,23 +699,7 @@ impl Context {
     ) -> Result<Option<Vec<f32>>, OclError> {
         let real = self.mode == ExecMode::Real;
         self.read_whole(id, real)?;
-        let data = real.then(|| {
-            let slot = self.slots[id.0]
-                .as_mut()
-                .expect("validated by the transfer");
-            let hand_over = planes == 1 && slot.written;
-            match slot.data.take() {
-                Some(Storage::Owned(mut storage)) if hand_over => {
-                    storage.truncate(slot.lanes);
-                    storage
-                }
-                data => {
-                    slot.data = data;
-                    self.host_bytes_copied += slot.lanes as u64 * 4;
-                    slot.copy_out(planes)
-                }
-            }
-        });
+        let data = real.then(|| self.slots.last_read(id, planes));
         self.release(id)?;
         Ok(data)
     }
@@ -1069,7 +708,7 @@ impl Context {
     /// host memory when `bytes`.
     fn read_whole(&mut self, id: BufferId, bytes: bool) -> Result<(), OclError> {
         let whole = HostEnd {
-            lanes: self.slot(id)?.lanes,
+            lanes: self.slots.lanes(id)?,
             data: bytes.then_some(()),
         };
         self.transfer(
@@ -1091,11 +730,9 @@ impl Context {
     /// modeled time follow the data actually moved, and in a never-written
     /// buffer the remaining lanes read as zeros.
     ///
-    /// How the bytes are taken follows from what `src` is (see
-    /// [`UploadSource`]): a borrowed slice is copied into the slot's
-    /// storage; a [`SharedArray`] covering the whole buffer is *adopted* —
-    /// the slot keeps a clone of the handle and no lane is copied. Either
-    /// way the accounting above is the same call.
+    /// A borrowed slice is copied into the slot's storage; a
+    /// [`SharedArray`](crate::SharedArray) covering the whole buffer is
+    /// *adopted*: the slot keeps a clone of the handle (DESIGN.md D7).
     pub fn enqueue_write_q<S: UploadSource>(
         &mut self,
         queue: QueueId,
@@ -1105,24 +742,7 @@ impl Context {
     ) -> Result<EventToken, OclError> {
         let token = self.transfer(TransferDir::HostToDevice, queue, id, 0, &src, deps)?;
         if let (ExecMode::Real, Some(src)) = (self.mode, &src.data) {
-            let (verify, hashed) = (self.verify.enabled(), &mut self.host_bytes_hashed);
-            let slot = self.slots[id.0].as_mut().expect("validated above");
-            let copied = match src.shared().filter(|array| array.len() == slot.lanes) {
-                Some(array) => {
-                    slot.data = Some(Storage::Shared(array.clone(), false));
-                    slot.written = true;
-                    0
-                }
-                None => {
-                    let data = src.as_ref();
-                    self.host_bytes_zeroed += slot.write_prefix(data, hashed) as u64 * 4;
-                    data.len()
-                }
-            };
-            // The sum covers the whole payload (prefix plus whatever tail
-            // the write left behind), so verification stays whole-buffer.
-            slot.learn_sum(verify, hashed);
-            self.host_bytes_copied += copied as u64 * 4;
+            self.slots.upload(id, src, self.verify.enabled());
         }
         Ok(token)
     }
@@ -1144,11 +764,7 @@ impl Context {
     ) -> Result<EventToken, OclError> {
         let token = self.transfer(TransferDir::DeviceToHost, queue, id, offset, &dst, deps)?;
         if let Some(dst) = dst.data {
-            match self.slot(id)?.contents() {
-                Some(src) => dst.copy_from_slice(&src[offset..offset + dst.len()]),
-                None => dst.fill(0.0),
-            }
-            self.host_bytes_copied += dst.len() as u64 * 4;
+            self.slots.read_into(id, offset, dst);
         }
         Ok(token)
     }
@@ -1224,13 +840,10 @@ impl Context {
     ///   lanes — unless the operand is an adopted host array.
     ///
     /// Storage is private when no other live slot holds it: never an
-    /// adopted array, and a view only once its operand and every sibling
-    /// view are released. A dying view that is not private still donates,
-    /// by copy on write fused into the kernel's pass: the kernel reads the
-    /// view and writes the output's own storage. Any other write through a
-    /// view (a `mem_flip`, a host write) copies its lanes first. Only
-    /// storage moves and changes shape, so `in_use`, the high-water mark,
-    /// pool counters and every event are the same in every case.
+    /// adopted array, and a view only once its operand and siblings are
+    /// released. A dying view that is not private still donates, by copy on
+    /// write fused into the kernel's pass. Only storage moves, so `in_use`,
+    /// the high-water mark, pool counters and every event are the same.
     pub fn launch_then_release(
         &mut self,
         kernel: &dyn DeviceKernel,
@@ -1247,9 +860,8 @@ impl Context {
         Ok(placement)
     }
 
-    /// The one launch body: checks, fault draws, verification, the kernel
-    /// (in place over a `dying` input, or as a view, where it may) and the
-    /// event.
+    /// The one launch body: checks, fault draws, verification, the storage
+    /// half of the launch on a Real context ([`Slots::launch`]), the event.
     #[allow(clippy::too_many_arguments)]
     fn launch_body(
         &mut self,
@@ -1266,25 +878,24 @@ impl Context {
                 kernel: kernel.name(),
             });
         }
-        // Validate all ids up front.
-        for &id in inputs.iter().chain(dying) {
-            self.slot(id)?;
+        for &id in inputs.iter().chain(dying).chain([&output]) {
+            self.slots.lanes(id)?;
         }
-        self.slot(output)?;
         if let Some(transient) = self.fault(FaultKind::Launch) {
             return Err(OclError::LaunchFailed {
                 kernel: kernel.name(),
                 transient,
             });
         }
-        // Silent-corruption injection: a mem_flip fault flips one seeded bit
-        // in one written input buffer just before the launch consumes it.
-        // The draw happens in both modes (counter parity); the flip needs
-        // real storage, so in model mode the fault is inert. The victim's
-        // learned checksum is deliberately NOT updated — that is the
-        // corruption the next verification catches.
+        // Silent-corruption injection: a mem_flip flips one bit of a written
+        // input, its learned checksum deliberately left as it was. The draw
+        // happens in both modes (counter parity); the flip needs storage.
+        // Victim and bit follow from the plan's seed and the event count, so
+        // repeated flips in one run hit distinct, reproducible targets.
         if self.fault(FaultKind::MemFlip).is_some() {
-            self.flip_one_bit(inputs);
+            let seed = self.faults.as_ref().map_or(0, FaultPlan::seed);
+            let h = splitmix64(seed ^ splitmix64(self.events.len() as u64 ^ 0x5EED_F11F));
+            self.slots.flip_one_bit(inputs, h);
         }
         // Full verification: revalidate every sum-bearing input before the
         // kernel consumes its bits.
@@ -1293,65 +904,15 @@ impl Context {
                 self.verify_buffer(id)?;
             }
         }
-
-        // The dying operand an in-place launch computes into, if any (see
-        // `launch_then_release`); a Model slot has no storage to give.
-        let out_lanes = self.slot(output)?.lanes;
-        let donor = dying.iter().copied().find(|&id| {
-            let slot = self.slots[id.0].as_ref().expect("validated");
-            kernel.in_place()
-                && inputs.contains(&id)
-                && slot.lanes == out_lanes
-                && matches!(slot.data, Some(Storage::Owned(_) | Storage::View(..)))
-        });
-        // A donor that shares its lanes with another live slot is copied on
-        // write, and the copy is the kernel's own pass: the kernel reads the
-        // donor's lanes and writes the output's storage.
-        let donor_storage = donor.filter(|&id| self.private(id));
-        let mut placement = match donor {
-            Some(_) => Placement::InPlace,
-            None => Placement::Own,
+        // Only `verify=full` pays a pass per launch to learn the output's
+        // checksum. A Model slot has no storage to place.
+        let placement = match self.mode {
+            ExecMode::Real => {
+                let full = self.verify == VerifyPolicy::Full;
+                (self.slots).launch(kernel, inputs, output, n, dying, full)
+            }
+            ExecMode::Model => Placement::Own,
         };
-        if self.mode == ExecMode::Real {
-            // Never-written inputs must read as zeros inside the kernel too,
-            // so materialize them first (pooled storage may be stale).
-            let full = self.verify == VerifyPolicy::Full;
-            for &id in inputs {
-                let slot = self.slots[id.0].as_mut().expect("validated");
-                if !slot.written {
-                    let hashed = &mut self.host_bytes_hashed;
-                    self.host_bytes_zeroed += slot.write_prefix(&[], hashed) as u64 * 4;
-                    slot.learn_sum(full, hashed);
-                }
-            }
-            // In place, the output and the donor first trade storage: the
-            // kernel writes over the donor's lanes, and the donor leaves
-            // with the output's (pooled, or none yet).
-            if let Some(donor) = donor_storage {
-                let Ok([Some(out), Some(donor)]) = self.slots.get_disjoint_mut([output.0, donor.0])
-                else {
-                    unreachable!("the output and its donor are distinct live slots");
-                };
-                std::mem::swap(&mut out.data, &mut donor.data);
-            }
-            let shared = match (kernel.view(n), inputs.first()) {
-                (Some(lanes), Some(&input)) if donor.is_none() && lanes.len() == out_lanes => {
-                    self.share(input, lanes, output)
-                }
-                _ => false,
-            };
-            if shared {
-                placement = Placement::View;
-            } else {
-                self.run(kernel, inputs, output, n, donor_storage);
-            }
-            // Learn the output's checksum under Full (so downstream uses of
-            // this kernel's result are verifiable); cheaper levels leave it
-            // unlearned rather than pay a pass per launch.
-            let out_slot = self.slots[output.0].as_mut().expect("validated");
-            out_slot.written = true;
-            out_slot.learn_sum(full, &mut self.host_bytes_hashed);
-        }
         let cost = kernel.cost(n);
         let seconds = self
             .profile
@@ -1367,164 +928,15 @@ impl Context {
         Ok((token, placement))
     }
 
-    /// Whether no live slot but `id` holds `id`'s storage: storage of its
-    /// own, or a view whose operand and siblings are all released. Never an
-    /// adopted host array.
-    fn private(&self, id: BufferId) -> bool {
-        match &self.slots[id.0].as_ref().expect("validated").data {
-            Some(Storage::Owned(_)) => true,
-            Some(Storage::View(block, _)) => Arc::strong_count(block) == 1,
-            _ => false,
-        }
-    }
-
-    /// Make `output` a view of lanes `lanes` of `input`'s storage when that
-    /// storage is the device's own (never an adopted host array): private
-    /// storage becomes shared by both slots. Returns whether it did.
-    fn share(&mut self, input: BufferId, lanes: Range<usize>, output: BufferId) -> bool {
-        let src = self.slots[input.0].as_mut().expect("validated");
-        if lanes.end > src.lanes {
-            return false;
-        }
-        let (block, at) = match src.data.take() {
-            Some(Storage::Owned(d)) => (Arc::new(d), 0),
-            Some(Storage::View(block, at)) => (block, at),
-            other => {
-                src.data = other;
-                return false;
-            }
-        };
-        src.data = Some(Storage::View(Arc::clone(&block), at));
-        let out = self.slots[output.0].as_mut().expect("validated");
-        out.data = Some(Storage::View(block, at + lanes.start));
-        true
-    }
-
-    /// Run `kernel` into `output`'s storage: storage that holds lanes —
-    /// pooled, or a private `donor`'s (a view where it lies), whose lanes an
-    /// in-place kernel's `run` reads — or else fresh storage, which the
-    /// kernel's body writes once (DESIGN.md D11). The output's prior contents
-    /// are unspecified (as in OpenCL), so no launch clears its output or
-    /// copies the storage it held (an adopted array or a view is dropped).
-    /// The launch then writes the lanes the kernel leaves
-    /// ([`DeviceKernel::unwritten_from`]) as zeros, and fresh storage's
-    /// guard lanes.
-    fn run(
-        &mut self,
-        kernel: &dyn DeviceKernel,
-        inputs: &[BufferId],
-        output: BufferId,
-        n: usize,
-        donor: Option<BufferId>,
-    ) {
-        // Temporarily take the output storage to satisfy the borrow
-        // checker, then gather immutable input views.
-        let out_slot = self.slots[output.0].as_mut().expect("validated");
-        let lanes = out_slot.lanes;
-        let storage = match out_slot.data.take() {
-            Some(view @ Storage::View(..)) if donor.is_some() => Some(view),
-            Some(Storage::Owned(d)) => Some(Storage::Owned(d)),
-            _ => None,
-        };
-        let input_views: Vec<&[f32]> = inputs
-            .iter()
-            .map(|&id| match self.slots[id.0].as_ref().expect("validated") {
-                _ if Some(id) == donor => &[][..],
-                slot => slot.payload().expect("materialized above"),
-            })
-            .collect();
-        let from = kernel.unwritten_from(n).unwrap_or(lanes);
-        // A debug build marks every lane the kernel must write — here, or
-        // in `write_once` for fresh storage — except an operand's.
-        let mark = cfg!(debug_assertions) && donor.is_none();
-        let storage = match storage {
-            Some(mut storage) => {
-                let out = match &mut storage {
-                    Storage::Owned(d) => &mut d[..lanes],
-                    Storage::View(block, at) => {
-                        let d = Arc::get_mut(block).expect("a private view's the only handle");
-                        &mut d[*at..*at + lanes]
-                    }
-                    Storage::Shared(..) => unreachable!("never taken above"),
-                };
-                if mark {
-                    out.fill(f32::from_bits(UNWRITTEN));
-                }
-                kernel.run(KernelArgs {
-                    inputs: &input_views,
-                    output: &mut *out,
-                    n,
-                });
-                out[from..].fill(0.0);
-                storage
-            }
-            None => Storage::Owned(write_once(lanes + GUARD_LANES, |out| {
-                let (mut payload, mut guards) = out.split_at(lanes);
-                guards.fill(f32::from_bits(GUARD_WORD));
-                kernel.write(LaunchArgs {
-                    inputs: &input_views,
-                    output: payload.reborrow(),
-                    n,
-                });
-                payload.slice(from..).fill(0.0);
-            })),
-        };
-        self.host_bytes_zeroed += (lanes - from) as u64 * 4;
-        let slot = self.slots[output.0].as_mut().expect("validated");
-        slot.data = Some(storage);
-        if mark {
-            if let Some(t) = first_unwritten(&slot.payload().expect("just stored")[..from]) {
-                panic!(
-                    "kernel `{}` left output lane {t} of {from} unwritten (DESIGN.md D11)",
-                    kernel.name()
-                );
-            }
-        }
-    }
-
-    /// Flip one seeded bit in one of `candidates` that has materialized,
-    /// written, non-empty storage — the payload of an injected `mem_flip`
-    /// fault. No-op when no candidate qualifies (model mode, or nothing
-    /// written yet). Victim and bit are derived from the fault-plan seed and
-    /// the event count, so repeated flips in one run hit distinct,
-    /// reproducible targets.
-    fn flip_one_bit(&mut self, candidates: &[BufferId]) {
-        use crate::integrity::splitmix64;
-        let victims: Vec<usize> = candidates
-            .iter()
-            .map(|id| id.0)
-            .filter(|&i| {
-                self.slots[i]
-                    .as_ref()
-                    .is_some_and(|s| s.written && s.data.is_some() && s.lanes > 0)
-            })
-            .collect();
-        if victims.is_empty() {
-            return;
-        }
-        let seed = self.faults.as_ref().map(|p| p.seed()).unwrap_or(0);
-        let h = splitmix64(seed ^ splitmix64(self.events.len() as u64 ^ 0x5EED_F11F));
-        let victim = victims[(h % victims.len() as u64) as usize];
-        let slot = self.slots[victim].as_mut().expect("filtered live");
-        let bit_count = (slot.lanes * 32) as u64;
-        let b = splitmix64(h) % bit_count;
-        let lane = (b / 32) as usize;
-        let bit = (b % 32) as u32;
-        let payload = slot
-            .payload_mut(&mut self.host_bytes_hashed)
-            .expect("materialized");
-        payload[lane] = f32::from_bits(payload[lane].to_bits() ^ (1u32 << bit));
-    }
-
     /// Copy out a buffer's contents without recording a transfer event
     /// (testing/diagnostic aid; not part of the modeled protocol). Like
     /// [`Context::enqueue_read`], a never-written buffer peeks as zeros.
     pub fn peek(&self, id: BufferId) -> Result<Vec<f32>, OclError> {
+        self.slots.lanes(id)?;
         if self.mode == ExecMode::Model {
-            self.slot(id)?;
             return Err(OclError::InvalidOperation("peek in model mode".into()));
         }
-        Ok(self.slot(id)?.copy_out(1))
+        Ok(self.slots.peek(id))
     }
 
     /// Revalidate a buffer's integrity: guard zones intact and, when a
@@ -1542,34 +954,20 @@ impl Context {
     /// to skip its re-upload; [`VerifyPolicy::Full`] additionally routes
     /// every launch input and download through it.
     pub fn verify_buffer(&mut self, id: BufferId) -> Result<(), OclError> {
-        let mut hashed = 0;
-        let violation = {
-            let slot = self.slot(id)?;
-            if self.mode == ExecMode::Model || !self.verify.enabled() {
-                return Ok(());
-            }
-            if !slot.guards_intact() {
-                Some(IntegrityKind::Guard)
-            } else {
-                match (slot.sum, slot.payload()) {
-                    (Some(expected), Some(payload)) if hash(payload, &mut hashed) != expected => {
-                        Some(IntegrityKind::Checksum)
-                    }
-                    _ => None,
-                }
-            }
-        };
-        self.host_bytes_hashed += hashed;
-        self.integrity.checks += 1;
-        if let Some(kind) = violation {
-            self.integrity.violations += 1;
-            return Err(OclError::IntegrityViolation {
-                kind,
-                buffer: id.0,
-                offset: 0,
-            });
+        self.slots.lanes(id)?;
+        if self.mode == ExecMode::Model || !self.verify.enabled() {
+            return Ok(());
         }
-        Ok(())
+        self.integrity.checks += 1;
+        let Some(kind) = self.slots.check(id) else {
+            return Ok(());
+        };
+        self.integrity.violations += 1;
+        Err(OclError::IntegrityViolation {
+            kind,
+            buffer: id.0,
+            offset: 0,
+        })
     }
 
     /// Corrupt one bit of a buffer's payload without updating its learned
@@ -1577,13 +975,7 @@ impl Context {
     /// buffers only; silently a no-op otherwise).
     #[doc(hidden)]
     pub fn debug_flip_bit(&mut self, id: BufferId, lane: usize, bit: u32) {
-        if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
-            if let Some(payload) = slot.payload_mut(&mut self.host_bytes_hashed) {
-                if let Some(v) = payload.get_mut(lane) {
-                    *v = f32::from_bits(v.to_bits() ^ (1u32 << (bit % 32)));
-                }
-            }
-        }
+        self.slots.flip_bit(id, lane, bit);
     }
 
     /// Overwrite the first guard lane behind a buffer's payload — a test
@@ -1591,29 +983,25 @@ impl Context {
     /// mode, materialized buffers only; silently a no-op otherwise).
     #[doc(hidden)]
     pub fn debug_poke_guard(&mut self, id: BufferId) {
-        if let Some(slot) = self.slots.get_mut(id.0).and_then(Option::as_mut) {
-            let lanes = slot.lanes;
-            if let Some(d) = slot.owned_mut(&mut self.host_bytes_hashed) {
-                d[lanes] = f32::from_bits(!GUARD_WORD);
-            }
-        }
+        self.slots.poke_guard(id);
     }
 
-    /// Force pool-poisoning on or off, overriding the `DFG_POOL_POISON`
-    /// environment variable read at construction — a test hook so the
-    /// poison bit-parity regression does not depend on process environment.
+    /// Turn pool poisoning on or off — a test hook: from now on a released
+    /// slot's payload is overwritten with a loud bit pattern before it is
+    /// parked, so a path that relies on recycled contents fails visibly.
     #[doc(hidden)]
     pub fn debug_set_poison(&mut self, on: bool) {
-        self.poison = on;
+        self.slots.poison = on;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeviceProfile;
+    use crate::{DeviceProfile, SharedArray};
 
-    /// Doubling kernel shared by the test modules of this file.
+    /// Doubling kernel shared by the test modules of `context`, those in
+    /// `storage/tests/` included.
     pub(super) struct Double;
 
     impl DeviceKernel for Double {
@@ -1635,6 +1023,86 @@ mod tests {
                 args.output.set(i, args.inputs[0][i] * 2.0);
             }
         }
+    }
+
+    /// An element-wise binary kernel that honours in-place launches.
+    pub(super) struct Ew(fn(f32, f32) -> f32);
+
+    impl DeviceKernel for Ew {
+        fn name(&self) -> String {
+            "ew".into()
+        }
+        fn cost(&self, n: usize) -> KernelCost {
+            KernelCost {
+                bytes_read: 8 * n as u64,
+                bytes_written: 4 * n as u64,
+                flops: n as u64,
+            }
+        }
+        fn in_place(&self) -> bool {
+            true
+        }
+        fn unwritten_from(&self, n: usize) -> Option<usize> {
+            Some(n)
+        }
+        fn write(&self, args: LaunchArgs<'_>) {
+            let [a, b] = [0, 1].map(|i| args.inputs[i]);
+            for (t, o) in args.output.slice(..args.n).iter_mut().enumerate() {
+                o.set((self.0)(a[t], b[t]));
+            }
+        }
+        fn run(&self, args: KernelArgs<'_>) {
+            let (a, b) = (args.operand(0), args.operand(1));
+            for (t, o) in args.output[..args.n].iter_mut().enumerate() {
+                *o = (self.0)(a.map_or(*o, |a| a[t]), b.map_or(*o, |b| b[t]));
+            }
+        }
+    }
+
+    pub(super) const MUL: Ew = Ew(|a, b| a * b);
+    pub(super) const ADD: Ew = Ew(|a, b| a + b);
+    pub(super) const SUB: Ew = Ew(|a, b| a - b);
+
+    /// `decompose`'s shape: output plane `k` of a four-plane operand.
+    pub(super) struct Lane(pub(super) usize);
+
+    impl DeviceKernel for Lane {
+        fn name(&self) -> String {
+            format!("lane{}", self.0)
+        }
+        fn cost(&self, n: usize) -> KernelCost {
+            KernelCost {
+                bytes_read: 4 * n as u64,
+                bytes_written: 4 * n as u64,
+                flops: 0,
+            }
+        }
+        fn view(&self, n: usize) -> Option<Range<usize>> {
+            Some(self.0 * n..(self.0 + 1) * n)
+        }
+        fn unwritten_from(&self, n: usize) -> Option<usize> {
+            Some(n)
+        }
+        fn write(&self, args: LaunchArgs<'_>) {
+            (args.output.slice(..args.n))
+                .copy_from_slice(&args.inputs[0][self.0 * args.n..][..args.n]);
+        }
+    }
+
+    /// The storage a view shares, if `id` is one.
+    pub(super) fn block_of(c: &Context, id: BufferId) -> Option<*const Vec<f32>> {
+        c.slots.view_block(id)
+    }
+
+    pub(super) const N: usize = 6;
+
+    /// Four planes of `N` lanes, no two lanes equal.
+    pub(super) fn planes() -> Vec<f32> {
+        (0..4 * N).map(|i| i as f32 * 0.5 - 3.0).collect()
+    }
+
+    pub(super) fn bits(lanes: &[f32]) -> Vec<u32> {
+        lanes.iter().map(|v| v.to_bits()).collect()
     }
 
     pub(super) fn ctx() -> Context {
@@ -1674,32 +1142,36 @@ mod tests {
         [u64; 5],
     );
 
-    /// Run `script` on a fresh context under an (initially empty) fault plan.
-    fn modeled(mode: ExecMode, script: &dyn Fn(&mut Context, bool)) -> Modeled {
+    /// Run `script` on a fresh context under an (initially empty) fault plan;
+    /// returns the modeled state it left and what it returned.
+    fn modeled<T>(mode: ExecMode, script: &dyn Fn(&mut Context, bool) -> T) -> (Modeled, T) {
         use crate::fault::FaultKind::{Alloc, Launch, MemFlip, StaleSlot, Transfer};
         let mut c = Context::new(DeviceProfile::nvidia_m2050(), mode);
         let plan = crate::fault::FaultPlan::with_seed(5);
         c.set_fault_plan(plan.clone());
-        script(&mut c, mode == ExecMode::Real);
+        let out = script(&mut c, mode == ExecMode::Real);
         let stamp = |e: &Event| {
             let (t0, t1) = (e.t_start.to_bits(), e.t_end.to_bits());
             (e.kind, e.label.clone(), e.bytes, t0, t1, e.queue)
         };
-        (
+        let modeled = (
             c.events.iter().map(stamp).collect(),
             c.queue_clocks.iter().map(|t| t.to_bits()).collect(),
             c.high_water_bytes(),
             [Alloc, Transfer, Launch, MemFlip, StaleSlot].map(|k| plan.ops_seen(k)),
-        )
+        );
+        (modeled, out)
     }
 
     /// One script, two modes: `script` runs under [`ExecMode::Real`] and
     /// [`ExecMode::Model`] through the same calls and must leave the same
-    /// modeled state, which is returned.
-    pub(super) fn both_modes(script: impl Fn(&mut Context, bool)) -> Modeled {
-        let real = modeled(ExecMode::Real, &script);
-        assert_eq!(real, modeled(ExecMode::Model, &script));
-        real
+    /// modeled state, which is returned with what the Real and the Model
+    /// run returned.
+    pub(super) fn both_modes<T>(script: impl Fn(&mut Context, bool) -> T) -> (Modeled, [T; 2]) {
+        let (real, in_real) = modeled(ExecMode::Real, &script);
+        let (model, in_model) = modeled(ExecMode::Model, &script);
+        assert_eq!(real, model);
+        (real, [in_real, in_model])
     }
 
     #[test]
@@ -1817,7 +1289,7 @@ mod tests {
 
     #[test]
     fn model_mode_matches_real_counts_and_clock() {
-        let both = both_modes(|c, bytes| {
+        let (both, _) = both_modes(|c, bytes| {
             let a = c.create_buffer(1024).unwrap();
             let b = c.create_buffer(1024).unwrap();
             c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, &[0.5; 1024]), &[])
@@ -1828,7 +1300,7 @@ mod tests {
         });
         assert_eq!(both.0.len(), 3, "one write, one launch, one read");
         // The whole-buffer entry points are the same bodies on queue 0.
-        let whole = modeled(ExecMode::Real, &|c, _| {
+        let (whole, ()) = modeled(ExecMode::Real, &|c, _| {
             let a = c.create_buffer(1024).unwrap();
             let b = c.create_buffer(1024).unwrap();
             c.enqueue_write(a, &[0.5; 1024]).unwrap();
@@ -1991,7 +1463,7 @@ mod tests {
 
     #[test]
     fn model_mode_pooling_matches_real_counts_and_clock() {
-        let (events, _, high_water, fault_draws) = both_modes(|c, bytes| {
+        let ((events, _, high_water, fault_draws), _) = both_modes(|c, bytes| {
             c.set_pooling(true);
             for _ in 0..3 {
                 let a = c.create_buffer(512).unwrap();
@@ -2104,7 +1576,7 @@ mod tests {
         };
         let borrowed = both_modes(script(false));
         assert_eq!(both_modes(script(true)), borrowed);
-        assert_eq!(borrowed.2, 2 * 512 * 4);
+        assert_eq!(borrowed.0 .2, 2 * 512 * 4);
     }
 
     #[test]
@@ -2204,7 +1676,7 @@ mod tests {
 
     #[test]
     fn queued_model_mode_matches_real_bitwise() {
-        let (events, queue_clocks, _, _) = both_modes(|c, bytes| {
+        let ((events, queue_clocks, _, _), _) = both_modes(|c, bytes| {
             let qs = c.acquire_queues(3);
             let a = c.create_buffer(4096).unwrap();
             let b = c.create_buffer(4096).unwrap();
@@ -2407,1071 +1879,21 @@ mod fault_injection_tests {
     }
 }
 
+// The storage contracts (DESIGN.md D7–D11), tested through this module's
+// public methods: their source sits beside `storage.rs`, and they are
+// declared here so each test keeps its path.
 #[cfg(test)]
-mod integrity_tests {
-    use super::tests::{both_modes, ctx, src, Double};
-    use super::*;
-    use crate::fault::{FaultKind, FaultPlan};
-    use crate::integrity::{IntegrityKind, VerifyPolicy};
-    use crate::DeviceProfile;
-
-    #[test]
-    fn verify_buffer_learns_on_write_and_detects_a_flipped_bit() {
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Residents);
-        let a = c.create_buffer(16).unwrap();
-        c.enqueue_write(a, &[1.5; 16]).unwrap();
-        c.verify_buffer(a).unwrap();
-        c.debug_flip_bit(a, 7, 3);
-        match c.verify_buffer(a) {
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Checksum,
-                buffer,
-                ..
-            }) => assert_eq!(buffer, a.index()),
-            other => panic!("expected checksum violation, got {other:?}"),
-        }
-        let stats = c.integrity_stats();
-        assert_eq!(stats.checks, 2);
-        assert_eq!(stats.violations, 1);
-        // Healing is a re-upload: the sum is relearned and the buffer
-        // verifies clean again.
-        c.enqueue_write(a, &[1.5; 16]).unwrap();
-        c.verify_buffer(a).unwrap();
-        assert_eq!(c.enqueue_read(a).unwrap(), vec![1.5; 16]);
-    }
-
-    #[test]
-    fn broken_guard_zone_is_a_guard_violation() {
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Residents);
-        let a = c.create_buffer(8).unwrap();
-        c.enqueue_write(a, &[2.0; 8]).unwrap();
-        c.debug_poke_guard(a);
-        match c.verify_buffer(a) {
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Guard,
-                ..
-            }) => {}
-            other => panic!("expected guard violation, got {other:?}"),
-        }
-        // The payload itself is untouched by the guard overwrite.
-        assert_eq!(c.peek(a).unwrap(), vec![2.0; 8]);
-    }
-
-    #[test]
-    fn verification_off_or_model_mode_is_vacuous() {
-        let mut c = ctx();
-        let a = c.create_buffer(4).unwrap();
-        c.enqueue_write(a, &[1.0; 4]).unwrap();
-        c.debug_flip_bit(a, 0, 0);
-        c.verify_buffer(a).unwrap(); // Off: no sum learned, nothing checked
-        assert_eq!(c.integrity_stats().checks, 0);
-
-        let mut m = Context::new(DeviceProfile::nvidia_m2050(), ExecMode::Model);
-        m.set_verify(VerifyPolicy::Full);
-        let b = m.create_buffer(4).unwrap();
-        m.verify_buffer(b).unwrap();
-        assert_eq!(m.integrity_stats().checks, 0);
-    }
-
-    #[test]
-    fn stale_slot_fault_is_caught_at_pool_handout_and_quarantined() {
-        let mut c = ctx();
-        c.set_pooling(true);
-        c.set_verify(VerifyPolicy::Residents);
-        let plan = FaultPlan::with_seed(11);
-        plan.fail_nth_from_now(FaultKind::StaleSlot, 1, 1);
-        c.set_fault_plan(plan);
-        let a = c.create_buffer(16).unwrap();
-        c.enqueue_write(a, &[9.0; 16]).unwrap();
-        c.release(a).unwrap();
-        match c.create_buffer(16) {
-            Err(
-                e @ OclError::IntegrityViolation {
-                    kind: IntegrityKind::StaleSlot,
-                    ..
-                },
-            ) => assert!(e.is_transient() && e.is_integrity()),
-            other => panic!("expected stale-slot violation, got {other:?}"),
-        }
-        assert_eq!(c.integrity_stats().violations, 1);
-        // The tainted slot was quarantined: the retried allocation gets a
-        // fresh slot that reads as zeros.
-        let again = c.create_buffer(16).unwrap();
-        assert_eq!(c.enqueue_read(again).unwrap(), vec![0.0; 16]);
-    }
-
-    #[test]
-    fn stale_slot_without_verification_leaks_previous_contents() {
-        // The injection is real: with verification off, the stale hand-out
-        // goes undetected and the old owner's data is visible — exactly the
-        // silent corruption the checksum layer exists to catch.
-        let mut c = ctx();
-        c.set_pooling(true);
-        let plan = FaultPlan::with_seed(11);
-        plan.fail_nth_from_now(FaultKind::StaleSlot, 1, 1);
-        c.set_fault_plan(plan);
-        let a = c.create_buffer(16).unwrap();
-        c.enqueue_write(a, &[9.0; 16]).unwrap();
-        c.release(a).unwrap();
-        let b = c.create_buffer(16).unwrap();
-        assert_eq!(c.enqueue_read(b).unwrap(), vec![9.0; 16]);
-    }
-
-    #[test]
-    fn mem_flip_fault_is_detected_at_launch_under_full_and_heals_on_rewrite() {
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Full);
-        let plan = FaultPlan::with_seed(3);
-        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-        c.set_fault_plan(plan);
-        let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let a = c.create_buffer(32).unwrap();
-        let b = c.create_buffer(32).unwrap();
-        c.enqueue_write(a, &input).unwrap();
-        match c.launch(&Double, &[a], b, 32) {
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Checksum,
-                buffer,
-                ..
-            }) => assert_eq!(buffer, a.index()),
-            other => panic!("expected checksum violation, got {other:?}"),
-        }
-        // Heal: re-upload the tainted input; the retried launch succeeds
-        // and the result is bit-identical to a fault-free run.
-        c.enqueue_write(a, &input).unwrap();
-        c.launch(&Double, &[a], b, 32).unwrap();
-        let out = c.enqueue_read(b).unwrap();
-        let expect: Vec<f32> = input.iter().map(|v| v * 2.0).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn integrity_of_an_adopted_input_mem_flip_is_detected_and_never_reaches_the_host() {
-        // The same fault, the same detection and the same heal as for a
-        // copied input — and the array the host still holds is untouched,
-        // because the flip first gave the slot storage of its own.
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Full);
-        // The flipped bit follows the plan's seed: `DFG_FAULT_SEED` in CI's
-        // integrity matrix, the fixed default otherwise.
-        c.set_fault_plan(FaultPlan::parse("mem_flip@1").unwrap());
-        let host: SharedArray = (0..32).map(|i| i as f32).collect::<Vec<_>>().into();
-        let before: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
-        let a = c.create_buffer(32).unwrap();
-        let b = c.create_buffer(32).unwrap();
-        c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-            .unwrap();
-        assert_eq!(c.report().host_bytes_copied, 0, "adopted, not copied");
-        match c.launch(&Double, &[a], b, 32) {
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Checksum,
-                buffer,
-                ..
-            }) => assert_eq!(buffer, a.index()),
-            other => panic!("expected checksum violation, got {other:?}"),
-        }
-        let after: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            after, before,
-            "the host's array is not the device's to flip"
-        );
-        let device: Vec<u32> = c.peek(a).unwrap().iter().map(|v| v.to_bits()).collect();
-        assert_ne!(device, before, "the flip landed in the slot's own storage");
-        // Heal: the re-upload adopts the clean array again.
-        c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-            .unwrap();
-        c.launch(&Double, &[a], b, 32).unwrap();
-        let expect: Vec<f32> = host.iter().map(|v| v * 2.0).collect();
-        assert_eq!(c.enqueue_read(b).unwrap(), expect);
-    }
-
-    #[test]
-    fn integrity_of_an_adopted_buffer_survives_every_device_side_write() {
-        // Debug flips, guard pokes, pool poisoning and a launch into the
-        // buffer: each is observable on the device side exactly as on a
-        // copied buffer, none of them through the host's handle.
-        let host = SharedArray::from(vec![1.5f32; 16]);
-        let adopt = |c: &mut Context| {
-            let a = c.create_buffer(16).unwrap();
-            c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-                .unwrap();
-            a
-        };
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Residents);
-        c.set_pooling(true);
-        c.debug_set_poison(true);
-
-        let a = adopt(&mut c);
-        c.verify_buffer(a).unwrap();
-        c.debug_flip_bit(a, 7, 3);
-        assert!(matches!(
-            c.verify_buffer(a),
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Checksum,
-                ..
-            })
-        ));
-        c.release(a).unwrap();
-
-        let a = adopt(&mut c);
-        c.debug_poke_guard(a);
-        assert!(matches!(
-            c.verify_buffer(a),
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Guard,
-                ..
-            })
-        ));
-        assert_eq!(c.peek(a).unwrap(), vec![1.5; 16]);
-        // Releasing an adopted slot parks it without storage: nothing of
-        // the host's to poison, nothing stale to hand out.
-        let a2 = adopt(&mut c);
-        c.release(a2).unwrap();
-        let fresh = c.create_buffer(16).unwrap();
-        assert_eq!(c.enqueue_read(fresh).unwrap(), vec![0.0; 16]);
-
-        // A launch whose output is an adopted buffer writes its own storage.
-        let input = adopt(&mut c);
-        let output = adopt(&mut c);
-        c.launch(&Double, &[input], output, 16).unwrap();
-        assert_eq!(c.enqueue_read(output).unwrap(), vec![3.0; 16]);
-
-        assert_eq!(host[..], [1.5; 16]);
-        let mut host = host;
-        drop(c);
-        assert!(host.get_mut().is_some(), "every slot let go of its handle");
-    }
-
-    /// An adopted array's checksum is due, not learned: nothing hashes its
-    /// lanes while they are the host's — neither the upload nor a check,
-    /// which is still counted — and the first private copy of them learns
-    /// it. So a flipped bit, an injected `mem_flip` and a guard poke are each
-    /// caught under `residents` and `full`, a re-upload heals, and the
-    /// host's array keeps its bits throughout.
-    #[test]
-    fn an_adopted_slot_is_hashed_when_its_lanes_become_the_devices_own() {
-        let host: SharedArray = (0..16).map(|i| i as f32 - 2.5).collect::<Vec<_>>().into();
-        let bits = |lanes: &[f32]| lanes.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let before = bits(&host);
-        for policy in [VerifyPolicy::Residents, VerifyPolicy::Full] {
-            for corruption in ["flip", "mem_flip", "guard"] {
-                let what = format!("{policy:?} {corruption}");
-                let mut c = ctx();
-                c.set_verify(policy);
-                c.set_fault_plan(FaultPlan::with_seed(5));
-                let (a, b) = (c.create_buffer(16).unwrap(), c.create_buffer(16).unwrap());
-                c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-                    .unwrap();
-                c.verify_buffer(a).unwrap();
-                assert_eq!(c.report().host_bytes_hashed, 0, "{what}: the host's lanes");
-                let caught = match corruption {
-                    "flip" => {
-                        c.debug_flip_bit(a, 3, 30);
-                        c.verify_buffer(a)
-                    }
-                    "guard" => {
-                        c.debug_poke_guard(a);
-                        c.verify_buffer(a)
-                    }
-                    _ => {
-                        let plan = c.fault_plan().unwrap().clone();
-                        plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-                        c.launch(&Double, &[a], b, 16)
-                            .and_then(|()| c.verify_buffer(a))
-                    }
-                };
-                assert!(
-                    matches!(caught, Err(OclError::IntegrityViolation { .. })),
-                    "{what}: {caught:?}"
-                );
-                // The private copy learned the sum (64 B); a checksum check
-                // hashed the copy again, a guard check stopped at the guard.
-                let hashed = if corruption == "guard" { 64 } else { 128 };
-                assert_eq!(c.report().host_bytes_hashed, hashed, "{what}");
-                assert_eq!(c.integrity_stats().violations, 1, "{what}");
-                assert_eq!(bits(&host), before, "{what}: the host's array");
-                // Heal: the re-upload adopts the clean array again.
-                c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-                    .unwrap();
-                c.verify_buffer(a).unwrap();
-                c.launch(&Double, &[a], b, 16).unwrap();
-                let doubled: Vec<f32> = host.iter().map(|v| v * 2.0).collect();
-                assert_eq!(c.enqueue_read(b).unwrap(), doubled, "{what}");
-                assert_eq!(bits(&c.peek(a).unwrap()), before, "{what}: healed");
-                assert_eq!(bits(&host), before, "{what}: the host's array");
-            }
-        }
-    }
-
-    /// A prefix write into an adopted slot lands on the slot's own copy of
-    /// the array, which then verifies clean, and is still watched: the sum
-    /// covers the prefix and the array's tail.
-    #[test]
-    fn a_prefix_write_into_an_adopted_slot_verifies_clean() {
-        let host = SharedArray::from(vec![1.5f32; 16]);
-        for policy in [VerifyPolicy::Residents, VerifyPolicy::Full] {
-            let mut c = ctx();
-            c.set_verify(policy);
-            let a = c.create_buffer(16).unwrap();
-            c.enqueue_write_q(QueueId::DEFAULT, a, (&host).into(), &[])
-                .unwrap();
-            c.enqueue_write_q(QueueId::DEFAULT, a, src(true, &[9.0; 4]), &[])
-                .unwrap();
-            c.verify_buffer(a).unwrap();
-            let mut want = vec![1.5; 16];
-            want[..4].fill(9.0);
-            assert_eq!(c.peek(a).unwrap(), want, "{policy:?}");
-            assert_eq!(host[..], [1.5; 16], "{policy:?}: the host's array");
-            c.debug_flip_bit(a, 10, 1);
-            assert!(c.verify_buffer(a).is_err(), "{policy:?}: a later flip");
-        }
-    }
-
-    #[test]
-    fn mem_flip_without_verification_silently_corrupts_results() {
-        let run = |flip: bool| -> Vec<u32> {
-            let mut c = ctx();
-            if flip {
-                let plan = FaultPlan::with_seed(3);
-                plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-                c.set_fault_plan(plan);
-            }
-            let input: Vec<f32> = (0..32).map(|i| i as f32 + 0.5).collect();
-            let a = c.create_buffer(32).unwrap();
-            let b = c.create_buffer(32).unwrap();
-            c.enqueue_write(a, &input).unwrap();
-            c.launch(&Double, &[a], b, 32).unwrap();
-            c.enqueue_read(b)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_ne!(run(true), run(false), "undetected flip changes the bits");
-    }
-
-    #[test]
-    fn silent_faults_draw_in_model_mode_but_are_inert() {
-        // Both silent kinds fire in both modes; with no storage to corrupt
-        // (Model) or no verification to notice (Real), neither changes the
-        // modeled state, and the draw counters advance in lockstep.
-        let (_, _, _, fault_draws) = both_modes(|c, bytes| {
-            let plan = c.fault_plan().expect("harness installs one").clone();
-            plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-            plan.fail_nth_from_now(FaultKind::StaleSlot, 1, 1);
-            c.set_pooling(true);
-            let a = c.create_buffer(8).unwrap();
-            c.release(a).unwrap();
-            let a = c.create_buffer(8).unwrap();
-            let b = c.create_buffer(8).unwrap();
-            c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, &[1.0; 8]), &[])
-                .unwrap();
-            c.launch(&Double, &[a], b, 8).unwrap();
-            assert_eq!(plan.total_fired(), 2);
-        });
-        assert_eq!(fault_draws, [3, 1, 1, 1, 1], "counter parity");
-    }
-
-    #[test]
-    fn full_verification_leaves_results_events_and_clock_bit_identical() {
-        let run = |policy: VerifyPolicy| {
-            let mut c = ctx();
-            c.set_verify(policy);
-            let input: Vec<f32> = (0..64).map(|i| (i as f32).sin()).collect();
-            let a = c.create_buffer(64).unwrap();
-            let b = c.create_buffer(64).unwrap();
-            c.enqueue_write(a, &input).unwrap();
-            c.launch(&Double, &[a], b, 64).unwrap();
-            let out: Vec<u32> = c
-                .enqueue_read(b)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            (out, c.report().events.len(), c.clock_seconds().to_bits())
-        };
-        assert_eq!(run(VerifyPolicy::Off), run(VerifyPolicy::Full));
-    }
-
-    #[test]
-    fn poisoned_pool_reuse_still_reads_zeros_and_computes_identically() {
-        let run = |poison: bool| -> Vec<u32> {
-            let mut c = ctx();
-            c.set_pooling(true);
-            c.debug_set_poison(poison);
-            let a = c.create_buffer(16).unwrap();
-            c.enqueue_write(a, &[4.0; 16]).unwrap();
-            c.release(a).unwrap();
-            // Reused slot: unwritten lanes must read as zeros whether the
-            // release poisoned the storage or not.
-            let b = c.create_buffer(16).unwrap();
-            assert_eq!(c.enqueue_read(b).unwrap(), vec![0.0; 16]);
-            let out = c.create_buffer(16).unwrap();
-            c.launch(&Double, &[b], out, 16).unwrap();
-            c.enqueue_read(out)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(run(false), run(true));
-    }
-}
+#[path = "storage/tests/integrity.rs"]
+mod integrity_tests;
 
 #[cfg(test)]
-mod in_place_tests {
-    use super::tests::{both_modes, ctx, shared_src, src, Double};
-    use super::*;
-    use crate::fault::{FaultKind, FaultPlan};
-    use std::cell::RefCell;
-
-    /// An element-wise binary kernel that honours in-place launches.
-    struct Ew(fn(f32, f32) -> f32);
-
-    impl DeviceKernel for Ew {
-        fn name(&self) -> String {
-            "ew".into()
-        }
-        fn cost(&self, n: usize) -> KernelCost {
-            KernelCost {
-                bytes_read: 8 * n as u64,
-                bytes_written: 4 * n as u64,
-                flops: n as u64,
-            }
-        }
-        fn in_place(&self) -> bool {
-            true
-        }
-        fn unwritten_from(&self, n: usize) -> Option<usize> {
-            Some(n)
-        }
-        fn write(&self, args: LaunchArgs<'_>) {
-            let [a, b] = [0, 1].map(|i| args.inputs[i]);
-            for (t, o) in args.output.slice(..args.n).iter_mut().enumerate() {
-                o.set((self.0)(a[t], b[t]));
-            }
-        }
-        fn run(&self, args: KernelArgs<'_>) {
-            let (a, b) = (args.operand(0), args.operand(1));
-            for (t, o) in args.output[..args.n].iter_mut().enumerate() {
-                *o = (self.0)(a.map_or(*o, |a| a[t]), b.map_or(*o, |b| b[t]));
-            }
-        }
-    }
-
-    const MUL: Ew = Ew(|a, b| a * b);
-    const ADD: Ew = Ew(|a, b| a + b);
-    const SUB: Ew = Ew(|a, b| a - b);
-
-    /// `r = u*u + u` with `u` an adopted host array, then `(v - r) - (v - r)`
-    /// style steps with a copied `v`: donors on the left, on the right and on
-    /// both sides; an adopted operand dying beside a donor. Real and Model
-    /// record the same events, clocks, high-water mark and fault draws (the
-    /// harness) and the same pool counters, with pooling off and on; only
-    /// the Real run ever computes in place, and never over `u`'s array.
-    #[test]
-    fn donation_moves_storage_and_nothing_the_model_counts() {
-        let n = 37;
-        let host = SharedArray::from((0..n).map(|i| i as f32 - 5.5).collect::<Vec<_>>());
-        let before: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
-        let v: Vec<f32> = (0..n).map(|i| 0.25 * i as f32).collect();
-        for pooling in [false, true] {
-            let seen = RefCell::new(Vec::new());
-            both_modes(|c, bytes| {
-                c.set_pooling(pooling);
-                let (a, b) = (c.create_buffer(n).unwrap(), c.create_buffer(n).unwrap());
-                c.enqueue_write_q(QueueId::DEFAULT, a, shared_src(bytes, &host), &[])
-                    .unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, b, src(bytes, &v), &[])
-                    .unwrap();
-                let t = c.create_buffer(n).unwrap();
-                c.launch(&MUL, &[a, a], t, n).unwrap();
-                let mut flags = Vec::new();
-                let mut step = |c: &mut Context, k: &Ew, inputs: &[BufferId], dying: &[_]| {
-                    let out = c.create_buffer(n).unwrap();
-                    let placement = c.launch_then_release(k, inputs, out, n, dying).unwrap();
-                    flags.push(placement == Placement::InPlace);
-                    out
-                };
-                let r = step(c, &ADD, &[t, a], &[t, a]); // t donates, u's array never
-                let s = step(c, &SUB, &[b, r], &[r]); // a donor on the right
-                let d = step(c, &SUB, &[s, s], &[s]); // t - t on a dying t
-                let q = step(c, &SUB, &[d, b], &[d, b]); // donor on the left
-                if bytes {
-                    let want: Vec<u32> = (0..n)
-                        .map(|i| {
-                            let u = host[i];
-                            let s = v[i] - (u * u + u);
-                            ((s - s) - v[i]).to_bits()
-                        })
-                        .collect();
-                    let got: Vec<u32> = c.peek(q).unwrap().iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(got, want);
-                }
-                c.release(q).unwrap();
-                assert_eq!(c.in_use_bytes(), 0);
-                let counters = (c.pool_hits(), c.pooled_bytes());
-                seen.borrow_mut().push((bytes, flags, counters));
-            });
-            let seen = seen.into_inner();
-            let (real, model) = (&seen[0], &seen[1]);
-            assert_eq!(real.1, [true; 4], "pooling {pooling}: real donates");
-            assert_eq!(model.1, [false; 4], "a model context has no storage");
-            assert_eq!(real.2, model.2, "pooling {pooling}: pool counters");
-        }
-        let mut host = host;
-        assert!(host.get_mut().is_some(), "every slot let go of u's array");
-        let after: Vec<u32> = host.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(after, before, "u's array is bit-identical");
-    }
-
-    /// A kernel that does not declare itself in place, an operand narrower
-    /// than the output, a dying buffer that is no operand and an adopted
-    /// array are all released without donating; a failed launch releases
-    /// nothing, and its dying operand is still intact for the retry.
-    #[test]
-    fn donation_only_where_the_contract_allows_and_never_on_failure() {
-        let mut c = ctx();
-        let a = c.create_buffer(8).unwrap();
-        c.enqueue_write(a, &[3.0; 8]).unwrap();
-        let out = c.create_buffer(8).unwrap();
-        let own = Ok(Placement::Own);
-        assert_eq!(c.launch_then_release(&Double, &[a], out, 8, &[a]), own);
-        assert_eq!(c.peek(out).unwrap(), vec![6.0; 8]);
-
-        let (narrow, other) = (c.create_buffer(4).unwrap(), c.create_buffer(8).unwrap());
-        c.enqueue_write(narrow, &[1.0; 4]).unwrap();
-        c.enqueue_write(other, &[1.0; 8]).unwrap();
-        let wide = c.create_buffer(8).unwrap();
-        let dying = [narrow, other];
-        let placement = c.launch_then_release(&ADD, &[narrow, narrow], wide, 4, &dying);
-        assert_eq!(placement, own);
-
-        let host = SharedArray::from(vec![2.0f32; 8]);
-        let adopted = c.create_buffer(8).unwrap();
-        c.enqueue_write_q(QueueId::DEFAULT, adopted, (&host).into(), &[])
-            .unwrap();
-        let sum = c.create_buffer(8).unwrap();
-        let placement = c.launch_then_release(&ADD, &[adopted, out], sum, 8, &[adopted]);
-        assert_eq!(placement, own);
-        assert_eq!(c.peek(sum).unwrap(), vec![8.0; 8]);
-
-        let plan = FaultPlan::with_seed(0);
-        plan.fail_nth_from_now(FaultKind::Launch, 1, 1);
-        c.set_fault_plan(plan);
-        let in_use = c.in_use_bytes();
-        let next = c.create_buffer(8).unwrap();
-        let err = c.launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum]);
-        assert!(matches!(err, Err(OclError::LaunchFailed { .. })));
-        assert_eq!(c.in_use_bytes(), in_use + 32, "nothing released");
-        assert_eq!(c.peek(out).unwrap(), vec![6.0; 8], "the donor is intact");
-        let placement = c.launch_then_release(&ADD, &[out, sum], next, 8, &[out, sum]);
-        assert_eq!(placement, Ok(Placement::InPlace));
-        assert_eq!(c.peek(next).unwrap(), vec![14.0; 8]);
-    }
-
-    /// `decompose`'s shape: output plane `k` of a four-plane operand.
-    pub(super) struct Lane(pub(super) usize);
-
-    impl DeviceKernel for Lane {
-        fn name(&self) -> String {
-            format!("lane{}", self.0)
-        }
-        fn cost(&self, n: usize) -> KernelCost {
-            KernelCost {
-                bytes_read: 4 * n as u64,
-                bytes_written: 4 * n as u64,
-                flops: 0,
-            }
-        }
-        fn view(&self, n: usize) -> Option<Range<usize>> {
-            Some(self.0 * n..(self.0 + 1) * n)
-        }
-        fn unwritten_from(&self, n: usize) -> Option<usize> {
-            Some(n)
-        }
-        fn write(&self, args: LaunchArgs<'_>) {
-            (args.output.slice(..args.n))
-                .copy_from_slice(&args.inputs[0][self.0 * args.n..][..args.n]);
-        }
-    }
-
-    /// The storage a view shares, if `id` is one.
-    pub(super) fn block_of(c: &Context, id: BufferId) -> Option<*const Vec<f32>> {
-        match &c.slots[id.0].as_ref()?.data {
-            Some(Storage::View(block, _)) => Some(Arc::as_ptr(block)),
-            _ => None,
-        }
-    }
-
-    pub(super) const N: usize = 6;
-
-    /// Four planes of `N` lanes, no two lanes equal.
-    pub(super) fn planes() -> Vec<f32> {
-        (0..4 * N).map(|i| i as f32 * 0.5 - 3.0).collect()
-    }
-
-    pub(super) fn bits(lanes: &[f32]) -> Vec<u32> {
-        lanes.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// A view shares its plane of the operand. A flip through it — the
-    /// write a `mem_flip` makes — lands in a copy of its own, so neither the
-    /// operand nor a sibling view sees it, and verification names the view;
-    /// so does an injected `mem_flip` on either operand of a launch, which a
-    /// fresh view of the clean operand heals.
-    #[test]
-    fn a_write_through_a_view_is_copied_first_and_never_reaches_its_siblings() {
-        let (p_bits, plane) = (bits(&planes()), |k: usize| bits(&planes()[k * N..][..N]));
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Full);
-        let p = c.create_buffer(4 * N).unwrap();
-        c.enqueue_write(p, &planes()).unwrap();
-        let view = |c: &mut Context, k: usize| {
-            let v = c.create_buffer(N).unwrap();
-            assert_eq!(c.launch(&Lane(k), &[p], v, N), Ok(()));
-            assert!(block_of(c, v).is_some() && block_of(c, v) == block_of(c, p));
-            v
-        };
-        let views = [0, 1, 2, 3].map(|k| view(&mut c, k));
-        for (k, &v) in views.iter().enumerate() {
-            assert_eq!(bits(&c.peek(v).unwrap()), plane(k));
-        }
-        c.debug_flip_bit(views[1], 2, 7);
-        assert_eq!(block_of(&c, views[1]), None, "the flip copied the plane");
-        let mut flipped = plane(1);
-        flipped[2] ^= 1 << 7;
-        assert_eq!(bits(&c.peek(views[1]).unwrap()), flipped);
-        assert_eq!(bits(&c.peek(p).unwrap()), p_bits);
-        for k in [0, 2, 3] {
-            assert_eq!(bits(&c.peek(views[k]).unwrap()), plane(k));
-            c.verify_buffer(views[k]).unwrap();
-        }
-        c.verify_buffer(p).unwrap();
-        assert!(matches!(
-            c.verify_buffer(views[1]),
-            Err(OclError::IntegrityViolation { buffer, .. }) if buffer == views[1].index()
-        ));
-
-        let mut victims = std::collections::BTreeSet::new();
-        for seed in 0..16 {
-            let (a, b) = (view(&mut c, 0), view(&mut c, 2));
-            let plan = FaultPlan::with_seed(seed);
-            plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-            c.set_fault_plan(plan);
-            let out = c.create_buffer(N).unwrap();
-            let victim = match c.launch(&ADD, &[a, b], out, N) {
-                Err(OclError::IntegrityViolation { buffer, .. }) => buffer,
-                other => panic!("seed {seed}: expected a detected flip, got {other:?}"),
-            };
-            victims.insert(usize::from(victim == b.index()));
-            assert_eq!(bits(&c.peek(p).unwrap()), p_bits, "seed {seed}");
-            let (tainted, clean) = if victim == a.index() { (a, b) } else { (b, a) };
-            assert_eq!(block_of(&c, tainted), None);
-            assert_eq!(block_of(&c, clean), block_of(&c, p));
-            c.clear_fault_plan();
-            c.release(tainted).unwrap();
-            let healed = view(&mut c, if tainted == a { 0 } else { 2 });
-            let inputs = if tainted == a {
-                [healed, b]
-            } else {
-                [a, healed]
-            };
-            c.launch(&ADD, &inputs, out, N).unwrap();
-            let want: Vec<u32> = (0..N)
-                .map(|t| (planes()[t] + planes()[2 * N + t]).to_bits())
-                .collect();
-            assert_eq!(bits(&c.peek(out).unwrap()), want, "seed {seed}");
-            for id in [inputs[0], inputs[1], out] {
-                c.release(id).unwrap();
-            }
-        }
-        assert_eq!(victims.len(), 2, "both operands were hit");
-    }
-
-    /// While another slot holds a view's storage — its operand, or a
-    /// sibling on any plane — a dying view is copied on write: the launch
-    /// counts as in place and the others keep their bits. The last holder is
-    /// written where it lies. Real and Model record the same events, clocks,
-    /// high-water mark and fault draws (the harness), and the same `in_use`
-    /// and pool counters, with pooling off and on; only Real shares or
-    /// donates.
-    #[test]
-    fn a_view_is_written_where_it_lies_only_as_the_sole_holder_of_its_storage() {
-        let p_bits = bits(&planes());
-        let plane = |k: usize| planes()[k * N..][..N].to_vec();
-        let xs: Vec<f32> = (0..N).map(|i| 100.0 + i as f32).collect();
-        for pooling in [false, true] {
-            let seen = RefCell::new(Vec::new());
-            both_modes(|c, bytes| {
-                c.set_pooling(pooling);
-                let p = c.create_buffer(4 * N).unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, p, src(bytes, &planes()), &[])
-                    .unwrap();
-                let x = c.create_buffer(N).unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, x, src(bytes, &xs), &[])
-                    .unwrap();
-                let mut placements = Vec::new();
-                let mut launch =
-                    |c: &mut Context, k: &dyn DeviceKernel, inputs: &[_], dying: &[_]| {
-                        let out = c.create_buffer(N).unwrap();
-                        placements.push(c.launch_then_release(k, inputs, out, N, dying).unwrap());
-                        out
-                    };
-                let v1 = launch(c, &Lane(1), &[p], &[]);
-                let s = launch(c, &ADD, &[v1, x], &[v1]);
-                if bytes {
-                    assert_eq!(bits(&c.peek(p).unwrap()), p_bits, "the operand's plane");
-                    assert_eq!(block_of(c, s), None, "a copy of its own");
-                }
-                let (v0, v2, w2) = (
-                    launch(c, &Lane(0), &[p], &[]),
-                    launch(c, &Lane(2), &[p], &[]),
-                    launch(c, &Lane(2), &[p], &[]),
-                );
-                c.release(p).unwrap();
-                let u = launch(c, &MUL, &[v2, w2], &[v2]);
-                if bytes {
-                    assert_eq!(block_of(c, u), None, "v0 and w2 hold the storage");
-                    assert_eq!(c.peek(w2).unwrap(), plane(2));
-                    assert_eq!(c.peek(v0).unwrap(), plane(0));
-                    let want: Vec<f32> = plane(2).iter().map(|v| v * v).collect();
-                    assert_eq!(c.peek(u).unwrap(), want);
-                }
-                let block = block_of(c, v0);
-                c.release(w2).unwrap();
-                let t = launch(c, &SUB, &[v0, x], &[v0]);
-                if bytes {
-                    assert!(
-                        block.is_some() && block_of(c, t) == block,
-                        "written where it lies"
-                    );
-                    let want: Vec<f32> = (0..N).map(|i| plane(0)[i] - xs[i]).collect();
-                    assert_eq!(c.peek(t).unwrap(), want);
-                }
-                for id in [x, s, t, u] {
-                    c.release(id).unwrap();
-                }
-                assert_eq!(c.in_use_bytes(), 0);
-                let counters = (c.pool_hits(), c.pooled_bytes());
-                seen.borrow_mut().push((placements, counters));
-            });
-            let seen = seen.into_inner();
-            let (real, model) = (&seen[0], &seen[1]);
-            use Placement::{InPlace, Own, View};
-            assert_eq!(real.0, [View, InPlace, View, View, View, InPlace, InPlace]);
-            assert_eq!(model.0, [Own; 7], "a model context has no storage");
-            assert_eq!(real.1, model.1, "pooling {pooling}: pool counters");
-        }
-    }
-
-    /// A launch never views an adopted host array: it copies the plane into
-    /// storage of the output's own, which a flip and a donation then write
-    /// without reaching the host.
-    #[test]
-    fn an_adopted_array_is_never_viewed() {
-        let host = SharedArray::from(planes());
-        let mut c = ctx();
-        let p = c.create_buffer(4 * N).unwrap();
-        c.enqueue_write_q(QueueId::DEFAULT, p, (&host).into(), &[])
-            .unwrap();
-        let v = c.create_buffer(N).unwrap();
-        let placement = c.launch_then_release(&Lane(1), &[p], v, N, &[p]);
-        assert_eq!(placement, Ok(Placement::Own));
-        assert_eq!(block_of(&c, v), None);
-        assert_eq!(c.peek(v).unwrap(), planes()[N..2 * N]);
-        c.debug_flip_bit(v, 0, 31);
-        let out = c.create_buffer(N).unwrap();
-        let placement = c.launch_then_release(&MUL, &[v, v], out, N, &[v]);
-        assert_eq!(placement, Ok(Placement::InPlace));
-        assert_eq!(bits(&host), bits(&planes()));
-        drop(c);
-        let mut host = host;
-        assert!(host.get_mut().is_some(), "every slot let go of the array");
-    }
-}
+#[path = "storage/tests/in_place.rs"]
+mod in_place_tests;
 
 #[cfg(test)]
-mod read_and_release_tests {
-    use super::in_place_tests::{bits, planes, Lane, N};
-    use super::tests::{both_modes, ctx, dst, shared_src, src, Double};
-    use super::*;
-    use crate::integrity::{IntegrityKind, VerifyPolicy};
-    use std::cell::RefCell;
-
-    fn doubled(lanes: &[f32]) -> Vec<f32> {
-        lanes.iter().map(|v| v * 2.0).collect()
-    }
-
-    /// A buffer's last read, either as [`Context::read_and_release`] or as a
-    /// ranged read into a fresh `Vec` and a release: what the host gets.
-    fn last_read(
-        c: &mut Context,
-        consume: bool,
-        bytes: bool,
-        id: BufferId,
-        planes: usize,
-    ) -> Option<Vec<f32>> {
-        if consume {
-            return c.read_and_release(id, planes).unwrap();
-        }
-        let mut out = vec![0.0; c.slot(id).unwrap().lanes];
-        c.enqueue_read_range_q(QueueId::DEFAULT, id, 0, dst(bytes, &mut out), &[])
-            .unwrap();
-        c.release(id).unwrap();
-        bytes.then(|| interleave(&out, planes))
-    }
-
-    /// The last read of a private, written scalar buffer on a context that
-    /// does not pool hands the storage over: the `Vec` holds exactly the
-    /// slot's lanes, nothing is copied, and the slot is gone. What is
-    /// modeled — events, clocks, high-water mark, fault draws — and `in_use`
-    /// are those of a read and a release, Real and Model alike.
-    #[test]
-    fn a_last_read_hands_over_the_storage_and_models_a_read_and_a_release() {
-        let input: Vec<f32> = (0..37).map(|i| i as f32 - 3.5).collect();
-        let seen = RefCell::new(Vec::new());
-        let script = |consume: bool| {
-            let (input, seen) = (&input, &seen);
-            move |c: &mut Context, bytes: bool| {
-                let (a, b) = (c.create_buffer(37).unwrap(), c.create_buffer(37).unwrap());
-                c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, input), &[])
-                    .unwrap();
-                c.launch(&Double, &[a], b, 37).unwrap();
-                let copied = c.host_bytes_copied();
-                let data = last_read(c, consume, bytes, b, 1);
-                assert_eq!(data, bytes.then(|| doubled(input)));
-                assert!(matches!(c.release(b), Err(OclError::InvalidBuffer { .. })));
-                let in_use = c.in_use_bytes();
-                c.release(a).unwrap();
-                let copied = c.host_bytes_copied() - copied;
-                seen.borrow_mut().push((consume, bytes, in_use, copied));
-            }
-        };
-        assert_eq!(both_modes(script(true)), both_modes(script(false)));
-        let four_bytes = 37 * 4;
-        assert_eq!(
-            seen.into_inner(),
-            [
-                (true, true, four_bytes, 0),
-                (true, false, four_bytes, 0),
-                (false, true, four_bytes, four_bytes),
-                (false, false, four_bytes, 0),
-            ]
-        );
-    }
-
-    /// What a last read must copy — a vector value, a view and an adopted
-    /// array — it copies: the host gets the same lanes and the same copied
-    /// bytes as from a read and a release, and the viewed operand and the
-    /// host's array keep their bits. A scalar on a pooled context is handed
-    /// over, not copied: its slot parks bare and serves the next
-    /// allocation, which reads as zeros and computes. Everything modeled,
-    /// `in_use` and the pool counters are the same four ways: Real and
-    /// Model, consuming or not.
-    #[test]
-    fn a_last_read_copies_what_the_context_may_not_give_away() {
-        let host = SharedArray::from(planes()[N..2 * N].to_vec());
-        let seen = RefCell::new(Vec::new());
-        let script = |consume: bool| {
-            let (host, seen) = (&host, &seen);
-            move |c: &mut Context, bytes: bool| {
-                c.set_pooling(true);
-                let scalar = &planes()[..N];
-                let a = c.create_buffer(N).unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, a, src(bytes, scalar), &[])
-                    .unwrap();
-                let mut got = Vec::new();
-                for _ in 0..2 {
-                    let s = c.create_buffer(N).unwrap();
-                    if bytes {
-                        assert_eq!(c.peek(s).unwrap(), [0.0; N], "no stale lanes");
-                    }
-                    c.launch(&Double, &[a], s, N).unwrap();
-                    got.push(last_read(c, consume, bytes, s, 1));
-                }
-                let p = c.create_buffer(4 * N).unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, p, src(bytes, &planes()), &[])
-                    .unwrap();
-                let v = c.create_buffer(N).unwrap();
-                let placement = c.launch_then_release(&Lane(2), &[p], v, N, &[]).unwrap();
-                assert_eq!(placement == Placement::View, bytes);
-                got.push(last_read(c, consume, bytes, v, 1));
-                if bytes {
-                    assert_eq!(bits(&c.peek(p).unwrap()), bits(&planes()));
-                }
-                got.push(last_read(c, consume, bytes, p, 4));
-                let x = c.create_buffer(N).unwrap();
-                c.enqueue_write_q(QueueId::DEFAULT, x, shared_src(bytes, host), &[])
-                    .unwrap();
-                got.push(last_read(c, consume, bytes, x, 1));
-                c.release(a).unwrap();
-                assert_eq!(c.in_use_bytes(), 0);
-                if bytes {
-                    let want = [
-                        doubled(scalar),
-                        doubled(scalar),
-                        planes()[2 * N..3 * N].to_vec(),
-                        interleave(&planes(), 4),
-                        host.to_vec(),
-                    ];
-                    assert_eq!(got, want.map(Some));
-                }
-                let counters = (c.pool_hits(), c.pooled_bytes(), c.host_bytes_copied());
-                seen.borrow_mut().push((bytes, counters));
-            }
-        };
-        assert_eq!(both_modes(script(true)), both_modes(script(false)));
-        let seen = seen.into_inner();
-        let [real, model, real_read, model_read] = &seen[..] else {
-            panic!("four runs")
-        };
-        assert_eq!(
-            (real.1 .0, real.1 .1),
-            (real_read.1 .0, real_read.1 .1),
-            "pooled as a read and a release"
-        );
-        let handed_over = 2 * N as u64 * 4;
-        assert_eq!(
-            real.1 .2 + handed_over,
-            real_read.1 .2,
-            "the scalars handed over"
-        );
-        assert_eq!(model, model_read);
-        assert_eq!(
-            (real.1 .0, real.1 .1),
-            (model.1 .0, model.1 .1),
-            "pool counters"
-        );
-        assert!(real.1 .0 >= 3, "parked slots were reused");
-        let uploads = (N + 4 * N) as u64 * 4;
-        let reads = (N + N + N + 4 * N + N) as u64 * 4;
-        assert_eq!(real_read.1 .2, uploads + reads);
-        drop(seen);
-        let mut host = host;
-        assert!(host.get_mut().is_some(), "every slot let go of the array");
-    }
-
-    /// Under [`VerifyPolicy::Full`] a flipped bit in a result is caught by
-    /// the read, before the storage could go to the host: the slot stays
-    /// live for the caller to heal, no transfer is recorded, and the healed
-    /// result is handed over with clean bits.
-    #[test]
-    fn a_flipped_result_is_caught_before_it_is_handed_over() {
-        let input: Vec<f32> = (0..N).map(|i| i as f32 + 0.25).collect();
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Full);
-        let (a, b) = (c.create_buffer(N).unwrap(), c.create_buffer(N).unwrap());
-        c.enqueue_write(a, &input).unwrap();
-        c.launch(&Double, &[a], b, N).unwrap();
-        c.debug_flip_bit(b, 3, 9);
-        let in_use = c.in_use_bytes();
-        match c.read_and_release(b, 1) {
-            Err(OclError::IntegrityViolation {
-                kind: IntegrityKind::Checksum,
-                buffer,
-                ..
-            }) => assert_eq!(buffer, b.index()),
-            other => panic!("expected a checksum violation, got {other:?}"),
-        }
-        assert_eq!(c.in_use_bytes(), in_use, "nothing released");
-        assert_eq!(c.report().count(EventKind::DeviceToHost), 0);
-        c.launch(&Double, &[a], b, N).unwrap();
-        let copied = c.host_bytes_copied();
-        let healed = c.read_and_release(b, 1).unwrap().unwrap();
-        assert_eq!(bits(&healed), bits(&doubled(&input)));
-        assert_eq!(c.host_bytes_copied(), copied, "handed over");
-        assert_eq!(c.integrity_stats().violations, 1);
-    }
-}
+#[path = "storage/tests/read_and_release.rs"]
+mod read_and_release_tests;
 
 #[cfg(test)]
-mod write_once_tests {
-    use super::tests::{ctx, Double};
-    use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Writes every lane of a launch over `n` cells but the last.
-    struct Lazy;
-
-    impl DeviceKernel for Lazy {
-        fn name(&self) -> String {
-            "lazy".into()
-        }
-        fn cost(&self, _n: usize) -> KernelCost {
-            KernelCost::default()
-        }
-        fn write(&self, args: LaunchArgs<'_>) {
-            args.output.slice(..args.n - 1).fill(1.0);
-        }
-    }
-
-    /// A kernel that skips a lane is caught: `run` over marked lanes in any
-    /// build, and, in a debug build, the launch itself, into fresh storage
-    /// and into recycled storage alike.
-    #[test]
-    fn a_kernel_that_skips_a_lane_is_caught() {
-        let mut marked = vec![f32::from_bits(UNWRITTEN); 8];
-        Lazy.run(KernelArgs {
-            inputs: &[],
-            output: &mut marked,
-            n: 8,
-        });
-        assert_eq!(first_unwritten(&marked), Some(7));
-        if !cfg!(debug_assertions) {
-            return; // the launch would publish a lane nothing wrote
-        }
-        for recycled in [false, true] {
-            let mut c = ctx();
-            c.set_pooling(true);
-            if recycled {
-                let old = c.create_buffer(8).unwrap();
-                c.enqueue_write(old, &[2.0; 8]).unwrap();
-                c.release(old).unwrap();
-            }
-            let out = c.create_buffer(8).unwrap();
-            let hit = catch_unwind(AssertUnwindSafe(|| c.launch(&Lazy, &[], out, 8)));
-            let message = *hit.unwrap_err().downcast::<String>().unwrap();
-            assert!(
-                message.contains("kernel `lazy` left output lane 7 of 8 unwritten"),
-                "recycled {recycled}: {message}"
-            );
-        }
-    }
-
-    /// Fresh launch storage is the kernel's lanes, zeros past its
-    /// `unwritten_from` and intact guards; `host_bytes_zeroed` counts the
-    /// lanes the context clears — a launch's tail, a prefix upload's tail, a
-    /// never-written launch input — and nothing a kernel or upload writes.
-    #[test]
-    fn the_context_zeroes_only_what_nothing_writes() {
-        let mut c = ctx();
-        c.set_verify(VerifyPolicy::Residents);
-        let a = c.create_buffer(8).unwrap();
-        c.enqueue_write(a, &[1.0; 8]).unwrap();
-        assert_eq!(c.report().host_bytes_zeroed, 0, "a whole upload");
-        let out = c.create_buffer(8).unwrap();
-        c.launch(&Double, &[a], out, 4).unwrap();
-        assert_eq!(
-            c.peek(out).unwrap(),
-            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-        );
-        assert_eq!(c.report().host_bytes_zeroed, 16, "the launch's tail");
-        c.verify_buffer(out).unwrap();
-        let prefix = c.create_buffer(8).unwrap();
-        c.enqueue_write_q(QueueId::DEFAULT, prefix, (&[3.0; 5][..]).into(), &[])
-            .unwrap();
-        assert_eq!(c.peek(prefix).unwrap()[4..], [3.0, 0.0, 0.0, 0.0]);
-        assert_eq!(c.report().host_bytes_zeroed, 16 + 12, "the upload's tail");
-        let blank = c.create_buffer(8).unwrap();
-        let out = c.create_buffer(8).unwrap();
-        c.launch(&Double, &[blank], out, 8).unwrap();
-        assert_eq!(c.peek(out).unwrap(), [0.0; 8]);
-        assert_eq!(c.report().host_bytes_zeroed, 28 + 32, "a blank input");
-        c.reset_profile();
-        assert_eq!(c.report().host_bytes_zeroed, 0);
-    }
-}
+#[path = "storage/tests/write_once.rs"]
+mod write_once_tests;

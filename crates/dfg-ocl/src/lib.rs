@@ -61,6 +61,7 @@ mod host;
 pub mod integrity;
 mod lanes;
 mod profile;
+mod storage;
 
 pub use context::{
     AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, LaunchArgs,

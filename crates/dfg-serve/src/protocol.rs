@@ -48,6 +48,11 @@ use dfg_trace::json::{self, Value};
 /// larger announcement as a framing error before reading any of it.
 pub const MAX_PAYLOAD_BYTES: u64 = 1 << 30;
 
+/// Host bytes of a grid's field set (`x, y, z, u, v, w`: one `f32` per cell
+/// each), built before any quota check: [`Request::parse`] refuses a grid
+/// whose field set would exceed [`MAX_PAYLOAD_BYTES`].
+pub(crate) const FIELD_SET_BYTES_PER_CELL: u64 = 24;
+
 /// Most bytes of one reply header line (newline included) a reader buffers.
 pub const MAX_HEADER_BYTES: usize = 1 << 20;
 
@@ -218,12 +223,12 @@ impl Request {
                     }
                     *slot = n as usize;
                 }
-                // A reply carries at least 4 bytes per cell: refuse a grid no
-                // reply could carry before anything is allocated for it.
+                // Refused before anything is allocated for it.
                 let cells = grid.iter().try_fold(1usize, |acc, &n| acc.checked_mul(n));
-                if !matches!(cells, Some(c) if c as u64 <= MAX_PAYLOAD_BYTES / 4) {
+                let most = MAX_PAYLOAD_BYTES / FIELD_SET_BYTES_PER_CELL;
+                if !matches!(cells, Some(c) if c as u64 <= most) {
                     return Err(format!(
-                        "derive: grid {grid:?} has more cells than a {MAX_PAYLOAD_BYTES}-byte reply carries"
+                        "derive: grid {grid:?} has more cells than a {MAX_PAYLOAD_BYTES}-byte field set holds"
                     ));
                 }
                 let strategy = match v.get("strategy").and_then(Value::as_str) {
@@ -1008,15 +1013,18 @@ mod tests {
                 .is_err()
         );
         assert!(Request::parse(r#"{"op":"nope","id":1}"#).is_err());
-        // Grids no reply could carry: 4 B per cell over the payload cap, and
-        // a cell count that overflows.
+        // Grids whose field set (24 B per cell) would exceed the payload cap —
+        // one whose reply (4 B per cell) would fit it among them — and a cell
+        // count that overflows.
         let derive = |grid: &str| {
             let line =
                 format!(r#"{{"op":"derive","id":1,"tenant":"t","expr":"m=u","grid":{grid}}}"#);
             Request::parse(&line)
         };
-        assert!(derive("[1024,1024,256]").is_ok());
+        assert!(derive("[44739242,1,1]").is_ok());
         for grid in [
+            "[44739243,1,1]",
+            "[1024,1024,256]",
             "[1024,1024,257]",
             "[100000,100000,100000]",
             "[1e300,1e300,1e300]",

@@ -78,7 +78,7 @@ use dfg_trace::{span, Tracer};
 use crate::faulty::FaultyStream;
 use crate::protocol::{
     write_response, DeriveReply, DeriveRequest, ExecStrategy, RejectKind, Request, Response,
-    ServerCounters,
+    ServerCounters, FIELD_SET_BYTES_PER_CELL,
 };
 
 /// Server configuration; `Default` gives a CPU-profile server with
@@ -679,10 +679,10 @@ impl FieldCache {
         set
     }
 
-    /// Host bytes held: `x, y, z, u, v, w`, one `f32` per cell each.
+    /// Host bytes held (see [`FIELD_SET_BYTES_PER_CELL`]).
     fn bytes(&self) -> u64 {
         let cells: usize = self.grids.values().map(|(set, _)| set.ncells()).sum();
-        24 * cells as u64
+        FIELD_SET_BYTES_PER_CELL * cells as u64
     }
 
     /// Drop the least recently read grid outside the current batch, if any.

@@ -189,18 +189,21 @@ fn malformed_frames_echo_ids_and_do_not_poison_the_connection() {
         "malformed frame should get a typed error echoing id 77: {line:?}"
     );
 
-    // A grid no reply could carry (4·10¹⁵ cells) is refused before any
-    // field is allocated for it, echoing its id.
-    sock.write_all(
-        b"{\"op\":\"derive\",\"id\":79,\"tenant\":\"t\",\"expr\":\"m = u\",\"grid\":[100000,100000,100000]}\n",
-    )
-    .unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        line.contains("\"status\":\"error\"") && line.contains("\"id\":79"),
-        "an uncarriable grid should get a typed error echoing id 79: {line:?}"
-    );
+    // Grids whose host fields (24 B per cell) exceed the payload cap are
+    // refused before any is allocated, echoing their ids: 4·10¹⁵ cells, and
+    // 2²⁸ cells (6 GiB of fields), whose 1 GiB reply alone would fit it.
+    for (id, grid) in [(79, "[100000,100000,100000]"), (80, "[1024,1024,256]")] {
+        let frame = format!(
+            "{{\"op\":\"derive\",\"id\":{id},\"tenant\":\"t\",\"expr\":\"m = u\",\"grid\":{grid}}}\n"
+        );
+        sock.write_all(frame.as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("\"status\":\"error\"") && line.contains(&format!("\"id\":{id}")),
+            "an oversized grid should get a typed error echoing id {id}: {line:?}"
+        );
+    }
 
     // The same connection still serves a valid request afterwards.
     sock.write_all(valid_frame(78).as_bytes()).unwrap();
@@ -210,7 +213,7 @@ fn malformed_frames_echo_ids_and_do_not_poison_the_connection() {
         line.contains("\"status\":\"ok\"") && line.contains("\"id\":78"),
         "connection poisoned after malformed frame: {line:?}"
     );
-    assert_eq!(server.counters().malformed, 2, "both refusals are counted");
+    assert_eq!(server.counters().malformed, 3, "every refusal is counted");
 
     let mut c = Client::connect(&addr).unwrap();
     c.shutdown().unwrap();
