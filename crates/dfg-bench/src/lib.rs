@@ -9,7 +9,7 @@
 //! recorded paper-vs-measured results.
 
 use dfg_core::{Engine, EngineError, EngineOptions, ExecReport, FieldSet, Strategy, Workload};
-use dfg_mesh::{GridSpec, RectilinearMesh, RtWorkload, TABLE1_CATALOG};
+use dfg_mesh::{GridSpec, TABLE1_CATALOG};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
 pub mod artifacts;
@@ -122,20 +122,19 @@ pub struct Case {
     pub outcome: Outcome,
 }
 
-/// A model-mode engine (paper-scale grids without paper-scale memory).
-pub fn model_engine(profile: DeviceProfile) -> Engine {
-    Engine::with_options(
-        profile,
-        EngineOptions {
-            mode: ExecMode::Model,
-            ..Default::default()
-        },
-    )
+/// A model-mode engine (paper-scale grids without paper-scale memory) with
+/// `options` otherwise.
+pub fn model_engine(profile: DeviceProfile, options: EngineOptions) -> Engine {
+    let options = EngineOptions {
+        mode: ExecMode::Model,
+        ..options
+    };
+    Engine::with_options(profile, options)
 }
 
 /// Run one case in model mode.
 pub fn run_case(workload: Workload, series: Series, target: Target, grid: GridSpec) -> Outcome {
-    let mut engine = model_engine(target.profile());
+    let mut engine = model_engine(target.profile(), EngineOptions::default());
     let fields = FieldSet::virtual_rt(grid.dims());
     let result = match series {
         Series::Strategy(strategy) => engine.derive(workload.source(), &fields, strategy),
@@ -202,21 +201,6 @@ impl Matrix {
     }
 }
 
-/// Real RT fields on the unit cube, `dims` cells: what the extension
-/// experiments derive from.
-pub fn rt_fields(dims: [usize; 3]) -> FieldSet {
-    FieldSet::for_rt_mesh(
-        &RectilinearMesh::unit_cube(dims),
-        &RtWorkload::paper_default(),
-    )
-}
-
-/// The lanes of a derived field summed in `f64`, in order: two runs that
-/// agree bit for bit have checksums with equal bits.
-pub fn checksum(data: &[f32]) -> f64 {
-    data.iter().map(|v| *v as f64).sum()
-}
-
 /// Virtual (model-mode) RT fields with a real `dims` array, which slab
 /// streaming reads to cut the grid.
 pub fn virtual_fields(dims: [usize; 3]) -> FieldSet {
@@ -232,7 +216,7 @@ pub fn stream_failed_fusion_cases() -> Vec<(Workload, GridSpec, Result<ExecRepor
     let mut out = Vec::new();
     for workload in Workload::ALL {
         for grid in TABLE1_CATALOG {
-            let mut engine = model_engine(Target::Gpu.profile());
+            let mut engine = model_engine(Target::Gpu.profile(), EngineOptions::default());
             let fields = virtual_fields(grid.dims());
             let src = workload.source();
             if engine.derive(src, &fields, Strategy::Fusion).is_err() {

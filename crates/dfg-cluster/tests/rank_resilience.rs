@@ -61,6 +61,20 @@ fn assert_bit_identical(clean: &DistResult, faulty: &DistResult) {
 fn rank_die_completes_degraded_and_bit_exact() {
     let global = RectilinearMesh::unit_cube([12, 10, 8]);
     let clean = run(&global, 4, &base_opts(ExecMode::Real));
+    // Healthy, the deadline-armed exchange is the blocking one: the same
+    // bits and the same modeled makespan, with no timeout.
+    let blocking = DistOptions {
+        exchange_deadline: None,
+        ..base_opts(ExecMode::Real)
+    };
+    let blocking = run(&global, 4, &blocking);
+    assert_bit_identical(&blocking, &clean);
+    assert_eq!(
+        blocking.makespan_seconds.to_bits(),
+        clean.makespan_seconds.to_bits()
+    );
+    assert!(!clean.degraded);
+    assert_eq!(clean.exchange_timeouts, 0);
     let faulty = run(
         &global,
         4,

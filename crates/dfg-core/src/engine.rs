@@ -553,6 +553,11 @@ impl Engine {
             data,
         });
         let wall = t0.elapsed();
+        assert_eq!(
+            ctx.in_use_bytes(),
+            0,
+            "reference kernel leaked device buffers"
+        );
         exec_span.virt_end(ctx.clock_seconds());
         drop(exec_span);
         Ok(ExecReport {

@@ -15,7 +15,8 @@
 //!   with equal pool hits and session counters;
 //! * the leak check: `in_use` returns to its baseline in every build, inside
 //!   [`run`] after every session cycle and one-shot whose context it sees,
-//!   failed or not, and inside `Engine::execute` after every derive;
+//!   failed or not, and inside `Engine::execute` after every derive and
+//!   `Engine::run_reference` after every reference kernel;
 //! * [`downloads_handed_over_or_copied`]: a download's storage is handed to
 //!   the host or copied, never both (DESIGN.md D10);
 //! * [`matches_clean_level`]: a recovered run equals the fault-free run of

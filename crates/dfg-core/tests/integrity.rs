@@ -167,33 +167,61 @@ fn every_stale_slot_handout_is_quarantined_and_bit_exact() {
 }
 
 /// With no faults injected, verification is free of observable effects:
-/// `Off` and `Full` produce bit-identical outputs, bit-identical virtual
-/// clocks, and identical device-operation counts — the checksum pass is
-/// host-side only. `Off` performs zero checks; `Full` checks without a
-/// single violation.
+/// `Off`, `Residents` and `Full` produce bit-identical outputs,
+/// bit-identical virtual clocks, and identical device-operation counts —
+/// the checksum pass is host-side only — one-shot and in every cycle of a
+/// session. `Off` performs zero checks; a session checks its residents
+/// under `Residents` and strictly more under `Full`, never with a
+/// violation.
 #[test]
 fn verification_off_is_bit_and_clock_identical_to_full() {
     let program = Program::Source(Workload::QCriterion.source());
     let inputs = Inputs::rt(DIMS);
     let mut checks = Vec::new();
     for exec in EXECS {
-        let what = format!("{exec:?}");
-        let run = |verify| -> Run {
-            let outcome = harness::run(&verified(exec, verify, None), program, &inputs);
-            outcome.last(&what).clone()
-        };
-        let (a, b) = (run(VerifyPolicy::Off), run(VerifyPolicy::Full));
-        harness::same_bits(&a.fields, &b.fields, &what);
-        harness::same_events(&a.report, &b.report, &what);
-        assert_eq!(a.report.integrity.checks, 0, "{what}: Off never checks");
-        assert_eq!(a.report.integrity.violations, 0);
-        assert!(b.report.integrity.checks > 0, "{what}: Full checks");
-        assert_eq!(b.report.integrity.violations, 0, "{what}: clean run");
-        checks.push(b.report.integrity.checks);
+        for session in [None, Some(3)] {
+            let what = format!("{exec:?} {session:?}");
+            let run = |verify| -> Vec<Run> {
+                let config = Config {
+                    session,
+                    ..verified(exec, verify, None)
+                };
+                let outcome = harness::run(&config, program, &inputs);
+                outcome.ok(&what).into_iter().cloned().collect()
+            };
+            let off = run(VerifyPolicy::Off);
+            let mut totals = Vec::new();
+            for verify in [VerifyPolicy::Residents, VerifyPolicy::Full] {
+                let on = run(verify);
+                for (a, b) in off.iter().zip(&on) {
+                    harness::same_bits(&a.fields, &b.fields, &what);
+                    harness::same_events(&a.report, &b.report, &what);
+                    assert_eq!(b.report.integrity.violations, 0, "{what}: clean run");
+                }
+                // A context's counters cover its whole life: the last
+                // cycle's are the session's.
+                totals.push(on.last().expect("a run").report.integrity.checks);
+            }
+            let off = &off.last().expect("a run").report.integrity;
+            assert_eq!(
+                (off.checks, off.violations),
+                (0, 0),
+                "{what}: Off never checks"
+            );
+            if session.is_some() {
+                assert!(0 < totals[0] && totals[0] < totals[1], "{what}: {totals:?}");
+            } else {
+                checks.push(totals[1]);
+            }
+        }
     }
     // Pinned: an adopted array's check is counted whether or not its lanes
     // are hashed (DESIGN.md D7).
-    assert_eq!(checks, [180, 133, 8, 8], "checks per execution mode");
+    assert_eq!(
+        checks,
+        [180, 133, 8, 8],
+        "one-shot checks per execution mode"
+    );
 }
 
 /// `VerifyPolicy::Residents` heals a resident corrupted *between* uses: a

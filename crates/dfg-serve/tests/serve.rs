@@ -224,82 +224,86 @@ fn cross_fusion_merges_overlapping_expressions() {
     // Four tenants, four *distinct* expressions sharing the `u*u+v*v+w*w`
     // subgraph. With cross-request fusion on, the batch compiles and runs as
     // one merged multi-output network; every tenant still gets bits
-    // identical to an unbatched run of its own expression.
+    // identical to an unbatched run of its own expression. With it off,
+    // each expression compiles on its own.
     let exprs = [
         "vmag = sqrt(u*u + v*v + w*w)",
         "ke = 0.5 * (u*u + v*v + w*w)",
         "s = u*u + v*v + w*w",
         "sp = (u*u + v*v + w*w) + 1",
     ];
-    let config = ServeConfig {
-        coalesce: true,
-        cross_fusion: true,
-        batch_window: Duration::from_millis(80),
-        ..ServeConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    for (cross_fusion, want_compiles, want_merged) in [(false, 4, 0), (true, 1, 4)] {
+        let config = ServeConfig {
+            coalesce: true,
+            cross_fusion,
+            batch_window: Duration::from_millis(80),
+            ..ServeConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
-    let mut ids = Vec::new();
-    for (t, expr) in exprs.iter().enumerate() {
-        let id = client
-            .send(Request::Derive(DeriveRequest {
-                id: 0,
-                tenant: format!("t{t}"),
-                expr: (*expr).into(),
-                grid: GRID,
-                strategy: ExecStrategy::Fusion,
-                data: true,
-                deadline_ms: None,
-            }))
-            .unwrap();
-        ids.push(id);
-    }
-    let mut bits = Vec::new();
-    let mut compiles = 0u64;
-    for id in ids {
-        match client.recv_for(id).unwrap() {
-            Response::Ok(r) => {
-                bits.push(r.data_bits.expect("data requested"));
-                compiles += r.compiles;
+        let mut ids = Vec::new();
+        for (t, expr) in exprs.iter().enumerate() {
+            let id = client
+                .send(Request::Derive(DeriveRequest {
+                    id: 0,
+                    tenant: format!("t{t}"),
+                    expr: (*expr).into(),
+                    grid: GRID,
+                    strategy: ExecStrategy::Fusion,
+                    data: true,
+                    deadline_ms: None,
+                }))
+                .unwrap();
+            ids.push(id);
+        }
+        let mut bits = Vec::new();
+        let mut compiles = 0u64;
+        for id in ids {
+            match client.recv_for(id).unwrap() {
+                Response::Ok(r) => {
+                    bits.push(r.data_bits.expect("data requested"));
+                    compiles += r.compiles;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+
+        // Per-tenant outputs are bit-identical to unbatched single-tenant runs.
+        for (expr, got) in exprs.iter().zip(&bits) {
+            assert_eq!(
+                got,
+                &local_bits(expr, GRID),
+                "cross_fusion {cross_fusion}: output for `{expr}` differs from unbatched run"
+            );
+        }
+        // The whole overlapping batch cost one codegen compile when merged.
+        assert_eq!(compiles, want_compiles, "cross_fusion {cross_fusion}");
+
+        match client.stats().unwrap() {
+            Response::Stats {
+                server: counters,
+                tenants,
+                ..
+            } => {
+                assert_eq!(counters.merged, want_merged, "requests merged");
+                assert_eq!(counters.ok, 4);
+                for t in &tenants {
+                    let merged = u64::from(cross_fusion);
+                    assert_eq!(t.session.merged, merged, "{}: merged count", t.tenant);
+                }
+                let saved: u64 = tenants.iter().map(|t| t.session.opt_saved_kernels).sum();
+                assert!(
+                    !cross_fusion || saved > 0,
+                    "cross-request CSE should report eliminated kernels"
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
 
-    // Per-tenant outputs are bit-identical to unbatched single-tenant runs.
-    for (expr, got) in exprs.iter().zip(&bits) {
-        assert_eq!(
-            got,
-            &local_bits(expr, GRID),
-            "merged output for `{expr}` differs from unbatched run"
-        );
+        client.shutdown().unwrap();
+        server.join().unwrap();
     }
-    // The whole overlapping batch cost one codegen compile.
-    assert_eq!(compiles, 1, "expected one compile for the merged batch");
-
-    match client.stats().unwrap() {
-        Response::Stats {
-            server: counters,
-            tenants,
-            ..
-        } => {
-            assert_eq!(counters.merged, 4, "all four requests should merge");
-            assert_eq!(counters.ok, 4);
-            for t in &tenants {
-                assert_eq!(t.session.merged, 1, "{}: missing merged count", t.tenant);
-            }
-            let saved: u64 = tenants.iter().map(|t| t.session.opt_saved_kernels).sum();
-            assert!(
-                saved > 0,
-                "cross-request CSE should report eliminated kernels"
-            );
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-
-    client.shutdown().unwrap();
-    server.join().unwrap();
 }
 
 #[test]
