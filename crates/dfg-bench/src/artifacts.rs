@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use dfg_cluster::{run_distributed, Cluster, DistOptions, DistResult};
 use dfg_core::{
-    plan, EngineOptions, ExecReport, FieldSet, OptLevel, PlanOption, RecoveryPolicy, Strategy,
-    Workload,
+    plan, EngineOptions, Exec, ExecReport, FieldSet, OptLevel, PlanOption, RecoveryPolicy, Request,
+    Strategy, Workload,
 };
 use dfg_dataflow::{example_networks, memreq_units};
 use dfg_expr::compile;
@@ -188,8 +188,8 @@ pub fn table2() -> Artifact {
     let (mut rows, mut mismatches) = (Vec::new(), 0);
     for workload in Workload::ALL {
         for strategy in Strategy::ALL {
-            let report = engine
-                .derive(workload.source(), &fields, strategy)
+            let (_, report) = engine
+                .run(&Request::source(workload.source(), strategy), &fields)
                 .expect("model-mode run cannot fail on the smallest grid");
             let (measured, paper) = (report.table2_row(), workload.paper_table2(strategy));
             mismatches += usize::from(measured != paper);
@@ -468,6 +468,7 @@ fn insitu_session() -> (Table, bool) {
         Workload::QCriterion.source().trim_end()
     );
     let outputs = ["w_mag", "q_crit"];
+    let request = Request::outputs(&src, &outputs, Strategy::Fusion);
     let mut fields = virtual_fields([64, 64, 64]);
     let mut cycles = |derive: &mut dyn FnMut(&FieldSet) -> ExecReport| {
         let (mut seconds, mut uploads, mut compiles) = (0.0, 0, 0);
@@ -484,12 +485,12 @@ fn insitu_session() -> (Table, bool) {
     };
     let mut engine = model_engine(Target::Gpu.profile(), EngineOptions::default());
     let one_shot = cycles(&mut |fields| {
-        let derived = engine.derive_many(&src, &outputs, fields, Strategy::Fusion);
+        let derived = engine.run(&request, fields);
         derived.expect("one-shot derive").1
     });
     let mut session = engine.session();
     let cached = cycles(&mut |fields| {
-        let derived = session.derive_many(&src, &outputs, fields, Strategy::Fusion);
+        let derived = session.run(&request, fields);
         derived.expect("session derive").1
     });
     let pool_hits = session.pool_hits();
@@ -544,7 +545,8 @@ fn optimizer() -> (Table, bool) {
                     ..Default::default()
                 },
             );
-            let report = engine.derive(src, &fields, strategy).expect("model derive");
+            let request = Request::source(src, strategy);
+            let (_, report) = engine.run(&request, &fields).expect("model derive");
             let stats = engine.opt_stats(src).expect("program cached");
             let compiles = report.profile.count(EventKind::KernelCompile);
             (
@@ -604,8 +606,12 @@ fn streaming() -> (Table, Vec<f64>, bool) {
         };
         let mut engine = model_engine(device, EngineOptions::default());
         let fields = virtual_fields(dims);
-        let report = engine.derive_streamed(Workload::QCriterion.source(), &fields, budget);
-        let p = report.expect("streamed run completes").profile;
+        let request = Request::source(Workload::QCriterion.source(), Exec::Streamed(budget));
+        let p = engine
+            .run(&request, &fields)
+            .expect("streamed run completes")
+            .1
+            .profile;
         let transfer = p.seconds(EventKind::HostToDevice) + p.seconds(EventKind::DeviceToHost);
         let kernel = p.seconds(EventKind::KernelExec);
         let (serial, makespan) = (p.device_seconds(), p.makespan_seconds());
@@ -753,8 +759,8 @@ fn transient_faults() -> (Table, bool) {
         let (mut seconds, mut counts) = (0.0, [0u64; 3]);
         let src = Workload::QCriterion.source();
         for _ in 0..8 {
-            let report = engine.derive(src, &fields, Strategy::Fusion);
-            let report = report.expect("derivation recovers");
+            let report = engine.run(&Request::source(src, Strategy::Fusion), &fields);
+            let (_, report) = report.expect("derivation recovers");
             seconds += report.device_seconds();
             if let Some(r) = &report.recovery {
                 let add = [r.retries.into(), r.fallbacks.into(), u64::from(r.degraded)];

@@ -12,7 +12,7 @@
 
 use dfg_cluster::render::render_slice;
 use dfg_cluster::{run_distributed, Cluster, DistOptions};
-use dfg_core::{Engine, FieldSet, Strategy, Workload};
+use dfg_core::{Engine, FieldSet, Request, Strategy, Workload};
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
@@ -62,10 +62,13 @@ fn run_scaled_down() {
     let fs = FieldSet::for_rt_mesh(&global, &rt);
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     let single = engine
-        .derive(Workload::QCriterion.source(), &fs, Strategy::Fusion)
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+            &fs,
+        )
         .expect("single-grid run")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
     let identical = dist_field
         .iter()
         .zip(&single.data)

@@ -8,7 +8,9 @@
 //! code. See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
 //! recorded paper-vs-measured results.
 
-use dfg_core::{Engine, EngineError, EngineOptions, ExecReport, FieldSet, Strategy, Workload};
+use dfg_core::{
+    Engine, EngineError, EngineOptions, Exec, ExecReport, FieldSet, Request, Strategy, Workload,
+};
 use dfg_mesh::{GridSpec, TABLE1_CATALOG};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
@@ -137,7 +139,10 @@ pub fn run_case(workload: Workload, series: Series, target: Target, grid: GridSp
     let mut engine = model_engine(target.profile(), EngineOptions::default());
     let fields = FieldSet::virtual_rt(grid.dims());
     let result = match series {
-        Series::Strategy(strategy) => engine.derive(workload.source(), &fields, strategy),
+        Series::Strategy(strategy) => {
+            let request = Request::source(workload.source(), strategy);
+            engine.run(&request, &fields).map(|(_, report)| report)
+        }
         Series::Reference => engine.run_reference(workload, &fields),
     };
     match result {
@@ -219,8 +224,12 @@ pub fn stream_failed_fusion_cases() -> Vec<(Workload, GridSpec, Result<ExecRepor
             let mut engine = model_engine(Target::Gpu.profile(), EngineOptions::default());
             let fields = virtual_fields(grid.dims());
             let src = workload.source();
-            if engine.derive(src, &fields, Strategy::Fusion).is_err() {
-                out.push((workload, grid, engine.derive_streamed(src, &fields, None)));
+            if engine
+                .run(&Request::source(src, Strategy::Fusion), &fields)
+                .is_err()
+            {
+                let streamed = engine.run(&Request::source(src, Exec::Streamed(None)), &fields);
+                out.push((workload, grid, streamed.map(|(_, report)| report)));
             }
         }
     }

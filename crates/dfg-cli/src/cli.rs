@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use dfg_cluster::render::render_slice;
-use dfg_core::{plan, Engine, EngineOptions, FieldSet, Strategy};
+use dfg_core::{plan, Engine, EngineOptions, Exec, FieldSet, Request, Strategy};
 use dfg_dataflow::Width;
 use dfg_expr::compile;
 use dfg_kernels_shim::generated_source_of;
@@ -119,18 +119,6 @@ fn device_of(name: Option<&str>) -> Result<DeviceProfile, String> {
         "cpu" => Ok(DeviceProfile::intel_x5660()),
         "gpu" => Ok(DeviceProfile::nvidia_m2050()),
         other => Err(format!("unknown device `{other}` (cpu|gpu)")),
-    }
-}
-
-fn strategy_of(name: Option<&str>) -> Result<Option<Strategy>, String> {
-    match name.unwrap_or("fusion") {
-        "fusion" => Ok(Some(Strategy::Fusion)),
-        "staged" => Ok(Some(Strategy::Staged)),
-        "roundtrip" => Ok(Some(Strategy::Roundtrip)),
-        "streamed" => Ok(None), // handled via derive_streamed
-        other => Err(format!(
-            "unknown strategy `{other}` (fusion|staged|roundtrip|streamed)"
-        )),
     }
 }
 
@@ -407,9 +395,18 @@ fn cmd_run_distributed(args: &Args) -> Result<(), String> {
         "model" => ExecMode::Model,
         other => return Err(format!("--mode takes real|model, got `{other}`")),
     };
-    let strategy = strategy_of(args.get("strategy"))?.ok_or(
-        "the streamed strategy is per-device; distributed runs take fusion|staged|roundtrip",
-    )?;
+    let strategy = match args.get("strategy").unwrap_or("fusion").parse()? {
+        Exec::Roundtrip => Strategy::Roundtrip,
+        Exec::Staged => Strategy::Staged,
+        Exec::Fusion => Strategy::Fusion,
+        Exec::Streamed(_) => {
+            return Err(
+                "the streamed strategy is per-device; distributed runs take \
+                        fusion|staged|roundtrip"
+                    .into(),
+            )
+        }
+    };
     let (recovery, _) = recovery_of(args)?;
     let deadline = args
         .get("deadline-ms")
@@ -550,7 +547,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let mut ds = load_dataset(args)?;
     let fields = fieldset_of(&ds);
     let profile = device_of(args.get("device"))?;
-    let strategy = strategy_of(args.get("strategy"))?;
+    let exec: Exec = args.get("strategy").unwrap_or("fusion").parse()?;
     let (recovery, fault_plan) = recovery_of(args)?;
     let verify = verify_of(args)?;
 
@@ -565,18 +562,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if let Some(plan) = fault_plan {
         engine.set_fault_plan(plan);
     }
-    let report = match strategy {
-        Some(s) => engine.derive(&expression, &fields, s),
-        None => engine.derive_streamed(&expression, &fields, None),
-    }
-    .map_err(|e| {
-        if let Some(r) = e.recovery() {
-            print_recovery(r);
-        }
-        pretty_engine_err(&e, &expression)
-    })?;
+    let (mut out, report) = engine
+        .run(&Request::source(&expression, exec), &fields)
+        .map_err(|e| {
+            if let Some(r) = e.recovery() {
+                print_recovery(r);
+            }
+            pretty_engine_err(&e, &expression)
+        })?;
 
-    let field = report.field.as_ref().expect("real-mode run");
+    let field = out.pop().expect("real-mode run");
     let name = compile(&expression)
         .ok()
         .and_then(|spec| spec.node(spec.result).name.clone())
@@ -719,8 +714,9 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             },
         );
         engine.set_tracer(Tracer::new());
-        let report = engine
-            .derive(&expression, &fields, strategy)
+        let request = Request::source(&expression, strategy);
+        let (_, report) = engine
+            .run(&request, &fields)
             .map_err(|e| pretty_engine_err(&e, &expression))?;
         opt_stats = engine.opt_stats(&expression);
         // With verification on, run the same strategy unverified too, so
@@ -733,8 +729,8 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
                     ..EngineOptions::default()
                 },
             );
-            let r = base
-                .derive(&expression, &fields, strategy)
+            let (_, r) = base
+                .run(&request, &fields)
                 .map_err(|e| pretty_engine_err(&e, &expression))?;
             Some(r.wall.as_secs_f64() * 1e3)
         } else {
@@ -836,8 +832,11 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         },
     );
     engine.set_tracer(Tracer::new());
-    let report = engine
-        .derive_streamed(&expression, &fields, budget)
+    let (_, report) = engine
+        .run(
+            &Request::source(&expression, Exec::Streamed(budget)),
+            &fields,
+        )
         .map_err(|e| pretty_engine_err(&e, &expression))?;
     let trace = report.trace.as_ref().expect("tracer attached");
     let path = out_dir.join("trace-streamed.json");
@@ -1005,7 +1004,7 @@ fn cmd_insitu(args: &Args) -> Result<(), String> {
         _ => args.expression()?,
     };
     let profile = device_of(args.get("device"))?;
-    let strategy = strategy_of(args.get("strategy"))?;
+    let exec: Exec = args.get("strategy").unwrap_or("fusion").parse()?;
 
     let mut sim = FlowSimulation::from_workload(dims, &RtWorkload::paper_default());
     let mut engine = Engine::with_options(profile.clone(), EngineOptions::default());
@@ -1027,11 +1026,9 @@ fn cmd_insitu(args: &Args) -> Result<(), String> {
     );
     for cycle in 0..cycles {
         sim.step(0.01);
-        let report = match strategy {
-            Some(s) => session.derive(&expression, sim.fields(), s),
-            None => session.derive_streamed(&expression, sim.fields(), None),
-        }
-        .map_err(|e| pretty_engine_err(&e, &expression))?;
+        let (_, report) = session
+            .run(&Request::source(&expression, exec), sim.fields())
+            .map_err(|e| pretty_engine_err(&e, &expression))?;
         let (w, r, k) = report.table2_row();
         println!(
             "{cycle:>5} {w:>6} {r:>6} {k:>6} {:>12.3} {:>10.3}",
@@ -1530,8 +1527,9 @@ mod tests {
         for name in ["u", "v", "w"] {
             fields.insert_scalar(name, vec![0.5; 512]).unwrap();
         }
-        let report = Engine::new(DeviceProfile::nvidia_m2050())
-            .derive("mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+        let request = Request::source("mag = sqrt(u*u + v*v + w*w)", Strategy::Fusion);
+        let (_, report) = Engine::new(DeviceProfile::nvidia_m2050())
+            .run(&request, &fields)
             .unwrap();
         let line = strategy_line("fusion", &report);
         let cells: Vec<&str> = line.split_whitespace().collect();
@@ -1552,7 +1550,8 @@ mod tests {
         let mut engine = Engine::new(DeviceProfile::intel_x5660());
         engine.set_tracer(Tracer::new());
         let source = dfg_core::workloads::Q_CRITERION;
-        let report = engine.derive(source, &fields, Strategy::Staged).unwrap();
+        let request = Request::source(source, Strategy::Staged);
+        let (_, report) = engine.run(&request, &fields).unwrap();
         let rows = staged_kernel_rows(report.trace.as_ref().unwrap());
         let decompose = rows.iter().find(|r| r.kernel == "decompose_s0").unwrap();
         assert_eq!(decompose.launches, 3);
@@ -1816,8 +1815,9 @@ mod tests {
             verify: VerifyPolicy::Full,
             ..EngineOptions::default()
         };
-        let report = Engine::with_options(DeviceProfile::nvidia_m2050(), options)
-            .derive("mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+        let request = Request::source("mag = sqrt(u*u + v*v + w*w)", Strategy::Fusion);
+        let (_, report) = Engine::with_options(DeviceProfile::nvidia_m2050(), options)
+            .run(&request, &fields)
             .unwrap();
         let line = verify_line("fusion", &report, None);
         assert!(line.contains(" 0.262 MB hashed,"), "{line}");

@@ -10,7 +10,8 @@
 //! concatenated back. Results are bit-identical to a single-device run.
 
 use dfg_core::{
-    Engine, EngineError, EngineOptions, Field, FieldSet, RecoveryPolicy, RecoveryReport, Strategy,
+    Engine, EngineError, EngineOptions, Field, FieldSet, RecoveryPolicy, RecoveryReport, Request,
+    Strategy,
 };
 use dfg_dataflow::Width;
 use dfg_ocl::{DeviceProfile, ExecMode, FaultPlan, ProfileReport};
@@ -198,10 +199,10 @@ pub fn run_multi_device_with(
                     if let Some(plan) = plan {
                         engine.set_fault_plan(plan);
                     }
-                    let report = engine
-                        .derive(source, &slab_fields, strategy)
+                    let (mut out, report) = engine
+                        .run(&Request::source(source, strategy), &slab_fields)
                         .map_err(|source: EngineError| ClusterError::Engine { rank: d, source })?;
-                    let out = report.field.expect("real mode");
+                    let out = out.pop().expect("real mode");
                     // Extract the interior layers [z0, z1).
                     let lanes = match out.width {
                         Width::Vec4 => 4,
@@ -282,10 +283,13 @@ mod tests {
         let fields = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
         let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
         let single = engine
-            .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
+            .run(
+                &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+                &fields,
+            )
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         (fields, single)
     }
 

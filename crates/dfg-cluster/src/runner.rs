@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dfg_core::{
-    Engine, EngineError, EngineOptions, FieldSet, RecoveryPolicy, RecoveryReport, Strategy,
-    Workload,
+    Engine, EngineError, EngineOptions, FieldSet, RecoveryPolicy, RecoveryReport, Request,
+    Strategy, Workload,
 };
 use dfg_mesh::{decomp, partition_blocks, RectilinearMesh, RtWorkload, SubGrid};
 use dfg_ocl::{DeviceProfile, ExecMode, FaultKind, FaultPlan, RankFate};
@@ -760,10 +760,10 @@ fn run_distributed_inner(
                     fs.insert_scalar("y", y).expect("sized");
                     fs.insert_scalar("z", z).expect("sized");
                     fs.insert_small("dims", gmesh.dims_buffer());
-                    let report = engine
-                        .derive(opts.workload.source(), &fs, opts.strategy)
+                    let (out, report) = engine
+                        .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
                         .map_err(adopter_err)?;
-                    let out = report.field.as_ref().expect("real mode yields data");
+                    let out = out.first().expect("real mode yields data");
                     let (istart, idims) = b.interior_in_ghosted(1, global_dims);
                     if let Some(f) = field.as_mut() {
                         let interior = extract_interior(&out.data, gdims, istart, idims, 1);
@@ -773,8 +773,9 @@ fn run_distributed_inner(
                 } else {
                     let fs = FieldSet::virtual_rt(gdims);
                     engine
-                        .derive(opts.workload.source(), &fs, opts.strategy)
+                        .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
                         .map_err(adopter_err)?
+                        .1
                 };
                 rank_device_seconds[adopter] += report.device_seconds();
                 max_high_water = max_high_water.max(report.high_water_bytes());
@@ -1170,17 +1171,18 @@ fn run_rank(
             fs.insert_scalar("y", y).expect("sized");
             fs.insert_scalar("z", z).expect("sized");
             fs.insert_small("dims", gmesh.dims_buffer());
-            let report = engine
-                .derive(opts.workload.source(), &fs, opts.strategy)
+            let (out, report) = engine
+                .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
                 .map_err(err_here)?;
-            let out = report.field.as_ref().expect("real mode yields data");
+            let out = out.first().expect("real mode yields data");
             results.push((bi, extract_interior(&out.data, gdims, *istart, *idims, 1)));
             report
         } else {
             let fs = FieldSet::virtual_rt(gdims);
             engine
-                .derive(opts.workload.source(), &fs, opts.strategy)
+                .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
                 .map_err(err_here)?
+                .1
         };
         device_seconds += report.device_seconds();
         high_water = high_water.max(report.high_water_bytes());
@@ -1234,10 +1236,10 @@ mod tests {
             let fs = FieldSet::for_rt_mesh(&global, &rt);
             let mut engine = Engine::new(DeviceProfile::intel_x5660());
             let single = engine
-                .derive(workload.source(), &fs, Strategy::Fusion)
+                .run(&Request::source(workload.source(), Strategy::Fusion), &fs)
                 .unwrap()
-                .field
-                .unwrap();
+                .0
+                .remove(0);
             // Distributed over 3x2x2 blocks on 5 ranks.
             let result = run_distributed(
                 &global,

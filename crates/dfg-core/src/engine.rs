@@ -1,5 +1,6 @@
 //! The engine: the host interface of Figure 1.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, OptLevel, OptStats, Schedule, Strategy, Width};
@@ -9,7 +10,8 @@ use dfg_trace::{span, Trace, Tracer};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
-use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport, Request};
+use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport};
+use crate::request::{Exec, Program, Request};
 use crate::session::SessionState;
 use crate::strategies::{check_field, lanes_for, read_buffer, upload_field};
 use crate::workloads::Workload;
@@ -66,7 +68,8 @@ impl Default for EngineOptions {
 /// Everything one execution returns to the host.
 #[derive(Debug, Clone)]
 pub struct ExecReport {
-    /// The derived field (`None` in model mode).
+    /// The derived field of [`Engine::run_reference`] and the benchmark's
+    /// forwards (`None` in model mode; `run` returns fields beside it).
     pub field: Option<Field>,
     /// Categorized device events, modeled times and the allocation
     /// high-water mark.
@@ -114,7 +117,7 @@ impl ExecReport {
 /// The optimizer may merge named duplicate bindings (e.g. the
 /// Q-criterion's `s_3 = s_1`), so output names are resolved *before*
 /// optimization and carried here as a name → node map onto the optimized
-/// network — `derive_many` lookups survive CSE.
+/// network — named-output lookups survive CSE.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledProgram {
     /// The (possibly optimized) network; `spec.result` is the program's
@@ -126,52 +129,37 @@ pub(crate) struct CompiledProgram {
     pub opt: OptStats,
 }
 
-impl CompiledProgram {
-    /// Resolve requested output names to root nodes of `spec`; `None` asks
-    /// for the program's natural result.
-    pub(crate) fn roots_for(&self, outputs: Option<&[&str]>) -> Result<Vec<NodeId>, EngineError> {
-        let Some(names) = outputs else {
-            return Ok(vec![self.spec.result]);
-        };
-        // Shadowing rebinds names; the compile step resolved the *last*
-        // node carrying each name and remapped it through the optimizer
-        // (merged duplicates point at their shared survivor).
-        names
-            .iter()
-            .map(|&name| {
-                self.outputs
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| EngineError::NoSuchOutput {
-                        name: name.to_string(),
-                    })
-            })
-            .collect()
-    }
+/// What `run` returns: one field per root, in request order (none in
+/// model mode), and the report.
+type Derived = (Vec<Field>, ExecReport);
+
+/// A natural-result forward's report: its one field moves into
+/// [`ExecReport::field`].
+fn natural(derived: Result<Derived, EngineError>) -> Result<ExecReport, EngineError> {
+    derived.map(|(mut fields, mut report)| {
+        report.field = fields.pop();
+        report
+    })
 }
 
-/// Package an execution per entry point: named outputs pair up with their
-/// fields in request order; a natural-result run hands its one field over
-/// through [`ExecReport::field`]. (`fields_out` is empty in model mode.)
-pub(crate) fn package(
-    outputs: Option<&[&str]>,
-    mut fields_out: Vec<Field>,
-    mut report: ExecReport,
-) -> (Vec<(String, Field)>, ExecReport) {
-    match outputs {
-        Some(names) => {
-            let named = names
-                .iter()
-                .map(|n| n.to_string())
-                .zip(fields_out)
-                .collect();
-            (named, report)
-        }
-        None => {
-            report.field = fields_out.pop();
-            (Vec::new(), report)
-        }
-    }
+/// A named-outputs forward's `(name, field)` pairs, in request order.
+pub(crate) fn named(
+    outputs: &[&str],
+    derived: Result<Derived, EngineError>,
+) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
+    derived.map(|(fields, report)| {
+        let names = outputs.iter().map(|n| n.to_string());
+        (names.zip(fields).collect(), report)
+    })
+}
+
+/// A request's network and roots: a source compiled (cached) with its
+/// outputs resolved, or a lowered network as given.
+pub(crate) struct Lowered<'a> {
+    pub spec: Cow<'a, NetworkSpec>,
+    pub roots: Cow<'a, [NodeId]>,
+    /// Filters the optimizer eliminated (none for a network run as given).
+    pub saved: usize,
 }
 
 /// The derived-field generation engine a host application embeds.
@@ -182,7 +170,7 @@ pub struct Engine {
     profile: DeviceProfile,
     options: EngineOptions,
     /// Compiled-network cache keyed by source text: an in-situ host calls
-    /// `derive` with the same expression every time step, and parsing +
+    /// `run` with the same expression every time step, and parsing +
     /// lowering + optimization need only happen once (the paper's VisIt
     /// host likewise constructs the pipeline once and re-executes it).
     spec_cache: std::collections::HashMap<String, CompiledProgram>,
@@ -219,7 +207,7 @@ impl Engine {
     /// populated.
     ///
     /// ```
-    /// use dfg_core::{Engine, FieldSet, Strategy};
+    /// use dfg_core::{Engine, FieldSet, Request, Strategy};
     /// use dfg_ocl::DeviceProfile;
     /// use dfg_trace::Tracer;
     ///
@@ -228,11 +216,10 @@ impl Engine {
     ///
     /// let mut fields = FieldSet::new(8);
     /// fields.insert_scalar("u", vec![3.0; 8]);
-    /// let report = engine
-    ///     .derive("mag = sqrt(u*u)", &fields, Strategy::Fusion)
-    ///     .unwrap();
+    /// let request = Request::source("mag = sqrt(u*u)", Strategy::Fusion);
+    /// let (out, report) = engine.run(&request, &fields).unwrap();
     ///
-    /// assert_eq!(report.field.unwrap().data, vec![3.0; 8]);
+    /// assert_eq!(out[0].data, vec![3.0; 8]);
     /// let trace = report.trace.expect("tracer attached");
     /// let names: Vec<&str> =
     ///     trace.spans().iter().map(|s| s.name.as_str()).collect();
@@ -291,7 +278,7 @@ impl Engine {
     }
 
     /// How many distinct programs this engine has compiled (cache misses);
-    /// repeated `derive` calls with identical source text compile once.
+    /// repeated runs of identical source text compile once.
     pub fn compile_count(&self) -> usize {
         self.compiles
     }
@@ -356,51 +343,105 @@ impl Engine {
         self.options.mode
     }
 
-    /// Parse, lower, and execute an expression program over the host's
-    /// fields using `strategy`.
+    /// Run one derive: compile `request`'s program (cached) or take its
+    /// lowered network as given, and execute it on its executor over a
+    /// fresh, unpooled device context with no session state — so a failed
+    /// run (e.g. GPU out-of-memory) leaves no residue. Returns one field per
+    /// root, in request order (none in model mode), and the report.
+    ///
+    /// Whether it succeeded or not, the run must hand every device byte
+    /// back: a leak panics, in every build.
+    pub fn run(&mut self, request: &Request, fields: &FieldSet) -> Result<Derived, EngineError> {
+        let mark = self.trace_mark();
+        let strategy = request.exec.name();
+        let root = match request.program {
+            Program::Outputs(_, names) => span!(
+                self.tracer,
+                "derive_many",
+                strategy = strategy,
+                outputs = names.len(),
+            ),
+            _ => span!(self.tracer, "derive", strategy = strategy),
+        };
+        let lowered = self.lower(request.program)?;
+        let mut ctx = self.traced_context();
+        let result = self.execute(
+            &lowered.spec,
+            &lowered.roots,
+            fields,
+            request.exec,
+            &mut ctx,
+            None,
+        );
+        assert_eq!(ctx.in_use_bytes(), 0, "a one-shot leaked device buffers");
+        let (fields_out, mut report) = result?;
+        // Close the root span so the snapshot carries its full duration.
+        drop(root);
+        report.trace = self.snapshot_since(mark);
+        Ok((fields_out, report))
+    }
+
+    /// The network and roots `program` runs: a source is compiled (cached)
+    /// and its outputs resolved; a lowered network runs as given.
+    pub(crate) fn lower<'a>(&mut self, program: Program<'a>) -> Result<Lowered<'a>, EngineError> {
+        let (source, names) = match program {
+            Program::Source(source) => (source, None),
+            Program::Outputs(source, names) => (source, Some(names)),
+            Program::Network(spec, roots) => {
+                return Ok(Lowered {
+                    spec: Cow::Borrowed(spec),
+                    roots: Cow::Borrowed(roots),
+                    saved: 0,
+                })
+            }
+        };
+        let prog = self.compile_cached(source)?;
+        // The compile step resolved the *last* node carrying each name
+        // (shadowing rebinds) through the optimizer (merged duplicates
+        // point at their shared survivor).
+        let root = |name: &&str| prog.outputs.get(*name).copied();
+        let missing = |name: &&str| EngineError::NoSuchOutput {
+            name: name.to_string(),
+        };
+        let roots = match names {
+            None => vec![prog.spec.result],
+            Some(names) => (names.iter())
+                .map(|name| root(name).ok_or_else(|| missing(name)))
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(Lowered {
+            spec: Cow::Owned(prog.spec),
+            roots: Cow::Owned(roots),
+            saved: prog.opt.filters_eliminated(),
+        })
+    }
+
+    /// Forward of [`Engine::run`] kept for the frozen benchmark package:
+    /// `source`'s natural result, in [`ExecReport::field`].
     pub fn derive(
         &mut self,
         source: &str,
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
-        self.run(source, None, fields, Request::Strategy(strategy))
-            .map(|(_, report)| report)
+        natural(self.run(&Request::source(source, strategy), fields))
     }
 
-    /// Execute an already-lowered network specification.
-    ///
-    /// This low-level entry point runs the spec exactly as given — the
-    /// engine's optimizer level is *not* applied (use [`Engine::derive`]
-    /// for that, or optimize explicitly with `dfg_dataflow::optimize`).
-    pub fn derive_spec(
+    /// Forward of [`Engine::run`] kept for the frozen benchmark package:
+    /// `source`'s natural result streamed under `device_budget_bytes`, in
+    /// [`ExecReport::field`].
+    pub fn derive_streamed(
         &mut self,
-        spec: &NetworkSpec,
+        source: &str,
         fields: &FieldSet,
-        strategy: Strategy,
+        device_budget_bytes: Option<u64>,
     ) -> Result<ExecReport, EngineError> {
-        let mark = self.trace_mark();
-        let mut ctx = self.traced_context();
-        let (mut fields_out, mut report) = self.execute(
-            spec,
-            &[spec.result],
-            fields,
-            Request::Strategy(strategy),
-            &mut ctx,
-            None,
-        )?;
-        report.field = fields_out.pop();
-        report.trace = self.snapshot_since(mark);
-        Ok(report)
+        let request = Request::source(source, Exec::Streamed(device_budget_bytes));
+        natural(self.run(&request, fields))
     }
 
-    /// Derive several named fields in one execution.
-    ///
-    /// `outputs` are assignment names from the program; shared
-    /// subexpressions are computed once. Under fusion a single generated
-    /// kernel writes every output (one launch, one download); under
-    /// roundtrip/staged the shared schedule is walked once. Returns
-    /// `(name, field)` pairs in request order.
+    /// Forward of [`Engine::run`] kept for the frozen benchmark package:
+    /// `source`'s named `outputs` as `(name, field)` pairs.
     pub fn derive_many(
         &mut self,
         source: &str,
@@ -408,73 +449,30 @@ impl Engine {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
-        self.run(source, Some(outputs), fields, Request::Strategy(strategy))
+        named(
+            outputs,
+            self.run(&Request::outputs(source, outputs, strategy), fields),
+        )
     }
 
-    /// Execute an expression with the *streamed fusion* strategy — the
-    /// paper's §VI future work: the mesh is processed in z-slabs (with a
-    /// one-cell halo for gradient stencils) through the same generated
-    /// fused kernel, bounding peak device memory by `device_budget_bytes`
-    /// (defaults to the device's capacity). Results are bit-identical to
-    /// single-pass fusion; grids that exceed device memory now complete.
-    pub fn derive_streamed(
-        &mut self,
-        source: &str,
-        fields: &FieldSet,
-        device_budget_bytes: Option<u64>,
-    ) -> Result<ExecReport, EngineError> {
-        let budget = device_budget_bytes.unwrap_or(self.profile.global_mem_bytes);
-        self.run(source, None, fields, Request::Streamed { budget })
-            .map(|(_, report)| report)
-    }
-
-    /// The one-shot derive: compile (cached), resolve `outputs`, and execute
-    /// on a fresh, unpooled device context with no session state — so
-    /// failed runs (e.g. GPU out-of-memory) leave no residue.
-    fn run(
-        &mut self,
-        source: &str,
-        outputs: Option<&[&str]>,
-        fields: &FieldSet,
-        request: Request,
-    ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
-        let mark = self.trace_mark();
-        let root = match outputs {
-            None => span!(self.tracer, "derive", strategy = request.name()),
-            Some(names) => span!(
-                self.tracer,
-                "derive_many",
-                strategy = request.name(),
-                outputs = names.len(),
-            ),
-        };
-        let prog = self.compile_cached(source)?;
-        let roots = prog.roots_for(outputs)?;
-        let mut ctx = self.traced_context();
-        let (fields_out, mut report) =
-            self.execute(&prog.spec, &roots, fields, request, &mut ctx, None)?;
-        // Close the root span so the snapshot carries its full duration.
-        drop(root);
-        report.trace = self.snapshot_since(mark);
-        Ok(package(outputs, fields_out, report))
-    }
-
-    /// The one execution core, shared by every one-shot and session entry
-    /// point: plan `roots`, then hand the request to the recovery driver
-    /// (the only caller of the strategy executors) on `ctx`. One-shot
-    /// callers pass a fresh context and no session state; a session passes
-    /// its pooled context and cross-cycle state. Returns one field per root
-    /// (none in model mode) and the report, whose `field` and `trace` the
-    /// entry point fills in.
+    /// The one execution core, shared by the one-shot and the session
+    /// `run`: plan `roots`, then hand them to the recovery driver (the only
+    /// caller of the strategy executors) on `ctx`. A one-shot passes a
+    /// fresh context and no session state; a session passes its pooled
+    /// context and cross-cycle state. Returns one field per root (none in
+    /// model mode) and the report, whose `trace` the caller fills in.
     pub(crate) fn execute(
         &self,
         spec: &NetworkSpec,
         roots: &[NodeId],
         fields: &FieldSet,
-        request: Request,
+        exec: Exec,
         ctx: &mut Context,
         mut session: Option<&mut SessionState>,
-    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+    ) -> Result<Derived, EngineError> {
+        if matches!(exec, Exec::Streamed(_)) && roots != [spec.result] {
+            return Err(EngineError::StreamedRoots);
+        }
         let sched = {
             let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
             Schedule::for_roots(spec, roots)?
@@ -498,7 +496,7 @@ impl Engine {
             &sched,
             fields,
             roots,
-            request,
+            exec,
             ctx,
             session.as_deref_mut(),
         )?;

@@ -28,6 +28,9 @@ pub enum EngineError {
         /// The requested output name.
         name: String,
     },
+    /// A streamed request named roots other than the program's natural
+    /// result, the one root streamed fusion computes.
+    StreamedRoots,
     /// A provided field's length disagrees with the field set's cell count.
     FieldSize {
         /// Field name.
@@ -86,6 +89,9 @@ impl std::fmt::Display for EngineError {
                 f,
                 "field `{name}`: expected {expected} lanes, found {found}"
             ),
+            EngineError::StreamedRoots => {
+                write!(f, "streamed execution computes only the natural result")
+            }
             EngineError::ModeMismatch { detail } => write!(f, "mode mismatch: {detail}"),
             EngineError::Exhausted { recovery, last } => write!(
                 f,

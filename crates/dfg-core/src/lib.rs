@@ -4,17 +4,18 @@
 //! interface.
 //!
 //! This crate ties the framework together, mirroring the paper's
-//! architecture (Figure 1): the host application hands an expression string
-//! and its input field arrays to [`Engine::derive`]; the expression is
-//! parsed and lowered to a dataflow network (`dfg-expr`), scheduled
-//! (`dfg-dataflow`), and executed on a simulated OpenCL device (`dfg-ocl`)
-//! under one of three [`Strategy`] values using the shared kernel library
-//! (`dfg-kernels`). The derived field and a categorized device-event profile
-//! come back to the host.
+//! architecture (Figure 1): the host application hands a [`Request`] (an
+//! expression string and an [`Exec`]) and its input field arrays to
+//! [`Engine::run`]; the expression is parsed and lowered to a dataflow
+//! network (`dfg-expr`), scheduled (`dfg-dataflow`), and executed on a
+//! simulated OpenCL device (`dfg-ocl`) using the shared kernel library
+//! (`dfg-kernels`). The derived fields and a categorized device-event
+//! profile come back to the host.
 //!
-//! There is one execution core. Every entry point — [`Engine::derive`],
-//! `derive_many`, `derive_spec`, `derive_streamed`, and their [`Session`]
-//! equivalents — resolves its outputs to root nodes and hands them to
+//! There is one entry point per holder — [`Engine::run`] for a one-shot,
+//! [`Session::run`] for a cycle of an in-situ session and
+//! [`SessionRegistry::run`] for a tenant's — and one execution core. Each
+//! `run` resolves its [`Program`] to root nodes and hands them to
 //! `Engine::execute`, which plans once and calls the recovery driver; the
 //! driver is the only caller of the strategy executors, one function per
 //! strategy (roundtrip, staged, fusion, streamed). Single-output is
@@ -34,6 +35,7 @@ mod fields;
 pub mod planner;
 pub(crate) mod recovery;
 mod registry;
+mod request;
 mod session;
 mod strategies;
 pub mod workloads;
@@ -53,5 +55,6 @@ pub use fields::{Field, FieldSet, FieldValue};
 pub use planner::{plan, plan_opt, plan_traced, Plan, PlanOption};
 pub use recovery::{AttemptOutcome, AttemptRecord, ExecLevel, RecoveryPolicy, RecoveryReport};
 pub use registry::{SessionRegistry, TenantStats};
+pub use request::{Exec, Program, Request};
 pub use session::{Session, SessionStats};
 pub use workloads::Workload;

@@ -16,6 +16,7 @@ use dfg_trace::{span, Tracer};
 use crate::engine::{Engine, EngineOptions};
 use crate::error::EngineError;
 use crate::fields::FieldSet;
+use crate::request::Request;
 
 /// One feasible (device, strategy) choice with its predicted cost.
 #[derive(Debug, Clone)]
@@ -107,6 +108,7 @@ pub fn plan_traced(
         ncells = ncells,
         devices = devices.len()
     );
+    let roots = [spec.result];
     // Virtual fields named after the network's inputs.
     let mut fields = FieldSet::new(ncells as usize);
     for (_, node) in spec.iter() {
@@ -137,7 +139,7 @@ pub fn plan_traced(
                     ..Default::default()
                 },
             );
-            let report = engine.derive_spec(spec, &fields, strategy)?;
+            let (_, report) = engine.run(&Request::network(spec, &roots, strategy), &fields)?;
             debug_assert_eq!(report.high_water_bytes(), required);
             drop(
                 span!(tracer, "plan.candidate", strategy = strategy.name())
@@ -178,7 +180,8 @@ pub fn plan_traced(
                     ..Default::default()
                 },
             );
-            let report = engine.derive_spec(spec, &fields, Strategy::Fusion)?;
+            let request = Request::network(spec, &roots, Strategy::Fusion);
+            let (_, report) = engine.run(&request, &fields)?;
             drop(
                 span!(tracer, "plan.candidate", strategy = "streamed")
                     .meta("device", profile.name.as_str())
@@ -299,7 +302,9 @@ mod tests {
             },
         );
         let fields = crate::FieldSet::virtual_rt([192, 192, 256]);
-        let report = engine.derive_spec(&spec, &fields, best.strategy).unwrap();
+        let roots = [spec.result];
+        let request = Request::network(&spec, &roots, best.strategy);
+        let (_, report) = engine.run(&request, &fields).unwrap();
         assert_eq!(report.high_water_bytes(), best.peak_bytes);
         assert!((report.device_seconds() - best.seconds).abs() < 1e-12);
     }

@@ -33,6 +33,7 @@ use dfg_trace::{span, Tracer};
 use crate::engine::EngineOptions;
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
+use crate::request::Exec;
 use crate::session::SessionState;
 use crate::strategies::{run_fusion, run_roundtrip, run_staged, run_streamed};
 
@@ -217,33 +218,6 @@ impl RecoveryReport {
     }
 }
 
-/// What the caller asked for, before any fallback.
-pub(crate) enum Request {
-    /// One of the paper's single-pass strategies.
-    Strategy(Strategy),
-    /// Streamed fusion under an explicit device budget.
-    Streamed {
-        /// Peak-device-memory bound for slab sizing.
-        budget: u64,
-    },
-}
-
-impl Request {
-    /// Name for root trace spans: the strategy's, or `streamed`.
-    pub(crate) fn name(&self) -> &'static str {
-        self.level().name()
-    }
-
-    fn level(&self) -> ExecLevel {
-        match self {
-            Request::Strategy(Strategy::Fusion) => ExecLevel::Fusion,
-            Request::Strategy(Strategy::Staged) => ExecLevel::Staged,
-            Request::Strategy(Strategy::Roundtrip) => ExecLevel::Roundtrip,
-            Request::Streamed { .. } => ExecLevel::Streamed,
-        }
-    }
-}
-
 /// Engine state the driver needs, split out so the session (which holds
 /// `&mut Engine`) can call it alongside its own context and state.
 pub(crate) struct RecoveryCtx<'a> {
@@ -398,7 +372,7 @@ pub(crate) fn run_with_recovery(
     sched: &Schedule,
     fields: &FieldSet,
     roots: &[NodeId],
-    requested: Request,
+    requested: Exec,
     ctx: &mut Context,
     mut session: Option<&mut SessionState>,
 ) -> Result<RunOut, EngineError> {
@@ -406,7 +380,7 @@ pub(crate) fn run_with_recovery(
     let multi = !(roots.len() == 1 && roots[0] == spec.result);
     let levels = ladder(requested.level(), &policy, multi, rc.device);
     let streamed_budget = match requested {
-        Request::Streamed { budget } => budget,
+        Exec::Streamed(Some(budget)) => budget,
         _ => rc.device.global_mem_bytes,
     };
     let label = if roots.len() == 1 {

@@ -25,7 +25,7 @@
 //! the next request starts clean.
 //!
 //! ```
-//! use dfg_core::{EngineOptions, SessionRegistry, Strategy, FieldSet};
+//! use dfg_core::{EngineOptions, FieldSet, Request, SessionRegistry, Strategy};
 //! use dfg_ocl::DeviceProfile;
 //!
 //! let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
@@ -33,11 +33,10 @@
 //! fields.insert_scalar("u", vec![2.0; 8]).unwrap();
 //!
 //! // Two tenants, isolated sessions, both served from one registry.
+//! let request = Request::source("m = u*u", Strategy::Fusion);
 //! for tenant in ["alice", "bob"] {
-//!     let report = reg
-//!         .derive(tenant, "m = u*u", &fields, Strategy::Fusion)
-//!         .unwrap();
-//!     assert!(report.field.is_some());
+//!     let (out, _report) = reg.run(tenant, &request, &fields).unwrap();
+//!     assert_eq!(out[0].data, vec![4.0; 8]);
 //! }
 //! assert_eq!(reg.len(), 2);
 //! let stats = reg.stats("alice").unwrap();
@@ -53,9 +52,9 @@ use dfg_trace::Tracer;
 use crate::cancel::CancelToken;
 use crate::engine::{Engine, EngineOptions, ExecReport};
 use crate::error::EngineError;
-use crate::fields::FieldSet;
+use crate::fields::{Field, FieldSet};
+use crate::request::Request;
 use crate::session::{Session, SessionStats};
-use crate::Strategy;
 
 /// One tenant's long-lived state inside the registry.
 struct Tenant {
@@ -180,69 +179,25 @@ impl SessionRegistry {
         entry
     }
 
-    /// Run `f` against `tenant`'s session inside an allocation guard: on
-    /// error the context is rolled back to the pre-request mark and
-    /// resident entries for rolled-back buffers are pruned, so a failed
-    /// request cannot leak device bytes into the long-lived session.
-    fn guarded<R>(
+    /// Run one cycle of `tenant`'s session (see [`Session::run`]) under its
+    /// quota, inside an allocation guard: on error the context is rolled
+    /// back to the pre-request mark and resident entries for rolled-back
+    /// buffers are pruned, so a failed request cannot leak device bytes
+    /// into the long-lived session.
+    pub fn run(
         &mut self,
         tenant: &str,
-        f: impl FnOnce(&mut Session) -> Result<R, EngineError>,
-    ) -> Result<R, EngineError> {
-        let entry = self.entry(tenant);
-        let mark = entry.session.ctx.alloc_mark();
-        match f(&mut entry.session) {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                entry.session.ctx.rollback(&mark);
-                entry
-                    .session
-                    .state
-                    .resident
-                    .retain(|_, r| mark.contains(r.buf));
-                Err(e)
-            }
+        request: &Request,
+        fields: &FieldSet,
+    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+        let session = &mut self.entry(tenant).session;
+        let mark = session.ctx.alloc_mark();
+        let result = session.run(request, fields);
+        if result.is_err() {
+            session.ctx.rollback(&mark);
+            session.state.resident.retain(|_, r| mark.contains(r.buf));
         }
-    }
-
-    /// Derive one field for `tenant`; same contract as [`Session::derive`]
-    /// with the registry's quota and leak guard applied.
-    pub fn derive(
-        &mut self,
-        tenant: &str,
-        source: &str,
-        fields: &FieldSet,
-        strategy: Strategy,
-    ) -> Result<ExecReport, EngineError> {
-        self.guarded(tenant, |s| s.derive(source, fields, strategy))
-    }
-
-    /// Derive several named outputs for `tenant` in one execution; see
-    /// [`Session::derive_many`].
-    pub fn derive_many(
-        &mut self,
-        tenant: &str,
-        source: &str,
-        outputs: &[&str],
-        fields: &FieldSet,
-        strategy: Strategy,
-    ) -> Result<(Vec<(String, crate::Field)>, ExecReport), EngineError> {
-        self.guarded(tenant, |s| s.derive_many(source, outputs, fields, strategy))
-    }
-
-    /// Execute an already-lowered, explicitly rooted network for `tenant`;
-    /// see [`Session::derive_network`]. `dfg-serve` uses this to run one
-    /// merged multi-tenant network (see `dfg_dataflow::merge_networks`) and
-    /// fan its outputs back out per request.
-    pub fn derive_network(
-        &mut self,
-        tenant: &str,
-        spec: &dfg_dataflow::NetworkSpec,
-        roots: &[dfg_dataflow::NodeId],
-        fields: &FieldSet,
-        strategy: Strategy,
-    ) -> Result<(Vec<crate::Field>, ExecReport), EngineError> {
-        self.guarded(tenant, |s| s.derive_network(spec, roots, fields, strategy))
+        result
     }
 
     /// Record that `tenant`'s latest request was served by a merged
@@ -257,20 +212,6 @@ impl SessionRegistry {
     /// layers that optimize/merge networks outside the tenant's engine.
     pub fn note_opt_saved(&mut self, tenant: &str, kernels: u64) {
         self.entry(tenant).session.state.stats.opt_saved_kernels += kernels;
-    }
-
-    /// Streamed (slab-partitioned) derivation for `tenant`; see
-    /// [`Session::derive_streamed`].
-    pub fn derive_streamed(
-        &mut self,
-        tenant: &str,
-        source: &str,
-        fields: &FieldSet,
-        device_budget_bytes: Option<u64>,
-    ) -> Result<ExecReport, EngineError> {
-        self.guarded(tenant, |s| {
-            s.derive_streamed(source, fields, device_budget_bytes)
-        })
     }
 
     /// Install (or clear, with `None`) the cancellation token polled during
@@ -404,7 +345,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RecoveryPolicy;
+    use crate::{RecoveryPolicy, Strategy};
 
     fn fields(n: usize) -> FieldSet {
         let mut f = FieldSet::new(n);
@@ -415,19 +356,8 @@ mod tests {
         f
     }
 
-    #[test]
-    fn owned_session_matches_borrowed_session() {
-        let fields = fields(64);
-        let src = "m = sqrt(u*u + v*v)";
-        let mut engine = Engine::new(DeviceProfile::intel_x5660());
-        let mut borrowed = engine.session();
-        let want = borrowed.derive(src, &fields, Strategy::Fusion).unwrap();
-        let mut owned = Engine::new(DeviceProfile::intel_x5660()).into_session();
-        let got = owned.derive(src, &fields, Strategy::Fusion).unwrap();
-        assert_eq!(
-            want.field.as_ref().unwrap().as_scalar().unwrap(),
-            got.field.as_ref().unwrap().as_scalar().unwrap()
-        );
+    fn fusion(source: &str) -> Request<'_> {
+        Request::source(source, Strategy::Fusion)
     }
 
     #[test]
@@ -436,8 +366,8 @@ mod tests {
         let src = "m = u*v";
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
         for _ in 0..3 {
-            reg.derive("a", src, &fields, Strategy::Fusion).unwrap();
-            reg.derive("b", src, &fields, Strategy::Fusion).unwrap();
+            reg.run("a", &fusion(src), &fields).unwrap();
+            reg.run("b", &fusion(src), &fields).unwrap();
         }
         for id in ["a", "b"] {
             let st = reg.stats(id).unwrap();
@@ -460,7 +390,7 @@ mod tests {
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), opts);
         reg.set_quota("tiny", 16 * 1024);
         let err = reg
-            .derive("tiny", "m = u*v + u", &fields, Strategy::Fusion)
+            .run("tiny", &fusion("m = u*v + u"), &fields)
             .unwrap_err();
         assert!(err.is_out_of_memory(), "expected OOM, got {err}");
         let st = reg.stats("tiny").unwrap();
@@ -468,8 +398,7 @@ mod tests {
         assert_eq!(st.quota_bytes, 16 * 1024);
         // A request that fits still succeeds afterwards.
         let small = fields_of(8);
-        reg.derive("tiny", "m = u+v", &small, Strategy::Fusion)
-            .unwrap();
+        reg.run("tiny", &fusion("m = u+v"), &small).unwrap();
     }
 
     fn fields_of(n: usize) -> FieldSet {
@@ -486,9 +415,7 @@ mod tests {
         };
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), opts);
         reg.set_quota("t", 16 * 1024);
-        let report = reg
-            .derive("t", "m = u*v + u", &fields, Strategy::Fusion)
-            .unwrap();
+        let (_, report) = reg.run("t", &fusion("m = u*v + u"), &fields).unwrap();
         let rec = report.recovery.as_ref().expect("recovery record");
         assert!(rec.degraded, "expected a degraded completion under quota");
     }
@@ -497,10 +424,8 @@ mod tests {
     fn idle_eviction_releases_sessions_and_bytes() {
         let fields = fields(64);
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
-        reg.derive("a", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
-        reg.derive("b", "m = u+v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("a", &fusion("m = u*v"), &fields).unwrap();
+        reg.run("b", &fusion("m = u+v"), &fields).unwrap();
         assert_eq!(reg.len(), 2);
         // Nothing is idle long enough for a 1-hour TTL.
         assert!(reg.evict_idle(Duration::from_secs(3600)).is_empty());
@@ -511,8 +436,7 @@ mod tests {
         assert_eq!(reg.total_in_use_bytes(), 0);
         assert_eq!(reg.total_pooled_bytes(), 0);
         // Evicted tenants come back lazily on their next request.
-        reg.derive("a", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("a", &fusion("m = u*v"), &fields).unwrap();
         assert_eq!(reg.stats("a").unwrap().session.cycles, 1);
     }
 
@@ -520,11 +444,9 @@ mod tests {
     fn lru_eviction_picks_the_stalest_tenant() {
         let fields = fields(64);
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
-        reg.derive("old", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("old", &fusion("m = u*v"), &fields).unwrap();
         std::thread::sleep(Duration::from_millis(5));
-        reg.derive("new", "m = u+v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("new", &fusion("m = u+v"), &fields).unwrap();
         assert_eq!(reg.evict_lru().as_deref(), Some("old"));
         assert_eq!(reg.tenant_ids(), vec!["new".to_string()]);
         assert_eq!(reg.evict_lru().as_deref(), Some("new"));
@@ -536,17 +458,14 @@ mod tests {
         let fields = fields(64);
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
         // Transient output buffers are parked in the pool after each cycle.
-        reg.derive("a", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
-        reg.derive("b", "m = u+v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("a", &fusion("m = u*v"), &fields).unwrap();
+        reg.run("b", &fusion("m = u+v"), &fields).unwrap();
         assert!(reg.total_pooled_bytes() > 0, "expected parked pool bytes");
         let freed = reg.trim_pools();
         assert!(freed > 0);
         assert_eq!(reg.total_pooled_bytes(), 0);
         // Sessions survive trimming; the next request still amortizes.
-        reg.derive("a", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("a", &fusion("m = u*v"), &fields).unwrap();
         assert_eq!(reg.stats("a").unwrap().session.codegen_cached, 1);
     }
 
@@ -557,17 +476,14 @@ mod tests {
         let tok = CancelToken::new();
         tok.cancel();
         reg.set_cancel("t", Some(tok));
-        let err = reg
-            .derive("t", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap_err();
+        let err = reg.run("t", &fusion("m = u*v"), &fields).unwrap_err();
         assert!(err.is_cancelled(), "expected Cancelled, got {err}");
         assert!(!err.deadline_exceeded());
         let st = reg.stats("t").unwrap();
         assert_eq!(st.in_use_bytes, 0, "cancelled request leaked bytes");
         // Clearing the token lets the tenant run again.
         reg.set_cancel("t", None);
-        reg.derive("t", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap();
+        reg.run("t", &fusion("m = u*v"), &fields).unwrap();
     }
 
     #[test]
@@ -576,9 +492,7 @@ mod tests {
         let mut reg = SessionRegistry::new(DeviceProfile::intel_x5660(), EngineOptions::default());
         let tok = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         reg.set_cancel("t", Some(tok));
-        let err = reg
-            .derive("t", "m = u*v", &fields, Strategy::Fusion)
-            .unwrap_err();
+        let err = reg.run("t", &fusion("m = u*v"), &fields).unwrap_err();
         assert!(err.is_cancelled());
         assert!(err.deadline_exceeded());
     }

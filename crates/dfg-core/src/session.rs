@@ -18,7 +18,7 @@
 //!   code generation and `record_compile` happen once per distinct network,
 //!   not once per cycle.
 //!
-//! Profiles are still per-cycle: each [`Session::derive`] resets the
+//! Profiles are still per-cycle: each [`Session::run`] resets the
 //! context's event log and virtual clock first, so a cycle's
 //! [`ExecReport`] covers that cycle alone (with the high-water mark
 //! re-seeded from the resident bytes). Trace spans are likewise scoped per
@@ -28,7 +28,7 @@
 //! One-shot and session derives share one execution core
 //! (`Engine::execute` → the recovery driver → one function per strategy).
 //! A session passes its pooled context and its cross-cycle state; one-shot
-//! [`Engine::derive`] passes no session state and a fresh, unpooled context
+//! [`Engine::run`] passes no session state and a fresh, unpooled context
 //! per run, preserving the paper's Table II counts and Figure 5/6 model
 //! numbers exactly.
 
@@ -40,10 +40,10 @@ use dfg_kernels::FusedKernel;
 use dfg_ocl::{BufferId, Context};
 use dfg_trace::span;
 
-use crate::engine::{package, Engine, ExecReport};
+use crate::engine::{named, Engine, ExecReport};
 use crate::error::EngineError;
-use crate::fields::FieldSet;
-use crate::recovery::Request;
+use crate::fields::{Field, FieldSet};
+use crate::request::Request;
 use crate::strategies::{check_field, lanes_for, write_field};
 
 /// A device-resident copy of one host input field.
@@ -64,7 +64,7 @@ pub(crate) struct CachedProgram {
 /// Counters a session accumulates; see [`Session::stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Completed `derive`/`derive_many` cycles.
+    /// Completed `run` cycles.
     pub cycles: u64,
     /// Host→device uploads of input fields actually performed.
     pub uploads: u64,
@@ -192,10 +192,10 @@ pub(crate) fn program_key(spec: &NetworkSpec, roots: &[NodeId], streamed: bool) 
 }
 
 /// A long-lived execution context for in-situ loops; create one with
-/// [`Engine::session`] and drive it every cycle with [`Session::derive`].
+/// [`Engine::session`] and drive it every cycle with [`Session::run`].
 ///
 /// ```
-/// use dfg_core::{Engine, FieldSet, Strategy};
+/// use dfg_core::{Engine, FieldSet, Request, Strategy};
 /// use dfg_ocl::DeviceProfile;
 ///
 /// let mut engine = Engine::new(DeviceProfile::intel_x5660());
@@ -203,14 +203,13 @@ pub(crate) fn program_key(spec: &NetworkSpec, roots: &[NodeId], streamed: bool) 
 /// let mut fields = FieldSet::new(8);
 /// fields.insert_scalar("u", vec![3.0; 8]).unwrap();
 ///
+/// let request = Request::source("mag = sqrt(u*u)", Strategy::Fusion);
 /// for cycle in 0..3 {
 ///     if cycle > 0 {
 ///         fields.update_scalar("u", &vec![cycle as f32; 8]).unwrap();
 ///     }
-///     let report = session
-///         .derive("mag = sqrt(u*u)", &fields, Strategy::Fusion)
-///         .unwrap();
-///     assert!(report.field.is_some());
+///     let (out, _report) = session.run(&request, &fields).unwrap();
+///     assert_eq!(out.len(), 1);
 /// }
 /// let stats = session.stats().clone();
 /// assert_eq!(stats.cycles, 3);
@@ -233,7 +232,7 @@ pub struct Session<E: BorrowMut<Engine> = Engine> {
 impl Engine {
     /// Open a persistent session: one pooled device context plus resident
     /// fields and a compiled-kernel cache, amortized across every
-    /// [`Session::derive`] until the session is dropped (or [`Session::end`]
+    /// [`Session::run`] until the session is dropped (or [`Session::end`]
     /// releases its buffers explicitly).
     pub fn session(&mut self) -> Session<&mut Engine> {
         let mut ctx = self.traced_context();
@@ -251,17 +250,16 @@ impl Engine {
     /// wants.
     ///
     /// ```
-    /// use dfg_core::{Engine, FieldSet, Session, Strategy};
+    /// use dfg_core::{Engine, FieldSet, Request, Session, Strategy};
     /// use dfg_ocl::DeviceProfile;
     ///
     /// let engine = Engine::new(DeviceProfile::intel_x5660());
     /// let mut session: Session = engine.into_session(); // owns the engine
     /// let mut fields = FieldSet::new(8);
     /// fields.insert_scalar("u", vec![4.0; 8]).unwrap();
-    /// let report = session
-    ///     .derive("r = sqrt(u)", &fields, Strategy::Fusion)
-    ///     .unwrap();
-    /// assert_eq!(report.field.unwrap().data, vec![2.0; 8]);
+    /// let request = Request::source("r = sqrt(u)", Strategy::Fusion);
+    /// let (out, _report) = session.run(&request, &fields).unwrap();
+    /// assert_eq!(out[0].data, vec![2.0; 8]);
     /// ```
     pub fn into_session(self) -> Session {
         let mut ctx = self.traced_context();
@@ -275,119 +273,58 @@ impl Engine {
 }
 
 impl<E: BorrowMut<Engine>> Session<E> {
-    /// Derive one field for this cycle. Same contract as
-    /// [`Engine::derive`], but uploads, codegen, and buffer allocations are
-    /// amortized across cycles; the returned report covers this cycle only.
-    pub fn derive(
+    /// Run one cycle: the same contract as [`Engine::run`], but uploads,
+    /// codegen and buffer allocations are amortized across cycles, and the
+    /// report covers this cycle only. A lowered network runs as given —
+    /// the substrate of `dfg-serve`'s cross-request fusion, which merges
+    /// several tenants' expressions (see `dfg_dataflow::merge_networks`)
+    /// into one multi-output network.
+    pub fn run(
         &mut self,
-        source: &str,
+        request: &Request,
         fields: &FieldSet,
-        strategy: Strategy,
-    ) -> Result<ExecReport, EngineError> {
-        self.run(source, None, fields, Request::Strategy(strategy))
-            .map(|(_, report)| report)
+    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+        let engine = self.engine.borrow_mut();
+        let mark = engine.trace_mark();
+        // Per-cycle profile: clear events, rewind the virtual clock, and
+        // re-seed the high-water mark from the resident bytes.
+        self.ctx.reset_profile();
+        let root = span!(
+            engine.tracer().cloned(),
+            "derive",
+            strategy = request.exec.name(),
+            session = true,
+            cycle = self.state.stats.cycles,
+        );
+        let lowered = engine.lower(request.program)?;
+        let (fields_out, mut report) = engine.execute(
+            &lowered.spec,
+            &lowered.roots,
+            fields,
+            request.exec,
+            &mut self.ctx,
+            Some(&mut self.state),
+        )?;
+        self.state.stats.cycles += 1;
+        self.state.stats.opt_saved_kernels += lowered.saved as u64;
+        drop(root);
+        report.trace = engine.snapshot_since(mark);
+        Ok((fields_out, report))
     }
 
-    /// Derive several named fields in one execution (see
-    /// [`Engine::derive_many`]), amortized across cycles.
+    /// Forward of [`Session::run`] kept for the frozen benchmark package:
+    /// `source`'s named `outputs` as `(name, field)` pairs.
     pub fn derive_many(
         &mut self,
         source: &str,
         outputs: &[&str],
         fields: &FieldSet,
         strategy: Strategy,
-    ) -> Result<(Vec<(String, crate::Field)>, ExecReport), EngineError> {
-        self.run(source, Some(outputs), fields, Request::Strategy(strategy))
-    }
-
-    /// Streamed fusion under the session (see [`Engine::derive_streamed`]):
-    /// slab transfers are inherent to streaming, but codegen/compile is
-    /// served from the session's kernel cache and the slab buffers come
-    /// from the context's pool.
-    pub fn derive_streamed(
-        &mut self,
-        source: &str,
-        fields: &FieldSet,
-        device_budget_bytes: Option<u64>,
-    ) -> Result<ExecReport, EngineError> {
-        let budget = device_budget_bytes.unwrap_or(self.engine.borrow().device().global_mem_bytes);
-        self.run(source, None, fields, Request::Streamed { budget })
-            .map(|(_, report)| report)
-    }
-
-    fn run(
-        &mut self,
-        source: &str,
-        outputs: Option<&[&str]>,
-        fields: &FieldSet,
-        request: Request,
-    ) -> Result<(Vec<(String, crate::Field)>, ExecReport), EngineError> {
-        let mark = self.engine.borrow().trace_mark();
-        // Per-cycle profile: clear events, rewind the virtual clock, and
-        // re-seed the high-water mark from the resident bytes.
-        self.ctx.reset_profile();
-        let tracer = self.engine.borrow().tracer().cloned();
-        let root = span!(
-            tracer,
-            "derive",
-            strategy = request.name(),
-            session = true,
-            cycle = self.state.stats.cycles,
-        );
-        let prog = self.engine.borrow_mut().compile_cached(source)?;
-        let roots = prog.roots_for(outputs)?;
-        let (fields_out, mut report) = self.engine.borrow().execute(
-            &prog.spec,
-            &roots,
-            fields,
-            request,
-            &mut self.ctx,
-            Some(&mut self.state),
-        )?;
-        self.state.stats.cycles += 1;
-        self.state.stats.opt_saved_kernels += prog.opt.filters_eliminated() as u64;
-        drop(root);
-        report.trace = self.engine.borrow().snapshot_since(mark);
-        Ok(package(outputs, fields_out, report))
-    }
-
-    /// Execute an already-lowered network over explicit `roots` in this
-    /// session — the substrate of `dfg-serve`'s cross-request fusion,
-    /// where several tenants' expressions are merged (see
-    /// `dfg_dataflow::merge_networks`) and computed as one multi-output
-    /// network. The engine's optimizer is *not* applied here; pass a
-    /// pre-optimized spec. Returns one field per root, in root order
-    /// (empty in model mode), plus the cycle report.
-    pub fn derive_network(
-        &mut self,
-        spec: &NetworkSpec,
-        roots: &[NodeId],
-        fields: &FieldSet,
-        strategy: Strategy,
-    ) -> Result<(Vec<crate::Field>, ExecReport), EngineError> {
-        let mark = self.engine.borrow().trace_mark();
-        self.ctx.reset_profile();
-        let tracer = self.engine.borrow().tracer().cloned();
-        let root = span!(
-            tracer,
-            "derive",
-            strategy = strategy.name(),
-            session = true,
-            cycle = self.state.stats.cycles,
-            roots = roots.len(),
-        );
-        let (fields_out, mut report) = self.engine.borrow().execute(
-            spec,
-            roots,
-            fields,
-            Request::Strategy(strategy),
-            &mut self.ctx,
-            Some(&mut self.state),
-        )?;
-        self.state.stats.cycles += 1;
-        drop(root);
-        report.trace = self.engine.borrow().snapshot_since(mark);
-        Ok((fields_out, report))
+    ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
+        named(
+            outputs,
+            self.run(&Request::outputs(source, outputs, strategy), fields),
+        )
     }
 
     /// Install (or clear, with `None`) the cancellation token polled during

@@ -3,17 +3,16 @@
 //! the analytical model. Every comparison of two configurations goes
 //! through the conformance harness (`tests/harness.rs`).
 
-use dfg_dataflow::{memreq_units, NetworkSpec, NodeId, Strategy};
+use dfg_dataflow::{memreq_units, Strategy};
 use dfg_expr::compile;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, ExecMode};
 
-use crate::recovery::Request;
-use crate::{Engine, EngineOptions, FieldSet, OptLevel, Workload};
+use crate::{Engine, EngineOptions, FieldSet, OptLevel, Request, Workload};
 
 mod harness;
 use harness::{
-    real_and_model, same_bits, same_lanes, Config, Exec, Inputs, OneShot, Program, EXECS,
+    real_and_model, same_bits, same_lanes, Config, Exec, Holder, Inputs, Program, EXECS,
 };
 
 fn small_rt_fields(dims: [usize; 3]) -> FieldSet {
@@ -31,32 +30,6 @@ fn model_engine(device: DeviceProfile) -> Engine {
         ..Default::default()
     };
     Engine::with_options(device, options)
-}
-
-/// The harness's one-shot of a lowered network's `roots`: execute them on
-/// a fresh unpooled context, as `Engine::derive_spec` does, but keeping the
-/// context, so the harness sees what the run left in use.
-fn network_one_shot(
-    engine: &mut Engine,
-    spec: &NetworkSpec,
-    roots: &[NodeId],
-    fields: &FieldSet,
-    exec: Exec,
-) -> OneShot {
-    let request = match exec {
-        Exec::Streamed(budget) => Request::Streamed {
-            budget: budget.unwrap_or(engine.device().global_mem_bytes),
-        },
-        exec => Request::Strategy(exec.strategy().expect("a strategy executor")),
-    };
-    let mark = engine.trace_mark();
-    let mut ctx = engine.traced_context();
-    let result = engine.execute(spec, roots, fields, request, &mut ctx, None);
-    let result = result.map(|(fields, mut report)| {
-        report.trace = engine.snapshot_since(mark);
-        (fields, Vec::new(), report)
-    });
-    (result, Some(ctx.in_use_bytes()))
 }
 
 #[test]
@@ -81,16 +54,16 @@ fn executors_agree(dims: [usize; 3]) {
     for workload in Workload::ALL {
         let program = Program::Source(workload.source());
         let what = format!("{workload} on {dims:?}");
-        let run = |exec| harness::run(&Config::new(exec), program, &inputs);
-        let fused = run(Exec::Fusion).last(&what).fields.clone();
+        let run = |config| harness::run(&config, program, &inputs);
+        let fused = run(Config::new(Exec::Fusion)).last(&what).fields.clone();
         for exec in [Exec::Roundtrip, Exec::Staged] {
             same_bits(
                 &fused,
-                &run(exec).last(&what).fields,
+                &run(Config::new(exec)).last(&what).fields,
                 &format!("{what}: {exec:?}"),
             );
         }
-        let reference = run(Exec::Reference).last(&what).fields.clone();
+        let reference = run(Config::reference()).last(&what).fields.clone();
         if workload == Workload::QCriterion {
             let (fused, reference) = (&fused[0].data, &reference[0].data);
             let scale = fused.iter().fold(1e-6f32, |m, x| m.max(x.abs()));
@@ -114,11 +87,11 @@ fn serial_matches_pooled(dims: [usize; 3]) {
     use dfg_trace::MetaValue::Bool;
     let inputs = Inputs::rt(dims);
     let session = Config {
-        session: Some(2),
+        holder: Holder::Session(2),
         ..Config::new(Exec::Staged)
     };
     let configs = EXECS.map(Config::new).into_iter();
-    let configs = configs.chain([Config::new(Exec::Reference), session]);
+    let configs = configs.chain([Config::reference(), session]);
     let placements = |run: &harness::Run| -> Vec<_> {
         let trace = run.report.trace.as_ref().expect("traced");
         let kernels = trace.spans().iter().filter(|s| s.name == "staged.kernel");
@@ -130,8 +103,8 @@ fn serial_matches_pooled(dims: [usize; 3]) {
     for workload in Workload::ALL {
         let program = Program::Source(workload.source());
         for config in configs.clone() {
-            let (exec, cycles) = (config.exec, config.session);
-            let what = format!("{workload} on {dims:?} {exec:?} session {cycles:?}");
+            let (exec, holder) = (config.exec, config.holder);
+            let what = format!("{workload} on {dims:?} {exec:?} {holder:?}");
             let pooled = Config {
                 traced: true,
                 ..config
@@ -170,7 +143,9 @@ fn measured_high_water_matches_analytical_model() {
     for workload in Workload::ALL {
         let spec = compile(workload.source()).unwrap();
         for strategy in Strategy::ALL {
-            let report = engine.derive_spec(&spec, &fields, strategy).unwrap();
+            let (_, report) = engine
+                .run(&Request::network(&spec, &[spec.result], strategy), &fields)
+                .unwrap();
             let predicted = memreq_units(&spec, strategy).unwrap().bytes(n);
             assert_eq!(
                 report.high_water_bytes(),
@@ -191,18 +166,18 @@ fn model_mode_reproduces_real_mode_accounting() {
     let streamed = Exec::Streamed(Some(8 * 1024));
     for workload in Workload::ALL {
         let program = Program::Source(workload.source());
-        for session in [None, Some(2)] {
+        for holder in [Holder::OneShot, Holder::Session(2)] {
             let config = Config {
-                session,
+                holder,
                 ..Config::new(streamed)
             };
-            let what = format!("{workload}/streamed session {session:?}");
+            let what = format!("{workload}/streamed {holder:?}");
             let real = real_and_model(&config, program, &inputs, &what);
             let events = &real.last(&what).report.profile.events;
             assert!(events.iter().any(|e| e.queue > 0), "{what}");
         }
         let what = format!("{workload}/reference");
-        real_and_model(&Config::new(Exec::Reference), program, &inputs, &what);
+        real_and_model(&Config::reference(), program, &inputs, &what);
     }
     let outputs = Program::Outputs(Workload::VorticityMagnitude.source(), &["w_mag", "w_x"]);
     for strategy in Strategy::ALL {
@@ -216,16 +191,22 @@ fn model_mode_reproduces_real_mode_accounting() {
 fn fusion_reports_generated_source() {
     let fields = small_rt_fields([4, 4, 4]);
     let mut engine = cpu_engine();
-    let report = engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
+    let (_, report) = engine
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+            &fields,
+        )
         .unwrap();
     let src = report.generated_source.expect("fusion emits source");
     assert!(src.contains("__kernel void fused_q_crit"));
     assert!(src.contains("dfg_grad3d("));
     assert!(src.contains("0.5f"), "constant not source-inserted");
     // Roundtrip/staged do not generate source.
-    let r2 = engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Staged)
+    let (_, r2) = engine
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Staged),
+            &fields,
+        )
         .unwrap();
     assert!(r2.generated_source.is_none());
 }
@@ -237,12 +218,18 @@ fn gpu_oom_failure_mode() {
     let mut engine = model_engine(DeviceProfile::nvidia_m2050());
     let fields = FieldSet::virtual_rt([192, 192, 2048]);
     let err = engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Staged)
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Staged),
+            &fields,
+        )
         .unwrap_err();
     assert!(err.is_out_of_memory(), "expected OOM, got {err}");
     // The same case fits under fusion (7 problem-sized arrays).
-    let ok = engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
+    let (_, ok) = engine
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+            &fields,
+        )
         .unwrap();
     assert!(ok.high_water_bytes() <= 2_500_000_000);
 }
@@ -253,7 +240,7 @@ fn missing_field_is_reported() {
     let mut fields = FieldSet::new(8);
     fields.insert_scalar("u", vec![0.0; 8]).unwrap();
     let err = engine
-        .derive("r = u + q", &fields, Strategy::Staged)
+        .run(&Request::source("r = u + q", Strategy::Staged), &fields)
         .unwrap_err();
     assert!(matches!(err, crate::EngineError::MissingField { ref name } if name == "q"));
 }
@@ -276,10 +263,13 @@ fn intro_conditional_executes() {
     let mut engine = cpu_engine();
     for strategy in Strategy::ALL {
         let out = engine
-            .derive(crate::workloads::INTRO_CONDITIONAL, &fields, strategy)
+            .run(
+                &Request::source(crate::workloads::INTRO_CONDITIONAL, strategy),
+                &fields,
+            )
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         let s = out.as_scalar().unwrap();
         // Interior cell with steep gradient: c*c > 0; flat region: -c*c < 0.
         let steep = mesh.index(4, 3, 3);
@@ -315,14 +305,13 @@ fn vorticity_matches_taylor_green_exact_solution() {
     let (mesh, fields) = taylor_green_fields(n);
     let mut engine = cpu_engine();
     let out = engine
-        .derive(
-            Workload::VorticityMagnitude.source(),
+        .run(
+            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     let s = out.as_scalar().unwrap();
     for j in 2..n - 2 {
         for i in 2..n - 2 {
@@ -346,16 +335,28 @@ fn device_seconds_order_fusion_fastest_roundtrip_slowest() {
     let fields = FieldSet::virtual_rt([192, 192, 256]);
     for workload in Workload::ALL {
         let rt = engine
-            .derive(workload.source(), &fields, Strategy::Roundtrip)
+            .run(
+                &Request::source(workload.source(), Strategy::Roundtrip),
+                &fields,
+            )
             .unwrap()
+            .1
             .device_seconds();
         let st = engine
-            .derive(workload.source(), &fields, Strategy::Staged)
+            .run(
+                &Request::source(workload.source(), Strategy::Staged),
+                &fields,
+            )
             .unwrap()
+            .1
             .device_seconds();
         let fu = engine
-            .derive(workload.source(), &fields, Strategy::Fusion)
+            .run(
+                &Request::source(workload.source(), Strategy::Fusion),
+                &fields,
+            )
             .unwrap()
+            .1
             .device_seconds();
         let rf = engine
             .run_reference(workload, &fields)
@@ -377,8 +378,12 @@ fn gpu_beats_cpu_when_it_fits() {
     let mut cpu = model_engine(DeviceProfile::intel_x5660());
     for workload in Workload::ALL {
         for strategy in Strategy::ALL {
-            let g = gpu.derive(workload.source(), &fields, strategy).unwrap();
-            let c = cpu.derive(workload.source(), &fields, strategy).unwrap();
+            let (_, g) = gpu
+                .run(&Request::source(workload.source(), strategy), &fields)
+                .unwrap();
+            let (_, c) = cpu
+                .run(&Request::source(workload.source(), strategy), &fields)
+                .unwrap();
             assert!(
                 g.device_seconds() <= c.device_seconds() * 1.05,
                 "{workload}/{strategy}: GPU {} slower than CPU {}",
@@ -394,14 +399,12 @@ fn derive_spec_reusable_across_runs() {
     let fields = small_rt_fields([4, 4, 4]);
     let spec = compile(Workload::VelocityMagnitude.source()).unwrap();
     let mut engine = cpu_engine();
-    let a = engine
-        .derive_spec(&spec, &fields, Strategy::Staged)
-        .unwrap();
-    let b = engine
-        .derive_spec(&spec, &fields, Strategy::Staged)
-        .unwrap();
+    let roots = [spec.result];
+    let request = Request::network(&spec, &roots, Strategy::Staged);
+    let (a_out, a) = engine.run(&request, &fields).unwrap();
+    let (b_out, b) = engine.run(&request, &fields).unwrap();
     assert_eq!(a.table2_row(), b.table2_row());
-    assert_eq!(a.field, b.field);
+    assert_eq!(a_out, b_out);
 }
 
 #[test]
@@ -417,24 +420,13 @@ fn roundtrip_dedup_ablation_reduces_uploads() {
         },
     );
     // VelMag: u*u style kernels drop from 11 to 8 uploads.
-    let p = paper
-        .derive(
-            Workload::VelocityMagnitude.source(),
-            &fields,
-            Strategy::Roundtrip,
-        )
-        .unwrap();
-    let d = dedup
-        .derive(
-            Workload::VelocityMagnitude.source(),
-            &fields,
-            Strategy::Roundtrip,
-        )
-        .unwrap();
+    let request = Request::source(Workload::VelocityMagnitude.source(), Strategy::Roundtrip);
+    let (p_out, p) = paper.run(&request, &fields).unwrap();
+    let (d_out, d) = dedup.run(&request, &fields).unwrap();
     assert_eq!(p.table2_row().0, 11);
     assert_eq!(d.table2_row().0, 8);
     // Results are identical either way.
-    assert_eq!(p.field, d.field);
+    assert_eq!(p_out, d_out);
     // And the deduped variant moves strictly less data.
     assert!(d.device_seconds() < p.device_seconds());
 }
@@ -477,15 +469,19 @@ fn streaming_completes_cases_fusion_cannot() {
     let mut gpu = model_engine(DeviceProfile::nvidia_m2050());
     let src = Workload::QCriterion.source();
     assert!(gpu
-        .derive(src, &fields, Strategy::Fusion)
+        .run(&Request::source(src, Strategy::Fusion), &fields)
         .unwrap_err()
         .is_out_of_memory());
-    let streamed = gpu.derive_streamed(src, &fields, None).unwrap();
+    let (_, streamed) = gpu
+        .run(&Request::source(src, Exec::Streamed(None)), &fields)
+        .unwrap();
     assert!(streamed.high_water_bytes() <= gpu.device().global_mem_bytes);
     // Streaming pays for its flexibility with extra transfers (the halo
     // layers) but stays within ~2x of what unconstrained fusion would cost.
     let mut cpu_like = model_engine(DeviceProfile::intel_x5660());
-    let unconstrained = cpu_like.derive(src, &fields, Strategy::Fusion).unwrap();
+    let (_, unconstrained) = cpu_like
+        .run(&Request::source(src, Strategy::Fusion), &fields)
+        .unwrap();
     let gpu_over_cpu = streamed.profile.count(dfg_ocl::EventKind::KernelExec) as f64;
     assert!(gpu_over_cpu > 1.0, "streaming must use multiple slabs");
     assert!(unconstrained.device_seconds() > 0.0);
@@ -496,7 +492,10 @@ fn streaming_rejects_impossible_budget() {
     let fields = small_rt_fields([8, 8, 8]);
     let mut engine = cpu_engine();
     let err = engine
-        .derive_streamed(Workload::QCriterion.source(), &fields, Some(64))
+        .run(
+            &Request::source(Workload::QCriterion.source(), Exec::Streamed(Some(64))),
+            &fields,
+        )
         .unwrap_err();
     assert!(err.is_out_of_memory());
 }
@@ -506,26 +505,21 @@ fn streaming_elementwise_chunks_without_dims() {
     let fields = small_rt_fields([6, 6, 6]);
     let mut engine = cpu_engine();
     let fused = engine
-        .derive(
-            Workload::VelocityMagnitude.source(),
+        .run(
+            &Request::source(Workload::VelocityMagnitude.source(), Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     // Chunk the 216-cell array into pieces of at most 50 cells (4 arrays).
-    let streamed = engine
-        .derive_streamed(
-            Workload::VelocityMagnitude.source(),
-            &fields,
-            Some(4 * 4 * 50),
-        )
-        .unwrap();
+    let exec = Exec::Streamed(Some(4 * 4 * 50));
+    let request = Request::source(Workload::VelocityMagnitude.source(), exec);
+    let (out, streamed) = engine.run(&request, &fields).unwrap();
     let (w, _r, k) = streamed.table2_row();
     assert!(k >= 5, "expected >= 5 chunks, got {k} kernels");
     assert!(w >= 3 * k, "each chunk re-uploads its three inputs");
-    assert_eq!(streamed.field.unwrap().data, fused.data);
+    assert_eq!(out[0].data, fused.data);
 }
 
 #[test]
@@ -535,24 +529,22 @@ fn curl_sugar_equals_fig3b_vorticity() {
     let fields = small_rt_fields([7, 6, 5]);
     let mut engine = cpu_engine();
     let reference = engine
-        .derive(
-            Workload::VorticityMagnitude.source(),
+        .run(
+            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     for strategy in Strategy::ALL {
         let sugar = engine
-            .derive(
-                "w_mag = norm(curl(u, v, w, dims, x, y, z))",
+            .run(
+                &Request::source("w_mag = norm(curl(u, v, w, dims, x, y, z))", strategy),
                 &fields,
-                strategy,
             )
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         for i in 0..reference.data.len() {
             assert!(
                 (sugar.data[i] - reference.data[i]).abs()
@@ -571,14 +563,13 @@ fn divergence_of_solenoidal_taylor_green_is_small() {
     let (mesh, fields) = taylor_green_fields(n);
     let mut engine = cpu_engine();
     let out = engine
-        .derive(
-            "d = divergence(u, v, w, dims, x, y, z)",
+        .run(
+            &Request::source("d = divergence(u, v, w, dims, x, y, z)", Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     // Taylor–Green is divergence-free; discrete divergence in the interior
     // must be near zero (f32 stencil error only).
     let s = out.as_scalar().unwrap();
@@ -596,24 +587,28 @@ fn helicity_and_enstrophy_expressions_run() {
     let fields = small_rt_fields([8, 8, 8]);
     let mut engine = cpu_engine();
     let helicity = engine
-        .derive(
-            "h = dot(vector(u, v, w), curl(u, v, w, dims, x, y, z))",
+        .run(
+            &Request::source(
+                "h = dot(vector(u, v, w), curl(u, v, w, dims, x, y, z))",
+                Strategy::Fusion,
+            ),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     assert!(helicity.as_scalar().unwrap().iter().any(|&v| v != 0.0));
     let enstrophy = engine
-        .derive(
-            "ens = 0.5 * pow(norm(curl(u, v, w, dims, x, y, z)), 2)",
+        .run(
+            &Request::source(
+                "ens = 0.5 * pow(norm(curl(u, v, w, dims, x, y, z)), 2)",
+                Strategy::Staged,
+            ),
             &fields,
-            Strategy::Staged,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     assert!(enstrophy.as_scalar().unwrap().iter().all(|&v| v >= 0.0));
 }
 
@@ -625,14 +620,16 @@ fn trig_functions_execute_correctly() {
     fields.insert_scalar("t", vals.clone()).unwrap();
     let mut engine = cpu_engine();
     let out = engine
-        .derive(
-            "r = sin(t)*sin(t) + cos(t)*cos(t) + exp(log(t)) - t",
+        .run(
+            &Request::source(
+                "r = sin(t)*sin(t) + cos(t)*cos(t) + exp(log(t)) - t",
+                Strategy::Fusion,
+            ),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap()
-        .field
-        .unwrap();
+        .0
+        .remove(0);
     for (i, &v) in out.as_scalar().unwrap().iter().enumerate() {
         assert!((v - 1.0).abs() < 1e-5, "identity failed at {i}: {v}");
     }
@@ -643,31 +640,21 @@ fn derive_many_shares_work_across_outputs() {
     // Vorticity magnitude AND the intermediate w_x, w_y in one pass.
     let fields = small_rt_fields([7, 6, 5]);
     let mut engine = cpu_engine();
+    let names = ["w_mag", "w_x", "w_y"];
     for strategy in Strategy::ALL {
+        let request = Request::outputs(Workload::VorticityMagnitude.source(), &names, strategy);
         let (outputs, report) = engine
-            .derive_many(
-                Workload::VorticityMagnitude.source(),
-                &["w_mag", "w_x", "w_y"],
-                &fields,
-                strategy,
-            )
+            .run(&request, &fields)
             .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         assert_eq!(outputs.len(), 3);
-        assert_eq!(outputs[0].0, "w_mag");
         // Cross-check each output against the single-output path.
-        for (name, field) in &outputs {
-            let single = engine
-                .derive(
-                    &format!(
-                        "{}\nfinal_alias = {name}\n",
-                        Workload::VorticityMagnitude.source()
-                    ),
-                    &fields,
-                    strategy,
-                )
-                .unwrap()
-                .field
-                .unwrap();
+        for (name, field) in names.iter().zip(&outputs) {
+            let source = format!(
+                "{}\nfinal_alias = {name}\n",
+                Workload::VorticityMagnitude.source()
+            );
+            let request = Request::source(&source, strategy);
+            let single = engine.run(&request, &fields).unwrap().0.remove(0);
             assert_eq!(field.data, single.data, "{strategy}/{name}");
         }
         // Fusion computes all three in a single kernel launch.
@@ -690,11 +677,13 @@ fn derive_many_rejects_unknown_outputs() {
     let fields = small_rt_fields([4, 4, 4]);
     let mut engine = cpu_engine();
     let err = engine
-        .derive_many(
-            Workload::VelocityMagnitude.source(),
-            &["v_mag", "enstrophy"],
+        .run(
+            &Request::outputs(
+                Workload::VelocityMagnitude.source(),
+                &["v_mag", "enstrophy"],
+                Strategy::Fusion,
+            ),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap_err();
     assert!(matches!(err, crate::EngineError::NoSuchOutput { ref name } if name == "enstrophy"));
@@ -781,14 +770,10 @@ fn logical_operators_execute() {
     for strategy in Strategy::ALL {
         // In (-2, 2) exclusive, via and(); outside [-3, 3], via not(or()).
         let out = engine
-            .derive(
-                "band = and(t > -2, t < 2)\nouter = not(or(t >= -3, t <= 3))\nr = band + 2 * outer",
-                &fields,
-                strategy,
-            )
+            .run(&Request::source("band = and(t > -2, t < 2)\nouter = not(or(t >= -3, t <= 3))\nr = band + 2 * outer", strategy), &fields)
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         let s = out.as_scalar().unwrap();
         // t = -3..4: band true for t in {-1, 0, 1}; outer always false
         // (everything is >= -3 or <= 3).
@@ -804,24 +789,26 @@ fn engine_caches_compiled_programs() {
     assert_eq!(engine.compile_count(), 0);
     for _ in 0..5 {
         engine
-            .derive(Workload::QCriterion.source(), &fields, Strategy::Fusion)
+            .run(
+                &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+                &fields,
+            )
             .unwrap();
     }
     assert_eq!(engine.compile_count(), 1, "identical source compiles once");
     engine
-        .derive(
-            Workload::VelocityMagnitude.source(),
+        .run(
+            &Request::source(Workload::VelocityMagnitude.source(), Strategy::Staged),
             &fields,
-            Strategy::Staged,
         )
         .unwrap();
     assert_eq!(engine.compile_count(), 2);
     // Errors are not cached as successes.
     assert!(engine
-        .derive("r = sqrt(", &fields, Strategy::Fusion)
+        .run(&Request::source("r = sqrt(", Strategy::Fusion), &fields)
         .is_err());
     assert!(engine
-        .derive("r = sqrt(", &fields, Strategy::Fusion)
+        .run(&Request::source("r = sqrt(", Strategy::Fusion), &fields)
         .is_err());
     assert_eq!(engine.compile_count(), 2);
 }
@@ -841,8 +828,9 @@ fn cse_level_ablation_reduces_qcrit_kernels_without_changing_results() {
         },
     );
     let src = Workload::QCriterion.source();
-    let a = limited.derive(src, &fields, Strategy::Staged).unwrap();
-    let b = full.derive(src, &fields, Strategy::Staged).unwrap();
+    let request = Request::source(src, Strategy::Staged);
+    let (a_out, a) = limited.run(&request, &fields).unwrap();
+    let (b_out, b) = full.run(&request, &fields).unwrap();
     let (_, _, k_limited) = a.table2_row();
     let (_, _, k_full) = b.table2_row();
     assert_eq!(k_limited, 67, "paper count");
@@ -851,7 +839,7 @@ fn cse_level_ablation_reduces_qcrit_kernels_without_changing_results() {
         "full CSE must launch fewer kernels: {k_full} vs {k_limited}"
     );
     // Bit-identical derived field (f32 +/* are commutative).
-    same_lanes(&a.field.unwrap().data, &b.field.unwrap().data, "full CSE");
+    same_lanes(&a_out[0].data, &b_out[0].data, "full CSE");
     // Report the savings where a human will see them on failure.
     println!("Q-crit staged kernels: limited CSE {k_limited}, full CSE {k_full}");
 }
@@ -878,9 +866,7 @@ fn planar_multi_root_download_equals_single_root_derives() {
     let config = Config::new(Strategy::Fusion);
     let names = ["m", "g", "r"];
     let many = harness::run(&config, Program::Outputs(src, &names), &inputs);
-    let many = many.last("three roots");
-    assert_eq!(many.names, names, "fields come back in the order named");
-    let many = &many.fields;
+    let many = &many.last("three roots").fields;
     for (field, name) in many.iter().zip(names) {
         let single = harness::run(&config, Program::Outputs(src, &[name]), &inputs);
         let single = &single.last(name).fields;
@@ -900,7 +886,6 @@ fn planar_multi_root_download_equals_single_root_derives() {
 fn dims_disagreeing_with_the_grid_is_a_typed_error_before_any_device_work() {
     use dfg_trace::Tracer;
     let src = Workload::VorticityMagnitude.source();
-    let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
     for bad in [
         [0.0, 0.0, 0.0],
         [6.0, 5.0, 5.0],
@@ -915,37 +900,26 @@ fn dims_disagreeing_with_the_grid_is_a_typed_error_before_any_device_work() {
             }
             other => panic!("{bad:?}: expected FieldSize, got {other}"),
         };
-        for path in paths.clone() {
+        for exec in EXECS {
+            let request = Request::source(src, exec);
             let tracer = Tracer::new();
             let mut engine = cpu_engine();
             engine.set_tracer(tracer.clone());
-            is_dims_error(
-                match path {
-                    Some(strategy) => engine.derive(src, &fields, strategy),
-                    None => engine.derive_streamed(src, &fields, None),
-                }
-                .unwrap_err(),
-            );
+            is_dims_error(engine.run(&request, &fields).unwrap_err());
             let trace = tracer.snapshot_since(0);
             let device = trace.spans().iter().filter(|s| s.name.starts_with("ocl."));
             assert_eq!(
                 device.count(),
                 0,
-                "{bad:?} {path:?}: device events recorded"
+                "{bad:?} {exec:?}: device events recorded"
             );
 
             let mut session = engine.session();
-            is_dims_error(
-                match path {
-                    Some(strategy) => session.derive(src, &fields, strategy),
-                    None => session.derive_streamed(src, &fields, None),
-                }
-                .unwrap_err(),
-            );
-            assert_eq!(session.context().in_use_bytes(), 0, "{bad:?} {path:?}");
+            is_dims_error(session.run(&request, &fields).unwrap_err());
+            assert_eq!(session.context().in_use_bytes(), 0, "{bad:?} {exec:?}");
             assert!(
                 session.context().report().events.is_empty(),
-                "{bad:?} {path:?}"
+                "{bad:?} {exec:?}"
             );
         }
         is_dims_error(
@@ -972,8 +946,11 @@ fn staged_in_place_table() {
         let name = names[workload as usize];
         let mut engine = cpu_engine();
         engine.set_tracer(Tracer::new());
-        let report = engine
-            .derive(workload.source(), &fields, Strategy::Staged)
+        let (_, report) = engine
+            .run(
+                &Request::source(workload.source(), Strategy::Staged),
+                &fields,
+            )
             .unwrap();
         let trace = report.trace.unwrap();
         let kernels: Vec<_> = (trace.spans().iter())
@@ -1015,8 +992,10 @@ mod session {
             if cycle > 0 {
                 fields.update_scalar("u", &vec![cycle as f32; n]).unwrap();
             }
-            let report = session.derive(src, &fields, Strategy::Fusion).unwrap();
-            assert!(report.field.is_some());
+            let (out, _) = session
+                .run(&Request::source(src, Strategy::Fusion), &fields)
+                .unwrap();
+            assert_eq!(out.len(), 1);
         }
         let stats = session.stats().clone();
         assert_eq!(stats.cycles, 100);
@@ -1030,17 +1009,16 @@ mod session {
         assert_eq!(stats.cycles, 100);
     }
 
-    /// One session derive on any of the four execution paths.
+    /// One session cycle of the Q-criterion on `exec`.
     fn derive_on(
         session: &mut crate::Session<&mut Engine>,
-        path: Option<Strategy>,
+        exec: Exec,
         fields: &FieldSet,
-    ) -> Result<crate::ExecReport, crate::EngineError> {
-        let src = Workload::QCriterion.source();
-        match path {
-            Some(strategy) => session.derive(src, fields, strategy),
-            None => session.derive_streamed(src, fields, None),
-        }
+    ) -> Result<(Vec<crate::Field>, crate::ExecReport), crate::EngineError> {
+        session.run(
+            &Request::source(Workload::QCriterion.source(), exec),
+            fields,
+        )
     }
 
     /// A plain session (recovery disabled) goes through the driver's
@@ -1053,18 +1031,16 @@ mod session {
     fn failed_plain_cycle_leaks_nothing_and_surfaces_the_raw_error() {
         use dfg_ocl::{FaultKind, FaultPlan, OclError};
         let fields = small_rt_fields([5, 4, 3]);
-        let paths = Strategy::ALL.map(Some).into_iter().chain([None]);
-        for path in paths {
-            let name = path.map_or("streamed", |s| s.name());
+        for path in EXECS {
+            let name = path.name();
             let clean = derive_on(&mut cpu_engine().session(), path, &fields)
                 .unwrap()
-                .field
-                .unwrap();
+                .0
+                .remove(0);
             // Fusion and streamed (one slab here) launch once per cycle.
-            let nth = if path.is_some_and(|s| s != Strategy::Fusion) {
-                3
-            } else {
-                1
+            let nth = match path {
+                Exec::Roundtrip | Exec::Staged => 3,
+                Exec::Fusion | Exec::Streamed(_) => 1,
             };
             for warm in [false, true] {
                 let plan = FaultPlan::with_seed(1);
@@ -1085,11 +1061,11 @@ mod session {
                     session.resident_bytes(),
                     "{name} warm={warm}: failed cycle leaked device bytes"
                 );
-                let again = derive_on(&mut session, path, &fields).unwrap();
-                assert!(again.recovery.is_none(), "{name}: clean run, no policy");
+                let (again, report) = derive_on(&mut session, path, &fields).unwrap();
+                assert!(report.recovery.is_none(), "{name}: clean run, no policy");
                 same_lanes(
                     &clean.data,
-                    &again.field.unwrap().data,
+                    &again[0].data,
                     &format!("{name} warm={warm}: cycle after the failure"),
                 );
             }
@@ -1103,11 +1079,11 @@ mod session {
     fn integrity_violation_on_a_resident_surfaces_raw_and_heals_next_cycle() {
         use dfg_ocl::{FaultKind, FaultPlan, OclError, VerifyPolicy};
         let fields = small_rt_fields([5, 4, 3]);
-        let path = Some(Strategy::Fusion);
+        let path = Exec::Fusion;
         let clean = derive_on(&mut cpu_engine().session(), path, &fields)
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         let plan = FaultPlan::with_seed(1);
         let mut engine = Engine::with_options(
             DeviceProfile::intel_x5660(),
@@ -1130,10 +1106,10 @@ mod session {
             "policy is disabled, got {err}"
         );
         assert_eq!(session.context().in_use_bytes(), session.resident_bytes());
-        let again = derive_on(&mut session, path, &fields).unwrap();
-        assert!(again.recovery.is_none());
+        let (again, report) = derive_on(&mut session, path, &fields).unwrap();
+        assert!(report.recovery.is_none());
         assert_eq!(session.stats().integrity_healed, 1, "healed at bind");
-        same_lanes(&clean.data, &again.field.unwrap().data, "after heal");
+        same_lanes(&clean.data, &again[0].data, "after heal");
     }
 
     /// Mutating one field triggers exactly one re-upload next cycle.
@@ -1143,11 +1119,15 @@ mod session {
         let mut engine = cpu_engine();
         let mut session = engine.session();
         let src = Workload::VelocityMagnitude.source();
-        session.derive(src, &fields, Strategy::Fusion).unwrap();
+        session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         let uploads_before = session.stats().uploads;
 
         fields.touch("v");
-        let report = session.derive(src, &fields, Strategy::Fusion).unwrap();
+        let (_, report) = session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         assert_eq!(session.stats().uploads - uploads_before, 1);
         // The profile confirms it: one h2d event in the whole cycle.
         assert_eq!(report.profile.count(EventKind::HostToDevice), 1);
@@ -1159,7 +1139,7 @@ mod session {
         let what = format!("{program:?} {exec:?}");
         let one_shot = harness::run(&Config::new(exec), program, inputs);
         let session = Config {
-            session: Some(3),
+            holder: Holder::Session(3),
             ..Config::new(exec)
         };
         let session = harness::run(&session, program, inputs);
@@ -1213,7 +1193,8 @@ mod session {
                     }
                 }
                 for strategy in [Strategy::Fusion, Strategy::Staged] {
-                    reports.push(session.derive(src, &fields, strategy).unwrap());
+                    let request = Request::source(src, strategy);
+                    reports.push(session.run(&request, &fields).unwrap().1);
                 }
             }
             (reports, session.end())
@@ -1235,9 +1216,13 @@ mod session {
         let mut engine = cpu_engine();
         let mut session = engine.session();
         let src = Workload::VelocityMagnitude.source();
-        session.derive(src, &fields, Strategy::Fusion).unwrap();
+        session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         assert_eq!(session.pool_hits(), 0, "first cycle allocates fresh");
-        session.derive(src, &fields, Strategy::Fusion).unwrap();
+        session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         assert!(session.pool_hits() >= 1, "second cycle reuses the pool");
     }
 
@@ -1250,8 +1235,12 @@ mod session {
         engine.set_tracer(Tracer::new());
         let mut session = engine.session();
         let src = Workload::VelocityMagnitude.source();
-        let first = session.derive(src, &fields, Strategy::Fusion).unwrap();
-        let second = session.derive(src, &fields, Strategy::Fusion).unwrap();
+        let (_, first) = session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
+        let (_, second) = session
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         let names = |trace: &dfg_trace::Trace| -> Vec<String> {
             trace.spans().iter().map(|s| s.name.clone()).collect()
         };
@@ -1277,8 +1266,12 @@ mod session {
         let mut engine = cpu_engine();
         engine.set_tracer(Tracer::new());
         let src = Workload::VelocityMagnitude.source();
-        let a = engine.derive(src, &fields, Strategy::Fusion).unwrap();
-        let b = engine.derive(src, &fields, Strategy::Fusion).unwrap();
+        let (_, a) = engine
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
+        let (_, b) = engine
+            .run(&Request::source(src, Strategy::Fusion), &fields)
+            .unwrap();
         let roots = |t: &dfg_trace::Trace| t.spans().iter().filter(|s| s.name == "derive").count();
         assert_eq!(roots(&a.trace.unwrap()), 1);
         assert_eq!(roots(&b.trace.unwrap()), 1, "second report is per-run");
@@ -1350,13 +1343,10 @@ mod session {
         for (cycle, dims) in [[8, 8, 8], [16, 8, 4], [8, 8, 8]].into_iter().enumerate() {
             let fields = small_rt_fields(dims);
             assert_eq!(fields.ncells(), 512);
-            let got = session.derive(src, &fields, Strategy::Fusion).unwrap();
-            let fresh = cpu_engine().derive(src, &fields, Strategy::Fusion).unwrap();
-            same_lanes(
-                &fresh.field.unwrap().data,
-                &got.field.unwrap().data,
-                &format!("grid {dims:?}"),
-            );
+            let request = Request::source(src, Strategy::Fusion);
+            let (got, _) = session.run(&request, &fields).unwrap();
+            let (fresh, _) = cpu_engine().run(&request, &fields).unwrap();
+            same_bits(&fresh, &got, &format!("grid {dims:?}"));
             assert_eq!(session.stats().uploads, 7 * (cycle as u64 + 1));
         }
         assert_eq!(session.stats().uploads_skipped, 0);
@@ -1372,19 +1362,20 @@ mod session {
         let n = a.ncells();
         let mut engine = cpu_engine();
         let mut session = engine.session();
-        session.derive(src, &a, Strategy::Fusion).unwrap();
-        session.derive(src, &b, Strategy::Fusion).unwrap();
+        session
+            .run(&Request::source(src, Strategy::Fusion), &a)
+            .unwrap();
+        session
+            .run(&Request::source(src, Strategy::Fusion), &b)
+            .unwrap();
         assert_eq!(session.stats().uploads_skipped, 3, "an untouched clone");
         a.update_scalar("u", &vec![2.0; n]).unwrap();
         b.update_scalar("u", &vec![5.0; n]).unwrap();
+        let request = Request::source(src, Strategy::Fusion);
         for fields in [&a, &b, &a] {
-            let got = session.derive(src, fields, Strategy::Fusion).unwrap();
-            let fresh = cpu_engine().derive(src, fields, Strategy::Fusion).unwrap();
-            same_lanes(
-                &fresh.field.unwrap().data,
-                &got.field.unwrap().data,
-                "clone updated apart",
-            );
+            let (got, _) = session.run(&request, fields).unwrap();
+            let (fresh, _) = cpu_engine().run(&request, fields).unwrap();
+            same_bits(&fresh, &got, "clone updated apart");
         }
     }
 
@@ -1399,8 +1390,8 @@ mod session {
         let n = fields.ncells();
         let mut engine = cpu_engine();
         let mut session = engine.session();
-        let first = session.derive(src, &fields, Strategy::Staged).unwrap();
-        let first = first.field.unwrap();
+        let request = Request::source(src, Strategy::Staged);
+        let first = session.run(&request, &fields).unwrap().0.remove(0);
         let first_bits: Vec<u32> = first.data.iter().map(|v| v.to_bits()).collect();
         let old_u = fields.get("u").unwrap().data.clone().unwrap();
         let old_bits: Vec<u32> = old_u.iter().map(|v| v.to_bits()).collect();
@@ -1410,10 +1401,9 @@ mod session {
             .iter()
             .map(|v| v.to_bits())
             .eq(old_bits.iter().copied()));
-        let second = session.derive(src, &fields, Strategy::Staged).unwrap();
-        let second = second.field.unwrap();
-        let fresh = cpu_engine().derive(src, &fields, Strategy::Staged).unwrap();
-        same_lanes(&fresh.field.unwrap().data, &second.data, "after update");
+        let second = session.run(&request, &fields).unwrap().0.remove(0);
+        let fresh = cpu_engine().run(&request, &fields).unwrap().0.remove(0);
+        same_lanes(&fresh.data, &second.data, "after update");
         assert_ne!(first.data, second.data);
         assert!(first.data.iter().map(|v| v.to_bits()).eq(first_bits));
         assert_eq!(session.stats().uploads, 2 + 1, "only `u` went up again");
@@ -1437,7 +1427,8 @@ mod session {
                 .collect()
         };
         let before = bits(&fields);
-        let clean = cpu_engine().derive(src, &fields, Strategy::Fusion).unwrap();
+        let request = Request::source(src, Strategy::Fusion);
+        let (clean, _) = cpu_engine().run(&request, &fields).unwrap();
         let plan = FaultPlan::with_seed(9);
         let mut engine = Engine::with_options(
             DeviceProfile::intel_x5660(),
@@ -1448,20 +1439,49 @@ mod session {
         );
         engine.set_fault_plan(plan.clone());
         let mut session = engine.session();
-        session.derive(src, &fields, Strategy::Fusion).unwrap();
+        session.run(&request, &fields).unwrap();
         plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
-        let err = session.derive(src, &fields, Strategy::Fusion).unwrap_err();
+        let err = session.run(&request, &fields).unwrap_err();
         assert!(err.to_string().contains("integrity"), "{err}");
         assert_eq!(session.context().integrity_stats().violations, 1);
         assert_eq!(bits(&fields), before, "the flip stayed on the device side");
-        let healed = session.derive(src, &fields, Strategy::Fusion).unwrap();
+        let (healed, _) = session.run(&request, &fields).unwrap();
         assert_eq!(session.stats().integrity_healed, 1);
-        same_lanes(
-            &clean.field.unwrap().data,
-            &healed.field.unwrap().data,
-            "after heal",
-        );
+        same_bits(&clean, &healed, "after heal");
         assert_eq!(bits(&fields), before);
+    }
+}
+
+/// A registry tenant is an owned session behind a quota and a leak guard:
+/// its cycles equal a borrowed session's, bit for bit and event for event,
+/// for every program and executor — failing alike where streamed is asked
+/// for roots other than the natural result.
+#[test]
+fn registry_tenant_cycles_equal_session_cycles() {
+    let inputs = Inputs::rt([6, 5, 4]);
+    let vorticity = Workload::VorticityMagnitude.source();
+    let spec = compile(vorticity).unwrap();
+    let w_x = spec
+        .iter()
+        .filter(|(_, n)| n.name.as_deref() == Some("w_x"));
+    let roots = [spec.result, w_x.last().expect("a w_x binding").0];
+    let programs = [
+        Program::Source(Workload::QCriterion.source()),
+        Program::Outputs(vorticity, &["w_mag", "w_x"]),
+        Program::Network(&spec, &roots),
+    ];
+    for program in programs {
+        for exec in EXECS {
+            let what = format!("{program:?} {exec:?}");
+            let holder = |holder| Config {
+                holder,
+                traced: true,
+                ..Config::new(exec)
+            };
+            let session = harness::run(&holder(Holder::Session(3)), program, &inputs);
+            let tenant = harness::run(&holder(Holder::Tenant(3)), program, &inputs);
+            harness::same_runs(&session, &tenant, &what);
+        }
     }
 }
 
@@ -1483,7 +1503,11 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
     let n = fields.ncells() as u64;
     let src = Workload::QCriterion.source();
     for strategy in Strategy::ALL {
-        let profile = cpu_engine().derive(src, &fields, strategy).unwrap().profile;
+        let profile = cpu_engine()
+            .run(&Request::source(src, strategy), &fields)
+            .unwrap()
+            .1
+            .profile;
         assert_eq!(profile.host_bytes_copied, 0, "{strategy}");
         assert!(profile.bytes(DeviceToHost) >= 4 * n, "{strategy}");
         assert!(profile.bytes(HostToDevice) >= 6 * 4 * n + 12, "{strategy}");
@@ -1497,8 +1521,9 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
     let gradient = "g = grad3d(u, dims, x, y, z)";
     for strategy in Strategy::ALL {
         let profile = cpu_engine()
-            .derive(gradient, &fields, strategy)
+            .run(&Request::source(gradient, strategy), &fields)
             .unwrap()
+            .1
             .profile;
         let interleaved = if strategy == Strategy::Staged {
             16 * n
@@ -1516,16 +1541,21 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
             .update_scalar("u", &vec![cycle as f32; n as usize])
             .unwrap();
         let profile = session
-            .derive(src, &dirty, Strategy::Fusion)
+            .run(&Request::source(src, Strategy::Fusion), &dirty)
             .unwrap()
+            .1
             .profile;
         assert_eq!(profile.host_bytes_copied, 0, "cycle {cycle}");
         let uploaded = if cycle == 0 { 6 * 4 * n + 12 } else { 4 * n };
         assert_eq!(profile.bytes(HostToDevice), uploaded, "cycle {cycle}");
     }
     let streamed = cpu_engine()
-        .derive_streamed(src, &fields, Some(8 * 4 * (6 * 5 * 3)))
+        .run(
+            &Request::source(src, Exec::Streamed(Some(8 * 4 * (6 * 5 * 3)))),
+            &fields,
+        )
         .unwrap()
+        .1
         .profile;
     assert!(streamed.count(HostToDevice) > 7, "several slabs");
     assert_eq!(
@@ -1534,8 +1564,12 @@ fn host_bytes_copied_is_what_the_host_could_not_take_over() {
     );
     let mut model = model_engine(DeviceProfile::intel_x5660());
     let modeled = model
-        .derive(src, &FieldSet::virtual_rt([6, 5, 4]), Strategy::Fusion)
+        .run(
+            &Request::source(src, Strategy::Fusion),
+            &FieldSet::virtual_rt([6, 5, 4]),
+        )
         .unwrap()
+        .1
         .profile;
     assert_eq!(modeled.host_bytes_copied, 0);
     assert_eq!(modeled.bytes(HostToDevice), 6 * 4 * n + 12);
@@ -1569,27 +1603,24 @@ fn host_copies_table() {
         ("vel_mag", Workload::VelocityMagnitude),
         ("q_crit", Workload::QCriterion),
     ] {
-        for exec in EXECS.into_iter().chain([Exec::Reference]) {
-            let path = match exec {
-                Exec::Streamed(_) => "streamed",
-                Exec::Reference => "reference",
-                _ => exec.strategy().expect("a strategy").name(),
-            };
-            // The reference kernel runs one-shot only.
-            let one_shot_only = exec == Exec::Reference;
-            for &(run, session, verify) in &runs[..if one_shot_only { 1 } else { runs.len() }] {
+        // The reference kernel runs one-shot only.
+        let paths = EXECS.map(|exec| (exec.name(), Config::new(exec), &runs[..]));
+        let reference = ("reference", Config::reference(), &runs[..1]);
+        for (path, base, runs) in paths.into_iter().chain([reference]) {
+            for &(run, cycles, verify) in runs {
                 let what = format!("{name} {path} {run}");
                 let config = Config {
-                    session,
+                    holder: cycles.map_or(base.holder, Holder::Session),
                     verify,
                     traced: true,
-                    ..Config::new(exec)
+                    ..base.clone()
                 };
                 let outcome = harness::run(&config, Program::Source(workload.source()), &inputs);
                 let last = outcome.last(&what);
                 // Streamed copies its slab windows both ways; every other
                 // path hands over every download.
-                let handed_over = harness::downloads_handed_over_or_copied(last, exec, &what);
+                let handed_over =
+                    harness::downloads_handed_over_or_copied(last, config.exec, &what);
                 let profile = &last.report.profile;
                 let down = profile.bytes(DeviceToHost);
                 let (copied, zeroed) = (profile.host_bytes_copied, profile.host_bytes_zeroed);
@@ -1672,12 +1703,12 @@ mod write_once {
         for workload in Workload::ALL {
             let program = Program::Source(workload.source());
             for exec in EXECS {
-                for session in [None, Some(2)] {
+                for holder in [Holder::OneShot, Holder::Session(2)] {
                     let config = Config {
-                        session,
+                        holder,
                         ..Config::new(exec)
                     };
-                    let what = format!("{workload} {exec:?} session {session:?}");
+                    let what = format!("{workload} {exec:?} {holder:?}");
                     real_and_model(&config, program, &inputs, &what);
                 }
             }
@@ -1720,7 +1751,7 @@ mod in_place {
 
     /// Roundtrip (which never computes in place or shares a plane) against
     /// roundtrip, fusion and staged one-shots and a staged session of
-    /// `axes.session` cycles, each in Real and Model mode, under `axes`'
+    /// `axes.holder` cycles, each in Real and Model mode, under `axes`'
     /// threads and verification (see [`harness::agrees_with_roundtrip`]; a
     /// Model context has no storage to donate or share, so equal pool hits
     /// show the Real run donated none of the pool's). Roundtrip and fusion
@@ -1735,7 +1766,7 @@ mod in_place {
     ) -> (usize, usize) {
         let one_shot = |exec| Config {
             exec,
-            session: None,
+            holder: Holder::OneShot,
             ..axes.clone()
         };
         let configs = [
@@ -1780,7 +1811,7 @@ mod in_place {
     /// pooled and unverified.
     fn three_cycles() -> Config {
         Config {
-            session: Some(3),
+            holder: Holder::Session(3),
             ..Config::new(Exec::Staged)
         }
     }
@@ -2018,7 +2049,8 @@ mod in_place {
             },
         );
         let mut session = engine.session();
-        let first = session.derive(src, &fields, Strategy::Staged).unwrap();
+        let request = Request::source(src, Strategy::Staged);
+        let (first, _) = session.run(&request, &fields).unwrap();
         let residents: Vec<_> = session.state.resident.values().map(|r| r.buf).collect();
         assert_eq!(residents.len(), 2);
         for &buf in &residents {
@@ -2027,12 +2059,8 @@ mod in_place {
         }
         let skipped = session.stats().uploads_skipped;
         for cycle in 0..3 {
-            let again = session.derive(src, &fields, Strategy::Staged).unwrap();
-            same_lanes(
-                &first.field.as_ref().unwrap().data,
-                &again.field.unwrap().data,
-                &format!("cycle {cycle}"),
-            );
+            let (again, _) = session.run(&request, &fields).unwrap();
+            same_bits(&first, &again, &format!("cycle {cycle}"));
         }
         assert_eq!(session.stats().uploads_skipped, skipped + 3 * 2);
         assert_eq!(session.stats().integrity_healed, 0);
@@ -2180,7 +2208,7 @@ mod in_place {
                 let mut session = engine.session();
                 for _ in 0..3 {
                     session
-                        .derive(workload.source(), &fields, strategy)
+                        .run(&Request::source(workload.source(), strategy), &fields)
                         .unwrap();
                 }
                 session.pool_hits()
@@ -2202,8 +2230,8 @@ mod in_place {
             session.context_mut().debug_set_poison(poison);
             let cycles: Vec<Vec<f32>> = (0..3)
                 .map(|_| {
-                    let report = session.derive(src, &fields, Strategy::Staged).unwrap();
-                    report.field.unwrap().data
+                    let request = Request::source(src, Strategy::Staged);
+                    session.run(&request, &fields).unwrap().0.remove(0).data
                 })
                 .collect();
             assert!(session.pool_hits() > 0);

@@ -1,11 +1,13 @@
 //! The conformance harness: every "run config A, run config B, compare" of
 //! `dfg-core` goes through [`run`] and the invariant functions below.
 //!
-//! A [`Config`] says *where* a network runs — executor, one-shot or a
-//! session of k cycles, Real or Model, optimizer level, serial or pooled
-//! threads, verification, recovery and fault plan — and never *what* it
-//! computes; [`run`] returns what every invariant reads. Each invariant is
-//! stated once (DESIGN.md, "Invariants"):
+//! A [`Config`] says *where* a program runs — executor, holder (one-shot,
+//! a session or a registry tenant of k cycles, or the reference kernel),
+//! Real or Model, optimizer level, serial or pooled threads, verification,
+//! recovery and fault plan — and a [`Program`] says *what* it computes;
+//! [`run`] makes one `run` call per derive on its holder and returns what
+//! every invariant reads. Each invariant is stated once (DESIGN.md,
+//! "Invariants"):
 //!
 //! * [`same_bits`]: two runs computed the same field, bit for bit, where a
 //!   NaN matches any NaN;
@@ -14,8 +16,8 @@
 //!   event — kind, label, bytes, both clock ends, queue — and high water,
 //!   with equal pool hits and session counters;
 //! * the leak check: `in_use` returns to its baseline in every build, inside
-//!   [`run`] after every session cycle and one-shot whose context it sees,
-//!   failed or not, and inside `Engine::execute` after every derive and
+//!   [`run`] after every session and tenant cycle, failed or not, inside
+//!   `Engine::run` after every one-shot, failed or not, and inside
 //!   `Engine::run_reference` after every reference kernel;
 //! * [`downloads_handed_over_or_copied`]: a download's storage is handed to
 //!   the host or copied, never both (DESIGN.md D10);
@@ -23,87 +25,53 @@
 //!   the level it completed at.
 //!
 //! The unit tests (`src/tests.rs`) and each suite under `tests/` include
-//! this file as their `harness` module. A one-shot runs through the
-//! engine's public entry points, except a lowered network's: the includer
-//! supplies `network_one_shot`. The unit tests run it on a context they can
-//! still see after the run (`Engine::execute`, crate-private), so it may
-//! compute any roots and the leak check covers it; a suite under `tests/`
-//! passes [`spec_one_shot`].
+//! this file as their `harness` module.
 
 #![allow(dead_code)]
 
 use dfg_core::{
     Engine, EngineError, EngineOptions, ExecLevel, ExecReport, Field, FieldSet, OptLevel,
-    RecoveryPolicy, SessionStats, Strategy, Workload,
+    RecoveryPolicy, Request, SessionRegistry, SessionStats, Strategy, Workload,
 };
-use dfg_dataflow::{NetworkSpec, NodeId};
+pub use dfg_core::{Exec, Program};
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::EventKind::{DeviceToHost, HostToDevice};
 use dfg_ocl::{DeviceProfile, ExecMode, FaultPlan, VerifyPolicy};
 use dfg_trace::Tracer;
 use proptest::Strategy as _;
 
-use super::network_one_shot;
+/// The four executors a network of any shape runs on.
+pub const EXECS: [Exec; 4] = Exec::ALL;
 
-/// An executor: the paper's three strategies, streamed fusion under a
-/// device budget (`None`: the device's capacity), and the hand-written
-/// reference kernel of a paper workload (one-shot only).
+/// What holds a config's derives: the engine, one-shot; k cycles of one
+/// session; k cycles of one [`SessionRegistry`] tenant; or the hand-written
+/// kernel of the paper workload a source program spells, one-shot through
+/// `Engine::run_reference` (the config's executor is not read).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Exec {
-    Roundtrip,
-    Staged,
-    Fusion,
-    Streamed(Option<u64>),
+pub enum Holder {
+    OneShot,
+    Session(usize),
+    Tenant(usize),
     Reference,
 }
 
-/// The four executors a network of any shape runs on.
-pub const EXECS: [Exec; 4] = [
-    Exec::Roundtrip,
-    Exec::Staged,
-    Exec::Fusion,
-    Exec::Streamed(None),
-];
-
-impl Exec {
-    /// The strategy a strategy executor runs (`None`: streamed, reference).
-    pub fn strategy(self) -> Option<Strategy> {
-        match self {
-            Exec::Roundtrip => Some(Strategy::Roundtrip),
-            Exec::Staged => Some(Strategy::Staged),
-            Exec::Fusion => Some(Strategy::Fusion),
-            Exec::Streamed(_) | Exec::Reference => None,
-        }
-    }
-
-    /// The recovery level a clean run of this executor completes at.
-    pub fn level(self) -> ExecLevel {
-        match self {
-            Exec::Roundtrip => ExecLevel::Roundtrip,
-            Exec::Staged => ExecLevel::Staged,
-            Exec::Fusion | Exec::Reference => ExecLevel::Fusion,
-            Exec::Streamed(_) => ExecLevel::Streamed,
+impl Holder {
+    /// `cycles` of one session when `session`, else a one-shot.
+    pub fn session_if(session: bool, cycles: usize) -> Holder {
+        if session {
+            Holder::Session(cycles)
+        } else {
+            Holder::OneShot
         }
     }
 }
 
-impl From<Strategy> for Exec {
-    fn from(strategy: Strategy) -> Exec {
-        match strategy {
-            Strategy::Roundtrip => Exec::Roundtrip,
-            Strategy::Staged => Exec::Staged,
-            Strategy::Fusion => Exec::Fusion,
-        }
-    }
-}
-
-/// Where a network runs. [`Config::new`] is a one-shot on the X5660 in
+/// Where a program runs. [`Config::new`] is a one-shot on the X5660 in
 /// Real mode, unoptimized, pooled, unverified, without recovery or faults.
 #[derive(Debug, Clone)]
 pub struct Config {
     pub exec: Exec,
-    /// `None`: one-shot; `Some(k)`: k cycles of one session.
-    pub session: Option<usize>,
+    pub holder: Holder,
     pub mode: ExecMode,
     pub opt: OptLevel,
     /// Under `dfg_exec::with_serial` instead of on the pool.
@@ -121,7 +89,7 @@ impl Config {
     pub fn new(exec: impl Into<Exec>) -> Config {
         Config {
             exec: exec.into(),
-            session: None,
+            holder: Holder::OneShot,
             mode: ExecMode::Real,
             opt: OptLevel::Off,
             serial: false,
@@ -133,16 +101,27 @@ impl Config {
         }
     }
 
-    /// The engine this config runs on.
-    pub fn engine(&self) -> Engine {
-        let options = EngineOptions {
+    /// The reference kernel's one-shot (see [`Holder::Reference`]).
+    pub fn reference() -> Config {
+        Config {
+            holder: Holder::Reference,
+            ..Config::new(Exec::Fusion)
+        }
+    }
+
+    fn options(&self) -> EngineOptions {
+        EngineOptions {
             mode: self.mode,
             optimize: self.opt,
             recovery: self.recovery,
             verify: self.verify,
             ..Default::default()
-        };
-        let mut engine = Engine::with_options(self.device.clone(), options);
+        }
+    }
+
+    /// The engine this config runs on.
+    pub fn engine(&self) -> Engine {
+        let mut engine = Engine::with_options(self.device.clone(), self.options());
         if self.traced {
             engine.set_tracer(Tracer::new());
         }
@@ -151,16 +130,6 @@ impl Config {
         }
         engine
     }
-}
-
-/// What runs: source text, compiled and optimized at the config's level
-/// (its natural result, or the named outputs), or a lowered network's
-/// roots, run as given.
-#[derive(Debug, Clone, Copy)]
-pub enum Program<'a> {
-    Source(&'a str),
-    Outputs(&'a str, &'a [&'a str]),
-    Network(&'a NetworkSpec, &'a [NodeId]),
 }
 
 /// One field set per mode: Real runs read `real`, Model runs `model`.
@@ -192,20 +161,17 @@ impl Inputs {
     }
 }
 
-/// One derive: its fields, one per root (none in Model mode; the report's
-/// `field` is moved here), the names they were returned under (a named
-/// outputs program's only), its report (events, queues and clocks, high
-/// water, `host_bytes_*`, recovery record, integrity counters, trace) and
-/// the pool hits of its context so far.
+/// One derive: its fields, one per root (none in Model mode), its report
+/// (events, queues and clocks, high water, `host_bytes_*`, recovery record,
+/// integrity counters, trace) and the pool hits of its context so far.
 #[derive(Debug, Clone)]
 pub struct Run {
     pub fields: Vec<Field>,
-    pub names: Vec<String>,
     pub report: ExecReport,
     pub pool_hits: u64,
 }
 
-/// Every derive of one config: the one-shot's, or each session cycle's.
+/// Every derive of one config: the one-shot's, or each cycle's.
 #[derive(Debug)]
 pub struct Outcome {
     pub runs: Vec<Result<Run, EngineError>>,
@@ -229,67 +195,79 @@ impl Outcome {
     }
 }
 
-/// A derive's fields, their names (see [`Run`]) and its report.
-pub type Derived = (Vec<Field>, Vec<String>, ExecReport);
+/// The tenant a [`Holder::Tenant`] config runs as.
+const TENANT: &str = "tenant";
 
-/// A one-shot's result, and the bytes its context held after the run,
-/// failed or not (`None` when the caller never sees the context).
-pub type OneShot = (Result<Derived, EngineError>, Option<u64>);
-
-/// Run `program` over `inputs` as `config` says, asserting after every
-/// derive whose context it sees, failed or not, that no device bytes
-/// leaked.
+/// Run `program` over `inputs` as `config` says: one `run` call per derive
+/// on the config's holder, asserting after every session and tenant cycle,
+/// failed or not, that no device bytes leaked beyond the residents (a
+/// one-shot asserts it itself).
 pub fn run(config: &Config, program: Program, inputs: &Inputs) -> Outcome {
     let fields = inputs.for_mode(config.mode);
-    let go = || {
-        let mut engine = config.engine();
-        let Some(cycles) = config.session else {
-            let (result, in_use) = one_shot(&mut engine, program, fields, config.exec);
-            assert_eq!(in_use.unwrap_or(0), 0, "{config:?}: a one-shot leaked");
-            let run = result.map(|(fields, names, report)| Run {
-                fields,
-                names,
-                report,
-                pool_hits: 0,
-            });
-            return Outcome {
-                runs: vec![run],
-                stats: None,
+    let request = Request {
+        program,
+        exec: config.exec,
+    };
+    let one_shot = |result: Result<(Vec<Field>, ExecReport), EngineError>| Outcome {
+        runs: vec![result.map(|(fields, report)| Run {
+            fields,
+            report,
+            pool_hits: 0,
+        })],
+        stats: None,
+    };
+    let go = || match config.holder {
+        Holder::OneShot => one_shot(config.engine().run(&request, fields)),
+        Holder::Reference => {
+            let Program::Source(src) = program else {
+                panic!("the reference kernels compute source programs")
             };
-        };
-        let mut session = engine.session();
-        let mut runs = Vec::new();
-        for cycle in 0..cycles {
-            let result = match (program, config.exec) {
-                (Program::Source(src), Exec::Streamed(budget)) => {
-                    session.derive_streamed(src, fields, budget).map(natural)
-                }
-                (Program::Source(src), exec) => {
-                    session.derive(src, fields, strategy_of(exec)).map(natural)
-                }
-                (Program::Outputs(src, names), exec) => session
-                    .derive_many(src, names, fields, strategy_of(exec))
-                    .map(named),
-                (Program::Network(spec, roots), exec) => session
-                    .derive_network(spec, roots, fields, strategy_of(exec))
-                    .map(|(fields, report)| (fields, Vec::new(), report)),
-            };
-            assert_eq!(
-                session.context().in_use_bytes(),
-                session.resident_bytes(),
-                "{config:?}: session cycle {cycle} leaked beyond its residents"
-            );
-            let pool_hits = session.pool_hits();
-            runs.push(result.map(|(fields, names, report)| Run {
-                fields,
-                names,
-                report,
-                pool_hits,
-            }));
+            let workload = Workload::ALL.into_iter().find(|w| w.source() == src);
+            let workload = workload.expect("the reference kernels compute the paper workloads");
+            let report = config.engine().run_reference(workload, fields);
+            one_shot(report.map(|mut r| (r.field.take().into_iter().collect(), r)))
         }
-        Outcome {
-            runs,
-            stats: Some(session.end()),
+        Holder::Session(k) => {
+            let mut engine = config.engine();
+            let mut session = engine.session();
+            let runs = cycles(config, k, || {
+                let result = session.run(&request, fields);
+                let in_use = session.context().in_use_bytes();
+                (
+                    result,
+                    in_use,
+                    session.resident_bytes(),
+                    session.pool_hits(),
+                )
+            });
+            Outcome {
+                runs,
+                stats: Some(session.end()),
+            }
+        }
+        Holder::Tenant(k) => {
+            assert!(
+                config.faults.is_none(),
+                "a tenant's engine takes no fault plan"
+            );
+            let mut registry = SessionRegistry::new(config.device.clone(), config.options());
+            if config.traced {
+                registry.set_tracer(Tracer::new());
+            }
+            let runs = cycles(config, k, || {
+                let result = registry.run(TENANT, &request, fields);
+                let held = registry.stats(TENANT).expect("a tenant after its request");
+                (
+                    result,
+                    held.in_use_bytes,
+                    held.resident_bytes,
+                    held.pool_hits,
+                )
+            });
+            Outcome {
+                runs,
+                stats: registry.end_tenant(TENANT),
+            }
         }
     };
     if config.serial {
@@ -299,61 +277,27 @@ pub fn run(config: &Config, program: Program, inputs: &Inputs) -> Outcome {
     }
 }
 
-fn strategy_of(exec: Exec) -> Strategy {
-    exec.strategy()
-        .unwrap_or_else(|| panic!("{exec:?} runs only natural-result one-shots"))
-}
-
-fn natural(mut report: ExecReport) -> Derived {
-    (
-        report.field.take().into_iter().collect(),
-        Vec::new(),
-        report,
-    )
-}
-
-fn named((fields, report): (Vec<(String, Field)>, ExecReport)) -> Derived {
-    let (names, fields) = fields.into_iter().unzip();
-    (fields, names, report)
-}
-
-/// A one-shot through the engine's public entry points: `run_reference`,
-/// `derive_streamed`, `derive` or `derive_many`, whose context the caller
-/// never sees; a lowered network through the includer's `network_one_shot`.
-fn one_shot(engine: &mut Engine, program: Program, fields: &FieldSet, exec: Exec) -> OneShot {
-    let result = match (program, exec) {
-        (Program::Source(src), Exec::Reference) => {
-            let workload = Workload::ALL.into_iter().find(|w| w.source() == src);
-            let workload = workload.expect("the reference kernels compute the paper workloads");
-            engine.run_reference(workload, fields).map(natural)
-        }
-        (Program::Source(src), Exec::Streamed(budget)) => {
-            engine.derive_streamed(src, fields, budget).map(natural)
-        }
-        (Program::Source(src), exec) => engine.derive(src, fields, strategy_of(exec)).map(natural),
-        (Program::Outputs(src, names), exec) => engine
-            .derive_many(src, names, fields, strategy_of(exec))
-            .map(named),
-        (Program::Network(spec, roots), exec) => {
-            return network_one_shot(engine, spec, roots, fields, exec)
-        }
+/// `k` cycles of `cycle`, which returns a derive's result and then its
+/// holder's bytes in use, resident bytes and pool hits; after each cycle,
+/// failed or not, nothing may be in use beyond the residents.
+fn cycles(
+    config: &Config,
+    k: usize,
+    mut cycle: impl FnMut() -> (Result<(Vec<Field>, ExecReport), EngineError>, u64, u64, u64),
+) -> Vec<Result<Run, EngineError>> {
+    let run = |i| {
+        let (result, in_use, resident, pool_hits) = cycle();
+        assert_eq!(
+            in_use, resident,
+            "{config:?}: cycle {i} leaked beyond its residents"
+        );
+        result.map(|(fields, report)| Run {
+            fields,
+            report,
+            pool_hits,
+        })
     };
-    (result, None)
-}
-
-/// A lowered network's natural result through `Engine::derive_spec`, whose
-/// context the caller never sees: the `network_one_shot` of a suite under
-/// `tests/`.
-pub fn spec_one_shot(
-    engine: &mut Engine,
-    spec: &NetworkSpec,
-    roots: &[NodeId],
-    fields: &FieldSet,
-    exec: Exec,
-) -> OneShot {
-    assert_eq!(roots, [spec.result], "other roots need the crate's context");
-    let result = engine.derive_spec(spec, fields, strategy_of(exec));
-    (result.map(natural), None)
+    (0..k).map(run).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +382,26 @@ pub fn model_matches_real(real: &Outcome, model: &Outcome, what: &str) {
     assert_eq!(real.stats, model.stats, "{what}: session counters");
 }
 
+/// Two holders of one config agree run by run — the same bits (see
+/// [`same_bits`]), events (see [`same_events`]) and pool hits, or the same
+/// error — and end with the same session counters.
+#[track_caller]
+pub fn same_runs(a: &Outcome, b: &Outcome, what: &str) {
+    assert_eq!(a.runs.len(), b.runs.len(), "{what}: runs");
+    for (i, pair) in a.runs.iter().zip(&b.runs).enumerate() {
+        let what = format!("{what} run {i}");
+        match pair {
+            (Ok(x), Ok(y)) => {
+                same_bits(&x.fields, &y.fields, &what);
+                same_events(&x.report, &y.report, &what);
+                assert_eq!(x.pool_hits, y.pool_hits, "{what}: pool hits");
+            }
+            (x, y) => assert_eq!(x.as_ref().err(), y.as_ref().err(), "{what}"),
+        }
+    }
+    assert_eq!(a.stats, b.stats, "{what}: session counters");
+}
+
 /// Every download's storage is either handed to the host or copied, never
 /// both (DESIGN.md D10): the bytes copied plus the bytes handed over (the
 /// `handed_over` lanes of the `*.download` spans) are the bytes downloaded
@@ -503,7 +467,7 @@ pub const RANDOM_CASES: u32 = 48;
 /// cycle runs on a warm pool). The executor is a placeholder.
 pub fn random_axes() -> impl proptest::Strategy<Value = Config> {
     (2usize..4, 0u8..2, 0u8..2).prop_map(|(cycles, serial, verify)| Config {
-        session: Some(cycles),
+        holder: Holder::Session(cycles),
         serial: serial == 1,
         verify: [VerifyPolicy::Off, VerifyPolicy::Full][verify as usize],
         ..Config::new(Exec::Roundtrip)

@@ -5,14 +5,12 @@
 //! `VerifyPolicy::Off` stays bit- and clock-identical to the verified
 //! runs, because all checksum work is host-side.
 
-use dfg_core::{RecoveryPolicy, Strategy, Workload};
+use dfg_core::{RecoveryPolicy, Request, Strategy, Workload};
 use dfg_ocl::{FaultKind, FaultPlan, VerifyPolicy};
 
 #[path = "../src/tests/harness.rs"]
 mod harness;
-use harness::{
-    spec_one_shot as network_one_shot, Config, Exec, Inputs, Levels, Program, Run, EXECS,
-};
+use harness::{Config, Exec, Holder, Inputs, Levels, Program, Run, EXECS};
 
 const DIMS: [usize; 3] = [6, 5, 4];
 
@@ -31,7 +29,7 @@ fn verified(exec: Exec, verify: VerifyPolicy, faults: Option<&FaultPlan>) -> Con
 fn clean_flip_ops(exec: Exec, source: &str, inputs: &Inputs, session: bool) -> u64 {
     let plan = FaultPlan::with_seed(1);
     let config = Config {
-        session: session.then_some(1),
+        holder: Holder::session_if(session, 1),
         ..verified(exec, VerifyPolicy::Full, Some(&plan))
     };
     harness::run(&config, Program::Source(source), inputs).last("clean run");
@@ -61,7 +59,7 @@ fn every_mem_flip_is_detected_healed_and_bit_exact() {
                 let plan = FaultPlan::with_seed(1);
                 plan.fail_nth_from_now(FaultKind::MemFlip, index, 1);
                 let config = Config {
-                    session: session.then_some(1),
+                    holder: Holder::session_if(session, 1),
                     ..verified(exec, VerifyPolicy::Full, Some(&plan))
                 };
                 let outcome = harness::run(&config, Program::Source(source), &inputs);
@@ -109,7 +107,7 @@ fn stale_slot_sweep(strategy: Strategy) -> (u64, u64, u64) {
     let inputs = Inputs::rt(DIMS);
     let levels = Levels::clean(Workload::VorticityMagnitude.source(), &inputs);
     let two_cycles = |plan: &FaultPlan| Config {
-        session: Some(2),
+        holder: Holder::Session(2),
         ..verified(strategy.into(), VerifyPolicy::Full, Some(plan))
     };
 
@@ -179,11 +177,11 @@ fn verification_off_is_bit_and_clock_identical_to_full() {
     let inputs = Inputs::rt(DIMS);
     let mut checks = Vec::new();
     for exec in EXECS {
-        for session in [None, Some(3)] {
-            let what = format!("{exec:?} {session:?}");
+        for holder in [Holder::OneShot, Holder::Session(3)] {
+            let what = format!("{exec:?} {holder:?}");
             let run = |verify| -> Vec<Run> {
                 let config = Config {
-                    session,
+                    holder,
                     ..verified(exec, verify, None)
                 };
                 let outcome = harness::run(&config, program, &inputs);
@@ -208,7 +206,7 @@ fn verification_off_is_bit_and_clock_identical_to_full() {
                 (0, 0),
                 "{what}: Off never checks"
             );
-            if session.is_some() {
+            if holder != Holder::OneShot {
                 assert!(0 < totals[0] && totals[0] < totals[1], "{what}: {totals:?}");
             } else {
                 checks.push(totals[1]);
@@ -235,7 +233,7 @@ fn residents_policy_heals_a_corrupted_resident_between_cycles() {
     let source = Workload::VelocityMagnitude.source();
     let inputs = Inputs::rt(DIMS);
     let clean = Config {
-        session: Some(2),
+        holder: Holder::Session(2),
         ..verified(Exec::Fusion, VerifyPolicy::Off, None)
     };
     let clean = harness::run(&clean, Program::Source(source), &inputs);
@@ -246,11 +244,12 @@ fn residents_policy_heals_a_corrupted_resident_between_cycles() {
     plan.fail_nth_from_now(FaultKind::MemFlip, 1, 1);
     eng.set_fault_plan(plan.clone());
     let mut sess = eng.session();
-    sess.derive(source, &inputs.real, Strategy::Fusion).unwrap();
+    let request = Request::source(source, Strategy::Fusion);
+    sess.run(&request, &inputs.real).unwrap();
     assert_eq!(plan.faults_fired(FaultKind::MemFlip), 1, "flip fired");
     assert_eq!(sess.stats().integrity_healed, 0, "not yet revalidated");
 
-    let r2 = sess.derive(source, &inputs.real, Strategy::Fusion).unwrap();
+    let (healed, r2) = sess.run(&request, &inputs.real).unwrap();
     assert!(
         sess.stats().integrity_healed >= 1,
         "cycle 2 heals the corrupted resident at bind time"
@@ -259,7 +258,6 @@ fn residents_policy_heals_a_corrupted_resident_between_cycles() {
         r2.recovery.is_none(),
         "an in-place re-upload needs no recovery ladder"
     );
-    let healed = [r2.field.clone().expect("real mode")];
     harness::same_bits(
         &clean.last("clean").fields,
         &healed,
@@ -283,11 +281,8 @@ fn pool_poison_keeps_pooled_session_bit_identical() {
         let mut eng = verified(Exec::Roundtrip, VerifyPolicy::Full, None).engine();
         let mut sess = eng.session();
         sess.context_mut().debug_set_poison(poison);
-        let mut cycle = || {
-            sess.derive(source, &fields, Strategy::Roundtrip)
-                .unwrap()
-                .field
-        };
+        let request = Request::source(source, Strategy::Roundtrip);
+        let mut cycle = || sess.run(&request, &fields).unwrap().0;
         let cycles: Vec<_> = [cycle(), cycle()].into_iter().flatten().collect();
         (cycles, sess.pool_hits())
     };

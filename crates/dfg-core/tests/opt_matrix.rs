@@ -7,12 +7,12 @@
 //! vortex-detection workloads. CI's `opt-matrix` leg runs this suite under
 //! `DFG_OPT_LEVEL` ∈ {off, default, fast} × `DFG_NUM_THREADS` ∈ {auto, 1}.
 
-use dfg_core::{Field, FieldSet, OptLevel, Strategy, Workload};
+use dfg_core::{Field, FieldSet, OptLevel, Request, Strategy, Workload};
 use dfg_ocl::ExecMode;
 
 #[path = "../src/tests/harness.rs"]
 mod harness;
-use harness::{spec_one_shot as network_one_shot, Config, Exec, Inputs, Program, EXECS};
+use harness::{Config, Exec, Holder, Inputs, Program, EXECS};
 use proptest::prelude::*;
 use proptest::Strategy as _;
 
@@ -221,7 +221,8 @@ fn qcrit_optimized_strictly_drops_kernels_and_transfers() {
         ..Config::new(Exec::Staged)
     }
     .engine();
-    opt.derive(src, &inputs.real, Strategy::Staged).unwrap();
+    opt.run(&Request::source(src, Strategy::Staged), &inputs.real)
+        .unwrap();
     // The filter-level drop, from the optimizer's own report.
     let stats = opt.opt_stats(src).expect("program cached");
     assert!(
@@ -271,12 +272,12 @@ proptest! {
         (source, axes) in (expression(), harness::random_axes())
     ) {
         let inputs = Inputs::rt([4, 4, 4]);
-        let sessions = [None, axes.session];
+        let holders = [Holder::OneShot, axes.holder];
         let configs: Vec<Config> = EXECS
             .into_iter()
-            .flat_map(|exec| sessions.map(|session| Config {
+            .flat_map(|exec| holders.map(|holder| Config {
                 exec,
-                session,
+                holder,
                 opt: OptLevel::Default,
                 ..axes.clone()
             }))

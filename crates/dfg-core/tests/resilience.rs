@@ -11,7 +11,7 @@ use dfg_ocl::{DeviceProfile, ExecMode, FaultKind, FaultPlan};
 
 #[path = "../src/tests/harness.rs"]
 mod harness;
-use harness::{spec_one_shot as network_one_shot, Config, Exec, Inputs, Levels, Program, EXECS};
+use harness::{Config, Exec, Holder, Inputs, Levels, Program, EXECS};
 
 const DIMS: [usize; 3] = [6, 5, 4];
 
@@ -19,7 +19,7 @@ const DIMS: [usize; 3] = [6, 5, 4];
 /// session cycle.
 fn resilient(exec: Exec, faults: &FaultPlan, session: bool) -> Config {
     Config {
-        session: session.then_some(1),
+        holder: Holder::session_if(session, 1),
         recovery: RecoveryPolicy::resilient(),
         faults: Some(faults.clone()),
         ..Config::new(exec)
@@ -339,7 +339,7 @@ fn session_recovers_across_cycles_and_keeps_amortization() {
     let plan = FaultPlan::with_seed(1);
     plan.fail_nth_from_now(FaultKind::Launch, 1, 1);
     let config = Config {
-        session: Some(3),
+        holder: Holder::Session(3),
         ..resilient(Exec::Fusion, &plan, true)
     };
     let outcome = harness::run(&config, program, &inputs);

@@ -18,7 +18,7 @@ use dfg_ocl::{DeviceProfile, ExecMode, FaultKind, FaultPlan, OclError};
 
 #[path = "../src/tests/harness.rs"]
 mod harness;
-use harness::{spec_one_shot as network_one_shot, Config, Exec, Inputs, Outcome, Program, Run};
+use harness::{Config, Exec, Holder, Inputs, Outcome, Program, Run};
 
 const DIMS: [usize; 3] = [12, 10, 16];
 /// Device bytes of one z-layer for the gradient workloads: six inputs
@@ -66,7 +66,7 @@ const CASES: [Case; 3] = [
 /// session of three cycles.
 fn streamed(mode: ExecMode, workload: Workload, budget: Option<u64>, session: bool) -> Outcome {
     let config = Config {
-        session: session.then_some(3),
+        holder: Holder::session_if(session, 3),
         mode,
         traced: true,
         ..Config::new(Exec::Streamed(budget))

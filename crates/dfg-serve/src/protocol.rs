@@ -59,55 +59,11 @@ pub const MAX_HEADER_BYTES: usize = 1 << 20;
 /// Most payload bytes encoded per socket write.
 const WIRE_CHUNK: usize = 64 * 1024;
 
-/// Execution strategy requested on the wire. Mirrors
-/// [`dfg_core::Strategy`] plus the streamed (slab-partitioned) execution
-/// path, which the engine exposes as a separate entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecStrategy {
-    /// Whole-network fused kernel (the paper's headline strategy).
-    Fusion,
-    /// One kernel per filter, device-resident intermediates.
-    Staged,
-    /// One kernel per filter, host round-trips between filters.
-    Roundtrip,
-    /// Fused kernel over slab partitions under a device-memory budget.
-    Streamed,
-}
-
-impl ExecStrategy {
-    /// Wire name (`fusion` | `staged` | `roundtrip` | `streamed`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecStrategy::Fusion => "fusion",
-            ExecStrategy::Staged => "staged",
-            ExecStrategy::Roundtrip => "roundtrip",
-            ExecStrategy::Streamed => "streamed",
-        }
-    }
-
-    /// Parse a wire name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "fusion" => Ok(ExecStrategy::Fusion),
-            "staged" => Ok(ExecStrategy::Staged),
-            "roundtrip" => Ok(ExecStrategy::Roundtrip),
-            "streamed" => Ok(ExecStrategy::Streamed),
-            other => Err(format!(
-                "unknown strategy `{other}` (fusion|staged|roundtrip|streamed)"
-            )),
-        }
-    }
-
-    /// The core strategy this maps to, or `None` for streamed execution.
-    pub fn core(self) -> Option<dfg_core::Strategy> {
-        match self {
-            ExecStrategy::Fusion => Some(dfg_core::Strategy::Fusion),
-            ExecStrategy::Staged => Some(dfg_core::Strategy::Staged),
-            ExecStrategy::Roundtrip => Some(dfg_core::Strategy::Roundtrip),
-            ExecStrategy::Streamed => None,
-        }
-    }
-}
+/// Execution strategy requested on the wire: the engine's executor, whose
+/// [`name`](dfg_core::Exec::name) is the wire name and whose `FromStr`
+/// parses it. The wire carries no streaming budget: `streamed` parses to
+/// `Streamed(None)`, which runs under the tenant's quota.
+pub use dfg_core::Exec as ExecStrategy;
 
 /// A derive request: compile (or reuse) the kernel for `expr` and execute
 /// it over the synthetic Rayleigh–Taylor workload on a `grid`-sized mesh.
@@ -174,7 +130,7 @@ impl Request {
                     d.grid[0],
                     d.grid[1],
                     d.grid[2],
-                    d.strategy.as_str(),
+                    d.strategy.name(),
                     d.data,
                     deadline,
                 )
@@ -232,7 +188,7 @@ impl Request {
                     ));
                 }
                 let strategy = match v.get("strategy").and_then(Value::as_str) {
-                    Some(name) => ExecStrategy::parse(name)?,
+                    Some(name) => name.parse()?,
                     None => ExecStrategy::Fusion,
                 };
                 let data = matches!(v.get("data"), Some(Value::Bool(true)));

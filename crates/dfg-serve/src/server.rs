@@ -948,7 +948,7 @@ fn dispatch_cross_fusion(shared: &Shared, state: &mut ExecutorState, groups: Der
     let mut rest: Vec<Vec<PendingDerive>> = Vec::new();
     for (key, members) in groups {
         let mergeable = key.is_some()
-            && members[0].d.strategy.core().is_some()
+            && !matches!(members[0].d.strategy, ExecStrategy::Streamed(_))
             && state.compiled(&members[0].d.expr).is_some();
         match (mergeable, key) {
             (true, Some((_, grid, strategy))) => {
@@ -985,9 +985,6 @@ fn run_merged(
     strategy: ExecStrategy,
     part: Vec<Vec<PendingDerive>>,
 ) {
-    let core = strategy
-        .core()
-        .expect("mergeable groups use core strategies");
     let total: u64 = part.iter().map(|g| g.len() as u64).sum();
     let merge_span = span!(
         shared.tracer,
@@ -1029,9 +1026,8 @@ fn run_merged(
         .unwrap_or(0);
     let wall = Instant::now();
     let fields = state.fields.get(grid);
-    let result = state
-        .registry
-        .derive_network(&leader, &merged.spec, &merged.roots, fields, core);
+    let request = dfg_core::Request::network(&merged.spec, &merged.roots, strategy);
+    let result = state.registry.run(&leader, &request, fields);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     drop(merge_span);
     match result {
@@ -1217,7 +1213,7 @@ fn run_one(
         "serve.request",
         tenant = d.tenant.as_str(),
         expr = d.expr.as_str(),
-        strategy = d.strategy.as_str(),
+        strategy = d.strategy.name(),
     );
     let compiles_before = state
         .registry
@@ -1230,19 +1226,15 @@ fn run_one(
     // deadline expiry between recovery-ladder rungs; always cleared after,
     // fired or not.
     state.registry.set_cancel(&d.tenant, Some(p.cancel.clone()));
-    let result = match d.strategy.core() {
-        Some(s) => state.registry.derive(&d.tenant, &d.expr, fields, s),
-        None => state
-            .registry
-            .derive_streamed(&d.tenant, &d.expr, fields, None),
-    };
+    let request = dfg_core::Request::source(&d.expr, d.strategy);
+    let result = state.registry.run(&d.tenant, &request, fields);
     state.registry.set_cancel(&d.tenant, None);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     match result {
-        Ok(report) => {
+        Ok((mut fields_out, report)) => {
             let degraded = report.recovery.as_ref().is_some_and(|r| r.degraded);
             let device_ms = report.device_seconds() * 1e3;
-            let field = report.field.expect("real-mode serve");
+            let field = fields_out.pop().expect("real-mode serve");
             let compiles_after = state
                 .registry
                 .stats(&d.tenant)

@@ -20,14 +20,9 @@ fn local_bits(expr: &str, grid: [usize; 3]) -> Vec<u32> {
     let mesh = RectilinearMesh::unit_cube(grid);
     let fields = FieldSet::for_rt_mesh(&mesh, &RtWorkload::paper_default());
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
-    let report = engine.derive(expr, &fields, Strategy::Fusion).unwrap();
-    report
-        .field
-        .unwrap()
-        .data
-        .iter()
-        .map(|f| f.to_bits())
-        .collect()
+    let request = dfg_core::Request::source(expr, Strategy::Fusion);
+    let (out, _) = engine.run(&request, &fields).unwrap();
+    out[0].data.iter().map(|f| f.to_bits()).collect()
 }
 
 #[test]

@@ -388,20 +388,20 @@ mod tests {
 
     #[test]
     fn fields_are_engine_ready() {
-        use dfg_core::{Engine, Strategy};
+        use dfg_core::{Engine, Request, Strategy};
         use dfg_ocl::DeviceProfile;
         let mut sim = FlowSimulation::from_workload([8, 8, 8], &RtWorkload::paper_default());
         sim.step(0.01);
         let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
         let fields = sim.fields().clone();
-        let report = engine
-            .derive(
-                "w_mag = norm(curl(u, v, w, dims, x, y, z))",
-                &fields,
-                Strategy::Fusion,
-            )
+        let request = Request::source(
+            "w_mag = norm(curl(u, v, w, dims, x, y, z))",
+            Strategy::Fusion,
+        );
+        let (out, _) = engine
+            .run(&request, &fields)
             .expect("in-situ derive from live state");
-        assert!(report.field.is_some());
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

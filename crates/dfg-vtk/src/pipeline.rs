@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use dfg_core::{Engine, EngineError, EngineOptions, FieldSet, Strategy};
+use dfg_core::{Engine, EngineError, EngineOptions, FieldSet, Request, Strategy};
 use dfg_dataflow::{FilterOp, NetworkSpec, Width};
 use dfg_expr::compile;
 use dfg_mesh::{RectilinearMesh, RtWorkload, SubGrid};
@@ -217,10 +217,10 @@ impl PipelineFilter for DerivedFieldFilter {
                     })
                 })?;
         }
-        let report = self
+        let (mut out, _) = self
             .engine
-            .derive(&self.expression, &fields, self.strategy)?;
-        let field = report.field.expect("pipeline engines run in real mode");
+            .run(&Request::source(&self.expression, self.strategy), &fields)?;
+        let field = out.pop().expect("pipeline engines run in real mode");
         let array = match field.width {
             Width::Vec4 => {
                 // Store vectors as 3-component VTK arrays.
@@ -400,10 +400,13 @@ mod tests {
         let fs = FieldSet::for_rt_mesh(&global, &workload);
         let mut engine = Engine::new(gpu());
         let full = engine
-            .derive(Workload::QCriterion.source(), &fs, Strategy::Fusion)
+            .run(
+                &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+                &fs,
+            )
             .unwrap()
-            .field
-            .unwrap();
+            .0
+            .remove(0);
         // Pipeline on an interior block.
         let blocks = partition_blocks(global_dims, [2, 2, 2]);
         let block = blocks[3]; // offset [6, 5, 0]

@@ -64,10 +64,13 @@ fn main() {
     let fs = FieldSet::for_rt_mesh(&global, &rt);
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     let single = engine
-        .derive(Workload::QCriterion.source(), &fs, Strategy::Fusion)
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
+            &fs,
+        )
         .expect("single-grid run")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
     let identical = field
         .iter()
         .zip(&single.data)

@@ -48,15 +48,13 @@ fn main() {
     for step in 0..8 {
         sim.step(0.02);
         let (outputs, report) = session
-            .derive_many(
-                &source,
-                &["w_mag", "q_crit"],
+            .run(
+                &Request::outputs(&source, &["w_mag", "q_crit"], Strategy::Fusion),
                 sim.fields(),
-                Strategy::Fusion,
             )
             .expect("in-situ multi-output derive");
-        let w_mag = outputs[0].1.as_scalar().expect("scalar");
-        let q = outputs[1].1.as_scalar().expect("scalar");
+        let w_mag = outputs[0].as_scalar().expect("scalar");
+        let q = outputs[1].as_scalar().expect("scalar");
         let max_w = w_mag.iter().cloned().fold(f32::MIN, f32::max);
         let max_q = q.iter().cloned().fold(f32::MIN, f32::max);
         println!(

@@ -15,11 +15,12 @@ fn main() {
     // Hand the engine a user expression — the same text a VisIt user would
     // type — and pick an execution strategy.
     let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
-    let report = engine
-        .derive("v_mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+    let request = Request::source("v_mag = sqrt(u*u + v*v + w*w)", Strategy::Fusion);
+    let (out, report) = engine
+        .run(&request, &fields)
         .expect("derive velocity magnitude");
 
-    let field = report.field.as_ref().expect("real-mode run returns data");
+    let field = out.first().expect("real-mode run returns data");
     let data = field.as_scalar().expect("scalar result");
     let max = data.iter().cloned().fold(f32::MIN, f32::max);
     let mean = data.iter().sum::<f32>() / data.len() as f32;

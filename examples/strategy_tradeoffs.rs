@@ -78,8 +78,9 @@ fn main() {
     );
     let fields = FieldSet::virtual_rt(grid.dims());
     for strategy in Strategy::ALL {
-        match engine.derive(Workload::QCriterion.source(), &fields, strategy) {
-            Ok(report) => println!(
+        let request = Request::source(Workload::QCriterion.source(), strategy);
+        match engine.run(&request, &fields) {
+            Ok((_, report)) => println!(
                 "{grid} under {strategy}: OK, {:.2} GB peak, {:.3} s modeled",
                 report.high_water_bytes() as f64 / 1e9,
                 report.device_seconds()

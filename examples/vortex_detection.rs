@@ -32,10 +32,9 @@ fn main() {
 
     let mut q_field = None;
     for workload in Workload::ALL {
-        let report = engine
-            .derive(workload.source(), &fields, Strategy::Fusion)
-            .expect("fusion run");
-        let field = report.field.as_ref().expect("real mode");
+        let request = Request::source(workload.source(), Strategy::Fusion);
+        let (mut out, report) = engine.run(&request, &fields).expect("fusion run");
+        let field = out.pop().expect("real mode");
         let data = field.as_scalar().expect("scalar result");
         let min = data.iter().cloned().fold(f32::MAX, f32::min);
         let max = data.iter().cloned().fold(f32::MIN, f32::max);
@@ -48,7 +47,7 @@ fn main() {
             report.table2_row().2,
         );
         if workload == Workload::QCriterion {
-            q_field = report.field;
+            q_field = Some(field);
         }
     }
 
@@ -97,11 +96,9 @@ fn main() {
         Workload::QCriterion.source().trim_end()
     );
     let (outputs, report) = engine
-        .derive_many(
-            &combined,
-            &["v_mag", "w_mag", "q_crit"],
+        .run(
+            &Request::outputs(&combined, &["v_mag", "w_mag", "q_crit"], Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .expect("multi-output derive");
     let (writes, reads, kernels) = report.table2_row();

@@ -46,11 +46,9 @@
 //!
 //! // Derive velocity magnitude with the fused execution strategy.
 //! let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
-//! let report = engine
-//!     .derive("v_mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
-//!     .unwrap();
-//! let out = report.field.unwrap();
-//! assert!((out.as_scalar().unwrap()[0] - 3.0).abs() < 1e-6);
+//! let request = Request::source("v_mag = sqrt(u*u + v*v + w*w)", Strategy::Fusion);
+//! let (out, report) = engine.run(&request, &fields).unwrap();
+//! assert!((out[0].as_scalar().unwrap()[0] - 3.0).abs() < 1e-6);
 //! // The profile reproduces Table II's fusion row: 3 writes, 1 read, 1 kernel.
 //! assert_eq!(report.profile.table2_row(), (3, 1, 1));
 //! ```
@@ -70,7 +68,9 @@ pub use dfg_vtk as vtk;
 /// Convenient single-import surface for host applications.
 pub mod prelude {
     pub use dfg_core::workloads::{Q_CRITERION, VELOCITY_MAGNITUDE, VORTICITY_MAGNITUDE};
-    pub use dfg_core::{Engine, EngineOptions, ExecReport, FieldSet, FieldValue, Strategy};
+    pub use dfg_core::{
+        Engine, EngineOptions, Exec, ExecReport, FieldSet, FieldValue, Request, Strategy,
+    };
     pub use dfg_mesh::{GridSpec, RectilinearMesh, RtWorkload, TABLE1_CATALOG};
     pub use dfg_ocl::{DeviceProfile, ExecMode};
 }

@@ -20,14 +20,13 @@ fn solver_state_round_trips_through_vtk_and_rederives() {
     // 2. Derive the Q-criterion in situ.
     let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
     let q_live = engine
-        .derive(
-            Workload::QCriterion.source(),
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Fusion),
             sim.fields(),
-            Strategy::Fusion,
         )
         .expect("in-situ derive")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
 
     // 3. Checkpoint solver state + derived field to a VTK document.
     let (u, v, w) = sim.velocity();
@@ -53,10 +52,13 @@ fn solver_state_round_trips_through_vtk_and_rederives() {
             .unwrap();
     }
     let q_restored = engine
-        .derive(Workload::QCriterion.source(), &fields, Strategy::Staged)
+        .run(
+            &Request::source(Workload::QCriterion.source(), Strategy::Staged),
+            &fields,
+        )
         .expect("re-derive from checkpoint")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
 
     // 5. The checkpointed derived field, the reloaded copy, and the
     //    re-derivation all agree bit-for-bit (ASCII VTK round-trips f32
@@ -89,14 +91,13 @@ fn multi_device_agrees_with_pipeline_on_solver_state() {
 
     let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
     let single = engine
-        .derive(
-            Workload::VorticityMagnitude.source(),
+        .run(
+            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .expect("single device")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
 
     let multi = run_multi_device(
         Workload::VorticityMagnitude.source(),

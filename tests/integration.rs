@@ -20,11 +20,11 @@ fn facade_end_to_end_all_workloads_all_strategies() {
     for workload in Workload::ALL {
         let mut outputs = Vec::new();
         for strategy in Strategy::ALL {
-            let report = engine
-                .derive(workload.source(), &fields, strategy)
+            let (mut out, report) = engine
+                .run(&Request::source(workload.source(), strategy), &fields)
                 .unwrap_or_else(|e| panic!("{workload}/{strategy}: {e}"));
             assert_eq!(report.table2_row(), workload.paper_table2(strategy));
-            outputs.push(report.field.expect("real mode").data);
+            outputs.push(out.remove(0).data);
         }
         let reference = engine.run_reference(workload, &fields).expect("reference");
         let ref_data = reference.field.expect("real mode").data;
@@ -63,20 +63,20 @@ fn oom_cascade_matches_paper_discussion() {
     let src = Workload::QCriterion.source();
     // GPU staged: fails on memory.
     assert!(gpu
-        .derive(src, &fields, Strategy::Staged)
+        .run(&Request::source(src, Strategy::Staged), &fields)
         .unwrap_err()
         .is_out_of_memory());
     // GPU fusion: fits and is fast.
-    let gpu_fusion = gpu
-        .derive(src, &fields, Strategy::Fusion)
+    let (_, gpu_fusion) = gpu
+        .run(&Request::source(src, Strategy::Fusion), &fields)
         .expect("fusion fits");
     // CPU staged: always completes.
-    let cpu_staged = cpu
-        .derive(src, &fields, Strategy::Staged)
+    let (_, cpu_staged) = cpu
+        .run(&Request::source(src, Strategy::Staged), &fields)
         .expect("CPU staged");
     // GPU roundtrip also completes (smallest device footprint).
-    let gpu_rt = gpu
-        .derive(src, &fields, Strategy::Roundtrip)
+    let (_, gpu_rt) = gpu
+        .run(&Request::source(src, Strategy::Roundtrip), &fields)
         .expect("GPU roundtrip");
     // The paper's observed ordering: CPU staged beats GPU roundtrip.
     assert!(
@@ -93,11 +93,10 @@ fn oom_cascade_matches_paper_discussion() {
 fn profile_event_labels_are_meaningful() {
     let (_, fields) = rt_fields([6, 6, 6]);
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
-    let report = engine
-        .derive(
-            Workload::VorticityMagnitude.source(),
+    let (_, report) = engine
+        .run(
+            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Staged),
             &fields,
-            Strategy::Staged,
         )
         .expect("staged run");
     let kernel_labels: Vec<&str> = report
@@ -111,11 +110,10 @@ fn profile_event_labels_are_meaningful() {
     assert!(kernel_labels.iter().any(|l| l.starts_with("decompose_s")));
     assert!(kernel_labels.contains(&"sqrt"));
     // Fusion events carry the compile record.
-    let report = engine
-        .derive(
-            Workload::VorticityMagnitude.source(),
+    let (_, report) = engine
+        .run(
+            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .expect("fusion run");
     assert_eq!(report.profile.count(EventKind::KernelCompile), 1);
@@ -177,10 +175,13 @@ fn network_builder_api_direct_use() {
         .unwrap();
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     let out = engine
-        .derive_spec(&spec, &fields, Strategy::Fusion)
+        .run(
+            &Request::network(&spec, &[spec.result], Strategy::Fusion),
+            &fields,
+        )
         .expect("builder-made network runs")
-        .field
-        .expect("real mode");
+        .0
+        .remove(0);
     let s = out.as_scalar().expect("scalar");
     assert!((s[0] - 5.0).abs() < 1e-6);
     assert!((s[3] - 5.0).abs() < 1e-6);
@@ -192,25 +193,27 @@ fn expression_errors_surface_cleanly() {
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     // Syntax error.
     let err = engine
-        .derive("v = sqrt(u", &fields, Strategy::Fusion)
+        .run(&Request::source("v = sqrt(u", Strategy::Fusion), &fields)
         .unwrap_err();
     assert!(err.to_string().contains("expected"), "{err}");
     // Unknown function.
     let err = engine
-        .derive("v = laplacian(u)", &fields, Strategy::Fusion)
+        .run(
+            &Request::source("v = laplacian(u)", Strategy::Fusion),
+            &fields,
+        )
         .unwrap_err();
     assert!(err.to_string().contains("unknown function"), "{err}");
     // Known function, wrong arity (curl is a compound sugar function).
     let err = engine
-        .derive("v = curl(u)", &fields, Strategy::Fusion)
+        .run(&Request::source("v = curl(u)", Strategy::Fusion), &fields)
         .unwrap_err();
     assert!(err.to_string().contains("takes 7 argument"), "{err}");
     // Width misuse.
     let err = engine
-        .derive(
-            "v = sqrt(grad3d(u, dims, x, y, z))",
+        .run(
+            &Request::source("v = sqrt(grad3d(u, dims, x, y, z))", Strategy::Fusion),
             &fields,
-            Strategy::Fusion,
         )
         .unwrap_err();
     assert!(err.to_string().contains("invalid network"), "{err}");
@@ -223,10 +226,13 @@ fn vector_valued_results_are_returned_as_vec4() {
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     for strategy in Strategy::ALL {
         let out = engine
-            .derive("g = grad3d(u, dims, x, y, z)", &fields, strategy)
+            .run(
+                &Request::source("g = grad3d(u, dims, x, y, z)", strategy),
+                &fields,
+            )
             .unwrap_or_else(|e| panic!("{strategy}: {e}"))
-            .field
-            .expect("real mode");
+            .0
+            .remove(0);
         assert_eq!(out.data.len(), 4 * mesh.ncells());
         let dx = out.component(0).expect("vec4 component");
         assert_eq!(dx.len(), mesh.ncells());

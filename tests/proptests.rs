@@ -15,7 +15,7 @@ use dfg::kernels::{gradient_at, Dims3};
 // `dfg::prelude::Strategy` (the execution strategy enum) collides with
 // proptest's `Strategy` trait, so import the prelude pieces explicitly and
 // alias the enum.
-use dfg::core::Strategy as ExecStrategy;
+use dfg::core::{Exec, Request, Strategy as ExecStrategy};
 use dfg::prelude::{DeviceProfile, Engine, RectilinearMesh, RtWorkload};
 
 // ---------------------------------------------------------------------------
@@ -185,10 +185,10 @@ proptest! {
         let mut engine = Engine::new(DeviceProfile::intel_x5660());
         for strategy in ExecStrategy::ALL {
             let got = engine
-                .derive_spec(&spec, &fields, strategy)
+                .run(&Request::network(&spec, &[spec.result], strategy), &fields)
                 .expect("execute")
-                .field
-                .expect("real mode")
+                .0
+                .remove(0)
                 .data;
             prop_assert_eq!(got.len(), expected.len());
             for i in 0..got.len() {
@@ -220,13 +220,13 @@ proptest! {
         let fields = small_fields();
         let mut engine = Engine::new(DeviceProfile::intel_x5660());
         let x = engine
-            .derive(&inline, &fields, ExecStrategy::Fusion)
+            .run(&Request::source(&inline, ExecStrategy::Fusion), &fields)
             .expect("inline")
-            .field.expect("real").data;
+            .0.remove(0).data;
         let y = engine
-            .derive(&split, &fields, ExecStrategy::Fusion)
+            .run(&Request::source(&split, ExecStrategy::Fusion), &fields)
             .expect("split")
-            .field.expect("real").data;
+            .0.remove(0).data;
         for i in 0..x.len() {
             // Named reuse evaluates `a` once where the inline form wrote it
             // twice — same value either way (identical subtree, identical
@@ -287,10 +287,10 @@ fn paper_workloads_match_interpreter_bitwise() {
         let expected = interpret(&spec, &fields);
         for strategy in ExecStrategy::ALL {
             let got = engine
-                .derive_spec(&spec, &fields, strategy)
+                .run(&Request::network(&spec, &[spec.result], strategy), &fields)
                 .expect("execute")
-                .field
-                .expect("real mode")
+                .0
+                .remove(0)
                 .data;
             for i in 0..got.len() {
                 assert_eq!(
@@ -313,10 +313,10 @@ fn conditional_expression_matches_interpreter() {
     let mut engine = Engine::new(DeviceProfile::intel_x5660());
     for strategy in ExecStrategy::ALL {
         let got = engine
-            .derive_spec(&spec, &fields, strategy)
+            .run(&Request::network(&spec, &[spec.result], strategy), &fields)
             .expect("execute")
-            .field
-            .expect("real mode")
+            .0
+            .remove(0)
             .data;
         assert_eq!(got, expected, "{strategy}");
     }
@@ -346,19 +346,19 @@ proptest! {
         let program = format!("r = {src}");
         let mut engine = Engine::new(DeviceProfile::intel_x5660());
         let fused = engine
-            .derive(&program, &fields, ExecStrategy::Fusion)
+            .run(&Request::source(&program, ExecStrategy::Fusion), &fields)
             .expect("fusion")
-            .field
-            .expect("real")
+            .0
+            .remove(0)
             .data;
         // Budget in bytes: enough for `budget_cells` cells of the fused
         // footprint (inputs + output ≤ 4 lanes for these programs).
         let budget = (4 * 4 * budget_cells) as u64;
-        let streamed = engine.derive_streamed(&program, &fields, Some(budget));
+        let streamed = engine.run(&Request::source(&program, Exec::Streamed(Some(budget))), &fields);
         match streamed {
-            Ok(report) => {
+            Ok((mut out, report)) => {
                 prop_assert!(report.high_water_bytes() <= budget);
-                let data = report.field.expect("real").data;
+                let data = out.remove(0).data;
                 for i in 0..fused.len() {
                     prop_assert!(
                         data[i].to_bits() == fused[i].to_bits(),

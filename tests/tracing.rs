@@ -2,7 +2,7 @@
 //! through the engine, Chrome-trace export, and the determinism of
 //! virtual-clock timestamps under `ExecMode::Model`.
 
-use dfg::core::{Engine, EngineOptions, FieldSet, Strategy};
+use dfg::core::{Engine, EngineOptions, FieldSet, Request, Strategy};
 use dfg::ocl::{DeviceProfile, ExecMode};
 use dfg::trace::json::{self, Value};
 use dfg::trace::{Trace, Tracer};
@@ -34,9 +34,8 @@ fn traced_run(strategy: Strategy, mode: ExecMode) -> Trace {
         },
     );
     engine.set_tracer(Tracer::new());
-    let report = engine
-        .derive("mag = sqrt(u*u + v*v + w*w)", &fields, strategy)
-        .expect("derivation succeeds");
+    let request = Request::source("mag = sqrt(u*u + v*v + w*w)", strategy);
+    let (_, report) = engine.run(&request, &fields).expect("derivation succeeds");
     report.trace.expect("tracer attached")
 }
 
