@@ -687,7 +687,9 @@ fn streamed_failures() -> (Table, usize, usize) {
 /// Killed ranks of a distributed Q-criterion: 24×24×16 cells as 2×2×2 blocks
 /// on 8 single-GPU nodes. Each dead rank's block moves to a survivor and its
 /// faces are filled analytically, so the field stays the clean run's, bit
-/// for bit. Real mode: a Model run exchanges no faces, so it fills none.
+/// for bit. Real mode, so the field's bits are checked against the clean run's;
+/// a Model run reports the same lost, redistributed and ghost-face counts and
+/// the same makespan (`dfg-cluster`'s `tests/rank_resilience.rs`).
 fn rank_loss() -> (Table, bool) {
     let cluster = Cluster {
         nodes: 8,
@@ -701,7 +703,7 @@ fn rank_loss() -> (Table, bool) {
             mode: ExecMode::Real,
             recovery: RecoveryPolicy::resilient(),
             fault_spec: (kills > 0).then(|| format!("rank_die@1x{kills}")),
-            exchange_deadline: Some(Duration::from_secs(5)),
+            exchange_deadline: Duration::from_secs(5),
             ..Default::default()
         };
         let mesh = RectilinearMesh::unit_cube([24, 24, 16]);
@@ -815,9 +817,11 @@ pub fn extensions() -> Artifact {
     let ranked = plan(&spec, 75_497_472, &Target::ALL.map(|t| t.profile())).expect("plan");
     let describe = |o: &PlanOption| {
         format!(
-            "{}{} on {} ({:.2} s)",
-            o.strategy.name(),
-            if o.streamed { " (streamed)" } else { "" },
+            "{} on {} ({:.2} s)",
+            match o.exec {
+                Exec::Streamed(_) => "fusion (streamed)",
+                exec => exec.name(),
+            },
             Target::ALL[o.device_index].name(),
             o.seconds
         )

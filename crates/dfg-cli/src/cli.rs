@@ -280,7 +280,6 @@ fn recovery_of(
         dfg_core::RecoveryPolicy {
             max_retries: max_retries.unwrap_or(3),
             fallback: fallback.unwrap_or(true),
-            ..dfg_core::RecoveryPolicy::resilient()
         }
     } else {
         dfg_core::RecoveryPolicy::disabled()
@@ -430,9 +429,8 @@ fn cmd_run_distributed(args: &Args) -> Result<(), String> {
         mode,
         recovery,
         fault_spec: args.get("faults").map(str::to_string),
-        exchange_deadline: deadline.or(DistOptions::default().exchange_deadline),
+        exchange_deadline: deadline.unwrap_or(DistOptions::default().exchange_deadline),
         verify: verify_of(args)?,
-        ..Default::default()
     };
     let traced = args.get("trace").is_some();
     let result = if traced {
@@ -1068,11 +1066,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     for opt in &plan.feasible {
         println!(
             "{:<10} {:<34} {:>10.4} {:>10.3}",
-            if opt.streamed {
-                "streamed".to_string()
-            } else {
-                opt.strategy.name().to_string()
-            },
+            opt.exec.name(),
             opt.device_name,
             opt.seconds,
             opt.peak_bytes as f64 / 1e9
@@ -1087,9 +1081,11 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     }
     match plan.best() {
         Some(best) => println!(
-            "\nbest: {}{} on {}",
-            best.strategy.name(),
-            if best.streamed { " (streamed)" } else { "" },
+            "\nbest: {} on {}",
+            match best.exec {
+                Exec::Streamed(_) => "fusion (streamed)",
+                exec => exec.name(),
+            },
             best.device_name
         ),
         None => println!("\nno feasible option on any device"),

@@ -6,14 +6,15 @@
 //! A distributed run embedded in a simulation must not die with one rank.
 //! Three layers make `run_distributed` survive rank loss:
 //!
-//! * **Deadline-based halo exchange** — the blocking `recv()` of the
-//!   original exchange is a `recv_timeout` driven by
-//!   [`DistOptions::exchange_deadline`]. A mailbox that stays silent past
-//!   the deadline (a hung neighbour) or disconnects with faces outstanding
-//!   (a dead neighbour) stops blocking the rank: the missing ghost faces
-//!   are re-sampled analytically from the global mesh. Because the RT
-//!   workload is per-cell analytic in the global axis coordinates, the
-//!   filled bytes are identical to what the lost neighbour would have sent.
+//! * **Deadline-based halo exchange** — every halo receive is a
+//!   `recv_timeout` driven by [`DistOptions::exchange_deadline`]. A
+//!   mailbox that stays silent past the deadline (a hung neighbour) or
+//!   disconnects with faces outstanding (a dead neighbour) stops blocking
+//!   the rank: the missing ghost faces are re-sampled analytically from the
+//!   global mesh. Because the RT workload is per-cell analytic in the
+//!   global axis coordinates, the filled bytes are identical to what the
+//!   lost neighbour would have sent. A Model run, which moves no faces,
+//!   counts the same fills from the ranks' fates.
 //! * **A heartbeat coordinator** — rank threads report progress
 //!   (per-block heartbeats), completion, engine failure, or death over a
 //!   control channel. The coordinator joins panicking ranks through
@@ -28,8 +29,9 @@
 //!
 //! Exchange deadlines bound *wall-clock* channel waits; the modeled device
 //! clocks never include them, so a degraded run's `rank_device_seconds`
-//! and `makespan_seconds` are identical in [`ExecMode::Model`] and
-//! [`ExecMode::Real`] — Model mode derives rank fates from the pure
+//! and `makespan_seconds` — like `lost_ranks`, `redistributed_blocks` and
+//! `ghost_filled_faces` — are identical in [`ExecMode::Model`] and
+//! [`ExecMode::Real`]: Model mode derives rank fates from the pure
 //! [`FaultPlan::rank_fate`] query instead of observing timeouts.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,16 +104,10 @@ pub struct DistOptions {
     /// Longest *wall-clock* silence tolerated while waiting on halo faces
     /// before the outstanding ones are declared lost and filled
     /// analytically. Also bounds sends into a full (stalled) mailbox, and
-    /// derives the coordinator's heartbeat silence budget. `None` restores
-    /// the pre-resilience behavior of waiting forever, and is rejected when
-    /// the fault spec injects rank-level faults (the run would deadlock).
-    /// Deadlines never touch the modeled device clocks, so Model and Real
-    /// runs of the same faults report identical virtual times.
-    pub exchange_deadline: Option<Duration>,
-    /// Extra transmit attempts per halo face whose send was lost to an
-    /// injected `exchange_drop` fault (each attempt draws the fault plan
-    /// again).
-    pub exchange_retries: u32,
+    /// derives the coordinator's heartbeat silence budget. Deadlines never
+    /// touch the modeled device clocks, so Model and Real runs of the same
+    /// faults report identical virtual times.
+    pub exchange_deadline: Duration,
     /// Buffer-verification policy installed on every rank's engine (and on
     /// engines spun up to adopt orphaned blocks). Halo faces are
     /// checksummed sender-side and verified on receipt regardless of this
@@ -128,8 +124,7 @@ impl Default for DistOptions {
             mode: ExecMode::Real,
             recovery: RecoveryPolicy::disabled(),
             fault_spec: None,
-            exchange_deadline: Some(Duration::from_secs(10)),
-            exchange_retries: 2,
+            exchange_deadline: Duration::from_secs(10),
             verify: dfg_ocl::VerifyPolicy::Off,
         }
     }
@@ -220,7 +215,10 @@ pub struct DistResult {
     /// lost, blocks redistributed, ghost faces analytically filled, or
     /// some rank fell back to another strategy. The output is still exact.
     pub degraded: bool,
-    /// Ghost faces that never arrived and were re-sampled analytically.
+    /// Ghost faces that never arrived and were re-sampled analytically. A
+    /// Model run counts the faces survivors are owed by ranks fated to die
+    /// or hang, which is the Real count unless faces were dropped or
+    /// garbled in flight.
     pub ghost_filled_faces: usize,
     /// Halo waits (receive silences and full-mailbox sends) that expired
     /// against [`DistOptions::exchange_deadline`].
@@ -298,6 +296,31 @@ impl std::error::Error for ClusterError {
 /// Index of a block-grid coordinate in [`partition_blocks`] output order.
 fn block_index(block: [usize; 3], nblocks: [usize; 3]) -> usize {
     block[0] + nblocks[0] * (block[1] + nblocks[1] * block[2])
+}
+
+/// Extra transmit attempts per halo face whose send was lost to an
+/// injected `exchange_drop` fault (each attempt draws the fault plan again).
+const EXCHANGE_RETRIES: u32 = 2;
+
+/// The face-adjacent neighbours of `b` in exchange order — per axis the
+/// low side, then the high side — as `(axis, high, neighbour block index)`.
+fn face_neighbours(
+    b: &SubGrid,
+    nblocks: [usize; 3],
+) -> impl Iterator<Item = (usize, bool, usize)> + '_ {
+    (0..3).flat_map(move |axis| {
+        [
+            (false, b.block[axis] > 0),
+            (true, b.block[axis] + 1 < nblocks[axis]),
+        ]
+        .into_iter()
+        .filter(|&(_, exists)| exists)
+        .map(move |(high, _)| {
+            let mut nb = b.block;
+            nb[axis] = if high { nb[axis] + 1 } else { nb[axis] - 1 };
+            (axis, high, block_index(nb, nblocks))
+        })
+    })
 }
 
 struct RankOutput {
@@ -404,7 +427,7 @@ fn coordinate(
     ctrl_rx: Receiver<CtrlMsg>,
     ranks: usize,
     fates: &[Option<RankFate>],
-    deadline: Option<Duration>,
+    deadline: Duration,
 ) -> Coordination {
     let mut pending: BTreeSet<usize> = (0..ranks).collect();
     let mut outputs: Vec<Option<RankOutput>> = (0..ranks).map(|_| None).collect();
@@ -417,15 +440,9 @@ fn coordinate(
             pending.remove(&rank);
         }
     }
-    let silence = deadline.map(|d| d * 2 + Duration::from_millis(500));
+    let silence = deadline * 2 + Duration::from_millis(500);
     while !pending.is_empty() {
-        let msg = match silence {
-            Some(s) => ctrl_rx
-                .recv_timeout(s)
-                .map_err(|e| e == RecvTimeoutError::Timeout),
-            None => ctrl_rx.recv().map_err(|_| false),
-        };
-        match msg {
+        match ctrl_rx.recv_timeout(silence) {
             Ok(CtrlMsg::Heartbeat { rank, blocks_done }) => {
                 heartbeats[rank] = heartbeats[rank].max(blocks_done);
             }
@@ -443,8 +460,8 @@ fn coordinate(
                     outcomes[rank] = RankOutcome::Died(reason);
                 }
             }
-            Err(timed_out) => {
-                let why = if timed_out {
+            Err(e) => {
+                let why = if e == RecvTimeoutError::Timeout {
                     "straggler: no heartbeat within the silence budget"
                 } else {
                     "exited without reporting"
@@ -559,14 +576,6 @@ fn run_distributed_inner(
             fates.push(plan.rank_fate(rank));
             plans.push(Some(plan));
         }
-        let has_rank_faults = plans.iter().flatten().any(|p| p.has_rank_faults());
-        if has_rank_faults && opts.exchange_deadline.is_none() {
-            return Err(ClusterError::Config(
-                "rank-level faults (rank_die / rank_hang) require an exchange deadline; \
-                 set DistOptions::exchange_deadline"
-                    .into(),
-            ));
-        }
     } else {
         plans.resize_with(ranks, || None);
         fates.resize(ranks, None);
@@ -598,7 +607,7 @@ fn run_distributed_inner(
             let cluster_profile = cluster.profile.clone();
             let opts = opts.clone();
             let plan = plans[rank].clone();
-            let fate = fates[rank];
+            let fates = &fates;
             scope.spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     run_rank(
@@ -612,7 +621,7 @@ fn run_distributed_inner(
                         cluster_profile,
                         &opts,
                         plan,
-                        fate,
+                        fates,
                         senders,
                         receiver,
                         &ctrl,
@@ -859,7 +868,7 @@ fn run_rank(
     profile: DeviceProfile,
     opts: &DistOptions,
     plan: Option<FaultPlan>,
-    fate: Option<RankFate>,
+    fates: &[Option<RankFate>],
     senders: Vec<Sender<FaceMsg>>,
     receiver: Receiver<FaceMsg>,
     ctrl: &Sender<CtrlMsg>,
@@ -871,7 +880,7 @@ fn run_rank(
     // report, exactly like a genuine bug would surface. A hung rank parks
     // while *holding its halo senders*, so neighbours experience real
     // silence until the coordinator tears the run down.
-    match fate {
+    match fates[rank] {
         Some(RankFate::Die) => {
             silence_injected_death_reports();
             std::panic::panic_any(format!("injected rank_die on rank {rank}"))
@@ -906,7 +915,7 @@ fn run_rank(
     let mut exchange_timeouts = 0usize;
     let mut exchange_wait_seconds = 0.0f64;
     let mut exchange_drops = 0u64;
-    let mut ghost_filled_faces = 0usize;
+    let ghost_filled_faces;
     let mut garbled_faces = 0u64;
 
     /// Per-block ghosted state: extent arithmetic plus the three ghosted
@@ -939,63 +948,48 @@ fn run_rank(
         let halo_span = span!(tracer, "rank.halo");
         // Send faces to face-adjacent neighbours. Each transmit attempt
         // draws the fault plan's `exchange_drop` rules; a dropped face is
-        // retransmitted up to `exchange_retries` times before it is left
+        // retransmitted up to `EXCHANGE_RETRIES` times before it is left
         // for the receiver's analytic fill.
         for (slot, &bi) in my_blocks.iter().enumerate() {
             let b = &blocks[bi];
-            for axis in 0..3 {
-                for (high, exists) in [
-                    (false, b.block[axis] > 0),
-                    (true, b.block[axis] + 1 < nblocks[axis]),
-                ] {
-                    if !exists {
+            for (axis, high, to_block) in face_neighbours(b, nblocks) {
+                for (field, owned) in owned_fields[slot].iter().enumerate() {
+                    let mut lost_to_drops = false;
+                    if let Some(p) = &plan {
+                        let mut attempt = 0u32;
+                        while p.check(FaultKind::ExchangeDrop).is_some() {
+                            exchange_drops += 1;
+                            if attempt >= EXCHANGE_RETRIES {
+                                lost_to_drops = true;
+                                break;
+                            }
+                            attempt += 1;
+                        }
+                    }
+                    if lost_to_drops {
                         continue;
                     }
-                    let mut nb = b.block;
-                    nb[axis] = if high { nb[axis] + 1 } else { nb[axis] - 1 };
-                    let to_block = block_index(nb, nblocks);
-                    for (field, owned) in owned_fields[slot].iter().enumerate() {
-                        let mut lost_to_drops = false;
-                        if let Some(p) = &plan {
-                            let mut attempt = 0u32;
-                            while p.check(FaultKind::ExchangeDrop).is_some() {
-                                exchange_drops += 1;
-                                if attempt >= opts.exchange_retries {
-                                    lost_to_drops = true;
-                                    break;
-                                }
-                                attempt += 1;
-                            }
+                    let data = extract_face(owned, b.dims, axis, high);
+                    // Our high face fills the neighbour's low ghost.
+                    // The face is sealed under its checksum *before*
+                    // any injected garble, so the sum describes the
+                    // clean bits — exactly what in-flight corruption
+                    // looks like to the receiver.
+                    let mut msg = FaceMsg::seal(to_block, axis, high, field, data);
+                    if let Some(p) = &plan {
+                        if p.check(FaultKind::HaloGarble).is_some() && !msg.data.is_empty() {
+                            let h = (msg.sum ^ p.seed()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            let bit = h as usize % (msg.data.len() * 32);
+                            let lane = &mut msg.data[bit / 32];
+                            *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
                         }
-                        if lost_to_drops {
-                            continue;
-                        }
-                        let data = extract_face(owned, b.dims, axis, high);
-                        // Our high face fills the neighbour's low ghost.
-                        // The face is sealed under its checksum *before*
-                        // any injected garble, so the sum describes the
-                        // clean bits — exactly what in-flight corruption
-                        // looks like to the receiver.
-                        let mut msg = FaceMsg::seal(to_block, axis, high, field, data);
-                        if let Some(p) = &plan {
-                            if p.check(FaultKind::HaloGarble).is_some() && !msg.data.is_empty() {
-                                let h = (msg.sum ^ p.seed()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                                let bit = h as usize % (msg.data.len() * 32);
-                                let lane = &mut msg.data[bit / 32];
-                                *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
-                            }
-                        }
-                        let target = &senders[to_block % ranks];
-                        // A full mailbox means a stalled receiver; give it
-                        // one deadline of backpressure, then count the face
-                        // as undeliverable (the receiver will fill it).
-                        let delivered = match opts.exchange_deadline {
-                            Some(d) => target.send_timeout(msg, d).is_ok(),
-                            None => target.send(msg).is_ok(),
-                        };
-                        if !delivered {
-                            exchange_timeouts += 1;
-                        }
+                    }
+                    let target = &senders[to_block % ranks];
+                    // A full mailbox means a stalled receiver; give it
+                    // one deadline of backpressure, then count the face
+                    // as undeliverable (the receiver will fill it).
+                    if target.send_timeout(msg, opts.exchange_deadline).is_err() {
+                        exchange_timeouts += 1;
                     }
                 }
             }
@@ -1028,46 +1022,31 @@ fn run_rank(
         // analytic fill as lost faces, counted separately.
         let mut garbled: BTreeSet<(usize, usize, bool, usize)> = BTreeSet::new();
         for (slot, &bi) in my_blocks.iter().enumerate() {
-            let b = &blocks[bi];
-            for (axis, &nb_axis) in nblocks.iter().enumerate() {
-                for (low_side, exists) in [
-                    (true, b.block[axis] > 0),
-                    (false, b.block[axis] + 1 < nb_axis),
-                ] {
-                    if !exists {
-                        continue;
-                    }
-                    for f in 0..3 {
-                        pending.insert((slot, axis, low_side, f));
-                    }
+            for (axis, high, _) in face_neighbours(&blocks[bi], nblocks) {
+                for f in 0..3 {
+                    pending.insert((slot, axis, !high, f));
                 }
             }
         }
         let expected = pending.len();
         let wait_start = Instant::now();
         while !pending.is_empty() {
-            let msg = match opts.exchange_deadline {
-                Some(d) => match receiver.recv_timeout(d) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        exchange_timeouts += 1;
-                        drop(
-                            span!(
-                                tracer,
-                                "exchange.timeout",
-                                received = expected - pending.len(),
-                                expected = expected,
-                            )
-                            .meta("deadline_ms", d.as_millis() as u64),
-                        );
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
-                None => match receiver.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
+            let msg = match receiver.recv_timeout(opts.exchange_deadline) {
+                Ok(m) => m,
+                Err(RecvTimeoutError::Timeout) => {
+                    exchange_timeouts += 1;
+                    drop(
+                        span!(
+                            tracer,
+                            "exchange.timeout",
+                            received = expected - pending.len(),
+                            expected = expected,
+                        )
+                        .meta("deadline_ms", opts.exchange_deadline.as_millis() as u64),
+                    );
+                    break;
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
             };
             let slot = my_blocks
                 .iter()
@@ -1146,6 +1125,14 @@ fn run_rank(
         });
     } else {
         drop(senders);
+        // Model mode moves no faces. The ones a Real run fills are those
+        // its neighbours on lost ranks never send: count them from the
+        // same pure fates.
+        ghost_filled_faces = 3 * my_blocks
+            .iter()
+            .flat_map(|&bi| face_neighbours(&blocks[bi], nblocks))
+            .filter(|&(_, _, nb)| fates[nb % ranks].is_some())
+            .count();
     }
 
     // Phase 2: evaluate the expression per sub-grid on this rank's device.
@@ -1517,27 +1504,6 @@ mod tests {
                 strategy: Strategy::Fusion,
                 mode: ExecMode::Model,
                 fault_spec: Some("warp@drive".into()),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ClusterError::Config(_)), "got {err}");
-    }
-
-    #[test]
-    fn rank_faults_without_a_deadline_are_rejected() {
-        let global = RectilinearMesh::unit_cube([4, 4, 4]);
-        let err = run_distributed(
-            &global,
-            [1, 1, 1],
-            &RtWorkload::paper_default(),
-            &small_cluster(2),
-            &DistOptions {
-                workload: Workload::VelocityMagnitude,
-                strategy: Strategy::Fusion,
-                mode: ExecMode::Model,
-                fault_spec: Some("rank_hang@1".into()),
-                exchange_deadline: None,
                 ..Default::default()
             },
         )

@@ -21,12 +21,6 @@ use crate::workloads::Workload;
 pub struct EngineOptions {
     /// Real execution or model-only accounting.
     pub mode: ExecMode,
-    /// Ablation knob (DESIGN.md D1): when set, the roundtrip strategy
-    /// uploads each *distinct* kernel input once instead of once per input
-    /// port. The paper's implementation transfers per port (that is what
-    /// produces Table II's Dev-W counts of 11/32/123); this knob measures
-    /// what that design decision costs.
-    pub roundtrip_dedup_uploads: bool,
     /// Optimizer pipeline level applied after lowering (see
     /// `dfg_dataflow::optimize`): `Off` reproduces the paper's limited-CSE
     /// networks exactly (the default — Table II's counts depend on it),
@@ -57,7 +51,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             mode: ExecMode::Real,
-            roundtrip_dedup_uploads: false,
             optimize: OptLevel::Off,
             recovery: RecoveryPolicy::disabled(),
             verify: dfg_ocl::VerifyPolicy::Off,

@@ -16,20 +16,19 @@ use dfg_trace::{span, Tracer};
 use crate::engine::{Engine, EngineOptions};
 use crate::error::EngineError;
 use crate::fields::FieldSet;
-use crate::request::Request;
+use crate::request::{Exec, Request};
 
-/// One feasible (device, strategy) choice with its predicted cost.
+/// One feasible (device, executor) choice with its predicted cost.
 #[derive(Debug, Clone)]
 pub struct PlanOption {
     /// Candidate device (index into the `devices` slice passed to [`plan`]).
     pub device_index: usize,
     /// Device name, for reports.
     pub device_name: String,
-    /// Execution strategy.
-    pub strategy: Strategy,
-    /// Whether this option streams z-slabs (the §VI streaming strategy);
+    /// The executor: one of the paper's strategies, or [`Exec::Streamed`]
+    /// under the device's capacity (the §VI streaming strategy), which is
     /// only offered when no single-pass strategy fits the device.
-    pub streamed: bool,
+    pub exec: Exec,
     /// Predicted peak device memory in bytes.
     pub peak_bytes: u64,
     /// Predicted device runtime in seconds (transfers + kernels).
@@ -56,9 +55,12 @@ impl Plan {
 /// Rank all (device, strategy) combinations for executing `spec` over
 /// meshes of `ncells` cells.
 ///
-/// The runtime prediction runs the real executors in model mode against a
-/// virtual field set, so it reflects the exact event stream each
-/// combination would issue — not a closed-form approximation.
+/// The runtime prediction of a single-pass strategy runs the real executor
+/// in model mode against a virtual field set, so it reflects the exact
+/// event stream that combination would issue. The streamed candidate is a
+/// closed-form approximation instead: fusion's modeled time on an unbounded
+/// copy of the device × (1 + 0.02 · slabs), with the slab count from
+/// fusion's footprint over the capacity.
 ///
 /// ```
 /// use dfg_ocl::DeviceProfile;
@@ -67,7 +69,7 @@ impl Plan {
 /// let devices = [DeviceProfile::intel_x5660(), DeviceProfile::nvidia_m2050()];
 /// let plan = dfg_core::plan(&spec, 9_437_184, &devices).unwrap();
 /// let best = plan.best().unwrap();
-/// assert_eq!(best.strategy, dfg_core::Strategy::Fusion);
+/// assert_eq!(best.exec, dfg_core::Exec::Fusion);
 /// assert!(best.device_name.contains("M2050"));
 /// ```
 pub fn plan(
@@ -150,8 +152,7 @@ pub fn plan_traced(
             feasible.push(PlanOption {
                 device_index,
                 device_name: profile.name.clone(),
-                strategy,
-                streamed: false,
+                exec: strategy.into(),
                 peak_bytes: required,
                 seconds: report.device_seconds(),
             });
@@ -190,8 +191,7 @@ pub fn plan_traced(
             feasible.push(PlanOption {
                 device_index,
                 device_name: profile.name.clone(),
-                strategy: Strategy::Fusion,
-                streamed: true,
+                exec: Exec::Streamed(None),
                 peak_bytes: profile.global_mem_bytes,
                 seconds: report.device_seconds() * (1.0 + 0.02 * slabs as f64),
             });
@@ -216,7 +216,7 @@ mod tests {
         let spec = compile(Workload::QCriterion.source()).unwrap();
         let plan = plan(&spec, 9_437_184, &devices()).unwrap();
         let best = plan.best().expect("feasible options exist");
-        assert_eq!(best.strategy, Strategy::Fusion);
+        assert_eq!(best.exec, Exec::Fusion);
         assert_eq!(best.device_index, 1, "GPU should win when everything fits");
         assert!(plan.rejected.is_empty());
         // Ranking is sorted.
@@ -239,11 +239,11 @@ mod tests {
             "GPU staged must be memory-rejected"
         );
         let best = plan.best().unwrap();
-        assert_eq!((best.device_index, best.strategy), (1, Strategy::Fusion));
+        assert_eq!((best.device_index, best.exec), (1, Exec::Fusion));
         let pos = |dev: usize, st: Strategy| {
             plan.feasible
                 .iter()
-                .position(|o| o.device_index == dev && o.strategy == st)
+                .position(|o| o.device_index == dev && o.exec == st.into())
                 .expect("present")
         };
         assert!(
@@ -262,7 +262,7 @@ mod tests {
         assert_eq!(plan.rejected.len(), 3);
         // …but the streamed fallback is offered and respects the capacity.
         let best = plan.best().expect("streamed fallback present");
-        assert!(best.streamed);
+        assert_eq!(best.exec, Exec::Streamed(None));
         assert_eq!(best.peak_bytes, 1 << 20);
     }
 
@@ -275,14 +275,14 @@ mod tests {
         let gpu_stream = plan
             .feasible
             .iter()
-            .find(|o| o.device_index == 1 && o.streamed)
+            .find(|o| o.device_index == 1 && o.exec == Exec::Streamed(None))
             .expect("streamed GPU option");
         // It should still beat CPU fusion (GPU bandwidth dominates the
         // small halo overhead).
         let cpu_fusion = plan
             .feasible
             .iter()
-            .find(|o| o.device_index == 0 && o.strategy == Strategy::Fusion && !o.streamed)
+            .find(|o| o.device_index == 0 && o.exec == Exec::Fusion)
             .expect("CPU fusion fits in 96 GB");
         assert!(gpu_stream.seconds < cpu_fusion.seconds);
     }
@@ -303,7 +303,7 @@ mod tests {
         );
         let fields = crate::FieldSet::virtual_rt([192, 192, 256]);
         let roots = [spec.result];
-        let request = Request::network(&spec, &roots, best.strategy);
+        let request = Request::network(&spec, &roots, best.exec);
         let (_, report) = engine.run(&request, &fields).unwrap();
         assert_eq!(report.high_water_bytes(), best.peak_bytes);
         assert!((report.device_seconds() - best.seconds).abs() < 1e-12);

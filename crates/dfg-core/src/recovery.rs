@@ -37,16 +37,19 @@ use crate::request::Exec;
 use crate::session::SessionState;
 use crate::strategies::{run_fusion, run_roundtrip, run_staged, run_streamed};
 
+/// Initial retry backoff in virtual microseconds, doubled per retry within
+/// a level. Accounted on the device's virtual clock.
+const RETRY_BACKOFF_US: u64 = 100;
+
 /// How the engine responds to device failures; part of
 /// [`EngineOptions`](crate::EngineOptions). The default policy is disabled
 /// (fail fast, exactly the pre-recovery behavior).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Retries per execution level for *transient* faults (0 = never retry).
+    /// The first waits 100 µs on the virtual clock, and each further retry
+    /// within a level twice as long.
     pub max_retries: u32,
-    /// Initial retry backoff in virtual microseconds, doubled per retry
-    /// within a level. Accounted on the device's virtual clock.
-    pub backoff_us: u64,
     /// Whether persistent faults walk the strategy fallback chain.
     pub fallback: bool,
 }
@@ -56,17 +59,14 @@ impl RecoveryPolicy {
     pub fn disabled() -> Self {
         RecoveryPolicy {
             max_retries: 0,
-            backoff_us: 0,
             fallback: false,
         }
     }
 
-    /// A production-shaped policy: 3 retries starting at 100 µs virtual
-    /// backoff, with the full fallback chain.
+    /// A production-shaped policy: 3 retries, with the full fallback chain.
     pub fn resilient() -> Self {
         RecoveryPolicy {
             max_retries: 3,
-            backoff_us: 100,
             fallback: true,
         }
     }
@@ -284,7 +284,6 @@ type AttemptOutput = (Option<Vec<Field>>, Option<String>);
 #[allow(clippy::too_many_arguments)]
 fn execute_level(
     level: ExecLevel,
-    rc: &RecoveryCtx<'_>,
     spec: &NetworkSpec,
     sched: &Schedule,
     fields: &FieldSet,
@@ -295,16 +294,9 @@ fn execute_level(
     session: Option<&mut SessionState>,
 ) -> Result<AttemptOutput, EngineError> {
     match level {
-        ExecLevel::Roundtrip => run_roundtrip(
-            spec,
-            sched,
-            fields,
-            ctx,
-            roots,
-            session,
-            rc.options.roundtrip_dedup_uploads,
-        )
-        .map(|f| (f, None)),
+        ExecLevel::Roundtrip => {
+            run_roundtrip(spec, sched, fields, ctx, roots, session).map(|f| (f, None))
+        }
         ExecLevel::Staged => {
             run_staged(spec, sched, fields, ctx, roots, session).map(|f| (f, None))
         }
@@ -451,7 +443,7 @@ pub(crate) fn run_with_recovery(
             &mut *ctx
         };
 
-        let mut backoff = policy.backoff_us as f64 * 1e-6;
+        let mut backoff = RETRY_BACKOFF_US as f64 * 1e-6;
         let mut retries_left = policy.max_retries;
         loop {
             // Cancellation point: a fired token aborts before the next
@@ -480,7 +472,6 @@ pub(crate) fn run_with_recovery(
             };
             let result = execute_level(
                 level,
-                &rc,
                 spec,
                 sched,
                 fields,

@@ -200,20 +200,6 @@ impl SessionRegistry {
         result
     }
 
-    /// Record that `tenant`'s latest request was served by a merged
-    /// cross-request network (bumps [`SessionStats::merged`], creating the
-    /// tenant's session if needed).
-    pub fn note_merged(&mut self, tenant: &str) {
-        self.entry(tenant).session.state.stats.merged += 1;
-    }
-
-    /// Record kernel launches the optimizer saved for `tenant`'s latest
-    /// request (bumps [`SessionStats::opt_saved_kernels`]). Used by serving
-    /// layers that optimize/merge networks outside the tenant's engine.
-    pub fn note_opt_saved(&mut self, tenant: &str, kernels: u64) {
-        self.entry(tenant).session.state.stats.opt_saved_kernels += kernels;
-    }
-
     /// Install (or clear, with `None`) the cancellation token polled during
     /// `tenant`'s derivations; see [`Session::set_cancel`]. Creates the
     /// tenant's session if needed (a request about to run is a use).

@@ -74,9 +74,6 @@ pub struct SessionStats {
     pub codegen_compiles: u64,
     /// Kernel-cache hits.
     pub codegen_cached: u64,
-    /// Requests served by a merged cross-request network (`dfg-serve`
-    /// batch fusion) instead of a standalone execution.
-    pub merged: u64,
     /// Kernel launches the optimizer pipeline eliminated, summed over
     /// cycles: each cycle saves `OptStats::filters_eliminated` launches
     /// relative to running the unoptimized network.
@@ -275,10 +272,7 @@ impl Engine {
 impl<E: BorrowMut<Engine>> Session<E> {
     /// Run one cycle: the same contract as [`Engine::run`], but uploads,
     /// codegen and buffer allocations are amortized across cycles, and the
-    /// report covers this cycle only. A lowered network runs as given —
-    /// the substrate of `dfg-serve`'s cross-request fusion, which merges
-    /// several tenants' expressions (see `dfg_dataflow::merge_networks`)
-    /// into one multi-output network.
+    /// report covers this cycle only.
     pub fn run(
         &mut self,
         request: &Request,

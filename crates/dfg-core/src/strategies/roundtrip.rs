@@ -33,9 +33,6 @@ type HostVal = Option<SharedArray>;
 /// result fields from the host-value map (the schedule must pin `roots`
 /// live). Returns the derived fields in real mode, `None` in model mode.
 ///
-/// `dedup_uploads` enables the D1 ablation: upload each distinct kernel
-/// input once rather than once per port (the paper transfers per port).
-///
 /// With a session, ports fed by source `Input` nodes use its
 /// generation-checked resident buffers instead of the paper's
 /// upload-per-port protocol (the whole point of a persistent session is to
@@ -48,7 +45,6 @@ pub(crate) fn run_roundtrip(
     ctx: &mut Context,
     roots: &[NodeId],
     mut session: Option<&mut SessionState>,
-    dedup_uploads: bool,
 ) -> Result<Option<Vec<Field>>, EngineError> {
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
@@ -82,11 +78,9 @@ pub(crate) fn run_roundtrip(
                 let prim = Primitive::from_filter_op(op).expect("compute op");
                 let _step = dfg_trace::span!(tracer, "roundtrip.filter", kernel = prim.name(),);
                 // Upload one device buffer per input port (duplicate ports
-                // transfer twice — Table II's Dev-W counts). Under the D1
-                // ablation, ports sharing a source share one upload.
+                // transfer twice — Table II's Dev-W counts).
                 let mut port_bufs = Vec::with_capacity(node.inputs.len());
                 let mut created: Vec<dfg_ocl::BufferId> = Vec::new();
-                let mut uploaded: HashMap<NodeId, dfg_ocl::BufferId> = HashMap::new();
                 {
                     let _upload =
                         dfg_trace::span!(tracer, "roundtrip.upload", ports = node.inputs.len(),);
@@ -101,18 +95,11 @@ pub(crate) fn run_roundtrip(
                                 continue;
                             }
                         }
-                        if dedup_uploads {
-                            if let Some(&buf) = uploaded.get(&input) {
-                                port_bufs.push(buf);
-                                continue;
-                            }
-                        }
                         let lanes = lanes_for(host_width(spec, input), n);
                         let buf = ctx.create_buffer(lanes)?;
                         let data = host.get(&input).and_then(Option::as_ref);
                         let src = HostEnd::or_absent(data, lanes);
                         ctx.enqueue_write_q(QueueId::DEFAULT, buf, src, &[])?;
-                        uploaded.insert(input, buf);
                         created.push(buf);
                         port_bufs.push(buf);
                     }

@@ -408,30 +408,6 @@ fn derive_spec_reusable_across_runs() {
 }
 
 #[test]
-fn roundtrip_dedup_ablation_reduces_uploads() {
-    // DESIGN.md D1: per-port uploads (paper) vs deduplicated uploads.
-    let fields = small_rt_fields([6, 5, 4]);
-    let mut paper = cpu_engine();
-    let mut dedup = Engine::with_options(
-        DeviceProfile::intel_x5660(),
-        EngineOptions {
-            roundtrip_dedup_uploads: true,
-            ..Default::default()
-        },
-    );
-    // VelMag: u*u style kernels drop from 11 to 8 uploads.
-    let request = Request::source(Workload::VelocityMagnitude.source(), Strategy::Roundtrip);
-    let (p_out, p) = paper.run(&request, &fields).unwrap();
-    let (d_out, d) = dedup.run(&request, &fields).unwrap();
-    assert_eq!(p.table2_row().0, 11);
-    assert_eq!(d.table2_row().0, 8);
-    // Results are identical either way.
-    assert_eq!(p_out, d_out);
-    // And the deduped variant moves strictly less data.
-    assert!(d.device_seconds() < p.device_seconds());
-}
-
-#[test]
 fn streamed_fusion_bit_identical_to_fusion() {
     // §VI future work: streaming must not change results — z-slab halos
     // give the same stencil arithmetic as the single-pass kernel. The
@@ -711,7 +687,7 @@ fn executors_surface_injected_device_failures_cleanly() {
     // runs clean. Exercised against all four strategy functions.
     use crate::strategies::{run_fusion, run_roundtrip, run_staged, run_streamed};
     use dfg_dataflow::Schedule;
-    use dfg_ocl::Context;
+    use dfg_ocl::{Context, FaultKind, FaultPlan};
 
     let fields = small_rt_fields([5, 4, 3]);
     let spec = compile(Workload::QCriterion.source()).unwrap();
@@ -721,9 +697,7 @@ fn executors_surface_injected_device_failures_cleanly() {
     let executors: [(&str, Exec<'_>); 4] = [
         (
             "roundtrip",
-            Box::new(|ctx| {
-                run_roundtrip(&spec, &sched, &fields, ctx, &roots, None, false).map(|_| ())
-            }),
+            Box::new(|ctx| run_roundtrip(&spec, &sched, &fields, ctx, &roots, None).map(|_| ())),
         ),
         (
             "staged",
@@ -747,9 +721,11 @@ fn executors_surface_injected_device_failures_cleanly() {
         exec(&mut probe).unwrap();
         assert_eq!(probe.in_use_bytes(), 0, "{name}: clean run leaked");
         // Inject failures at a spread of allocation indices.
-        for k in [1usize, 2, 5, 8] {
+        for k in [1u64, 2, 5, 8] {
             let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-            ctx.fail_alloc_in(k);
+            let plan = FaultPlan::with_seed(0);
+            plan.fail_nth_from_now(FaultKind::Alloc, k, 1);
+            ctx.set_fault_plan(plan);
             let err = exec(&mut ctx).expect_err("injected failure must surface");
             assert!(
                 matches!(err, crate::EngineError::Ocl(_)),

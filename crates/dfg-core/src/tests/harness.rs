@@ -115,7 +115,6 @@ impl Config {
             optimize: self.opt,
             recovery: self.recovery,
             verify: self.verify,
-            ..Default::default()
         }
     }
 

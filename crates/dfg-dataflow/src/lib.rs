@@ -61,8 +61,7 @@ pub use builder::NetworkBuilder;
 pub use memreq::{memreq_bytes, memreq_units, MemReport};
 pub use op::{select, Arity, BinKind, FilterOp, UnKind, Width};
 pub use optimize::{
-    canonical_hash, eval_scalar, merge_networks, merge_networks_traced, optimize, optimize_traced,
-    Merged, OptLevel, OptStats, Optimized,
+    canonical_hash, eval_scalar, optimize, optimize_traced, OptLevel, OptStats, Optimized,
 };
 pub use schedule::{Schedule, ScheduleError};
 pub use spec::{FilterNode, NetworkError, NetworkSpec, NodeId};

@@ -37,11 +37,6 @@
 //! emits an `opt.*` trace span when a tracer is supplied
 //! ([`optimize_traced`]), and the returned [`OptStats`] quantifies what
 //! was eliminated.
-//!
-//! [`merge_networks`] is the cross-expression half: it unions several
-//! networks into one multi-output spec and CSEs their shared subgraphs,
-//! so different expressions that share work (`v_mag` and `q_crit` both
-//! need `u*u+v*v+w*w`) compile and execute once.
 
 use std::collections::HashMap;
 
@@ -295,70 +290,6 @@ fn apply(cur: &mut NetworkSpec, cur_roots: &mut Vec<NodeId>, out: PassOut) -> bo
     *cur = out.spec;
     *cur_roots = out.roots;
     changed
-}
-
-/// Result of a merged multi-network optimization; see [`merge_networks`].
-#[derive(Debug, Clone)]
-pub struct Merged {
-    /// The union network (result = the first input's root).
-    pub spec: NetworkSpec,
-    /// `roots[i]` is where input network `i`'s result lives in `spec`.
-    pub roots: Vec<NodeId>,
-    /// Stats over the union (`nodes_before` counts all inputs' nodes).
-    pub stats: OptStats,
-}
-
-/// Union a set of networks into one multi-output network and optimize the
-/// union at `level` (at least [`OptLevel::Cse`], so shared subgraphs
-/// across the inputs — e.g. two tenants both computing `u*u+v*v+w*w` —
-/// merge and compute once). Each input's result becomes one root of the
-/// merged network; execute it with a multi-root executor and split the
-/// output fields by position.
-///
-/// # Panics
-/// Panics if `specs` is empty.
-pub fn merge_networks(specs: &[&NetworkSpec], level: OptLevel) -> Result<Merged, ScheduleError> {
-    merge_networks_traced(specs, level, None)
-}
-
-/// [`merge_networks`] with an `opt.merge` trace span (plus the usual
-/// per-pass spans from the shared pipeline).
-pub fn merge_networks_traced(
-    specs: &[&NetworkSpec],
-    level: OptLevel,
-    tracer: Option<&Tracer>,
-) -> Result<Merged, ScheduleError> {
-    assert!(!specs.is_empty(), "merge_networks needs at least one spec");
-    let g = span!(tracer, "opt.merge", networks = specs.len());
-    // Concatenate with id offsets; each input's result becomes a root.
-    let mut nodes: Vec<FilterNode> = Vec::new();
-    let mut roots: Vec<NodeId> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let offset = nodes.len() as u32;
-        for node in &spec.nodes {
-            nodes.push(FilterNode {
-                op: node.op.clone(),
-                inputs: node.inputs.iter().map(|i| NodeId(i.0 + offset)).collect(),
-                name: node.name.clone(),
-            });
-        }
-        roots.push(NodeId(spec.result.0 + offset));
-    }
-    let union = NetworkSpec {
-        nodes,
-        result: roots[0],
-    };
-    // CSE is the point of merging: without it the union is just N disjoint
-    // graphs, so floor the level there.
-    let opt = optimize_traced(&union, &roots, level.max(OptLevel::Cse), tracer)?;
-    let mut spec = opt.spec;
-    spec.result = opt.roots[0];
-    drop(g.meta("merged", opt.stats.merged as u64));
-    Ok(Merged {
-        spec,
-        roots: opt.roots,
-        stats: opt.stats,
-    })
 }
 
 /// An order-insensitive structural hash of the subgraph feeding

@@ -228,55 +228,6 @@ fn canonical_hash_is_commutative_order_insensitive() {
 }
 
 #[test]
-fn merge_networks_shares_common_subgraphs() {
-    // v_mag = sqrt(u²+v²+w²) and e_kin = u²+v²+w² share everything but
-    // the sqrt: the merged network has len(v_mag) + 1 nodes.
-    let sum_sq = |b: &mut NetworkBuilder| {
-        let u = b.input("u");
-        let v = b.input("v");
-        let w = b.input("w");
-        let uu = b.binary(BinKind::Mul, u, u);
-        let vv = b.binary(BinKind::Mul, v, v);
-        let ww = b.binary(BinKind::Mul, w, w);
-        let s1 = b.binary(BinKind::Add, uu, vv);
-        b.binary(BinKind::Add, s1, ww)
-    };
-    let mut b = NetworkBuilder::new();
-    let s = sum_sq(&mut b);
-    let r = b.unary(UnKind::Sqrt, s);
-    let v_mag = b.finish(r);
-    let mut b = NetworkBuilder::new();
-    let s = sum_sq(&mut b);
-    let e_kin = b.finish(s);
-
-    let merged = merge_networks(&[&v_mag, &e_kin], OptLevel::Default).unwrap();
-    assert!(merged.spec.validate().is_ok());
-    assert_eq!(merged.roots.len(), 2);
-    assert_eq!(
-        merged.spec.len(),
-        v_mag.len() + 1 - 1,
-        "one shared subgraph"
-    );
-    // Root 0 is the sqrt, root 1 the shared sum.
-    assert!(matches!(
-        merged.spec.node(merged.roots[0]).op,
-        Un(UnKind::Sqrt)
-    ));
-    assert_eq!(
-        merged.spec.node(merged.roots[0]).inputs[0],
-        merged.roots[1],
-        "v_mag's sqrt consumes e_kin's root directly"
-    );
-    assert!(merged.stats.merged >= 7, "inputs, squares, and adds merged");
-    // The merged schedule stays leak-free with both roots pinned.
-    let sched = Schedule::for_roots(&merged.spec, &merged.roots).unwrap();
-    let freed: Vec<NodeId> = sched.free_after.iter().flatten().copied().collect();
-    for r in &merged.roots {
-        assert!(!freed.contains(r), "root {r} freed");
-    }
-}
-
-#[test]
 fn optimizer_keeps_multi_output_roots_live() {
     // r = sqrt(x); dead = exp(y) shadowed…: roots pin what must survive.
     let mut b = NetworkBuilder::new();

@@ -357,21 +357,6 @@ impl Context {
         self.faults = None;
     }
 
-    /// Failure injection (testing): make the `n`-th future allocation fail
-    /// with [`OclError::OutOfMemory`] regardless of capacity (1 = the very
-    /// next allocation). Shorthand for an `alloc@n` rule on the installed
-    /// fault plan (one is created if absent). Used to validate that
-    /// executors surface device failures cleanly without leaking buffers
-    /// or panicking.
-    pub fn fail_alloc_in(&mut self, n: usize) {
-        assert!(n >= 1, "n is 1-based: 1 fails the next allocation");
-        let plan = self
-            .faults
-            .get_or_insert_with(|| FaultPlan::with_seed(0))
-            .clone();
-        plan.fail_nth_from_now(FaultKind::Alloc, n as u64, 1);
-    }
-
     /// Count one operation of `kind` against the fault plan; `Some(true)`
     /// means a transient fault fired, `Some(false)` a persistent one.
     fn fault(&mut self, kind: FaultKind) -> Option<bool> {
@@ -1766,8 +1751,11 @@ mod fault_injection_tests {
 
     #[test]
     fn injected_failure_hits_the_requested_allocation() {
+        use crate::fault::{FaultKind, FaultPlan};
         let mut c = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-        c.fail_alloc_in(3);
+        let plan = FaultPlan::with_seed(0);
+        plan.fail_nth_from_now(FaultKind::Alloc, 3, 1);
+        c.set_fault_plan(plan);
         assert!(c.create_buffer(8).is_ok());
         assert!(c.create_buffer(8).is_ok());
         assert!(matches!(
@@ -1781,8 +1769,8 @@ mod fault_injection_tests {
     #[test]
     #[should_panic(expected = "1-based")]
     fn zero_shot_injection_rejected() {
-        let mut c = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-        c.fail_alloc_in(0);
+        use crate::fault::{FaultKind, FaultPlan};
+        FaultPlan::with_seed(0).fail_nth_from_now(FaultKind::Alloc, 0, 1);
     }
 
     #[test]

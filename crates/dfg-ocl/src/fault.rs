@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the simulated device layer.
 //!
-//! A [`FaultPlan`] is a shared, seeded schedule of device failures. It
-//! generalizes the old one-shot `fail_alloc_in` hook: faults can target any
+//! A [`FaultPlan`] is a shared, seeded schedule of device failures, and the
+//! one fault-injection API of the device layer: faults can target any
 //! operation class ([`FaultKind`]), fire at a fixed 1-based operation index
 //! (optionally for a burst of consecutive operations, modeling "fail N
 //! times then succeed" transients) or stochastically at a fixed rate drawn
@@ -565,17 +565,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.inner.lock().unwrap().rules.is_empty()
     }
-
-    /// Whether the plan has any `rank_die` / `rank_hang` rules — i.e.
-    /// whether [`FaultPlan::rank_fate`] can ever return `Some`.
-    pub fn has_rank_faults(&self) -> bool {
-        self.inner
-            .lock()
-            .unwrap()
-            .rules
-            .iter()
-            .any(|r| r.kind.is_rank_kind())
-    }
 }
 
 #[cfg(test)]
@@ -719,7 +708,6 @@ mod tests {
     #[test]
     fn rank_fate_matches_indexed_rules_by_rank_id() {
         let plan = FaultPlan::parse("rank_die@1x2, rank_hang@0").unwrap();
-        assert!(plan.has_rank_faults());
         assert_eq!(plan.rank_fate(0), Some(RankFate::Hang), "rank 0 is valid");
         assert_eq!(plan.rank_fate(1), Some(RankFate::Die));
         assert_eq!(plan.rank_fate(2), Some(RankFate::Die), "burst covers 2");
@@ -767,7 +755,7 @@ mod tests {
     #[test]
     fn exchange_drop_is_an_ordinary_transient_counter_kind() {
         let plan = FaultPlan::parse("exchange_drop@2").unwrap();
-        assert!(!plan.has_rank_faults(), "exchange_drop is not a rank fate");
+        assert_eq!(plan.rank_fate(2), None, "exchange_drop is not a rank fate");
         assert!(plan.check(FaultKind::ExchangeDrop).is_none());
         let f = plan
             .check(FaultKind::ExchangeDrop)

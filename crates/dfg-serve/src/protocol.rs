@@ -328,9 +328,6 @@ pub struct ServerCounters {
     pub batches: u64,
     /// Requests served as followers of a coalesced batch.
     pub coalesced: u64,
-    /// Requests served by a merged cross-request network (distinct
-    /// expressions sharing subgraphs, compiled and run as one).
-    pub merged: u64,
     /// Requests that completed degraded via the recovery ladder.
     pub degraded: u64,
     /// Frames rejected for exceeding the request-line byte cap.
@@ -408,7 +405,7 @@ fn wire_f64(x: f64) -> String {
 fn tenant_stats_json(t: &TenantStats) -> String {
     format!(
         "{{\"tenant\":\"{}\",\"cycles\":{},\"uploads\":{},\"uploads_skipped\":{},\
-         \"codegen_compiles\":{},\"codegen_cached\":{},\"merged\":{},\
+         \"codegen_compiles\":{},\"codegen_cached\":{},\
          \"opt_saved_kernels\":{},\"integrity_healed\":{},\"pool_hits\":{},\
          \"pooled_bytes\":{},\"resident_bytes\":{},\"in_use_bytes\":{},\
          \"quota_bytes\":{},\"integrity_checks\":{},\"integrity_violations\":{},\
@@ -419,7 +416,6 @@ fn tenant_stats_json(t: &TenantStats) -> String {
         t.session.uploads_skipped,
         t.session.codegen_compiles,
         t.session.codegen_cached,
-        t.session.merged,
         t.session.opt_saved_kernels,
         t.session.integrity_healed,
         t.pool_hits,
@@ -452,7 +448,6 @@ fn tenant_stats_parse(v: &Value) -> Result<TenantStats, String> {
             uploads_skipped: num("uploads_skipped")?,
             codegen_compiles: num("codegen_compiles")?,
             codegen_cached: num("codegen_cached")?,
-            merged: num("merged")?,
             opt_saved_kernels: num("opt_saved_kernels")?,
             integrity_healed: num("integrity_healed")?,
         },
@@ -520,7 +515,7 @@ impl Response {
                 format!(
                     "{{\"status\":\"stats\",\"id\":{},\"server\":{{\"requests\":{},\
                      \"ok\":{},\"rejected_overload\":{},\"rejected_quota\":{},\
-                     \"errors\":{},\"batches\":{},\"coalesced\":{},\"merged\":{},\
+                     \"errors\":{},\"batches\":{},\"coalesced\":{},\
                      \"degraded\":{},\"rejected_too_large\":{},\"rejected_deadline\":{},\
                      \"cancelled\":{},\"evicted_idle\":{},\"evicted_pressure\":{},\
                      \"evicted_fields\":{},\"malformed\":{},\"payload_bytes\":{}}},\
@@ -533,7 +528,6 @@ impl Response {
                     server.errors,
                     server.batches,
                     server.coalesced,
-                    server.merged,
                     server.degraded,
                     server.rejected_too_large,
                     server.rejected_deadline,
@@ -639,7 +633,6 @@ impl Response {
                     errors: num("errors")?,
                     batches: num("batches")?,
                     coalesced: num("coalesced")?,
-                    merged: num("merged")?,
                     degraded: num("degraded")?,
                     rejected_too_large: num("rejected_too_large")?,
                     rejected_deadline: num("rejected_deadline")?,
@@ -1348,7 +1341,6 @@ mod tests {
                 errors: 0,
                 batches: 4,
                 coalesced: 3,
-                merged: 2,
                 degraded: 1,
                 rejected_too_large: 1,
                 rejected_deadline: 2,
@@ -1367,7 +1359,6 @@ mod tests {
                     uploads_skipped: 35,
                     codegen_compiles: 1,
                     codegen_cached: 7,
-                    merged: 2,
                     opt_saved_kernels: 5,
                     integrity_healed: 1,
                 },

@@ -101,14 +101,6 @@ pub struct ServeConfig {
     /// networks, so commutative spellings (`u*u + v*v` vs `v*v + u*u`)
     /// coalesce too.
     pub coalesce: bool,
-    /// Cross-request network fusion: *distinct* expressions in one batch
-    /// window that share subgraphs (same grid, same core strategy) are
-    /// merged into one multi-output network (see
-    /// `dfg_dataflow::merge_networks`), compiled once, and executed once —
-    /// each request gets its own root's field. Off by default: merged
-    /// executions run on one leader session, which changes per-tenant
-    /// compile/cycle accounting.
-    pub cross_fusion: bool,
     /// Default per-tenant device-memory quota (`None`: device capacity).
     pub default_quota: Option<u64>,
     /// Explicit per-tenant quotas, applied before the first request.
@@ -128,10 +120,6 @@ pub struct ServeConfig {
     /// stalled past this tears the connection down (and flips the
     /// connection's cancel flag) instead of leaking the thread.
     pub write_deadline: Option<Duration>,
-    /// Bound on the per-connection reply channel; when a client stops
-    /// reading and the channel fills, the connection is cancelled rather
-    /// than buffering replies without limit.
-    pub reply_queue_depth: usize,
     /// Deadline applied to derive requests that carry no `deadline_ms` of
     /// their own. `None` (the default) leaves such requests unbounded.
     pub default_deadline: Option<Duration>,
@@ -165,14 +153,12 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             batch_window: Duration::from_millis(2),
             coalesce: true,
-            cross_fusion: false,
             default_quota: None,
             quotas: Vec::new(),
             tracer: None,
             max_line_bytes: 256 * 1024,
             read_deadline: Some(Duration::from_secs(10)),
             write_deadline: Some(Duration::from_secs(10)),
-            reply_queue_depth: 256,
             default_deadline: None,
             idle_ttl: None,
             memory_pressure_bytes: None,
@@ -182,6 +168,11 @@ impl Default for ServeConfig {
     }
 }
 
+/// Bound on the per-connection reply channel; when a client stops reading
+/// and the channel fills, the connection is cancelled rather than buffering
+/// replies without limit.
+const REPLY_QUEUE_DEPTH: usize = 256;
+
 /// The connection-edge knobs every reader/writer thread needs, split out
 /// of [`ServeConfig`] so the accept loop can hand one `Arc` to each
 /// connection.
@@ -189,7 +180,6 @@ struct ConnLimits {
     max_line_bytes: usize,
     read_deadline: Option<Duration>,
     write_deadline: Option<Duration>,
-    reply_depth: usize,
     default_deadline: Option<Duration>,
     conn_faults: Option<FaultPlan>,
     conn_stall: Duration,
@@ -317,7 +307,6 @@ impl Server {
                 max_line_bytes: config.max_line_bytes.max(64),
                 read_deadline: config.read_deadline,
                 write_deadline: config.write_deadline,
-                reply_depth: config.reply_queue_depth.max(1),
                 default_deadline: config.default_deadline,
                 conn_faults: config.conn_faults.clone(),
                 conn_stall: config.conn_stall,
@@ -480,7 +469,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     // the reply channel overflows, or the socket dies — every in-flight
     // job derived from it stops at its next cancellation point.
     let conn = CancelToken::new();
-    let (tx, rx) = mpsc::sync_channel::<Outbound>(limits.reply_depth);
+    let (tx, rx) = mpsc::sync_channel::<Outbound>(REPLY_QUEUE_DEPTH);
     let reply = ReplyTx {
         tx,
         conn: conn.clone(),
@@ -633,26 +622,14 @@ struct PendingDerive {
 /// or the expression failed to hash) and the member requests.
 type DeriveGroups = Vec<(Option<CoalesceKey>, Vec<PendingDerive>)>;
 
-/// Mergeable coalescing groups partitioned by `(grid, strategy)` for
-/// cross-request fusion.
-type MergeParts = Vec<(([usize; 3], ExecStrategy), Vec<Vec<PendingDerive>>)>;
-
-/// A memoized frontend result: the optimized network and its canonical
-/// hash (the coalescing identity).
-#[derive(Clone)]
-struct CompiledExpr {
-    spec: dfg_dataflow::NetworkSpec,
-    hash: u64,
-}
-
 struct ExecutorState {
     registry: SessionRegistry,
     fields: FieldCache,
-    /// Memoized `expr source → optimized network + canonical hash`
+    /// Memoized `expr source → canonical hash of the optimized network`
     /// (None: frontend error, reported per request at execution time).
-    compiled: HashMap<String, Option<CompiledExpr>>,
-    /// Optimizer level for coalescing/merging: at least `Cse` (so shared
-    /// subgraphs actually unify), or higher when the engines run higher.
+    hashes: HashMap<String, Option<u64>>,
+    /// Optimizer level for coalescing: at least `Cse` (so equivalent
+    /// spellings actually unify), or higher when the engines run higher.
     level: dfg_dataflow::OptLevel,
 }
 
@@ -694,24 +671,13 @@ impl FieldCache {
 }
 
 impl ExecutorState {
-    fn compiled(&mut self, expr: &str) -> Option<&CompiledExpr> {
-        let level = self.level;
-        self.compiled
-            .entry(expr.to_string())
-            .or_insert_with(|| {
-                let raw = dfg_expr::compile(expr).ok()?;
-                let opt = dfg_dataflow::optimize(&raw, &[raw.result], level).ok()?;
-                let hash = dfg_dataflow::canonical_hash(&opt.spec);
-                Some(CompiledExpr {
-                    spec: opt.spec,
-                    hash,
-                })
-            })
-            .as_ref()
-    }
-
     fn canonical_hash(&mut self, expr: &str) -> Option<u64> {
-        self.compiled(expr).map(|c| c.hash)
+        let level = self.level;
+        *self.hashes.entry(expr.to_string()).or_insert_with(|| {
+            let raw = dfg_expr::compile(expr).ok()?;
+            let opt = dfg_dataflow::optimize(&raw, &[raw.result], level).ok()?;
+            Some(dfg_dataflow::canonical_hash(&opt.spec))
+        })
     }
 }
 
@@ -727,7 +693,7 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
     let mut state = ExecutorState {
         registry,
         fields: FieldCache::default(),
-        compiled: HashMap::new(),
+        hashes: HashMap::new(),
         level: config.options.optimize.max(dfg_dataflow::OptLevel::Cse),
     };
     // How long the executor sleeps on an empty queue before running a
@@ -838,12 +804,8 @@ fn executor_loop(shared: Arc<Shared>, config: ServeConfig, local_addr: SocketAdd
             }
         }
 
-        if config.cross_fusion {
-            dispatch_cross_fusion(&shared, &mut state, groups);
-        } else {
-            for (_, members) in groups {
-                run_group(&shared, &mut state, members);
-            }
+        for (_, members) in groups {
+            run_group(&shared, &mut state, members);
         }
         if tick.is_some() {
             maintenance(&shared, &mut state, &config);
@@ -933,155 +895,6 @@ fn maintenance(shared: &Shared, state: &mut ExecutorState, config: &ServeConfig)
                     reason = "pressure",
                     tenant = tenant.as_str(),
                 ));
-            }
-        }
-    }
-}
-
-/// Cross-request fusion dispatch: within one batch, groups of *distinct*
-/// expressions sharing a grid and a core strategy are merged into one
-/// multi-output network and executed once; everything else (streamed
-/// requests, frontend errors, lone groups) falls back to per-group
-/// execution.
-fn dispatch_cross_fusion(shared: &Shared, state: &mut ExecutorState, groups: DeriveGroups) {
-    let mut parts: MergeParts = Vec::new();
-    let mut rest: Vec<Vec<PendingDerive>> = Vec::new();
-    for (key, members) in groups {
-        let mergeable = key.is_some()
-            && !matches!(members[0].d.strategy, ExecStrategy::Streamed(_))
-            && state.compiled(&members[0].d.expr).is_some();
-        match (mergeable, key) {
-            (true, Some((_, grid, strategy))) => {
-                if let Some((_, part)) = parts.iter_mut().find(|(k, _)| *k == (grid, strategy)) {
-                    part.push(members);
-                } else {
-                    parts.push(((grid, strategy), vec![members]));
-                }
-            }
-            _ => rest.push(members),
-        }
-    }
-    for ((grid, strategy), part) in parts {
-        if part.len() < 2 {
-            // Nothing to merge with; run it like any other group.
-            rest.extend(part);
-            continue;
-        }
-        run_merged(shared, state, grid, strategy, part);
-    }
-    for members in rest {
-        run_group(shared, state, members);
-    }
-}
-
-/// Execute several distinct-expression groups as one merged network: union
-/// the optimized specs, CSE the shared subgraphs across them, run once on
-/// the first member's tenant session, and fan each root's field back out
-/// to its own group.
-fn run_merged(
-    shared: &Shared,
-    state: &mut ExecutorState,
-    grid: [usize; 3],
-    strategy: ExecStrategy,
-    part: Vec<Vec<PendingDerive>>,
-) {
-    let total: u64 = part.iter().map(|g| g.len() as u64).sum();
-    let merge_span = span!(
-        shared.tracer,
-        "serve.merge",
-        groups = part.len(),
-        requests = total,
-    );
-    let specs: Vec<dfg_dataflow::NetworkSpec> = part
-        .iter()
-        .map(|g| {
-            state
-                .compiled(&g[0].d.expr)
-                .expect("pre-checked by dispatch")
-                .spec
-                .clone()
-        })
-        .collect();
-    let spec_refs: Vec<&dfg_dataflow::NetworkSpec> = specs.iter().collect();
-    let merged = match dfg_dataflow::merge_networks_traced(
-        &spec_refs,
-        state.level,
-        shared.tracer.as_ref(),
-    ) {
-        Ok(m) => m,
-        Err(_) => {
-            drop(merge_span);
-            for members in part {
-                run_group(shared, state, members);
-            }
-            return;
-        }
-    };
-    shared.count(|c| c.batches += 1);
-    let leader = part[0][0].d.tenant.clone();
-    let compiles_before = state
-        .registry
-        .stats(&leader)
-        .map(|s| s.session.codegen_compiles)
-        .unwrap_or(0);
-    let wall = Instant::now();
-    let fields = state.fields.get(grid);
-    let request = dfg_core::Request::network(&merged.spec, &merged.roots, strategy);
-    let result = state.registry.run(&leader, &request, fields);
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    drop(merge_span);
-    match result {
-        Ok((fields_out, report)) if fields_out.len() == part.len() => {
-            let degraded = report.recovery.as_ref().is_some_and(|r| r.degraded);
-            let compiles_after = state
-                .registry
-                .stats(&leader)
-                .map(|s| s.session.codegen_compiles)
-                .unwrap_or(0);
-            let compiles = compiles_after.saturating_sub(compiles_before);
-            state
-                .registry
-                .note_opt_saved(&leader, merged.stats.filters_eliminated() as u64);
-            let mut first = true;
-            for (group, field) in part.into_iter().zip(fields_out) {
-                let ran = Executed::new(
-                    field,
-                    group.iter().any(|p| p.d.data),
-                    report.device_seconds() * 1e3,
-                    wall_ms,
-                    total,
-                    degraded,
-                );
-                for p in group {
-                    // The merged execution already ran; a member whose
-                    // deadline passed meanwhile (or whose connection died)
-                    // still must not get a stale `ok`.
-                    if reject_if_cancelled(shared, &p.cancel, p.d.id, &p.reply, &p.d.tenant) {
-                        first = false;
-                        continue;
-                    }
-                    state.registry.note_merged(&p.d.tenant);
-                    shared.count(|c| {
-                        c.ok += 1;
-                        c.merged += 1;
-                        if degraded {
-                            c.degraded += 1;
-                        }
-                        if !first {
-                            c.coalesced += 1;
-                        }
-                    });
-                    ran.reply_to(&p, if first { compiles } else { 0 }, !first);
-                    first = false;
-                }
-            }
-        }
-        _ => {
-            // Merged execution failed (e.g. the leader's quota could not
-            // hold the union network): fall back to independent per-group
-            // execution so errors stay attributed per request.
-            for members in part {
-                run_group(shared, state, members);
             }
         }
     }

@@ -215,90 +215,73 @@ fn commutative_variants_coalesce_via_canonical_hash() {
 }
 
 #[test]
-fn cross_fusion_merges_overlapping_expressions() {
+fn distinct_overlapping_expressions_compile_apart_and_match_unbatched() {
     // Four tenants, four *distinct* expressions sharing the `u*u+v*v+w*w`
-    // subgraph. With cross-request fusion on, the batch compiles and runs as
-    // one merged multi-output network; every tenant still gets bits
-    // identical to an unbatched run of its own expression. With it off,
-    // each expression compiles on its own.
+    // subgraph, in one batch window. Coalescing shares only identical
+    // (canonical-hash-equal) networks, so each expression compiles on its
+    // own, and every tenant gets bits identical to an unbatched run of its
+    // own expression.
     let exprs = [
         "vmag = sqrt(u*u + v*v + w*w)",
         "ke = 0.5 * (u*u + v*v + w*w)",
         "s = u*u + v*v + w*w",
         "sp = (u*u + v*v + w*w) + 1",
     ];
-    for (cross_fusion, want_compiles, want_merged) in [(false, 4, 0), (true, 1, 4)] {
-        let config = ServeConfig {
-            coalesce: true,
-            cross_fusion,
-            batch_window: Duration::from_millis(80),
-            ..ServeConfig::default()
-        };
-        let server = Server::start("127.0.0.1:0", config).unwrap();
-        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let config = ServeConfig {
+        coalesce: true,
+        batch_window: Duration::from_millis(80),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
-        let mut ids = Vec::new();
-        for (t, expr) in exprs.iter().enumerate() {
-            let id = client
-                .send(Request::Derive(DeriveRequest {
-                    id: 0,
-                    tenant: format!("t{t}"),
-                    expr: (*expr).into(),
-                    grid: GRID,
-                    strategy: ExecStrategy::Fusion,
-                    data: true,
-                    deadline_ms: None,
-                }))
-                .unwrap();
-            ids.push(id);
-        }
-        let mut bits = Vec::new();
-        let mut compiles = 0u64;
-        for id in ids {
-            match client.recv_for(id).unwrap() {
-                Response::Ok(r) => {
-                    bits.push(r.data_bits.expect("data requested"));
-                    compiles += r.compiles;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-
-        // Per-tenant outputs are bit-identical to unbatched single-tenant runs.
-        for (expr, got) in exprs.iter().zip(&bits) {
-            assert_eq!(
-                got,
-                &local_bits(expr, GRID),
-                "cross_fusion {cross_fusion}: output for `{expr}` differs from unbatched run"
-            );
-        }
-        // The whole overlapping batch cost one codegen compile when merged.
-        assert_eq!(compiles, want_compiles, "cross_fusion {cross_fusion}");
-
-        match client.stats().unwrap() {
-            Response::Stats {
-                server: counters,
-                tenants,
-                ..
-            } => {
-                assert_eq!(counters.merged, want_merged, "requests merged");
-                assert_eq!(counters.ok, 4);
-                for t in &tenants {
-                    let merged = u64::from(cross_fusion);
-                    assert_eq!(t.session.merged, merged, "{}: merged count", t.tenant);
-                }
-                let saved: u64 = tenants.iter().map(|t| t.session.opt_saved_kernels).sum();
-                assert!(
-                    !cross_fusion || saved > 0,
-                    "cross-request CSE should report eliminated kernels"
-                );
+    let mut ids = Vec::new();
+    for (t, expr) in exprs.iter().enumerate() {
+        let id = client
+            .send(Request::Derive(DeriveRequest {
+                id: 0,
+                tenant: format!("t{t}"),
+                expr: (*expr).into(),
+                grid: GRID,
+                strategy: ExecStrategy::Fusion,
+                data: true,
+                deadline_ms: None,
+            }))
+            .unwrap();
+        ids.push(id);
+    }
+    let mut bits = Vec::new();
+    let mut compiles = 0u64;
+    for id in ids {
+        match client.recv_for(id).unwrap() {
+            Response::Ok(r) => {
+                bits.push(r.data_bits.expect("data requested"));
+                compiles += r.compiles;
             }
             other => panic!("unexpected {other:?}"),
         }
-
-        client.shutdown().unwrap();
-        server.join().unwrap();
     }
+
+    for (expr, got) in exprs.iter().zip(&bits) {
+        assert_eq!(
+            got,
+            &local_bits(expr, GRID),
+            "output for `{expr}` differs from unbatched run"
+        );
+    }
+    assert_eq!(compiles, 4, "one compile per distinct expression");
+    match client.stats().unwrap() {
+        Response::Stats {
+            server: counters, ..
+        } => {
+            assert_eq!(counters.ok, 4);
+            assert_eq!(counters.coalesced, 0, "distinct expressions coalesced");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
 }
 
 #[test]

@@ -106,7 +106,7 @@ fn main() {
     for opt in plan.feasible.iter().take(4) {
         println!(
             "  {:<9} on {:<32} {:>8.3} s, {:>6.2} GB",
-            opt.strategy.name(),
+            opt.exec.name(),
             opt.device_name,
             opt.seconds,
             opt.peak_bytes as f64 / 1e9
@@ -119,5 +119,5 @@ fn main() {
         );
     }
     let best = plan.best().expect("something fits");
-    println!("best: {} on {}", best.strategy.name(), best.device_name);
+    println!("best: {} on {}", best.exec.name(), best.device_name);
 }
