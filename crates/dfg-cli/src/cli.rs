@@ -463,16 +463,15 @@ fn cmd_run_distributed(args: &Args) -> Result<(), String> {
     );
     println!();
     println!(
-        "{:>5} {:<10} {:>7} {:>10} {:>8} {:>8} {:>10} {:>12}",
-        "rank", "outcome", "blocks", "completed", "adopted", "retries", "fallbacks", "device ms"
+        "{:>5} {:<10} {:>7} {:>8} {:>8} {:>10} {:>12}",
+        "rank", "outcome", "blocks", "adopted", "retries", "fallbacks", "device ms"
     );
     for a in &result.rank_log {
         println!(
-            "{:>5} {:<10} {:>7} {:>10} {:>8} {:>8} {:>10} {:>12.3}",
+            "{:>5} {:<10} {:>7} {:>8} {:>8} {:>10} {:>12.3}",
             a.rank,
             a.outcome.label(),
             a.blocks_assigned,
-            a.blocks_completed,
             a.adopted_blocks,
             a.recovery.retries,
             a.recovery.fallbacks,

@@ -6,17 +6,18 @@
 //! face-adjacent neighbour, which writes it into its ghost layer. Axis-
 //! aligned faces are sufficient for the gradient stencil: a cell's gradient
 //! only reads the six face neighbours.
+//!
+//! Every copy here is a [`decomp::extract_block`] or [`decomp::insert_block`]:
+//! a face is a block one layer thick, and an interior is a block of the
+//! ghosted array.
 
-use dfg_mesh::SubGrid;
+use dfg_mesh::{decomp, SubGrid};
 use dfg_ocl::integrity::{checksum_f32s, HALO_SUM_SEED};
-use std::time::Duration;
 
-/// A malformed or undeliverable halo exchange. Structural variants
-/// (`NoGhostLayer`, `FaceExtent`, `InteriorExtent`) replace what used to be
-/// `expect()`/`assert!` aborts inside [`insert_face`] / [`insert_interior`];
-/// delivery variants (`Timeout`, `Disconnected`) are raised by the runner
-/// when a mailbox goes silent past its deadline. Chains into
-/// `ClusterError` via `source()`.
+/// A malformed halo payload, raised when a face or a block's owned data is
+/// written into its ghosted array, instead of an abort: a lost or corrupt
+/// rank must not take its neighbours down. Chains into `ClusterError` via
+/// `source()`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExchangeError {
     /// A face arrived for a side of the block that has no ghost layer
@@ -45,23 +46,6 @@ pub enum ExchangeError {
         /// Cells the interior requires.
         expected: usize,
     },
-    /// The halo mailbox stayed silent past the exchange deadline with
-    /// faces still outstanding.
-    Timeout {
-        /// Faces received before the deadline expired.
-        received: usize,
-        /// Faces the rank was owed in total.
-        expected: usize,
-        /// The per-wait deadline that lapsed.
-        deadline: Duration,
-    },
-    /// Every sender hung up with faces still outstanding.
-    Disconnected {
-        /// Faces received before the channel closed.
-        received: usize,
-        /// Faces the rank was owed in total.
-        expected: usize,
-    },
 }
 
 impl std::fmt::Display for ExchangeError {
@@ -86,19 +70,6 @@ impl std::fmt::Display for ExchangeError {
                 f,
                 "owned payload carries {got} cells but the interior extent requires {expected}"
             ),
-            ExchangeError::Timeout {
-                received,
-                expected,
-                deadline,
-            } => write!(
-                f,
-                "halo exchange timed out after {deadline:?} with {received}/{expected} \
-                 faces received"
-            ),
-            ExchangeError::Disconnected { received, expected } => write!(
-                f,
-                "halo senders disconnected with {received}/{expected} faces received"
-            ),
         }
     }
 }
@@ -108,7 +79,7 @@ impl std::error::Error for ExchangeError {}
 /// One halo message: a face of owned data headed for a neighbour's ghost
 /// layer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaceMsg {
+pub(crate) struct FaceMsg {
     /// Receiving block's index in the decomposition.
     pub to_block: usize,
     /// Axis of adjacency (0..3).
@@ -131,7 +102,7 @@ pub struct FaceMsg {
 
 impl FaceMsg {
     /// Build a face message, sealing `data` under its sender-side checksum.
-    pub fn seal(
+    pub(crate) fn seal(
         to_block: usize,
         axis: usize,
         low_side: bool,
@@ -150,41 +121,24 @@ impl FaceMsg {
     }
 
     /// Whether `data` still matches the checksum it was sealed under.
-    pub fn verify(&self) -> bool {
+    pub(crate) fn verify(&self) -> bool {
         checksum_f32s(HALO_SUM_SEED, &self.data) == self.sum
     }
 }
 
+/// The one-layer slab of an extent: `dims` with `axis` cut to 1 cell.
+fn layer(dims: [usize; 3], axis: usize) -> [usize; 3] {
+    let mut face = dims;
+    face[axis] = 1;
+    face
+}
+
 /// Extract the owned boundary face of `owned` (x-major over `dims`) at
 /// `axis`, `high` side (`true` = last layer, `false` = first layer).
-pub fn extract_face(owned: &[f32], dims: [usize; 3], axis: usize, high: bool) -> Vec<f32> {
-    assert_eq!(owned.len(), dims[0] * dims[1] * dims[2]);
-    let fixed = if high { dims[axis] - 1 } else { 0 };
-    let mut out = Vec::new();
-    match axis {
-        0 => {
-            out.reserve(dims[1] * dims[2]);
-            for k in 0..dims[2] {
-                for j in 0..dims[1] {
-                    out.push(owned[fixed + dims[0] * (j + dims[1] * k)]);
-                }
-            }
-        }
-        1 => {
-            out.reserve(dims[0] * dims[2]);
-            for k in 0..dims[2] {
-                let row = dims[0] * (fixed + dims[1] * k);
-                out.extend_from_slice(&owned[row..row + dims[0]]);
-            }
-        }
-        2 => {
-            out.reserve(dims[0] * dims[1]);
-            let slab = dims[0] * dims[1] * fixed;
-            out.extend_from_slice(&owned[slab..slab + dims[0] * dims[1]]);
-        }
-        _ => panic!("axis out of range"),
-    }
-    out
+pub(crate) fn extract_face(owned: &[f32], dims: [usize; 3], axis: usize, high: bool) -> Vec<f32> {
+    let mut at = [0; 3];
+    at[axis] = if high { dims[axis] - 1 } else { 0 };
+    decomp::extract_block(owned, dims, at, layer(dims, axis))
 }
 
 /// Write a received face into a block's ghosted array.
@@ -193,10 +147,9 @@ pub fn extract_face(owned: &[f32], dims: [usize; 3], axis: usize, high: bool) ->
 /// interior inside it (from [`SubGrid::interior_in_ghosted`]). The face
 /// covers the owned extent of the two non-`axis` axes and lands on the
 /// ghost layer just below (`low_side`) or above the interior along `axis`.
-/// A malformed face (targeting a side with no ghost layer, or with the
-/// wrong extent) is an [`ExchangeError`], not a panic: a lost or corrupt
-/// rank must not abort its neighbours.
-pub fn insert_face(
+/// A face targeting a side with no ghost layer, or with the wrong extent,
+/// is an [`ExchangeError`].
+pub(crate) fn insert_face(
     ghosted: &mut [f32],
     gdims: [usize; 3],
     istart: [usize; 3],
@@ -205,88 +158,64 @@ pub fn insert_face(
     low_side: bool,
     face: &[f32],
 ) -> Result<(), ExchangeError> {
-    let fixed = if low_side {
+    let mut at = istart;
+    at[axis] = if low_side {
         istart[axis]
             .checked_sub(1)
             .ok_or(ExchangeError::NoGhostLayer { axis, low_side })?
     } else {
         istart[axis] + idims[axis]
     };
-    if fixed >= gdims[axis] {
+    if at[axis] >= gdims[axis] {
         return Err(ExchangeError::NoGhostLayer { axis, low_side });
     }
-    let (a1, a2) = match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        2 => (0, 1),
-        _ => panic!("axis out of range"),
-    };
-    if face.len() != idims[a1] * idims[a2] {
+    let fdims = layer(idims, axis);
+    let expected = fdims.iter().product();
+    if face.len() != expected {
         return Err(ExchangeError::FaceExtent {
             axis,
             got: face.len(),
-            expected: idims[a1] * idims[a2],
+            expected,
         });
     }
-    let mut it = face.iter();
-    for c2 in 0..idims[a2] {
-        for c1 in 0..idims[a1] {
-            let mut coord = [0usize; 3];
-            coord[axis] = fixed;
-            coord[a1] = istart[a1] + c1;
-            coord[a2] = istart[a2] + c2;
-            let idx = coord[0] + gdims[0] * (coord[1] + gdims[1] * coord[2]);
-            ghosted[idx] = *it.next().expect("sized above");
-        }
-    }
+    decomp::insert_block(ghosted, gdims, at, fdims, face);
     Ok(())
 }
 
 /// Copy a block's owned data into the interior of its ghosted array.
-pub fn insert_interior(
+pub(crate) fn insert_interior(
     ghosted: &mut [f32],
     gdims: [usize; 3],
     istart: [usize; 3],
     idims: [usize; 3],
     owned: &[f32],
 ) -> Result<(), ExchangeError> {
-    if owned.len() != idims[0] * idims[1] * idims[2] {
+    let expected = idims.iter().product();
+    if owned.len() != expected {
         return Err(ExchangeError::InteriorExtent {
             got: owned.len(),
-            expected: idims[0] * idims[1] * idims[2],
+            expected,
         });
     }
-    for k in 0..idims[2] {
-        for j in 0..idims[1] {
-            let src = idims[0] * (j + idims[1] * k);
-            let dst = istart[0] + gdims[0] * ((istart[1] + j) + gdims[1] * (istart[2] + k));
-            ghosted[dst..dst + idims[0]].copy_from_slice(&owned[src..src + idims[0]]);
-        }
-    }
+    decomp::insert_block(ghosted, gdims, istart, idims, owned);
     Ok(())
 }
 
 /// Extract the interior (owned) region back out of a ghosted result array
-/// of `lanes` values per cell.
-pub fn extract_interior(
+/// of `lanes` values per cell (the lanes of a cell widen its x extent).
+pub(crate) fn extract_interior(
     ghosted: &[f32],
     gdims: [usize; 3],
     istart: [usize; 3],
     idims: [usize; 3],
     lanes: usize,
 ) -> Vec<f32> {
-    let mut out = Vec::with_capacity(idims[0] * idims[1] * idims[2] * lanes);
-    for k in 0..idims[2] {
-        for j in 0..idims[1] {
-            let row = istart[0] + gdims[0] * ((istart[1] + j) + gdims[1] * (istart[2] + k));
-            out.extend_from_slice(&ghosted[row * lanes..(row + idims[0]) * lanes]);
-        }
-    }
-    out
+    let wide = |d: [usize; 3]| [d[0] * lanes, d[1], d[2]];
+    decomp::extract_block(ghosted, wide(gdims), wide(istart), wide(idims))
 }
 
 /// Number of face-adjacent neighbours of a block in a `nblocks` block grid.
-pub fn neighbor_count(block: &SubGrid, nblocks: [usize; 3]) -> usize {
+pub(crate) fn neighbor_count(block: &SubGrid, nblocks: [usize; 3]) -> usize {
     (0..3)
         .map(|d| usize::from(block.block[d] > 0) + usize::from(block.block[d] + 1 < nblocks[d]))
         .sum()

@@ -8,11 +8,12 @@
 //! crate reproduces that structure without MPI or a real cluster:
 //!
 //! * an MPI *rank* is a thread owning its own simulated device
-//!   ([`Cluster`] describes the node/device topology);
+//!   ([`Cluster`] describes the node/device topology; one node driving N
+//!   devices, the paper's §VI future work, is `nodes: 1`);
 //! * ghost data is produced by a real **message-passing halo exchange**
-//!   ([`exchange`]) over crossbeam channels — each rank samples only the
-//!   cells it owns and receives boundary stencils from neighbours, exactly
-//!   as VisIt's ghost-data generation provides them;
+//!   over crossbeam channels — each rank samples only the cells it owns
+//!   and receives boundary stencils from neighbours, exactly as VisIt's
+//!   ghost-data generation provides them;
 //! * each rank embeds a `dfg_core::Engine` and processes its assigned
 //!   sub-grids one after another (the paper's 12 sub-grids per GPU);
 //! * a small pseudocolor renderer ([`render`]) writes PPM images standing in
@@ -22,15 +23,11 @@
 //! the distributed result can be asserted *bit-identical* to a single-grid
 //! computation — a stronger validation than the paper's visual check.
 
-pub mod exchange;
-pub mod multi_device;
+mod exchange;
 pub mod render;
 mod runner;
 
 pub use exchange::ExchangeError;
-pub use multi_device::{
-    run_multi_device, run_multi_device_with, MultiDeviceOptions, MultiDeviceResult,
-};
 pub use runner::{
     run_distributed, run_distributed_traced, Cluster, ClusterError, DistOptions, DistResult,
     RankAttempt, RankOutcome,

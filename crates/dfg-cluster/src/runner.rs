@@ -1,5 +1,7 @@
 //! The distributed run driver: ranks, sub-grid assignment, halo exchange,
-//! per-rank engines, rank-failure tolerance, and result assembly.
+//! per-rank engines, rank-failure tolerance, and result assembly. It is the
+//! crate's one "split, ghost, derive, reassemble" path: one node driving N
+//! devices is `Cluster { nodes: 1, devices_per_node: N }`.
 //!
 //! # Rank-failure tolerance
 //!
@@ -10,17 +12,16 @@
 //!   `recv_timeout` driven by [`DistOptions::exchange_deadline`]. A
 //!   mailbox that stays silent past the deadline (a hung neighbour) or
 //!   disconnects with faces outstanding (a dead neighbour) stops blocking
-//!   the rank: the missing ghost faces are re-sampled analytically from the
-//!   global mesh. Because the RT workload is per-cell analytic in the
-//!   global axis coordinates, the filled bytes are identical to what the
-//!   lost neighbour would have sent. A Model run, which moves no faces,
-//!   counts the same fills from the ranks' fates.
-//! * **A heartbeat coordinator** — rank threads report progress
-//!   (per-block heartbeats), completion, engine failure, or death over a
-//!   control channel. The coordinator joins panicking ranks through
-//!   `catch_unwind`, writes off ranks fated to hang, and declares silent
-//!   stragglers lost after a silence budget derived from the exchange
-//!   deadline.
+//!   the rank: the missing ghost faces, and any that arrived garbled, are
+//!   re-sampled analytically from the global mesh. Because the RT workload
+//!   is per-cell analytic in the global axis coordinates, the filled bytes
+//!   are identical to what the neighbour would have sent.
+//! * **Joining every live rank** — each rank is a scoped thread that
+//!   returns its output or a typed error, or panics (an injected
+//!   `rank_die` or a genuine bug). The driver joins every rank not fated
+//!   to hang, so it waits exactly as long as the slowest of them; ranks
+//!   fated to hang are written off up front and released once the others
+//!   are joined.
 //! * **Block redistribution** — blocks owned by lost ranks are marked
 //!   orphaned and re-executed on surviving ranks (round-robin over the
 //!   sorted survivor list), with analytically sampled ghost data. The
@@ -28,14 +29,17 @@
 //!   `recover.rank` trace spans.
 //!
 //! Exchange deadlines bound *wall-clock* channel waits; the modeled device
-//! clocks never include them, so a degraded run's `rank_device_seconds`
-//! and `makespan_seconds` — like `lost_ranks`, `redistributed_blocks` and
-//! `ghost_filled_faces` — are identical in [`ExecMode::Model`] and
-//! [`ExecMode::Real`]: Model mode derives rank fates from the pure
-//! [`FaultPlan::rank_fate`] query instead of observing timeouts.
+//! clocks never include them. Both modes walk the same halo sends and draw
+//! the same `exchange_drop` and `halo_garble` rules in the same order; a
+//! Model run moves no data and counts a lost or garbled face where a Real
+//! receiver fills it, which is only when that receiver is not fated to die
+//! or hang. So `rank_device_seconds`, `makespan_seconds`, `lost_ranks`,
+//! `redistributed_blocks`, `ghost_filled_faces`, `exchange_drops`,
+//! `garbled_faces` and `degraded` are identical in [`ExecMode::Model`] and
+//! [`ExecMode::Real`]; rank fates come from the pure
+//! [`FaultPlan::rank_fate`] query in both.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
@@ -103,10 +107,9 @@ pub struct DistOptions {
     pub fault_spec: Option<String>,
     /// Longest *wall-clock* silence tolerated while waiting on halo faces
     /// before the outstanding ones are declared lost and filled
-    /// analytically. Also bounds sends into a full (stalled) mailbox, and
-    /// derives the coordinator's heartbeat silence budget. Deadlines never
-    /// touch the modeled device clocks, so Model and Real runs of the same
-    /// faults report identical virtual times.
+    /// analytically. Also bounds sends into a full (stalled) mailbox.
+    /// Deadlines never touch the modeled device clocks, so Model and Real
+    /// runs of the same faults report identical virtual times.
     pub exchange_deadline: Duration,
     /// Buffer-verification policy installed on every rank's engine (and on
     /// engines spun up to adopt orphaned blocks). Halo faces are
@@ -136,10 +139,10 @@ pub enum RankOutcome {
     /// The rank completed every block assigned to it.
     Completed,
     /// The rank's thread panicked (an injected `rank_die` or a genuine
-    /// panic), caught and joined by the coordinator.
+    /// panic), caught when the driver joined it.
     Died(String),
-    /// The rank went silent (an injected `rank_hang`, or a straggler that
-    /// missed the heartbeat deadline) and was written off.
+    /// The rank was fated to hang (an injected `rank_hang`): it never
+    /// reports, so it was written off up front.
     Lost(String),
 }
 
@@ -164,8 +167,6 @@ pub struct RankAttempt {
     pub outcome: RankOutcome,
     /// Blocks originally assigned to this rank.
     pub blocks_assigned: usize,
-    /// Blocks the rank completed itself (from heartbeats for lost ranks).
-    pub blocks_completed: usize,
     /// Orphaned blocks this rank re-executed during redistribution.
     pub adopted_blocks: usize,
     /// Device-level recovery attempts (retries/fallbacks) merged across
@@ -203,7 +204,7 @@ pub struct DistResult {
     /// rather than the requested one (sorted, deduplicated). Empty when
     /// recovery never degraded — including when recovery is disabled.
     pub degraded_ranks: Vec<usize>,
-    /// Ranks that died or went silent and were written off (sorted).
+    /// Ranks that died or hung and were written off (sorted).
     pub lost_ranks: Vec<usize>,
     /// Orphaned blocks re-executed on survivors: `(block index, adopting
     /// rank)`, sorted by block.
@@ -215,10 +216,9 @@ pub struct DistResult {
     /// lost, blocks redistributed, ghost faces analytically filled, or
     /// some rank fell back to another strategy. The output is still exact.
     pub degraded: bool,
-    /// Ghost faces that never arrived and were re-sampled analytically. A
-    /// Model run counts the faces survivors are owed by ranks fated to die
-    /// or hang, which is the Real count unless faces were dropped or
-    /// garbled in flight.
+    /// Ghost faces a surviving rank re-sampled analytically: its sender
+    /// died or hung, `exchange_drop` took every transmit, or the face
+    /// arrived garbled. A Model run counts the same faces.
     pub ghost_filled_faces: usize,
     /// Halo waits (receive silences and full-mailbox sends) that expired
     /// against [`DistOptions::exchange_deadline`].
@@ -323,13 +323,18 @@ fn face_neighbours(
     })
 }
 
+/// A ghost face a rank is owed: (block slot, axis, low side, field).
+type FaceKey = (usize, usize, bool, usize);
+
+/// What one rank ran — its own blocks and the orphans it adopted — and
+/// what its halo exchange saw.
+#[derive(Default)]
 struct RankOutput {
     results: Vec<(usize, Vec<f32>)>,
     device_seconds: f64,
     high_water: u64,
     kernel_execs: usize,
     trace: Option<Trace>,
-    degraded: bool,
     recovery: RecoveryReport,
     ghost_filled_faces: usize,
     exchange_timeouts: usize,
@@ -339,52 +344,91 @@ struct RankOutput {
 }
 
 impl RankOutput {
-    fn empty() -> RankOutput {
-        RankOutput {
-            results: Vec::new(),
-            device_seconds: 0.0,
-            high_water: 0,
-            kernel_execs: 0,
-            trace: None,
-            degraded: false,
-            recovery: RecoveryReport::default(),
-            ghost_filled_faces: 0,
-            exchange_timeouts: 0,
-            exchange_wait_seconds: 0.0,
-            exchange_drops: 0,
-            garbled_faces: 0,
+    /// The one per-block derive: run the workload on block `bi` over the
+    /// `fields` of its ghosted extent, keep the interior (Real mode), and
+    /// add the run to this rank's account.
+    fn derive(
+        &mut self,
+        engine: &mut Engine,
+        opts: &DistOptions,
+        (bi, b): (usize, &SubGrid),
+        global_dims: [usize; 3],
+        fields: &FieldSet,
+    ) -> Result<(), EngineError> {
+        let request = Request::source(opts.workload.source(), opts.strategy);
+        let (out, report) = engine.run(&request, fields)?;
+        if let Some(out) = out.first() {
+            let (_, gdims) = b.ghosted(1, global_dims);
+            let (istart, idims) = b.interior_in_ghosted(1, global_dims);
+            let interior = extract_interior(&out.data, gdims, istart, idims, 1);
+            self.results.push((bi, interior));
         }
+        self.device_seconds += report.device_seconds();
+        self.high_water = self.high_water.max(report.high_water_bytes());
+        self.kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
+        if let Some(r) = &report.recovery {
+            self.recovery.absorb(r);
+        }
+        Ok(())
     }
 }
 
-/// Messages rank threads send the coordinator. Completion heartbeats reset
-/// the coordinator's silence timer so a busy rank is never mistaken for a
-/// hung one.
-enum CtrlMsg {
-    Heartbeat {
-        rank: usize,
-        blocks_done: usize,
-    },
-    Done {
-        rank: usize,
-        output: Box<RankOutput>,
-    },
-    Failed {
-        rank: usize,
-        error: ClusterError,
-    },
-    Died {
-        rank: usize,
-        reason: String,
-    },
+/// The fields block `b` derives over. Model mode: virtual fields of its
+/// ghosted extent. Real mode: that extent's coordinates and `velocity`
+/// (the rank's exchanged u, v, w), or, for an adopted orphan, the velocity
+/// sampled analytically.
+fn block_fields(
+    global: &RectilinearMesh,
+    rt: &RtWorkload,
+    b: &SubGrid,
+    mode: ExecMode,
+    velocity: Option<[Vec<f32>; 3]>,
+) -> FieldSet {
+    let (goff, gdims) = b.ghosted(1, global.dims());
+    if mode == ExecMode::Model {
+        return FieldSet::virtual_rt(gdims);
+    }
+    let gmesh = global.submesh(goff, gdims);
+    let Some([u, v, w]) = velocity else {
+        return FieldSet::for_rt_mesh(&gmesh, rt);
+    };
+    let (x, y, z) = gmesh.coord_arrays();
+    let mut fs = FieldSet::new(gmesh.ncells());
+    for (name, data) in ["u", "v", "w", "x", "y", "z"]
+        .into_iter()
+        .zip([u, v, w, x, y, z])
+    {
+        fs.insert_scalar(name, data)
+            .expect("sized to the ghosted extent");
+    }
+    fs.insert_small("dims", gmesh.dims_buffer());
+    fs
 }
 
-/// What the coordinator observed, per rank.
-struct Coordination {
-    outputs: Vec<Option<RankOutput>>,
-    outcomes: Vec<RankOutcome>,
-    heartbeats: Vec<usize>,
-    failures: Vec<(usize, ClusterError)>,
+/// A rank's engine: the run's mode, recovery and verification, the rank's
+/// fault plan and, in a traced run, `tracer`.
+fn rank_engine(
+    profile: DeviceProfile,
+    opts: &DistOptions,
+    plan: Option<&FaultPlan>,
+    tracer: Option<&Tracer>,
+) -> Engine {
+    let mut engine = Engine::with_options(
+        profile,
+        EngineOptions {
+            mode: opts.mode,
+            recovery: opts.recovery,
+            verify: opts.verify,
+            ..Default::default()
+        },
+    );
+    if let Some(plan) = plan {
+        engine.set_fault_plan(plan.clone());
+    }
+    if let Some(t) = tracer {
+        engine.set_tracer(t.clone());
+    }
+    engine
 }
 
 /// Injected rank deaths panic on purpose; keep the default panic hook from
@@ -407,77 +451,13 @@ fn silence_injected_death_reports() {
     });
 }
 
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "rank thread panicked".to_string()
-    }
-}
-
-/// Drain control messages until every rank is accounted for. Ranks fated
-/// to hang are written off up front (they will never report — and this
-/// keeps Model mode, which has no exchange to observe, on the same verdict
-/// as Real). Silent stragglers are declared lost after a budget of twice
-/// the exchange deadline plus scheduling slack — survivors may legitimately
-/// sit out one full deadline waiting on a hung neighbour's faces.
-fn coordinate(
-    ctrl_rx: Receiver<CtrlMsg>,
-    ranks: usize,
-    fates: &[Option<RankFate>],
-    deadline: Duration,
-) -> Coordination {
-    let mut pending: BTreeSet<usize> = (0..ranks).collect();
-    let mut outputs: Vec<Option<RankOutput>> = (0..ranks).map(|_| None).collect();
-    let mut outcomes = vec![RankOutcome::Completed; ranks];
-    let mut heartbeats = vec![0usize; ranks];
-    let mut failures: Vec<(usize, ClusterError)> = Vec::new();
-    for rank in 0..ranks {
-        if fates[rank] == Some(RankFate::Hang) {
-            outcomes[rank] = RankOutcome::Lost("injected rank_hang".to_string());
-            pending.remove(&rank);
-        }
-    }
-    let silence = deadline * 2 + Duration::from_millis(500);
-    while !pending.is_empty() {
-        match ctrl_rx.recv_timeout(silence) {
-            Ok(CtrlMsg::Heartbeat { rank, blocks_done }) => {
-                heartbeats[rank] = heartbeats[rank].max(blocks_done);
-            }
-            Ok(CtrlMsg::Done { rank, output }) => {
-                if pending.remove(&rank) {
-                    outputs[rank] = Some(*output);
-                }
-            }
-            Ok(CtrlMsg::Failed { rank, error }) => {
-                pending.remove(&rank);
-                failures.push((rank, error));
-            }
-            Ok(CtrlMsg::Died { rank, reason }) => {
-                if pending.remove(&rank) {
-                    outcomes[rank] = RankOutcome::Died(reason);
-                }
-            }
-            Err(e) => {
-                let why = if e == RecvTimeoutError::Timeout {
-                    "straggler: no heartbeat within the silence budget"
-                } else {
-                    "exited without reporting"
-                };
-                for rank in std::mem::take(&mut pending) {
-                    outcomes[rank] = RankOutcome::Lost(why.to_string());
-                }
-            }
-        }
-    }
-    failures.sort_by_key(|&(r, _)| r);
-    Coordination {
-        outputs,
-        outcomes,
-        heartbeats,
-        failures,
     }
 }
 
@@ -555,9 +535,13 @@ fn run_distributed_inner(
         return Err(ClusterError::Config("cluster has zero ranks".into()));
     }
     let global_dims = global.dims();
+    if (0..3).any(|d| nblocks[d] == 0 || nblocks[d] > global_dims[d]) {
+        return Err(ClusterError::Config(format!(
+            "{nblocks:?} blocks do not tile a {global_dims:?} mesh"
+        )));
+    }
     let blocks = partition_blocks(global_dims, nblocks);
     let nblocks_total = blocks.len();
-    let real = opts.mode == ExecMode::Real;
 
     // Per-rank fault plans and rank fates, computed up front on the
     // coordinator so both sides agree by construction (the fate query is
@@ -594,122 +578,93 @@ fn run_distributed_inner(
             bounded(owed.max(1))
         })
         .unzip();
-    let (ctrl_tx, ctrl_rx) = unbounded::<CtrlMsg>();
     let (park_tx, park_rx) = unbounded::<()>();
 
-    let coord: Coordination = std::thread::scope(|scope| {
-        for rank in 0..ranks {
-            let senders = senders.clone();
-            let receiver = receivers[rank].clone();
-            let ctrl = ctrl_tx.clone();
-            let park = park_rx.clone();
-            let blocks = &blocks;
-            let cluster_profile = cluster.profile.clone();
-            let opts = opts.clone();
-            let plan = plans[rank].clone();
-            let fates = &fates;
-            scope.spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_rank(
+    // Every rank not fated to hang returns (or panics) on its own: join
+    // those, then release the parked ones so the scope can join them.
+    let joined = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..ranks)
+            .map(|rank| {
+                let senders = senders.clone();
+                let receiver = receivers[rank].clone();
+                let park = park_rx.clone();
+                let (blocks, fates, plan) = (&blocks, &fates, plans[rank].as_ref());
+                let profile = cluster.profile.clone();
+                scope.spawn(move || {
+                    // Injected rank fates fire before any work, in both
+                    // modes. A dying rank panics, which its join reports
+                    // as Died, exactly like a genuine bug. A hung rank
+                    // parks *holding its halo senders*, so neighbours see
+                    // real silence until the driver releases it.
+                    match fates[rank] {
+                        Some(RankFate::Die) => {
+                            silence_injected_death_reports();
+                            std::panic::panic_any(format!("injected rank_die on rank {rank}"))
+                        }
+                        Some(RankFate::Hang) => {
+                            let _ = park.recv();
+                            return Ok(RankOutput::default());
+                        }
+                        None => {}
+                    }
+                    let tracer = traced.then(Tracer::new);
+                    let mut engine = rank_engine(profile, opts, plan, tracer.as_ref());
+                    let mut out = run_rank(
                         rank,
                         ranks,
                         global,
-                        global_dims,
                         nblocks,
                         blocks,
                         rt,
-                        cluster_profile,
-                        &opts,
+                        &mut engine,
+                        opts,
                         plan,
                         fates,
                         senders,
                         receiver,
-                        &ctrl,
-                        park,
-                        traced,
-                    )
-                }));
-                // The coordinator may have written this rank off already; a
-                // failed send just means nobody is listening any more.
-                let _ = match outcome {
-                    Ok(Ok(output)) => ctrl.send(CtrlMsg::Done {
-                        rank,
-                        output: Box::new(output),
-                    }),
-                    Ok(Err(error)) => ctrl.send(CtrlMsg::Failed { rank, error }),
-                    Err(payload) => ctrl.send(CtrlMsg::Died {
-                        rank,
-                        reason: panic_reason(payload.as_ref()),
-                    }),
-                };
-            });
-        }
+                        tracer.as_ref(),
+                    )?;
+                    out.trace = tracer.as_ref().map(Tracer::snapshot);
+                    Ok(out)
+                })
+            })
+            .collect();
         // Drop the coordinator's halo handles so receivers observe
         // disconnection (a dead rank) once every live sender is done.
         drop(senders);
-        drop(ctrl_tx);
-        let coord = coordinate(ctrl_rx, ranks, &fates, opts.exchange_deadline);
-        // Release parked (hung) ranks so the scope can join them.
+        let joined: Vec<_> = handles
+            .into_iter()
+            .zip(&fates)
+            .map(|(h, fate)| (*fate != Some(RankFate::Hang)).then(|| h.join()))
+            .collect();
         drop(park_tx);
-        coord
+        joined
     });
 
     // Engine failures keep the pre-resilience contract: the run errors,
     // rank-tagged and source-chained. Lowest rank wins for determinism.
-    if let Some((_, error)) = coord.failures.into_iter().next() {
-        return Err(error);
+    let mut outcomes = Vec::with_capacity(ranks);
+    let mut outputs: Vec<Option<RankOutput>> = Vec::with_capacity(ranks);
+    for report in joined {
+        let (outcome, output) = match report {
+            None => (RankOutcome::Lost("injected rank_hang".into()), None),
+            Some(Ok(Ok(output))) => (RankOutcome::Completed, Some(output)),
+            Some(Ok(Err(error))) => return Err(error),
+            Some(Err(payload)) => (RankOutcome::Died(panic_reason(payload.as_ref())), None),
+        };
+        outcomes.push(outcome);
+        outputs.push(output);
     }
 
     let lost_ranks: Vec<usize> = (0..ranks)
-        .filter(|&r| coord.outcomes[r] != RankOutcome::Completed)
+        .filter(|&r| outcomes[r] != RankOutcome::Completed)
         .collect();
-    let survivors: Vec<usize> = (0..ranks).filter(|&r| coord.outputs[r].is_some()).collect();
+    let survivors: Vec<usize> = (0..ranks).filter(|&r| outputs[r].is_some()).collect();
     let orphans: Vec<usize> = (0..nblocks_total)
-        .filter(|bi| coord.outcomes[bi % ranks] != RankOutcome::Completed)
+        .filter(|bi| outcomes[bi % ranks] != RankOutcome::Completed)
         .collect();
     if !orphans.is_empty() && survivors.is_empty() {
         return Err(ClusterError::NoSurvivors { lost: lost_ranks });
-    }
-
-    // Fold the survivors' outputs into the global result.
-    let mut rank_device_seconds = vec![0.0f64; ranks];
-    let mut rank_recovery: Vec<RecoveryReport> = vec![RecoveryReport::default(); ranks];
-    let mut max_high_water = 0u64;
-    let mut total_kernel_execs = 0usize;
-    let mut field = real.then(|| vec![0.0f32; global.ncells()]);
-    let mut rank_traces = Vec::new();
-    let mut degraded_ranks = Vec::new();
-    let mut ghost_filled_faces = 0usize;
-    let mut exchange_timeouts = 0usize;
-    let mut exchange_wait_seconds = 0.0f64;
-    let mut exchange_drops = 0u64;
-    let mut garbled_faces = 0u64;
-    let mut outputs = coord.outputs;
-    for rank in 0..ranks {
-        let Some(out) = outputs[rank].take() else {
-            continue;
-        };
-        rank_device_seconds[rank] = out.device_seconds;
-        max_high_water = max_high_water.max(out.high_water);
-        total_kernel_execs += out.kernel_execs;
-        if out.degraded {
-            degraded_ranks.push(rank);
-        }
-        ghost_filled_faces += out.ghost_filled_faces;
-        exchange_timeouts += out.exchange_timeouts;
-        exchange_wait_seconds += out.exchange_wait_seconds;
-        exchange_drops += out.exchange_drops;
-        garbled_faces += out.garbled_faces;
-        rank_recovery[rank] = out.recovery;
-        if let Some(trace) = out.trace {
-            rank_traces.push((rank as u64, trace));
-        }
-        if let Some(f) = field.as_mut() {
-            for (block_idx, interior) in &out.results {
-                let b = &blocks[*block_idx];
-                decomp::insert_block(f, global_dims, b.offset, b.dims, interior);
-            }
-        }
     }
 
     // Redistribute orphaned blocks round-robin over the sorted survivors.
@@ -719,113 +674,79 @@ fn run_distributed_inner(
     // modes identically.
     let coord_tracer = traced.then(Tracer::new);
     let mut redistributed: Vec<(usize, usize)> = Vec::new();
-    let mut adopted_counts = vec![0usize; ranks];
-    if !orphans.is_empty() {
-        let mut per_adopter: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, &bi) in orphans.iter().enumerate() {
-            let adopter = survivors[i % survivors.len()];
-            per_adopter.entry(adopter).or_default().push(bi);
-            redistributed.push((bi, adopter));
-        }
-        redistributed.sort_unstable();
-        for (&adopter, bis) in &per_adopter {
-            let rspan = span!(
-                coord_tracer,
-                "recover.rank",
-                adopter = adopter,
-                blocks = bis.len(),
-            );
-            let mut engine = Engine::with_options(
-                cluster.profile.clone(),
-                EngineOptions {
-                    mode: opts.mode,
-                    recovery: opts.recovery,
-                    verify: opts.verify,
-                    ..Default::default()
-                },
-            );
-            if let Some(plan) = &plans[adopter] {
-                engine.set_fault_plan(plan.clone());
-            }
-            if let Some(t) = &coord_tracer {
-                engine.set_tracer(t.clone());
-            }
-            let adopter_err = |source: EngineError| ClusterError::Engine {
-                rank: adopter,
-                source,
-            };
-            for &bi in bis {
-                let b = &blocks[bi];
-                let (goff, gdims) = b.ghosted(1, global_dims);
-                let report = if real {
-                    let gmesh = global.submesh(goff, gdims);
-                    let (u, v, w) = rt.sample_velocity(&gmesh);
-                    let (x, y, z) = gmesh.coord_arrays();
-                    let mut fs = FieldSet::new(gmesh.ncells());
-                    fs.insert_scalar("u", u).expect("sized");
-                    fs.insert_scalar("v", v).expect("sized");
-                    fs.insert_scalar("w", w).expect("sized");
-                    fs.insert_scalar("x", x).expect("sized");
-                    fs.insert_scalar("y", y).expect("sized");
-                    fs.insert_scalar("z", z).expect("sized");
-                    fs.insert_small("dims", gmesh.dims_buffer());
-                    let (out, report) = engine
-                        .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
-                        .map_err(adopter_err)?;
-                    let out = out.first().expect("real mode yields data");
-                    let (istart, idims) = b.interior_in_ghosted(1, global_dims);
-                    if let Some(f) = field.as_mut() {
-                        let interior = extract_interior(&out.data, gdims, istart, idims, 1);
-                        decomp::insert_block(f, global_dims, b.offset, b.dims, &interior);
-                    }
-                    report
-                } else {
-                    let fs = FieldSet::virtual_rt(gdims);
-                    engine
-                        .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
-                        .map_err(adopter_err)?
-                        .1
-                };
-                rank_device_seconds[adopter] += report.device_seconds();
-                max_high_water = max_high_water.max(report.high_water_bytes());
-                total_kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
-                if let Some(r) = &report.recovery {
-                    rank_recovery[adopter].absorb(r);
-                    if r.degraded {
-                        degraded_ranks.push(adopter);
-                    }
-                }
-            }
-            adopted_counts[adopter] = bis.len();
-            drop(rspan);
+    let mut per_adopter: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (i, &bi) in orphans.iter().enumerate() {
+        let adopter = survivors[i % survivors.len()];
+        per_adopter.entry(adopter).or_default().push(bi);
+        redistributed.push((bi, adopter));
+    }
+    redistributed.sort_unstable();
+    for (&adopter, bis) in &per_adopter {
+        let _rspan = span!(
+            coord_tracer,
+            "recover.rank",
+            adopter = adopter,
+            blocks = bis.len(),
+        );
+        let plan = plans[adopter].as_ref();
+        let mut engine = rank_engine(cluster.profile.clone(), opts, plan, coord_tracer.as_ref());
+        let out = outputs[adopter].as_mut().expect("adopters survived");
+        for &bi in bis {
+            let fields = block_fields(global, rt, &blocks[bi], opts.mode, None);
+            out.derive(&mut engine, opts, (bi, &blocks[bi]), global_dims, &fields)
+                .map_err(|source| ClusterError::Engine {
+                    rank: adopter,
+                    source,
+                })?;
         }
     }
-    degraded_ranks.sort_unstable();
-    degraded_ranks.dedup();
 
-    let rank_log: Vec<RankAttempt> = (0..ranks)
-        .map(|rank| {
-            let blocks_assigned = (0..nblocks_total).filter(|bi| bi % ranks == rank).count();
-            let blocks_completed = if coord.outcomes[rank] == RankOutcome::Completed {
-                blocks_assigned
-            } else {
-                coord.heartbeats[rank]
-            };
-            RankAttempt {
-                rank,
-                outcome: coord.outcomes[rank].clone(),
-                blocks_assigned,
-                blocks_completed,
-                adopted_blocks: adopted_counts[rank],
-                recovery: std::mem::take(&mut rank_recovery[rank]),
-            }
-        })
-        .collect();
-
-    if traced {
-        if let Some(t) = &coord_tracer {
-            rank_traces.push((ranks as u64, t.snapshot()));
+    // Fold every survivor's output, adopted blocks included, into the
+    // global result.
+    let mut rank_device_seconds = vec![0.0f64; ranks];
+    let mut rank_log = Vec::with_capacity(ranks);
+    let mut max_high_water = 0u64;
+    let mut total_kernel_execs = 0usize;
+    let mut field = (opts.mode == ExecMode::Real).then(|| vec![0.0f32; global.ncells()]);
+    let mut rank_traces = Vec::new();
+    let mut degraded_ranks = Vec::new();
+    let mut ghost_filled_faces = 0usize;
+    let mut exchange_timeouts = 0usize;
+    let mut exchange_wait_seconds = 0.0f64;
+    let mut exchange_drops = 0u64;
+    let mut garbled_faces = 0u64;
+    for (rank, (outcome, out)) in outcomes.into_iter().zip(outputs).enumerate() {
+        let out = out.unwrap_or_default();
+        rank_device_seconds[rank] = out.device_seconds;
+        max_high_water = max_high_water.max(out.high_water);
+        total_kernel_execs += out.kernel_execs;
+        if out.recovery.degraded {
+            degraded_ranks.push(rank);
         }
+        ghost_filled_faces += out.ghost_filled_faces;
+        exchange_timeouts += out.exchange_timeouts;
+        exchange_wait_seconds += out.exchange_wait_seconds;
+        exchange_drops += out.exchange_drops;
+        garbled_faces += out.garbled_faces;
+        if let Some(trace) = out.trace {
+            rank_traces.push((rank as u64, trace));
+        }
+        if let Some(f) = field.as_mut() {
+            for (bi, interior) in &out.results {
+                let b = &blocks[*bi];
+                decomp::insert_block(f, global_dims, b.offset, b.dims, interior);
+            }
+        }
+        rank_log.push(RankAttempt {
+            rank,
+            outcome,
+            blocks_assigned: (rank..nblocks_total).step_by(ranks).count(),
+            adopted_blocks: per_adopter.get(&rank).map_or(0, Vec::len),
+            recovery: out.recovery,
+        });
+    }
+    if let Some(t) = &coord_tracer {
+        rank_traces.push((ranks as u64, t.snapshot()));
     }
 
     let makespan = rank_device_seconds.iter().cloned().fold(0.0, f64::max);
@@ -861,343 +782,204 @@ fn run_rank(
     rank: usize,
     ranks: usize,
     global: &RectilinearMesh,
-    global_dims: [usize; 3],
     nblocks: [usize; 3],
     blocks: &[SubGrid],
     rt: &RtWorkload,
-    profile: DeviceProfile,
+    engine: &mut Engine,
     opts: &DistOptions,
-    plan: Option<FaultPlan>,
+    plan: Option<&FaultPlan>,
     fates: &[Option<RankFate>],
     senders: Vec<Sender<FaceMsg>>,
     receiver: Receiver<FaceMsg>,
-    ctrl: &Sender<CtrlMsg>,
-    park: Receiver<()>,
-    traced: bool,
+    tracer: Option<&Tracer>,
 ) -> Result<RankOutput, ClusterError> {
-    // Injected rank fates fire before any work, in both modes. A dying
-    // rank panics — the spawn site's catch_unwind turns that into a Died
-    // report, exactly like a genuine bug would surface. A hung rank parks
-    // while *holding its halo senders*, so neighbours experience real
-    // silence until the coordinator tears the run down.
-    match fates[rank] {
-        Some(RankFate::Die) => {
-            silence_injected_death_reports();
-            std::panic::panic_any(format!("injected rank_die on rank {rank}"))
-        }
-        Some(RankFate::Hang) => {
-            // Only the coordinator dropping the park sender releases us.
-            let _ = park.recv();
-            return Ok(RankOutput::empty());
-        }
-        None => {}
-    }
+    let global_dims = global.dims();
     let real = opts.mode == ExecMode::Real;
-    let my_blocks: Vec<usize> = (0..blocks.len()).filter(|i| i % ranks == rank).collect();
-    let mut engine = Engine::with_options(
-        profile,
-        EngineOptions {
-            mode: opts.mode,
-            recovery: opts.recovery,
-            verify: opts.verify,
-            ..Default::default()
-        },
-    );
-    if let Some(plan) = &plan {
-        engine.set_fault_plan(plan.clone());
-    }
-    let tracer = traced.then(Tracer::new);
-    if let Some(t) = &tracer {
-        engine.set_tracer(t.clone());
-    }
+    let my_blocks: Vec<usize> = (rank..blocks.len()).step_by(ranks).collect();
     let _rank_span = span!(tracer, "rank", rank = rank, blocks = my_blocks.len());
-    let err_here = |source: EngineError| ClusterError::Engine { rank, source };
-    let mut exchange_timeouts = 0usize;
-    let mut exchange_wait_seconds = 0.0f64;
-    let mut exchange_drops = 0u64;
-    let ghost_filled_faces;
-    let mut garbled_faces = 0u64;
+    let exchange_err = |source| ClusterError::Exchange { rank, source };
+    let mut out = RankOutput::default();
 
-    /// Per-block ghosted state: extent arithmetic plus the three ghosted
-    /// velocity component arrays.
-    struct GhostedBlock {
-        gdims: [usize; 3],
-        istart: [usize; 3],
-        idims: [usize; 3],
-        arrays: [Vec<f32>; 3],
-    }
-
-    // Phase 1 (real mode): sample owned cells, send halo faces, prepare
-    // ghosted field arrays, receive (or analytically fill) ghost faces.
-    let mut ghosted: Vec<GhostedBlock> = Vec::new();
-    if real {
-        let mut owned_fields: Vec<[Vec<f32>; 3]> = Vec::new();
-        {
-            let _sample = span!(tracer, "rank.sample", blocks = my_blocks.len());
-            for &bi in &my_blocks {
-                let b = &blocks[bi];
-                let mesh = global.submesh(b.offset, b.dims);
-                let (u, v, w) = rt.sample_velocity(&mesh);
-                owned_fields.push([u, v, w]);
-            }
-        }
-        let _ = ctrl.send(CtrlMsg::Heartbeat {
-            rank,
-            blocks_done: 0,
-        });
-        let halo_span = span!(tracer, "rank.halo");
-        // Send faces to face-adjacent neighbours. Each transmit attempt
-        // draws the fault plan's `exchange_drop` rules; a dropped face is
-        // retransmitted up to `EXCHANGE_RETRIES` times before it is left
-        // for the receiver's analytic fill.
-        for (slot, &bi) in my_blocks.iter().enumerate() {
-            let b = &blocks[bi];
-            for (axis, high, to_block) in face_neighbours(b, nblocks) {
-                for (field, owned) in owned_fields[slot].iter().enumerate() {
-                    let mut lost_to_drops = false;
-                    if let Some(p) = &plan {
-                        let mut attempt = 0u32;
-                        while p.check(FaultKind::ExchangeDrop).is_some() {
-                            exchange_drops += 1;
-                            if attempt >= EXCHANGE_RETRIES {
-                                lost_to_drops = true;
-                                break;
-                            }
-                            attempt += 1;
-                        }
+    // Phase 1: the halo exchange. Both modes walk the same sends and draw
+    // the same fault rules in the same order; only a Real run samples its
+    // owned cells and moves faces.
+    let owned: Vec<[Vec<f32>; 3]> = if real {
+        let _sample = span!(tracer, "rank.sample", blocks = my_blocks.len());
+        let sample = |b: &SubGrid| rt.sample_velocity(&global.submesh(b.offset, b.dims));
+        my_blocks
+            .iter()
+            .map(|&bi| <[Vec<f32>; 3]>::from(sample(&blocks[bi])))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut halo_span = span!(tracer, "rank.halo");
+    for (slot, &bi) in my_blocks.iter().enumerate() {
+        let b = &blocks[bi];
+        for (axis, high, to_block) in face_neighbours(b, nblocks) {
+            // A face lost or garbled on its way is filled by its receiver,
+            // if that receiver is alive to take it. A Model run counts
+            // such a fill here, on the sender.
+            let model_fill = !real && fates[to_block % ranks].is_none();
+            for field in 0..3 {
+                // Each transmit attempt draws `exchange_drop`; a dropped
+                // face is retransmitted up to `EXCHANGE_RETRIES` times.
+                let mut drops = 0;
+                while plan.is_some_and(|p| p.check(FaultKind::ExchangeDrop).is_some()) {
+                    drops += 1;
+                    if drops > EXCHANGE_RETRIES {
+                        break;
                     }
-                    if lost_to_drops {
-                        continue;
-                    }
-                    let data = extract_face(owned, b.dims, axis, high);
-                    // Our high face fills the neighbour's low ghost.
-                    // The face is sealed under its checksum *before*
-                    // any injected garble, so the sum describes the
-                    // clean bits — exactly what in-flight corruption
-                    // looks like to the receiver.
-                    let mut msg = FaceMsg::seal(to_block, axis, high, field, data);
-                    if let Some(p) = &plan {
-                        if p.check(FaultKind::HaloGarble).is_some() && !msg.data.is_empty() {
-                            let h = (msg.sum ^ p.seed()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                            let bit = h as usize % (msg.data.len() * 32);
-                            let lane = &mut msg.data[bit / 32];
-                            *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
-                        }
-                    }
-                    let target = &senders[to_block % ranks];
-                    // A full mailbox means a stalled receiver; give it
-                    // one deadline of backpressure, then count the face
-                    // as undeliverable (the receiver will fill it).
-                    if target.send_timeout(msg, opts.exchange_deadline).is_err() {
-                        exchange_timeouts += 1;
-                    }
+                }
+                out.exchange_drops += u64::from(drops);
+                if drops > EXCHANGE_RETRIES {
+                    out.ghost_filled_faces += usize::from(model_fill);
+                    continue;
+                }
+                let garble = plan.filter(|p| p.check(FaultKind::HaloGarble).is_some());
+                let Some(owned) = owned.get(slot) else {
+                    out.garbled_faces += u64::from(model_fill && garble.is_some());
+                    out.ghost_filled_faces += usize::from(model_fill && garble.is_some());
+                    continue;
+                };
+                // Our high face fills the neighbour's low ghost. The face
+                // is sealed under its checksum *before* any injected
+                // garble, so the sum describes the clean bits — exactly
+                // what in-flight corruption looks like to the receiver.
+                let data = extract_face(&owned[field], b.dims, axis, high);
+                let mut msg = FaceMsg::seal(to_block, axis, high, field, data);
+                if let Some(p) = garble {
+                    let h = (msg.sum ^ p.seed()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let bit = h as usize % (msg.data.len() * 32);
+                    let lane = &mut msg.data[bit / 32];
+                    *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
+                }
+                // A full mailbox means a stalled receiver; give it one
+                // deadline of backpressure, then count the face as
+                // undeliverable (the receiver will fill it).
+                let target = &senders[to_block % ranks];
+                if target.send_timeout(msg, opts.exchange_deadline).is_err() {
+                    out.exchange_timeouts += 1;
                 }
             }
         }
-        drop(senders);
-        // Lay out ghosted arrays with interiors filled.
-        for (slot, &bi) in my_blocks.iter().enumerate() {
-            let b = &blocks[bi];
+    }
+    drop(senders);
+
+    // The faces this rank is owed, as (slot, axis, low_side, field). A dead
+    // or hung neighbour never sends its three; a Model run counts them.
+    let mut missing: BTreeSet<FaceKey> = BTreeSet::new();
+    for (slot, &bi) in my_blocks.iter().enumerate() {
+        for (axis, high, nb) in face_neighbours(&blocks[bi], nblocks) {
+            missing.extend((0..3).map(|f| (slot, axis, !high, f)));
+            out.ghost_filled_faces += 3 * usize::from(!real && fates[nb % ranks].is_some());
+        }
+    }
+    let mut ghosted = Vec::with_capacity(owned.len());
+    for (velocity, &bi) in owned.iter().zip(&my_blocks) {
+        let (_, gdims) = blocks[bi].ghosted(1, global_dims);
+        let (istart, idims) = blocks[bi].interior_in_ghosted(1, global_dims);
+        let mut arrays: [Vec<f32>; 3] = Default::default();
+        for (array, owned) in arrays.iter_mut().zip(velocity) {
+            *array = vec![0.0f32; gdims.iter().product()];
+            insert_interior(array, gdims, istart, idims, owned).map_err(exchange_err)?;
+        }
+        ghosted.push(arrays);
+    }
+    // Write a face into the ghost layer its key names.
+    let place =
+        |ghosted: &mut [[Vec<f32>; 3]], (slot, axis, low_side, f): FaceKey, data: &[f32]| {
+            let b = &blocks[my_blocks[slot]];
             let (_, gdims) = b.ghosted(1, global_dims);
             let (istart, idims) = b.interior_in_ghosted(1, global_dims);
-            let gn = gdims[0] * gdims[1] * gdims[2];
-            let mut arrays = [vec![0.0f32; gn], vec![0.0f32; gn], vec![0.0f32; gn]];
-            for (f, arr) in arrays.iter_mut().enumerate() {
-                insert_interior(arr, gdims, istart, idims, &owned_fields[slot][f])
-                    .map_err(|source| ClusterError::Exchange { rank, source })?;
-            }
-            ghosted.push(GhostedBlock {
+            insert_face(
+                &mut ghosted[slot][f],
                 gdims,
                 istart,
                 idims,
-                arrays,
-            });
-        }
-        // Receive the faces this rank is owed: (slot, axis, low_side,
-        // field). A silent window longer than the exchange deadline, or a
-        // disconnect with faces outstanding (a dead sender), ends the wait;
-        // whatever is missing is re-sampled analytically below.
-        let mut pending: BTreeSet<(usize, usize, bool, usize)> = BTreeSet::new();
-        // Faces that arrived but failed their checksum: healed by the same
-        // analytic fill as lost faces, counted separately.
-        let mut garbled: BTreeSet<(usize, usize, bool, usize)> = BTreeSet::new();
-        for (slot, &bi) in my_blocks.iter().enumerate() {
-            for (axis, high, _) in face_neighbours(&blocks[bi], nblocks) {
-                for f in 0..3 {
-                    pending.insert((slot, axis, !high, f));
-                }
-            }
-        }
-        let expected = pending.len();
+                axis,
+                low_side,
+                data,
+            )
+            .map_err(exchange_err)
+        };
+    if real {
+        // Receive until every owed face has been heard from, or until a
+        // silent window longer than the exchange deadline, or a disconnect
+        // with faces outstanding (a dead sender), ends the wait. A face
+        // whose bits no longer match its sender-side checksum is dropped,
+        // never stenciled over: it stays missing and is filled below.
+        let (expected, mut heard) = (missing.len(), 0);
         let wait_start = Instant::now();
-        while !pending.is_empty() {
+        while heard < expected {
             let msg = match receiver.recv_timeout(opts.exchange_deadline) {
                 Ok(m) => m,
                 Err(RecvTimeoutError::Timeout) => {
-                    exchange_timeouts += 1;
+                    out.exchange_timeouts += 1;
+                    let deadline_ms = opts.exchange_deadline.as_millis() as u64;
+                    let marker = span!(tracer, "exchange.timeout", received = heard);
                     drop(
-                        span!(
-                            tracer,
-                            "exchange.timeout",
-                            received = expected - pending.len(),
-                            expected = expected,
-                        )
-                        .meta("deadline_ms", opts.exchange_deadline.as_millis() as u64),
+                        marker
+                            .meta("expected", expected)
+                            .meta("deadline_ms", deadline_ms),
                     );
                     break;
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
             };
+            heard += 1;
             let slot = my_blocks
                 .iter()
                 .position(|&bi| bi == msg.to_block)
                 .expect("message routed to owning rank");
-            // A face whose bits no longer match its sender-side checksum
-            // is dropped, never stenciled over: the slot moves straight to
-            // the analytic fill below, which re-samples the identical
-            // plane the sender extracted from.
             if !msg.verify() {
-                garbled_faces += 1;
-                pending.remove(&(slot, msg.axis, msg.low_side, msg.field));
-                garbled.insert((slot, msg.axis, msg.low_side, msg.field));
+                out.garbled_faces += 1;
                 drop(span!(
                     tracer,
                     "exchange.garbled",
                     axis = msg.axis,
-                    field = msg.field,
+                    field = msg.field
                 ));
                 continue;
             }
-            let gb = &mut ghosted[slot];
-            insert_face(
-                &mut gb.arrays[msg.field],
-                gb.gdims,
-                gb.istart,
-                gb.idims,
-                msg.axis,
-                msg.low_side,
-                &msg.data,
-            )
-            .map_err(|source| ClusterError::Exchange { rank, source })?;
-            pending.remove(&(slot, msg.axis, msg.low_side, msg.field));
+            let key = (slot, msg.axis, msg.low_side, msg.field);
+            place(&mut ghosted, key, &msg.data)?;
+            missing.remove(&key);
         }
-        exchange_wait_seconds = wait_start.elapsed().as_secs_f64();
-        // Analytic fill for faces the lost senders never delivered — and
-        // for received faces that failed their checksum. The sampled plane
-        // is bit-identical to the face an alive neighbour would have
-        // extracted from its owned cells, so both heal exactly.
-        pending.extend(garbled.iter().copied());
-        ghost_filled_faces = pending.len();
-        if ghost_filled_faces > 0 {
-            let _fill = span!(tracer, "exchange.fill", faces = ghost_filled_faces);
+        out.exchange_wait_seconds = wait_start.elapsed().as_secs_f64();
+        // Analytic fill for the faces that never arrived or arrived
+        // garbled. The sampled plane is bit-identical to the face an alive
+        // neighbour would have extracted from its owned cells, so both
+        // heal exactly.
+        out.ghost_filled_faces = missing.len();
+        if !missing.is_empty() {
+            let _fill = span!(tracer, "exchange.fill", faces = missing.len());
             // One sampled plane covers the three field components of a
             // (slot, axis, side) face; BTreeSet order groups them.
-            type FaceKey = (usize, usize, bool);
-            let mut cached: Option<(FaceKey, [Vec<f32>; 3])> = None;
-            for &(slot, axis, low_side, f) in &pending {
-                let key = (slot, axis, low_side);
-                if cached.as_ref().map(|(k, _)| *k != key).unwrap_or(true) {
+            let (mut sampled, mut planes) = (None, Default::default());
+            for &(slot, axis, low_side, f) in &missing {
+                if sampled != Some((slot, axis, low_side)) {
                     let b = &blocks[my_blocks[slot]];
-                    cached = Some((key, analytic_face(global, rt, b, axis, low_side)));
+                    planes = analytic_face(global, rt, b, axis, low_side);
+                    sampled = Some((slot, axis, low_side));
                 }
-                let faces = &cached.as_ref().expect("just cached").1;
-                let gb = &mut ghosted[slot];
-                insert_face(
-                    &mut gb.arrays[f],
-                    gb.gdims,
-                    gb.istart,
-                    gb.idims,
-                    axis,
-                    low_side,
-                    &faces[f],
-                )
-                .map_err(|source| ClusterError::Exchange { rank, source })?;
+                place(&mut ghosted, (slot, axis, low_side, f), &planes[f])?;
             }
         }
-        drop(
-            halo_span
-                .meta("faces_received", expected - ghost_filled_faces)
-                .meta("faces_filled", ghost_filled_faces),
-        );
-        let _ = ctrl.send(CtrlMsg::Heartbeat {
-            rank,
-            blocks_done: 0,
-        });
-    } else {
-        drop(senders);
-        // Model mode moves no faces. The ones a Real run fills are those
-        // its neighbours on lost ranks never send: count them from the
-        // same pure fates.
-        ghost_filled_faces = 3 * my_blocks
-            .iter()
-            .flat_map(|&bi| face_neighbours(&blocks[bi], nblocks))
-            .filter(|&(_, _, nb)| fates[nb % ranks].is_some())
-            .count();
+        halo_span = halo_span
+            .meta("faces_received", expected - missing.len())
+            .meta("faces_filled", missing.len());
     }
+    drop(halo_span);
 
     // Phase 2: evaluate the expression per sub-grid on this rank's device.
-    let mut results = Vec::new();
-    let mut device_seconds = 0.0f64;
-    let mut high_water = 0u64;
-    let mut kernel_execs = 0usize;
-    let mut degraded = false;
-    let mut recovery = RecoveryReport::default();
-    for (slot, &bi) in my_blocks.iter().enumerate() {
-        let b = &blocks[bi];
-        let (goff, gdims) = b.ghosted(1, global_dims);
-        let report = if real {
-            let gb = &ghosted[slot];
-            let (istart, idims, arrays) = (&gb.istart, &gb.idims, &gb.arrays);
-            let gmesh = global.submesh(goff, gdims);
-            let (x, y, z) = gmesh.coord_arrays();
-            let mut fs = FieldSet::new(gmesh.ncells());
-            fs.insert_scalar("u", arrays[0].clone()).expect("sized");
-            fs.insert_scalar("v", arrays[1].clone()).expect("sized");
-            fs.insert_scalar("w", arrays[2].clone()).expect("sized");
-            fs.insert_scalar("x", x).expect("sized");
-            fs.insert_scalar("y", y).expect("sized");
-            fs.insert_scalar("z", z).expect("sized");
-            fs.insert_small("dims", gmesh.dims_buffer());
-            let (out, report) = engine
-                .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
-                .map_err(err_here)?;
-            let out = out.first().expect("real mode yields data");
-            results.push((bi, extract_interior(&out.data, gdims, *istart, *idims, 1)));
-            report
-        } else {
-            let fs = FieldSet::virtual_rt(gdims);
-            engine
-                .run(&Request::source(opts.workload.source(), opts.strategy), &fs)
-                .map_err(err_here)?
-                .1
-        };
-        device_seconds += report.device_seconds();
-        high_water = high_water.max(report.high_water_bytes());
-        kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
-        degraded |= report.recovery.as_ref().is_some_and(|r| r.degraded);
-        if let Some(r) = &report.recovery {
-            recovery.absorb(r);
-        }
-        let _ = ctrl.send(CtrlMsg::Heartbeat {
-            rank,
-            blocks_done: slot + 1,
-        });
+    let mut ghosted = ghosted.into_iter();
+    for &bi in &my_blocks {
+        let fields = block_fields(global, rt, &blocks[bi], opts.mode, ghosted.next());
+        out.derive(engine, opts, (bi, &blocks[bi]), global_dims, &fields)
+            .map_err(|source| ClusterError::Engine { rank, source })?;
     }
-    drop(_rank_span);
-    Ok(RankOutput {
-        results,
-        device_seconds,
-        high_water,
-        kernel_execs,
-        trace: tracer.as_ref().map(Tracer::snapshot),
-        degraded,
-        recovery,
-        ghost_filled_faces,
-        exchange_timeouts,
-        exchange_wait_seconds,
-        exchange_drops,
-        garbled_faces,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1255,6 +1037,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One node driving three devices, the paper's §VI multi-device future
+    /// work: one derive split as 11 z-layers, 4 + 4 + 3, over ghosted
+    /// slabs. Bit-identical to one device, and each device holds less and
+    /// finishes sooner.
+    #[test]
+    fn one_node_three_devices_split_a_derive_unevenly_and_exactly() {
+        let global = RectilinearMesh::unit_cube([6, 5, 11]);
+        let rt = RtWorkload::paper_default();
+        let node = |devices_per_node| Cluster {
+            nodes: 1,
+            devices_per_node,
+            profile: DeviceProfile::nvidia_m2050(),
+        };
+        let opts = DistOptions::default();
+        let one = run_distributed(&global, [1, 1, 1], &rt, &node(1), &opts).unwrap();
+        let three = run_distributed(&global, [1, 1, 3], &rt, &node(3), &opts).unwrap();
+        assert_eq!((three.ranks, three.blocks), (3, 3));
+        let bits = |r: &DistResult| -> Vec<u32> {
+            r.field
+                .as_ref()
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&three), bits(&one));
+        assert!(three.max_high_water < one.max_high_water);
+        assert!(three.makespan_seconds < one.makespan_seconds);
     }
 
     #[test]
@@ -1532,6 +1344,25 @@ mod tests {
             matches!(&err, ClusterError::NoSurvivors { lost } if lost == &vec![0]),
             "got {err}"
         );
+    }
+
+    /// More blocks than cells on an axis (more devices than z-layers, on
+    /// one node) is a typed error, not a panic in the partitioner.
+    #[test]
+    fn overdecomposed_mesh_is_a_config_error() {
+        let global = RectilinearMesh::unit_cube([4, 4, 2]);
+        let rt = RtWorkload::paper_default();
+        for nblocks in [[1, 1, 3], [0, 1, 1]] {
+            let err = run_distributed(
+                &global,
+                nblocks,
+                &rt,
+                &small_cluster(3),
+                &DistOptions::default(),
+            )
+            .unwrap_err();
+            assert!(matches!(err, ClusterError::Config(_)), "got {err}");
+        }
     }
 
     #[test]

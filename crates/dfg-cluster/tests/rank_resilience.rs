@@ -139,8 +139,8 @@ fn halo_garble_is_detected_healed_and_bit_exact() {
 }
 
 /// A hung rank goes silent mid-run. Survivors wait out one exchange
-/// deadline, fill the missing ghosts analytically, and the coordinator
-/// writes the rank off and redistributes its blocks — within a bounded
+/// deadline, fill the missing ghosts analytically, and the driver writes
+/// the rank off and redistributes its blocks — within a bounded
 /// wall-clock budget, in both execution modes, with *identical* virtual
 /// clocks (deadlines are wall time; the model never sees them).
 #[test]
@@ -157,8 +157,9 @@ fn rank_hang_completes_within_budget_in_both_modes() {
     let start = Instant::now();
     let model = run(&global, 4, &opts(ExecMode::Model));
     let model_elapsed = start.elapsed();
-    // Bounded: one exchange deadline of silence plus the coordinator's
-    // budget (2x + slack), with generous headroom for the actual work.
+    // Bounded: survivors sit out one exchange deadline of silence from the
+    // hung rank; the driver adds no wait of its own (it joins the live
+    // ranks and releases the hung one). Generous headroom for the work.
     assert!(
         real_elapsed < deadline * 20,
         "real-mode hang run took {real_elapsed:?}"
@@ -297,10 +298,11 @@ fn model_mode_redistribution_preserves_kernel_counts() {
 }
 
 /// Model == Real for the recovery counters: REPORT.md's rank-loss grid
-/// (24×24×16 as 2×2×2 blocks on 8 ranks) with 1, 2 and 4 ranks killed. A
-/// Model run exchanges no faces, yet reports the ghost faces a Real run
-/// fills, the same lost ranks, the same redistribution and the same
-/// makespan bits.
+/// (24×24×16 as 2×2×2 blocks on 8 ranks) with 1, 2 and 4 ranks killed, and
+/// under dropped and garbled halo faces, alone and beside a dead or hung
+/// rank. A Model run moves no face data, yet reports the dropped sends,
+/// garbled faces and ghost faces a Real run fills, the same lost ranks,
+/// the same redistribution and the same makespan bits.
 #[test]
 fn rank_loss_counters_agree_across_modes() {
     let global = RectilinearMesh::unit_cube([24, 24, 16]);
@@ -321,6 +323,33 @@ fn rank_loss_counters_agree_across_modes() {
             model.makespan_seconds.to_bits(),
             real.makespan_seconds.to_bits(),
             "{kills} killed"
+        );
+    }
+    for spec in [
+        "exchange_drop:0.5",
+        "halo_garble:0.3",
+        "rank_die@1,exchange_drop:0.5,halo_garble:0.3",
+        "rank_hang@2,exchange_drop:0.5,halo_garble:0.3",
+    ] {
+        let opts = |mode| DistOptions {
+            fault_spec: Some(spec.into()),
+            ..base_opts(mode)
+        };
+        let real = run(&global, 8, &opts(ExecMode::Real));
+        let model = run(&global, 8, &opts(ExecMode::Model));
+        assert!(
+            real.exchange_drops + real.garbled_faces > 0,
+            "{spec}: no fault fired"
+        );
+        assert_eq!(model.exchange_drops, real.exchange_drops, "{spec}");
+        assert_eq!(model.garbled_faces, real.garbled_faces, "{spec}");
+        assert_eq!(model.ghost_filled_faces, real.ghost_filled_faces, "{spec}");
+        assert_eq!(model.lost_ranks, real.lost_ranks, "{spec}");
+        assert_eq!(model.degraded, real.degraded, "{spec}");
+        assert_eq!(
+            model.makespan_seconds.to_bits(),
+            real.makespan_seconds.to_bits(),
+            "{spec}"
         );
     }
 }

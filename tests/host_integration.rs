@@ -77,45 +77,3 @@ fn solver_state_round_trips_through_vtk_and_rederives() {
         );
     }
 }
-
-#[test]
-fn multi_device_agrees_with_pipeline_on_solver_state() {
-    // Cross-check two host paths over identical solver state: the VisIt-like
-    // pipeline (single device) and single-node multi-device execution.
-    use dfg::cluster::run_multi_device;
-
-    let dims = [8usize, 8, 12];
-    let mut sim = FlowSimulation::from_workload(dims, &RtWorkload::paper_default());
-    sim.step(0.02);
-    let fields = sim.fields().clone();
-
-    let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
-    let single = engine
-        .run(
-            &Request::source(Workload::VorticityMagnitude.source(), Strategy::Fusion),
-            &fields,
-        )
-        .expect("single device")
-        .0
-        .remove(0);
-
-    let multi = run_multi_device(
-        Workload::VorticityMagnitude.source(),
-        &fields,
-        dims,
-        &vec![DeviceProfile::nvidia_m2050(); 3],
-        Strategy::Fusion,
-    )
-    .expect("multi device");
-
-    assert_eq!(
-        multi
-            .field
-            .data
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>(),
-        single.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-    assert_eq!(multi.device_profiles.len(), 3);
-}
