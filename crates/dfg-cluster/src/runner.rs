@@ -107,7 +107,7 @@ pub struct DistOptions {
     pub fault_spec: Option<String>,
     /// Longest *wall-clock* silence tolerated while waiting on halo faces
     /// before the outstanding ones are declared lost and filled
-    /// analytically. Also bounds sends into a full (stalled) mailbox.
+    /// analytically.
     /// Deadlines never touch the modeled device clocks, so Model and Real
     /// runs of the same faults report identical virtual times.
     pub exchange_deadline: Duration,
@@ -220,8 +220,8 @@ pub struct DistResult {
     /// died or hung, `exchange_drop` took every transmit, or the face
     /// arrived garbled. A Model run counts the same faces.
     pub ghost_filled_faces: usize,
-    /// Halo waits (receive silences and full-mailbox sends) that expired
-    /// against [`DistOptions::exchange_deadline`].
+    /// Halo receives whose silence outlasted
+    /// [`DistOptions::exchange_deadline`].
     pub exchange_timeouts: usize,
     /// Observed wall seconds rank threads spent blocked in halo receives
     /// (diagnostic only — never part of the modeled clocks; ~0 healthy).
@@ -565,10 +565,9 @@ fn run_distributed_inner(
         fates.resize(ranks, None);
     }
 
-    // One mailbox per rank, bounded at the faces the rank is owed: a
-    // stalled (hung) receiver exerts backpressure instead of letting a
-    // fault-looping sender grow its queue without limit. Sends into a full
-    // mailbox time out against the exchange deadline.
+    // One mailbox per rank, bounded at the faces the rank is owed. A sender
+    // sends each face it owes at most once, so no send finds a mailbox
+    // full, not even a hung or dead rank's.
     let (senders, receivers): (Vec<Sender<FaceMsg>>, Vec<Receiver<FaceMsg>>) = (0..ranks)
         .map(|r| {
             let owed: usize = (0..blocks.len())
@@ -854,13 +853,13 @@ fn run_rank(
                     let lane = &mut msg.data[bit / 32];
                     *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
                 }
-                // A full mailbox means a stalled receiver; give it one
-                // deadline of backpressure, then count the face as
-                // undeliverable (the receiver will fill it).
-                let target = &senders[to_block % ranks];
-                if target.send_timeout(msg, opts.exchange_deadline).is_err() {
-                    out.exchange_timeouts += 1;
-                }
+                // Never blocks and never finds the mailbox closed: it has
+                // room for every face its rank is owed, and
+                // `run_distributed` holds the receiving end until every
+                // rank has returned.
+                senders[to_block % ranks]
+                    .send(msg)
+                    .expect("a mailbox has room for every face its rank is owed");
             }
         }
     }

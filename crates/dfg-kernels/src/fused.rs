@@ -610,9 +610,12 @@ enum Step {
         b: Src,
         dst: Dst,
     },
+    /// The stencil of the axes in `axes` only: a lane no step reads is never
+    /// computed.
     Grad3d {
         slots: [u16; 5],
         out: usize,
+        axes: [bool; 3],
     },
     Norm3 {
         a: usize,
@@ -759,7 +762,7 @@ impl Step {
 /// * the `Add`, `Sub` and `Mul` steps become [`Step::Run`]s, cut so that as
 ///   few of their values as possible are stored (see `Lowering::cut_runs`);
 /// * a vector value gets its fourth lane (zeroed every chunk) only if a step
-///   reads it;
+///   reads it, and a gradient computes only the lanes the steps read;
 /// * bank rows are handed out anew by liveness over the *steps* (a step's
 ///   destination is allocated before its operands are released, so it never
 ///   aliases one), vector values in groups of four or three rows below the
@@ -843,7 +846,11 @@ impl Lowering {
                 }
                 RegOp::Grad3d { slots, out } => {
                     let out = lw.vector(&mut vreg, out);
-                    Step::Grad3d { slots, out }
+                    Step::Grad3d {
+                        slots,
+                        out,
+                        axes: [true; 3],
+                    }
                 }
                 RegOp::Norm3 { a, out } => {
                     let a = vreg[&a];
@@ -1067,6 +1074,13 @@ impl Lowering {
                 }),
                 Some(out) => self.lanes[out] = 3,
                 None => {}
+            }
+        }
+        // A gradient lane that no step of the final list reads is not computed.
+        let (reads, _) = self.reads();
+        for step in &mut self.steps {
+            if let Step::Grad3d { out, axes, .. } = step {
+                *axes = [0, 1, 2].map(|lane| reads[*out + lane] > 0);
             }
         }
     }
@@ -1411,11 +1425,11 @@ impl Chunk<'_, '_> {
                     o.set(select(c[t], a[t], b[t]));
                 }
             }
-            Step::Grad3d { slots, out } => {
+            Step::Grad3d { slots, out, axes } => {
                 let [f, dims, x, y, z] = slots.map(|slot| self.inputs[slot as usize]);
                 let d = Dims3::from_buffer(dims);
                 let lanes = lanes3(&mut self.bank[out * self.width..], self.width, self.len);
-                gradient_span(f, x, y, z, d, self.base, lanes);
+                gradient_span(f, x, y, z, d, self.base, axes, lanes);
             }
             Step::Norm3 { a, dst } => {
                 let (mut o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
@@ -1888,11 +1902,18 @@ mod lowering_tests {
     }
 
     /// Row passes (every step but the gradient stencils), those of them that
-    /// read an input span, bank rows, and row loads + stores per cell of a
-    /// lowered kernel: each row operand a pass names is a load (three for a
-    /// vector operand), each destination a store, and so is a `Fill`.
-    fn traffic(kernel: &FusedKernel) -> (usize, usize, usize, usize) {
+    /// read an input span, bank rows, row loads + stores per cell of a
+    /// lowered kernel (each row operand a pass names is a load, three for a
+    /// vector operand, each destination a store, and so is a `Fill`), and the
+    /// gradient axes the stencils compute per cell.
+    fn traffic(kernel: &FusedKernel) -> (usize, usize, usize, usize, usize) {
         let mut steps = kernel.steps.to_vec();
+        let axes = (steps.iter())
+            .map(|step| match step {
+                Step::Grad3d { axes, .. } => axes.iter().filter(|&&axis| axis).count(),
+                _ => 0,
+            })
+            .sum();
         steps.retain(|step| !matches!(step, Step::Grad3d { .. }));
         let (mut streaming, mut moved) = (0, 0);
         for step in &mut steps {
@@ -1906,7 +1927,7 @@ mod lowering_tests {
             });
             streaming += usize::from(streams);
         }
-        (steps.len(), streaming, kernel.rows, moved)
+        (steps.len(), streaming, kernel.rows, moved, axes)
     }
 
     /// The scalar expressions of `dfg-serve`'s benchmark.
@@ -1937,15 +1958,16 @@ mod lowering_tests {
     }
 
     /// The per-expression lowering table of docs/PERFORMANCE.md (CI prints
-    /// it with `--nocapture`): what the cut is judged by is the last column,
-    /// and the passes that stream an input span beside it. The serve rows
+    /// it with `--nocapture`): what the cut is judged by is the row loads and
+    /// stores, and the passes that stream an input span beside them; the
+    /// last column is what the stencils compute. The serve rows
     /// are optimized as `dfg-serve` optimizes them (common subexpressions
     /// merged), the others run as an engine's defaults run them.
     #[test]
     fn paper_expressions_lowering_table() {
         use dfg_expr::workloads::{Q_CRITERION, VELOCITY_MAGNITUDE, VORTICITY_MAGNITUDE};
-        println!("| expression | row passes | passes that read an input span | bank rows | row loads + stores per cell |");
-        println!("|---|---|---|---|---|");
+        println!("| expression | row passes | passes that read an input span | bank rows | row loads + stores per cell | gradient axes per cell |");
+        println!("|---|---|---|---|---|---|");
         let insitu = format!("{VELOCITY_MAGNITUDE}{VORTICITY_MAGNITUDE}");
         let mut programs: Vec<(&str, &str, &[&str], OptLevel)> = vec![
             ("`vel_mag`", VELOCITY_MAGNITUDE, &["v_mag"], OptLevel::Off),
@@ -1959,26 +1981,27 @@ mod lowering_tests {
         let rows: Vec<_> = (programs.iter())
             .map(|(name, source, outputs, level)| {
                 let (spec, roots) = compile_roots(source, outputs, *level);
-                let (passes, streaming, rows, moved) = traffic(&check(&spec, &roots));
-                println!("| {name} | {passes} | {streaming} | {rows} | {moved} |");
-                (passes, streaming, rows, moved)
+                let (passes, streaming, rows, moved, axes) = traffic(&check(&spec, &roots));
+                println!("| {name} | {passes} | {streaming} | {rows} | {moved} | {axes} |");
+                (passes, streaming, rows, moved, axes)
             })
             .collect();
-        // At the parent commit: `vel_mag` (3, 3, 2, 8), the serve
-        // expressions (3, 3, 2, 8), (3, 3, 2, 8), (3, 3, 2, 11), (2, 2, 1, 6)
-        // and in situ (6, 3, 11, 19); the rest as now. Before the runs,
-        // without the second column: (4, 2, 13), (7, 16, 25), (29, 26, 114).
+        // Before sums of squares ran in one pass (`ADDSQ`, `SQRT`):
+        // `vel_mag` (3, 3, 2, 8), the serve expressions (3, 3, 2, 8),
+        // (3, 3, 2, 8), (3, 3, 2, 11), (2, 2, 1, 6) and in situ (6, 3, 11,
+        // 19). Before the runs, without the second column: (4, 2, 13), (7,
+        // 16, 25), (29, 26, 114).
         assert_eq!(
             rows,
             [
-                (1, 1, 0, 4),
-                (3, 0, 11, 11),
-                (16, 0, 13, 58),
-                (1, 1, 0, 4),
-                (2, 2, 1, 6),
-                (3, 3, 2, 11),
-                (1, 1, 0, 4),
-                (4, 1, 11, 15),
+                (1, 1, 0, 4, 0),
+                (3, 0, 11, 11, 6),
+                (16, 0, 13, 58, 9),
+                (1, 1, 0, 4, 0),
+                (2, 2, 1, 6, 0),
+                (3, 3, 2, 11, 0),
+                (1, 1, 0, 4, 0),
+                (4, 1, 11, 15, 6),
             ]
         );
     }
@@ -2216,21 +2239,28 @@ mod lowering_tests {
         /// Random `Add`/`Sub`/`Mul`/unary DAGs — shared subexpressions, values
         /// with several readers, `x*x`, constant factors, roots that are also
         /// operands, several roots on one value, bare inputs and constants as
-        /// roots — over signed zeros, infinities and subnormals, at lengths
-        /// that are multiples of no chunk width: the lowered kernel equals the
-        /// staged evaluation bit for bit, at one thread and at the pool's
-        /// default.
+        /// roots — and gradients of `u`, `v` and `w` of which none, one, two or
+        /// all three lanes are read, or which are roots themselves (a `float4`
+        /// plane reads every lane), over signed zeros, infinities and
+        /// subnormals, on grids whose cell counts are multiples of no chunk
+        /// width: the lowered kernel equals the staged evaluation bit for bit,
+        /// at one thread and at the pool's default.
         #[test]
         fn random_dags_match_staged_bit_for_bit(
-            nodes in prop::collection::vec((0u8..8, 0usize..1000, 0usize..1000), 1..16),
+            nodes in prop::collection::vec((0u8..10, 0usize..1000, 0usize..1000), 1..16),
             roots in prop::collection::vec(0usize..1000, 1..4),
             picks in prop::collection::vec(0usize..16, 5..6),
-            n in 1usize..20_000,
+            dims in (1usize..48, 1usize..32, 1usize..24),
         ) {
+            let mesh = RectilinearMesh::unit_cube([dims.0, dims.1, dims.2]);
+            let (n, (x, y, z)) = (mesh.ncells(), mesh.coord_arrays());
             let mut b = NetworkBuilder::new();
-            let mut fields = HashMap::new();
-            let mut values = Vec::new();
-            for (t, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let coords = [("dims", mesh.dims_buffer()), ("x", x), ("y", y), ("z", z)];
+            let mut fields = HashMap::from(coords.map(|(name, field)| (name.to_string(), field)));
+            let dims = b.small_input("dims");
+            let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
+            let (mut values, mut vectors) = (Vec::new(), Vec::new());
+            for (t, name) in ["u", "v", "w"].into_iter().enumerate() {
                 let stride = 2 * picks[t] + 1;
                 let field = (0..n).map(|i| PALETTE[(i * stride + picks[t + 1]) % 16]).collect();
                 fields.insert(name.to_string(), field);
@@ -2239,18 +2269,28 @@ mod lowering_tests {
             values.push(b.constant(PALETTE[picks[3]]));
             values.push(b.constant(PALETTE[picks[4]]));
             for (op, i, j) in nodes {
-                let (x, y) = (values[i % values.len()], values[j % values.len()]);
+                if op >= 8 {
+                    // The gradient of `u`, `v` or `w`, and the lanes of it `j` picks.
+                    let g = b.grad3d(values[i % 3], dims, x, y, z);
+                    for lane in (0..3).filter(|lane| j >> lane & 1 == 1) {
+                        values.push(b.decompose(g, lane));
+                    }
+                    vectors.push(g);
+                    continue;
+                }
+                let (p, q) = (values[i % values.len()], values[j % values.len()]);
                 values.push(match op {
-                    0 => b.binary(BinKind::Sub, x, y),
-                    1 => b.binary(BinKind::Mul, x, y),
-                    2 => b.binary(BinKind::Mul, x, x),
-                    3 => b.unary(UnKind::Neg, x),
-                    4 => b.unary(UnKind::Abs, x),
-                    5 => b.unary(UnKind::Sqrt, x),
-                    _ => b.binary(BinKind::Add, x, y),
+                    0 => b.binary(BinKind::Sub, p, q),
+                    1 => b.binary(BinKind::Mul, p, q),
+                    2 => b.binary(BinKind::Mul, p, p),
+                    3 => b.unary(UnKind::Neg, p),
+                    4 => b.unary(UnKind::Abs, p),
+                    5 => b.unary(UnKind::Sqrt, p),
+                    _ => b.binary(BinKind::Add, p, q),
                 });
             }
-            let roots: Vec<NodeId> = roots.iter().map(|r| values[r % values.len()]).collect();
+            let all = [values, vectors].concat();
+            let roots: Vec<NodeId> = roots.iter().map(|r| all[r % all.len()]).collect();
             let spec = b.finish(roots[0]);
             check_on(&spec, &roots, n, &fields);
             dfg_exec::with_serial(|| check_on(&spec, &roots, n, &fields));

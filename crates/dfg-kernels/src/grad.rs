@@ -10,6 +10,12 @@
 //! Differencing scheme: second-order central differences on the (possibly
 //! non-uniform) cell-center coordinates, falling back to one-sided
 //! differences on boundaries. Axes with a single cell get a zero derivative.
+//!
+//! A caller asks [`gradient_span`] for the axes it reads and gets only
+//! those: the fused kernel skips a derivative no step of its program reads
+//! (vorticity magnitude reads six of the nine a velocity Jacobian has), and
+//! so does the reference kernel; the `grad3d` primitive writes all three,
+//! because a staged launch owns every lane of its output.
 
 use dfg_ocl::OutLanes;
 
@@ -138,7 +144,10 @@ fn run_derivative(
 }
 
 /// [`gradient_at`] over the contiguous cells `[base, base + len)`, written
-/// to three planar runs of `len` output lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`).
+/// to three planar runs of `len` output lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`)
+/// — of which only the runs whose entry of `axes` is set: an axis not asked
+/// for costs nothing and its run is left as it was. Every lane written has
+/// the bits [`gradient_at`] gives it, whichever axes are asked for.
 ///
 /// The range is walked one x-row segment at a time: `(i, j, k)` is decoded
 /// once per segment, the y/z neighbour offsets are per-row constants
@@ -150,6 +159,7 @@ fn run_derivative(
 /// # Panics
 /// Panics if the output slices differ in length or the range leaves the
 /// grid `d` describes (or the arrays, through their bounds checks).
+#[allow(clippy::too_many_arguments)]
 pub fn gradient_span(
     field: &[f32],
     x: &[f32],
@@ -157,6 +167,7 @@ pub fn gradient_span(
     z: &[f32],
     d: Dims3,
     base: usize,
+    axes: [bool; 3],
     [mut gx, mut gy, mut gz]: [OutLanes<'_>; 3],
 ) {
     let len = gx.len();
@@ -168,30 +179,36 @@ pub fn gradient_span(
         let idx = base + t;
         let (i, j, k) = d.unravel(idx);
         let seg = (d.nx - i).min(len - t);
-        // x: the segment's first cell may be i == 0, its last i == nx - 1.
-        let (mut a, mut b) = (0, seg);
-        if i == 0 {
-            let hi = usize::from(d.nx > 1);
-            run_derivative(field, x, idx, 0, hi, gx.reborrow().slice(t..t + 1));
-            a = 1;
+        if axes[0] {
+            // The segment's first cell may be i == 0, its last i == nx - 1.
+            let (mut a, mut b) = (0, seg);
+            if i == 0 {
+                let hi = usize::from(d.nx > 1);
+                run_derivative(field, x, idx, 0, hi, gx.reborrow().slice(t..t + 1));
+                a = 1;
+            }
+            if i + seg == d.nx && a < b {
+                b -= 1;
+                run_derivative(field, x, idx + b, 1, 0, gx.reborrow().slice(t + b..t + seg));
+            }
+            if a < b {
+                run_derivative(field, x, idx + a, 1, 1, gx.reborrow().slice(t + a..t + b));
+            }
         }
-        if i + seg == d.nx && a < b {
-            b -= 1;
-            run_derivative(field, x, idx + b, 1, 0, gx.reborrow().slice(t + b..t + seg));
+        if axes[1] {
+            let (lo, hi) = (
+                if j == 0 { 0 } else { sy },
+                if j + 1 == d.ny { 0 } else { sy },
+            );
+            run_derivative(field, y, idx, lo, hi, gy.reborrow().slice(t..t + seg));
         }
-        if a < b {
-            run_derivative(field, x, idx + a, 1, 1, gx.reborrow().slice(t + a..t + b));
+        if axes[2] {
+            let (lo, hi) = (
+                if k == 0 { 0 } else { sz },
+                if k + 1 == d.nz { 0 } else { sz },
+            );
+            run_derivative(field, z, idx, lo, hi, gz.reborrow().slice(t..t + seg));
         }
-        let (lo, hi) = (
-            if j == 0 { 0 } else { sy },
-            if j + 1 == d.ny { 0 } else { sy },
-        );
-        run_derivative(field, y, idx, lo, hi, gy.reborrow().slice(t..t + seg));
-        let (lo, hi) = (
-            if k == 0 { 0 } else { sz },
-            if k + 1 == d.nz { 0 } else { sz },
-        );
-        run_derivative(field, z, idx, lo, hi, gz.reborrow().slice(t..t + seg));
         t += seg;
     }
 }
@@ -357,8 +374,14 @@ mod tests {
         assert!((g[0] - 1.0).abs() < 1e-4);
     }
 
+    /// Bits no stencil computes (a NaN with a payload): what a lane of an
+    /// axis that was not asked for keeps.
+    const UNWRITTEN: u32 = 0x7fa5_5a5a;
+
     /// Every lane of [`gradient_span`], over ranges cut every `width` cells
-    /// (so they start and end mid-row), against [`gradient_at`].
+    /// (so they start and end mid-row) and under each of the eight axis
+    /// masks, against [`gradient_at`]: an axis asked for has its bits, an
+    /// axis not asked for keeps [`UNWRITTEN`].
     fn assert_span_is_pointwise(dims: [usize; 3], stretched: bool, repeated: bool) {
         let d = Dims3 {
             nx: dims[0],
@@ -384,23 +407,23 @@ mod tests {
         let f: Vec<f32> = (0..n)
             .map(|c| (x[c] * 1.7).sin() + y[c] * z[c] - 0.3 * c as f32)
             .collect();
-        for width in [1, 3, 7, 256] {
+        for (mask, width) in (0..8).flat_map(|mask| [1, 3, 7, 256].map(|w| (mask, w))) {
+            let axes = [0, 1, 2].map(|a| mask >> a & 1 == 1);
             for base in (0..n).step_by(width) {
                 let len = width.min(n - base);
-                let (mut gx, mut gy, mut gz) = (vec![9.0; len], vec![9.0; len], vec![9.0; len]);
-                gradient_span(
-                    &f,
-                    &x,
-                    &y,
-                    &z,
-                    d,
-                    base,
-                    [&mut gx[..], &mut gy[..], &mut gz[..]].map(OutLanes::from),
-                );
+                let mut g = [(); 3].map(|_| vec![f32::from_bits(UNWRITTEN); len]);
+                let lanes = g.each_mut().map(|g| OutLanes::from(&mut g[..]));
+                gradient_span(&f, &x, &y, &z, d, base, axes, lanes);
                 for t in 0..len {
                     let want = gradient_at(&f, &x, &y, &z, d, base + t).map(f32::to_bits);
-                    let got = [gx[t], gy[t], gz[t]].map(f32::to_bits);
-                    assert_eq!(got, want, "dims {dims:?} width {width} cell {}", base + t);
+                    let want = [0, 1, 2].map(|a| if axes[a] { want[a] } else { UNWRITTEN });
+                    let got = g.each_ref().map(|g| g[t].to_bits());
+                    assert_eq!(
+                        got,
+                        want,
+                        "dims {dims:?} axes {axes:?} width {width} cell {}",
+                        base + t
+                    );
                 }
             }
         }
@@ -448,6 +471,7 @@ mod tests {
             &a,
             d,
             0,
+            [true; 3],
             [&mut gx[..], &mut gy[..], &mut gz[..]].map(OutLanes::from),
         );
     }

@@ -312,6 +312,7 @@ impl DeviceKernel for Primitive {
                     .collect();
                 par_pieces(pieces, |c, lanes: &mut [OutLanes<'_>; 3]| {
                     let (f, x, y, z) = (input(0), input(2), input(3), input(4));
+                    // All three axes: a launch writes every lane of its output (D11).
                     gradient_span(
                         f,
                         x,
@@ -319,6 +320,7 @@ impl DeviceKernel for Primitive {
                         z,
                         d,
                         c * chunk,
+                        [true; 3],
                         lanes.each_mut().map(|l| l.reborrow()),
                     );
                 });

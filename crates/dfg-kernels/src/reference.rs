@@ -26,12 +26,18 @@ type Jacobian<'a> = [[&'a [f32]; 3]; 3];
 
 /// Drive a gradient reference kernel (inputs `[u, v, w, dims, x, y, z]`):
 /// split the launch into tasks, walk each task in blocks of row scratch,
-/// fill the nine rows of the block's Jacobian with the shared stencil, and
-/// let `body` turn them into the block's output with one slice loop.
-fn for_jacobian_blocks(args: LaunchArgs<'_>, body: impl Fn(Jacobian<'_>, OutLanes<'_>) + Sync) {
+/// fill the rows of the block's Jacobian that `reads` names (`reads[r][c]`:
+/// `body` reads `j[r][c]`) with the shared stencil, and let `body` turn them
+/// into the block's output with one slice loop.
+fn for_jacobian_blocks(
+    args: LaunchArgs<'_>,
+    reads: [[bool; 3]; 3],
+    body: impl Fn(Jacobian<'_>, OutLanes<'_>) + Sync,
+) {
     let chunk = dfg_exec::effective_chunk(args.n, PAR_CHUNK);
     let inputs = args.inputs;
     let d = Dims3::from_buffer(inputs[3]);
+    let (x, y, z) = (inputs[4], inputs[5], inputs[6]);
     let width = chunk_width(9);
     let pieces = args.output.slice(..args.n).chunks(chunk).collect();
     par_pieces(pieces, |c, out| {
@@ -40,7 +46,7 @@ fn for_jacobian_blocks(args: LaunchArgs<'_>, body: impl Fn(Jacobian<'_>, OutLane
             let (base, len) = (c * chunk + b * width, out.len());
             for (r, rows) in rows.chunks_mut(3 * width).enumerate() {
                 let lanes = lanes3(rows, width, len);
-                gradient_span(inputs[r], inputs[4], inputs[5], inputs[6], d, base, lanes);
+                gradient_span(inputs[r], x, y, z, d, base, reads[r], lanes);
             }
             let row = |i: usize| &rows[i * width..][..len];
             let jacobian = [0, 3, 6].map(|r| [row(r), row(r + 1), row(r + 2)]);
@@ -109,7 +115,9 @@ impl DeviceKernel for VortMagRef {
     }
 
     fn write(&self, args: LaunchArgs<'_>) {
-        for_jacobian_blocks(args, |[du, dv, dw], mut out| {
+        // The curl reads the six off-diagonal entries.
+        let off_diagonal = [0, 1, 2].map(|r| [0, 1, 2].map(|c| r != c));
+        for_jacobian_blocks(args, off_diagonal, |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 let wx = dw[1][t] - dv[2][t];
                 let wy = du[2][t] - dw[0][t];
@@ -143,7 +151,7 @@ impl DeviceKernel for QCritRef {
     }
 
     fn write(&self, args: LaunchArgs<'_>) {
-        for_jacobian_blocks(args, |[du, dv, dw], mut out| {
+        for_jacobian_blocks(args, [[true; 3]; 3], |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 // S = ½(J + Jᵀ), Ω = ½(J − Jᵀ); Q = ½(‖Ω‖² − ‖S‖²).
                 let s1 = 0.5 * (du[1][t] + dv[0][t]);
