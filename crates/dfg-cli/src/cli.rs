@@ -6,7 +6,6 @@ use dfg_cluster::render::render_slice;
 use dfg_core::{plan, Engine, EngineOptions, Exec, FieldSet, Request, Strategy};
 use dfg_dataflow::Width;
 use dfg_expr::compile;
-use dfg_kernels_shim::generated_source_of;
 use dfg_mesh::{RectilinearMesh, RtWorkload, TABLE1_CATALOG};
 use dfg_ocl::{DeviceProfile, EventKind, ExecMode};
 use dfg_sim::FlowSimulation;
@@ -57,17 +56,6 @@ usage:
              [--expr <program>] [--grid NXxNYxNZ] [--data on|off]
   dfgc kernels
   dfgc info";
-
-/// Tiny shim so the generated source path stays a single call.
-mod dfg_kernels_shim {
-    use dfg_dataflow::NetworkSpec;
-
-    pub fn generated_source_of(spec: &NetworkSpec) -> Result<String, String> {
-        dfg_kernels::fuse(spec)
-            .map(|p| p.generated_source("dfgc_expr"))
-            .map_err(|e| e.to_string())
-    }
-}
 
 struct Args {
     flags: HashMap<String, String>,
@@ -1101,11 +1089,11 @@ fn cmd_parse(args: &Args) -> Result<(), String> {
     println!("network: {} nodes", spec.len());
     println!();
     println!("{}", spec.to_script());
-    match generated_source_of(&spec) {
-        Ok(src) => {
+    match dfg_kernels::fuse(&spec) {
+        Ok(program) => {
             println!("generated fused kernel:");
             println!();
-            println!("{src}");
+            println!("{}", program.generated_source("dfgc_expr"));
         }
         Err(e) => println!("(not fusible: {e})"),
     }

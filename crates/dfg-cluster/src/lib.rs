@@ -11,7 +11,7 @@
 //!   ([`Cluster`] describes the node/device topology; one node driving N
 //!   devices, the paper's §VI future work, is `nodes: 1`);
 //! * ghost data is produced by a real **message-passing halo exchange**
-//!   over crossbeam channels — each rank samples only the cells it owns
+//!   over `std::sync::mpsc` channels — each rank samples only the cells it owns
 //!   and receives boundary stencils from neighbours, exactly as VisIt's
 //!   ghost-data generation provides them;
 //! * each rank embeds a `dfg_core::Engine` and processes its assigned

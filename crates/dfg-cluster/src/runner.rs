@@ -40,9 +40,8 @@
 //! [`FaultPlan::rank_fate`] query in both.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dfg_core::{
     Engine, EngineError, EngineOptions, FieldSet, RecoveryPolicy, RecoveryReport, Request,
@@ -568,25 +567,25 @@ fn run_distributed_inner(
     // One mailbox per rank, bounded at the faces the rank is owed. A sender
     // sends each face it owes at most once, so no send finds a mailbox
     // full, not even a hung or dead rank's.
-    let (senders, receivers): (Vec<Sender<FaceMsg>>, Vec<Receiver<FaceMsg>>) = (0..ranks)
+    let (senders, receivers): (Vec<SyncSender<FaceMsg>>, Vec<Receiver<FaceMsg>>) = (0..ranks)
         .map(|r| {
             let owed: usize = (0..blocks.len())
                 .filter(|bi| bi % ranks == r)
                 .map(|bi| neighbor_count(&blocks[bi], nblocks) * 3)
                 .sum();
-            bounded(owed.max(1))
+            sync_channel(owed.max(1))
         })
         .unzip();
-    let (park_tx, park_rx) = unbounded::<()>();
+    // One park channel per rank: a rank fated to hang waits on its own
+    // until the driver drops the sending end.
+    let (parks, parked): (Vec<_>, Vec<_>) = (0..ranks).map(|_| channel::<()>()).unzip();
 
     // Every rank not fated to hang returns (or panics) on its own: join
     // those, then release the parked ones so the scope can join them.
     let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..ranks)
-            .map(|rank| {
+        let handles: Vec<_> = (receivers.into_iter().zip(parked).enumerate())
+            .map(|(rank, (receiver, park))| {
                 let senders = senders.clone();
-                let receiver = receivers[rank].clone();
-                let park = park_rx.clone();
                 let (blocks, fates, plan) = (&blocks, &fates, plans[rank].as_ref());
                 let profile = cluster.profile.clone();
                 scope.spawn(move || {
@@ -636,7 +635,7 @@ fn run_distributed_inner(
             .zip(&fates)
             .map(|(h, fate)| (*fate != Some(RankFate::Hang)).then(|| h.join()))
             .collect();
-        drop(park_tx);
+        drop(parks);
         joined
     });
 
@@ -788,7 +787,7 @@ fn run_rank(
     opts: &DistOptions,
     plan: Option<&FaultPlan>,
     fates: &[Option<RankFate>],
-    senders: Vec<Sender<FaceMsg>>,
+    senders: Vec<SyncSender<FaceMsg>>,
     receiver: Receiver<FaceMsg>,
     tracer: Option<&Tracer>,
 ) -> Result<RankOutput, ClusterError> {
@@ -853,13 +852,12 @@ fn run_rank(
                     let lane = &mut msg.data[bit / 32];
                     *lane = f32::from_bits(lane.to_bits() ^ (1 << (bit % 32)));
                 }
-                // Never blocks and never finds the mailbox closed: it has
-                // room for every face its rank is owed, and
-                // `run_distributed` holds the receiving end until every
-                // rank has returned.
-                senders[to_block % ranks]
-                    .send(msg)
-                    .expect("a mailbox has room for every face its rank is owed");
+                // Never blocks: the mailbox has room for every face its
+                // rank is owed. Each rank owns its receiving end, so a send
+                // fails only once the receiver has stopped receiving — it
+                // died, or its deadline passed and it filled what it
+                // missed — and then no rank is owed the face: drop it.
+                let _ = senders[to_block % ranks].send(msg);
             }
         }
     }

@@ -32,20 +32,20 @@
 //! the executor runs (see `Lowering`): a step is an instruction with its
 //! registers resolved to where the values are — a bank row, the span of an
 //! input array (a `LoadInput` is a binding, not a copy), a lane of a vector
-//! value (likewise a `Decompose`), or the output plane itself (the step
-//! that makes a root nothing else reads stores it, there is no final
-//! copy) — and every tree of `Add`/`Sub`/`Mul` instructions is cut into
-//! **runs**: up to four of them in one pass over one running value that
-//! stays in a register, each rounded exactly as its instruction rounded it
-//! (see `Step::Run`). No step changes a bit of any value.
+//! value (likewise a `Decompose` and a `Compose3`), or the output plane
+//! itself (the step that makes a root nothing else reads stores it, there
+//! is no final copy) — and every tree of `Add`/`Sub`/`Mul` instructions is
+//! cut into **runs**: up to four of them in one pass over one running value
+//! that stays in a register, each rounded exactly as its instruction
+//! rounded it (see `Step::Run`). No step changes a bit of any value.
 //!
 //! A launch is cut into tasks of [`dfg_exec::effective_chunk`] cells. A task
 //! allocates one register **bank** — as many rows of `chunk_width(rows)`
-//! lanes as the steps have values live at once, consecutive rows for the
-//! lanes of a vector value — and walks its
-//! cells a chunk at a time, running each step as one slice loop: the match
-//! on the step (and on its [`BinKind`]/[`UnKind`]) happens once per chunk,
-//! outside the loop, and the loops are plain zips the compiler vectorizes.
+//! lanes as the steps have values live at once, each lane of a vector value
+//! a value of its own — and walks its cells a chunk at a time, running each
+//! step as one slice loop: the match on the step (and on its
+//! [`BinKind`]/[`UnKind`]) happens once per chunk, outside the loop, and the
+//! loops are plain zips the compiler vectorizes.
 //! The chunk width comes from the bank's footprint, so the rows every
 //! step re-reads stay cache-resident beside the streamed inputs.
 //!
@@ -62,7 +62,7 @@ use dfg_dataflow::{
 };
 use dfg_ocl::{DeviceKernel, KernelCost, LaunchArgs, OutLanes};
 
-use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::grad::{gradient_span, Dims3};
 use crate::primitives::{bin, par_pieces, un};
 
 /// Maximum registers the generator may allocate before it reports register
@@ -477,10 +477,9 @@ impl FusedProgram {
             1 => "out".to_string(),
             _ => format!("out_{}", out.name),
         };
-        let inputs = self.inputs.iter().map(|slot| {
-            let ty = if slot.small { "int" } else { "float" };
-            format!("    __global const {ty} *{}", slot.name)
-        });
+        // `dims` too is uploaded as `float` lanes (`Dims3::from_buffer`).
+        let inputs =
+            (self.inputs.iter()).map(|slot| format!("    __global const float *{}", slot.name));
         let outputs = self.outputs.iter().map(|out| {
             let ty = if out.width == Width::Vec4 {
                 "float4"
@@ -545,7 +544,11 @@ impl FusedProgram {
             src.push('\n');
         }
         for out in &self.outputs {
-            src.push_str(&format!("    {}[idx] = r{};\n", out_name(out), out.reg));
+            let reg = match out.width {
+                Width::Vec4 => format!("v{}", out.reg),
+                _ => format!("r{}", out.reg),
+            };
+            src.push_str(&format!("    {}[idx] = {reg};\n", out_name(out)));
         }
         src.push_str("}\n");
         src
@@ -572,8 +575,10 @@ enum Dst {
 }
 
 /// One step of the list the executor runs: a [`RegOp`] with its registers
-/// resolved to where the values actually are. A vector value lives in
-/// consecutive bank rows, one per lane, named by the first.
+/// resolved to where the values actually are. A vector value is its lanes:
+/// a step reads each lane where it is, and a step that makes a vector
+/// writes each of its first three lanes to a row of its own (its fourth is
+/// a `Fill`).
 #[derive(Debug, Clone, PartialEq)]
 enum Step {
     Fill {
@@ -610,30 +615,30 @@ enum Step {
         b: Src,
         dst: Dst,
     },
-    /// The stencil of the axes in `axes` only: a lane no step reads is never
-    /// computed.
+    /// The stencil of the lanes that have a row: a lane no step reads has
+    /// none, and is never computed.
     Grad3d {
         slots: [u16; 5],
-        out: usize,
-        axes: [bool; 3],
+        out: [Option<usize>; 3],
     },
     Norm3 {
-        a: usize,
+        a: [Src; 3],
         dst: Dst,
     },
     Dot3 {
-        a: usize,
-        b: usize,
+        a: [Src; 3],
+        b: [Src; 3],
         dst: Dst,
     },
+    /// The lanes that have a row, as [`Step::Grad3d`]'s.
     Cross3 {
-        a: usize,
-        b: usize,
-        out: usize,
+        a: [Src; 3],
+        b: [Src; 3],
+        out: [Option<usize>; 3],
     },
-    /// Interleave a vector value's rows into a `float4` output plane.
+    /// Interleave four lanes into a `float4` output plane.
     StoreVec4 {
-        a: usize,
+        a: [Src; 4],
         output: usize,
     },
 }
@@ -673,19 +678,17 @@ fn reads_row(kind: u8) -> bool {
 enum Mention<'a> {
     Read(&'a mut Src),
     Write(&'a mut Dst),
-    /// First of the ids/rows of a vector value that is read.
-    ReadVec(&'a mut usize),
-    /// First of the ids/rows of a vector value that is written.
-    WriteVec(&'a mut usize),
+    /// A lane a vector step makes: `None` once it has no row.
+    Lane(&'a mut Option<usize>),
 }
 
 impl<'a> Mention<'a> {
-    /// The id (or row) mentioned, unless it is an input span or an output
-    /// plane, and whether it is written.
+    /// The id (or row) mentioned, unless it is an input span, an output
+    /// plane or a lane without a row, and whether it is written.
     fn row(self) -> Option<(&'a mut usize, bool)> {
         match self {
-            Mention::Read(Src::Row(id)) | Mention::ReadVec(id) => Some((id, false)),
-            Mention::Write(Dst::Row(id)) | Mention::WriteVec(id) => Some((id, true)),
+            Mention::Read(Src::Row(id)) => Some((id, false)),
+            Mention::Write(Dst::Row(id)) | Mention::Lane(Some(id)) => Some((id, true)),
             _ => None,
         }
     }
@@ -694,7 +697,7 @@ impl<'a> Mention<'a> {
 impl Step {
     /// Call `f` on every value the step mentions, writes first.
     fn visit(&mut self, f: &mut dyn FnMut(Mention<'_>)) {
-        use Mention::{Read, ReadVec, Write, WriteVec};
+        use Mention::{Lane, Read, Write};
         match self {
             Step::Fill { dst, .. } => f(Write(dst)),
             Step::Copy { src, dst } => {
@@ -722,22 +725,20 @@ impl Step {
                 f(Write(dst));
                 f(Read(a));
             }
-            Step::Grad3d { out, .. } => f(WriteVec(out)),
+            Step::Grad3d { out, .. } => out.iter_mut().for_each(|lane| f(Lane(lane))),
             Step::Norm3 { a, dst } => {
                 f(Write(dst));
-                f(ReadVec(a));
+                a.iter_mut().for_each(|src| f(Read(src)));
             }
             Step::Dot3 { a, b, dst } => {
                 f(Write(dst));
-                f(ReadVec(a));
-                f(ReadVec(b));
+                a.iter_mut().chain(b).for_each(|src| f(Read(src)));
             }
             Step::Cross3 { a, b, out } => {
-                f(WriteVec(out));
-                f(ReadVec(a));
-                f(ReadVec(b));
+                out.iter_mut().for_each(|lane| f(Lane(lane)));
+                a.iter_mut().chain(b).for_each(|src| f(Read(src)));
             }
-            Step::StoreVec4 { a, .. } => f(ReadVec(a)),
+            Step::StoreVec4 { a, .. } => a.iter_mut().for_each(|src| f(Read(src))),
         }
     }
 }
@@ -749,60 +750,46 @@ impl Step {
 /// it, and no step changes a bit of any value.
 ///
 /// The instructions are first read as single-assignment code: every write
-/// of a register makes a new value with its own id (a vector value takes
-/// four consecutive ids, one per lane), and a read resolves to the value
-/// its register held *at that instruction* — so nothing below has to ask
-/// whether a register was reallocated in between. Then:
+/// of a register makes a new value with its own id, and a read resolves to
+/// the value its register held *at that instruction* — so nothing below
+/// has to ask whether a register was reallocated in between. A vector
+/// value is its four lanes, each a value of its own: a `grad3d` or `cross3`
+/// makes three, and the fourth is a `Fill` of `0.0`. Then:
 ///
 /// * a `LoadInput` makes no value and no step: reads of its register
 ///   resolve to the input span itself; likewise a `Decompose` resolves to
-///   the lane of the vector value it selects;
+///   the lane it selects, and a `Compose3`'s lanes are its operands;
 /// * a scalar root that no step reads is computed straight into its output
 ///   plane; any other root is copied there at the end;
 /// * the `Add`, `Sub` and `Mul` steps become [`Step::Run`]s, cut so that as
 ///   few of their values as possible are stored (see `Lowering::cut_runs`);
-/// * a vector value gets its fourth lane (zeroed every chunk) only if a step
-///   reads it, and a gradient computes only the lanes the steps read;
-/// * bank rows are handed out anew by liveness over the *steps* (a step's
-///   destination is allocated before its operands are released, so it never
-///   aliases one), vector values in groups of four or three rows below the
-///   scalar rows.
+/// * a value no step reads is not made: a `Fill` nothing loads is dropped,
+///   and a lane of a vector step gets no row and is not computed;
+/// * bank rows are handed out anew by liveness over the *steps*, one per
+///   value (a step's destinations are allocated before its operands are
+///   released, so none aliases one).
 struct Lowering {
     steps: Vec<Step>,
-    /// Ids handed out so far; `lanes[id]` is the rows the value at `id` takes:
-    /// 4 for the first id of a vector value (3 once `cut_runs` finds lane 3
-    /// unread), 1 for a scalar value, and 0 for a vector's other three ids.
-    lanes: Vec<usize>,
-    /// The step that makes each value (indexed by its first id).
+    /// The step that makes each value, by id.
     def: Vec<usize>,
 }
 
 impl Lowering {
-    fn value(&mut self, lanes: usize) -> usize {
-        let id = self.lanes.len();
-        self.lanes.push(lanes);
-        self.lanes.resize(id + lanes, 0);
-        self.def.resize(id + lanes, self.steps.len());
-        id
-    }
-
-    /// The first id of the value `id` belongs to.
-    fn base(&self, id: usize) -> usize {
-        (0..=id)
-            .rev()
-            .find(|&b| self.lanes[b] > 0)
-            .expect("id 0 starts a value")
+    /// A new value, made by the next step.
+    fn value(&mut self) -> usize {
+        self.def.push(self.steps.len());
+        self.def.len() - 1
     }
 
     fn run(prog: &FusedProgram) -> (Vec<Step>, usize) {
         let mut lw = Lowering {
             steps: Vec::with_capacity(prog.ops.len()),
-            lanes: Vec::new(),
             def: Vec::new(),
         };
         // What each register holds now (a program reads none it never wrote).
         let mut sreg: Regs<Src> = HashMap::new();
-        let mut vreg: Regs<usize> = HashMap::new();
+        let mut vreg: Regs<[Src; 4]> = HashMap::new();
+        let three = |v: [Src; 4]| [v[0], v[1], v[2]];
 
         for op in &prog.ops {
             let step = match *op {
@@ -811,7 +798,11 @@ impl Lowering {
                     continue;
                 }
                 RegOp::Decompose { a, comp, out } => {
-                    sreg.insert(out, Src::Row(vreg[&a] + comp as usize));
+                    sreg.insert(out, vreg[&a][comp as usize]);
+                    continue;
+                }
+                RegOp::Compose3 { a, b, c, out } => {
+                    lw.vector(&mut vreg, out, [a, b, c].map(|lane| sreg[&lane]));
                     continue;
                 }
                 RegOp::Const { value, reg } => {
@@ -833,39 +824,24 @@ impl Lowering {
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Select { c, a, b, dst }
                 }
-                RegOp::Compose3 { a, b, c, out } => {
-                    // One copy per lane; the first makes the vector value.
-                    let [x, y, z] = [a, b, c].map(|lane| sreg[&lane]);
-                    let out = lw.vector(&mut vreg, out);
-                    let lane = |l: usize, src: Src| Step::Copy {
-                        src,
-                        dst: Dst::Row(out + l),
-                    };
-                    lw.steps.extend([lane(0, x), lane(1, y)]);
-                    lane(2, z)
-                }
                 RegOp::Grad3d { slots, out } => {
-                    let out = lw.vector(&mut vreg, out);
-                    Step::Grad3d {
-                        slots,
-                        out,
-                        axes: [true; 3],
-                    }
+                    lw.vector_step(&mut vreg, out, |out| Step::Grad3d { slots, out });
+                    continue;
                 }
                 RegOp::Norm3 { a, out } => {
-                    let a = vreg[&a];
+                    let a = three(vreg[&a]);
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Norm3 { a, dst }
                 }
                 RegOp::Dot3 { a, b, out } => {
-                    let (a, b) = (vreg[&a], vreg[&b]);
+                    let (a, b) = (three(vreg[&a]), three(vreg[&b]));
                     let dst = lw.scalar(&mut sreg, out);
                     Step::Dot3 { a, b, dst }
                 }
                 RegOp::Cross3 { a, b, out } => {
-                    let (a, b) = (vreg[&a], vreg[&b]);
-                    let out = lw.vector(&mut vreg, out);
-                    Step::Cross3 { a, b, out }
+                    let (a, b) = (three(vreg[&a]), three(vreg[&b]));
+                    lw.vector_step(&mut vreg, out, |out| Step::Cross3 { a, b, out });
+                    continue;
                 }
             };
             lw.steps.push(step);
@@ -878,66 +854,89 @@ impl Lowering {
 
     /// A new scalar value, bound to `reg`; returns where its step writes.
     fn scalar(&mut self, regs: &mut Regs<Src>, reg: Reg) -> Dst {
-        let id = self.value(1);
+        let id = self.value();
         regs.insert(reg, Src::Row(id));
         Dst::Row(id)
     }
 
-    /// A new vector value, bound to `reg`; returns its first id.
-    fn vector(&mut self, regs: &mut Regs<usize>, reg: Reg) -> usize {
-        let id = self.value(4);
-        regs.insert(reg, id);
-        id
+    /// A step that makes three new lanes, built by `make`, and the vector
+    /// value they start bound to `reg`.
+    fn vector_step(
+        &mut self,
+        regs: &mut Regs<[Src; 4]>,
+        reg: Reg,
+        make: impl FnOnce([Option<usize>; 3]) -> Step,
+    ) {
+        let lanes = [(); 3].map(|_| self.value());
+        self.steps.push(make(lanes.map(Some)));
+        self.vector(regs, reg, lanes.map(Src::Row));
     }
 
-    /// How many times the steps read each id — a vector operand reads its
-    /// first three, a `float4` output plane all four — and the last step that
-    /// reads a scalar id.
+    /// Bind `reg` to the vector value whose first three lanes are `lanes`,
+    /// and make its fourth: a `Fill` of `0.0`, dropped like any other once
+    /// nothing loads it.
+    fn vector(&mut self, regs: &mut Regs<[Src; 4]>, reg: Reg, [x, y, z]: [Src; 3]) {
+        let w = self.value();
+        self.steps.push(Step::Fill {
+            value: 0.0,
+            dst: Dst::Row(w),
+        });
+        regs.insert(reg, [x, y, z, Src::Row(w)]);
+    }
+
+    /// How many times the steps read each id, and the last step that reads
+    /// it.
     fn reads(&mut self) -> (Vec<usize>, Vec<usize>) {
-        let mut reads = vec![0; self.lanes.len()];
-        let mut reader = vec![0; self.lanes.len()];
+        let mut reads = vec![0; self.def.len()];
+        let mut reader = vec![0; self.def.len()];
         for (k, step) in self.steps.iter_mut().enumerate() {
-            let lanes = 3 + usize::from(matches!(step, Step::StoreVec4 { .. }));
-            step.visit(&mut |m| match m {
-                Mention::Read(Src::Row(id)) => (reads[*id], reader[*id]) = (reads[*id] + 1, k),
-                Mention::ReadVec(id) => reads[*id..*id + lanes].iter_mut().for_each(|r| *r += 1),
-                _ => {}
+            step.visit(&mut |m| {
+                if let Mention::Read(Src::Row(id)) = m {
+                    (reads[*id], reader[*id]) = (reads[*id] + 1, k);
+                }
             });
         }
         (reads, reader)
     }
 
-    /// Get every root into its output plane: a scalar value that no step
-    /// reads and no other root shares is written there by the step that
-    /// makes it; anything else — a value with readers, a bare input, a
-    /// vector lane, two roots on one value — is copied (a `Vec4` root:
-    /// interleaved) there at the end.
-    fn store_outputs(&mut self, prog: &FusedProgram, sreg: &Regs<Src>, vreg: &Regs<usize>) {
+    /// Get every root into its output plane: a `Vec4` root's lanes are
+    /// interleaved there at the end, and so is a scalar root copied, unless
+    /// it is a value that no step reads, no other root shares and a step of
+    /// its own makes — then that step writes it there.
+    fn store_outputs(&mut self, prog: &FusedProgram, sreg: &Regs<Src>, vreg: &Regs<[Src; 4]>) {
+        let vectors = prog.outputs.iter().enumerate();
+        let vectors = vectors.filter(|(_, slot)| slot.width == Width::Vec4);
+        for (o, slot) in vectors {
+            let a = vreg[&slot.reg];
+            self.steps.push(Step::StoreVec4 { a, output: o });
+        }
         let (reads, _) = self.reads();
         let scalar_roots: Vec<Option<Src>> = prog
             .outputs
             .iter()
             .map(|slot| (slot.width != Width::Vec4).then(|| sreg[&slot.reg]))
             .collect();
-        for (o, slot) in prog.outputs.iter().enumerate() {
-            let Some(src) = scalar_roots[o] else {
-                let a = vreg[&slot.reg];
-                self.steps.push(Step::StoreVec4 { a, output: o });
+        for (o, &root) in scalar_roots.iter().enumerate() {
+            let Some(src) = root else {
                 continue;
             };
-            let alone = scalar_roots.iter().filter(|r| **r == Some(src)).count() == 1;
-            match src {
-                Src::Row(id) if self.lanes[id] == 1 && reads[id] == 0 && alone => {
+            let alone = scalar_roots.iter().filter(|&&r| r == root).count() == 1;
+            let mut stored = false;
+            if let Src::Row(id) = src {
+                if reads[id] == 0 && alone {
+                    // (A lane of a vector step is not a step's `Write`.)
                     self.steps[self.def[id]].visit(&mut |m| {
                         if let Mention::Write(dst) = m {
-                            *dst = Dst::Out(o);
+                            (*dst, stored) = (Dst::Out(o), true);
                         }
                     });
                 }
-                _ => self.steps.push(Step::Copy {
+            }
+            if !stored {
+                self.steps.push(Step::Copy {
                     src,
                     dst: Dst::Out(o),
-                }),
+                });
             }
         }
     }
@@ -1055,80 +1054,59 @@ impl Lowering {
             runs[top] = Some(Step::Run { start, links, dst });
         }
 
-        for (at, mut step) in std::mem::take(&mut self.steps).into_iter().enumerate() {
+        for (at, step) in std::mem::take(&mut self.steps).into_iter().enumerate() {
             let unloaded = matches!(step, Step::Fill { dst: Dst::Row(id), .. } if loads[id] == 0);
-            if inside[at] || unloaded {
-                continue;
-            }
-            // The vector value this step makes, if it makes one.
-            let mut made = None;
-            step.visit(&mut |m| match m.row() {
-                Some((&mut id, true)) if self.lanes[id] == 4 => made = Some(id),
-                _ => {}
-            });
-            self.steps.push(runs[at].take().unwrap_or(step));
-            match made {
-                Some(out) if reads[out + 3] > 0 => self.steps.push(Step::Fill {
-                    value: 0.0,
-                    dst: Dst::Row(out + 3),
-                }),
-                Some(out) => self.lanes[out] = 3,
-                None => {}
-            }
-        }
-        // A gradient lane that no step of the final list reads is not computed.
-        let (reads, _) = self.reads();
-        for step in &mut self.steps {
-            if let Step::Grad3d { out, axes, .. } = step {
-                *axes = [0, 1, 2].map(|lane| reads[*out + lane] > 0);
+            if !inside[at] && !unloaded {
+                self.steps.push(runs[at].take().unwrap_or(step));
             }
         }
     }
 
-    /// Replace value ids by bank rows: a value takes the first free rows when
-    /// its step runs and gives them back after the last step that mentions
-    /// it. Returns the steps and the rows they use.
+    /// Replace value ids by bank rows: a value takes the first free row when
+    /// its step runs and gives it back after the last step that mentions it;
+    /// a lane of a vector step that no step reads gets none. Returns the
+    /// steps and the rows they use.
     fn allocate_rows(mut self) -> (Vec<Step>, usize) {
         let mut steps = std::mem::take(&mut self.steps);
-        let mut last = vec![0; self.lanes.len()];
+        let mut last = vec![0; self.def.len()];
         for (k, step) in steps.iter_mut().enumerate() {
             step.visit(&mut |m| {
                 if let Some((id, _)) = m.row() {
-                    last[self.base(*id)] = k;
+                    last[*id] = k;
                 }
             });
         }
-        // Which rows hold a live value, and the first row of each value.
+        // Which rows hold a live value, and the row of each value.
         let mut busy: Vec<bool> = Vec::new();
-        let mut row_of = vec![usize::MAX; self.lanes.len()];
+        let mut row_of = vec![usize::MAX; self.def.len()];
         for (k, step) in steps.iter_mut().enumerate() {
             let mut mentioned = Vec::new();
             step.visit(&mut |m| {
+                let m = match m {
+                    Mention::Lane(lane) if matches!(*lane, Some(id) if last[id] == k) => {
+                        *lane = None;
+                        return;
+                    }
+                    m => m,
+                };
                 let Some((id, write)) = m.row() else {
                     return;
                 };
-                let (value, lanes) = (self.base(*id), self.lanes[*id]);
-                // (Zeroing lane 3 writes into a value, it makes none.)
-                if write && lanes > 0 {
-                    let free = |at: &usize| !busy[*at..].iter().take(lanes).any(|&b| b);
-                    let at = (0..=busy.len())
-                        .find(free)
-                        .expect("the rows past the last are free");
-                    busy.resize(busy.len().max(at + lanes), false);
-                    busy[at..at + lanes].fill(true);
-                    row_of[value] = at;
+                if write {
+                    let at = busy.iter().position(|&b| !b).unwrap_or(busy.len());
+                    busy.resize(busy.len().max(at + 1), false);
+                    (busy[at], row_of[*id]) = (true, at);
                 }
                 assert!(
-                    row_of[value] != usize::MAX,
+                    row_of[*id] != usize::MAX,
                     "fused step reads a value no step makes"
                 );
-                mentioned.push(value);
-                *id = row_of[value] + (*id - value);
+                mentioned.push(*id);
+                *id = row_of[*id];
             });
-            for value in mentioned {
-                if last[value] == k {
-                    busy[row_of[value]..][..self.lanes[value]].fill(false);
-                    last[value] = usize::MAX;
+            for id in mentioned {
+                if last[id] == k {
+                    (busy[row_of[id]], last[id]) = (false, usize::MAX);
                 }
             }
         }
@@ -1425,20 +1403,25 @@ impl Chunk<'_, '_> {
                     o.set(select(c[t], a[t], b[t]));
                 }
             }
-            Step::Grad3d { slots, out, axes } => {
+            Step::Grad3d { slots, out } => {
                 let [f, dims, x, y, z] = slots.map(|slot| self.inputs[slot as usize]);
-                let d = Dims3::from_buffer(dims);
-                let lanes = lanes3(&mut self.bank[out * self.width..], self.width, self.len);
-                gradient_span(f, x, y, z, d, self.base, axes, lanes);
+                let (w, len) = (self.width, self.len);
+                let spans = out.map(|row| row.map_or(0..0, |r| r * w..r * w + len));
+                let rows = (self.bank.get_disjoint_mut(spans))
+                    .expect("a gradient's lanes have rows of their own");
+                let mut rows = rows.into_iter();
+                let lanes =
+                    out.map(|row| rows.next().filter(|_| row.is_some()).map(OutLanes::from));
+                gradient_span(f, x, y, z, Dims3::from_buffer(dims), self.base, lanes);
             }
             Step::Norm3 { a, dst } => {
-                let (mut o, [x, y, z]) = self.bind(dst, [a, a + 1, a + 2].map(Src::Row));
+                let (mut o, [x, y, z]) = self.bind(dst, a);
                 for (t, o) in o.iter_mut().enumerate() {
                     o.set((x[t] * x[t] + y[t] * y[t] + z[t] * z[t]).sqrt());
                 }
             }
             Step::Dot3 { a, b, dst } => {
-                let operands = [a, b, a + 1, b + 1, a + 2, b + 2].map(Src::Row);
+                let operands = [a[0], b[0], a[1], b[1], a[2], b[2]];
                 let (mut o, [a0, b0, a1, b1, a2, b2]) = self.bind(dst, operands);
                 for (t, o) in o.iter_mut().enumerate() {
                     o.set(a0[t] * b0[t] + a1[t] * b1[t] + a2[t] * b2[t]);
@@ -1447,9 +1430,12 @@ impl Chunk<'_, '_> {
             Step::Cross3 { a, b, out } => {
                 // Lane `l` is `a.p * b.q - a.q * b.p` for the cyclic pair
                 // `(p, q)` after `l`.
-                for (lane, (p, q)) in [(1, 2), (2, 0), (0, 1)].into_iter().enumerate() {
-                    let operands = [a + p, b + q, a + q, b + p].map(Src::Row);
-                    let (mut o, [ap, bq, aq, bp]) = self.bind(Dst::Row(out + lane), operands);
+                for (row, (p, q)) in out.into_iter().zip([(1, 2), (2, 0), (0, 1)]) {
+                    let Some(row) = row else {
+                        continue;
+                    };
+                    let operands = [a[p], b[q], a[q], b[p]];
+                    let (mut o, [ap, bq, aq, bp]) = self.bind(Dst::Row(row), operands);
                     for (t, o) in o.iter_mut().enumerate() {
                         o.set(ap[t] * bq[t] - aq[t] * bp[t]);
                     }
@@ -1458,8 +1444,11 @@ impl Chunk<'_, '_> {
             Step::StoreVec4 { a, output } => {
                 let (w, at, len) = (self.width, self.at, self.len);
                 let mut cells = self.pieces[output].reborrow().slice(4 * at..4 * (at + len));
-                for lane in 0..4 {
-                    let src = &self.bank[(a + lane) * w..][..len];
+                for (lane, src) in a.into_iter().enumerate() {
+                    let src = match src {
+                        Src::Row(r) => &self.bank[r * w..][..len],
+                        Src::Input(slot) => &self.inputs[slot as usize][self.base..][..len],
+                    };
                     for (mut cell, x) in cells.reborrow().chunks_exact(4).zip(src) {
                         cell.set(lane, *x);
                     }
@@ -1544,7 +1533,9 @@ mod tests {
         let prog = fuse(&spec).unwrap();
         let src = prog.generated_source("gm");
         assert!(src.contains("dfg_grad3d("), "gradient call missing:\n{src}");
-        assert!(src.contains("__global const int *dims"));
+        // `dims` is the three `f32` lanes `Dims3::from_buffer` decodes.
+        assert!(src.contains("__global const float *dims"), "{src}");
+        assert!(!src.contains("const int"), "{src}");
     }
 
     #[test]
@@ -1903,14 +1894,14 @@ mod lowering_tests {
 
     /// Row passes (every step but the gradient stencils), those of them that
     /// read an input span, bank rows, row loads + stores per cell of a
-    /// lowered kernel (each row operand a pass names is a load, three for a
-    /// vector operand, each destination a store, and so is a `Fill`), and the
-    /// gradient axes the stencils compute per cell.
+    /// lowered kernel (each operand a pass names is a load, one per lane of
+    /// a vector operand, each destination a store, and so is a `Fill`), and
+    /// the gradient axes the stencils compute per cell.
     fn traffic(kernel: &FusedKernel) -> (usize, usize, usize, usize, usize) {
         let mut steps = kernel.steps.to_vec();
         let axes = (steps.iter())
             .map(|step| match step {
-                Step::Grad3d { axes, .. } => axes.iter().filter(|&&axis| axis).count(),
+                Step::Grad3d { out, .. } => out.iter().flatten().count(),
                 _ => 0,
             })
             .sum();
@@ -1923,7 +1914,7 @@ mod lowering_tests {
                     (moved, streams) = (moved + 1, streams || matches!(src, Src::Input(_)))
                 }
                 Mention::Write(_) => moved += 1,
-                Mention::ReadVec(_) | Mention::WriteVec(_) => moved += 3,
+                Mention::Lane(lane) => moved += lane.iter().count(),
             });
             streaming += usize::from(streams);
         }
@@ -1986,22 +1977,23 @@ mod lowering_tests {
                 (passes, streaming, rows, moved, axes)
             })
             .collect();
-        // Before sums of squares ran in one pass (`ADDSQ`, `SQRT`):
-        // `vel_mag` (3, 3, 2, 8), the serve expressions (3, 3, 2, 8),
-        // (3, 3, 2, 8), (3, 3, 2, 11), (2, 2, 1, 6) and in situ (6, 3, 11,
-        // 19). Before the runs, without the second column: (4, 2, 13), (7,
-        // 16, 25), (29, 26, 114).
+        // Before a vector value was its lanes, `vort_mag` and in situ kept
+        // 11 bank rows (a row for each unread gradient lane). Before sums of
+        // squares ran in one pass (`ADDSQ`, `SQRT`): `vel_mag` (3, 3, 2, 8),
+        // the serve expressions (3, 3, 2, 8), (3, 3, 2, 8), (3, 3, 2, 11),
+        // (2, 2, 1, 6) and in situ (6, 3, 11, 19). Before the runs, without
+        // the second column: (4, 2, 13), (7, 16, 25), (29, 26, 114).
         assert_eq!(
             rows,
             [
                 (1, 1, 0, 4, 0),
-                (3, 0, 11, 11, 6),
+                (3, 0, 7, 11, 6),
                 (16, 0, 13, 58, 9),
                 (1, 1, 0, 4, 0),
                 (2, 2, 1, 6, 0),
                 (3, 3, 2, 11, 0),
                 (1, 1, 0, 4, 0),
-                (4, 1, 11, 15, 6),
+                (4, 1, 7, 15, 6),
             ]
         );
     }
@@ -2118,6 +2110,30 @@ mod lowering_tests {
             vec![gu_w, norm, packed_w],
         ] {
             check(&spec, &roots);
+        }
+    }
+
+    #[test]
+    fn gradient_lanes_computed_are_the_reference_kernels_reads() {
+        use crate::reference::{Q_CRIT_READS, VORT_MAG_READS};
+        use dfg_expr::workloads::{Q_CRITERION, VORTICITY_MAGNITUDE};
+        let expressions = [
+            (VORTICITY_MAGNITUDE, "w_mag", VORT_MAG_READS),
+            (Q_CRITERION, "q_crit", Q_CRIT_READS),
+        ];
+        for (source, output, reads) in expressions {
+            let (spec, roots) = compile_roots(source, &[output], OptLevel::Off);
+            let kernel = FusedKernel::new(fuse_roots(&spec, &roots).unwrap(), output);
+            // `computed[r][c]`: the lowered kernel computes `∂(u, v, w)[r] / ∂(x, y, z)[c]`.
+            let mut computed = [[false; 3]; 3];
+            for step in kernel.steps.iter() {
+                if let Step::Grad3d { slots, out } = step {
+                    let field = &kernel.program.inputs[slots[0] as usize].name;
+                    let r = ["u", "v", "w"].iter().position(|f| f == field).unwrap();
+                    computed[r] = out.map(|row| row.is_some());
+                }
+            }
+            assert_eq!(computed, reads, "{output}");
         }
     }
 
@@ -2239,15 +2255,17 @@ mod lowering_tests {
         /// Random `Add`/`Sub`/`Mul`/unary DAGs — shared subexpressions, values
         /// with several readers, `x*x`, constant factors, roots that are also
         /// operands, several roots on one value, bare inputs and constants as
-        /// roots — and gradients of `u`, `v` and `w` of which none, one, two or
-        /// all three lanes are read, or which are roots themselves (a `float4`
-        /// plane reads every lane), over signed zeros, infinities and
+        /// roots — and vector values: gradients of `u`, `v` and `w` of which
+        /// any of the four lanes are read, `compose3`s of inputs, constants
+        /// and computed values, and the `cross3`, `dot3`, `norm3` and
+        /// `decompose` (lane 3 too) of any of them, vector values as roots (a
+        /// `float4` plane reads every lane), over signed zeros, infinities and
         /// subnormals, on grids whose cell counts are multiples of no chunk
         /// width: the lowered kernel equals the staged evaluation bit for bit,
         /// at one thread and at the pool's default.
         #[test]
         fn random_dags_match_staged_bit_for_bit(
-            nodes in prop::collection::vec((0u8..10, 0usize..1000, 0usize..1000), 1..16),
+            nodes in prop::collection::vec((0u8..16, 0usize..1000, 0usize..1000), 1..16),
             roots in prop::collection::vec(0usize..1000, 1..4),
             picks in prop::collection::vec(0usize..16, 5..6),
             dims in (1usize..48, 1usize..32, 1usize..24),
@@ -2269,16 +2287,31 @@ mod lowering_tests {
             values.push(b.constant(PALETTE[picks[3]]));
             values.push(b.constant(PALETTE[picks[4]]));
             for (op, i, j) in nodes {
-                if op >= 8 {
+                if op == 8 || op == 9 {
                     // The gradient of `u`, `v` or `w`, and the lanes of it `j` picks.
                     let g = b.grad3d(values[i % 3], dims, x, y, z);
-                    for lane in (0..3).filter(|lane| j >> lane & 1 == 1) {
+                    for lane in (0..4).filter(|lane| j >> lane & 1 == 1) {
                         values.push(b.decompose(g, lane));
                     }
                     vectors.push(g);
                     continue;
                 }
                 let (p, q) = (values[i % values.len()], values[j % values.len()]);
+                if op == 10 || (op > 10 && vectors.is_empty()) {
+                    let r = values[(i + j) % values.len()];
+                    vectors.push(b.compose3(p, q, r));
+                    continue;
+                }
+                if op > 10 {
+                    let (a, c) = (vectors[i % vectors.len()], vectors[j % vectors.len()]);
+                    match op {
+                        11 => vectors.push(b.binary(FilterOp::Cross3, a, c)),
+                        12 => values.push(b.binary(FilterOp::Dot3, a, c)),
+                        13 => values.push(b.unary(FilterOp::Norm3, a)),
+                        _ => values.push(b.decompose(a, (j % 4) as u8)),
+                    }
+                    continue;
+                }
                 values.push(match op {
                     0 => b.binary(BinKind::Sub, p, q),
                     1 => b.binary(BinKind::Mul, p, q),
@@ -2335,36 +2368,59 @@ __kernel void fused_v_mag(
         assert_eq!(prog.generated_source("fused_v_mag"), expected);
     }
 
-    /// Generated source is valid-C-shaped: no register is declared twice
-    /// and every statement line ends with a semicolon.
+    /// Generated source is valid-C-shaped: no register is declared twice,
+    /// and every output line stores a declared register of its output's
+    /// type — a `float4` root from a `vN`, not an `rN`.
     #[test]
     fn generated_source_declares_registers_once() {
-        for spec in [
+        use dfg_dataflow::NetworkBuilder;
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (b.input("u"), b.input("v"));
+        let dims = b.small_input("dims");
+        let (x, y, z) = (b.input("x"), b.input("y"), b.input("z"));
+        let g = b.grad3d(u, dims, x, y, z);
+        let packed = b.compose3(u, v, u);
+        let cross = b.binary(FilterOp::Cross3, g, packed);
+        let norm = b.unary(FilterOp::Norm3, cross);
+        let vectors = b.finish(g);
+        let mut programs: Vec<FusedProgram> = [
             example_networks::velmag_example(),
             example_networks::gradmag_example(),
             example_networks::fig2_example(),
-        ] {
-            let src = fuse(&spec).unwrap().generated_source("k");
-            // Only check the kernel body, not the grad3d helper function.
-            let body = &src[src.find("__kernel").expect("kernel present")..];
-            let mut seen = std::collections::HashSet::new();
-            for line in body.lines() {
-                let t = line.trim();
-                if let Some(rest) = t
-                    .strip_prefix("float ")
-                    .or_else(|| t.strip_prefix("float4 "))
-                {
-                    // Declaration lines: "float rN;" / "float4 vN;" only.
-                    if let Some(name) = rest.strip_suffix(';') {
-                        assert!(
-                            seen.insert(name.to_string()),
-                            "register {name} declared twice:\n{src}"
-                        );
-                        assert!(!name.contains('='), "declaration with init: {t}");
-                    }
+        ]
+        .iter()
+        .map(|spec| fuse(spec).unwrap())
+        .collect();
+        programs.push(fuse(&vectors).unwrap());
+        programs.push(fuse_roots(&vectors, &[norm, cross, packed]).unwrap());
+        for program in programs {
+            let src = program.generated_source("k");
+            // Only check the kernel, not the grad3d helper function.
+            let kernel = &src[src.find("__kernel").expect("kernel present")..];
+            // Parameters and registers, by name: their types.
+            let mut declared = HashMap::new();
+            for line in kernel.lines() {
+                let t = line.trim().trim_start_matches("__global ");
+                let t = t.trim_end_matches([',', ')', ';']).replace('*', "");
+                let Some((ty, name)) = t.split_once(' ') else {
+                    continue;
+                };
+                if ["float", "float4"].contains(&ty) {
+                    assert!(!name.contains('='), "declaration with init: {t}");
+                    let first = declared.insert(name.to_string(), ty.to_string());
+                    assert!(first.is_none(), "{name} declared twice:\n{src}");
                 }
             }
-            assert!(!seen.is_empty());
+            let mut stores = 0;
+            for line in kernel.lines() {
+                let Some((out, reg)) = line.trim().split_once("[idx] = ") else {
+                    continue;
+                };
+                let reg = reg.strip_suffix(';').expect("a statement ends with `;`");
+                assert_eq!(declared.get(reg), declared.get(out), "{line}:\n{src}");
+                stores += 1;
+            }
+            assert_eq!(stores, program.outputs.len(), "{src}");
         }
     }
 }

@@ -11,11 +11,12 @@
 //! non-uniform) cell-center coordinates, falling back to one-sided
 //! differences on boundaries. Axes with a single cell get a zero derivative.
 //!
-//! A caller asks [`gradient_span`] for the axes it reads and gets only
-//! those: the fused kernel skips a derivative no step of its program reads
-//! (vorticity magnitude reads six of the nine a velocity Jacobian has), and
-//! so does the reference kernel; the `grad3d` primitive writes all three,
-//! because a staged launch owns every lane of its output.
+//! A caller hands [`gradient_span`] the lanes it reads and gets only those
+//! computed: the fused kernel gives no row to a derivative no step of its
+//! program reads (vorticity magnitude reads six of the nine a velocity
+//! Jacobian has), and the reference kernel skips the same ones; the
+//! `grad3d` primitive passes all three, because a staged launch owns every
+//! lane of its output.
 
 use dfg_ocl::OutLanes;
 
@@ -144,10 +145,10 @@ fn run_derivative(
 }
 
 /// [`gradient_at`] over the contiguous cells `[base, base + len)`, written
-/// to three planar runs of `len` output lanes each (`∂/∂x`, `∂/∂y`, `∂/∂z`)
-/// — of which only the runs whose entry of `axes` is set: an axis not asked
-/// for costs nothing and its run is left as it was. Every lane written has
-/// the bits [`gradient_at`] gives it, whichever axes are asked for.
+/// to the planar runs of `len` output lanes (`∂/∂x`, `∂/∂y`, `∂/∂z`) that
+/// are `Some`: an axis without a run costs nothing. Which axes are computed
+/// is which runs are passed, so the two cannot disagree. Every lane written
+/// has the bits [`gradient_at`] gives it, whichever axes are asked for.
 ///
 /// The range is walked one x-row segment at a time: `(i, j, k)` is decoded
 /// once per segment, the y/z neighbour offsets are per-row constants
@@ -157,9 +158,8 @@ fn run_derivative(
 /// gradient and the reference kernels.
 ///
 /// # Panics
-/// Panics if the output slices differ in length or the range leaves the
+/// Panics if the output runs differ in length or the range leaves the
 /// grid `d` describes (or the arrays, through their bounds checks).
-#[allow(clippy::too_many_arguments)]
 pub fn gradient_span(
     field: &[f32],
     x: &[f32],
@@ -167,11 +167,14 @@ pub fn gradient_span(
     z: &[f32],
     d: Dims3,
     base: usize,
-    axes: [bool; 3],
-    [mut gx, mut gy, mut gz]: [OutLanes<'_>; 3],
+    [mut gx, mut gy, mut gz]: [Option<OutLanes<'_>>; 3],
 ) {
-    let len = gx.len();
-    assert!(gy.len() == len && gz.len() == len, "gradient lanes differ");
+    let lens = [&gx, &gy, &gz].map(|lanes| lanes.as_ref().map(OutLanes::len));
+    let len = lens.into_iter().flatten().max().unwrap_or(0);
+    assert!(
+        lens.into_iter().flatten().all(|l| l == len),
+        "gradient lanes differ"
+    );
     assert!(base + len <= d.ncells(), "gradient range leaves the grid");
     let (sy, sz) = (d.nx, d.nx * d.ny);
     let mut t = 0;
@@ -179,7 +182,7 @@ pub fn gradient_span(
         let idx = base + t;
         let (i, j, k) = d.unravel(idx);
         let seg = (d.nx - i).min(len - t);
-        if axes[0] {
+        if let Some(gx) = &mut gx {
             // The segment's first cell may be i == 0, its last i == nx - 1.
             let (mut a, mut b) = (0, seg);
             if i == 0 {
@@ -195,14 +198,14 @@ pub fn gradient_span(
                 run_derivative(field, x, idx + a, 1, 1, gx.reborrow().slice(t + a..t + b));
             }
         }
-        if axes[1] {
+        if let Some(gy) = &mut gy {
             let (lo, hi) = (
                 if j == 0 { 0 } else { sy },
                 if j + 1 == d.ny { 0 } else { sy },
             );
             run_derivative(field, y, idx, lo, hi, gy.reborrow().slice(t..t + seg));
         }
-        if axes[2] {
+        if let Some(gz) = &mut gz {
             let (lo, hi) = (
                 if k == 0 { 0 } else { sz },
                 if k + 1 == d.nz { 0 } else { sz },
@@ -211,15 +214,6 @@ pub fn gradient_span(
         }
         t += seg;
     }
-}
-
-/// The first `len` lanes of each of the three `width`-lane rows at the head
-/// of `rows`: the planar output [`gradient_span`] takes, carved out of a
-/// bank or a block of row scratch.
-pub(crate) fn lanes3(rows: &mut [f32], width: usize, len: usize) -> [OutLanes<'_>; 3] {
-    let (gx, rest) = rows.split_at_mut(width);
-    let (gy, gz) = rest.split_at_mut(width);
-    [&mut gx[..len], &mut gy[..len], &mut gz[..len]].map(OutLanes::from)
 }
 
 #[cfg(test)]
@@ -413,7 +407,9 @@ mod tests {
                 let len = width.min(n - base);
                 let mut g = [(); 3].map(|_| vec![f32::from_bits(UNWRITTEN); len]);
                 let lanes = g.each_mut().map(|g| OutLanes::from(&mut g[..]));
-                gradient_span(&f, &x, &y, &z, d, base, axes, lanes);
+                let mut asked = axes.into_iter();
+                let lanes = lanes.map(|lanes| asked.next().unwrap().then_some(lanes));
+                gradient_span(&f, &x, &y, &z, d, base, lanes);
                 for t in 0..len {
                     let want = gradient_at(&f, &x, &y, &z, d, base + t).map(f32::to_bits);
                     let want = [0, 1, 2].map(|a| if axes[a] { want[a] } else { UNWRITTEN });
@@ -464,15 +460,7 @@ mod tests {
         };
         let a = [0.0f32; 8];
         let (mut gx, mut gy, mut gz) = ([0.0f32; 5], [0.0f32; 5], [0.0f32; 5]);
-        gradient_span(
-            &a,
-            &a,
-            &a,
-            &a,
-            d,
-            0,
-            [true; 3],
-            [&mut gx[..], &mut gy[..], &mut gz[..]].map(OutLanes::from),
-        );
+        let lanes = [&mut gx[..], &mut gy[..], &mut gz[..]].map(|g| Some(OutLanes::from(g)));
+        gradient_span(&a, &a, &a, &a, d, 0, lanes);
     }
 }

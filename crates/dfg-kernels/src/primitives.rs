@@ -143,13 +143,13 @@ impl Primitive {
 /// The gradient building block's OpenCL source (the paper's ">50 lines"
 /// multi-line primitive), kept for source-level fidelity of the generator.
 pub const GRAD3D_OPENCL_SOURCE: &str = r#"float4 dfg_grad3d(__global const float *f,
-                  __global const int   *dims,
+                  __global const float *dims,
                   __global const float *x,
                   __global const float *y,
                   __global const float *z,
                   int idx)
 {
-    int nx = dims[0]; int ny = dims[1]; int nz = dims[2];
+    int nx = (int)dims[0]; int ny = (int)dims[1]; int nz = (int)dims[2];
     int i = idx % nx;
     int j = (idx / nx) % ny;
     int k = idx / (nx * ny);
@@ -313,16 +313,8 @@ impl DeviceKernel for Primitive {
                 par_pieces(pieces, |c, lanes: &mut [OutLanes<'_>; 3]| {
                     let (f, x, y, z) = (input(0), input(2), input(3), input(4));
                     // All three axes: a launch writes every lane of its output (D11).
-                    gradient_span(
-                        f,
-                        x,
-                        y,
-                        z,
-                        d,
-                        c * chunk,
-                        [true; 3],
-                        lanes.each_mut().map(|l| l.reborrow()),
-                    );
+                    let lanes = lanes.each_mut().map(|l| Some(l.reborrow()));
+                    gradient_span(f, x, y, z, d, c * chunk, lanes);
                 });
             }
             Primitive::Norm3 => tasks(out, &|at, mut out| {

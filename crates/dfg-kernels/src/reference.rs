@@ -13,7 +13,7 @@
 use dfg_ocl::{DeviceKernel, KernelCost, LaunchArgs, OutLanes};
 
 use crate::fused::chunk_width;
-use crate::grad::{gradient_span, lanes3, Dims3};
+use crate::grad::{gradient_span, Dims3};
 use crate::primitives::par_pieces;
 
 /// Minimum elements per rayon task; scaled up per launch by
@@ -23,6 +23,17 @@ const PAR_CHUNK: usize = 8 * 1024;
 /// The velocity-gradient rows of one block of cells: `j[r][c]` holds
 /// `∂(u, v, w)[r] / ∂(x, y, z)[c]`, one lane per cell.
 type Jacobian<'a> = [[&'a [f32]; 3]; 3];
+
+/// The Jacobian entries [`VortMagRef`]'s curl reads: the six off the
+/// diagonal (`reads[r][c]`: it reads `j[r][c]`).
+pub(crate) const VORT_MAG_READS: [[bool; 3]; 3] = [
+    [false, true, true],
+    [true, false, true],
+    [true, true, false],
+];
+
+/// The Jacobian entries [`QCritRef`] reads: all nine.
+pub(crate) const Q_CRIT_READS: [[bool; 3]; 3] = [[true; 3]; 3];
 
 /// Drive a gradient reference kernel (inputs `[u, v, w, dims, x, y, z]`):
 /// split the launch into tasks, walk each task in blocks of row scratch,
@@ -45,8 +56,12 @@ fn for_jacobian_blocks(
         for (b, out) in out.reborrow().chunks(width).enumerate() {
             let (base, len) = (c * chunk + b * width, out.len());
             for (r, rows) in rows.chunks_mut(3 * width).enumerate() {
-                let lanes = lanes3(rows, width, len);
-                gradient_span(inputs[r], x, y, z, d, base, reads[r], lanes);
+                let mut rows = rows.chunks_mut(width);
+                let lanes = reads[r].map(|read| {
+                    let row = rows.next().filter(|_| read);
+                    row.map(|row| OutLanes::from(&mut row[..len]))
+                });
+                gradient_span(inputs[r], x, y, z, d, base, lanes);
             }
             let row = |i: usize| &rows[i * width..][..len];
             let jacobian = [0, 3, 6].map(|r| [row(r), row(r + 1), row(r + 2)]);
@@ -115,9 +130,7 @@ impl DeviceKernel for VortMagRef {
     }
 
     fn write(&self, args: LaunchArgs<'_>) {
-        // The curl reads the six off-diagonal entries.
-        let off_diagonal = [0, 1, 2].map(|r| [0, 1, 2].map(|c| r != c));
-        for_jacobian_blocks(args, off_diagonal, |[du, dv, dw], mut out| {
+        for_jacobian_blocks(args, VORT_MAG_READS, |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 let wx = dw[1][t] - dv[2][t];
                 let wy = du[2][t] - dw[0][t];
@@ -151,7 +164,7 @@ impl DeviceKernel for QCritRef {
     }
 
     fn write(&self, args: LaunchArgs<'_>) {
-        for_jacobian_blocks(args, [[true; 3]; 3], |[du, dv, dw], mut out| {
+        for_jacobian_blocks(args, Q_CRIT_READS, |[du, dv, dw], mut out| {
             for (t, o) in out.iter_mut().enumerate() {
                 // S = ½(J + Jᵀ), Ω = ½(J − Jᵀ); Q = ½(‖Ω‖² − ‖S‖²).
                 let s1 = 0.5 * (du[1][t] + dv[0][t]);
